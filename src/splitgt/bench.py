@@ -130,6 +130,13 @@ def validate_config(config: TrialConfig) -> None:
         raise ValueError(f"unknown algorithm {config.algorithm!r}; expected one of {ALGORITHMS}")
     if config.trials < 0:
         raise ValueError("trials must be non-negative")
+    if config.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {config.jobs}")
+    if config.hash_mode == "permutation" and config.algorithm in ("gamma", "noisy"):
+        raise ValueError(
+            f"the {config.algorithm} scheme places nodes independently; "
+            "hash mode 'permutation' is balanced, use kwise or pairwise"
+        )
     if config.algorithm == "gamma" and config.gamma is None:
         raise ValueError("the gamma scheme needs a divisibility budget (gamma)")
     if config.algorithm == "rho" and config.rho is None:

@@ -15,11 +15,11 @@ with k rather than with the number of tests.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
 from .placements import IdentityPlacement, uniform_style_placement
+from .tree import TreeDesign, decode_tree
 
 DEFAULT_C_CONST = 8.0  # smallest integer above e**2, the analysis floor
 MIN_C_CONST = math.e ** 2
@@ -144,7 +144,7 @@ def gamma_total_tests(params: GammaParams, n: int) -> int:
     )
 
 
-class GammaDesign:
+class GammaDesign(TreeDesign):
     """Materialised test layout for one key: placements for every level."""
 
     def __init__(self, params: GammaParams, n: int, key: RandomnessKey,
@@ -176,35 +176,14 @@ class GammaDesign:
             )
             layout.append((gp, rep, params.t_len_dprime))
         self.layout = tuple(layout)
+        self.levels = tuple((level, 1) for level in range(2, gp)) + ((gp, params.final_reps),)
+        self.branching = params.branching
 
     def node_size(self, level: int) -> int:
         return self.params.level1_size // self.params.branching ** (level - 1)
 
-    def num_nodes(self, level: int) -> int:
-        return self.n // self.node_size(level)
-
     def node_of(self, item: int, level: int) -> int:
         return item // self.node_size(level)
-
-    def test_of(self, level: int, rep: int, node: int) -> int:
-        return self.placements[(level, rep)].test_of(node)
-
-    def segment_positives(self, level, rep, defectives):
-        placement = self.placements[(level, rep)]
-        size = self.node_size(level)
-        return {placement.test_of(d // size) for d in defectives}
-
-    def segment_members(self, level, rep):
-        """Explicit member sets of every test in a segment (small n only)."""
-        placement = self.placements[(level, rep)]
-        _, _, length = next(s for s in self.layout if s[:2] == (level, rep))
-        size = self.node_size(level)
-        tests = [set() for _ in range(length)]
-        for node in range(self.num_nodes(level)):
-            tests[placement.test_of(node)].update(
-                range(node * size, (node + 1) * size)
-            )
-        return tests
 
     def memberships_per_item(self) -> list[int]:
         """Number of tests each item participates in, counted from the
@@ -215,14 +194,6 @@ class GammaDesign:
                 for item in members:
                     counts[item] += 1
         return counts
-
-    @property
-    def t_total(self) -> int:
-        return sum(length for _, _, length in self.layout)
-
-    @property
-    def storage_words(self) -> int:
-        return sum(p.storage_cost for p in self.placements.values())
 
 
 def build_gamma_design(params: GammaParams, n: int, key: RandomnessKey,
@@ -235,59 +206,7 @@ def decode_gamma(design: GammaDesign, outcomes: OutcomeVector) -> tuple[tuple[in
 
     A level-1 node survives if its individual test is positive; a mid-level
     node survives if its single test is positive; a singleton makes the
-    estimate if none of its final-level tests is negative.
+    estimate if none of its final-level tests is negative.  See
+    :func:`splitgt.tree.decode_tree`.
     """
-    if tuple(outcomes.layout) != tuple(design.layout):
-        raise ValueError("outcome layout does not match this design")
-    start = time.perf_counter_ns()
-    params = design.params
-    gp = params.gamma_prime
-    b = params.branching
-    seen: set[tuple[int, int, int]] = set()  # distinct outcome cells observed
-    visited = 0
-    pd_peak = 0
-
-    survivors = []
-    for node in range(design.level1_count):
-        seen.add((1, 0, node))
-        visited += 1
-        if outcomes.get(1, 0, node):
-            survivors.append(node)
-    pd_peak = max(pd_peak, len(survivors))
-
-    pd = [c for node in survivors for c in range(node * b, node * b + b)]
-    for level in range(2, gp):
-        pd_peak = max(pd_peak, len(pd))
-        survivors = []
-        for node in pd:
-            visited += 1
-            test = design.test_of(level, 0, node)
-            seen.add((level, 0, test))
-            if outcomes.get(level, 0, test):
-                survivors.append(node)
-        pd = [c for node in survivors for c in range(node * b, node * b + b)]
-
-    pd_peak = max(pd_peak, len(pd))
-    estimate = []
-    for item in pd:
-        visited += 1
-        clean = True
-        for rep in range(params.final_reps):
-            test = design.test_of(gp, rep, item)
-            seen.add((gp, rep, test))
-            if not outcomes.get(gp, rep, test):
-                clean = False
-                break
-        if clean:
-            estimate.append(item)
-
-    wall = time.perf_counter_ns() - start
-    storage = design.storage_words + pd_peak + (outcomes.t_total + 63) // 64
-    report = DecodeReport(
-        estimate=tuple(sorted(estimate)),
-        outcomes_read=len(seen),
-        nodes_visited=visited,
-        wall_nanos=wall,
-        storage_words=storage,
-    )
-    return report.estimate, report
+    return decode_tree(design, outcomes)

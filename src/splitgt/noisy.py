@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
 from .placements import uniform_style_placement
+from .tree import TreeDesign
 
 DEFAULT_T = 2.0
 DEFAULT_EPSILON = 0.6
@@ -118,7 +119,7 @@ def noisy_total_tests(params: NoisyParams, n: int, k: int) -> int:
             + params.c_final * params.n_reps * log2n * params.t_len)
 
 
-class NoisyDesign:
+class NoisyDesign(TreeDesign):
     """Binary tree over [0, n): node j at level l covers items
     [j * n/2^l, (j+1) * n/2^l)."""
 
@@ -147,32 +148,14 @@ class NoisyDesign:
             layout.append((self.log2n, seq, params.t_len))
         self.layout = tuple(layout)
 
+    def node_size(self, level: int) -> int:
+        return self.n >> level
+
     def node_of(self, item: int, level: int) -> int:
         return item >> (self.log2n - level)
 
     def test_of(self, level: int, rep: int, node: int) -> int:
         return self.placements[(level, rep)].test_of(node)
-
-    def segment_positives(self, level, rep, defectives):
-        shift = self.log2n - level
-        placement = self.placements[(level, rep)]
-        return {placement.test_of(d >> shift) for d in defectives}
-
-    def segment_members(self, level, rep):
-        placement = self.placements[(level, rep)]
-        size = self.n >> level
-        tests = [set() for _ in range(self.params.t_len)]
-        for node in range(1 << level):
-            tests[placement.test_of(node)].update(range(node * size, (node + 1) * size))
-        return tests
-
-    @property
-    def t_total(self) -> int:
-        return sum(length for _, _, length in self.layout)
-
-    @property
-    def storage_words(self) -> int:
-        return sum(p.storage_cost for p in self.placements.values())
 
 
 def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
@@ -245,6 +228,29 @@ def final_level_batch_label(item: int, batch: int, design: NoisyDesign,
     return label
 
 
+def _lookahead(design: NoisyDesign, outcomes: OutcomeVector, cache: LabelCache,
+               target: int, lvl: int, nd: int, batch: int, depth: int,
+               positives: int) -> bool:
+    """One step of :func:`final_label`'s path search.  A module-level function
+    rather than a closure over itself, so that a decode leaves no reference
+    cycle keeping its cache, design and outcomes alive."""
+    bottom, r = design.log2n, design.params.r
+    if lvl < bottom:
+        positives += intermediate_label(nd, lvl, design, outcomes, cache)
+    else:
+        positives += final_level_batch_label(nd, batch, design, outcomes, cache)
+    if positives >= target:
+        return True
+    if depth == r or positives + (r - depth) < target:
+        return False
+    if lvl < bottom:
+        return (_lookahead(design, outcomes, cache, target,
+                           lvl + 1, 2 * nd, 0, depth + 1, positives)
+                or _lookahead(design, outcomes, cache, target,
+                              lvl + 1, 2 * nd + 1, 0, depth + 1, positives))
+    return _lookahead(design, outcomes, cache, target, lvl, nd, batch + 1, depth + 1, positives)
+
+
 def final_label(node: int, level: int, design: NoisyDesign,
                 outcomes: OutcomeVector, cache: LabelCache) -> int:
     """Lookahead decision for a node above the final level.
@@ -254,29 +260,11 @@ def final_label(node: int, level: int, design: NoisyDesign,
     do.  Steps past the final level stay on the singleton reached and consume
     its batches in order, one per padding depth.
     """
-    params = design.params
-    bottom = design.log2n
-    if level >= bottom:
+    if level >= design.log2n:
         raise ValueError("final_label applies above the final level")
-    r = params.r
-    target = r // 2 + 1
-
-    def step(lvl: int, nd: int, batch: int, depth: int, positives: int) -> bool:
-        if lvl < bottom:
-            positives += intermediate_label(nd, lvl, design, outcomes, cache)
-        else:
-            positives += final_level_batch_label(nd, batch, design, outcomes, cache)
-        if positives >= target:
-            return True
-        if depth == r or positives + (r - depth) < target:
-            return False
-        if lvl < bottom:
-            return (step(lvl + 1, 2 * nd, 0, depth + 1, positives)
-                    or step(lvl + 1, 2 * nd + 1, 0, depth + 1, positives))
-        return step(lvl, nd, batch + 1, depth + 1, positives)
-
-    found = (step(level + 1, 2 * node, 0, 1, 0)
-             or step(level + 1, 2 * node + 1, 0, 1, 0))
+    target = design.params.r // 2 + 1
+    found = (_lookahead(design, outcomes, cache, target, level + 1, 2 * node, 0, 1, 0)
+             or _lookahead(design, outcomes, cache, target, level + 1, 2 * node + 1, 0, 1, 0))
     return 1 if found else 0
 
 

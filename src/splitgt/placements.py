@@ -11,8 +11,10 @@ Four backings are provided:
     low bits dropped -- same exact weights as the balanced table at O(1)
     storage.
 
-Every backing exposes ``test_of(node)``, ``table()`` (materialised mapping,
-for verification at small sizes), and ``storage_cost`` in machine words.
+Every backing exposes ``test_of(node)`` for one node, ``tests_of(nodes)``
+for an int64 array of node ids (the same tests, element for element, as an
+int64 array), ``table()`` (``tests_of`` over every node, for verification at
+small sizes), and ``storage_cost`` in machine words.
 """
 
 from __future__ import annotations
@@ -23,7 +25,35 @@ from .core import RandomnessKey, _splitmix64, is_power_of_two
 
 HASH_MODES = ("full", "kwise", "pairwise", "permutation")
 
-_MASK64 = (1 << 64) - 1
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64 <splitgt.core._splitmix64>` on a uint64 array;
+    uint64 arithmetic wraps, which is the mod-2^64 the scalar form masks to."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
+    """a * b mod prime for uint64 arrays with entries below prime < 2^63.
+
+    Multiplies b in chunks of ``64 - bits(prime)`` bits, high chunk first, so
+    no intermediate product or sum leaves uint64.
+    """
+    bits = prime.bit_length()
+    p = np.uint64(prime)
+    if 2 * bits <= 64:
+        return a * b % p
+    step = 64 - bits
+    acc = np.zeros_like(a)
+    hi = bits
+    while hi > 0:
+        lo = max(hi - step, 0)
+        chunk = (b >> np.uint64(lo)) & np.uint64((1 << (hi - lo)) - 1)
+        acc = ((acc << np.uint64(hi - lo)) % p + a * chunk % p) % p
+        hi = lo
+    return acc
 
 
 def smallest_prime_at_least(x: int) -> int:
@@ -42,7 +72,12 @@ def smallest_prime_at_least(x: int) -> int:
         candidate += 2
 
 
-class IdentityPlacement:
+class _Placement:
+    def table(self) -> np.ndarray:
+        return self.tests_of(np.arange(self.num_nodes, dtype=np.int64))
+
+
+class IdentityPlacement(_Placement):
     """One node per test, in order.  Used for the individual-testing levels."""
 
     def __init__(self, num_nodes: int):
@@ -53,11 +88,11 @@ class IdentityPlacement:
     def test_of(self, node: int) -> int:
         return node
 
-    def table(self) -> np.ndarray:
-        return np.arange(self.num_nodes, dtype=np.int64)
+    def tests_of(self, nodes: np.ndarray) -> np.ndarray:
+        return nodes
 
 
-class ExplicitTable:
+class ExplicitTable(_Placement):
     """Fully random placement with the whole node->test array retained."""
 
     def __init__(self, num_nodes: int, t_len: int, assignments: np.ndarray):
@@ -69,16 +104,17 @@ class ExplicitTable:
     def test_of(self, node: int) -> int:
         return int(self._table[node])
 
-    def table(self) -> np.ndarray:
-        return self._table
+    def tests_of(self, nodes: np.ndarray) -> np.ndarray:
+        return self._table[nodes]
 
 
-class PolynomialHash:
+class PolynomialHash(_Placement):
     """Degree-d polynomial over a prime field, reduced mod t_len.
 
     d coefficients give d-wise independence over the field; the final modular
     reduction adds a bias of at most t_len/prime per bucket, which is
-    negligible for the primes used here (>= num_nodes).
+    negligible for the primes used here (>= num_nodes).  ``tests_of`` is exact
+    for every prime below 2^63: products go through :func:`_mulmod`.
     """
 
     def __init__(self, num_nodes: int, t_len: int, degree: int, key: RandomnessKey):
@@ -90,6 +126,8 @@ class PolynomialHash:
         self.t_len = t_len
         self.degree = degree
         self.prime = smallest_prime_at_least(max(num_nodes, t_len, 2))
+        if self.prime >= 1 << 63:
+            raise ValueError(f"num_nodes={num_nodes} and t_len={t_len} must stay below 2^63")
         rng = key.generator()
         self.coeffs = tuple(int(c) for c in rng.integers(0, self.prime, size=degree))
         self.storage_cost = degree + 2
@@ -100,15 +138,16 @@ class PolynomialHash:
             acc = (acc * node + c) % self.prime
         return acc % self.t_len
 
-    def table(self) -> np.ndarray:
-        x = np.arange(self.num_nodes, dtype=np.int64)
-        acc = np.zeros(self.num_nodes, dtype=np.int64)
+    def tests_of(self, nodes: np.ndarray) -> np.ndarray:
+        x = np.asarray(nodes).astype(np.uint64)
+        p = np.uint64(self.prime)
+        acc = np.zeros_like(x)
         for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.prime
-        return acc % self.t_len
+            acc = (_mulmod(acc, x, self.prime) + np.uint64(c)) % p
+        return (acc % np.uint64(self.t_len)).astype(np.int64)
 
 
-class BalancedTable:
+class BalancedTable(_Placement):
     """Uniformly random placement with exact row weight and column weight one.
 
     Realised by a keyed permutation of the nodes chunked into consecutive
@@ -130,11 +169,11 @@ class BalancedTable:
     def test_of(self, node: int) -> int:
         return int(self._positions[node]) // self.row_weight
 
-    def table(self) -> np.ndarray:
-        return self._positions // self.row_weight
+    def tests_of(self, nodes: np.ndarray) -> np.ndarray:
+        return self._positions[nodes] // self.row_weight
 
 
-class TruncatedPermutation:
+class TruncatedPermutation(_Placement):
     """Keyed Feistel bijection on [0, num_nodes) with the low bits dropped.
 
     Requires power-of-two sizes.  The Feistel network runs on an even bit
@@ -176,8 +215,25 @@ class TruncatedPermutation:
     def test_of(self, node: int) -> int:
         return self._permute(node) >> self._shift
 
-    def table(self) -> np.ndarray:
-        return np.array([self.test_of(j) for j in range(self.num_nodes)], dtype=np.int64)
+    def _rounds(self, x: np.ndarray) -> np.ndarray:
+        half, mask = np.uint64(self._half), np.uint64(self._half_mask)
+        left, right = x >> half, x & mask
+        for rk in self._round_keys:
+            left, right = right, left ^ (_splitmix64_array(right ^ np.uint64(rk)) & mask)
+        return (left << half) | right
+
+    def tests_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`test_of`; only lanes that land out of range
+        cycle-walk again."""
+        x = np.asarray(nodes).astype(np.uint64)
+        if self.num_nodes == 1:
+            return np.zeros(len(x), dtype=np.int64)
+        x = self._rounds(x)
+        out = np.flatnonzero(x >= np.uint64(self.num_nodes))
+        while len(out):
+            x[out] = self._rounds(x[out])
+            out = out[x[out] >= np.uint64(self.num_nodes)]
+        return (x >> np.uint64(self._shift)).astype(np.int64)
 
 
 def place_uniform(num_nodes: int, t_len: int, key: RandomnessKey) -> ExplicitTable:

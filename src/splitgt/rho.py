@@ -10,12 +10,12 @@ therefore structural, not probabilistic.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
 from .placements import IdentityPlacement, balanced_style_placement
+from .tree import TreeDesign, decode_tree
 
 DEFAULT_C_DEPTH = 2
 DEFAULT_N_REPS = 3
@@ -75,7 +75,7 @@ def rho_total_tests(params: RhoParams, n: int) -> int:
     return (1 + params.n_reps * (params.c_depth - 1) + params.c_final) * per_level
 
 
-class RhoDesign:
+class RhoDesign(TreeDesign):
     """Materialised layout: identity level 0, balanced mid and final levels."""
 
     def __init__(self, params: RhoParams, n: int, key: RandomnessKey,
@@ -103,30 +103,12 @@ class RhoDesign:
             )
             layout.append((params.c_depth, rep, self.tests_per_level))
         self.layout = tuple(layout)
+        self.levels = (tuple((level, params.n_reps) for level in range(1, params.c_depth))
+                       + ((params.c_depth, params.c_final),))
+        self.branching = params.branch
 
     def node_size(self, level: int) -> int:
         return self.params.rho // self.params.branch ** level
-
-    def num_nodes(self, level: int) -> int:
-        return self.n // self.node_size(level)
-
-    def test_of(self, level: int, rep: int, node: int) -> int:
-        return self.placements[(level, rep)].test_of(node)
-
-    def segment_positives(self, level, rep, defectives):
-        placement = self.placements[(level, rep)]
-        size = self.node_size(level)
-        return {placement.test_of(d // size) for d in defectives}
-
-    def segment_members(self, level, rep):
-        placement = self.placements[(level, rep)]
-        size = self.node_size(level)
-        tests = [set() for _ in range(self.tests_per_level)]
-        for node in range(self.num_nodes(level)):
-            tests[placement.test_of(node)].update(
-                range(node * size, (node + 1) * size)
-            )
-        return tests
 
     def max_items_per_test(self) -> int:
         """Largest test load across the whole design (verification helper)."""
@@ -139,14 +121,6 @@ class RhoDesign:
             worst = max(worst, int(loads.max()))
         return worst
 
-    @property
-    def t_total(self) -> int:
-        return sum(length for _, _, length in self.layout)
-
-    @property
-    def storage_words(self) -> int:
-        return sum(p.storage_cost for p in self.placements.values())
-
 
 def build_rho_design(params: RhoParams, n: int, key: RandomnessKey,
                      hash_mode: str = "full") -> RhoDesign:
@@ -156,63 +130,5 @@ def build_rho_design(params: RhoParams, n: int, key: RandomnessKey,
 def decode_rho(design: RhoDesign, outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
     """Constant-depth descent: a mid-level node survives only if all N of its
     tests are positive; a singleton makes the estimate if none of its final
-    tests is negative."""
-    if tuple(outcomes.layout) != tuple(design.layout):
-        raise ValueError("outcome layout does not match this design")
-    start = time.perf_counter_ns()
-    params = design.params
-    branch = params.branch
-    seen: set[tuple[int, int, int]] = set()  # distinct outcome cells observed
-    visited = 0
-    pd_peak = 0
-
-    survivors = []
-    for node in range(design.tests_per_level):
-        seen.add((0, 0, node))
-        visited += 1
-        if outcomes.get(0, 0, node):
-            survivors.append(node)
-    pd_peak = max(pd_peak, len(survivors))
-
-    pd = [c for node in survivors for c in range(node * branch, node * branch + branch)]
-    for level in range(1, params.c_depth):
-        pd_peak = max(pd_peak, len(pd))
-        survivors = []
-        for node in pd:
-            visited += 1
-            alive = True
-            for rep in range(params.n_reps):
-                test = design.test_of(level, rep, node)
-                seen.add((level, rep, test))
-                if not outcomes.get(level, rep, test):
-                    alive = False
-                    break
-            if alive:
-                survivors.append(node)
-        pd = [c for node in survivors
-              for c in range(node * branch, node * branch + branch)]
-
-    pd_peak = max(pd_peak, len(pd))
-    estimate = []
-    for item in pd:
-        visited += 1
-        clean = True
-        for rep in range(params.c_final):
-            test = design.test_of(params.c_depth, rep, item)
-            seen.add((params.c_depth, rep, test))
-            if not outcomes.get(params.c_depth, rep, test):
-                clean = False
-                break
-        if clean:
-            estimate.append(item)
-
-    wall = time.perf_counter_ns() - start
-    storage = design.storage_words + pd_peak + (outcomes.t_total + 63) // 64
-    report = DecodeReport(
-        estimate=tuple(sorted(estimate)),
-        outcomes_read=len(seen),
-        nodes_visited=visited,
-        wall_nanos=wall,
-        storage_words=storage,
-    )
-    return report.estimate, report
+    tests is negative.  See :func:`splitgt.tree.decode_tree`."""
+    return decode_tree(design, outcomes)

@@ -123,6 +123,13 @@ def test_validate_config_errors():
         run_trials(TrialConfig(algorithm="rho", n=64, k=2, trials=1))
     with pytest.raises(ValueError):
         run_trials(TrialConfig(algorithm="noisy", n=64, k=2, trials=1, p=0.0))
+    for algorithm in ("gamma", "noisy"):
+        with pytest.raises(ValueError, match="permutation"):
+            run_trials(TrialConfig(algorithm=algorithm, n=64, k=2, gamma=4, p=0.05,
+                                   hash_mode="permutation"))
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            run_trials(_gamma_config(jobs=jobs))
 
 
 def test_counters_within_test_budget():

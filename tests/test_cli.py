@@ -132,6 +132,17 @@ def test_eta_curve_csv(tmp_path, capsys):
     assert len(lines) == 1 + 9 * 3  # comp + two splitting variants per theta
 
 
+@pytest.mark.parametrize("argv", [
+    "gamma --n 1024 --k 4 --gamma 5 --hash-mode permutation",
+    "noisy --n 1024 --k 4 --p 0.05 --hash-mode permutation",
+    "gamma --n 1024 --k 4 --gamma 5 --jobs 0",
+])
+def test_invalid_config_exits_2_before_any_trial(argv, capsys):
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "trial 0" not in err
+
+
 def test_eta_curve_bad_gamma_exits_2(capsys):
     assert main("eta-curve --gamma 2".split()) == 2
 

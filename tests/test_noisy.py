@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from splitgt import bench, noisy
 from splitgt.core import (
     NoiseChannel,
     OutcomeVector,
@@ -259,3 +262,25 @@ def test_decode_deterministic():
     b = _run(n, k, (3, 100, 200, 400), seed=8, channel_p=0.05)
     assert a[2] == b[2]
     assert a[3].outcomes_read == b[3].outcomes_read
+
+
+def test_decode_leaves_no_reference_cycle(monkeypatch):
+    """A trial's label cache is freed by reference counting alone."""
+    caches = []
+
+    class TrackedCache(LabelCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            caches.append(weakref.ref(self))
+
+    monkeypatch.setattr(noisy, "LabelCache", TrackedCache)
+    config = bench.TrialConfig(algorithm="noisy", n=2 ** 8, k=4, p=0.05, trials=1,
+                               base_seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        bench.run_trial(config, 0)
+        assert len(caches) == 1
+        assert caches[0]() is None
+    finally:
+        gc.enable()

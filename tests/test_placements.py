@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
+    IdentityPlacement,
     balanced_style_placement,
     place_balanced,
     place_hashed,
@@ -84,6 +85,11 @@ def test_hashed_pairwise_collision_rate():
 def test_hashed_table_matches_scalar():
     p = place_hashed(257, 12, 4, key(9))
     assert [p.test_of(j) for j in range(257)] == list(p.table())
+    # past n = 2^32 the prime's square no longer fits in 64 bits
+    for num in (2 ** 33, 2 ** 40):
+        p = place_hashed(num, 1000, 4, key(9))
+        nodes = np.arange(num - 257, num, dtype=np.int64)
+        assert p.tests_of(nodes).tolist() == [p.test_of(j) for j in nodes.tolist()]
 
 
 def test_balanced_exact_weights():
@@ -204,3 +210,32 @@ def test_mode_factories():
     assert balanced_style_placement(64, 8, key(), "full").storage_cost == 64
     assert balanced_style_placement(64, 8, key(), "permutation").storage_cost == 6
     assert balanced_style_placement(64, 8, key(), "pairwise").storage_cost == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_nodes=st.integers(min_value=0, max_value=40),
+    log_t=st.integers(min_value=0, max_value=40),
+    hash_t=st.integers(min_value=1, max_value=2 ** 20),
+    degree=st.integers(min_value=2, max_value=7),
+    seed=st.integers(min_value=0, max_value=2 ** 32),
+    picks=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=40),
+)
+@example(log_nodes=11, log_t=3, hash_t=7, degree=2, seed=1, picks=[0.5])
+@example(log_nodes=31, log_t=12, hash_t=3, degree=6, seed=2, picks=[0.25, 0.75])
+@example(log_nodes=0, log_t=0, hash_t=1, degree=2, seed=3, picks=[])
+@example(log_nodes=1, log_t=1, hash_t=2, degree=3, seed=4, picks=[0.9])
+@example(log_nodes=40, log_t=20, hash_t=1000, degree=6, seed=5, picks=[0.1, 0.6])
+def test_tests_of_matches_test_of(log_nodes, log_t, hash_t, degree, seed, picks):
+    num, t_len = 1 << log_nodes, 1 << min(log_t, log_nodes)
+    k = RandomnessKey(seed)
+    nodes = np.array([0, num - 1] + [int(f * num) for f in picks], dtype=np.int64)
+    backings = [place_hashed(num, hash_t, degree, k),
+                place_truncated_permutation(num, t_len, k)]
+    if log_nodes <= 12:  # the tables are materialised
+        backings += [IdentityPlacement(num), place_uniform(num, t_len, k),
+                     place_balanced(num, t_len, k)]
+    for p in backings:
+        fast = p.tests_of(nodes)
+        assert fast.dtype == np.int64
+        assert fast.tolist() == [p.test_of(j) for j in nodes.tolist()]

@@ -1,0 +1,63 @@
+import warnings
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from scalar_reference import decode_gamma_scalar, decode_rho_scalar
+from splitgt.core import NoiseChannel, ProblemInstance, RandomnessKey, evaluate_design
+from splitgt.gamma import build_gamma_design, decode_gamma, gamma_params
+from splitgt.rho import build_rho_design, decode_rho, rho_params
+
+
+def _design(scheme, n, k, budget, depth, reps, final_reps, hash_mode, key):
+    if scheme == "gamma":
+        try:
+            params = gamma_params(n, k, budget)
+        except ValueError:  # level-1 nodes larger than n
+            assume(False)
+        return build_gamma_design(params, n, key, hash_mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = rho_params(n, k, 1 << min(budget, n.bit_length() - 1), c_depth=depth,
+                            n_reps=reps, c_final=final_reps)
+    return build_rho_design(params, n, key, hash_mode)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scheme=st.sampled_from(["gamma", "rho"]),
+    log_n=st.integers(min_value=4, max_value=14),
+    log_k=st.integers(min_value=0, max_value=3),
+    budget=st.integers(min_value=1, max_value=8),
+    depth=st.integers(min_value=1, max_value=3),
+    reps=st.integers(min_value=1, max_value=3),
+    final_reps=st.integers(min_value=1, max_value=3),
+    hash_mode=st.sampled_from(["full", "kwise", "pairwise", "permutation"]),
+    p01=st.sampled_from([0.0, 0.05, 0.3]),
+    p10=st.sampled_from([0.0, 0.1]),
+    seed=st.integers(min_value=0, max_value=2 ** 32),
+)
+def test_decode_tree_matches_scalar_reference(scheme, log_n, log_k, budget, depth, reps,
+                                              final_reps, hash_mode, p01, p10, seed):
+    """Same estimate, read count, visit count and storage as the node-by-node
+    decoder; channel noise puts false positives on the frontier."""
+    n, k = 1 << log_n, 1 << min(log_k, log_n - 2)
+    if scheme == "gamma":
+        budget += 2
+        if hash_mode == "permutation":
+            hash_mode = "kwise"
+    design = _design(scheme, n, k, budget, depth, reps, final_reps, hash_mode,
+                     RandomnessKey(seed, ("design",)))
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(0, k + 1))
+    defectives = tuple(int(d) for d in rng.choice(n, size=count, replace=False))
+    outcomes = evaluate_design(design, ProblemInstance(n=n, k=k, defectives=defectives),
+                               NoiseChannel(p01=p01, p10=p10), RandomnessKey(seed, ("noise",)))
+    decode, reference = ((decode_gamma, decode_gamma_scalar) if scheme == "gamma"
+                         else (decode_rho, decode_rho_scalar))
+    estimate, report = decode(design, outcomes)
+    assert replace(report, wall_nanos=0) == reference(design, outcomes)
+    assert estimate == report.estimate
+    assert all(isinstance(item, int) for item in estimate)
