@@ -31,13 +31,10 @@ from .gamma import (
     select_gamma_prime,
 )
 from .noisy import (
-    LabelCache,
     NoisyDesign,
     NoisyParams,
     build_noisy_design,
     decode_noisy,
-    final_label,
-    intermediate_label,
     noisy_params,
 )
 from .placements import (

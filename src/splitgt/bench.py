@@ -137,6 +137,15 @@ def validate_config(config: TrialConfig) -> None:
             f"the {config.algorithm} scheme places nodes independently; "
             "hash mode 'permutation' is balanced, use kwise or pairwise"
         )
+    if config.defectives is not None:
+        if not all(0 <= d < config.n for d in config.defectives):
+            raise ValueError(
+                f"explicit defectives must lie in [0, {config.n}); items added by "
+                "rounding n up stay non-defective"
+            )
+        k = _rounded(config)[1]
+        if len(set(config.defectives)) != len(config.defectives) or len(config.defectives) > k:
+            raise ValueError(f"explicit defectives must be distinct and at most k={k}")
     if config.algorithm == "gamma" and config.gamma is None:
         raise ValueError("the gamma scheme needs a divisibility budget (gamma)")
     if config.algorithm == "rho" and config.rho is None:

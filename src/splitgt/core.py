@@ -12,6 +12,9 @@ A *design* in this package is any object exposing three things:
   - ``segment_positives(level, repetition, defectives)``: the indices within
     that segment whose test pools at least one defective item.
 
+A design may also expose ``noiseless_bits(defectives)``, the whole noiseless
+outcome vector in layout order, when it can compute it faster at once.
+
 ``evaluate_design`` works against that protocol, so the tree schemes and the
 flat baseline designs share one evaluation path.
 """
@@ -263,22 +266,27 @@ def evaluate_design(design, instance: ProblemInstance, channel: NoiseChannel,
                     key: RandomnessKey) -> OutcomeVector:
     """Run every test of a non-adaptive design against an instance.
 
-    One bit per test in layout order.  Noise is drawn from a fresh substream
-    per (level, repetition) segment, so outcomes are independent across tests
-    and the whole vector is a pure function of (design, instance, channel,
-    key).
+    One bit per test in layout order.  A design with a ``noiseless_bits``
+    method computes all of its outcomes at once; otherwise each segment's
+    positives come from ``segment_positives``.  The channel noise is one
+    ``random(T)`` draw from ``key``'s generator, so outcomes are independent
+    across tests and the whole vector is a pure function of (design,
+    instance, channel, key).
     """
     if design.n != instance.n:
         raise ValueError(f"design built for n={design.n}, instance has n={instance.n}")
-    chunks = []
-    for level, rep, length in design.layout:
-        seg = np.zeros(length, dtype=np.uint8)
-        positives = list(design.segment_positives(level, rep, instance.defectives))
-        if positives:
-            seg[np.asarray(positives, dtype=np.int64)] = 1
-        if not channel.is_noiseless:
-            u = key.child(level, rep, "noise").generator().random(length)
-            flips = np.where(seg == 1, u < channel.p10, u < channel.p01)
-            seg ^= flips.astype(np.uint8)
-        chunks.append(seg)
-    return OutcomeVector(bits=np.concatenate(chunks), layout=tuple(design.layout))
+    if hasattr(design, "noiseless_bits"):
+        bits = design.noiseless_bits(instance.defectives)
+    else:
+        bits = np.zeros(sum(length for _, _, length in design.layout), dtype=np.uint8)
+        offset = 0
+        for level, rep, length in design.layout:
+            positives = list(design.segment_positives(level, rep, instance.defectives))
+            if positives:
+                bits[offset + np.asarray(positives, dtype=np.int64)] = 1
+            offset += length
+    if not channel.is_noiseless:
+        u = key.generator().random(len(bits))
+        flips = np.where(bits == 1, u < channel.p10, u < channel.p01)
+        bits ^= flips.astype(np.uint8)
+    return OutcomeVector(bits=bits, layout=tuple(design.layout))

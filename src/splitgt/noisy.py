@@ -23,13 +23,16 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
-from .placements import uniform_style_placement
+from .placements import uniform_style_stack
 from .tree import TreeDesign
 
 DEFAULT_T = 2.0
 DEFAULT_EPSILON = 0.6
 PRACTICE_N_REPS = 7
+_CHILDREN = np.arange(2, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,15 @@ def noisy_total_tests(params: NoisyParams, n: int, k: int) -> int:
 
 class NoisyDesign(TreeDesign):
     """Binary tree over [0, n): node j at level l covers items
-    [j * n/2^l, (j+1) * n/2^l)."""
+    [j * n/2^l, (j+1) * n/2^l).
+
+    Every placement is drawn from one generator, one stack per level
+    (``stacks[level]``): N sequences at each level above the final one and
+    C' * N * log2 n at the final level.  ``placements[(level, rep)]`` is row
+    ``rep`` of its level's stack.  Every segment has length ``t_len``, so the
+    outcomes form a (segments x t_len) grid whose row for (level, rep) is
+    ``first_segment[level] + rep``.
+    """
 
     def __init__(self, params: NoisyParams, n: int, k: int, key: RandomnessKey,
                  hash_mode: str = "full"):
@@ -131,22 +142,19 @@ class NoisyDesign(TreeDesign):
         self.hash_mode = hash_mode
         self.log2n = n.bit_length() - 1
         self.log2k = k.bit_length() - 1
-        layout = []
+        rng = key.generator()
+        self.stacks = {}
+        self.first_segment = {}
         self.placements: dict[tuple[int, int], object] = {}
-        for level in range(self.log2k, self.log2n):
-            for rep in range(params.n_reps):
-                self.placements[(level, rep)] = uniform_style_placement(
-                    1 << level, params.t_len, key.child("level", level, rep),
-                    hash_mode, kwise_degree=2,
-                )
-                layout.append((level, rep, params.t_len))
         final_seqs = params.c_final * params.n_reps * self.log2n
-        for seq in range(final_seqs):
-            self.placements[(self.log2n, seq)] = uniform_style_placement(
-                n, params.t_len, key.child("final", seq), hash_mode, kwise_degree=2,
-            )
-            layout.append((self.log2n, seq, params.t_len))
-        self.layout = tuple(layout)
+        for level in range(self.log2k, self.log2n + 1):
+            reps = params.n_reps if level < self.log2n else final_seqs
+            stack = uniform_style_stack(1 << level, params.t_len, reps, rng, hash_mode)
+            self.stacks[level] = stack
+            self.first_segment[level] = len(self.placements)
+            for rep, placement in enumerate(stack.rows):
+                self.placements[(level, rep)] = placement
+        self.layout = tuple((level, rep, params.t_len) for level, rep in self.placements)
 
     def node_size(self, level: int) -> int:
         return self.n >> level
@@ -157,163 +165,114 @@ class NoisyDesign(TreeDesign):
     def test_of(self, level: int, rep: int, node: int) -> int:
         return self.placements[(level, rep)].test_of(node)
 
+    def noiseless_bits(self, defectives) -> np.ndarray:
+        """The noiseless outcome vector, one stacked lookup per level."""
+        grid = np.zeros((len(self.layout), self.params.t_len), dtype=np.uint8)
+        items = np.asarray(defectives, dtype=np.int64)
+        if len(items):
+            for level, stack in self.stacks.items():
+                tests = stack.tests_of(items >> (self.log2n - level))
+                grid[self.first_segment[level] + np.arange(len(tests))[:, None], tests] = 1
+        return grid.ravel()
+
 
 def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
                        hash_mode: str = "full") -> NoisyDesign:
     return NoisyDesign(params, n, k, key, hash_mode)
 
 
-class LabelCache:
-    """Memo of intermediate labels, shared across overlapping lookahead
-    windows within one decode.  Also carries the decode's read counters;
-    ``outcomes_read`` counts distinct outcome cells observed, so it never
-    exceeds the number of tests."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.mid: dict[tuple[int, int], int] = {}
-        self.batch: dict[tuple[int, int], int] = {}
-        self.lookups = 0
-        self.computed = 0
-        self.seen: set[tuple[int, int, int]] = set()
-
-    @property
-    def outcomes_read(self) -> int:
-        return len(self.seen)
-
-    def size(self) -> int:
-        return len(self.mid) + len(self.batch)
+def _votes(design: NoisyDesign, grid: np.ndarray, seen: np.ndarray, level: int,
+           nodes: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Outcomes of the tests of ``nodes`` at ``level`` in sequences
+    first .. first + count - 1, as a (count x nodes) array; marks the cells
+    read in ``seen``."""
+    tests = design.stacks[level].tests_of(nodes, slice(first, first + count))
+    rows = design.first_segment[level] + first + np.arange(count)[:, None]
+    seen[rows, tests] = True
+    return grid[rows, tests]
 
 
-def intermediate_label(node: int, level: int, design: NoisyDesign,
-                       outcomes: OutcomeVector, cache: LabelCache) -> int:
-    """Majority vote over the node's N tests at a non-final level."""
-    cache.lookups += 1
-    key = (level, node)
-    if cache.enabled and key in cache.mid:
-        return cache.mid[key]
-    reps = design.params.n_reps
-    positives = 0
-    for rep in range(reps):
-        test = design.test_of(level, rep, node)
-        cache.seen.add((level, rep, test))
-        positives += outcomes.get(level, rep, test)
-    label = 1 if 2 * positives > reps else 0
-    cache.computed += 1
-    if cache.enabled:
-        cache.mid[key] = label
-    return label
+def _lookahead(design: NoisyDesign, grid: np.ndarray, seen: np.ndarray, level: int,
+               roots: np.ndarray) -> tuple[np.ndarray, int]:
+    """Final labels of the nodes ``roots`` at ``level`` (a bool array), and
+    the number of intermediate and batch labels computed.
 
-
-def final_level_batch_label(item: int, batch: int, design: NoisyDesign,
-                            outcomes: OutcomeVector, cache: LabelCache) -> int:
-    """Majority vote over batch ``batch`` of the singleton's final-level
-    sequences (sequences batch*N .. batch*N + N - 1)."""
-    cache.lookups += 1
-    key = (item, batch)
-    if cache.enabled and key in cache.batch:
-        return cache.batch[key]
-    reps = design.params.n_reps
-    level = design.log2n
-    positives = 0
-    for j in range(reps):
-        seq = batch * reps + j
-        test = design.test_of(level, seq, item)
-        cache.seen.add((level, seq, test))
-        positives += outcomes.get(level, seq, test)
-    label = 1 if 2 * positives > reps else 0
-    cache.computed += 1
-    if cache.enabled:
-        cache.batch[key] = label
-    return label
-
-
-def _lookahead(design: NoisyDesign, outcomes: OutcomeVector, cache: LabelCache,
-               target: int, lvl: int, nd: int, batch: int, depth: int,
-               positives: int) -> bool:
-    """One step of :func:`final_label`'s path search.  A module-level function
-    rather than a closure over itself, so that a decode leaves no reference
-    cycle keeping its cache, design and outcomes alive."""
-    bottom, r = design.log2n, design.params.r
-    if lvl < bottom:
-        positives += intermediate_label(nd, lvl, design, outcomes, cache)
-    else:
-        positives += final_level_batch_label(nd, batch, design, outcomes, cache)
-    if positives >= target:
-        return True
-    if depth == r or positives + (r - depth) < target:
-        return False
-    if lvl < bottom:
-        return (_lookahead(design, outcomes, cache, target,
-                           lvl + 1, 2 * nd, 0, depth + 1, positives)
-                or _lookahead(design, outcomes, cache, target,
-                              lvl + 1, 2 * nd + 1, 0, depth + 1, positives))
-    return _lookahead(design, outcomes, cache, target, lvl, nd, batch + 1, depth + 1, positives)
-
-
-def final_label(node: int, level: int, design: NoisyDesign,
-                outcomes: OutcomeVector, cache: LabelCache) -> int:
-    """Lookahead decision for a node above the final level.
-
-    Depth-first search over the length-r descendant paths, pruned as soon as
-    the positives seen so far cannot exceed r/2 and accepted as soon as they
-    do.  Steps past the final level stay on the singleton reached and consume
-    its batches in order, one per padding depth.
+    A root is positive iff some length-r descendant path carries at least
+    r // 2 + 1 positive intermediate labels.  Steps past the final level stay
+    on the singleton reached and take its batches in order, one per padding
+    depth.  The search is level-synchronous over (root, node, positives)
+    states: every state at one depth sits at the same level, so each depth
+    is one gather.  A root is accepted as soon as one of its states reaches
+    the target; a state is dropped once its root is accepted or once it can
+    no longer reach the target.
     """
-    if level >= design.log2n:
-        raise ValueError("final_label applies above the final level")
-    target = design.params.r // 2 + 1
-    found = (_lookahead(design, outcomes, cache, target, level + 1, 2 * node, 0, 1, 0)
-             or _lookahead(design, outcomes, cache, target, level + 1, 2 * node + 1, 0, 1, 0))
-    return 1 if found else 0
+    reps, r, bottom = design.params.n_reps, design.params.r, design.log2n
+    target = r // 2 + 1
+    accepted = np.zeros(len(roots), dtype=bool)
+    owner = np.repeat(np.arange(len(roots)), 2)
+    nodes = (roots[:, None] * 2 + _CHILDREN).ravel()
+    positives = np.zeros(len(nodes), dtype=np.int64)
+    computed = 0
+    for depth in range(1, r + 1):
+        lvl = level + depth
+        if lvl < bottom:
+            votes = _votes(design, grid, seen, lvl, nodes, 0, reps)
+        else:
+            votes = _votes(design, grid, seen, bottom, nodes, (lvl - bottom) * reps, reps)
+        computed += len(nodes)
+        positives += 2 * votes.sum(axis=0) > reps
+        accepted[owner[positives >= target]] = True
+        keep = ~accepted[owner] & (positives + (r - depth) >= target)
+        owner, nodes, positives = owner[keep], nodes[keep], positives[keep]
+        if not len(nodes):
+            break
+        if lvl < bottom:
+            owner, positives = np.repeat(owner, 2), np.repeat(positives, 2)
+            nodes = (nodes[:, None] * 2 + _CHILDREN).ravel()
+    return accepted, computed
 
 
-def singleton_final_label(item: int, design: NoisyDesign, outcomes: OutcomeVector,
-                          cache: LabelCache) -> int:
-    """Final-level acceptance: majority over all C' * log2 n batch labels."""
-    total = design.params.c_final * design.log2n
-    positives = sum(
-        final_level_batch_label(item, batch, design, outcomes, cache)
-        for batch in range(total)
-    )
-    return 1 if 2 * positives > total else 0
+def decode_noisy(design: NoisyDesign,
+                 outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
+    """Descend level by level, keeping the children of every node whose
+    lookahead label is positive; accept a surviving singleton by a majority
+    over all C' * log2 n of its batch labels.
 
-
-def decode_noisy(design: NoisyDesign, outcomes: OutcomeVector,
-                 use_cache: bool = True) -> tuple[tuple[int, ...], DecodeReport]:
+    ``outcomes_read`` counts distinct outcome cells read, ``labels_computed``
+    every intermediate and batch label evaluated (no memo across levels).
+    """
     if tuple(outcomes.layout) != tuple(design.layout):
         raise ValueError("outcome layout does not match this design")
     start = time.perf_counter_ns()
-    cache = LabelCache(enabled=use_cache)
-    visited = 0
-    pd = list(range(design.k))
+    reps = design.params.n_reps
+    grid = outcomes.bits.reshape(-1, design.params.t_len)
+    seen = np.zeros(grid.shape, dtype=bool)
+    pd = np.arange(design.k, dtype=np.int64)
+    visited = labels = 0
     pd_peak = len(pd)
 
     for level in range(design.log2k, design.log2n):
-        nxt = []
-        for node in pd:
-            visited += 1
-            if final_label(node, level, design, outcomes, cache):
-                nxt.append(2 * node)
-                nxt.append(2 * node + 1)
-        pd = nxt
+        visited += len(pd)
+        accepted, computed = _lookahead(design, grid, seen, level, pd)
+        labels += computed
+        pd = (pd[accepted, None] * 2 + _CHILDREN).ravel()
         pd_peak = max(pd_peak, len(pd))
 
-    estimate = []
-    for item in pd:
-        visited += 1
-        if singleton_final_label(item, design, outcomes, cache):
-            estimate.append(item)
+    visited += len(pd)
+    batches = design.params.c_final * design.log2n
+    votes = _votes(design, grid, seen, design.log2n, pd, 0, batches * reps)
+    batch_labels = 2 * votes.reshape(batches, reps, -1).sum(axis=1) > reps
+    labels += batches * len(pd)
+    estimate = pd[2 * batch_labels.sum(axis=0) > batches]
 
     wall = time.perf_counter_ns() - start
-    storage = (design.storage_words + pd_peak + cache.size()
-               + (outcomes.t_total + 63) // 64)
+    storage = design.storage_words + pd_peak + (outcomes.t_total + 63) // 64
     report = DecodeReport(
-        estimate=tuple(sorted(estimate)),
-        outcomes_read=cache.outcomes_read,
+        estimate=tuple(estimate.tolist()),
+        outcomes_read=int(np.count_nonzero(seen)),
         nodes_visited=visited,
         wall_nanos=wall,
         storage_words=storage,
-        labels_computed=cache.computed,
+        labels_computed=labels,
     )
     return report.estimate, report

@@ -15,9 +15,16 @@ Every backing exposes ``test_of(node)`` for one node, ``tests_of(nodes)``
 for an int64 array of node ids (the same tests, element for element, as an
 int64 array), ``table()`` (``tests_of`` over every node, for verification at
 small sizes), and ``storage_cost`` in machine words.
+
+The i.i.d. backings also come as stacks (:class:`ExplicitStack`,
+:class:`PolynomialStack`): all repetitions of one level drawn from one
+generator, with each repetition's placement a row of the stack and the tests
+of many nodes under many repetitions given by one array operation.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,20 +63,57 @@ def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
     return acc
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below this bound
+# (Sorenson and Webster), far above the 2^63 the hashes need.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
+def _is_prime(m: int) -> bool:
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=1024)  # every trial of a config asks for the same primes
 def smallest_prime_at_least(x: int) -> int:
     if x <= 2:
         return 2
+    if x >= _MR_EXACT_BELOW:
+        raise ValueError(f"{x} is beyond the exact range of the primality test")
     candidate = x if x % 2 else x + 1
-    while True:
-        d = 3
-        is_prime = candidate % 2 != 0
-        while is_prime and d * d <= candidate:
-            if candidate % d == 0:
-                is_prime = False
-            d += 2
-        if is_prime:
-            return candidate
+    while not _is_prime(candidate):
         candidate += 2
+    return candidate
+
+
+def _horner(coeffs, nodes: np.ndarray, prime: int, t_len: int) -> np.ndarray:
+    """Polynomials at every node, mod ``prime`` and then mod ``t_len``, as
+    int64.  ``coeffs`` runs from the highest degree down; each entry is a
+    uint64 scalar (one polynomial: the result has the shape of ``nodes``) or
+    a (rows x 1) column (one polynomial per row: rows x nodes).  Exact for
+    every prime below 2^63: products go through :func:`_mulmod`."""
+    x = np.asarray(nodes).astype(np.uint64)
+    p = np.uint64(prime)
+    acc = np.zeros_like(x)
+    for c in coeffs:
+        acc = (_mulmod(acc, x, prime) + c) % p
+    return (acc % np.uint64(t_len)).astype(np.int64)
 
 
 class _Placement:
@@ -105,7 +149,7 @@ class ExplicitTable(_Placement):
         return int(self._table[node])
 
     def tests_of(self, nodes: np.ndarray) -> np.ndarray:
-        return self._table[nodes]
+        return self._table[nodes].astype(np.int64, copy=False)
 
 
 class PolynomialHash(_Placement):
@@ -113,24 +157,18 @@ class PolynomialHash(_Placement):
 
     d coefficients give d-wise independence over the field; the final modular
     reduction adds a bias of at most t_len/prime per bucket, which is
-    negligible for the primes used here (>= num_nodes).  ``tests_of`` is exact
-    for every prime below 2^63: products go through :func:`_mulmod`.
+    negligible for the primes used here (>= num_nodes).  Built by
+    :class:`PolynomialStack`, one row of its coefficient matrix.
     """
 
-    def __init__(self, num_nodes: int, t_len: int, degree: int, key: RandomnessKey):
-        if degree < 2:
-            raise ValueError(f"independence degree must be >= 2, got {degree}")
-        if t_len < 1:
-            raise ValueError("t_len must be >= 1")
+    def __init__(self, num_nodes: int, t_len: int, prime: int, coeffs: np.ndarray):
         self.num_nodes = num_nodes
         self.t_len = t_len
-        self.degree = degree
-        self.prime = smallest_prime_at_least(max(num_nodes, t_len, 2))
-        if self.prime >= 1 << 63:
-            raise ValueError(f"num_nodes={num_nodes} and t_len={t_len} must stay below 2^63")
-        rng = key.generator()
-        self.coeffs = tuple(int(c) for c in rng.integers(0, self.prime, size=degree))
-        self.storage_cost = degree + 2
+        self.prime = prime
+        self.degree = len(coeffs)
+        self.coeffs = tuple(int(c) for c in coeffs)
+        self._highest_first = tuple(np.uint64(c) for c in reversed(self.coeffs))
+        self.storage_cost = self.degree + 2
 
     def test_of(self, node: int) -> int:
         acc = 0
@@ -139,12 +177,7 @@ class PolynomialHash(_Placement):
         return acc % self.t_len
 
     def tests_of(self, nodes: np.ndarray) -> np.ndarray:
-        x = np.asarray(nodes).astype(np.uint64)
-        p = np.uint64(self.prime)
-        acc = np.zeros_like(x)
-        for c in reversed(self.coeffs):
-            acc = (_mulmod(acc, x, self.prime) + np.uint64(c)) % p
-        return (acc % np.uint64(self.t_len)).astype(np.int64)
+        return _horner(self._highest_first, nodes, self.prime, self.t_len)
 
 
 class BalancedTable(_Placement):
@@ -236,17 +269,60 @@ class TruncatedPermutation(_Placement):
         return (x >> np.uint64(self._shift)).astype(np.int64)
 
 
+class ExplicitStack:
+    """``reps`` fully random placements of the same nodes, drawn from one
+    generator as one (reps x num_nodes) table.  ``rows[i]`` is repetition
+    i's :class:`ExplicitTable`, a view of row i; ``tests_of(nodes, reps)``
+    gives the tests of ``nodes`` under the repetitions the slice ``reps``
+    selects, as a (repetitions x nodes) array.
+
+    The table is int32 whenever every test fits, which halves the largest
+    array of a trial; bounded draws below 2^31 give the same values at
+    either width, so the placements do not depend on it."""
+
+    def __init__(self, num_nodes: int, t_len: int, reps: int, rng: np.random.Generator):
+        if t_len < 1:
+            raise ValueError("t_len must be >= 1")
+        dtype = np.int32 if t_len <= 1 << 31 else np.int64
+        self.table = rng.integers(0, t_len, size=(reps, num_nodes), dtype=dtype)
+        self.rows = tuple(ExplicitTable(num_nodes, t_len, row) for row in self.table)
+
+    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
+        return self.table[reps, nodes]
+
+
+class PolynomialStack:
+    """``reps`` degree-d polynomial hashes of the same nodes: one prime and
+    one (reps x degree) coefficient matrix drawn from one generator.  Same
+    ``rows`` and ``tests_of`` as :class:`ExplicitStack`; ``tests_of`` is one
+    Horner pass over the (repetitions x nodes) grid."""
+
+    def __init__(self, num_nodes: int, t_len: int, reps: int, degree: int,
+                 rng: np.random.Generator):
+        if degree < 2:
+            raise ValueError(f"independence degree must be >= 2, got {degree}")
+        if t_len < 1:
+            raise ValueError("t_len must be >= 1")
+        self.t_len = t_len
+        self.prime = smallest_prime_at_least(max(num_nodes, t_len, 2))
+        if self.prime >= 1 << 63:
+            raise ValueError(f"num_nodes={num_nodes} and t_len={t_len} must stay below 2^63")
+        self.coeffs = rng.integers(0, self.prime, size=(reps, degree)).astype(np.uint64)
+        self.rows = tuple(PolynomialHash(num_nodes, t_len, self.prime, row)
+                          for row in self.coeffs)
+
+    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
+        return _horner(self.coeffs[reps].T[::-1, :, None], nodes, self.prime, self.t_len)
+
+
 def place_uniform(num_nodes: int, t_len: int, key: RandomnessKey) -> ExplicitTable:
     """Each node's test i.i.d. uniform on [0, t_len), stored explicitly."""
-    if t_len < 1:
-        raise ValueError("t_len must be >= 1")
-    assignments = key.generator().integers(0, t_len, size=num_nodes, dtype=np.int64)
-    return ExplicitTable(num_nodes, t_len, assignments)
+    return ExplicitStack(num_nodes, t_len, 1, key.generator()).rows[0]
 
 
 def place_hashed(num_nodes: int, t_len: int, independence_degree: int,
                  key: RandomnessKey) -> PolynomialHash:
-    return PolynomialHash(num_nodes, t_len, independence_degree, key)
+    return PolynomialStack(num_nodes, t_len, 1, independence_degree, key.generator()).rows[0]
 
 
 def place_balanced(num_nodes: int, t_len: int, key: RandomnessKey) -> BalancedTable:
@@ -258,25 +334,33 @@ def place_truncated_permutation(num_nodes: int, t_len: int,
     return TruncatedPermutation(num_nodes, t_len, key)
 
 
-def uniform_style_placement(num_nodes: int, t_len: int, key: RandomnessKey,
-                            hash_mode: str, kwise_degree: int = 2):
-    """Placement for the independently-placed levels, per the hash-mode switch.
+def uniform_style_stack(num_nodes: int, t_len: int, reps: int, rng: np.random.Generator,
+                        hash_mode: str, kwise_degree: int = 2):
+    """``reps`` placements for an independently-placed level, per the
+    hash-mode switch, drawn from ``rng``.
 
-    ``full`` keeps the explicit table; ``kwise`` uses a polynomial hash of the
-    supplied degree; ``pairwise`` forces degree two.  The truncated
-    permutation is balanced rather than i.i.d., so it is rejected here.
+    ``full`` keeps the explicit table; ``kwise`` uses a polynomial hash of
+    the supplied degree; ``pairwise`` forces degree two.  The truncated permutation is balanced rather than i.i.d., so it is
+    rejected here.
     """
     if hash_mode == "full":
-        return place_uniform(num_nodes, t_len, key)
+        return ExplicitStack(num_nodes, t_len, reps, rng)
     if hash_mode == "kwise":
-        return place_hashed(num_nodes, t_len, max(2, kwise_degree), key)
+        return PolynomialStack(num_nodes, t_len, reps, max(2, kwise_degree), rng)
     if hash_mode == "pairwise":
-        return place_hashed(num_nodes, t_len, 2, key)
+        return PolynomialStack(num_nodes, t_len, reps, 2, rng)
     if hash_mode == "permutation":
         raise ValueError(
             "permutation backing is balanced, not i.i.d.; use kwise or pairwise here"
         )
     raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")
+
+
+def uniform_style_placement(num_nodes: int, t_len: int, key: RandomnessKey,
+                            hash_mode: str, kwise_degree: int = 2):
+    """One placement of :func:`uniform_style_stack`, from its own key."""
+    return uniform_style_stack(num_nodes, t_len, 1, key.generator(), hash_mode,
+                               kwise_degree).rows[0]
 
 
 def balanced_style_placement(num_nodes: int, t_len: int, key: RandomnessKey,

@@ -1,8 +1,14 @@
 """Scalar reference implementations that the array-native fast paths are
-tested against: the node-by-node gamma and rho decoders, one
-``OutcomeVector.get`` and one placement ``test_of`` at a time."""
+tested against: the node-by-node gamma and rho decoders and the depth-first
+noisy lookahead decoder, one ``OutcomeVector.get`` and one placement
+``test_of`` at a time; and the trial-division prime table."""
 
 from __future__ import annotations
+
+import math
+import time
+
+import numpy as np
 
 from splitgt.core import DecodeReport
 
@@ -113,3 +119,168 @@ def decode_rho_scalar(design, outcomes) -> DecodeReport:
         if clean:
             estimate.append(item)
     return _report(design, outcomes, estimate, seen, visited, pd_peak)
+
+
+# --- noisy scheme: depth-first lookahead with a label memo -----------------
+
+
+class LabelCache:
+    """Memo of intermediate labels, shared across overlapping lookahead
+    windows within one decode.  Also carries the decode's read counters;
+    ``outcomes_read`` counts distinct outcome cells observed, so it never
+    exceeds the number of tests."""
+
+    def __init__(self, enabled: bool = True):
+        self.enabled = enabled
+        self.mid: dict[tuple[int, int], int] = {}
+        self.batch: dict[tuple[int, int], int] = {}
+        self.lookups = 0
+        self.computed = 0
+        self.seen: set[tuple[int, int, int]] = set()
+
+    @property
+    def outcomes_read(self) -> int:
+        return len(self.seen)
+
+    def size(self) -> int:
+        return len(self.mid) + len(self.batch)
+
+
+def intermediate_label(node, level, design, outcomes, cache) -> int:
+    """Majority vote over the node's N tests at a non-final level."""
+    cache.lookups += 1
+    key = (level, node)
+    if cache.enabled and key in cache.mid:
+        return cache.mid[key]
+    reps = design.params.n_reps
+    positives = 0
+    for rep in range(reps):
+        test = design.test_of(level, rep, node)
+        cache.seen.add((level, rep, test))
+        positives += outcomes.get(level, rep, test)
+    label = 1 if 2 * positives > reps else 0
+    cache.computed += 1
+    if cache.enabled:
+        cache.mid[key] = label
+    return label
+
+
+def final_level_batch_label(item, batch, design, outcomes, cache) -> int:
+    """Majority vote over batch ``batch`` of the singleton's final-level
+    sequences (sequences batch*N .. batch*N + N - 1)."""
+    cache.lookups += 1
+    key = (item, batch)
+    if cache.enabled and key in cache.batch:
+        return cache.batch[key]
+    reps = design.params.n_reps
+    level = design.log2n
+    positives = 0
+    for j in range(reps):
+        seq = batch * reps + j
+        test = design.test_of(level, seq, item)
+        cache.seen.add((level, seq, test))
+        positives += outcomes.get(level, seq, test)
+    label = 1 if 2 * positives > reps else 0
+    cache.computed += 1
+    if cache.enabled:
+        cache.batch[key] = label
+    return label
+
+
+def _lookahead(design, outcomes, cache, target, lvl, nd, batch, depth, positives) -> bool:
+    """One step of :func:`final_label`'s path search."""
+    bottom, r = design.log2n, design.params.r
+    if lvl < bottom:
+        positives += intermediate_label(nd, lvl, design, outcomes, cache)
+    else:
+        positives += final_level_batch_label(nd, batch, design, outcomes, cache)
+    if positives >= target:
+        return True
+    if depth == r or positives + (r - depth) < target:
+        return False
+    if lvl < bottom:
+        return (_lookahead(design, outcomes, cache, target,
+                           lvl + 1, 2 * nd, 0, depth + 1, positives)
+                or _lookahead(design, outcomes, cache, target,
+                              lvl + 1, 2 * nd + 1, 0, depth + 1, positives))
+    return _lookahead(design, outcomes, cache, target, lvl, nd, batch + 1, depth + 1, positives)
+
+
+def final_label(node, level, design, outcomes, cache) -> int:
+    """Lookahead decision for a node above the final level.
+
+    Depth-first search over the length-r descendant paths, pruned as soon as
+    the positives seen so far cannot exceed r/2 and accepted as soon as they
+    do.  Steps past the final level stay on the singleton reached and consume
+    its batches in order, one per padding depth.
+    """
+    if level >= design.log2n:
+        raise ValueError("final_label applies above the final level")
+    target = design.params.r // 2 + 1
+    found = (_lookahead(design, outcomes, cache, target, level + 1, 2 * node, 0, 1, 0)
+             or _lookahead(design, outcomes, cache, target, level + 1, 2 * node + 1, 0, 1, 0))
+    return 1 if found else 0
+
+
+def singleton_final_label(item, design, outcomes, cache) -> int:
+    """Final-level acceptance: majority over all C' * log2 n batch labels."""
+    total = design.params.c_final * design.log2n
+    positives = sum(
+        final_level_batch_label(item, batch, design, outcomes, cache)
+        for batch in range(total)
+    )
+    return 1 if 2 * positives > total else 0
+
+
+def decode_noisy_scalar(design, outcomes, use_cache: bool = True) -> DecodeReport:
+    """The noisy decoder node by node: a node's children join the
+    possibly-defective set iff its lookahead label is positive."""
+    if tuple(outcomes.layout) != tuple(design.layout):
+        raise ValueError("outcome layout does not match this design")
+    start = time.perf_counter_ns()
+    cache = LabelCache(enabled=use_cache)
+    visited = 0
+    pd = list(range(design.k))
+    pd_peak = len(pd)
+
+    for level in range(design.log2k, design.log2n):
+        nxt = []
+        for node in pd:
+            visited += 1
+            if final_label(node, level, design, outcomes, cache):
+                nxt.append(2 * node)
+                nxt.append(2 * node + 1)
+        pd = nxt
+        pd_peak = max(pd_peak, len(pd))
+
+    estimate = []
+    for item in pd:
+        visited += 1
+        if singleton_final_label(item, design, outcomes, cache):
+            estimate.append(item)
+
+    storage = (design.storage_words + pd_peak + cache.size()
+               + (outcomes.t_total + 63) // 64)
+    return DecodeReport(
+        estimate=tuple(sorted(estimate)),
+        outcomes_read=cache.outcomes_read,
+        nodes_visited=visited,
+        wall_nanos=time.perf_counter_ns() - start,
+        storage_words=storage,
+        labels_computed=cache.computed,
+    )
+
+
+# --- placements ------------------------------------------------------------
+
+
+def next_primes_by_trial_division(limit: int) -> np.ndarray:
+    """For every x < limit (at most 10^6), the smallest prime >= x, from a
+    primality table built by trial division."""
+    m = np.arange(limit + 200, dtype=np.int64)  # prime gaps below 10^6 are < 200
+    is_prime = m >= 2
+    for d in range(2, math.isqrt(len(m)) + 1):
+        is_prime &= (m % d != 0) | (m == d)
+    primes = np.flatnonzero(is_prime)
+    return primes[np.searchsorted(primes, np.arange(limit))]
+

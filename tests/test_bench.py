@@ -130,6 +130,14 @@ def test_validate_config_errors():
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             run_trials(_gamma_config(jobs=jobs))
+    # explicit defectives in the dummy range [raw n, rounded n), negative,
+    # repeated, or more than k
+    for defectives in ((5, 1010), (5, 1000), (-1, 5), (5, 5), (5, 6, 7)):
+        with pytest.raises(ValueError, match="defectives"):
+            run_trials(TrialConfig(algorithm="gamma", n=1000, k=2, gamma=5, trials=3,
+                                   defectives=defectives))
+    assert run_trials(TrialConfig(algorithm="gamma", n=1000, k=2, gamma=5, trials=3,
+                                  defectives=(5, 999))).trials == 3
 
 
 def test_counters_within_test_budget():

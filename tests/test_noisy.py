@@ -1,10 +1,20 @@
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scalar_reference import (
+    LabelCache,
+    decode_noisy_scalar,
+    final_label,
+    intermediate_label,
+    singleton_final_label,
+)
 from splitgt import bench, noisy
 from splitgt.core import (
     NoiseChannel,
@@ -14,14 +24,10 @@ from splitgt.core import (
     evaluate_design,
 )
 from splitgt.noisy import (
-    LabelCache,
     build_noisy_design,
     decode_noisy,
-    final_label,
-    intermediate_label,
     noisy_params,
     noisy_total_tests,
-    singleton_final_label,
 )
 
 
@@ -164,13 +170,13 @@ def test_final_label_rejects_bottom_level():
         final_label(0, 4, design, _outcomes(design, []), LabelCache())
 
 
-def _run(n, k, defectives, seed, channel_p=0.0, design_p=0.05, use_cache=True):
+def _run(n, k, defectives, seed, channel_p=0.0, design_p=0.05):
     params = noisy_params(n, k, design_p, mode="practice")
     design = build_noisy_design(params, n, k, RandomnessKey(seed, ("design",)))
     inst = ProblemInstance(n=n, k=k, defectives=tuple(defectives))
     channel = NoiseChannel.symmetric(channel_p)
     out = evaluate_design(design, inst, channel, RandomnessKey(seed, ("noise",)))
-    estimate, report = decode_noisy(design, out, use_cache=use_cache)
+    estimate, report = decode_noisy(design, out)
     return design, out, estimate, report
 
 
@@ -207,11 +213,11 @@ def test_cache_disabled_matches_enabled():
     n, k = 2 ** 9, 4
     for seed in range(8):
         defectives = sorted({(seed * 29 + i * 83) % n for i in range(k)})
-        _, _, with_cache, rep_cached = _run(n, k, defectives, seed,
-                                            channel_p=0.05, use_cache=True)
-        _, _, without, rep_plain = _run(n, k, defectives, seed,
-                                        channel_p=0.05, use_cache=False)
-        assert with_cache == without
+        design, out, estimate, _ = _run(n, k, defectives, seed, channel_p=0.05)
+        rep_cached = decode_noisy_scalar(design, out, use_cache=True)
+        rep_plain = decode_noisy_scalar(design, out, use_cache=False)
+        with_cache, without = rep_cached.estimate, rep_plain.estimate
+        assert with_cache == without == estimate
         assert rep_plain.labels_computed >= rep_cached.labels_computed
 
 
@@ -265,22 +271,79 @@ def test_decode_deterministic():
 
 
 def test_decode_leaves_no_reference_cycle(monkeypatch):
-    """A trial's label cache is freed by reference counting alone."""
-    caches = []
+    """A trial's design and outcome vector are freed by reference counting
+    alone."""
+    designs, outcome_vectors = [], []
 
-    class TrackedCache(LabelCache):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            caches.append(weakref.ref(self))
+    def tracked_build(*args, **kwargs):
+        design = build_noisy_design(*args, **kwargs)
+        designs.append(weakref.ref(design))
+        return design
 
-    monkeypatch.setattr(noisy, "LabelCache", TrackedCache)
+    def tracked_evaluate(*args, **kwargs):
+        outcomes = evaluate_design(*args, **kwargs)
+        outcome_vectors.append(weakref.ref(outcomes))
+        return outcomes
+
+    monkeypatch.setattr(noisy, "build_noisy_design", tracked_build)
+    monkeypatch.setattr(bench, "evaluate_design", tracked_evaluate)
     config = bench.TrialConfig(algorithm="noisy", n=2 ** 8, k=4, p=0.05, trials=1,
                                base_seed=3)
     gc.collect()
     gc.disable()
     try:
         bench.run_trial(config, 0)
-        assert len(caches) == 1
-        assert caches[0]() is None
+        assert len(designs) == 1 and len(outcome_vectors) == 1
+        assert designs[0]() is None
+        assert outcome_vectors[0]() is None
     finally:
         gc.enable()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_n=st.integers(min_value=2, max_value=14),
+    log_k=st.integers(min_value=0, max_value=4),
+    n_reps=st.sampled_from([1, 3, 5, 7]),
+    r=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
+    hash_mode=st.sampled_from(["full", "kwise", "pairwise"]),
+    p01=st.sampled_from([0.0, 0.05, 0.3]),
+    p10=st.sampled_from([0.0, 0.05, 0.3]),
+    seed=st.integers(min_value=0, max_value=2 ** 32),
+)
+def test_decode_matches_depth_first_reference(log_n, log_k, n_reps, r, hash_mode,
+                                              p01, p10, seed):
+    """The level-synchronous decoder returns the depth-first lookahead's
+    estimate on the same outcome vector, visits the same nodes, reads at most
+    every test once, computes at most 2^(r+1) - 2 labels (one per node of a
+    depth-r binary tree below the root) per visited node above the final
+    level, and exactly C' * log2 n batch labels per visited singleton."""
+    n, k = 1 << log_n, 1 << min(log_k, log_n - 1)
+    params = noisy_params(n, k, 0.05, n_reps=n_reps, r=r)
+    design = build_noisy_design(params, n, k, RandomnessKey(seed, ("design",)), hash_mode)
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(0, k + 1))
+    defectives = tuple(int(d) for d in rng.choice(n, size=count, replace=False))
+    out = evaluate_design(design, ProblemInstance(n=n, k=k, defectives=defectives),
+                          NoiseChannel(p01=p01, p10=p10), RandomnessKey(seed, ("noise",)))
+    upper = []  # (roots, labels computed) of each level above the final one
+
+    def recording_lookahead(*args):
+        accepted, computed = lookahead(*args)
+        upper.append((len(args[-1]), computed))
+        return accepted, computed
+
+    lookahead = noisy._lookahead
+    with mock.patch.object(noisy, "_lookahead", recording_lookahead):
+        estimate, report = decode_noisy(design, out)
+    reference = decode_noisy_scalar(design, out)
+    assert estimate == report.estimate == reference.estimate
+    assert all(isinstance(item, int) for item in estimate)
+    assert report.nodes_visited == reference.nodes_visited
+    assert report.outcomes_read <= out.t_total
+    upper_nodes = sum(roots for roots, _ in upper)
+    upper_labels = sum(computed for _, computed in upper)
+    assert upper_labels <= upper_nodes * (2 ** (params.r + 1) - 2)
+    singletons = report.nodes_visited - upper_nodes
+    assert (report.labels_computed - upper_labels
+            == params.c_final * log_n * singletons)

@@ -1,11 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scalar_reference import next_primes_by_trial_division
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
+    ExplicitStack,
     IdentityPlacement,
+    PolynomialStack,
     balanced_style_placement,
     place_balanced,
     place_hashed,
@@ -25,6 +30,20 @@ def test_smallest_prime():
     assert smallest_prime_at_least(1000) == 1009
     assert smallest_prime_at_least(1024) == 1031
     assert smallest_prime_at_least(7) == 7
+
+
+def test_smallest_prime_matches_trial_division():
+    expected = next_primes_by_trial_division(10 ** 5)
+    assert [smallest_prime_at_least(x) for x in range(10 ** 5)] == expected.tolist()
+
+
+@pytest.mark.parametrize("log_x,gap", [(30, 3), (40, 15), (50, 55), (62, 135)])
+def test_smallest_prime_large(log_x, gap):
+    # trial division takes seconds at 2^40 and hours at 2^62
+    start = time.perf_counter()
+    assert smallest_prime_at_least(2 ** log_x) == 2 ** log_x + gap
+    assert smallest_prime_at_least(2 ** log_x + gap) == 2 ** log_x + gap
+    assert time.perf_counter() - start < 0.5
 
 
 def test_uniform_single_bucket():
@@ -239,3 +258,49 @@ def test_tests_of_matches_test_of(log_nodes, log_t, hash_t, degree, seed, picks)
         fast = p.tests_of(nodes)
         assert fast.dtype == np.int64
         assert fast.tolist() == [p.test_of(j) for j in nodes.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_nodes=st.integers(min_value=0, max_value=40),
+    t_len=st.integers(min_value=1, max_value=300),
+    reps=st.integers(min_value=1, max_value=9),
+    backing=st.sampled_from(["explicit", "degree2", "degree5"]),
+    seed=st.integers(min_value=0, max_value=2 ** 32),
+    data=st.data(),
+)
+def test_stack_rows_match_stacked_lookup(log_nodes, t_len, reps, backing, seed, data):
+    """A stack's lookup over a range of repetitions gives, row by row, the
+    tests of each repetition's own placement."""
+    num = 1 << log_nodes
+    if backing == "explicit":
+        log_nodes = min(log_nodes, 12)
+        num = 1 << log_nodes
+        stack = ExplicitStack(num, t_len, reps, RandomnessKey(seed).generator())
+        dtype = np.int32
+    else:
+        stack = PolynomialStack(num, t_len, reps, 2 if backing == "degree2" else 5,
+                                RandomnessKey(seed).generator())
+        dtype = np.int64
+    assert len(stack.rows) == reps
+    first = data.draw(st.integers(min_value=0, max_value=reps - 1))
+    last = data.draw(st.integers(min_value=first + 1, max_value=reps))
+    nodes = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=num - 1),
+                                        max_size=20)), dtype=np.int64)
+    grid = stack.tests_of(nodes, slice(first, last))
+    assert grid.shape == (last - first, len(nodes)) and grid.dtype == dtype
+    for i, rep in enumerate(range(first, last)):
+        row = stack.rows[rep]
+        assert row.tests_of(nodes).dtype == np.int64
+        assert np.array_equal(grid[i], row.tests_of(nodes))
+        assert grid[i].tolist() == [row.test_of(int(v)) for v in nodes]
+
+
+@pytest.mark.parametrize("t_len", [1, 300, 2 ** 31, 2 ** 31 + 1, 2 ** 40])
+def test_explicit_stack_width_keeps_draws(t_len):
+    """An explicit stack is int32 while every test fits and int64 beyond;
+    either way it holds the values of an int64 draw from the same stream."""
+    stack = ExplicitStack(64, t_len, 3, RandomnessKey(5).generator())
+    assert stack.table.dtype == (np.int32 if t_len <= 2 ** 31 else np.int64)
+    expected = RandomnessKey(5).generator().integers(0, t_len, size=(3, 64), dtype=np.int64)
+    assert np.array_equal(stack.table, expected)
