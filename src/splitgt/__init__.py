@@ -22,14 +22,7 @@ from .core import (
     evaluate_design,
     round_instance,
 )
-from .gamma import (
-    GammaDesign,
-    GammaParams,
-    build_gamma_design,
-    decode_gamma,
-    gamma_params,
-    select_gamma_prime,
-)
+from .gamma import GammaParams, build_gamma_design, decode_gamma, gamma_params, select_gamma_prime
 from .noisy import (
     NoisyDesign,
     NoisyParams,
@@ -37,12 +30,7 @@ from .noisy import (
     decode_noisy,
     noisy_params,
 )
-from .placements import (
-    place_balanced,
-    place_hashed,
-    place_truncated_permutation,
-    place_uniform,
-)
-from .rho import RhoDesign, RhoParams, build_rho_design, decode_rho, rho_params
+from .rho import RhoParams, build_rho_design, decode_rho, rho_params
+from .tree import TreeDesign
 
 __version__ = "0.1.0"

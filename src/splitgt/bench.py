@@ -15,7 +15,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import baselines
 from . import gamma as gamma_mod
@@ -32,8 +32,6 @@ from .core import (
 from .gamma import DEFAULT_C_CONST
 from .noisy import DEFAULT_EPSILON, DEFAULT_T
 from .rho import DEFAULT_C_DEPTH, DEFAULT_C_FINAL, DEFAULT_N_REPS
-
-ALGORITHMS = ("gamma", "rho", "noisy", "comp", "ncomp")
 
 
 @dataclass(frozen=True)
@@ -154,8 +152,12 @@ def validate_config(config: TrialConfig) -> None:
         dp = config.design_p if config.design_p is not None else config.p
         if not 0.0 < dp < 0.5:
             raise ValueError(
-                f"the noisy scheme needs a design noise level in (0, 0.5); got {dp}"
+                f"the noisy scheme's design noise level p must lie in (0, 0.5), got {dp}"
             )
+    if config.algorithm in ("comp", "ncomp") and config.tests is not None and config.tests < 1:
+        raise ValueError(f"the test budget (tests) must be at least 1, got {config.tests}")
+    if config.algorithm == "ncomp" and not 0.0 <= config.threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {config.threshold}")
     config.channel()  # validates channel probabilities
 
 
@@ -163,57 +165,71 @@ def _rounded(config: TrialConfig) -> tuple[int, int, Optional[int]]:
     return round_instance(config.n, config.k, config.rho)
 
 
-def _gamma_params(config: TrialConfig, n: int, k: int) -> gamma_mod.GammaParams:
-    return gamma_mod.gamma_params(
-        n, k, config.gamma, beta_n=1.0 / math.log2(n) ** config.beta_exp,
-        c_const=config.c_const, gamma_prime=config.gamma_prime,
+class Scheme(NamedTuple):
+    """One algorithm's phases of a trial.  Each looks up the functions it
+    calls on their modules at call time, so that a wrapper set on a module
+    attribute (a tracer's span, a test's recorder) sees every call."""
+
+    params: Callable  # (config, n, k) -> params
+    build: Callable   # (config, params, n, k, key) -> design
+    decode: Callable  # (config, design, outcomes) -> DecodeReport
+    echo: Callable    # (config, params) -> the result's ``params`` dict
+
+
+def _tree_echo(config: TrialConfig, params) -> dict:
+    return asdict(params)
+
+
+def _flat_report(decode, design, outcomes, *args) -> DecodeReport:
+    start = time.perf_counter_ns()
+    estimate = decode(design, outcomes, *args)
+    return DecodeReport(
+        estimate=estimate, outcomes_read=design.t_total,
+        nodes_visited=design.n, wall_nanos=time.perf_counter_ns() - start,
+        storage_words=design.storage_words + (design.t_total + 63) // 64,
     )
 
 
-def _rho_params(config: TrialConfig, n: int, k: int, rounded_rho: int) -> rho_mod.RhoParams:
-    return rho_mod.rho_params(
-        n, k, rounded_rho, c_depth=config.depth,
-        n_reps=config.reps if config.reps is not None else DEFAULT_N_REPS,
-        c_final=config.final_reps if config.final_reps is not None else DEFAULT_C_FINAL,
-    )
+def _flat_scheme(decode, echo) -> Scheme:
+    """A COMP-style decoder on a flat design; its params are the test count."""
+    return Scheme(
+        lambda c, n, k: baselines.default_baseline_tests(n, k) if c.tests is None else c.tests,
+        lambda c, tests, n, k, key: baselines.build_flat_design(n, tests, key, k=k),
+        decode, echo)
 
 
-def _noisy_params(config: TrialConfig, n: int, k: int) -> noisy_mod.NoisyParams:
-    return noisy_mod.noisy_params(
-        n, k, config.design_p if config.design_p is not None else config.p,
-        t=config.t, epsilon=config.epsilon, mode=config.mode,
-        n_reps=config.reps, r=config.lookahead, c_final=config.final_reps,
-    )
-
-
-def _params_echo(config: TrialConfig, n: int, k: int) -> dict:
-    if config.algorithm == "gamma":
-        p = _gamma_params(config, n, k)
-        return {
-            "gamma": p.gamma, "gamma_prime": p.gamma_prime, "branching": p.branching,
-            "level1_size": p.level1_size, "t_len": p.t_len,
-            "t_len_prime": p.t_len_prime, "t_len_dprime": p.t_len_dprime,
-            "c_const": p.c_const, "beta_n": p.beta_n,
-        }
-    if config.algorithm == "rho":
-        _, _, rounded_rho = _rounded(config)
-        p = _rho_params(config, n, k, rounded_rho)
-        return {
-            "rho": p.rho, "c_depth": p.c_depth, "n_reps": p.n_reps,
-            "c_final": p.c_final, "branch": p.branch,
-        }
-    if config.algorithm == "noisy":
-        p = _noisy_params(config, n, k)
-        return {
-            "p": p.p, "t": p.t, "epsilon": p.epsilon, "c_const": p.c_const,
-            "n_reps": p.n_reps, "r": p.r, "c_final": p.c_final,
-            "t_len": p.t_len, "mode": p.mode,
-        }
-    t = config.tests or baselines.default_baseline_tests(n, k)
-    echo = {"tests": t, "p": config.p}
-    if config.algorithm == "ncomp":
-        echo["threshold"] = config.threshold
-    return echo
+SCHEMES = {
+    "gamma": Scheme(
+        lambda c, n, k: gamma_mod.gamma_params(
+            n, k, c.gamma, beta_n=1.0 / math.log2(n) ** c.beta_exp, c_const=c.c_const,
+            gamma_prime=c.gamma_prime),
+        lambda c, params, n, k, key: gamma_mod.build_gamma_design(params, n, key, c.hash_mode),
+        lambda c, design, outcomes: gamma_mod.decode_gamma(design, outcomes)[1],
+        _tree_echo),
+    "rho": Scheme(
+        lambda c, n, k: rho_mod.rho_params(
+            n, k, _rounded(c)[2], c_depth=c.depth,
+            n_reps=DEFAULT_N_REPS if c.reps is None else c.reps,
+            c_final=DEFAULT_C_FINAL if c.final_reps is None else c.final_reps),
+        lambda c, params, n, k, key: rho_mod.build_rho_design(params, n, key, c.hash_mode),
+        lambda c, design, outcomes: rho_mod.decode_rho(design, outcomes)[1],
+        _tree_echo),
+    "noisy": Scheme(
+        lambda c, n, k: noisy_mod.noisy_params(
+            n, k, c.p if c.design_p is None else c.design_p, t=c.t, epsilon=c.epsilon,
+            mode=c.mode, n_reps=c.reps, r=c.lookahead, c_final=c.final_reps),
+        lambda c, params, n, k, key: noisy_mod.build_noisy_design(params, n, k, key, c.hash_mode),
+        lambda c, design, outcomes: noisy_mod.decode_noisy(design, outcomes)[1],
+        _tree_echo),
+    "comp": _flat_scheme(
+        lambda c, design, outcomes: _flat_report(baselines.decode_comp, design, outcomes),
+        lambda c, tests: {"tests": tests, "p": c.p}),
+    "ncomp": _flat_scheme(
+        lambda c, design, outcomes: _flat_report(baselines.decode_ncomp, design, outcomes,
+                                                 c.threshold),
+        lambda c, tests: {"tests": tests, "p": c.p, "threshold": c.threshold}),
+}
+ALGORITHMS = tuple(SCHEMES)
 
 
 def _draw_defectives(config: TrialConfig, key: RandomnessKey) -> tuple[int, ...]:
@@ -227,48 +243,15 @@ def _draw_defectives(config: TrialConfig, key: RandomnessKey) -> tuple[int, ...]
 
 def run_trial(config: TrialConfig, index: int) -> dict:
     """One seeded trial; returns the per-trial record used for aggregation."""
-    n, k, rounded_rho = _rounded(config)
+    n, k, _ = _rounded(config)
     key = RandomnessKey(config.base_seed, (index,))
     defectives = _draw_defectives(config, key.child("defectives"))
     instance = ProblemInstance(n=n, k=k, defectives=defectives)
     channel = config.channel()
-    design_key = key.child("design")
-    noise_key = key.child("noise")
-
-    if config.algorithm == "gamma":
-        design = gamma_mod.build_gamma_design(
-            _gamma_params(config, n, k), n, design_key, config.hash_mode
-        )
-        outcomes = evaluate_design(design, instance, channel, noise_key)
-        _, report = gamma_mod.decode_gamma(design, outcomes)
-    elif config.algorithm == "rho":
-        design = rho_mod.build_rho_design(
-            _rho_params(config, n, k, rounded_rho), n, design_key, config.hash_mode
-        )
-        outcomes = evaluate_design(design, instance, channel, noise_key)
-        _, report = rho_mod.decode_rho(design, outcomes)
-    elif config.algorithm == "noisy":
-        design = noisy_mod.build_noisy_design(
-            _noisy_params(config, n, k), n, k, design_key, config.hash_mode
-        )
-        outcomes = evaluate_design(design, instance, channel, noise_key)
-        _, report = noisy_mod.decode_noisy(design, outcomes)
-    else:
-        t = config.tests or baselines.default_baseline_tests(n, k)
-        design = baselines.build_flat_design(n, t, design_key, k=k)
-        outcomes = evaluate_design(design, instance, channel, noise_key)
-        start = time.perf_counter_ns()
-        if config.algorithm == "comp":
-            estimate = baselines.decode_comp(design, outcomes)
-        else:
-            estimate = baselines.decode_ncomp(design, outcomes, config.threshold)
-        report = DecodeReport(
-            estimate=estimate, outcomes_read=design.t_total,
-            nodes_visited=design.n, wall_nanos=time.perf_counter_ns() - start,
-            storage_words=design.storage_words + (design.t_total + 63) // 64,
-        )
-
-    report = report.with_match(defectives)
+    scheme = SCHEMES[config.algorithm]
+    design = scheme.build(config, scheme.params(config, n, k), n, k, key.child("design"))
+    outcomes = evaluate_design(design, instance, channel, key.child("noise"))
+    report = scheme.decode(config, design, outcomes).with_match(defectives)
     est = set(report.estimate)
     truth = set(defectives)
     return {
@@ -296,7 +279,8 @@ def _run_trial_annotated(config: TrialConfig, index: int) -> dict:
 def run_trials(config: TrialConfig) -> AggregateResult:
     validate_config(config)
     n, k, _ = _rounded(config)
-    echo = _params_echo(config, n, k)
+    scheme = SCHEMES[config.algorithm]
+    echo = scheme.echo(config, scheme.params(config, n, k))
 
     indices = list(range(config.trials))
     if config.jobs > 1 and config.trials > 1:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -29,8 +30,6 @@ RESULT_COLUMNS = [
 ]
 
 ETA_COLUMNS = ["theta", "variant", "eta_hat"]
-
-RUN_COMMANDS = ("gamma", "rho", "noisy", "comp", "ncomp")
 
 
 class UsageError(Exception):
@@ -149,74 +148,25 @@ def _seed_of(args: argparse.Namespace) -> int:
     return int(os.environ.get("GT_SEED", "0"))
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required for {args.command}")
+# run flags each scheme cannot go without
+REQUIRED = {"gamma": ("gamma",), "rho": ("rho",), "noisy": ("p",)}
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(bench.TrialConfig)}
 
 
 def config_from_args(args: argparse.Namespace) -> bench.TrialConfig:
-    _require(args, "n", "k")
-    overrides: dict = {}
-    if args.command == "gamma":
-        _require(args, "gamma")
-        if args.gamma < 3:
-            raise UsageError("gamma must be at least 3")
-        overrides.update(gamma=args.gamma, gamma_prime=args.gamma_prime)
-        if args.c_const is not None:
-            overrides["c_const"] = args.c_const
-        if args.beta_exp is not None:
-            overrides["beta_exp"] = args.beta_exp
-    elif args.command == "rho":
-        _require(args, "rho")
+    """Every flag given whose name is a ``TrialConfig`` field, the seed, and
+    the subcommand as the algorithm; ``bench.validate_config`` checks the
+    ranges."""
+    for name in ("n", "k", *REQUIRED.get(args.command, ())):
+        if getattr(args, name, None) is None:
+            raise UsageError(f"--{name.replace('_', '-')} is required for {args.command}")
+    if args.command == "rho":
         rounded = round_instance(args.n, args.k, args.rho)[2]
         if rounded != args.rho:
             print(f"note: rho rounded down to {rounded}", file=sys.stderr)
-        overrides.update(rho=args.rho)
-        if args.depth is not None:
-            overrides["depth"] = args.depth
-        if args.reps is not None:
-            overrides["reps"] = args.reps
-        if args.final_reps is not None:
-            overrides["final_reps"] = args.final_reps
-    elif args.command == "noisy":
-        _require(args, "p")
-        if not 0.0 < args.p < 0.5:
-            raise UsageError("p must lie in (0, 0.5)")
-        overrides.update(design_p=args.design_p, lookahead=args.lookahead)
-        if args.t is not None:
-            overrides["t"] = args.t
-        if args.epsilon is not None:
-            overrides["epsilon"] = args.epsilon
-        if args.mode is not None:
-            overrides["mode"] = args.mode
-        if args.reps is not None:
-            overrides["reps"] = args.reps
-        if args.final_reps is not None:
-            overrides["final_reps"] = args.final_reps
-    else:  # comp / ncomp
-        if args.tests is not None:
-            overrides["tests"] = args.tests
-        if args.command == "ncomp" and getattr(args, "threshold", None) is not None:
-            if not 0.0 <= args.threshold <= 1.0:
-                raise UsageError("threshold must lie in [0, 1]")
-            overrides["threshold"] = args.threshold
-
-    p = getattr(args, "p", None)
-    if p is not None:
-        if not 0.0 <= p < 0.5:
-            raise UsageError("p must lie in (0, 0.5)")
-        overrides["p"] = p
-    return bench.TrialConfig(
-        algorithm=args.command,
-        n=args.n,
-        k=args.k,
-        trials=args.trials,
-        base_seed=_seed_of(args),
-        hash_mode=args.hash_mode,
-        jobs=args.jobs,
-        **overrides,
-    )
+    fields = {name: value for name, value in vars(args).items()
+              if name in CONFIG_FIELDS and value is not None}
+    return bench.TrialConfig(algorithm=args.command, base_seed=_seed_of(args), **fields)
 
 
 def result_row(result: bench.AggregateResult) -> dict:
@@ -348,25 +298,13 @@ def execute(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _apply_config_file(parser, argv)
-    except UsageError as exc:
+        return execute(_apply_config_file(build_parser(),
+                                          sys.argv[1:] if argv is None else argv))
+    except (UsageError, ValueError) as exc:  # a bad flag or an invalid config
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return execute(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - unexpected harness failure
+    except Exception as exc:  # a failed trial or output file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,10 @@ A design may also expose ``noiseless_bits(defectives)``, the whole noiseless
 outcome vector in layout order, when it can compute it faster at once.
 
 ``evaluate_design`` works against that protocol, so the tree schemes and the
-flat baseline designs share one evaluation path.
+flat baseline designs share one evaluation path.  The three tree schemes
+build one :class:`splitgt.tree.TreeDesign` each, from their levels; the
+noisy one adds ``noiseless_bits``.  The flat baselines build a
+:class:`splitgt.baselines.FlatDesign`.
 """
 
 from __future__ import annotations

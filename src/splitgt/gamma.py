@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
-from .placements import IdentityPlacement, uniform_style_placement
+from .placements import IdentityPlacement, uniform_style_stack
 from .tree import TreeDesign, decode_tree
 
 DEFAULT_C_CONST = 8.0  # smallest integer above e**2, the analysis floor
@@ -144,64 +144,33 @@ def gamma_total_tests(params: GammaParams, n: int) -> int:
     )
 
 
-class GammaDesign(TreeDesign):
-    """Materialised test layout for one key: placements for every level."""
-
-    def __init__(self, params: GammaParams, n: int, key: RandomnessKey,
-                 hash_mode: str = "full"):
-        self.params = params
-        self.n = n
-        self.hash_mode = hash_mode
-        gp = params.gamma_prime
-        self.level1_count = n // params.level1_size
-        self.placements: dict[tuple[int, int], object] = {
-            (1, 0): IdentityPlacement(self.level1_count)
-        }
-        layout = [(1, 0, self.level1_count)]
-        for level in range(2, gp - 1):
-            self.placements[(level, 0)] = uniform_style_placement(
-                self.num_nodes(level), params.t_len, key.child("level", level),
-                hash_mode, kwise_degree=params.gamma,
-            )
-            layout.append((level, 0, params.t_len))
-        self.placements[(gp - 1, 0)] = uniform_style_placement(
-            self.num_nodes(gp - 1), params.t_len_prime, key.child("level", gp - 1),
-            hash_mode, kwise_degree=params.gamma,
-        )
-        layout.append((gp - 1, 0, params.t_len_prime))
-        for rep in range(params.final_reps):
-            self.placements[(gp, rep)] = uniform_style_placement(
-                n, params.t_len_dprime, key.child("final", rep),
-                hash_mode, kwise_degree=params.gamma,
-            )
-            layout.append((gp, rep, params.t_len_dprime))
-        self.layout = tuple(layout)
-        self.levels = tuple((level, 1) for level in range(2, gp)) + ((gp, params.final_reps),)
-        self.branching = params.branching
-
-    def node_size(self, level: int) -> int:
-        return self.params.level1_size // self.params.branching ** (level - 1)
-
-    def node_of(self, item: int, level: int) -> int:
-        return item // self.node_size(level)
-
-    def memberships_per_item(self) -> list[int]:
-        """Number of tests each item participates in, counted from the
-        materialised test member sets (exhaustive; small n only)."""
-        counts = [0] * self.n
-        for level, rep, _ in self.layout:
-            for members in self.segment_members(level, rep):
-                for item in members:
-                    counts[item] += 1
-        return counts
-
-
 def build_gamma_design(params: GammaParams, n: int, key: RandomnessKey,
-                       hash_mode: str = "full") -> GammaDesign:
-    return GammaDesign(params, n, key, hash_mode)
+                       hash_mode: str = "full") -> TreeDesign:
+    """The gamma tree: level 1 tests its n/M nodes individually, each of
+    levels 2..gamma_prime-1 places every node once (sequences of length
+    t_len, then t_len_prime), and the singleton level places every item in
+    each of ``final_reps`` sequences of length t_len_dprime.  Every
+    placement draws from its own key."""
+    gp, m = params.gamma_prime, params.level1_size
+
+    def placement(num_nodes, t_len, placement_key):
+        return uniform_style_stack(num_nodes, t_len, 1, placement_key.generator(),
+                                   hash_mode, kwise_degree=params.gamma).rows[0]
+
+    levels = [(1, m, n // m, [IdentityPlacement(n // m)])]
+    for level in range(2, gp):
+        size = m // params.branching ** (level - 1)
+        t_len = params.t_len if level < gp - 1 else params.t_len_prime
+        levels.append((level, size, t_len,
+                       [placement(n // size, t_len, key.child("level", level))]))
+    levels.append((gp, 1, params.t_len_dprime,
+                   [placement(n, params.t_len_dprime, key.child("final", rep))
+                    for rep in range(params.final_reps)]))
+    return TreeDesign(n, params, params.branching, levels)
 
 
-def decode_gamma(design: GammaDesign, outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
+def decode_gamma(design: TreeDesign,
+                 outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
     """Walk the tree top-down, reading only tests of surviving nodes.
 
     A level-1 node survives if its individual test is positive; a mid-level

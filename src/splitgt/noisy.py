@@ -45,7 +45,6 @@ class NoisyParams:
     r: int          # lookahead depth
     c_final: int    # C': final-level batch multiplier
     t_len: int
-    beta_n: float
     mode: str
 
 
@@ -108,10 +107,9 @@ def noisy_params(
     if t * c_final <= 1.0:
         raise ValueError(f"t * C' must exceed 1, got {t * c_final}")
 
-    beta_n = (k * math.log2(n / k)) ** (1.0 - epsilon * t)
     return NoisyParams(
         p=p, t=t, epsilon=epsilon, c_const=c_const, n_reps=n_reps, r=r,
-        c_final=c_final, t_len=c_const * k, beta_n=beta_n, mode=mode,
+        c_final=c_final, t_len=c_const * k, mode=mode,
     )
 
 
@@ -123,47 +121,21 @@ def noisy_total_tests(params: NoisyParams, n: int, k: int) -> int:
 
 
 class NoisyDesign(TreeDesign):
-    """Binary tree over [0, n): node j at level l covers items
-    [j * n/2^l, (j+1) * n/2^l).
+    """The binary tree from level log2 k down to the singletons at level
+    log2 n, with every level's placements one stack (``stacks[level]``).
 
-    Every placement is drawn from one generator, one stack per level
-    (``stacks[level]``): N sequences at each level above the final one and
-    C' * N * log2 n at the final level.  ``placements[(level, rep)]`` is row
-    ``rep`` of its level's stack.  Every segment has length ``t_len``, so the
-    outcomes form a (segments x t_len) grid whose row for (level, rep) is
+    Every segment has length ``t_len``, so the outcomes form a
+    (segments x t_len) grid whose row for (level, rep) is
     ``first_segment[level] + rep``.
     """
 
-    def __init__(self, params: NoisyParams, n: int, k: int, key: RandomnessKey,
-                 hash_mode: str = "full"):
-        self.params = params
-        self.n = n
-        self.k = k
-        self.hash_mode = hash_mode
-        self.log2n = n.bit_length() - 1
-        self.log2k = k.bit_length() - 1
-        rng = key.generator()
-        self.stacks = {}
+    def __init__(self, n: int, params: NoisyParams, stacks: dict):
+        super().__init__(n, params, 2, [(level, n >> level, params.t_len, stack.rows)
+                                        for level, stack in stacks.items()])
+        self.stacks = stacks
         self.first_segment = {}
-        self.placements: dict[tuple[int, int], object] = {}
-        final_seqs = params.c_final * params.n_reps * self.log2n
-        for level in range(self.log2k, self.log2n + 1):
-            reps = params.n_reps if level < self.log2n else final_seqs
-            stack = uniform_style_stack(1 << level, params.t_len, reps, rng, hash_mode)
-            self.stacks[level] = stack
-            self.first_segment[level] = len(self.placements)
-            for rep, placement in enumerate(stack.rows):
-                self.placements[(level, rep)] = placement
-        self.layout = tuple((level, rep, params.t_len) for level, rep in self.placements)
-
-    def node_size(self, level: int) -> int:
-        return self.n >> level
-
-    def node_of(self, item: int, level: int) -> int:
-        return item >> (self.log2n - level)
-
-    def test_of(self, level: int, rep: int, node: int) -> int:
-        return self.placements[(level, rep)].test_of(node)
+        for row, (level, _, _) in enumerate(self.layout):
+            self.first_segment.setdefault(level, row)
 
     def noiseless_bits(self, defectives) -> np.ndarray:
         """The noiseless outcome vector, one stacked lookup per level."""
@@ -171,14 +143,24 @@ class NoisyDesign(TreeDesign):
         items = np.asarray(defectives, dtype=np.int64)
         if len(items):
             for level, stack in self.stacks.items():
-                tests = stack.tests_of(items >> (self.log2n - level))
+                tests = stack.tests_of(items // self.node_size(level))
                 grid[self.first_segment[level] + np.arange(len(tests))[:, None], tests] = 1
         return grid.ravel()
 
 
 def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
                        hash_mode: str = "full") -> NoisyDesign:
-    return NoisyDesign(params, n, k, key, hash_mode)
+    """Every placement from one generator, one stack per level: N sequences
+    at each level above the final one and C' * N * log2 n at the final
+    level."""
+    log2n = n.bit_length() - 1
+    rng = key.generator()
+    final_seqs = params.c_final * params.n_reps * log2n
+    return NoisyDesign(n, params, {
+        level: uniform_style_stack(1 << level, params.t_len,
+                                   params.n_reps if level < log2n else final_seqs,
+                                   rng, hash_mode)
+        for level in range(k.bit_length() - 1, log2n + 1)})
 
 
 def _votes(design: NoisyDesign, grid: np.ndarray, seen: np.ndarray, level: int,
@@ -206,7 +188,7 @@ def _lookahead(design: NoisyDesign, grid: np.ndarray, seen: np.ndarray, level: i
     the target; a state is dropped once its root is accepted or once it can
     no longer reach the target.
     """
-    reps, r, bottom = design.params.n_reps, design.params.r, design.log2n
+    reps, r, bottom = design.params.n_reps, design.params.r, design.levels[-1][0]
     target = r // 2 + 1
     accepted = np.zeros(len(roots), dtype=bool)
     owner = np.repeat(np.arange(len(roots)), 2)
@@ -247,11 +229,12 @@ def decode_noisy(design: NoisyDesign,
     reps = design.params.n_reps
     grid = outcomes.bits.reshape(-1, design.params.t_len)
     seen = np.zeros(grid.shape, dtype=bool)
-    pd = np.arange(design.k, dtype=np.int64)
+    log2k, log2n = design.levels[0][0], design.levels[-1][0]
+    pd = np.arange(1 << log2k, dtype=np.int64)
     visited = labels = 0
     pd_peak = len(pd)
 
-    for level in range(design.log2k, design.log2n):
+    for level in range(log2k, log2n):
         visited += len(pd)
         accepted, computed = _lookahead(design, grid, seen, level, pd)
         labels += computed
@@ -259,8 +242,8 @@ def decode_noisy(design: NoisyDesign,
         pd_peak = max(pd_peak, len(pd))
 
     visited += len(pd)
-    batches = design.params.c_final * design.log2n
-    votes = _votes(design, grid, seen, design.log2n, pd, 0, batches * reps)
+    batches = design.params.c_final * log2n
+    votes = _votes(design, grid, seen, log2n, pd, 0, batches * reps)
     batch_labels = 2 * votes.reshape(batches, reps, -1).sum(axis=1) > reps
     labels += batches * len(pd)
     estimate = pd[2 * batch_labels.sum(axis=0) > batches]

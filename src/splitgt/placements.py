@@ -315,25 +315,6 @@ class PolynomialStack:
         return _horner(self.coeffs[reps].T[::-1, :, None], nodes, self.prime, self.t_len)
 
 
-def place_uniform(num_nodes: int, t_len: int, key: RandomnessKey) -> ExplicitTable:
-    """Each node's test i.i.d. uniform on [0, t_len), stored explicitly."""
-    return ExplicitStack(num_nodes, t_len, 1, key.generator()).rows[0]
-
-
-def place_hashed(num_nodes: int, t_len: int, independence_degree: int,
-                 key: RandomnessKey) -> PolynomialHash:
-    return PolynomialStack(num_nodes, t_len, 1, independence_degree, key.generator()).rows[0]
-
-
-def place_balanced(num_nodes: int, t_len: int, key: RandomnessKey) -> BalancedTable:
-    return BalancedTable(num_nodes, t_len, key)
-
-
-def place_truncated_permutation(num_nodes: int, t_len: int,
-                                key: RandomnessKey) -> TruncatedPermutation:
-    return TruncatedPermutation(num_nodes, t_len, key)
-
-
 def uniform_style_stack(num_nodes: int, t_len: int, reps: int, rng: np.random.Generator,
                         hash_mode: str, kwise_degree: int = 2):
     """``reps`` placements for an independently-placed level, per the
@@ -356,13 +337,6 @@ def uniform_style_stack(num_nodes: int, t_len: int, reps: int, rng: np.random.Ge
     raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")
 
 
-def uniform_style_placement(num_nodes: int, t_len: int, key: RandomnessKey,
-                            hash_mode: str, kwise_degree: int = 2):
-    """One placement of :func:`uniform_style_stack`, from its own key."""
-    return uniform_style_stack(num_nodes, t_len, 1, key.generator(), hash_mode,
-                               kwise_degree).rows[0]
-
-
 def balanced_style_placement(num_nodes: int, t_len: int, key: RandomnessKey,
                              hash_mode: str):
     """Balanced placement per the hash-mode switch.
@@ -371,7 +345,7 @@ def balanced_style_placement(num_nodes: int, t_len: int, key: RandomnessKey,
     storage, so every low-storage mode maps to it.
     """
     if hash_mode == "full":
-        return place_balanced(num_nodes, t_len, key)
+        return BalancedTable(num_nodes, t_len, key)
     if hash_mode in ("kwise", "pairwise", "permutation"):
-        return place_truncated_permutation(num_nodes, t_len, key)
+        return TruncatedPermutation(num_nodes, t_len, key)
     raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")

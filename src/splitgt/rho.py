@@ -75,59 +75,28 @@ def rho_total_tests(params: RhoParams, n: int) -> int:
     return (1 + params.n_reps * (params.c_depth - 1) + params.c_final) * per_level
 
 
-class RhoDesign(TreeDesign):
-    """Materialised layout: identity level 0, balanced mid and final levels."""
-
-    def __init__(self, params: RhoParams, n: int, key: RandomnessKey,
-                 hash_mode: str = "full"):
-        if n % params.rho != 0:
-            raise ValueError(f"rho={params.rho} must divide n={n}")
-        self.params = params
-        self.n = n
-        self.hash_mode = hash_mode
-        self.tests_per_level = n // params.rho
-        self.placements: dict[tuple[int, int], object] = {
-            (0, 0): IdentityPlacement(self.tests_per_level)
-        }
-        layout = [(0, 0, self.tests_per_level)]
-        for level in range(1, params.c_depth):
-            for rep in range(params.n_reps):
-                self.placements[(level, rep)] = balanced_style_placement(
-                    self.num_nodes(level), self.tests_per_level,
-                    key.child("level", level, rep), hash_mode,
-                )
-                layout.append((level, rep, self.tests_per_level))
-        for rep in range(params.c_final):
-            self.placements[(params.c_depth, rep)] = balanced_style_placement(
-                n, self.tests_per_level, key.child("final", rep), hash_mode,
-            )
-            layout.append((params.c_depth, rep, self.tests_per_level))
-        self.layout = tuple(layout)
-        self.levels = (tuple((level, params.n_reps) for level in range(1, params.c_depth))
-                       + ((params.c_depth, params.c_final),))
-        self.branching = params.branch
-
-    def node_size(self, level: int) -> int:
-        return self.params.rho // self.params.branch ** level
-
-    def max_items_per_test(self) -> int:
-        """Largest test load across the whole design (verification helper)."""
-        import numpy as np
-
-        worst = 0
-        for level, rep, length in self.layout:
-            table = self.placements[(level, rep)].table()
-            loads = np.bincount(table, minlength=length) * self.node_size(level)
-            worst = max(worst, int(loads.max()))
-        return worst
-
-
 def build_rho_design(params: RhoParams, n: int, key: RandomnessKey,
-                     hash_mode: str = "full") -> RhoDesign:
-    return RhoDesign(params, n, key, hash_mode)
+                     hash_mode: str = "full") -> TreeDesign:
+    """The rho tree: level 0 tests its n/rho nodes individually, and every
+    later level places its nodes into n/rho tests by ``n_reps`` balanced
+    placements (``c_final`` at the singleton level), each from its own key."""
+    if n % params.rho != 0:
+        raise ValueError(f"rho={params.rho} must divide n={n}")
+    per_level = n // params.rho
+    levels = [(0, params.rho, per_level, [IdentityPlacement(per_level)])]
+    for level in range(1, params.c_depth):
+        size = params.rho // params.branch ** level
+        levels.append((level, size, per_level, [
+            balanced_style_placement(n // size, per_level, key.child("level", level, rep),
+                                     hash_mode)
+            for rep in range(params.n_reps)]))
+    levels.append((params.c_depth, 1, per_level, [
+        balanced_style_placement(n, per_level, key.child("final", rep), hash_mode)
+        for rep in range(params.c_final)]))
+    return TreeDesign(n, params, params.branch, levels)
 
 
-def decode_rho(design: RhoDesign, outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
+def decode_rho(design: TreeDesign, outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
     """Constant-depth descent: a mid-level node survives only if all N of its
     tests are positive; a singleton makes the estimate if none of its final
     tests is negative.  See :func:`splitgt.tree.decode_tree`."""

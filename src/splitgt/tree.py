@@ -1,21 +1,21 @@
-"""What the splitting-tree designs share, and the noiseless decoder of the
-gamma and rho schemes.
+"""The splitting-tree design of every scheme, and the noiseless decoder of
+the gamma and rho schemes.
 
-:class:`TreeDesign` holds the parts of a design that do not depend on the
-scheme.  The gamma and rho trees test every top-level node individually,
-then at each later level place every node in one test per repetition; a
-node survives a level iff all of its tests there are positive, and the
-survivors of the last (singleton) level are the estimate.  A design handed
-to :func:`decode_tree` exposes:
+The gamma, rho and noisy schemes share one structure: a tree over [0, n)
+with a fixed fan-out, where each level has a node size and one placement
+per repetition, and every placement of a level puts each node of that level
+into one test of a sequence of ``t_len`` tests.  :class:`TreeDesign` is
+built from that list of levels and derives the rest.  The schemes differ
+only in how their params become levels: ``gamma.build_gamma_design``,
+``rho.build_rho_design`` and ``noisy.build_noisy_design``.
 
-  - ``layout`` with the identity level's single segment first,
-  - ``levels``: ``(level, reps)`` for every level after the identity level,
-  - ``branching``: the number of children per node,
-  - ``placements[(level, rep)]`` with a vectorised ``tests_of``.
-
-The frontier is a sorted int64 array.  Each level goes repetition by
-repetition over the candidates still alive, so it reads exactly the tests a
-node-by-node loop that stops at the first negative would read.
+The gamma and rho trees test every top-level node individually, then at
+each later level a node survives iff all of its tests there are positive;
+the survivors of the last (singleton) level are the estimate.
+:func:`decode_tree` walks that descent with the frontier as a sorted int64
+array.  Each level goes repetition by repetition over the candidates still
+alive, so it reads exactly the tests a node-by-node loop that stops at the
+first negative would read.
 """
 
 from __future__ import annotations
@@ -28,13 +28,30 @@ from .core import DecodeReport, OutcomeVector
 
 
 class TreeDesign:
-    """Base of the gamma, rho and noisy designs.
+    """A splitting tree over [0, n) from its ordered levels.
 
-    A subclass sets ``n``, ``layout`` (ordered ``(level, rep, length)``
-    segments) and ``placements[(level, rep)]``, and defines
-    ``node_size(level)``: node j of a level covers items
-    [j * size, (j + 1) * size).
+    Each level is ``(level, node_size, t_len, placements)``: node j of the
+    level covers items [j * node_size, (j + 1) * node_size), and repetition
+    ``rep`` places every node into one of ``t_len`` tests by
+    ``placements[rep]``.  Each node has ``branching`` children at the next
+    level.  The outcomes of a design come in ``layout`` order: one
+    ``(level, rep, t_len)`` segment per placement, level by level.
     """
+
+    def __init__(self, n: int, params, branching: int, levels):
+        self.n = n
+        self.params = params
+        self.branching = branching
+        self.levels = tuple((level, size, t_len, tuple(placements))
+                            for level, size, t_len, placements in levels)
+        self._sizes = {level: (size, t_len) for level, size, t_len, _ in self.levels}
+        self.layout = tuple((level, rep, t_len) for level, _, t_len, placements in self.levels
+                            for rep in range(len(placements)))
+        self.placements = {(level, rep): placement for level, _, _, placements in self.levels
+                           for rep, placement in enumerate(placements)}
+
+    def node_size(self, level: int) -> int:
+        return self._sizes[level][0]
 
     def num_nodes(self, level: int) -> int:
         return self.n // self.node_size(level)
@@ -46,9 +63,8 @@ class TreeDesign:
 
     def segment_members(self, level, rep):
         """Explicit member sets of every test in a segment (small n only)."""
-        length = next(s[2] for s in self.layout if s[:2] == (level, rep))
-        size = self.node_size(level)
-        tests = [set() for _ in range(length)]
+        size, t_len = self._sizes[level]
+        tests = [set() for _ in range(t_len)]
         for node, test in enumerate(self.placements[(level, rep)].table().tolist()):
             tests[test].update(range(node * size, (node + 1) * size))
         return tests
@@ -61,10 +77,31 @@ class TreeDesign:
     def storage_words(self) -> int:
         return sum(p.storage_cost for p in self.placements.values())
 
+    def memberships_per_item(self) -> list[int]:
+        """Number of tests each item participates in, counted from the
+        materialised test member sets (exhaustive; small n only)."""
+        counts = [0] * self.n
+        for level, rep, _ in self.layout:
+            for members in self.segment_members(level, rep):
+                for item in members:
+                    counts[item] += 1
+        return counts
 
-def decode_tree(design, outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
+    def max_items_per_test(self) -> int:
+        """Largest test load across the whole design (verification helper)."""
+        worst = 0
+        for (level, _), placement in self.placements.items():
+            size, t_len = self._sizes[level]
+            loads = np.bincount(placement.table(), minlength=t_len) * size
+            worst = max(worst, int(loads.max()))
+        return worst
+
+
+def decode_tree(design: TreeDesign,
+                outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
     """Walk the tree top-down, reading only tests of surviving nodes.
 
+    The first level's single segment tests each of its nodes individually.
     ``outcomes_read`` counts distinct outcome cells read, ``nodes_visited``
     one per node per level it is tested at, and the peak possibly-defective
     set enters ``storage_words``.
@@ -72,18 +109,18 @@ def decode_tree(design, outcomes: OutcomeVector) -> tuple[tuple[int, ...], Decod
     if tuple(outcomes.layout) != tuple(design.layout):
         raise ValueError("outcome layout does not match this design")
     start = time.perf_counter_ns()
-    top, top_rep, top_len = design.layout[0]
-    alive = np.flatnonzero(outcomes.segment(top, top_rep))
+    top, _, top_len, _ = design.levels[0]
+    alive = np.flatnonzero(outcomes.segment(top, 0))
     reads = visited = top_len
     pd_peak = len(alive)
     offsets = np.arange(design.branching, dtype=np.int64)
 
-    for level, reps in design.levels:
+    for level, _, _, placements in design.levels[1:]:
         alive = (alive[:, None] * design.branching + offsets).ravel()
         pd_peak = max(pd_peak, len(alive))
         visited += len(alive)
-        for rep in range(reps):
-            tests = design.placements[(level, rep)].tests_of(alive)
+        for rep, placement in enumerate(placements):
+            tests = placement.tests_of(alive)
             # a set, not np.sort or np.unique: their first calls map in
             # code (and numpy.ma) that raises a small run's peak memory
             reads += len(set(tests.tolist()))

@@ -35,7 +35,7 @@ def decode_gamma_scalar(design, outcomes) -> DecodeReport:
     visited = 0
 
     survivors = []
-    for node in range(design.level1_count):
+    for node in range(design.num_nodes(1)):
         seen.add((1, 0, node))
         visited += 1
         if outcomes.get(1, 0, node):
@@ -80,7 +80,7 @@ def decode_rho_scalar(design, outcomes) -> DecodeReport:
     visited = 0
 
     survivors = []
-    for node in range(design.tests_per_level):
+    for node in range(design.num_nodes(0)):
         seen.add((0, 0, node))
         visited += 1
         if outcomes.get(0, 0, node):
@@ -124,6 +124,11 @@ def decode_rho_scalar(design, outcomes) -> DecodeReport:
 # --- noisy scheme: depth-first lookahead with a label memo -----------------
 
 
+def _log2n(design) -> int:
+    """The singleton level: the noisy tree's last."""
+    return design.levels[-1][0]
+
+
 class LabelCache:
     """Memo of intermediate labels, shared across overlapping lookahead
     windows within one decode.  Also carries the decode's read counters;
@@ -155,7 +160,7 @@ def intermediate_label(node, level, design, outcomes, cache) -> int:
     reps = design.params.n_reps
     positives = 0
     for rep in range(reps):
-        test = design.test_of(level, rep, node)
+        test = design.placements[(level, rep)].test_of(node)
         cache.seen.add((level, rep, test))
         positives += outcomes.get(level, rep, test)
     label = 1 if 2 * positives > reps else 0
@@ -173,11 +178,11 @@ def final_level_batch_label(item, batch, design, outcomes, cache) -> int:
     if cache.enabled and key in cache.batch:
         return cache.batch[key]
     reps = design.params.n_reps
-    level = design.log2n
+    level = _log2n(design)
     positives = 0
     for j in range(reps):
         seq = batch * reps + j
-        test = design.test_of(level, seq, item)
+        test = design.placements[(level, seq)].test_of(item)
         cache.seen.add((level, seq, test))
         positives += outcomes.get(level, seq, test)
     label = 1 if 2 * positives > reps else 0
@@ -189,7 +194,7 @@ def final_level_batch_label(item, batch, design, outcomes, cache) -> int:
 
 def _lookahead(design, outcomes, cache, target, lvl, nd, batch, depth, positives) -> bool:
     """One step of :func:`final_label`'s path search."""
-    bottom, r = design.log2n, design.params.r
+    bottom, r = _log2n(design), design.params.r
     if lvl < bottom:
         positives += intermediate_label(nd, lvl, design, outcomes, cache)
     else:
@@ -214,7 +219,7 @@ def final_label(node, level, design, outcomes, cache) -> int:
     do.  Steps past the final level stay on the singleton reached and consume
     its batches in order, one per padding depth.
     """
-    if level >= design.log2n:
+    if level >= _log2n(design):
         raise ValueError("final_label applies above the final level")
     target = design.params.r // 2 + 1
     found = (_lookahead(design, outcomes, cache, target, level + 1, 2 * node, 0, 1, 0)
@@ -224,7 +229,7 @@ def final_label(node, level, design, outcomes, cache) -> int:
 
 def singleton_final_label(item, design, outcomes, cache) -> int:
     """Final-level acceptance: majority over all C' * log2 n batch labels."""
-    total = design.params.c_final * design.log2n
+    total = design.params.c_final * _log2n(design)
     positives = sum(
         final_level_batch_label(item, batch, design, outcomes, cache)
         for batch in range(total)
@@ -240,10 +245,11 @@ def decode_noisy_scalar(design, outcomes, use_cache: bool = True) -> DecodeRepor
     start = time.perf_counter_ns()
     cache = LabelCache(enabled=use_cache)
     visited = 0
-    pd = list(range(design.k))
+    log2k = design.levels[0][0]
+    pd = list(range(1 << log2k))
     pd_peak = len(pd)
 
-    for level in range(design.log2k, design.log2n):
+    for level in range(log2k, _log2n(design)):
         nxt = []
         for node in pd:
             visited += 1

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from splitgt import baselines, bench, gamma, noisy, rho
 from splitgt.bench import (
     TrialConfig,
     eta_curve,
@@ -138,6 +139,16 @@ def test_validate_config_errors():
                                    defectives=defectives))
     assert run_trials(TrialConfig(algorithm="gamma", n=1000, k=2, gamma=5, trials=3,
                                   defectives=(5, 999))).trials == 3
+    # range checks: before trial 0, not as a failed trial
+    for fields, message in ((dict(algorithm="ncomp", threshold=1.5), "threshold"),
+                            (dict(algorithm="ncomp", threshold=-0.5), "threshold"),
+                            (dict(algorithm="comp", tests=-3), "tests"),
+                            (dict(algorithm="comp", tests=0), "tests"),
+                            (dict(algorithm="ncomp", tests=0), "tests"),
+                            (dict(algorithm="gamma", gamma=2), "gamma")):
+        with pytest.raises(ValueError, match=message):
+            run_trials(TrialConfig(n=256, k=2, **fields))
+    assert run_trials(TrialConfig(algorithm="comp", n=256, k=2, tests=1, trials=2)).trials == 2
 
 
 def test_counters_within_test_budget():
@@ -168,3 +179,39 @@ def test_low_storage_sweep_smoke():
                    * (1 / full.trials + 1 / low.trials))
     assert abs(full.success_rate - low.success_rate) <= 2 * se
     assert low.storage_words * 5 < full.storage_words
+
+
+# each algorithm's entry points, in the order a trial calls them
+ENTRY_POINTS = {
+    "gamma": [(gamma, "gamma_params"), (gamma, "build_gamma_design"),
+              (bench, "evaluate_design"), (gamma, "decode_gamma")],
+    "rho": [(rho, "rho_params"), (rho, "build_rho_design"),
+            (bench, "evaluate_design"), (rho, "decode_rho")],
+    "noisy": [(noisy, "noisy_params"), (noisy, "build_noisy_design"),
+              (bench, "evaluate_design"), (noisy, "decode_noisy")],
+    "comp": [(baselines, "default_baseline_tests"), (baselines, "build_flat_design"),
+             (bench, "evaluate_design"), (baselines, "decode_comp")],
+    "ncomp": [(baselines, "default_baseline_tests"), (baselines, "build_flat_design"),
+              (bench, "evaluate_design"), (baselines, "decode_ncomp")],
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(ENTRY_POINTS))
+def test_run_trial_calls_entry_points_through_modules(algorithm, monkeypatch):
+    """A wrapper set on a module attribute, as perfbench's tracer sets its
+    spans, sees every phase of a trial: the scheme registry looks the
+    functions up at call time instead of holding on to them."""
+    calls = []
+
+    def recorder(name, fn):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return record
+
+    for module, name in ENTRY_POINTS[algorithm]:
+        monkeypatch.setattr(module, name, recorder(name, getattr(module, name)))
+    config = TrialConfig(algorithm=algorithm, n=256, k=4, gamma=5, rho=16, p=0.05,
+                         trials=1, base_seed=3)
+    bench.run_trial(config, 0)
+    assert calls == [name for _, name in ENTRY_POINTS[algorithm]]

@@ -136,6 +136,10 @@ def test_eta_curve_csv(tmp_path, capsys):
     "gamma --n 1024 --k 4 --gamma 5 --hash-mode permutation",
     "noisy --n 1024 --k 4 --p 0.05 --hash-mode permutation",
     "gamma --n 1024 --k 4 --gamma 5 --jobs 0",
+    "gamma --n 1024 --k 4 --gamma 2",
+    "comp --n 256 --k 2 --tests -3",
+    "comp --n 256 --k 2 --tests 0",
+    "ncomp --n 256 --k 2 --threshold 1.5",
 ])
 def test_invalid_config_exits_2_before_any_trial(argv, capsys):
     assert main(argv.split()) == 2

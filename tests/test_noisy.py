@@ -100,7 +100,7 @@ def _outcomes(design, positions):
 
 
 def _node_test_positions(design, level, node, reps):
-    return [(level, rep, design.test_of(level, rep, node)) for rep in reps]
+    return [(level, rep, design.placements[(level, rep)].test_of(node)) for rep in reps]
 
 
 def test_intermediate_label_majority():
@@ -143,8 +143,8 @@ def test_final_label_uses_batch_padding_near_bottom():
     v = 5  # node at level 3: only one real level below, r=2 needs one pad step
     singleton = 2 * v
     reps = design.params.n_reps
-    batch0 = [(4, 0 * reps + j, design.test_of(4, 0 * reps + j, singleton)) for j in (0, 1)]
-    batch1 = [(4, 1 * reps + j, design.test_of(4, 1 * reps + j, singleton)) for j in (0, 2)]
+    batch0 = _node_test_positions(design, 4, singleton, [0 * reps + j for j in (0, 1)])
+    batch1 = _node_test_positions(design, 4, singleton, [1 * reps + j for j in (0, 2)])
     assert final_label(v, 3, design, _outcomes(design, batch0), LabelCache()) == 0
     assert final_label(v, 3, design, _outcomes(design, batch0 + batch1), LabelCache()) == 1
 
@@ -155,8 +155,7 @@ def test_singleton_final_label_majority():
     reps = design.params.n_reps
 
     def batch_positions(batch):
-        return [(4, batch * reps + j, design.test_of(4, batch * reps + j, item))
-                for j in (0, 1)]
+        return _node_test_positions(design, 4, item, [batch * reps + j for j in (0, 1)])
 
     three = batch_positions(0) + batch_positions(1) + batch_positions(2)
     assert singleton_final_label(item, design, _outcomes(design, three), LabelCache()) == 1
@@ -205,7 +204,7 @@ def test_lookahead_work_bound_per_call():
     bound = 2 ** (params.r + 1)
     for node in range(k):
         cache = LabelCache(enabled=False)  # count raw evaluations per call
-        final_label(node, design.log2k, design, out, cache)
+        final_label(node, design.levels[0][0], design, out, cache)
         assert cache.lookups <= bound
 
 

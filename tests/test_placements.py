@@ -8,21 +8,29 @@ from hypothesis import strategies as st
 from scalar_reference import next_primes_by_trial_division
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
+    BalancedTable,
     ExplicitStack,
     IdentityPlacement,
     PolynomialStack,
+    TruncatedPermutation,
     balanced_style_placement,
-    place_balanced,
-    place_hashed,
-    place_truncated_permutation,
-    place_uniform,
     smallest_prime_at_least,
-    uniform_style_placement,
+    uniform_style_stack,
 )
 
 
 def key(i=0):
     return RandomnessKey(1234, (i,))
+
+
+def uniform(num_nodes, t_len, k):
+    """One i.i.d. placement stored explicitly: a one-row stack."""
+    return ExplicitStack(num_nodes, t_len, 1, k.generator()).rows[0]
+
+
+def hashed(num_nodes, t_len, degree, k):
+    """One degree-``degree`` polynomial hash: a one-row stack."""
+    return PolynomialStack(num_nodes, t_len, 1, degree, k.generator()).rows[0]
 
 
 def test_smallest_prime():
@@ -47,21 +55,21 @@ def test_smallest_prime_large(log_x, gap):
 
 
 def test_uniform_single_bucket():
-    p = place_uniform(4, 1, key())
+    p = uniform(4, 1, key())
     assert [p.test_of(j) for j in range(4)] == [0, 0, 0, 0]
 
 
 def test_uniform_deterministic():
-    a = place_uniform(1000, 16, key(3))
-    b = place_uniform(1000, 16, key(3))
+    a = uniform(1000, 16, key(3))
+    b = uniform(1000, 16, key(3))
     assert np.array_equal(a.table(), b.table())
-    assert not np.array_equal(a.table(), place_uniform(1000, 16, key(4)).table())
+    assert not np.array_equal(a.table(), uniform(1000, 16, key(4)).table())
 
 
 def test_uniform_bucket_counts():
     # chi-square style check: per-bucket counts within 5 sigma of the mean
     num, t_len = 100_000, 10
-    p = place_uniform(num, t_len, key(7))
+    p = uniform(num, t_len, key(7))
     counts = np.bincount(p.table(), minlength=t_len)
     mean = num / t_len
     sigma = (num * (1 / t_len) * (1 - 1 / t_len)) ** 0.5
@@ -70,20 +78,20 @@ def test_uniform_bucket_counts():
 
 def test_hashed_rejects_low_degree():
     with pytest.raises(ValueError):
-        place_hashed(100, 10, 1, key())
+        hashed(100, 10, 1, key())
 
 
 def test_hashed_single_node():
-    p = place_hashed(1, 8, 2, key())
+    p = hashed(1, 8, 2, key())
     assert 0 <= p.test_of(0) < 8
 
 
 def test_hashed_storage_independent_of_size():
-    small = place_hashed(100, 16, 3, key())
-    large = place_hashed(100_000, 16, 3, key())
+    small = hashed(100, 16, 3, key())
+    large = hashed(100_000, 16, 3, key())
     assert small.storage_cost == large.storage_cost == 5
-    assert place_uniform(100, 16, key()).storage_cost == 100
-    assert place_uniform(100_000, 16, key()).storage_cost == 100_000
+    assert uniform(100, 16, key()).storage_cost == 100
+    assert uniform(100_000, 16, key()).storage_cost == 100_000
 
 
 def test_hashed_pairwise_collision_rate():
@@ -93,7 +101,7 @@ def test_hashed_pairwise_collision_rate():
     hits = sum(
         1
         for i in range(draws)
-        if (lambda p: p.test_of(3) == p.test_of(71))(place_hashed(num, t_len, 2, base.child(i)))
+        if (lambda p: p.test_of(3) == p.test_of(71))(hashed(num, t_len, 2, base.child(i)))
     )
     target = 1 / t_len
     sigma = (target * (1 - target) / draws) ** 0.5
@@ -102,30 +110,30 @@ def test_hashed_pairwise_collision_rate():
 
 
 def test_hashed_table_matches_scalar():
-    p = place_hashed(257, 12, 4, key(9))
+    p = hashed(257, 12, 4, key(9))
     assert [p.test_of(j) for j in range(257)] == list(p.table())
     # past n = 2^32 the prime's square no longer fits in 64 bits
     for num in (2 ** 33, 2 ** 40):
-        p = place_hashed(num, 1000, 4, key(9))
+        p = hashed(num, 1000, 4, key(9))
         nodes = np.arange(num - 257, num, dtype=np.int64)
         assert p.tests_of(nodes).tolist() == [p.test_of(j) for j in nodes.tolist()]
 
 
 def test_balanced_exact_weights():
-    p = place_balanced(8, 4, key())
+    p = BalancedTable(8, 4, key())
     counts = np.bincount(p.table(), minlength=4)
     assert list(counts) == [2, 2, 2, 2]
     assert p.row_weight == 2
 
 
 def test_balanced_identity_weight():
-    p = place_balanced(6, 6, key())
+    p = BalancedTable(6, 6, key())
     assert sorted(p.test_of(j) for j in range(6)) == list(range(6))
 
 
 def test_balanced_rejects_non_divisible():
     with pytest.raises(ValueError):
-        place_balanced(10, 4, key())
+        BalancedTable(10, 4, key())
 
 
 def test_balanced_collision_rate():
@@ -135,7 +143,7 @@ def test_balanced_collision_rate():
     hits = sum(
         1
         for i in range(draws)
-        if (lambda p: p.test_of(0) == p.test_of(1))(place_balanced(num, t_len, base.child(i)))
+        if (lambda p: p.test_of(0) == p.test_of(1))(BalancedTable(num, t_len, base.child(i)))
     )
     target = (num // t_len - 1) / (num - 1)
     sigma = (target * (1 - target) / draws) ** 0.5
@@ -143,23 +151,23 @@ def test_balanced_collision_rate():
 
 
 def test_truncated_permutation_exact_weights():
-    p = place_truncated_permutation(16, 4, key())
+    p = TruncatedPermutation(16, 4, key())
     counts = np.bincount(p.table(), minlength=4)
     assert list(counts) == [4, 4, 4, 4]
 
 
 def test_truncated_permutation_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        place_truncated_permutation(12, 4, key())
+        TruncatedPermutation(12, 4, key())
     with pytest.raises(ValueError):
-        place_truncated_permutation(16, 3, key())
+        TruncatedPermutation(16, 3, key())
     with pytest.raises(ValueError):
-        place_truncated_permutation(8, 16, key())
+        TruncatedPermutation(8, 16, key())
 
 
 def test_truncated_permutation_deterministic():
-    a = place_truncated_permutation(64, 8, key(1))
-    b = place_truncated_permutation(64, 8, key(1))
+    a = TruncatedPermutation(64, 8, key(1))
+    b = TruncatedPermutation(64, 8, key(1))
     assert np.array_equal(a.table(), b.table())
 
 
@@ -172,15 +180,15 @@ def test_truncated_permutation_collision_rate():
         1
         for i in range(draws)
         if (lambda p: p.test_of(5) == p.test_of(200))(
-            place_truncated_permutation(num, t_len, base.child(i))
+            TruncatedPermutation(num, t_len, base.child(i))
         )
     )
     assert hits / draws <= 3 * row_weight / num
 
 
 def test_truncated_permutation_storage_constant():
-    assert place_truncated_permutation(16, 4, key()).storage_cost == \
-        place_truncated_permutation(2 ** 14, 64, key()).storage_cost == 6
+    assert TruncatedPermutation(16, 4, key()).storage_cost == \
+        TruncatedPermutation(2 ** 14, 64, key()).storage_cost == 6
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,10 +201,10 @@ def test_every_backing_total_and_in_range(log_nodes, log_t, seed):
     num, t_len = 1 << log_nodes, 1 << min(log_t, log_nodes)
     k = RandomnessKey(seed)
     backings = [
-        place_uniform(num, t_len, k),
-        place_hashed(num, t_len, 3, k),
-        place_balanced(num, t_len, k),
-        place_truncated_permutation(num, t_len, k),
+        uniform(num, t_len, k),
+        hashed(num, t_len, 3, k),
+        BalancedTable(num, t_len, k),
+        TruncatedPermutation(num, t_len, k),
     ]
     for p in backings:
         table = p.table()
@@ -213,19 +221,22 @@ def test_every_backing_total_and_in_range(log_nodes, log_t, seed):
 def test_balanced_weights_exact_for_all_keys(log_nodes, log_t, seed):
     num, t_len = 1 << log_nodes, 1 << min(log_t, log_nodes)
     k = RandomnessKey(seed)
-    for p in (place_balanced(num, t_len, k), place_truncated_permutation(num, t_len, k)):
+    for p in (BalancedTable(num, t_len, k), TruncatedPermutation(num, t_len, k)):
         counts = np.bincount(p.table(), minlength=t_len)
         assert np.all(counts == num // t_len)
 
 
 def test_mode_factories():
-    assert uniform_style_placement(64, 8, key(), "full").storage_cost == 64
-    assert uniform_style_placement(64, 8, key(), "kwise", kwise_degree=6).storage_cost == 8
-    assert uniform_style_placement(64, 8, key(), "pairwise").storage_cost == 4
+    def one(hash_mode, **kw):
+        return uniform_style_stack(64, 8, 1, key().generator(), hash_mode, **kw).rows[0]
+
+    assert one("full").storage_cost == 64
+    assert one("kwise", kwise_degree=6).storage_cost == 8
+    assert one("pairwise").storage_cost == 4
     with pytest.raises(ValueError):
-        uniform_style_placement(64, 8, key(), "permutation")
+        one("permutation")
     with pytest.raises(ValueError):
-        uniform_style_placement(64, 8, key(), "bogus")
+        one("bogus")
     assert balanced_style_placement(64, 8, key(), "full").storage_cost == 64
     assert balanced_style_placement(64, 8, key(), "permutation").storage_cost == 6
     assert balanced_style_placement(64, 8, key(), "pairwise").storage_cost == 6
@@ -249,11 +260,11 @@ def test_tests_of_matches_test_of(log_nodes, log_t, hash_t, degree, seed, picks)
     num, t_len = 1 << log_nodes, 1 << min(log_t, log_nodes)
     k = RandomnessKey(seed)
     nodes = np.array([0, num - 1] + [int(f * num) for f in picks], dtype=np.int64)
-    backings = [place_hashed(num, hash_t, degree, k),
-                place_truncated_permutation(num, t_len, k)]
+    backings = [hashed(num, hash_t, degree, k),
+                TruncatedPermutation(num, t_len, k)]
     if log_nodes <= 12:  # the tables are materialised
-        backings += [IdentityPlacement(num), place_uniform(num, t_len, k),
-                     place_balanced(num, t_len, k)]
+        backings += [IdentityPlacement(num), uniform(num, t_len, k),
+                     BalancedTable(num, t_len, k)]
     for p in backings:
         fast = p.tests_of(nodes)
         assert fast.dtype == np.int64

@@ -22,7 +22,7 @@ def test_params_dimension_arithmetic():
     assert p.branch == 4
     design = build_rho_design(p, 2 ** 12, RandomnessKey(0))
     # level-1 matrices: n/rho tests over n/rho^(1/2) nodes, row weight rho^(1/2)
-    assert design.tests_per_level == 256
+    assert design.num_nodes(0) == 256
     assert design.num_nodes(1) == 1024
     placement = design.placements[(1, 0)]
     assert placement.row_weight == 4
@@ -83,7 +83,7 @@ def test_column_weight_one_every_mid_level():
         table = placement.table()
         # every node appears exactly once, with the exact row weight
         assert len(table) == design.num_nodes(level)
-        counts = np.bincount(table, minlength=design.tests_per_level)
+        counts = np.bincount(table, minlength=design.num_nodes(0))
         assert np.all(counts == placement.row_weight)
 
 
