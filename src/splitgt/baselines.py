@@ -1,9 +1,10 @@
 """Reference decoders and exhaustive oracles.
 
-The flat design here is structure-free: an explicit list of member sets.  It
-backs the classic one-shot decoders (COMP and its noise-tolerant thresholded
-variant) and the brute-force oracles used to cross-check the tree decoders on
-tiny instances.
+The flat design here is structure-free: a (T x n) boolean incidence matrix,
+one row per test.  It backs the classic one-shot decoders (COMP and its
+noise-tolerant thresholded variant) and the brute-force oracles used to
+cross-check the tree decoders on tiny instances, which see a tree design
+through :func:`flatten_design`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .core import OutcomeVector, RandomnessKey
 
@@ -22,42 +25,49 @@ ORACLE_MAX_K = 4
 DEFAULT_NCOMP_THRESHOLD = 0.15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatDesign:
-    n: int
-    tests: tuple[frozenset, ...]
+    """A non-adaptive design as its incidence matrix: ``members[t, i]`` is
+    set iff item i is pooled in test t.  Tests may be empty or repeated and
+    items may be uncovered."""
+
+    members: np.ndarray
 
     def __post_init__(self):
-        for i, test in enumerate(self.tests):
-            for item in test:
-                if not 0 <= item < self.n:
-                    raise ValueError(f"test {i} contains out-of-range item {item}")
+        if self.members.ndim != 2 or self.members.dtype != np.bool_:
+            raise ValueError("members must be a 2-D bool array, one row per test")
 
     @property
-    def layout(self):
-        return ((0, 0, len(self.tests)),)
+    def n(self) -> int:
+        return self.members.shape[1]
 
     @property
     def t_total(self) -> int:
-        return len(self.tests)
+        return self.members.shape[0]
 
-    def segment_positives(self, level, rep, defectives):
-        dset = set(defectives)
-        return [i for i, test in enumerate(self.tests) if test & dset]
+    @property
+    def layout(self):
+        return ((0, 0, self.t_total),)
 
     @property
     def storage_words(self) -> int:
-        return sum(len(test) for test in self.tests)
+        return int(np.count_nonzero(self.members))
+
+    def noiseless_bits(self, defectives) -> np.ndarray:
+        return self.members[:, np.asarray(defectives, dtype=np.intp)].any(axis=1).astype(np.uint8)
 
 
 def flatten_design(design) -> FlatDesign:
-    """Explicit member sets of every test of a tree design, in layout order.
+    """The incidence matrix of a tree design, tests in layout order.
 
-    Intended for tiny instances only; the result is quadratic in n."""
-    tests = []
-    for level, rep, _ in design.layout:
-        tests.extend(frozenset(m) for m in design.segment_members(level, rep))
-    return FlatDesign(n=design.n, tests=tuple(tests))
+    Intended for tiny instances only; the matrix has T * n entries."""
+    members = np.zeros((design.t_total, design.n), dtype=bool)
+    items = np.arange(design.n)
+    offset = 0
+    for level, rep, t_len in design.layout:
+        members[offset + design.item_tests(level, rep), items] = True
+        offset += t_len
+    return FlatDesign(members)
 
 
 def build_flat_design(n: int, tests_count: int, key: RandomnessKey, k: int = 1,
@@ -76,11 +86,10 @@ def build_flat_design(n: int, tests_count: int, key: RandomnessKey, k: int = 1,
               else round(tests_count * math.log(2) / max(1, k)))
     weight = min(max(1, weight), tests_count)
     rng = key.generator()
-    members = [set() for _ in range(tests_count)]
+    members = np.zeros((tests_count, n), dtype=bool)
     for item in range(n):
-        for t in rng.choice(tests_count, size=weight, replace=False):
-            members[int(t)].add(item)
-    return FlatDesign(n=n, tests=tuple(frozenset(m) for m in members))
+        members[rng.choice(tests_count, size=weight, replace=False), item] = True
+    return FlatDesign(members)
 
 
 def default_baseline_tests(n: int, k: int) -> int:
@@ -92,16 +101,16 @@ def default_baseline_tests(n: int, k: int) -> int:
     return math.ceil(2 * math.e * k * math.log(n))
 
 
+def _negative_rows(design: FlatDesign, outcomes: OutcomeVector) -> np.ndarray:
+    if outcomes.t_total != design.t_total:
+        raise ValueError("one outcome per test required")
+    return design.members[outcomes.bits == 0]
+
+
 def decode_comp(design: FlatDesign, outcomes: OutcomeVector) -> tuple[int, ...]:
     """Anything seen in a negative test is clean; everything else is flagged."""
-    bits = outcomes.bits
-    if len(bits) != len(design.tests):
-        raise ValueError("one outcome per test required")
-    cleared = set()
-    for i, test in enumerate(design.tests):
-        if not bits[i]:
-            cleared |= test
-    return tuple(sorted(set(range(design.n)) - cleared))
+    cleared = _negative_rows(design, outcomes).any(axis=0)
+    return tuple(np.flatnonzero(~cleared).tolist())
 
 
 def decode_ncomp(design: FlatDesign, outcomes: OutcomeVector,
@@ -110,41 +119,21 @@ def decode_ncomp(design: FlatDesign, outcomes: OutcomeVector,
     that came back negative is at most ``threshold``."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    bits = outcomes.bits
-    if len(bits) != len(design.tests):
-        raise ValueError("one outcome per test required")
-    appearances = [0] * design.n
-    negatives = [0] * design.n
-    for i, test in enumerate(design.tests):
-        neg = not bits[i]
-        for item in test:
-            appearances[item] += 1
-            if neg:
-                negatives[item] += 1
-    flagged = []
-    for item in range(design.n):
-        if appearances[item] == 0:
-            raise ValueError(f"item {item} appears in no test")
-        if negatives[item] <= threshold * appearances[item]:
-            flagged.append(item)
-    return tuple(flagged)
+    negatives = _negative_rows(design, outcomes).sum(axis=0)
+    appearances = design.members.sum(axis=0)
+    uncovered = np.flatnonzero(appearances == 0)
+    if len(uncovered):
+        raise ValueError(f"item {uncovered[0]} appears in no test")
+    return tuple(np.flatnonzero(negatives <= threshold * appearances).tolist())
+
+
+def _bitmask(bits: np.ndarray) -> int:
+    """The integer with bit i set iff ``bits[i]`` is nonzero."""
+    return int.from_bytes(np.packbits(bits != 0, bitorder="little").tobytes(), "little")
 
 
 def _item_masks(design: FlatDesign) -> list[int]:
-    masks = [0] * design.n
-    for i, test in enumerate(design.tests):
-        bit = 1 << i
-        for item in test:
-            masks[item] |= bit
-    return masks
-
-
-def _outcome_mask(outcomes: OutcomeVector) -> int:
-    mask = 0
-    for i, b in enumerate(outcomes.bits):
-        if b:
-            mask |= 1 << i
-    return mask
+    return [_bitmask(column) for column in design.members.T]
 
 
 def _check_budget(design: FlatDesign, k: int):
@@ -166,7 +155,7 @@ def oracle_consistent_sets(design: FlatDesign, outcomes: OutcomeVector,
     exactly.  Exhaustive; guarded by a hard size budget."""
     _check_budget(design, k)
     masks = _item_masks(design)
-    want = _outcome_mask(outcomes)
+    want = _bitmask(outcomes.bits)
     out = []
     for cand in _candidates(design.n, k):
         pattern = 0
@@ -182,7 +171,7 @@ def ml_minimizers(design: FlatDesign, outcomes: OutcomeVector,
     """All size-<=k sets at minimum Hamming distance from the outcomes."""
     _check_budget(design, k)
     masks = _item_masks(design)
-    want = _outcome_mask(outcomes)
+    want = _bitmask(outcomes.bits)
     best = None
     best_sets: list[tuple[int, ...]] = []
     for cand in _candidates(design.n, k):

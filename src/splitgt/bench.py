@@ -31,6 +31,7 @@ from .core import (
 )
 from .gamma import DEFAULT_C_CONST
 from .noisy import DEFAULT_EPSILON, DEFAULT_T
+from .placements import HASH_MODES
 from .rho import DEFAULT_C_DEPTH, DEFAULT_C_FINAL, DEFAULT_N_REPS
 
 
@@ -123,9 +124,20 @@ def wilson_interval(successes: int, trials: int,
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
+# a --config file or sweep cell sets these without argparse's int conversion
+INTEGER_FIELDS = ("n", "k", "trials", "base_seed", "gamma", "gamma_prime", "rho", "depth",
+                  "reps", "final_reps", "lookahead", "tests", "jobs")
+
+
 def validate_config(config: TrialConfig) -> None:
     if config.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {config.algorithm!r}; expected one of {ALGORITHMS}")
+    for name in INTEGER_FIELDS:
+        value = getattr(config, name)
+        if value is not None and not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if config.hash_mode not in HASH_MODES:
+        raise ValueError(f"unknown hash mode {config.hash_mode!r}; expected one of {HASH_MODES}")
     if config.trials < 0:
         raise ValueError("trials must be non-negative")
     if config.jobs < 1:

@@ -22,6 +22,7 @@ import sys
 
 from . import bench
 from .core import round_instance
+from .placements import HASH_MODES
 
 RESULT_COLUMNS = [
     "algorithm", "n", "k", "gamma", "gamma_prime", "rho", "p", "T", "trials",
@@ -42,8 +43,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--trials", type=int, default=100)
     sub.add_argument("--seed", type=int, default=None,
                      help="base seed (falls back to GT_SEED, then 0)")
-    sub.add_argument("--hash-mode", choices=["full", "kwise", "pairwise", "permutation"],
-                     default="full")
+    sub.add_argument("--hash-mode", choices=HASH_MODES, default="full")
     sub.add_argument("--jobs", type=int, default=1, help="concurrent trial workers")
     sub.add_argument("--out", type=str, default=None, help="result file path")
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -160,13 +160,15 @@ def config_from_args(args: argparse.Namespace) -> bench.TrialConfig:
     for name in ("n", "k", *REQUIRED.get(args.command, ())):
         if getattr(args, name, None) is None:
             raise UsageError(f"--{name.replace('_', '-')} is required for {args.command}")
+    fields = {name: value for name, value in vars(args).items()
+              if name in CONFIG_FIELDS and value is not None}
+    config = bench.TrialConfig(algorithm=args.command, base_seed=_seed_of(args), **fields)
+    bench.validate_config(config)
     if args.command == "rho":
         rounded = round_instance(args.n, args.k, args.rho)[2]
         if rounded != args.rho:
             print(f"note: rho rounded down to {rounded}", file=sys.stderr)
-    fields = {name: value for name, value in vars(args).items()
-              if name in CONFIG_FIELDS and value is not None}
-    return bench.TrialConfig(algorithm=args.command, base_seed=_seed_of(args), **fields)
+    return config
 
 
 def result_row(result: bench.AggregateResult) -> dict:

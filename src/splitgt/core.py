@@ -9,17 +9,15 @@ A *design* in this package is any object exposing three things:
 
   - ``n``: the item count it was built for,
   - ``layout``: an ordered tuple of ``(level, repetition, length)`` segments,
-  - ``segment_positives(level, repetition, defectives)``: the indices within
-    that segment whose test pools at least one defective item.
-
-A design may also expose ``noiseless_bits(defectives)``, the whole noiseless
-outcome vector in layout order, when it can compute it faster at once.
+  - ``noiseless_bits(defectives)``: the whole noiseless outcome vector, one
+    uint8 per test in layout order, 1 iff the test pools a defective item.
 
 ``evaluate_design`` works against that protocol, so the tree schemes and the
 flat baseline designs share one evaluation path.  The three tree schemes
-build one :class:`splitgt.tree.TreeDesign` each, from their levels; the
-noisy one adds ``noiseless_bits``.  The flat baselines build a
-:class:`splitgt.baselines.FlatDesign`.
+build one :class:`splitgt.tree.TreeDesign` each, from their levels (the
+noisy one answers ``noiseless_bits`` with one stacked lookup per level).
+The flat baselines build a :class:`splitgt.baselines.FlatDesign`, a boolean
+incidence matrix.
 """
 
 from __future__ import annotations
@@ -180,10 +178,6 @@ class ProblemInstance:
         if norm and (norm[0] < 0 or norm[-1] >= self.n):
             raise ValueError(f"defective ids must lie in [0, {self.n})")
 
-    @property
-    def defective_set(self) -> frozenset:
-        return frozenset(self.defectives)
-
 
 @dataclass(frozen=True, eq=False)
 class OutcomeVector:
@@ -251,7 +245,7 @@ def compute_outcome(
 ) -> int:
     """Outcome of a single test: OR of defectivity over the pooled members,
     then passed through the channel using the keyed stream."""
-    defective = instance.defective_set
+    defective = set(instance.defectives)
     base = 0
     for m in members:
         m = int(m)
@@ -269,25 +263,14 @@ def evaluate_design(design, instance: ProblemInstance, channel: NoiseChannel,
                     key: RandomnessKey) -> OutcomeVector:
     """Run every test of a non-adaptive design against an instance.
 
-    One bit per test in layout order.  A design with a ``noiseless_bits``
-    method computes all of its outcomes at once; otherwise each segment's
-    positives come from ``segment_positives``.  The channel noise is one
-    ``random(T)`` draw from ``key``'s generator, so outcomes are independent
-    across tests and the whole vector is a pure function of (design,
-    instance, channel, key).
+    One bit per test in layout order: the design's ``noiseless_bits``, then
+    the channel noise as one ``random(T)`` draw from ``key``'s generator, so
+    outcomes are independent across tests and the whole vector is a pure
+    function of (design, instance, channel, key).
     """
     if design.n != instance.n:
         raise ValueError(f"design built for n={design.n}, instance has n={instance.n}")
-    if hasattr(design, "noiseless_bits"):
-        bits = design.noiseless_bits(instance.defectives)
-    else:
-        bits = np.zeros(sum(length for _, _, length in design.layout), dtype=np.uint8)
-        offset = 0
-        for level, rep, length in design.layout:
-            positives = list(design.segment_positives(level, rep, instance.defectives))
-            if positives:
-                bits[offset + np.asarray(positives, dtype=np.int64)] = 1
-            offset += length
+    bits = design.noiseless_bits(instance.defectives)
     if not channel.is_noiseless:
         u = key.generator().random(len(bits))
         flips = np.where(bits == 1, u < channel.p10, u < channel.p01)

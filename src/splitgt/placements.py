@@ -184,7 +184,8 @@ class BalancedTable(_Placement):
     """Uniformly random placement with exact row weight and column weight one.
 
     Realised by a keyed permutation of the nodes chunked into consecutive
-    blocks of row_weight; the full position array is retained.
+    blocks of row_weight; the full position array is retained, as int32
+    whenever every position fits (the same rule as :class:`ExplicitStack`).
     """
 
     def __init__(self, num_nodes: int, t_len: int, key: RandomnessKey):
@@ -194,8 +195,9 @@ class BalancedTable(_Placement):
         self.t_len = t_len
         self.row_weight = num_nodes // t_len
         order = key.generator().permutation(num_nodes)
-        positions = np.empty(num_nodes, dtype=np.int64)
-        positions[order] = np.arange(num_nodes, dtype=np.int64)
+        dtype = np.int32 if num_nodes <= 1 << 31 else np.int64
+        positions = np.empty(num_nodes, dtype=dtype)
+        positions[order] = np.arange(num_nodes, dtype=dtype)
         self._positions = positions
         self.storage_cost = num_nodes
 
@@ -203,7 +205,7 @@ class BalancedTable(_Placement):
         return int(self._positions[node]) // self.row_weight
 
     def tests_of(self, nodes: np.ndarray) -> np.ndarray:
-        return self._positions[nodes] // self.row_weight
+        return self._positions[nodes].astype(np.int64) // self.row_weight
 
 
 class TruncatedPermutation(_Placement):

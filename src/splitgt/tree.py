@@ -56,18 +56,18 @@ class TreeDesign:
     def num_nodes(self, level: int) -> int:
         return self.n // self.node_size(level)
 
-    def segment_positives(self, level, rep, defectives):
-        placement = self.placements[(level, rep)]
-        size = self.node_size(level)
-        return {placement.test_of(d // size) for d in defectives}
-
-    def segment_members(self, level, rep):
-        """Explicit member sets of every test in a segment (small n only)."""
-        size, t_len = self._sizes[level]
-        tests = [set() for _ in range(t_len)]
-        for node, test in enumerate(self.placements[(level, rep)].table().tolist()):
-            tests[test].update(range(node * size, (node + 1) * size))
-        return tests
+    def noiseless_bits(self, defectives) -> np.ndarray:
+        """The noiseless outcome vector: one ``test_of`` per defective per
+        placement."""
+        positives = []
+        offset = 0
+        for level, rep, t_len in self.layout:
+            placement, size = self.placements[(level, rep)], self.node_size(level)
+            positives.extend(offset + placement.test_of(d // size) for d in defectives)
+            offset += t_len
+        bits = np.zeros(offset, dtype=np.uint8)
+        bits[positives] = 1
+        return bits
 
     @property
     def t_total(self) -> int:
@@ -77,15 +77,19 @@ class TreeDesign:
     def storage_words(self) -> int:
         return sum(p.storage_cost for p in self.placements.values())
 
+    def item_tests(self, level: int, rep: int) -> np.ndarray:
+        """The test, within segment (level, rep), of every item (small n only)."""
+        return self.placements[(level, rep)].table()[np.arange(self.n) // self.node_size(level)]
+
     def memberships_per_item(self) -> list[int]:
-        """Number of tests each item participates in, counted from the
-        materialised test member sets (exhaustive; small n only)."""
-        counts = [0] * self.n
-        for level, rep, _ in self.layout:
-            for members in self.segment_members(level, rep):
-                for item in members:
-                    counts[item] += 1
-        return counts
+        """Number of tests each item participates in, counted from every
+        placement's table: one per segment that puts the item's node into
+        one of its tests (exhaustive; small n only)."""
+        counts = np.zeros(self.n, dtype=np.int64)
+        for level, rep, t_len in self.layout:
+            tests = self.item_tests(level, rep)
+            counts += (tests >= 0) & (tests < t_len)
+        return counts.tolist()
 
     def max_items_per_test(self) -> int:
         """Largest test load across the whole design (verification helper)."""

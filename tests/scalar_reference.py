@@ -1,7 +1,9 @@
 """Scalar reference implementations that the array-native fast paths are
 tested against: the node-by-node gamma and rho decoders and the depth-first
 noisy lookahead decoder, one ``OutcomeVector.get`` and one placement
-``test_of`` at a time; and the trial-division prime table."""
+``test_of`` at a time; the set-based flat design (its per-test evaluation,
+COMP, NCOMP and the oracles' bitmasks over tuples of member sets); and the
+trial-division prime table."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import time
 
 import numpy as np
 
+from splitgt.baselines import FlatDesign
 from splitgt.core import DecodeReport
 
 
@@ -275,6 +278,58 @@ def decode_noisy_scalar(design, outcomes, use_cache: bool = True) -> DecodeRepor
         storage_words=storage,
         labels_computed=cache.computed,
     )
+
+
+# --- flat designs as member sets -------------------------------------------
+
+
+def flat_design(n: int, tests) -> FlatDesign:
+    """The incidence-matrix design of ``n`` items whose test t pools the
+    items ``tests[t]``."""
+    members = np.zeros((len(tests), n), dtype=bool)
+    for t, test in enumerate(tests):
+        members[t, list(test)] = True
+    return FlatDesign(members)
+
+
+def flat_positives_scalar(tests, defectives) -> list[int]:
+    """The tests that pool at least one defective, one set test at a time."""
+    dset = set(defectives)
+    return [i for i, test in enumerate(tests) if test & dset]
+
+
+def decode_comp_scalar(n: int, tests, bits) -> tuple[int, ...]:
+    cleared = set()
+    for i, test in enumerate(tests):
+        if not bits[i]:
+            cleared |= test
+    return tuple(sorted(set(range(n)) - cleared))
+
+
+def decode_ncomp_scalar(n: int, tests, bits, threshold: float) -> tuple[int, ...]:
+    appearances = [0] * n
+    negatives = [0] * n
+    for i, test in enumerate(tests):
+        neg = not bits[i]
+        for item in test:
+            appearances[item] += 1
+            if neg:
+                negatives[item] += 1
+    flagged = []
+    for item in range(n):
+        if appearances[item] == 0:
+            raise ValueError(f"item {item} appears in no test")
+        if negatives[item] <= threshold * appearances[item]:
+            flagged.append(item)
+    return tuple(flagged)
+
+
+def item_masks_scalar(n: int, tests) -> list[int]:
+    masks = [0] * n
+    for i, test in enumerate(tests):
+        for item in test:
+            masks[item] |= 1 << i
+    return masks
 
 
 # --- placements ------------------------------------------------------------

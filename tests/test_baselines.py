@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scalar_reference import (
+    decode_comp_scalar,
+    decode_ncomp_scalar,
+    flat_design,
+    flat_positives_scalar,
+    item_masks_scalar,
+)
+from splitgt import baselines
 from splitgt.baselines import (
     FlatDesign,
     build_flat_design,
@@ -19,6 +29,7 @@ from splitgt.core import (
     evaluate_design,
 )
 from splitgt.gamma import build_gamma_design, gamma_params
+from splitgt.noisy import build_noisy_design, noisy_params
 from splitgt.rho import build_rho_design, rho_params
 
 
@@ -27,15 +38,20 @@ def _vec(design, bits):
 
 
 def test_flat_design_validates_ids():
-    with pytest.raises(ValueError):
-        FlatDesign(n=4, tests=(frozenset({4}),))
+    # an item id is a column of the incidence matrix, so an out-of-range id
+    # cannot be expressed; the matrix itself must be 2-D and boolean
+    assert FlatDesign(np.zeros((1, 4), dtype=bool)).n == 4
+    for members in (np.zeros(4, dtype=bool), np.zeros((1, 4), dtype=np.uint8),
+                    np.zeros((1, 2, 2), dtype=bool)):
+        with pytest.raises(ValueError):
+            FlatDesign(members)
 
 
 def test_comp_examples():
-    design = FlatDesign(n=4, tests=(frozenset({0, 1}), frozenset({2, 3})))
+    design = flat_design(4, ({0, 1}, {2, 3}))
     assert decode_comp(design, _vec(design, [1, 0])) == (0, 1)
     assert decode_comp(design, _vec(design, [0, 0])) == ()
-    empty = FlatDesign(n=4, tests=())
+    empty = flat_design(4, ())
     assert decode_comp(empty, _vec(empty, [])) == (0, 1, 2, 3)
 
 
@@ -51,37 +67,36 @@ def test_ncomp_threshold_zero_equals_comp():
 
 def test_ncomp_fraction_rule():
     # item 0 sits in 10 tests, one negative: flagged at threshold 0.2
-    tests = tuple(frozenset({0}) for _ in range(10)) + (frozenset({1}),)
-    design = FlatDesign(n=2, tests=tests)
+    design = flat_design(2, ({0},) * 10 + ({1},))
     bits = [1] * 9 + [0, 1]
     assert decode_ncomp(design, _vec(design, bits), 0.2) == (0, 1)
     assert decode_ncomp(design, _vec(design, bits), 0.05) == (1,)
 
 
 def test_ncomp_rejects_uncovered_item():
-    design = FlatDesign(n=3, tests=(frozenset({0, 1}),))
+    design = flat_design(3, ({0, 1},))
     with pytest.raises(ValueError):
         decode_ncomp(design, _vec(design, [1]), 0.1)
 
 
 def test_oracle_consistent_sets_example():
-    design = FlatDesign(n=4, tests=(frozenset({0, 1}), frozenset({2, 3}), frozenset({0})))
+    design = flat_design(4, ({0, 1}, {2, 3}, {0}))
     got = oracle_consistent_sets(design, _vec(design, [1, 0, 0]), k=1)
     assert got == [(1,)]
 
 
 def test_oracle_consistent_sets_all_zero_and_inconsistent():
-    design = FlatDesign(n=4, tests=(frozenset({0, 1}), frozenset({2, 3})))
+    design = flat_design(4, ({0, 1}, {2, 3}))
     assert oracle_consistent_sets(design, _vec(design, [0, 0]), k=2) == [()]
-    design2 = FlatDesign(n=2, tests=(frozenset({0}), frozenset({0})))
+    design2 = flat_design(2, ({0}, {0}))
     assert oracle_consistent_sets(design2, _vec(design2, [1, 0]), k=1) == []
 
 
 def test_oracle_budget_guard():
-    design = FlatDesign(n=21, tests=(frozenset({0}),))
+    design = flat_design(21, ({0},))
     with pytest.raises(ValueError):
         oracle_consistent_sets(design, _vec(design, [0]), k=1)
-    small = FlatDesign(n=4, tests=(frozenset({0}),))
+    small = flat_design(4, ({0},))
     with pytest.raises(ValueError):
         ml_minimizers(small, _vec(small, [0]), k=5)
 
@@ -91,7 +106,7 @@ def test_oracle_ml_no_noise_returns_truth():
     design = build_flat_design(10, 25, key, k=2)
     inst = ProblemInstance(n=16, k=2, defectives=(3, 7))
     # flat design over 10 live items inside a padded instance
-    padded = FlatDesign(n=16, tests=design.tests)
+    padded = FlatDesign(np.pad(design.members, ((0, 0), (0, 6))))
     out = evaluate_design(padded, inst, NoiseChannel.noiseless(), key)
     assert oracle_ml(padded, out, k=2, p=0.05) == (3, 7)
 
@@ -118,7 +133,7 @@ def test_oracle_ml_single_flip_exhaustive():
 
 def test_oracle_ml_tie_breaks_lexicographically():
     # items 0 and 1 are indistinguishable by the design
-    design = FlatDesign(n=4, tests=(frozenset({0, 1}), frozenset({2}), frozenset({3})))
+    design = flat_design(4, ({0, 1}, {2}, {3}))
     out = _vec(design, [1, 0, 0])
     mins = ml_minimizers(design, out, k=1)
     assert (0,) in mins and (1,) in mins
@@ -126,7 +141,7 @@ def test_oracle_ml_tie_breaks_lexicographically():
 
 
 def test_oracle_ml_rejects_bad_p():
-    design = FlatDesign(n=4, tests=(frozenset({0}),))
+    design = flat_design(4, ({0},))
     with pytest.raises(ValueError):
         oracle_ml(design, _vec(design, [1]), k=1, p=0.5)
 
@@ -137,10 +152,7 @@ def test_flatten_gamma_design():
     design = build_gamma_design(params, n, RandomnessKey(4))
     flat = flatten_design(design)
     assert flat.t_total == design.t_total
-    covered = set()
-    for test in flat.tests:
-        covered |= test
-    assert covered == set(range(n))
+    assert flat.members.any(axis=0).all()  # every item is covered
 
 
 def test_flatten_rho_design_respects_cap():
@@ -149,26 +161,77 @@ def test_flatten_rho_design_respects_cap():
     design = build_rho_design(params, n, RandomnessKey(4))
     flat = flatten_design(design)
     assert flat.t_total == design.t_total
-    assert max(len(t) for t in flat.tests) <= cap
+    assert flat.members.sum(axis=1).max() <= cap
+
+
+TREE_CASES = [
+    ("gamma", "full"), ("gamma", "kwise"), ("gamma", "pairwise"),
+    ("rho", "full"), ("rho", "permutation"), ("noisy", "full"), ("noisy", "kwise"),
+]
+
+
+def _tree_design(scheme, hash_mode, n, k, key):
+    if scheme == "gamma":
+        return build_gamma_design(gamma_params(n, k, 3), n, key, hash_mode)
+    if scheme == "rho":
+        return build_rho_design(rho_params(n, k, 4), n, key, hash_mode)
+    return build_noisy_design(noisy_params(n, k, 0.05), n, k, key, hash_mode)
 
 
 def test_flat_evaluation_matches_tree_evaluation():
-    # the flattened design sees exactly the same noiseless outcomes
-    n = 32
-    params = gamma_params(n, 2, 3)
-    design = build_gamma_design(params, n, RandomnessKey(6))
-    inst = ProblemInstance(n=n, k=2, defectives=(5, 19))
+    # the flattened design sees exactly the same noiseless outcomes, on every
+    # scheme and backing, for random defective sets
+    n, k = 32, 2
+    rng = np.random.default_rng(6)
     channel = NoiseChannel.noiseless()
-    tree_out = evaluate_design(design, inst, channel, RandomnessKey(1))
-    flat = flatten_design(design)
-    flat_out = evaluate_design(flat, inst, channel, RandomnessKey(2))
-    assert list(tree_out.bits) == list(flat_out.bits)
+    for scheme, hash_mode in TREE_CASES:
+        for seed in range(4):
+            design = _tree_design(scheme, hash_mode, n, k, RandomnessKey(seed, (scheme,)))
+            flat = flatten_design(design)
+            assert flat.storage_words == len(design.layout) * n  # one test per item per segment
+            for _ in range(5):
+                count = int(rng.integers(0, k + 1))
+                defectives = tuple(sorted(int(d) for d in rng.choice(n, count, replace=False)))
+                inst = ProblemInstance(n=n, k=k, defectives=defectives)
+                tree_out = evaluate_design(design, inst, channel, RandomnessKey(1))
+                flat_out = evaluate_design(flat, inst, channel, RandomnessKey(2))
+                assert list(tree_out.bits) == list(flat_out.bits), (scheme, hash_mode)
+
+
+@st.composite
+def _irregular_designs(draw):
+    """Member sets with empty tests, repeated tests and uncovered items."""
+    n = draw(st.integers(1, 12))
+    tests = draw(st.lists(st.frozensets(st.integers(0, n - 1), max_size=n), max_size=10))
+    repeats = draw(st.lists(st.integers(0, max(len(tests) - 1, 0)), max_size=3))
+    tests = tuple(tests) + tuple(tests[i] for i in repeats if tests)
+    bits = draw(st.lists(st.integers(0, 1), min_size=len(tests), max_size=len(tests)))
+    defectives = draw(st.frozensets(st.integers(0, n - 1), max_size=3))
+    return n, tests, bits, sorted(defectives), draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_irregular_designs())
+def test_matrix_paths_match_set_reference(case):
+    n, tests, bits, defectives, threshold = case
+    design = flat_design(n, tests)
+    assert design.storage_words == sum(len(t) for t in tests)
+    positives = np.flatnonzero(design.noiseless_bits(defectives)).tolist()
+    assert positives == flat_positives_scalar(tests, defectives)
+    vec = _vec(design, bits)
+    assert decode_comp(design, vec) == decode_comp_scalar(n, tests, bits)
+    try:
+        want = decode_ncomp_scalar(n, tests, bits, threshold)
+    except ValueError as exc:  # an uncovered item
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            decode_ncomp(design, vec, threshold)
+    else:
+        assert decode_ncomp(design, vec, threshold) == want
+    assert baselines._item_masks(design) == item_masks_scalar(n, tests)
+    assert baselines._bitmask(vec.bits) == sum(1 << i for i, b in enumerate(bits) if b)
 
 
 def test_build_flat_design_constant_column_weight():
     design = build_flat_design(30, 24, RandomnessKey(9), k=3)
-    counts = [0] * 30
-    for test in design.tests:
-        for item in test:
-            counts[item] += 1
-    assert len(set(counts)) == 1  # same weight for every item
+    counts = design.members.sum(axis=0)
+    assert len(set(counts.tolist())) == 1  # same weight for every item

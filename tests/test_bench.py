@@ -149,6 +149,18 @@ def test_validate_config_errors():
         with pytest.raises(ValueError, match=message):
             run_trials(TrialConfig(n=256, k=2, **fields))
     assert run_trials(TrialConfig(algorithm="comp", n=256, k=2, tests=1, trials=2)).trials == 2
+    # an unknown hash mode (the baselines ignore it, so it must not pass
+    # silently there either) and non-integer sizes
+    for algorithm in bench.ALGORITHMS:
+        with pytest.raises(ValueError, match="hash mode"):
+            run_trials(TrialConfig(algorithm=algorithm, n=256, k=2, gamma=4, rho=8, p=0.05,
+                                   hash_mode="bogus"))
+    for fields in (dict(n=1000.5), dict(k=2.0), dict(trials=2.5), dict(n="1024"),
+                   dict(gamma=5.5), dict(base_seed=1.5), dict(jobs=2.0)):
+        name = next(iter(fields))
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run_trials(TrialConfig(**{"algorithm": "gamma", "n": 256, "k": 2, "gamma": 4,
+                                      "trials": 2, **fields}))
 
 
 def test_counters_within_test_budget():

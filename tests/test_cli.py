@@ -140,9 +140,23 @@ def test_eta_curve_csv(tmp_path, capsys):
     "comp --n 256 --k 2 --tests -3",
     "comp --n 256 --k 2 --tests 0",
     "ncomp --n 256 --k 2 --threshold 1.5",
+    # config-file values skip argparse's types and choices
+    'comp --n 256 --k 2 --config={"hash_mode":"bogus"}',
+    'gamma --n 256 --k 2 --gamma 5 --config={"hash_mode":"bogus"}',
+    'gamma --k 4 --gamma 5 --config={"n":1000.5}',
+    'rho --k 4 --rho 8 --config={"n":1000.5}',
+    'gamma --n 1024 --gamma 5 --config={"k":4.5}',
+    'gamma --n 1024 --k 4 --gamma 5 --config={"trials":2.5}',
+    'gamma --n 1024 --k 4 --config={"gamma":5.5}',
+    'rho --n 1024 --k 4 --config={"rho":8.5}',
 ])
-def test_invalid_config_exits_2_before_any_trial(argv, capsys):
-    assert main(argv.split()) == 2
+def test_invalid_config_exits_2_before_any_trial(argv, capsys, tmp_path):
+    args = argv.split()
+    if args[-1].startswith("--config="):
+        path = tmp_path / "config.json"
+        path.write_text(args.pop().split("=", 1)[1])
+        args += ["--config", str(path)]
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "trial 0" not in err
 

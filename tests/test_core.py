@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitgt.baselines import FlatDesign
+from scalar_reference import flat_design
 from splitgt.core import (
     NoiseChannel,
     OutcomeVector,
@@ -133,7 +133,7 @@ def test_outcome_vector_layout():
 
 
 def _three_test_design():
-    return FlatDesign(n=8, tests=(frozenset(), frozenset({2, 3}), frozenset({4, 5})))
+    return flat_design(8, ((), {2, 3}, {4, 5}))
 
 
 def test_evaluate_design_basic():
@@ -171,13 +171,13 @@ def test_empirical_flip_rate(side, p):
     # 10^5 copies of a fixed-OR test; observed flips within 3 standard errors
     reps = 100_000
     if side == "p10":
-        design = FlatDesign(n=4, tests=(frozenset({0}),) * reps)
+        design = flat_design(4, ({0},) * reps)
         inst = ProblemInstance(n=4, k=2, defectives=(0,))
         channel = NoiseChannel(p10=p)
         out = evaluate_design(design, inst, channel, RandomnessKey(2024))
         flips = reps - int(out.bits.sum())
     else:
-        design = FlatDesign(n=4, tests=(frozenset({1}),) * reps)
+        design = flat_design(4, ({1},) * reps)
         inst = ProblemInstance(n=4, k=2, defectives=(0,))
         channel = NoiseChannel(p01=p)
         out = evaluate_design(design, inst, channel, RandomnessKey(2025))
@@ -195,7 +195,7 @@ def test_evaluate_matches_scalar_outcomes_noiselessly():
             frozenset(int(v) for v in rng.choice(n, size=rng.integers(0, 6), replace=False))
             for _ in range(12)
         )
-        design = FlatDesign(n=n, tests=tests)
+        design = flat_design(n, tests)
         defectives = tuple(sorted(int(v) for v in rng.choice(n, size=3, replace=False)))
         inst = ProblemInstance(n=n, k=4, defectives=defectives)
         channel = NoiseChannel.noiseless()
