@@ -18,7 +18,6 @@ from .core import (
     OutcomeVector,
     ProblemInstance,
     RandomnessKey,
-    compute_outcome,
     evaluate_design,
     round_instance,
 )

@@ -64,9 +64,9 @@ def flatten_design(design) -> FlatDesign:
     members = np.zeros((design.t_total, design.n), dtype=bool)
     items = np.arange(design.n)
     offset = 0
-    for level, rep, t_len in design.layout:
-        members[offset + design.item_tests(level, rep), items] = True
-        offset += t_len
+    for t_len, tests in design.level_item_tests():
+        members[offset + t_len * np.arange(len(tests))[:, None] + tests, items] = True
+        offset += t_len * len(tests)
     return FlatDesign(members)
 
 

@@ -237,28 +237,6 @@ class DecodeReport:
         return replace(self, exact_match=(set(self.estimate) == set(defectives)))
 
 
-def compute_outcome(
-    members: Iterable[int],
-    instance: ProblemInstance,
-    channel: NoiseChannel,
-    key: RandomnessKey,
-) -> int:
-    """Outcome of a single test: OR of defectivity over the pooled members,
-    then passed through the channel using the keyed stream."""
-    defective = set(instance.defectives)
-    base = 0
-    for m in members:
-        m = int(m)
-        if not 0 <= m < instance.n:
-            raise ValueError(f"member id {m} outside [0, {instance.n})")
-        if m in defective:
-            base = 1
-    flip_p = channel.p10 if base else channel.p01
-    if flip_p > 0.0 and key.generator().random() < flip_p:
-        base ^= 1
-    return base
-
-
 def evaluate_design(design, instance: ProblemInstance, channel: NoiseChannel,
                     key: RandomnessKey) -> OutcomeVector:
     """Run every test of a non-adaptive design against an instance.

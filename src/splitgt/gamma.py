@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
-from .placements import IdentityPlacement, uniform_style_stack
+from .placements import IdentityPlacement, RowStack, uniform_style_stacks
 from .tree import TreeDesign, decode_tree
 
 DEFAULT_C_CONST = 8.0  # smallest integer above e**2, the analysis floor
@@ -149,23 +149,20 @@ def build_gamma_design(params: GammaParams, n: int, key: RandomnessKey,
     """The gamma tree: level 1 tests its n/M nodes individually, each of
     levels 2..gamma_prime-1 places every node once (sequences of length
     t_len, then t_len_prime), and the singleton level places every item in
-    each of ``final_reps`` sequences of length t_len_dprime.  Every
-    placement draws from its own key."""
+    each of ``final_reps`` sequences of length t_len_dprime.  Every hashed
+    level is one stack, and all of them come from the one design key (see
+    :func:`splitgt.placements.uniform_style_stacks`)."""
     gp, m = params.gamma_prime, params.level1_size
-
-    def placement(num_nodes, t_len, placement_key):
-        return uniform_style_stack(num_nodes, t_len, 1, placement_key.generator(),
-                                   hash_mode, kwise_degree=params.gamma).rows[0]
-
-    levels = [(1, m, n // m, [IdentityPlacement(n // m)])]
+    shapes = []
     for level in range(2, gp):
         size = m // params.branching ** (level - 1)
-        t_len = params.t_len if level < gp - 1 else params.t_len_prime
-        levels.append((level, size, t_len,
-                       [placement(n // size, t_len, key.child("level", level))]))
-    levels.append((gp, 1, params.t_len_dprime,
-                   [placement(n, params.t_len_dprime, key.child("final", rep))
-                    for rep in range(params.final_reps)]))
+        shapes.append((level, size, params.t_len if level < gp - 1 else params.t_len_prime, 1))
+    shapes.append((gp, 1, params.t_len_dprime, params.final_reps))
+    stacks = uniform_style_stacks([(n // size, t_len, reps) for _, size, t_len, reps in shapes],
+                                  key, hash_mode, kwise_degree=params.gamma)
+    levels = [(1, m, n // m, RowStack([IdentityPlacement(n // m)]))]
+    levels += [(level, size, t_len, stack)
+               for (level, size, t_len, _), stack in zip(shapes, stacks)]
     return TreeDesign(n, params, params.branching, levels)
 
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
-from .placements import uniform_style_stack
+from .placements import uniform_style_stacks
 from .tree import TreeDesign
 
 DEFAULT_T = 2.0
@@ -130,12 +131,10 @@ class NoisyDesign(TreeDesign):
     """
 
     def __init__(self, n: int, params: NoisyParams, stacks: dict):
-        super().__init__(n, params, 2, [(level, n >> level, params.t_len, stack.rows)
+        super().__init__(n, params, 2, [(level, n >> level, params.t_len, stack)
                                         for level, stack in stacks.items()])
-        self.stacks = stacks
-        self.first_segment = {}
-        for row, (level, _, _) in enumerate(self.layout):
-            self.first_segment.setdefault(level, row)
+        self.first_segment = dict(zip(stacks, accumulate(
+            (stack.reps for stack in stacks.values()), initial=0)))
 
     def noiseless_bits(self, defectives) -> np.ndarray:
         """The noiseless outcome vector, one stacked lookup per level."""
@@ -150,17 +149,16 @@ class NoisyDesign(TreeDesign):
 
 def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
                        hash_mode: str = "full") -> NoisyDesign:
-    """Every placement from one generator, one stack per level: N sequences
-    at each level above the final one and C' * N * log2 n at the final
-    level."""
+    """Every placement from the one design key, one stack per level: N
+    sequences at each level above the final one and C' * N * log2 n at the
+    final level (see :func:`splitgt.placements.uniform_style_stacks`)."""
     log2n = n.bit_length() - 1
-    rng = key.generator()
     final_seqs = params.c_final * params.n_reps * log2n
-    return NoisyDesign(n, params, {
-        level: uniform_style_stack(1 << level, params.t_len,
-                                   params.n_reps if level < log2n else final_seqs,
-                                   rng, hash_mode)
-        for level in range(k.bit_length() - 1, log2n + 1)})
+    levels = range(k.bit_length() - 1, log2n + 1)
+    stacks = uniform_style_stacks(
+        [(1 << level, params.t_len, params.n_reps if level < log2n else final_seqs)
+         for level in levels], key, hash_mode)
+    return NoisyDesign(n, params, dict(zip(levels, stacks)))
 
 
 def _votes(design: NoisyDesign, grid: np.ndarray, seen: np.ndarray, level: int,

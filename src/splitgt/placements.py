@@ -2,7 +2,12 @@
 
 Four backings are provided:
 
-  - explicit table: every node's test stored, one word per node;
+  - counter hash: node j of a row goes to test
+    ``splitmix64(row_key + j * PHI) mod t_len``, the j-th output of a
+    SplitMix stream keyed by the row.  It stands for the fully random
+    placement the paper stores as an n-word table, and is accounted as that
+    table (``storage_cost`` is one word per node), but the simulator
+    computes a test only for the nodes it is asked about;
   - polynomial hash: degree-d polynomial over a prime field, reduced mod the
     sequence length -- d-wise independent, d + O(1) words of storage;
   - balanced table: a keyed random permutation chunked into equal blocks,
@@ -16,30 +21,39 @@ for an int64 array of node ids (the same tests, element for element, as an
 int64 array), ``table()`` (``tests_of`` over every node, for verification at
 small sizes), and ``storage_cost`` in machine words.
 
-The i.i.d. backings also come as stacks (:class:`ExplicitStack`,
-:class:`PolynomialStack`): all repetitions of one level drawn from one
-generator, with each repetition's placement a row of the stack and the tests
-of many nodes under many repetitions given by one array operation.
+A level of a tree design holds its repetitions as one stack
+(:class:`CounterHashStack`, :class:`PolynomialStack`, or :class:`RowStack`
+over placements built one by one): ``tests_of(nodes, reps)`` gives the tests
+of many nodes under many repetitions by one array operation, and ``rows``,
+each repetition's own placement, is built only when something asks for it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .core import RandomnessKey, _splitmix64, is_power_of_two
 
 HASH_MODES = ("full", "kwise", "pairwise", "permutation")
+# splitmix64's increment, the odd integer nearest 2^64 / golden ratio
+PHI = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+_PHI64, _MIX1, _MIX2 = np.uint64(PHI), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     """:func:`splitmix64 <splitgt.core._splitmix64>` on a uint64 array;
     uint64 arithmetic wraps, which is the mod-2^64 the scalar form masks to."""
-    x = x + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x = x + _PHI64
+    x ^= x >> _S30
+    x *= _MIX1
+    x ^= x >> _S27
+    x *= _MIX2
+    x ^= x >> _S31
+    return x
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
@@ -136,20 +150,31 @@ class IdentityPlacement(_Placement):
         return nodes
 
 
-class ExplicitTable(_Placement):
-    """Fully random placement with the whole node->test array retained."""
+def _counter_hash(keys, nodes: np.ndarray, t_len: int) -> np.ndarray:
+    """``splitmix64(key + node * PHI) mod t_len`` for every (key, node) pair
+    the shapes of ``keys`` and ``nodes`` broadcast to, as int64.  The
+    remainder of a uniform 64-bit value is biased by at most t_len / 2^64."""
+    x = _splitmix64_array(keys + np.asarray(nodes).astype(np.uint64) * _PHI64)
+    return (x % np.uint64(t_len)).view(np.int64)
 
-    def __init__(self, num_nodes: int, t_len: int, assignments: np.ndarray):
+
+class CounterHash(_Placement):
+    """Fully random placement as a keyed counter hash; one row of a
+    :class:`CounterHashStack`.  ``storage_cost`` is the n-word table of the
+    paper's algorithm that this hash stands for."""
+
+    def __init__(self, num_nodes: int, t_len: int, key: int):
         self.num_nodes = num_nodes
         self.t_len = t_len
-        self._table = assignments
+        self.key = key
         self.storage_cost = num_nodes
 
     def test_of(self, node: int) -> int:
-        return int(self._table[node])
+        # pure-Python integers: a scalar lookup stays about a microsecond
+        return _splitmix64(self.key + node * PHI) % self.t_len
 
     def tests_of(self, nodes: np.ndarray) -> np.ndarray:
-        return self._table[nodes].astype(np.int64, copy=False)
+        return _counter_hash(np.uint64(self.key), nodes, self.t_len)
 
 
 class PolynomialHash(_Placement):
@@ -185,7 +210,7 @@ class BalancedTable(_Placement):
 
     Realised by a keyed permutation of the nodes chunked into consecutive
     blocks of row_weight; the full position array is retained, as int32
-    whenever every position fits (the same rule as :class:`ExplicitStack`).
+    whenever every position fits.
     """
 
     def __init__(self, num_nodes: int, t_len: int, key: RandomnessKey):
@@ -271,67 +296,110 @@ class TruncatedPermutation(_Placement):
         return (x >> np.uint64(self._shift)).astype(np.int64)
 
 
-class ExplicitStack:
-    """``reps`` fully random placements of the same nodes, drawn from one
-    generator as one (reps x num_nodes) table.  ``rows[i]`` is repetition
-    i's :class:`ExplicitTable`, a view of row i; ``tests_of(nodes, reps)``
-    gives the tests of ``nodes`` under the repetitions the slice ``reps``
-    selects, as a (repetitions x nodes) array.
+def _check_t_len(t_len: int) -> None:
+    if not 1 <= t_len < 1 << 63:
+        raise ValueError(f"t_len must lie in [1, 2^63), got {t_len}")
 
-    The table is int32 whenever every test fits, which halves the largest
-    array of a trial; bounded draws below 2^31 give the same values at
-    either width, so the placements do not depend on it."""
 
-    def __init__(self, num_nodes: int, t_len: int, reps: int, rng: np.random.Generator):
-        if t_len < 1:
-            raise ValueError("t_len must be >= 1")
-        dtype = np.int32 if t_len <= 1 << 31 else np.int64
-        self.table = rng.integers(0, t_len, size=(reps, num_nodes), dtype=dtype)
-        self.rows = tuple(ExplicitTable(num_nodes, t_len, row) for row in self.table)
+class CounterHashStack:
+    """``reps`` fully random placements of the same nodes, one counter-hash
+    row per 64-bit key in ``keys``.  ``tests_of(nodes, reps)`` gives the
+    tests of ``nodes`` under the repetitions the slice ``reps`` selects, as a
+    (repetitions x nodes) int64 array; ``rows[i]`` is repetition i's
+    :class:`CounterHash`."""
+
+    def __init__(self, num_nodes: int, t_len: int, keys: np.ndarray):
+        _check_t_len(t_len)
+        self.num_nodes = num_nodes
+        self.t_len = t_len
+        self.keys = keys
+        self.reps = len(keys)
+        self.storage_cost = self.reps * num_nodes
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(CounterHash(self.num_nodes, self.t_len, key) for key in self.keys.tolist())
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
-        return self.table[reps, nodes]
+        return _counter_hash(self.keys[reps, None], nodes, self.t_len)
 
 
 class PolynomialStack:
     """``reps`` degree-d polynomial hashes of the same nodes: one prime and
     one (reps x degree) coefficient matrix drawn from one generator.  Same
-    ``rows`` and ``tests_of`` as :class:`ExplicitStack`; ``tests_of`` is one
-    Horner pass over the (repetitions x nodes) grid."""
+    ``rows`` and ``tests_of`` as :class:`CounterHashStack`; ``tests_of`` is
+    one Horner pass over the (repetitions x nodes) grid."""
 
     def __init__(self, num_nodes: int, t_len: int, reps: int, degree: int,
                  rng: np.random.Generator):
         if degree < 2:
             raise ValueError(f"independence degree must be >= 2, got {degree}")
-        if t_len < 1:
-            raise ValueError("t_len must be >= 1")
+        _check_t_len(t_len)
+        self.num_nodes = num_nodes
         self.t_len = t_len
+        self.reps = reps
         self.prime = smallest_prime_at_least(max(num_nodes, t_len, 2))
         if self.prime >= 1 << 63:
             raise ValueError(f"num_nodes={num_nodes} and t_len={t_len} must stay below 2^63")
         self.coeffs = rng.integers(0, self.prime, size=(reps, degree)).astype(np.uint64)
-        self.rows = tuple(PolynomialHash(num_nodes, t_len, self.prime, row)
-                          for row in self.coeffs)
+        self.storage_cost = reps * (degree + 2)
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(PolynomialHash(self.num_nodes, self.t_len, self.prime, row)
+                     for row in self.coeffs)
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
         return _horner(self.coeffs[reps].T[::-1, :, None], nodes, self.prime, self.t_len)
 
 
-def uniform_style_stack(num_nodes: int, t_len: int, reps: int, rng: np.random.Generator,
-                        hash_mode: str, kwise_degree: int = 2):
-    """``reps`` placements for an independently-placed level, per the
-    hash-mode switch, drawn from ``rng``.
+class RowStack:
+    """Placements of the same nodes built one by one (the identity level,
+    balanced placements), with the stack protocol of
+    :class:`CounterHashStack`."""
 
-    ``full`` keeps the explicit table; ``kwise`` uses a polynomial hash of
-    the supplied degree; ``pairwise`` forces degree two.  The truncated permutation is balanced rather than i.i.d., so it is
-    rejected here.
+    def __init__(self, rows):
+        self.rows = tuple(rows)
+        self.reps = len(self.rows)
+        self.storage_cost = sum(row.storage_cost for row in self.rows)
+
+    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
+        return np.array([row.tests_of(nodes) for row in self.rows[reps]],
+                        dtype=np.int64).reshape(-1, len(nodes))
+
+
+def row_keys(key: RandomnessKey, count: int) -> np.ndarray:
+    """The keys of a design's ``count`` counter-hashed rows: splitmix64 over
+    the row ids 0 .. count - 1, offset by the low 64 bits of the design
+    key's material."""
+    base = np.uint64(key.material() & _MASK64)
+    return _splitmix64_array(base + np.arange(count, dtype=np.uint64) * _PHI64)
+
+
+def uniform_style_stacks(shapes, key: RandomnessKey, hash_mode: str,
+                         kwise_degree: int = 2) -> list:
+    """One stack per ``(num_nodes, t_len, reps)`` in ``shapes``: the
+    independently-placed levels of one design, all from the design key, per
+    the hash-mode switch.
+
+    ``full`` is a counter hash whose row keys are drawn once for all of the
+    design's rows, in order; ``kwise`` is a polynomial hash of the supplied
+    degree and ``pairwise`` one of degree two, their coefficients drawn level
+    by level from the key's one generator.  The truncated permutation is
+    balanced rather than i.i.d., so it is rejected here.
     """
     if hash_mode == "full":
-        return ExplicitStack(num_nodes, t_len, reps, rng)
-    if hash_mode == "kwise":
-        return PolynomialStack(num_nodes, t_len, reps, max(2, kwise_degree), rng)
-    if hash_mode == "pairwise":
-        return PolynomialStack(num_nodes, t_len, reps, 2, rng)
+        keys = row_keys(key, sum(reps for _, _, reps in shapes))
+        stacks, first = [], 0
+        for num_nodes, t_len, reps in shapes:
+            stacks.append(CounterHashStack(num_nodes, t_len, keys[first:first + reps]))
+            first += reps
+        return stacks
+    if hash_mode in ("kwise", "pairwise"):
+        degree = max(2, kwise_degree) if hash_mode == "kwise" else 2
+        rng = key.generator()
+        return [PolynomialStack(num_nodes, t_len, reps, degree, rng)
+                for num_nodes, t_len, reps in shapes]
     if hash_mode == "permutation":
         raise ValueError(
             "permutation backing is balanced, not i.i.d.; use kwise or pairwise here"

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
-from .placements import IdentityPlacement, balanced_style_placement
+from .placements import IdentityPlacement, RowStack, balanced_style_placement
 from .tree import TreeDesign, decode_tree
 
 DEFAULT_C_DEPTH = 2
@@ -83,16 +83,16 @@ def build_rho_design(params: RhoParams, n: int, key: RandomnessKey,
     if n % params.rho != 0:
         raise ValueError(f"rho={params.rho} must divide n={n}")
     per_level = n // params.rho
-    levels = [(0, params.rho, per_level, [IdentityPlacement(per_level)])]
+    levels = [(0, params.rho, per_level, RowStack([IdentityPlacement(per_level)]))]
     for level in range(1, params.c_depth):
         size = params.rho // params.branch ** level
-        levels.append((level, size, per_level, [
+        levels.append((level, size, per_level, RowStack(
             balanced_style_placement(n // size, per_level, key.child("level", level, rep),
                                      hash_mode)
-            for rep in range(params.n_reps)]))
-    levels.append((params.c_depth, 1, per_level, [
+            for rep in range(params.n_reps))))
+    levels.append((params.c_depth, 1, per_level, RowStack(
         balanced_style_placement(n, per_level, key.child("final", rep), hash_mode)
-        for rep in range(params.c_final)]))
+        for rep in range(params.c_final))))
     return TreeDesign(n, params, params.branch, levels)
 
 

@@ -21,6 +21,7 @@ first negative would read.
 from __future__ import annotations
 
 import time
+from functools import cached_property
 
 import numpy as np
 
@@ -30,28 +31,33 @@ from .core import DecodeReport, OutcomeVector
 class TreeDesign:
     """A splitting tree over [0, n) from its ordered levels.
 
-    Each level is ``(level, node_size, t_len, placements)``: node j of the
-    level covers items [j * node_size, (j + 1) * node_size), and repetition
-    ``rep`` places every node into one of ``t_len`` tests by
-    ``placements[rep]``.  Each node has ``branching`` children at the next
-    level.  The outcomes of a design come in ``layout`` order: one
-    ``(level, rep, t_len)`` segment per placement, level by level.
+    Each level is ``(level, node_size, t_len, stack)``: node j of the level
+    covers items [j * node_size, (j + 1) * node_size), and repetition ``rep``
+    places every node into one of ``t_len`` tests by row ``rep`` of
+    ``stack`` (see :mod:`splitgt.placements`).  Each node has ``branching``
+    children at the next level.  The outcomes of a design come in ``layout``
+    order: one ``(level, rep, t_len)`` segment per repetition, level by
+    level.
     """
 
     def __init__(self, n: int, params, branching: int, levels):
         self.n = n
         self.params = params
         self.branching = branching
-        self.levels = tuple((level, size, t_len, tuple(placements))
-                            for level, size, t_len, placements in levels)
-        self._sizes = {level: (size, t_len) for level, size, t_len, _ in self.levels}
-        self.layout = tuple((level, rep, t_len) for level, _, t_len, placements in self.levels
-                            for rep in range(len(placements)))
-        self.placements = {(level, rep): placement for level, _, _, placements in self.levels
-                           for rep, placement in enumerate(placements)}
+        self.levels = tuple(levels)
+        self.stacks = {level: stack for level, _, _, stack in self.levels}
+        self._sizes = {level: size for level, size, _, _ in self.levels}
+        self.layout = tuple((level, rep, t_len) for level, _, t_len, stack in self.levels
+                            for rep in range(stack.reps))
+
+    @cached_property
+    def placements(self) -> dict:
+        """Each segment's own placement, ``placements[(level, rep)]``."""
+        return {(level, rep): row for level, _, _, stack in self.levels
+                for rep, row in enumerate(stack.rows)}
 
     def node_size(self, level: int) -> int:
-        return self._sizes[level][0]
+        return self._sizes[level]
 
     def num_nodes(self, level: int) -> int:
         return self.n // self.node_size(level)
@@ -61,10 +67,10 @@ class TreeDesign:
         placement."""
         positives = []
         offset = 0
-        for level, rep, t_len in self.layout:
-            placement, size = self.placements[(level, rep)], self.node_size(level)
-            positives.extend(offset + placement.test_of(d // size) for d in defectives)
-            offset += t_len
+        for _, size, t_len, stack in self.levels:
+            for row in stack.rows:
+                positives.extend(offset + row.test_of(d // size) for d in defectives)
+                offset += t_len
         bits = np.zeros(offset, dtype=np.uint8)
         bits[positives] = 1
         return bits
@@ -75,29 +81,31 @@ class TreeDesign:
 
     @property
     def storage_words(self) -> int:
-        return sum(p.storage_cost for p in self.placements.values())
+        return sum(stack.storage_cost for stack in self.stacks.values())
 
-    def item_tests(self, level: int, rep: int) -> np.ndarray:
-        """The test, within segment (level, rep), of every item (small n only)."""
-        return self.placements[(level, rep)].table()[np.arange(self.n) // self.node_size(level)]
+    def level_item_tests(self):
+        """Per level, ``(t_len, tests)`` with ``tests[rep, i]`` the test of
+        item i under repetition rep: one stacked lookup over every item
+        (small n only)."""
+        items = np.arange(self.n, dtype=np.int64)
+        for _, size, t_len, stack in self.levels:
+            yield t_len, stack.tests_of(items // size)
 
     def memberships_per_item(self) -> list[int]:
-        """Number of tests each item participates in, counted from every
-        placement's table: one per segment that puts the item's node into
-        one of its tests (exhaustive; small n only)."""
+        """Number of tests each item participates in: one per segment that
+        puts the item's node into one of its tests (exhaustive; small n
+        only)."""
         counts = np.zeros(self.n, dtype=np.int64)
-        for level, rep, t_len in self.layout:
-            tests = self.item_tests(level, rep)
-            counts += (tests >= 0) & (tests < t_len)
+        for t_len, tests in self.level_item_tests():
+            counts += ((tests >= 0) & (tests < t_len)).sum(axis=0)
         return counts.tolist()
 
     def max_items_per_test(self) -> int:
         """Largest test load across the whole design (verification helper)."""
         worst = 0
-        for (level, _), placement in self.placements.items():
-            size, t_len = self._sizes[level]
-            loads = np.bincount(placement.table(), minlength=t_len) * size
-            worst = max(worst, int(loads.max()))
+        for t_len, tests in self.level_item_tests():
+            for row in tests:
+                worst = max(worst, int(np.bincount(row, minlength=t_len).max()))
         return worst
 
 
@@ -119,11 +127,11 @@ def decode_tree(design: TreeDesign,
     pd_peak = len(alive)
     offsets = np.arange(design.branching, dtype=np.int64)
 
-    for level, _, _, placements in design.levels[1:]:
+    for level, _, _, stack in design.levels[1:]:
         alive = (alive[:, None] * design.branching + offsets).ravel()
         pd_peak = max(pd_peak, len(alive))
         visited += len(alive)
-        for rep, placement in enumerate(placements):
+        for rep, placement in enumerate(stack.rows):
             tests = placement.tests_of(alive)
             # a set, not np.sort or np.unique: their first calls map in
             # code (and numpy.ma) that raises a small run's peak memory

@@ -2,8 +2,10 @@
 tested against: the node-by-node gamma and rho decoders and the depth-first
 noisy lookahead decoder, one ``OutcomeVector.get`` and one placement
 ``test_of`` at a time; the set-based flat design (its per-test evaluation,
-COMP, NCOMP and the oracles' bitmasks over tuples of member sets); and the
-trial-division prime table."""
+COMP, NCOMP and the oracles' bitmasks over tuples of member sets) and the
+one-test outcome; the per-segment flattening of a tree design; the
+trial-division prime table; the counter hash in pure-Python integers; and
+the explicit i.i.d. table the counter hash replaced."""
 
 from __future__ import annotations
 
@@ -292,6 +294,36 @@ def flat_design(n: int, tests) -> FlatDesign:
     return FlatDesign(members)
 
 
+def compute_outcome(members, instance, channel, key) -> int:
+    """Outcome of a single test: OR of defectivity over the pooled members,
+    then passed through the channel using the keyed stream."""
+    defective = set(instance.defectives)
+    base = 0
+    for m in members:
+        m = int(m)
+        if not 0 <= m < instance.n:
+            raise ValueError(f"member id {m} outside [0, {instance.n})")
+        if m in defective:
+            base = 1
+    flip_p = channel.p10 if base else channel.p01
+    if flip_p > 0.0 and key.generator().random() < flip_p:
+        base ^= 1
+    return base
+
+
+def flatten_design_per_segment(design) -> FlatDesign:
+    """The incidence matrix of a tree design, one segment at a time: each
+    placement's whole table, gathered per item."""
+    members = np.zeros((design.t_total, design.n), dtype=bool)
+    items = np.arange(design.n)
+    offset = 0
+    for level, rep, t_len in design.layout:
+        table = design.placements[(level, rep)].table()
+        members[offset + table[items // design.node_size(level)], items] = True
+        offset += t_len
+    return FlatDesign(members)
+
+
 def flat_positives_scalar(tests, defectives) -> list[int]:
     """The tests that pool at least one defective, one set test at a time."""
     dset = set(defectives)
@@ -345,3 +377,67 @@ def next_primes_by_trial_division(limit: int) -> np.ndarray:
     primes = np.flatnonzero(is_prime)
     return primes[np.searchsorted(primes, np.arange(limit))]
 
+
+
+# --- counter hash and the explicit table it replaced ----------------------
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64(x: int) -> int:
+    x = (x + GOLDEN) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def counter_row_keys(key, count: int) -> list[int]:
+    """Row r's key is splitmix64 at (low 64 bits of the key material) + r * PHI."""
+    base = key.material() & MASK64
+    return [splitmix64((base + r * GOLDEN) & MASK64) for r in range(count)]
+
+
+def counter_hash_test(row_key: int, node: int, t_len: int) -> int:
+    """The test of ``node`` under the row keyed ``row_key``."""
+    return splitmix64((row_key + node * GOLDEN) & MASK64) % t_len
+
+
+class ExplicitTable:
+    """Fully random placement with the whole node->test array retained."""
+
+    def __init__(self, num_nodes: int, t_len: int, assignments: np.ndarray):
+        self.num_nodes = num_nodes
+        self.t_len = t_len
+        self._table = assignments
+        self.storage_cost = num_nodes
+
+    def test_of(self, node: int) -> int:
+        return int(self._table[node])
+
+    def tests_of(self, nodes: np.ndarray) -> np.ndarray:
+        return self._table[nodes].astype(np.int64, copy=False)
+
+    def table(self) -> np.ndarray:
+        return self.tests_of(np.arange(self.num_nodes, dtype=np.int64))
+
+
+class ExplicitStack:
+    """``reps`` fully random placements of the same nodes, drawn from one
+    generator as one (reps x num_nodes) table: the i.i.d. placement as the
+    paper stores it.  ``rows[i]`` is repetition i's :class:`ExplicitTable`,
+    a view of row i.
+
+    The table is int32 whenever every test fits; bounded draws below 2^31
+    give the same values at either width, so the placements do not depend
+    on it."""
+
+    def __init__(self, num_nodes: int, t_len: int, reps: int, rng: np.random.Generator):
+        if t_len < 1:
+            raise ValueError("t_len must be >= 1")
+        dtype = np.int32 if t_len <= 1 << 31 else np.int64
+        self.table = rng.integers(0, t_len, size=(reps, num_nodes), dtype=dtype)
+        self.rows = tuple(ExplicitTable(num_nodes, t_len, row) for row in self.table)
+
+    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
+        return self.table[reps, nodes]

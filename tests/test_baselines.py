@@ -8,6 +8,7 @@ from scalar_reference import (
     decode_ncomp_scalar,
     flat_design,
     flat_positives_scalar,
+    flatten_design_per_segment,
     item_masks_scalar,
 )
 from splitgt import baselines
@@ -30,6 +31,7 @@ from splitgt.core import (
 )
 from splitgt.gamma import build_gamma_design, gamma_params
 from splitgt.noisy import build_noisy_design, noisy_params
+from splitgt.placements import HASH_MODES
 from splitgt.rho import build_rho_design, rho_params
 
 
@@ -196,6 +198,22 @@ def test_flat_evaluation_matches_tree_evaluation():
                 tree_out = evaluate_design(design, inst, channel, RandomnessKey(1))
                 flat_out = evaluate_design(flat, inst, channel, RandomnessKey(2))
                 assert list(tree_out.bits) == list(flat_out.bits), (scheme, hash_mode)
+
+
+@pytest.mark.parametrize("scheme,hash_mode", [
+    (scheme, hash_mode) for scheme in ("gamma", "rho", "noisy") for hash_mode in HASH_MODES
+    if scheme == "rho" or hash_mode != "permutation"])
+def test_flatten_matches_per_segment_scatter(scheme, hash_mode):
+    """One stacked lookup per level writes the matrix that one whole-table
+    scatter per segment wrote, and the design's membership and load checks
+    read the same matrix."""
+    n, k = 64, 2
+    for seed in range(3):
+        design = _tree_design(scheme, hash_mode, n, k, RandomnessKey(seed, ("flat",)))
+        members = flatten_design(design).members
+        assert np.array_equal(members, flatten_design_per_segment(design).members)
+        assert design.memberships_per_item() == members.sum(axis=0).tolist()
+        assert design.max_items_per_test() == members.sum(axis=1).max()
 
 
 @st.composite

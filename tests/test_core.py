@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scalar_reference import flat_design
+from scalar_reference import compute_outcome, flat_design
 from splitgt.core import (
     NoiseChannel,
     OutcomeVector,
     ProblemInstance,
     RandomnessKey,
-    compute_outcome,
     evaluate_design,
     is_power_of_two,
     next_power_of_two,

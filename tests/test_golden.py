@@ -29,18 +29,18 @@ CELLS = {
 }
 
 GOLDEN = {
-    ("gamma-full", 0.0): "cec1e48294c1f236bd6f1cdd22b53b14bc22c8a298e11cd21da074942277b309",
-    ("gamma-full", 0.05): "fdf1a058802e06d13ee0428cfa22d939f77b3c49ef6f621ebe94edaf3c319e32",
-    ("gamma-kwise", 0.0): "d16e73e186a918ba5f640e6b3e06bca527215b8b59f4c14716b7c4e87199d518",
-    ("gamma-kwise", 0.05): "d38a973d82ca1dd5a875ffff7ac4507b89cde9fbe510c115de65f2417495e9e9",
-    ("gamma-pairwise", 0.0): "f86a1abd2b987c6b0f05bb50f34fbeb1fe3c1f7536283dd8262c3ccf14c2698f",
-    ("gamma-pairwise", 0.05): "fcf196b8e40b54758f4ca7157e0c2a0eeb9eb7eeb0d2a56edcbf4dd9e4e4c230",
+    ("gamma-full", 0.0): "87594513081ef97704c1dffd769efb1c9a183e31c211006d91340837bc48ac4d",
+    ("gamma-full", 0.05): "b172a178df557222b24466708a2ec783fd367555a0c2f553f21f71d693c2cdb0",
+    ("gamma-kwise", 0.0): "062a9b1bd1910151cae6d2cc9fa265be9636755f5a63d98f0fcfcaf6f8733a2f",
+    ("gamma-kwise", 0.05): "bc253a925da12ad8de7e714d1b1c19bbf390542c8e17def8d525913b4758f548",
+    ("gamma-pairwise", 0.0): "866d17002a8b0b5849b66cfb238af71ab04500fa4668f92f5ced4e6899157bf9",
+    ("gamma-pairwise", 0.05): "dc44cdaf20a4b76bb11d384bcd2c66aea443ff64807283941b1b73df8182f0f0",
     ("rho-full", 0.0): "c86c67c1f71ab346a543ea0ac931f0a9c5f9ded0862a46b8d165370fb12380b4",
     ("rho-full", 0.05): "faca34328791bdf5b230649c6fc131f8423936240e57230bc18be82e93c26313",
     ("rho-permutation", 0.0): "4c63083d190f36ae38fa94ffbfbdebe805d4e504b570550034032e627c0cc46e",
     ("rho-permutation", 0.05): "ae176d48eacffe379ff3452f45d5f02bade0e7202da24d61777092eabcd92d54",
-    ("noisy-full", 0.0): "56e39e4514f17f14e4409ae52a8b7e34a3dd8c8763be5a3a87b9b2014c9af8ce",
-    ("noisy-full", 0.05): "9613cabd16beed8121cebb2c0f1a41faebdee313b5b82962013a9dfee6eec5e2",
+    ("noisy-full", 0.0): "8f5bde56f8145eb872e1baf598d8b07edc74b7c59267df6cf53309958ffa43b8",
+    ("noisy-full", 0.05): "d4cafe4920b6ab41ddf7901e84fc94df042066aa82deaa12272c7403ebfdff16",
     ("noisy-kwise", 0.0): "6f4cba148bc0781b1fd2cf95b68038a546337790ec2258bcdbde24a91f300b6d",
     ("noisy-kwise", 0.05): "07244378fd61377abc5ffe60323097a6602cf1d24c7459e99ca5e38c31e4d45e",
     ("comp", 0.0): "a2d81e86910c48f0794e9669e1b08cb7e911058a693103612e56266e1e8b1412",

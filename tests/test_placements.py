@@ -5,17 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import next_primes_by_trial_division
+from scalar_reference import ExplicitStack, next_primes_by_trial_division
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
     BalancedTable,
-    ExplicitStack,
+    CounterHashStack,
     IdentityPlacement,
     PolynomialStack,
     TruncatedPermutation,
     balanced_style_placement,
+    row_keys,
     smallest_prime_at_least,
-    uniform_style_stack,
+    uniform_style_stacks,
 )
 
 
@@ -24,8 +25,8 @@ def key(i=0):
 
 
 def uniform(num_nodes, t_len, k):
-    """One i.i.d. placement stored explicitly: a one-row stack."""
-    return ExplicitStack(num_nodes, t_len, 1, k.generator()).rows[0]
+    """One i.i.d. placement, a counter hash: a one-row stack."""
+    return uniform_style_stacks([(num_nodes, t_len, 1)], k, "full")[0].rows[0]
 
 
 def hashed(num_nodes, t_len, degree, k):
@@ -228,7 +229,7 @@ def test_balanced_weights_exact_for_all_keys(log_nodes, log_t, seed):
 
 def test_mode_factories():
     def one(hash_mode, **kw):
-        return uniform_style_stack(64, 8, 1, key().generator(), hash_mode, **kw).rows[0]
+        return uniform_style_stacks([(64, 8, 1)], key(), hash_mode, **kw)[0].rows[0]
 
     assert one("full").storage_cost == 64
     assert one("kwise", kwise_degree=6).storage_cost == 8
@@ -260,11 +261,10 @@ def test_tests_of_matches_test_of(log_nodes, log_t, hash_t, degree, seed, picks)
     num, t_len = 1 << log_nodes, 1 << min(log_t, log_nodes)
     k = RandomnessKey(seed)
     nodes = np.array([0, num - 1] + [int(f * num) for f in picks], dtype=np.int64)
-    backings = [hashed(num, hash_t, degree, k),
+    backings = [hashed(num, hash_t, degree, k), uniform(num, hash_t, k),
                 TruncatedPermutation(num, t_len, k)]
     if log_nodes <= 12:  # the tables are materialised
-        backings += [IdentityPlacement(num), uniform(num, t_len, k),
-                     BalancedTable(num, t_len, k)]
+        backings += [IdentityPlacement(num), BalancedTable(num, t_len, k)]
     for p in backings:
         fast = p.tests_of(nodes)
         assert fast.dtype == np.int64
@@ -276,7 +276,7 @@ def test_tests_of_matches_test_of(log_nodes, log_t, hash_t, degree, seed, picks)
     log_nodes=st.integers(min_value=0, max_value=40),
     t_len=st.integers(min_value=1, max_value=300),
     reps=st.integers(min_value=1, max_value=9),
-    backing=st.sampled_from(["explicit", "degree2", "degree5"]),
+    backing=st.sampled_from(["counter", "degree2", "degree5"]),
     seed=st.integers(min_value=0, max_value=2 ** 32),
     data=st.data(),
 )
@@ -284,22 +284,18 @@ def test_stack_rows_match_stacked_lookup(log_nodes, t_len, reps, backing, seed, 
     """A stack's lookup over a range of repetitions gives, row by row, the
     tests of each repetition's own placement."""
     num = 1 << log_nodes
-    if backing == "explicit":
-        log_nodes = min(log_nodes, 12)
-        num = 1 << log_nodes
-        stack = ExplicitStack(num, t_len, reps, RandomnessKey(seed).generator())
-        dtype = np.int32
+    if backing == "counter":
+        stack = CounterHashStack(num, t_len, row_keys(RandomnessKey(seed), reps))
     else:
         stack = PolynomialStack(num, t_len, reps, 2 if backing == "degree2" else 5,
                                 RandomnessKey(seed).generator())
-        dtype = np.int64
-    assert len(stack.rows) == reps
+    assert len(stack.rows) == reps == stack.reps
     first = data.draw(st.integers(min_value=0, max_value=reps - 1))
     last = data.draw(st.integers(min_value=first + 1, max_value=reps))
     nodes = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=num - 1),
                                         max_size=20)), dtype=np.int64)
     grid = stack.tests_of(nodes, slice(first, last))
-    assert grid.shape == (last - first, len(nodes)) and grid.dtype == dtype
+    assert grid.shape == (last - first, len(nodes)) and grid.dtype == np.int64
     for i, rep in enumerate(range(first, last)):
         row = stack.rows[rep]
         assert row.tests_of(nodes).dtype == np.int64
@@ -309,8 +305,9 @@ def test_stack_rows_match_stacked_lookup(log_nodes, t_len, reps, backing, seed, 
 
 @pytest.mark.parametrize("t_len", [1, 300, 2 ** 31, 2 ** 31 + 1, 2 ** 40])
 def test_explicit_stack_width_keeps_draws(t_len):
-    """An explicit stack is int32 while every test fits and int64 beyond;
-    either way it holds the values of an int64 draw from the same stream."""
+    """The reference explicit stack (the i.i.d. control of the statistical
+    tests) is int32 while every test fits and int64 beyond; either way it
+    holds the values of an int64 draw from the same stream."""
     stack = ExplicitStack(64, t_len, 3, RandomnessKey(5).generator())
     assert stack.table.dtype == (np.int32 if t_len <= 2 ** 31 else np.int64)
     expected = RandomnessKey(5).generator().integers(0, t_len, size=(3, 64), dtype=np.int64)
