@@ -3,13 +3,16 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_perf.py --out BENCH_7.json \\
+    python3 scripts/bench_perf.py --out BENCH_8.json \\
         --run parent=../parent-checkout --run change=.
 
-Each ``--run LABEL=DIR`` measures the checkout at DIR with that checkout's
-own ``perfbench/phase_table.py``: its ``POINTS`` (the frozen points of
-ROADMAP.md's table) and a gamma-full ladder at n = 2^12, 2^16, 2^20, whose
-top rung, n = 2^24, is the ``POINTS`` entry of that name.  Every point goes
+``--out`` is required, so that a run never overwrites an earlier ledger by
+default.  Each ``--run LABEL=DIR`` measures the checkout at DIR with that
+checkout's own ``perfbench/phase_table.py``: its ``POINTS`` (the frozen
+points of ROADMAP.md's table), a gamma-full ladder at n = 2^12, 2^16, 2^20,
+whose top rung, n = 2^24, is the ``POINTS`` entry of that name, and a
+rho-full ladder at n = 2^14, 2^17, 2^20 (k = 16, rho = 2^8), whose
+balanced tables are built whole.  Every point goes
 through ``measure_point`` (median params, build, evaluate and decode time
 per traced trial, and untraced trials/s; wall-clock, not probe-scaled) for
 ``BUDGET_S`` seconds per pass, in a fresh interpreter, and the checkouts
@@ -18,7 +21,7 @@ the host's speed hits every checkout alike.  A run is stamped with the
 checkout's git sha (when it is a repository) and whether ``src/`` matches
 it, a digest of ``src/``, the Python and numpy versions and the core count.
 The output file holds only the runs of this invocation.  Two runs take
-about half a minute on 2 cores.
+about a minute on 2 cores.
 """
 
 from __future__ import annotations
@@ -30,8 +33,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LADDER = tuple((f"gamma full, n=2^{e} k=16", dict(algorithm="gamma", n=2 ** e, k=16, gamma=6))
-               for e in (12, 16, 20))
+LADDER = (tuple((f"gamma full, n=2^{e} k=16", dict(algorithm="gamma", n=2 ** e, k=16, gamma=6))
+                for e in (12, 16, 20))
+          + tuple((f"rho full, n=2^{e} k=16 rho=2^8",
+                   dict(algorithm="rho", n=2 ** e, k=16, rho=2 ** 8))
+                  for e in (14, 17, 20)))
 LADDER_TOP = "gamma full, n=2^24 k=16"
 # seconds of trials per point and pass; keeps a parent-and-change run well
 # under two minutes
@@ -78,10 +84,11 @@ def measure_point(checkout: Path, index: int) -> dict:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default="BENCH_7.json")
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("--out", help="ledger file to write, relative to the repo root")
+    target.add_argument("--measure", nargs=2, metavar=("DIR", "INDEX"), help=argparse.SUPPRESS)
     parser.add_argument("--run", action="append", default=[], metavar="LABEL=DIR",
                         help="measure the checkout at DIR under LABEL (default: change=.)")
-    parser.add_argument("--measure", nargs=2, metavar=("DIR", "INDEX"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
         checkout, index = args.measure

@@ -87,8 +87,13 @@ def build_flat_design(n: int, tests_count: int, key: RandomnessKey, k: int = 1,
     weight = min(max(1, weight), tests_count)
     rng = key.generator()
     members = np.zeros((tests_count, n), dtype=bool)
-    for item in range(n):
-        members[rng.choice(tests_count, size=weight, replace=False), item] = True
+    # Floyd's sampling algorithm, one step for all items at once: adding j
+    # when the uniform pick from [0, j] is already taken keeps every item's
+    # set a uniform subset of [0, j], independently across items
+    items = np.arange(n)
+    for j in range(tests_count - weight, tests_count):
+        pick = rng.integers(0, j + 1, size=n)
+        members[np.where(members[pick, items], j, pick), items] = True
     return FlatDesign(members)
 
 
@@ -119,8 +124,8 @@ def decode_ncomp(design: FlatDesign, outcomes: OutcomeVector,
     that came back negative is at most ``threshold``."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    negatives = _negative_rows(design, outcomes).sum(axis=0)
-    appearances = design.members.sum(axis=0)
+    negatives = _negative_rows(design, outcomes).view(np.uint8).sum(axis=0, dtype=np.int32)
+    appearances = design.members.view(np.uint8).sum(axis=0, dtype=np.int32)
     uncovered = np.flatnonzero(appearances == 0)
     if len(uncovered):
         raise ValueError(f"item {uncovered[0]} appears in no test")

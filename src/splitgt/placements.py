@@ -208,9 +208,10 @@ class PolynomialHash(_Placement):
 class BalancedTable(_Placement):
     """Uniformly random placement with exact row weight and column weight one.
 
-    Realised by a keyed permutation of the nodes chunked into consecutive
-    blocks of row_weight; the full position array is retained, as int32
-    whenever every position fits.
+    Realised as a keyed uniform permutation used directly as each node's
+    position (the inverse of a uniform permutation is uniform too), chunked
+    into consecutive blocks of row_weight; the full position array is
+    retained, as int32 whenever every position fits.
     """
 
     def __init__(self, num_nodes: int, t_len: int, key: RandomnessKey):
@@ -219,11 +220,8 @@ class BalancedTable(_Placement):
         self.num_nodes = num_nodes
         self.t_len = t_len
         self.row_weight = num_nodes // t_len
-        order = key.generator().permutation(num_nodes)
-        dtype = np.int32 if num_nodes <= 1 << 31 else np.int64
-        positions = np.empty(num_nodes, dtype=dtype)
-        positions[order] = np.arange(num_nodes, dtype=dtype)
-        self._positions = positions
+        positions = key.generator().permutation(num_nodes)
+        self._positions = positions.astype(np.int32) if num_nodes <= 1 << 31 else positions
         self.storage_cost = num_nodes
 
     def test_of(self, node: int) -> int:

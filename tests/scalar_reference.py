@@ -2,10 +2,11 @@
 tested against: the node-by-node gamma and rho decoders and the depth-first
 noisy lookahead decoder, one ``OutcomeVector.get`` and one placement
 ``test_of`` at a time; the set-based flat design (its per-test evaluation,
-COMP, NCOMP and the oracles' bitmasks over tuples of member sets) and the
-one-test outcome; the per-segment flattening of a tree design; the
-trial-division prime table; the counter hash in pure-Python integers; and
-the explicit i.i.d. table the counter hash replaced."""
+COMP, NCOMP and the oracles' bitmasks over tuples of member sets), its
+per-item constant-weight draw and the one-test outcome; the per-segment
+flattening of a tree design; the trial-division prime table; the counter
+hash in pure-Python integers; and the explicit i.i.d. table the counter hash
+replaced."""
 
 from __future__ import annotations
 
@@ -291,6 +292,16 @@ def flat_design(n: int, tests) -> FlatDesign:
     members = np.zeros((len(tests), n), dtype=bool)
     for t, test in enumerate(tests):
         members[t, list(test)] = True
+    return FlatDesign(members)
+
+
+def build_flat_design_per_item(n: int, tests_count: int, weight: int, rng) -> FlatDesign:
+    """Constant column weight, one ``rng.choice`` of ``weight`` distinct
+    tests per item, item by item: the draw Floyd's vectorised algorithm
+    replaced."""
+    members = np.zeros((tests_count, n), dtype=bool)
+    for item in range(n):
+        members[rng.choice(tests_count, size=weight, replace=False), item] = True
     return FlatDesign(members)
 
 

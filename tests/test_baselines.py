@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import (
+    build_flat_design_per_item,
     decode_comp_scalar,
     decode_ncomp_scalar,
     flat_design,
@@ -33,6 +36,7 @@ from splitgt.gamma import build_gamma_design, gamma_params
 from splitgt.noisy import build_noisy_design, noisy_params
 from splitgt.placements import HASH_MODES
 from splitgt.rho import build_rho_design, rho_params
+from test_counter_hash import chi2_bound, pearson
 
 
 def _vec(design, bits):
@@ -253,3 +257,59 @@ def test_build_flat_design_constant_column_weight():
     design = build_flat_design(30, 24, RandomnessKey(9), k=3)
     counts = design.members.sum(axis=0)
     assert len(set(counts.tolist())) == 1  # same weight for every item
+
+
+@st.composite
+def _flat_shapes(draw):
+    tests_count = draw(st.integers(1, 64))
+    return draw(st.integers(1, 50)), tests_count, draw(st.integers(1, tests_count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flat_shapes(), st.integers(0, 2 ** 32))
+@example((9, 1, 1), 0)
+@example((9, 12, 1), 0)
+@example((9, 12, 12), 0)
+def test_floyd_draw_exact_column_weight(shape, seed):
+    n, tests_count, weight = shape
+    members = build_flat_design(n, tests_count, RandomnessKey(seed), per_item=weight).members
+    assert members.shape == (tests_count, n)
+    assert np.all(members.sum(axis=0) == weight)
+
+
+# Floyd's draw against the per-item ``rng.choice`` it replaced (the control):
+# the w-subset of each item, ranked among all C(T, w) subsets, must be uniform
+# and independent across items.  Bounds as in test_counter_hash.py.
+SUBSET_T, SUBSET_W = 6, 3
+SUBSETS = np.array(sorted(sum(1 << t for t in c)
+                          for c in combinations(range(SUBSET_T), SUBSET_W)))
+DRAWS = {
+    "floyd": lambda n, key: build_flat_design(n, SUBSET_T, key, per_item=SUBSET_W),
+    "per-item": lambda n, key: build_flat_design_per_item(n, SUBSET_T, SUBSET_W,
+                                                          key.generator()),
+}
+
+
+def _subset_ranks(draw: str, n: int, seed: int) -> np.ndarray:
+    members = DRAWS[draw](n, RandomnessKey(seed, ("floyd",))).members
+    masks = (members.astype(np.int64) << np.arange(SUBSET_T)[:, None]).sum(axis=0)
+    ranks = np.searchsorted(SUBSETS, masks)
+    assert np.array_equal(SUBSETS[ranks], masks)
+    return ranks
+
+
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+def test_floyd_draw_subset_chi_square(draw):
+    """Every one of the 20 subsets is equally likely: 200 items per cell."""
+    cells = len(SUBSETS)
+    ranks = _subset_ranks(draw, 200 * cells, seed=1)
+    assert pearson(ranks, cells) <= chi2_bound(cells - 1)
+
+
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+def test_floyd_draw_joint_chi_square_over_item_pairs(draw):
+    """The subsets of items 2i and 2i + 1 fill the 20 x 20 cells evenly
+    (40 pairs per cell): one draw shared across items would not."""
+    cells = len(SUBSETS) ** 2
+    ranks = _subset_ranks(draw, 2 * 40 * cells, seed=2)
+    assert pearson(ranks[0::2] * len(SUBSETS) + ranks[1::2], cells) <= chi2_bound(cells - 1)

@@ -35,8 +35,8 @@ GOLDEN = {
     ("gamma-kwise", 0.05): "bc253a925da12ad8de7e714d1b1c19bbf390542c8e17def8d525913b4758f548",
     ("gamma-pairwise", 0.0): "866d17002a8b0b5849b66cfb238af71ab04500fa4668f92f5ced4e6899157bf9",
     ("gamma-pairwise", 0.05): "dc44cdaf20a4b76bb11d384bcd2c66aea443ff64807283941b1b73df8182f0f0",
-    ("rho-full", 0.0): "c86c67c1f71ab346a543ea0ac931f0a9c5f9ded0862a46b8d165370fb12380b4",
-    ("rho-full", 0.05): "faca34328791bdf5b230649c6fc131f8423936240e57230bc18be82e93c26313",
+    ("rho-full", 0.0): "f899ddc7665861f85f9075c1daa0788ee094ca65efec67a60b692fa412c4b4eb",
+    ("rho-full", 0.05): "a659eb06af03ddd86f27fb97f98e8f6d6e92d8d57082bea55f02ab67e1d699e9",
     ("rho-permutation", 0.0): "4c63083d190f36ae38fa94ffbfbdebe805d4e504b570550034032e627c0cc46e",
     ("rho-permutation", 0.05): "ae176d48eacffe379ff3452f45d5f02bade0e7202da24d61777092eabcd92d54",
     ("noisy-full", 0.0): "8f5bde56f8145eb872e1baf598d8b07edc74b7c59267df6cf53309958ffa43b8",
@@ -44,9 +44,9 @@ GOLDEN = {
     ("noisy-kwise", 0.0): "6f4cba148bc0781b1fd2cf95b68038a546337790ec2258bcdbde24a91f300b6d",
     ("noisy-kwise", 0.05): "07244378fd61377abc5ffe60323097a6602cf1d24c7459e99ca5e38c31e4d45e",
     ("comp", 0.0): "a2d81e86910c48f0794e9669e1b08cb7e911058a693103612e56266e1e8b1412",
-    ("comp", 0.05): "5ef02ec60d6a6fa62fe8f244dbaab9e443350519d67248d0313e4f33270ec072",
-    ("ncomp", 0.0): "5483e7e398d750c5cdcc6273d117a9b8d6d2e403f21e106fa716db12eebb6cf4",
-    ("ncomp", 0.05): "bcd56b33dd28bd14cef23a64a6fb94ca24dc6a4a8165df3f514a1ec68f90aab0",
+    ("comp", 0.05): "ada0823978c97d2388d880adefc86f13daa9e89cfe87a3bf8c02f69f4d34590c",
+    ("ncomp", 0.0): "c2165f324611938d416329a742fd8601f912d0c3d4321debf263ea1ee6f46b74",
+    ("ncomp", 0.05): "905a04bf8e702e34bcf42fa14d20231f08d7f93b89d5758b5df9b3c3a2aa34e7",
 }
 
 

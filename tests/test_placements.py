@@ -315,15 +315,13 @@ def test_explicit_stack_width_keeps_draws(t_len):
 
 
 def test_balanced_table_int32_positions_keep_placement():
-    """Positions are int32 while every node id fits; the placement is that of
-    an int64 inverse permutation of the same draw, and ``tests_of`` stays
-    int64."""
+    """Positions are int32 while every node id fits; they are the key's int64
+    permutation itself, and ``tests_of`` stays int64."""
     num, t_len = 1024, 16
     table = BalancedTable(num, t_len, RandomnessKey(11))
     assert table._positions.dtype == np.int32
-    order = RandomnessKey(11).generator().permutation(num)
-    expected = np.empty(num, dtype=np.int64)
-    expected[order] = np.arange(num, dtype=np.int64)
+    expected = RandomnessKey(11).generator().permutation(num)
+    assert np.array_equal(table._positions, expected)
     got = table.tests_of(np.arange(num, dtype=np.int64))
     assert got.dtype == np.int64
     assert np.array_equal(got, expected // (num // t_len))
