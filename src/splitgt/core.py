@@ -14,10 +14,10 @@ A *design* in this package is any object exposing three things:
 
 ``evaluate_design`` works against that protocol, so the tree schemes and the
 flat baseline designs share one evaluation path.  The three tree schemes
-build one :class:`splitgt.tree.TreeDesign` each, from their levels (the
-noisy one answers ``noiseless_bits`` with one stacked lookup per level).
-The flat baselines build a :class:`splitgt.baselines.FlatDesign`, a boolean
-incidence matrix.
+build one :class:`splitgt.tree.TreeDesign` each, from their levels; it
+looks tests up one at a time or one level at a time, whichever the number
+of lookups favours.  The flat baselines build a
+:class:`splitgt.baselines.FlatDesign`, a boolean incidence matrix.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -121,35 +120,10 @@ def noisy_total_tests(params: NoisyParams, n: int, k: int) -> int:
             + params.c_final * params.n_reps * log2n * params.t_len)
 
 
-class NoisyDesign(TreeDesign):
-    """The binary tree from level log2 k down to the singletons at level
-    log2 n, with every level's placements one stack (``stacks[level]``).
-
-    Every segment has length ``t_len``, so the outcomes form a
-    (segments x t_len) grid whose row for (level, rep) is
-    ``first_segment[level] + rep``.
-    """
-
-    def __init__(self, n: int, params: NoisyParams, stacks: dict):
-        super().__init__(n, params, 2, [(level, n >> level, params.t_len, stack)
-                                        for level, stack in stacks.items()])
-        self.first_segment = dict(zip(stacks, accumulate(
-            (stack.reps for stack in stacks.values()), initial=0)))
-
-    def noiseless_bits(self, defectives) -> np.ndarray:
-        """The noiseless outcome vector, one stacked lookup per level."""
-        grid = np.zeros((len(self.layout), self.params.t_len), dtype=np.uint8)
-        items = np.asarray(defectives, dtype=np.int64)
-        if len(items):
-            for level, stack in self.stacks.items():
-                tests = stack.tests_of(items // self.node_size(level))
-                grid[self.first_segment[level] + np.arange(len(tests))[:, None], tests] = 1
-        return grid.ravel()
-
-
 def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
-                       hash_mode: str = "full") -> NoisyDesign:
-    """Every placement from the one design key, one stack per level: N
+                       hash_mode: str = "full") -> TreeDesign:
+    """The binary tree from level log2 k down to the singletons at level
+    log2 n, every placement from the one design key, one stack per level: N
     sequences at each level above the final one and C' * N * log2 n at the
     final level (see :func:`splitgt.placements.uniform_style_stacks`)."""
     log2n = n.bit_length() - 1
@@ -158,10 +132,11 @@ def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
     stacks = uniform_style_stacks(
         [(1 << level, params.t_len, params.n_reps if level < log2n else final_seqs)
          for level in levels], key, hash_mode)
-    return NoisyDesign(n, params, dict(zip(levels, stacks)))
+    return TreeDesign(n, params, 2, [(level, n >> level, params.t_len, stack)
+                                     for level, stack in zip(levels, stacks)])
 
 
-def _votes(design: NoisyDesign, grid: np.ndarray, seen: np.ndarray, level: int,
+def _votes(design: TreeDesign, grid: np.ndarray, seen: np.ndarray, level: int,
            nodes: np.ndarray, first: int, count: int) -> np.ndarray:
     """Outcomes of the tests of ``nodes`` at ``level`` in sequences
     first .. first + count - 1, as a (count x nodes) array; marks the cells
@@ -172,7 +147,7 @@ def _votes(design: NoisyDesign, grid: np.ndarray, seen: np.ndarray, level: int,
     return grid[rows, tests]
 
 
-def _lookahead(design: NoisyDesign, grid: np.ndarray, seen: np.ndarray, level: int,
+def _lookahead(design: TreeDesign, grid: np.ndarray, seen: np.ndarray, level: int,
                roots: np.ndarray) -> tuple[np.ndarray, int]:
     """Final labels of the nodes ``roots`` at ``level`` (a bool array), and
     the number of intermediate and batch labels computed.
@@ -212,14 +187,17 @@ def _lookahead(design: NoisyDesign, grid: np.ndarray, seen: np.ndarray, level: i
     return accepted, computed
 
 
-def decode_noisy(design: NoisyDesign,
+def decode_noisy(design: TreeDesign,
                  outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
     """Descend level by level, keeping the children of every node whose
     lookahead label is positive; accept a surviving singleton by a majority
     over all C' * log2 n of its batch labels.
 
-    ``outcomes_read`` counts distinct outcome cells read, ``labels_computed``
-    every intermediate and batch label evaluated (no memo across levels).
+    Every segment has length ``t_len``, so the outcomes are read as a
+    (segments x t_len) grid whose row for (level, rep) is
+    ``first_segment[level] + rep``.  ``outcomes_read`` counts distinct
+    outcome cells read, ``labels_computed`` every intermediate and batch
+    label evaluated (no memo across levels).
     """
     if tuple(outcomes.layout) != tuple(design.layout):
         raise ValueError("outcome layout does not match this design")

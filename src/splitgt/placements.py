@@ -362,8 +362,9 @@ class RowStack:
         self.storage_cost = sum(row.storage_cost for row in self.rows)
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
-        return np.array([row.tests_of(nodes) for row in self.rows[reps]],
-                        dtype=np.int64).reshape(-1, len(nodes))
+        rows = self.rows[reps]
+        return np.array([row.tests_of(nodes) for row in rows],
+                        dtype=np.int64).reshape(len(rows), len(nodes))
 
 
 def row_keys(key: RandomnessKey, count: int) -> np.ndarray:

@@ -21,11 +21,16 @@ first negative would read.
 from __future__ import annotations
 
 import time
-from functools import cached_property
 
 import numpy as np
 
 from .core import DecodeReport, OutcomeVector
+
+# Lookups are (segment x defective) pairs.  Per evaluation (2-core Xeon,
+# numpy 2.4): at the 24-28 lookups of a desk-scale gamma or rho trial the
+# scalar lookup takes about half the stacked one's time, at the 1176 of a
+# noisy one about five times it; the two are about even near 100.
+SCALAR_LOOKUPS = 64
 
 
 class TreeDesign:
@@ -37,7 +42,8 @@ class TreeDesign:
     ``stack`` (see :mod:`splitgt.placements`).  Each node has ``branching``
     children at the next level.  The outcomes of a design come in ``layout``
     order: one ``(level, rep, t_len)`` segment per repetition, level by
-    level.
+    level; ``first_segment[level]`` and ``first_test[level]`` index a
+    level's first segment and first test in that order.
     """
 
     def __init__(self, n: int, params, branching: int, levels):
@@ -49,12 +55,13 @@ class TreeDesign:
         self._sizes = {level: size for level, size, _, _ in self.levels}
         self.layout = tuple((level, rep, t_len) for level, _, t_len, stack in self.levels
                             for rep in range(stack.reps))
-
-    @cached_property
-    def placements(self) -> dict:
-        """Each segment's own placement, ``placements[(level, rep)]``."""
-        return {(level, rep): row for level, _, _, stack in self.levels
-                for rep, row in enumerate(stack.rows)}
+        self.first_segment, self.first_test = {}, {}
+        segment = test = 0
+        for level, _, t_len, stack in self.levels:
+            self.first_segment[level], self.first_test[level] = segment, test
+            segment += stack.reps
+            test += stack.reps * t_len
+        self.t_total = test
 
     def node_size(self, level: int) -> int:
         return self._sizes[level]
@@ -63,21 +70,25 @@ class TreeDesign:
         return self.n // self.node_size(level)
 
     def noiseless_bits(self, defectives) -> np.ndarray:
-        """The noiseless outcome vector: one ``test_of`` per defective per
-        placement."""
-        positives = []
-        offset = 0
-        for _, size, t_len, stack in self.levels:
-            for row in stack.rows:
-                positives.extend(offset + row.test_of(d // size) for d in defectives)
-                offset += t_len
-        bits = np.zeros(offset, dtype=np.uint8)
-        bits[positives] = 1
+        """The noiseless outcome vector.  Up to ``SCALAR_LOOKUPS`` (segment
+        x defective) lookups it takes one scalar ``test_of`` each; past
+        that, one stacked ``tests_of`` per level."""
+        bits = np.zeros(self.t_total, dtype=np.uint8)
+        if len(defectives) * len(self.layout) <= SCALAR_LOOKUPS:
+            positives = []
+            offset = 0
+            for _, size, t_len, stack in self.levels:
+                for row in stack.rows:
+                    positives.extend(offset + row.test_of(d // size) for d in defectives)
+                    offset += t_len
+            bits[positives] = 1
+        else:
+            items = np.asarray(defectives, dtype=np.int64)
+            for level, size, t_len, stack in self.levels:
+                tests = stack.tests_of(items // size)
+                rows = self.first_test[level] + t_len * np.arange(stack.reps)[:, None]
+                bits[rows + tests] = 1
         return bits
-
-    @property
-    def t_total(self) -> int:
-        return sum(length for _, _, length in self.layout)
 
     @property
     def storage_words(self) -> int:

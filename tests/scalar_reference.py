@@ -1,10 +1,12 @@
 """Scalar reference implementations that the array-native fast paths are
 tested against: the node-by-node gamma and rho decoders and the depth-first
 noisy lookahead decoder, one ``OutcomeVector.get`` and one placement
-``test_of`` at a time; the set-based flat design (its per-test evaluation,
+``test_of`` at a time (each segment's placement from
+:func:`placement_of`); the set-based flat design (its per-test evaluation,
 COMP, NCOMP and the oracles' bitmasks over tuples of member sets), its
 per-item constant-weight draw and the one-test outcome; the per-segment
-flattening of a tree design; the trial-division prime table; the counter
+flattening of a tree design and its one-test-at-a-time noiseless outcome
+vector; the trial-division prime table; the counter
 hash in pure-Python integers; and the explicit i.i.d. table the counter hash
 replaced."""
 
@@ -16,7 +18,13 @@ import time
 import numpy as np
 
 from splitgt.baselines import FlatDesign
-from splitgt.core import DecodeReport
+from splitgt.core import DecodeReport, NoiseChannel, RandomnessKey
+
+
+def placement_of(design, level: int, rep: int):
+    """The placement of segment (level, rep) of a tree design: repetition
+    ``rep``'s own row of the level's stack."""
+    return design.stacks[level].rows[rep]
 
 
 def _report(design, outcomes, estimate, seen, visited, pd_peak):
@@ -54,7 +62,7 @@ def decode_gamma_scalar(design, outcomes) -> DecodeReport:
         survivors = []
         for node in pd:
             visited += 1
-            test = design.placements[(level, 0)].test_of(node)
+            test = placement_of(design, level, 0).test_of(node)
             seen.add((level, 0, test))
             if outcomes.get(level, 0, test):
                 survivors.append(node)
@@ -66,7 +74,7 @@ def decode_gamma_scalar(design, outcomes) -> DecodeReport:
         visited += 1
         clean = True
         for rep in range(params.final_reps):
-            test = design.placements[(gp, rep)].test_of(item)
+            test = placement_of(design, gp, rep).test_of(item)
             seen.add((gp, rep, test))
             if not outcomes.get(gp, rep, test):
                 clean = False
@@ -101,7 +109,7 @@ def decode_rho_scalar(design, outcomes) -> DecodeReport:
             visited += 1
             alive = True
             for rep in range(params.n_reps):
-                test = design.placements[(level, rep)].test_of(node)
+                test = placement_of(design, level, rep).test_of(node)
                 seen.add((level, rep, test))
                 if not outcomes.get(level, rep, test):
                     alive = False
@@ -117,7 +125,7 @@ def decode_rho_scalar(design, outcomes) -> DecodeReport:
         visited += 1
         clean = True
         for rep in range(params.c_final):
-            test = design.placements[(params.c_depth, rep)].test_of(item)
+            test = placement_of(design, params.c_depth, rep).test_of(item)
             seen.add((params.c_depth, rep, test))
             if not outcomes.get(params.c_depth, rep, test):
                 clean = False
@@ -166,7 +174,7 @@ def intermediate_label(node, level, design, outcomes, cache) -> int:
     reps = design.params.n_reps
     positives = 0
     for rep in range(reps):
-        test = design.placements[(level, rep)].test_of(node)
+        test = placement_of(design, level, rep).test_of(node)
         cache.seen.add((level, rep, test))
         positives += outcomes.get(level, rep, test)
     label = 1 if 2 * positives > reps else 0
@@ -188,7 +196,7 @@ def final_level_batch_label(item, batch, design, outcomes, cache) -> int:
     positives = 0
     for j in range(reps):
         seq = batch * reps + j
-        test = design.placements[(level, seq)].test_of(item)
+        test = placement_of(design, level, seq).test_of(item)
         cache.seen.add((level, seq, test))
         positives += outcomes.get(level, seq, test)
     label = 1 if 2 * positives > reps else 0
@@ -329,10 +337,19 @@ def flatten_design_per_segment(design) -> FlatDesign:
     items = np.arange(design.n)
     offset = 0
     for level, rep, t_len in design.layout:
-        table = design.placements[(level, rep)].table()
+        table = placement_of(design, level, rep).table()
         members[offset + table[items // design.node_size(level)], items] = True
         offset += t_len
     return FlatDesign(members)
+
+
+def noiseless_bits_per_test(design, instance) -> np.ndarray:
+    """The noiseless outcome vector of a tree design one test at a time:
+    each test's members from :func:`flatten_design_per_segment`, its outcome
+    from :func:`compute_outcome` (small n only)."""
+    channel, key = NoiseChannel.noiseless(), RandomnessKey(0)
+    return np.array([compute_outcome(np.flatnonzero(test), instance, channel, key)
+                     for test in flatten_design_per_segment(design).members], dtype=np.uint8)
 
 
 def flat_positives_scalar(tests, defectives) -> list[int]:

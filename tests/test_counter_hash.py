@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import ExplicitStack, counter_hash_test, counter_row_keys
+from scalar_reference import ExplicitStack, counter_hash_test, counter_row_keys, placement_of
 from splitgt import bench
 from splitgt.core import RandomnessKey
 from splitgt.gamma import build_gamma_design, gamma_params
@@ -89,7 +89,7 @@ def test_full_design_rows_follow_one_key(scheme):
     keys = counter_row_keys(key, sum(stack.reps for _, stack in hashed))
     segments = [(level, rep) for level, stack in hashed for rep in range(stack.reps)]
     for (level, rep), row_key in zip(segments, keys):
-        placement = design.placements[(level, rep)]
+        placement = placement_of(design, level, rep)
         node = placement.num_nodes - 1
         assert placement.test_of(node) == counter_hash_test(row_key, node, placement.t_len)
 

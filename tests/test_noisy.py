@@ -13,6 +13,7 @@ from scalar_reference import (
     decode_noisy_scalar,
     final_label,
     intermediate_label,
+    placement_of,
     singleton_final_label,
 )
 from splitgt import bench, noisy
@@ -100,7 +101,7 @@ def _outcomes(design, positions):
 
 
 def _node_test_positions(design, level, node, reps):
-    return [(level, rep, design.placements[(level, rep)].test_of(node)) for rep in reps]
+    return [(level, rep, placement_of(design, level, rep).test_of(node)) for rep in reps]
 
 
 def test_intermediate_label_majority():

@@ -12,6 +12,7 @@ from splitgt.placements import (
     CounterHashStack,
     IdentityPlacement,
     PolynomialStack,
+    RowStack,
     TruncatedPermutation,
     balanced_style_placement,
     row_keys,
@@ -326,3 +327,25 @@ def test_balanced_table_int32_positions_keep_placement():
     assert got.dtype == np.int64
     assert np.array_equal(got, expected // (num // t_len))
     assert [table.test_of(v) for v in range(num)] == (expected // (num // t_len)).tolist()
+
+
+@pytest.mark.parametrize("backing", ["counter", "polynomial", "identity", "balanced",
+                                     "truncated"])
+def test_stack_lookup_of_no_nodes(backing):
+    """Every stack answers an empty node array with a (repetitions x 0)
+    grid, for every slice of its repetitions."""
+    num, t_len, reps = 64, 8, 3
+    if backing == "counter":
+        stack = CounterHashStack(num, t_len, row_keys(key(), reps))
+    elif backing == "polynomial":
+        stack = PolynomialStack(num, t_len, reps, 3, key().generator())
+    elif backing == "identity":
+        stack = RowStack([IdentityPlacement(num)] * reps)
+    else:
+        style = "full" if backing == "balanced" else "permutation"
+        stack = RowStack(balanced_style_placement(num, t_len, key(rep), style)
+                         for rep in range(reps))
+    nodes = np.array([], dtype=np.int64)
+    for reps_slice, count in [(slice(None), reps), (slice(1, 3), 2), (slice(2, 2), 0)]:
+        grid = stack.tests_of(nodes, reps_slice)
+        assert grid.shape == (count, 0) and grid.dtype == np.int64

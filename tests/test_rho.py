@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from scalar_reference import placement_of
 from splitgt.core import (
     NoiseChannel,
     ProblemInstance,
@@ -24,7 +25,7 @@ def test_params_dimension_arithmetic():
     # level-1 matrices: n/rho tests over n/rho^(1/2) nodes, row weight rho^(1/2)
     assert design.num_nodes(0) == 256
     assert design.num_nodes(1) == 1024
-    placement = design.placements[(1, 0)]
+    placement = placement_of(design, 1, 0)
     assert placement.row_weight == 4
 
 
@@ -77,9 +78,10 @@ def test_column_weight_one_every_mid_level():
     n = 2 ** 10
     p = rho_params(n, 4, 2 ** 4, c_depth=2, n_reps=3)
     design = build_rho_design(p, n, RandomnessKey(5))
-    for (level, rep), placement in design.placements.items():
+    for level, rep, _ in design.layout:
         if level == 0:
             continue
+        placement = placement_of(design, level, rep)
         table = placement.table()
         # every node appears exactly once, with the exact row weight
         assert len(table) == design.num_nodes(level)
@@ -141,7 +143,7 @@ def test_collision_rate_with_defective_set():
     draws, hits = 2000, 0
     base = RandomnessKey(321)
     for i in range(draws):
-        placement = build_rho_design(p, n, base.child(i)).placements[(1, 0)]
+        placement = placement_of(build_rho_design(p, n, base.child(i)), 1, 0)
         my_test = placement.test_of(0)
         if any(placement.test_of(d) == my_test for d in defective_nodes):
             hits += 1

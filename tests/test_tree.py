@@ -2,12 +2,15 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import decode_gamma_scalar, decode_rho_scalar
+from scalar_reference import decode_gamma_scalar, decode_rho_scalar, noiseless_bits_per_test
+from splitgt import tree
 from splitgt.core import NoiseChannel, ProblemInstance, RandomnessKey, evaluate_design
 from splitgt.gamma import build_gamma_design, decode_gamma, gamma_params
+from splitgt.noisy import build_noisy_design, noisy_params
 from splitgt.rho import build_rho_design, decode_rho, rho_params
 
 
@@ -61,3 +64,32 @@ def test_decode_tree_matches_scalar_reference(scheme, log_n, log_k, budget, dept
     assert replace(report, wall_nanos=0) == reference(design, outcomes)
     assert estimate == report.estimate
     assert all(isinstance(item, int) for item in estimate)
+
+
+LOOKUP_DESIGNS = [("gamma", "full"), ("gamma", "kwise"), ("gamma", "pairwise"),
+                  ("rho", "full"), ("rho", "permutation"),
+                  ("noisy", "full"), ("noisy", "kwise"), ("noisy", "pairwise")]
+
+
+@pytest.mark.parametrize("scheme,hash_mode", LOOKUP_DESIGNS)
+@pytest.mark.parametrize("which", ["empty", "one", "k", "last node"])
+def test_noiseless_bits_lookups_agree(monkeypatch, scheme, hash_mode, which):
+    """The scalar and the stacked lookup of ``noiseless_bits`` give the same
+    bits, and the same as evaluating the design one test at a time."""
+    n, k, key = 2 ** 8, 4, RandomnessKey(17, ("design",))
+    if scheme == "gamma":
+        design = build_gamma_design(gamma_params(n, k, 5), n, key, hash_mode)
+    elif scheme == "rho":
+        design = build_rho_design(rho_params(n, k, 2 ** 4, c_depth=2, n_reps=3, c_final=2),
+                                  n, key, hash_mode)
+    else:
+        design = build_noisy_design(noisy_params(n, k, 0.05), n, k, key, hash_mode)
+    defectives = {"empty": (), "one": (37,), "k": (3, 90, 151, 200),
+                  "last node": tuple(range(n - k, n))}[which]
+    expected = noiseless_bits_per_test(design, ProblemInstance(n=n, k=k, defectives=defectives))
+    assert len(expected) == design.t_total and (expected.any() == bool(defectives))
+    for scalar_lookups in (-1, 10 ** 9):  # every evaluation stacked, then every one scalar
+        monkeypatch.setattr(tree, "SCALAR_LOOKUPS", scalar_lookups)
+        bits = design.noiseless_bits(defectives)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, expected)
