@@ -12,7 +12,8 @@ checkout's own ``perfbench/phase_table.py``: its ``POINTS`` (the frozen
 points of ROADMAP.md's table), a gamma-full ladder at n = 2^12, 2^16, 2^20,
 whose top rung, n = 2^24, is the ``POINTS`` entry of that name, and a
 rho-full ladder at n = 2^14, 2^17, 2^20 (k = 16, rho = 2^8), whose
-balanced tables are built whole.  Every point goes
+balanced placements are keyed permutations computed only at the nodes a
+trial touches.  Every point goes
 through ``measure_point`` (median params, build, evaluate and decode time
 per traced trial, and untraced trials/s; wall-clock, not probe-scaled) for
 ``BUDGET_S`` seconds per pass, in a fresh interpreter, and the checkouts

@@ -129,6 +129,13 @@ INTEGER_FIELDS = ("n", "k", "trials", "base_seed", "gamma", "gamma_prime", "rho"
                   "reps", "final_reps", "lookahead", "tests", "jobs")
 
 
+# Past 2^62 items the int64 defective draw overflows.  A trial may allocate
+# no array above MAX_TRIAL_BYTES (see ``Scheme.footprint``): a config past it
+# is rejected before trial 0, not failed in it by an allocation that one host
+# refuses and another overcommits.
+MAX_N, MAX_TRIAL_BYTES = 1 << 62, 1 << 32
+
+
 def validate_config(config: TrialConfig) -> None:
     if config.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {config.algorithm!r}; expected one of {ALGORITHMS}")
@@ -171,6 +178,14 @@ def validate_config(config: TrialConfig) -> None:
     if config.algorithm == "ncomp" and not 0.0 <= config.threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {config.threshold}")
     config.channel()  # validates channel probabilities
+    n, k, _ = _rounded(config)
+    if n > MAX_N:
+        raise ValueError(f"n={n} (rounded) exceeds the supported 2^62 items")
+    scheme = SCHEMES[config.algorithm]
+    size = scheme.footprint(scheme.params(config, n, k), n, k)
+    if size > MAX_TRIAL_BYTES:
+        raise ValueError(f"a trial would allocate a {size}-byte array, over the "
+                         f"{MAX_TRIAL_BYTES}-byte limit")
 
 
 def _rounded(config: TrialConfig) -> tuple[int, int, Optional[int]]:
@@ -186,6 +201,10 @@ class Scheme(NamedTuple):
     build: Callable   # (config, params, n, k, key) -> design
     decode: Callable  # (config, design, outcomes) -> DecodeReport
     echo: Callable    # (config, params) -> the result's ``params`` dict
+    # (params, n, k) -> bytes of a trial's largest array: the outcome vector
+    # (a byte per test), the flat incidence matrix (one per test and item),
+    # or the gamma/rho frontier once k top-level nodes expand (8 per child)
+    footprint: Callable
 
 
 def _tree_echo(config: TrialConfig, params) -> dict:
@@ -202,12 +221,17 @@ def _flat_report(decode, design, outcomes, *args) -> DecodeReport:
     )
 
 
+def _tree_footprint(tests: int, top_nodes: int, branching: int, k: int) -> int:
+    return max(tests, 8 * min(k, top_nodes) * branching)
+
+
 def _flat_scheme(decode, echo) -> Scheme:
     """A COMP-style decoder on a flat design; its params are the test count."""
     return Scheme(
         lambda c, n, k: baselines.default_baseline_tests(n, k) if c.tests is None else c.tests,
         lambda c, tests, n, k, key: baselines.build_flat_design(n, tests, key, k=k),
-        decode, echo)
+        decode, echo,
+        lambda tests, n, k: tests * n)
 
 
 SCHEMES = {
@@ -217,7 +241,9 @@ SCHEMES = {
             gamma_prime=c.gamma_prime),
         lambda c, params, n, k, key: gamma_mod.build_gamma_design(params, n, key, c.hash_mode),
         lambda c, design, outcomes: gamma_mod.decode_gamma(design, outcomes)[1],
-        _tree_echo),
+        _tree_echo,
+        lambda params, n, k: _tree_footprint(gamma_mod.gamma_total_tests(params, n),
+                                             n // params.level1_size, params.branching, k)),
     "rho": Scheme(
         lambda c, n, k: rho_mod.rho_params(
             n, k, _rounded(c)[2], c_depth=c.depth,
@@ -225,14 +251,17 @@ SCHEMES = {
             c_final=DEFAULT_C_FINAL if c.final_reps is None else c.final_reps),
         lambda c, params, n, k, key: rho_mod.build_rho_design(params, n, key, c.hash_mode),
         lambda c, design, outcomes: rho_mod.decode_rho(design, outcomes)[1],
-        _tree_echo),
+        _tree_echo,
+        lambda params, n, k: _tree_footprint(rho_mod.rho_total_tests(params, n),
+                                             n // params.rho, params.branch, k)),
     "noisy": Scheme(
         lambda c, n, k: noisy_mod.noisy_params(
             n, k, c.p if c.design_p is None else c.design_p, t=c.t, epsilon=c.epsilon,
             mode=c.mode, n_reps=c.reps, r=c.lookahead, c_final=c.final_reps),
         lambda c, params, n, k, key: noisy_mod.build_noisy_design(params, n, k, key, c.hash_mode),
         lambda c, design, outcomes: noisy_mod.decode_noisy(design, outcomes)[1],
-        _tree_echo),
+        _tree_echo,
+        lambda params, n, k: noisy_mod.noisy_total_tests(params, n, k)),
     "comp": _flat_scheme(
         lambda c, design, outcomes: _flat_report(baselines.decode_comp, design, outcomes),
         lambda c, tests: {"tests": tests, "p": c.p}),

@@ -1,6 +1,6 @@
 """Node-to-test placement primitives shared by all tree schemes.
 
-Four backings are provided:
+Three backings are provided:
 
   - counter hash: node j of a row goes to test
     ``splitmix64(row_key + j * PHI) mod t_len``, the j-th output of a
@@ -10,11 +10,11 @@ Four backings are provided:
     computes a test only for the nodes it is asked about;
   - polynomial hash: degree-d polynomial over a prime field, reduced mod the
     sequence length -- d-wise independent, d + O(1) words of storage;
-  - balanced table: a keyed random permutation chunked into equal blocks,
-    giving exact row weight and column weight one;
-  - truncated permutation: a keyed Feistel bijection on the node ids with the
-    low bits dropped -- same exact weights as the balanced table at O(1)
-    storage.
+  - keyed permutation: a keyed Feistel bijection on the node ids with the
+    low bits dropped, giving exact row weight and column weight one, the
+    balanced placement of the rho scheme.  In ``full`` mode it stands for
+    the paper's stored n-word position table and is accounted as that, in
+    the low-storage modes as its round keys.
 
 Every backing exposes ``test_of(node)`` for one node, ``tests_of(nodes)``
 for an int64 array of node ids (the same tests, element for element, as an
@@ -22,10 +22,11 @@ int64 array), ``table()`` (``tests_of`` over every node, for verification at
 small sizes), and ``storage_cost`` in machine words.
 
 A level of a tree design holds its repetitions as one stack
-(:class:`CounterHashStack`, :class:`PolynomialStack`, or :class:`RowStack`
-over placements built one by one): ``tests_of(nodes, reps)`` gives the tests
-of many nodes under many repetitions by one array operation, and ``rows``,
-each repetition's own placement, is built only when something asks for it.
+(:class:`CounterHashStack`, :class:`PolynomialStack`,
+:class:`PermutationStack`, or :class:`RowStack` over the identity
+placement): ``tests_of(nodes, reps)`` gives the tests of many nodes under
+many repetitions by one array operation, and ``rows``, each repetition's
+own placement, is built only when something asks for it.
 """
 
 from __future__ import annotations
@@ -205,93 +206,75 @@ class PolynomialHash(_Placement):
         return _horner(self._highest_first, nodes, self.prime, self.t_len)
 
 
-class BalancedTable(_Placement):
-    """Uniformly random placement with exact row weight and column weight one.
+def feistel_rounds(bits: int) -> int:
+    """Rounds of a keyed permutation of 2^bits nodes.  With the statistical
+    tests of tests/test_permutation_stack.py (20,000 keys, alpha = 1e-6 per
+    check), six rounds place two nodes jointly as a uniform permutation
+    would from 2^6 nodes up, but not on 4 to 32 nodes, where the halves have
+    at most three bits; 24 rounds do.  Four rounds fail on 2^6 to 2^11."""
+    return 24 if bits < 6 else 6
 
-    Realised as a keyed uniform permutation used directly as each node's
-    position (the inverse of a uniform permutation is uniform too), chunked
-    into consecutive blocks of row_weight; the full position array is
-    retained, as int32 whenever every position fits.
+
+def _permuted_tests(round_keys: np.ndarray, nodes, bits: int, shift: int) -> np.ndarray:
+    """The tests of ``nodes`` under keyed bijections of [0, 2^bits) with the
+    low ``shift`` bits dropped, as int64.
+
+    Each bijection is an unbalanced Feistel network: the low ceil(bits/2)
+    and the high floor(bits/2) bits swap roles each round, and round r xors
+    the high part with the top bits of ``mix(round_keys[..., r] + low)``,
+    ``mix`` being splitmix64's finaliser up to its last xorshift (which only
+    folds high bits into low ones).  Every round is a bijection of [0,
+    2^bits), so no lane ever leaves the domain.  The leading axes of
+    ``round_keys`` broadcast against ``nodes``: a (repetitions x 1 x rounds)
+    matrix gives a (repetitions x nodes) grid.
     """
+    lo_bits = (bits + 1) // 2
+    hi_bits = bits - lo_bits
+    x = np.asarray(nodes).astype(np.uint64)
+    hi, lo = x >> np.uint64(lo_bits), x & np.uint64((1 << lo_bits) - 1)
+    for r in range(round_keys.shape[-1]):
+        f = lo + round_keys[..., r]
+        f ^= f >> _S30
+        f *= _MIX1
+        f ^= f >> _S27
+        f *= _MIX2
+        f >>= np.uint64(64 - hi_bits)  # a shift by 64 gives 0
+        f ^= hi
+        hi, lo = lo, f
+        hi_bits, lo_bits = lo_bits, hi_bits
+    return (((hi << np.uint64(lo_bits)) | lo) >> np.uint64(shift)).view(np.int64)
 
-    def __init__(self, num_nodes: int, t_len: int, key: RandomnessKey):
-        if num_nodes % t_len != 0:
-            raise ValueError(f"t_len={t_len} must divide num_nodes={num_nodes}")
-        self.num_nodes = num_nodes
-        self.t_len = t_len
-        self.row_weight = num_nodes // t_len
-        positions = key.generator().permutation(num_nodes)
-        self._positions = positions.astype(np.int32) if num_nodes <= 1 << 31 else positions
-        self.storage_cost = num_nodes
+
+class KeyedPermutation(_Placement):
+    """Balanced placement: a keyed bijection of the node ids with the low
+    log2(row_weight) bits dropped (see :func:`_permuted_tests`), so every
+    test gets exactly ``row_weight`` nodes.  One row of a
+    :class:`PermutationStack`."""
+
+    def __init__(self, stack: "PermutationStack", round_keys: np.ndarray):
+        self.num_nodes = stack.num_nodes
+        self.t_len = stack.t_len
+        self.row_weight = self.num_nodes // self.t_len
+        self.storage_cost = stack.row_cost
+        self.round_keys = round_keys
+        self._bits, self._shift = stack.bits, stack.shift
+        self._keys = tuple(round_keys.tolist())
 
     def test_of(self, node: int) -> int:
-        return int(self._positions[node]) // self.row_weight
+        # pure-Python integers: a scalar lookup stays a few microseconds
+        lo_bits = (self._bits + 1) // 2
+        hi_bits = self._bits - lo_bits
+        hi, lo = node >> lo_bits, node & ((1 << lo_bits) - 1)
+        for rk in self._keys:
+            f = (rk + lo) & _MASK64
+            f = ((f ^ (f >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            f = ((f ^ (f >> 27)) * 0x94D049BB133111EB) & _MASK64
+            hi, lo = lo, hi ^ (f >> (64 - hi_bits))
+            hi_bits, lo_bits = lo_bits, hi_bits
+        return ((hi << lo_bits) | lo) >> self._shift
 
     def tests_of(self, nodes: np.ndarray) -> np.ndarray:
-        return self._positions[nodes].astype(np.int64) // self.row_weight
-
-
-class TruncatedPermutation(_Placement):
-    """Keyed Feistel bijection on [0, num_nodes) with the low bits dropped.
-
-    Requires power-of-two sizes.  The Feistel network runs on an even bit
-    width and cycle-walks back into range when the node width is odd, so the
-    map stays a bijection and the row/column weights are exact.  Storage is
-    the four round keys.
-    """
-
-    ROUNDS = 4
-
-    def __init__(self, num_nodes: int, t_len: int, key: RandomnessKey):
-        if not (is_power_of_two(num_nodes) and is_power_of_two(t_len)):
-            raise ValueError("num_nodes and t_len must be powers of two")
-        if t_len > num_nodes:
-            raise ValueError(f"t_len={t_len} exceeds num_nodes={num_nodes}")
-        self.num_nodes = num_nodes
-        self.t_len = t_len
-        self.row_weight = num_nodes // t_len
-        self._shift = (num_nodes // t_len).bit_length() - 1
-        bits = num_nodes.bit_length() - 1
-        self._width = bits + (bits & 1)
-        self._half = self._width // 2
-        self._half_mask = (1 << self._half) - 1
-        rng = key.generator()
-        self._round_keys = tuple(int(v) for v in rng.integers(0, 1 << 63, size=self.ROUNDS))
-        self.storage_cost = self.ROUNDS + 2
-
-    def _permute(self, x: int) -> int:
-        if self.num_nodes == 1:
-            return 0
-        while True:
-            left, right = x >> self._half, x & self._half_mask
-            for rk in self._round_keys:
-                left, right = right, left ^ (_splitmix64(right ^ rk) & self._half_mask)
-            x = (left << self._half) | right
-            if x < self.num_nodes:  # cycle-walk only when the width was odd
-                return x
-
-    def test_of(self, node: int) -> int:
-        return self._permute(node) >> self._shift
-
-    def _rounds(self, x: np.ndarray) -> np.ndarray:
-        half, mask = np.uint64(self._half), np.uint64(self._half_mask)
-        left, right = x >> half, x & mask
-        for rk in self._round_keys:
-            left, right = right, left ^ (_splitmix64_array(right ^ np.uint64(rk)) & mask)
-        return (left << half) | right
-
-    def tests_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`test_of`; only lanes that land out of range
-        cycle-walk again."""
-        x = np.asarray(nodes).astype(np.uint64)
-        if self.num_nodes == 1:
-            return np.zeros(len(x), dtype=np.int64)
-        x = self._rounds(x)
-        out = np.flatnonzero(x >= np.uint64(self.num_nodes))
-        while len(out):
-            x[out] = self._rounds(x[out])
-            out = out[x[out] >= np.uint64(self.num_nodes)]
-        return (x >> np.uint64(self._shift)).astype(np.int64)
+        return _permuted_tests(self.round_keys, nodes, self._bits, self._shift)
 
 
 def _check_t_len(t_len: int) -> None:
@@ -351,10 +334,40 @@ class PolynomialStack:
         return _horner(self.coeffs[reps].T[::-1, :, None], nodes, self.prime, self.t_len)
 
 
+class PermutationStack:
+    """``reps`` balanced placements of the same nodes, one keyed permutation
+    (:class:`KeyedPermutation`) per row of the (reps x rounds) matrix
+    ``round_keys``, with the ``rows`` and ``tests_of`` of
+    :class:`CounterHashStack`.  Node and test counts are powers of two.  A
+    row is accounted as the n-word position table of the paper's stored
+    balanced placement when ``full`` is set, as the counter hash is, and
+    as its round keys plus two words otherwise."""
+
+    def __init__(self, num_nodes: int, t_len: int, round_keys: np.ndarray, full: bool):
+        if not (is_power_of_two(num_nodes) and is_power_of_two(t_len)):
+            raise ValueError("num_nodes and t_len must be powers of two")
+        if t_len > num_nodes:
+            raise ValueError(f"t_len={t_len} exceeds num_nodes={num_nodes}")
+        self.num_nodes = num_nodes
+        self.t_len = t_len
+        self.round_keys = round_keys
+        self.reps = len(round_keys)
+        self.bits = num_nodes.bit_length() - 1
+        self.shift = self.bits - (t_len.bit_length() - 1)
+        self.row_cost = num_nodes if full else round_keys.shape[1] + 2
+        self.storage_cost = self.reps * self.row_cost
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(KeyedPermutation(self, keys) for keys in self.round_keys)
+
+    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
+        return _permuted_tests(self.round_keys[reps, None, :], nodes, self.bits, self.shift)
+
+
 class RowStack:
-    """Placements of the same nodes built one by one (the identity level,
-    balanced placements), with the stack protocol of
-    :class:`CounterHashStack`."""
+    """Placements of the same nodes built one by one (the identity levels),
+    with the stack protocol of :class:`CounterHashStack`."""
 
     def __init__(self, rows):
         self.rows = tuple(rows)
@@ -406,15 +419,20 @@ def uniform_style_stacks(shapes, key: RandomnessKey, hash_mode: str,
     raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")
 
 
-def balanced_style_placement(num_nodes: int, t_len: int, key: RandomnessKey,
-                             hash_mode: str):
-    """Balanced placement per the hash-mode switch.
-
-    Only the truncated permutation preserves exact row/column weights at O(1)
-    storage, so every low-storage mode maps to it.
-    """
-    if hash_mode == "full":
-        return BalancedTable(num_nodes, t_len, key)
-    if hash_mode in ("kwise", "pairwise", "permutation"):
-        return TruncatedPermutation(num_nodes, t_len, key)
-    raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")
+def balanced_stacks(shapes, key: RandomnessKey, hash_mode: str) -> list:
+    """One :class:`PermutationStack` per ``(num_nodes, t_len, reps)`` in
+    ``shapes``: the balanced levels of one design, in every hash mode, their
+    round keys cut in order from one :func:`row_keys` call on the design key.
+    Only the storage accounting depends on the mode (see
+    :class:`PermutationStack`)."""
+    if hash_mode not in HASH_MODES:
+        raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")
+    rounds = [feistel_rounds(num_nodes.bit_length() - 1) for num_nodes, _, _ in shapes]
+    keys = row_keys(key, sum(reps * r for (_, _, reps), r in zip(shapes, rounds)))
+    stacks, first = [], 0
+    for (num_nodes, t_len, reps), r in zip(shapes, rounds):
+        stacks.append(PermutationStack(num_nodes, t_len,
+                                       keys[first:first + reps * r].reshape(reps, r),
+                                       full=hash_mode == "full"))
+        first += reps * r
+    return stacks

@@ -5,7 +5,10 @@ n/rho size-rho nodes individually.  Each mid level runs N independent
 balanced placements (column weight one, exact row weight), so a test at level
 l holds exactly rho^(l/C) nodes of size rho^(1-l/C): exactly rho items.  The
 final level runs C' balanced placements over the singletons.  The size cap is
-therefore structural, not probabilistic.
+therefore structural, not probabilistic.  Every balanced placement is a keyed
+permutation of its level's nodes with the low bits dropped, one stack per
+level, all from the one design key (see
+:func:`splitgt.placements.balanced_stacks`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
-from .placements import IdentityPlacement, RowStack, balanced_style_placement
+from .placements import IdentityPlacement, RowStack, balanced_stacks
 from .tree import TreeDesign, decode_tree
 
 DEFAULT_C_DEPTH = 2
@@ -79,20 +82,18 @@ def build_rho_design(params: RhoParams, n: int, key: RandomnessKey,
                      hash_mode: str = "full") -> TreeDesign:
     """The rho tree: level 0 tests its n/rho nodes individually, and every
     later level places its nodes into n/rho tests by ``n_reps`` balanced
-    placements (``c_final`` at the singleton level), each from its own key."""
+    placements (``c_final`` at the singleton level), one keyed-permutation
+    stack per level, all from the one design key."""
     if n % params.rho != 0:
         raise ValueError(f"rho={params.rho} must divide n={n}")
     per_level = n // params.rho
+    sizes = [params.rho // params.branch ** level for level in range(1, params.c_depth)] + [1]
+    reps = [params.n_reps] * (params.c_depth - 1) + [params.c_final]
+    stacks = balanced_stacks([(n // size, per_level, count) for size, count in zip(sizes, reps)],
+                             key, hash_mode)
     levels = [(0, params.rho, per_level, RowStack([IdentityPlacement(per_level)]))]
-    for level in range(1, params.c_depth):
-        size = params.rho // params.branch ** level
-        levels.append((level, size, per_level, RowStack(
-            balanced_style_placement(n // size, per_level, key.child("level", level, rep),
-                                     hash_mode)
-            for rep in range(params.n_reps))))
-    levels.append((params.c_depth, 1, per_level, RowStack(
-        balanced_style_placement(n, per_level, key.child("final", rep), hash_mode)
-        for rep in range(params.c_final))))
+    levels += [(level, size, per_level, stack)
+               for level, (size, stack) in enumerate(zip(sizes, stacks), start=1)]
     return TreeDesign(n, params, params.branch, levels)
 
 

@@ -15,7 +15,8 @@ the survivors of the last (singleton) level are the estimate.
 :func:`decode_tree` walks that descent with the frontier as a sorted int64
 array.  Each level goes repetition by repetition over the candidates still
 alive, so it reads exactly the tests a node-by-node loop that stops at the
-first negative would read.
+first negative would read; a small frontier has its tests under every
+repetition looked up at once, a large one repetition by repetition.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ from .core import DecodeReport, OutcomeVector
 # scalar lookup takes about half the stacked one's time, at the 1176 of a
 # noisy one about five times it; the two are about even near 100.
 SCALAR_LOOKUPS = 64
+# Up to this many frontier nodes, decode looks a level up under all of its
+# repetitions at once; above it, repetition by repetition for the nodes
+# still alive.  A stacked lookup costs 10-50 us plus 5-25 ns per lane (same
+# host), so the lanes of nodes an early repetition prunes cost about what
+# the saved lookups do near 2000 nodes.  Tree-desk frontiers hold a few
+# dozen nodes, lowstore-giant ones about 4096.
+BATCH_NODES = 1024
 
 
 class TreeDesign:
@@ -142,12 +150,17 @@ def decode_tree(design: TreeDesign,
         alive = (alive[:, None] * design.branching + offsets).ravel()
         pd_peak = max(pd_peak, len(alive))
         visited += len(alive)
-        for rep, placement in enumerate(stack.rows):
-            tests = placement.tests_of(alive)
+        batch = len(alive) <= BATCH_NODES
+        tests = stack.tests_of(alive) if batch else None
+        for rep in range(stack.reps):
+            row = tests[rep] if batch else stack.tests_of(alive, slice(rep, rep + 1))[0]
             # a set, not np.sort or np.unique: their first calls map in
             # code (and numpy.ma) that raises a small run's peak memory
-            reads += len(set(tests.tolist()))
-            alive = alive[outcomes.segment(level, rep)[tests] != 0]
+            reads += len(set(row.tolist()))
+            keep = outcomes.segment(level, rep)[row] != 0
+            alive = alive[keep]
+            if batch:
+                tests = tests[:, keep]
 
     wall = time.perf_counter_ns() - start
     storage = design.storage_words + pd_peak + (outcomes.t_total + 63) // 64

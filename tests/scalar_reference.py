@@ -7,8 +7,8 @@ COMP, NCOMP and the oracles' bitmasks over tuples of member sets), its
 per-item constant-weight draw and the one-test outcome; the per-segment
 flattening of a tree design and its one-test-at-a-time noiseless outcome
 vector; the trial-division prime table; the counter
-hash in pure-Python integers; and the explicit i.i.d. table the counter hash
-replaced."""
+hash in pure-Python integers; the keyed-permutation row on bit strings; and
+the explicit i.i.d. table the counter hash replaced."""
 
 from __future__ import annotations
 
@@ -429,6 +429,25 @@ def counter_row_keys(key, count: int) -> list[int]:
 def counter_hash_test(row_key: int, node: int, t_len: int) -> int:
     """The test of ``node`` under the row keyed ``row_key``."""
     return splitmix64((row_key + node * GOLDEN) & MASK64) % t_len
+
+
+def keyed_permutation_test(round_keys: list[int], node: int, bits: int, shift: int) -> int:
+    """The test of ``node`` under a keyed-permutation row: the unbalanced
+    Feistel network on ``bits``-bit ids, written as bit strings, with the
+    low ``shift`` bits of its output dropped.  The right part starts as the
+    low ceil(bits / 2) bits; each round appends the left part xored with the
+    leading bits of the right part's hash and drops the left part.  The
+    hash is splitmix64's mixing of key + right, up to its last xorshift."""
+    text = format(node, f"0{bits}b") if bits else ""
+    left, right = text[:bits // 2], text[bits // 2:]
+    for key in round_keys:
+        x = (key + (int(right, 2) if right else 0)) & MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+        hashed = format(x, "064b")[:len(left)]
+        mixed = "".join("1" if a != b else "0" for a, b in zip(left, hashed))
+        left, right = right, mixed
+    return (int(left + right, 2) if bits else 0) >> shift
 
 
 class ExplicitTable:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -176,3 +177,52 @@ def test_result_row_blank_fields_for_other_algorithms():
     row = result_row(res)
     assert row["gamma"] == "" and row["rho"] == ""
     assert set(row) == set(RESULT_COLUMNS)
+
+
+# Each config passes every per-field check, and a trial of it would fail on
+# an allocation or an overflow: rejected before trial 0 instead.
+UNRUNNABLE = {
+    "gamma n=2^63": ("gamma --n 9223372036854775808 --k 16 --gamma 6", "supported"),
+    "rho n=2^50 permutation": ("rho --n 1125899906842624 --k 16 --rho 4096 "
+                               "--hash-mode permutation", "byte"),
+    "rho n=rho=2^62": ("rho --n 4611686018427387904 --k 16 --rho 4611686018427387904",
+                       "byte"),
+    "comp n=2^40": ("comp --n 1099511627776 --k 4", "byte"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+def test_unrunnable_config_rejected_before_any_trial(case, monkeypatch, capsys):
+    """Only ``validate_config`` and the exit path run: a trial, which would
+    allocate, fails the test if it starts."""
+    argv, message = UNRUNNABLE[case]
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(bench, "run_trials", no_trial)
+    monkeypatch.setattr(bench, "run_trial", no_trial)
+    argv = argv.split() + ["--trials", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rho = n is not small next to n/k
+        with pytest.raises(ValueError, match=message):
+            config_from_args(parse(argv))  # builds the config, then validate_config
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "trial 0" not in err
+
+
+def test_trial_size_limit_admits_the_benchmarked_configs():
+    """The largest configs the tests and benchmarks run stay under the
+    limit, and rho at n = 2^50 does with a cap that keeps the outcome vector
+    small."""
+    for config in (
+        bench.TrialConfig(algorithm="gamma", n=2 ** 62, k=16, gamma=6),
+        bench.TrialConfig(algorithm="noisy", n=2 ** 62, k=16, p=0.05),
+        bench.TrialConfig(algorithm="rho", n=2 ** 30, k=64, rho=2 ** 12,
+                          hash_mode="permutation"),
+        bench.TrialConfig(algorithm="rho", n=2 ** 50, k=16, rho=2 ** 24,
+                          hash_mode="permutation"),
+        bench.TrialConfig(algorithm="comp", n=2 ** 20, k=8),
+    ):
+        bench.validate_config(config)

@@ -35,10 +35,10 @@ GOLDEN = {
     ("gamma-kwise", 0.05): "bc253a925da12ad8de7e714d1b1c19bbf390542c8e17def8d525913b4758f548",
     ("gamma-pairwise", 0.0): "866d17002a8b0b5849b66cfb238af71ab04500fa4668f92f5ced4e6899157bf9",
     ("gamma-pairwise", 0.05): "dc44cdaf20a4b76bb11d384bcd2c66aea443ff64807283941b1b73df8182f0f0",
-    ("rho-full", 0.0): "f899ddc7665861f85f9075c1daa0788ee094ca65efec67a60b692fa412c4b4eb",
-    ("rho-full", 0.05): "a659eb06af03ddd86f27fb97f98e8f6d6e92d8d57082bea55f02ab67e1d699e9",
-    ("rho-permutation", 0.0): "4c63083d190f36ae38fa94ffbfbdebe805d4e504b570550034032e627c0cc46e",
-    ("rho-permutation", 0.05): "ae176d48eacffe379ff3452f45d5f02bade0e7202da24d61777092eabcd92d54",
+    ("rho-full", 0.0): "2850f738de976e4e6dfd365e2be85108a80b8ae519254232e798217197f4c550",
+    ("rho-full", 0.05): "95c8988a2d3f39598ccad0cd89d940651fc7b83f92f2aa3e8b74b165eca5d0f4",
+    ("rho-permutation", 0.0): "39822d90ee08fb1c0bd43d75bfc45c139d17a060cb7cdff90aa6575cc4507c44",
+    ("rho-permutation", 0.05): "1c8711288df77c2ff12bbced9538ee015878b593283d6b7a1ae3f39ece75970f",
     ("noisy-full", 0.0): "8f5bde56f8145eb872e1baf598d8b07edc74b7c59267df6cf53309958ffa43b8",
     ("noisy-full", 0.05): "d4cafe4920b6ab41ddf7901e84fc94df042066aa82deaa12272c7403ebfdff16",
     ("noisy-kwise", 0.0): "6f4cba148bc0781b1fd2cf95b68038a546337790ec2258bcdbde24a91f300b6d",

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from scalar_reference import ExplicitStack, next_primes_by_trial_division
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
-    BalancedTable,
     CounterHashStack,
     IdentityPlacement,
     PolynomialStack,
     RowStack,
-    TruncatedPermutation,
-    balanced_style_placement,
+    balanced_stacks,
     row_keys,
     smallest_prime_at_least,
     uniform_style_stacks,
@@ -33,6 +31,11 @@ def uniform(num_nodes, t_len, k):
 def hashed(num_nodes, t_len, degree, k):
     """One degree-``degree`` polynomial hash: a one-row stack."""
     return PolynomialStack(num_nodes, t_len, 1, degree, k.generator()).rows[0]
+
+
+def balanced(num_nodes, t_len, k, hash_mode="full", reps=1):
+    """``reps`` balanced placements: one keyed-permutation stack."""
+    return balanced_stacks([(num_nodes, t_len, reps)], k, hash_mode)[0]
 
 
 def test_smallest_prime():
@@ -122,75 +125,79 @@ def test_hashed_table_matches_scalar():
 
 
 def test_balanced_exact_weights():
-    p = BalancedTable(8, 4, key())
+    p = balanced(8, 4, key()).rows[0]
     counts = np.bincount(p.table(), minlength=4)
     assert list(counts) == [2, 2, 2, 2]
     assert p.row_weight == 2
 
 
 def test_balanced_identity_weight():
-    p = BalancedTable(6, 6, key())
-    assert sorted(p.test_of(j) for j in range(6)) == list(range(6))
+    p = balanced(8, 8, key()).rows[0]
+    assert sorted(p.test_of(j) for j in range(8)) == list(range(8))
 
 
 def test_balanced_rejects_non_divisible():
     with pytest.raises(ValueError):
-        BalancedTable(10, 4, key())
+        balanced(10, 4, key())
+
+
+def pair_rate_bound(draws, target, alpha=1e-6):
+    """Bernstein's bound on the deviation of a binomial(draws, target)
+    count, exceeded with probability at most ``alpha``."""
+    log_term = np.log(2 / alpha)
+    return log_term / 3 + np.sqrt(log_term ** 2 / 9 + 2 * draws * target * (1 - target) * log_term)
 
 
 def test_balanced_collision_rate():
-    # two fixed nodes share a test with probability (row_weight-1)/(num-1)
-    num, t_len, draws = 64, 8, 10_000
-    base = RandomnessKey(777)
-    hits = sum(
-        1
-        for i in range(draws)
-        if (lambda p: p.test_of(0) == p.test_of(1))(BalancedTable(num, t_len, base.child(i)))
-    )
+    # two fixed nodes share a test with probability (row_weight-1)/(num-1):
+    # 20,000 independently keyed rows of one stack, one lookup
+    num, t_len, draws = 64, 8, 20_000
+    grid = balanced(num, t_len, RandomnessKey(777), reps=draws).tests_of(np.array([0, 1]))
+    hits = int((grid[:, 0] == grid[:, 1]).sum())
     target = (num // t_len - 1) / (num - 1)
-    sigma = (target * (1 - target) / draws) ** 0.5
-    assert abs(hits / draws - target) <= 5 * sigma
+    assert abs(hits - draws * target) <= pair_rate_bound(draws, target)
 
 
 def test_truncated_permutation_exact_weights():
-    p = TruncatedPermutation(16, 4, key())
+    p = balanced(16, 4, key(), "permutation").rows[0]
     counts = np.bincount(p.table(), minlength=4)
     assert list(counts) == [4, 4, 4, 4]
 
 
 def test_truncated_permutation_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        TruncatedPermutation(12, 4, key())
-    with pytest.raises(ValueError):
-        TruncatedPermutation(16, 3, key())
-    with pytest.raises(ValueError):
-        TruncatedPermutation(8, 16, key())
+    for num, t_len in [(12, 4), (16, 3), (8, 16)]:
+        with pytest.raises(ValueError):
+            balanced(num, t_len, key(), "permutation")
 
 
 def test_truncated_permutation_deterministic():
-    a = TruncatedPermutation(64, 8, key(1))
-    b = TruncatedPermutation(64, 8, key(1))
-    assert np.array_equal(a.table(), b.table())
+    a = balanced(64, 8, key(1), "permutation", reps=3)
+    b = balanced(64, 8, key(1), "permutation", reps=3)
+    nodes = np.arange(64)
+    assert np.array_equal(a.tests_of(nodes), b.tests_of(nodes))
+    assert not np.array_equal(a.tests_of(nodes), balanced(64, 8, key(2), "permutation",
+                                                          reps=3).tests_of(nodes))
+    assert not np.array_equal(a.tests_of(nodes)[0], a.tests_of(nodes)[1])
 
 
 def test_truncated_permutation_collision_rate():
-    # collision frequency of two fixed nodes stays O(row_weight / num_nodes)
-    num, t_len, draws = 256, 64, 10_000
-    row_weight = num // t_len
-    base = RandomnessKey(999)
-    hits = sum(
-        1
-        for i in range(draws)
-        if (lambda p: p.test_of(5) == p.test_of(200))(
-            TruncatedPermutation(num, t_len, base.child(i))
-        )
-    )
-    assert hits / draws <= 3 * row_weight / num
+    # the pair rate of two fixed nodes is that of a uniform permutation,
+    # (row_weight - 1) / (num - 1), far inside the O(row_weight / num) bound
+    num, t_len, draws = 256, 64, 20_000
+    grid = balanced(num, t_len, RandomnessKey(999), "permutation",
+                    reps=draws).tests_of(np.array([5, 200]))
+    hits = int((grid[:, 0] == grid[:, 1]).sum())
+    target = (num // t_len - 1) / (num - 1)
+    assert abs(hits - draws * target) <= pair_rate_bound(draws, target)
+    assert hits / draws <= 3 * (num // t_len) / num
 
 
 def test_truncated_permutation_storage_constant():
-    assert TruncatedPermutation(16, 4, key()).storage_cost == \
-        TruncatedPermutation(2 ** 14, 64, key()).storage_cost == 6
+    # round keys plus two words per row: 24 rounds below 2^6 nodes, 6 above
+    assert balanced(16, 4, key(), "permutation").storage_cost == 26
+    assert balanced(2 ** 14, 64, key(), "permutation").storage_cost == \
+        balanced(2 ** 40, 64, key(), "pairwise").storage_cost == 8
+    assert balanced(2 ** 14, 64, key(), "full", reps=3).storage_cost == 3 * 2 ** 14
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,8 +212,7 @@ def test_every_backing_total_and_in_range(log_nodes, log_t, seed):
     backings = [
         uniform(num, t_len, k),
         hashed(num, t_len, 3, k),
-        BalancedTable(num, t_len, k),
-        TruncatedPermutation(num, t_len, k),
+        balanced(num, t_len, k).rows[0],
     ]
     for p in backings:
         table = p.table()
@@ -222,8 +228,7 @@ def test_every_backing_total_and_in_range(log_nodes, log_t, seed):
 )
 def test_balanced_weights_exact_for_all_keys(log_nodes, log_t, seed):
     num, t_len = 1 << log_nodes, 1 << min(log_t, log_nodes)
-    k = RandomnessKey(seed)
-    for p in (BalancedTable(num, t_len, k), TruncatedPermutation(num, t_len, k)):
+    for p in balanced(num, t_len, RandomnessKey(seed), reps=3).rows:
         counts = np.bincount(p.table(), minlength=t_len)
         assert np.all(counts == num // t_len)
 
@@ -239,9 +244,11 @@ def test_mode_factories():
         one("permutation")
     with pytest.raises(ValueError):
         one("bogus")
-    assert balanced_style_placement(64, 8, key(), "full").storage_cost == 64
-    assert balanced_style_placement(64, 8, key(), "permutation").storage_cost == 6
-    assert balanced_style_placement(64, 8, key(), "pairwise").storage_cost == 6
+    assert balanced(64, 8, key(), "full").storage_cost == 64
+    assert balanced(64, 8, key(), "permutation").storage_cost == 8
+    assert balanced(64, 8, key(), "pairwise").storage_cost == 8
+    with pytest.raises(ValueError):
+        balanced(64, 8, key(), "bogus")
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,9 +270,9 @@ def test_tests_of_matches_test_of(log_nodes, log_t, hash_t, degree, seed, picks)
     k = RandomnessKey(seed)
     nodes = np.array([0, num - 1] + [int(f * num) for f in picks], dtype=np.int64)
     backings = [hashed(num, hash_t, degree, k), uniform(num, hash_t, k),
-                TruncatedPermutation(num, t_len, k)]
-    if log_nodes <= 12:  # the tables are materialised
-        backings += [IdentityPlacement(num), BalancedTable(num, t_len, k)]
+                balanced(num, t_len, k).rows[0]]
+    if log_nodes <= 12:  # the table is materialised
+        backings.append(IdentityPlacement(num))
     for p in backings:
         fast = p.tests_of(nodes)
         assert fast.dtype == np.int64
@@ -315,20 +322,6 @@ def test_explicit_stack_width_keeps_draws(t_len):
     assert np.array_equal(stack.table, expected)
 
 
-def test_balanced_table_int32_positions_keep_placement():
-    """Positions are int32 while every node id fits; they are the key's int64
-    permutation itself, and ``tests_of`` stays int64."""
-    num, t_len = 1024, 16
-    table = BalancedTable(num, t_len, RandomnessKey(11))
-    assert table._positions.dtype == np.int32
-    expected = RandomnessKey(11).generator().permutation(num)
-    assert np.array_equal(table._positions, expected)
-    got = table.tests_of(np.arange(num, dtype=np.int64))
-    assert got.dtype == np.int64
-    assert np.array_equal(got, expected // (num // t_len))
-    assert [table.test_of(v) for v in range(num)] == (expected // (num // t_len)).tolist()
-
-
 @pytest.mark.parametrize("backing", ["counter", "polynomial", "identity", "balanced",
                                      "truncated"])
 def test_stack_lookup_of_no_nodes(backing):
@@ -342,9 +335,8 @@ def test_stack_lookup_of_no_nodes(backing):
     elif backing == "identity":
         stack = RowStack([IdentityPlacement(num)] * reps)
     else:
-        style = "full" if backing == "balanced" else "permutation"
-        stack = RowStack(balanced_style_placement(num, t_len, key(rep), style)
-                         for rep in range(reps))
+        stack = balanced(num, t_len, key(), "full" if backing == "balanced" else "permutation",
+                         reps=reps)
     nodes = np.array([], dtype=np.int64)
     for reps_slice, count in [(slice(None), reps), (slice(1, 3), 2), (slice(2, 2), 0)]:
         grid = stack.tests_of(nodes, reps_slice)

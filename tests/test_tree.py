@@ -1,9 +1,10 @@
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import decode_gamma_scalar, decode_rho_scalar, noiseless_bits_per_test
@@ -42,10 +43,24 @@ def _design(scheme, n, k, budget, depth, reps, final_reps, hash_mode, key):
     p10=st.sampled_from([0.0, 0.1]),
     seed=st.integers(min_value=0, max_value=2 ** 32),
 )
+# rho on keyed permutations in every mode: levels below and above 2^6 nodes
+# (24 and 6 Feistel rounds), odd and even bit widths, a cap of 1 and of n
+@example(scheme="rho", log_n=5, log_k=1, budget=2, depth=2, reps=3, final_reps=3,
+         hash_mode="full", p01=0.05, p10=0.0, seed=1)
+@example(scheme="rho", log_n=13, log_k=3, budget=6, depth=2, reps=3, final_reps=2,
+         hash_mode="permutation", p01=0.0, p10=0.0, seed=2)
+@example(scheme="rho", log_n=14, log_k=2, budget=6, depth=3, reps=2, final_reps=3,
+         hash_mode="kwise", p01=0.3, p10=0.1, seed=3)
+@example(scheme="rho", log_n=11, log_k=2, budget=8, depth=1, reps=1, final_reps=1,
+         hash_mode="pairwise", p01=0.05, p10=0.1, seed=4)
+@example(scheme="rho", log_n=4, log_k=0, budget=4, depth=2, reps=1, final_reps=2,
+         hash_mode="full", p01=0.3, p10=0.0, seed=5)
 def test_decode_tree_matches_scalar_reference(scheme, log_n, log_k, budget, depth, reps,
                                               final_reps, hash_mode, p01, p10, seed):
     """Same estimate, read count, visit count and storage as the node-by-node
-    decoder; channel noise puts false positives on the frontier."""
+    decoder, with every frontier looked up repetition by repetition and with
+    every one looked up under all repetitions at once; channel noise puts
+    false positives on the frontier."""
     n, k = 1 << log_n, 1 << min(log_k, log_n - 2)
     if scheme == "gamma":
         budget += 2
@@ -60,14 +75,17 @@ def test_decode_tree_matches_scalar_reference(scheme, log_n, log_k, budget, dept
                                NoiseChannel(p01=p01, p10=p10), RandomnessKey(seed, ("noise",)))
     decode, reference = ((decode_gamma, decode_gamma_scalar) if scheme == "gamma"
                          else (decode_rho, decode_rho_scalar))
-    estimate, report = decode(design, outcomes)
-    assert replace(report, wall_nanos=0) == reference(design, outcomes)
-    assert estimate == report.estimate
-    assert all(isinstance(item, int) for item in estimate)
+    expected = reference(design, outcomes)
+    for batch_nodes in (0, 10 ** 9):  # every level rep by rep, then all reps at once
+        with mock.patch.object(tree, "BATCH_NODES", batch_nodes):
+            estimate, report = decode(design, outcomes)
+        assert replace(report, wall_nanos=0) == expected
+        assert estimate == report.estimate
+        assert all(isinstance(item, int) for item in estimate)
 
 
 LOOKUP_DESIGNS = [("gamma", "full"), ("gamma", "kwise"), ("gamma", "pairwise"),
-                  ("rho", "full"), ("rho", "permutation"),
+                  ("rho", "full"), ("rho", "permutation"), ("rho", "kwise"), ("rho", "pairwise"),
                   ("noisy", "full"), ("noisy", "kwise"), ("noisy", "pairwise")]
 
 
