@@ -127,6 +127,8 @@ def wilson_interval(successes: int, trials: int,
 # a --config file or sweep cell sets these without argparse's int conversion
 INTEGER_FIELDS = ("n", "k", "trials", "base_seed", "gamma", "gamma_prime", "rho", "depth",
                   "reps", "final_reps", "lookahead", "tests", "jobs")
+FLOAT_FIELDS = ("p", "p01", "p10", "c_const", "beta_exp", "design_p", "t", "epsilon",
+                "threshold")
 
 
 # Past 2^62 items the int64 defective draw overflows.  A trial may allocate
@@ -143,6 +145,11 @@ def validate_config(config: TrialConfig) -> None:
         value = getattr(config, name)
         if value is not None and not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name in FLOAT_FIELDS:
+        value = getattr(config, name)
+        finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        if value is not None and not finite:
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if config.hash_mode not in HASH_MODES:
         raise ValueError(f"unknown hash mode {config.hash_mode!r}; expected one of {HASH_MODES}")
     if config.trials < 0:
@@ -182,7 +189,10 @@ def validate_config(config: TrialConfig) -> None:
     if n > MAX_N:
         raise ValueError(f"n={n} (rounded) exceeds the supported 2^62 items")
     scheme = SCHEMES[config.algorithm]
-    size = scheme.footprint(scheme.params(config, n, k), n, k)
+    try:
+        size = scheme.footprint(scheme.params(config, n, k), n, k)
+    except ArithmeticError as exc:  # an overflow or a division by zero in the formulas
+        raise ValueError(f"the {config.algorithm} parameters cannot be computed: {exc}") from exc
     if size > MAX_TRIAL_BYTES:
         raise ValueError(f"a trial would allocate a {size}-byte array, over the "
                          f"{MAX_TRIAL_BYTES}-byte limit")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
-from .placements import IdentityPlacement, RowStack, uniform_style_stacks
+from .placements import IdentityStack, uniform_style_stacks
 from .tree import TreeDesign, decode_tree
 
 DEFAULT_C_CONST = 8.0  # smallest integer above e**2, the analysis floor
@@ -152,18 +152,14 @@ def build_gamma_design(params: GammaParams, n: int, key: RandomnessKey,
     each of ``final_reps`` sequences of length t_len_dprime.  Every hashed
     level is one stack, and all of them come from the one design key (see
     :func:`splitgt.placements.uniform_style_stacks`)."""
-    gp, m = params.gamma_prime, params.level1_size
-    shapes = []
-    for level in range(2, gp):
-        size = m // params.branching ** (level - 1)
-        shapes.append((level, size, params.t_len if level < gp - 1 else params.t_len_prime, 1))
-    shapes.append((gp, 1, params.t_len_dprime, params.final_reps))
-    stacks = uniform_style_stacks([(n // size, t_len, reps) for _, size, t_len, reps in shapes],
-                                  key, hash_mode, kwise_degree=params.gamma)
-    levels = [(1, m, n // m, RowStack([IdentityPlacement(n // m)]))]
-    levels += [(level, size, t_len, stack)
-               for (level, size, t_len, _), stack in zip(shapes, stacks)]
-    return TreeDesign(n, params, params.branching, levels)
+    gp, top = params.gamma_prime, n // params.level1_size
+    shapes = [(top * params.branching ** (level - 1),
+               params.t_len if level < gp - 1 else params.t_len_prime, 1)
+              for level in range(2, gp)]
+    shapes.append((n, params.t_len_dprime, params.final_reps))
+    stacks = uniform_style_stacks(shapes, key, hash_mode, kwise_degree=params.gamma)
+    return TreeDesign(n, params, params.branching,
+                      [(1, IdentityStack(top)), *zip(range(2, gp + 1), stacks)])
 
 
 def decode_gamma(design: TreeDesign,

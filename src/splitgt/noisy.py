@@ -132,8 +132,7 @@ def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
     stacks = uniform_style_stacks(
         [(1 << level, params.t_len, params.n_reps if level < log2n else final_seqs)
          for level in levels], key, hash_mode)
-    return TreeDesign(n, params, 2, [(level, n >> level, params.t_len, stack)
-                                     for level, stack in zip(levels, stacks)])
+    return TreeDesign(n, params, 2, zip(levels, stacks))
 
 
 def _votes(design: TreeDesign, grid: np.ndarray, seen: np.ndarray, level: int,
@@ -161,7 +160,7 @@ def _lookahead(design: TreeDesign, grid: np.ndarray, seen: np.ndarray, level: in
     the target; a state is dropped once its root is accepted or once it can
     no longer reach the target.
     """
-    reps, r, bottom = design.params.n_reps, design.params.r, design.levels[-1][0]
+    reps, r, bottom = design.params.n_reps, design.params.r, design.layout[-1][0]
     target = r // 2 + 1
     accepted = np.zeros(len(roots), dtype=bool)
     owner = np.repeat(np.arange(len(roots)), 2)
@@ -205,7 +204,7 @@ def decode_noisy(design: TreeDesign,
     reps = design.params.n_reps
     grid = outcomes.bits.reshape(-1, design.params.t_len)
     seen = np.zeros(grid.shape, dtype=bool)
-    log2k, log2n = design.levels[0][0], design.levels[-1][0]
+    log2k, log2n = design.layout[0][0], design.layout[-1][0]
     pd = np.arange(1 << log2k, dtype=np.int64)
     visited = labels = 0
     pd_peak = len(pd)

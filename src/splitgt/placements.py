@@ -1,10 +1,11 @@
 """Node-to-test placement primitives shared by all tree schemes.
 
-Three backings are provided:
+A placement puts every node of a tree level into one test of a sequence of
+``t_len`` tests.  Three hashed backings are provided:
 
-  - counter hash: node j of a row goes to test
+  - counter hash: node j of a repetition goes to test
     ``splitmix64(row_key + j * PHI) mod t_len``, the j-th output of a
-    SplitMix stream keyed by the row.  It stands for the fully random
+    SplitMix stream keyed by the repetition.  It stands for the fully random
     placement the paper stores as an n-word table, and is accounted as that
     table (``storage_cost`` is one word per node), but the simulator
     computes a test only for the nodes it is asked about;
@@ -16,17 +17,15 @@ Three backings are provided:
     the paper's stored n-word position table and is accounted as that, in
     the low-storage modes as its round keys.
 
-Every backing exposes ``test_of(node)`` for one node, ``tests_of(nodes)``
-for an int64 array of node ids (the same tests, element for element, as an
-int64 array), ``table()`` (``tests_of`` over every node, for verification at
-small sizes), and ``storage_cost`` in machine words.
-
-A level of a tree design holds its repetitions as one stack
-(:class:`CounterHashStack`, :class:`PolynomialStack`,
-:class:`PermutationStack`, or :class:`RowStack` over the identity
-placement): ``tests_of(nodes, reps)`` gives the tests of many nodes under
-many repetitions by one array operation, and ``rows``, each repetition's
-own placement, is built only when something asks for it.
+A level of a tree design holds all of its repetitions as one stack:
+:class:`IdentityStack` for the individually tested top level, or
+:class:`CounterHashStack`, :class:`PolynomialStack` or
+:class:`PermutationStack`.  Every stack has ``num_nodes``, ``t_len``,
+``reps`` and ``storage_cost`` (in machine words), and answers
+``test_of(node, rep)``, the test of one node under one repetition in
+pure-Python integers, and ``tests_of(nodes, reps)``, the tests of an int64
+array of nodes under the repetitions the slice ``reps`` selects, as a
+(repetitions x nodes) int64 array from one array operation.
 """
 
 from __future__ import annotations
@@ -120,9 +119,9 @@ def smallest_prime_at_least(x: int) -> int:
 def _horner(coeffs, nodes: np.ndarray, prime: int, t_len: int) -> np.ndarray:
     """Polynomials at every node, mod ``prime`` and then mod ``t_len``, as
     int64.  ``coeffs`` runs from the highest degree down; each entry is a
-    uint64 scalar (one polynomial: the result has the shape of ``nodes``) or
-    a (rows x 1) column (one polynomial per row: rows x nodes).  Exact for
-    every prime below 2^63: products go through :func:`_mulmod`."""
+    (rows x 1) column, one polynomial per row, so the result is rows x
+    nodes.  Exact for every prime below 2^63: products go through
+    :func:`_mulmod`."""
     x = np.asarray(nodes).astype(np.uint64)
     p = np.uint64(prime)
     acc = np.zeros_like(x)
@@ -131,24 +130,20 @@ def _horner(coeffs, nodes: np.ndarray, prime: int, t_len: int) -> np.ndarray:
     return (acc % np.uint64(t_len)).astype(np.int64)
 
 
-class _Placement:
-    def table(self) -> np.ndarray:
-        return self.tests_of(np.arange(self.num_nodes, dtype=np.int64))
-
-
-class IdentityPlacement(_Placement):
-    """One node per test, in order.  Used for the individual-testing levels."""
+class IdentityStack:
+    """One repetition that tests every node individually, node j in test j:
+    the top level of the gamma and rho trees."""
 
     def __init__(self, num_nodes: int):
-        self.num_nodes = num_nodes
-        self.t_len = num_nodes
+        self.num_nodes = self.t_len = num_nodes
+        self.reps = 1
         self.storage_cost = 1
 
-    def test_of(self, node: int) -> int:
+    def test_of(self, node: int, rep: int) -> int:
         return node
 
-    def tests_of(self, nodes: np.ndarray) -> np.ndarray:
-        return nodes
+    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
+        return np.asarray(nodes, dtype=np.int64).reshape(1, -1)[reps]
 
 
 def _counter_hash(keys, nodes: np.ndarray, t_len: int) -> np.ndarray:
@@ -157,53 +152,6 @@ def _counter_hash(keys, nodes: np.ndarray, t_len: int) -> np.ndarray:
     remainder of a uniform 64-bit value is biased by at most t_len / 2^64."""
     x = _splitmix64_array(keys + np.asarray(nodes).astype(np.uint64) * _PHI64)
     return (x % np.uint64(t_len)).view(np.int64)
-
-
-class CounterHash(_Placement):
-    """Fully random placement as a keyed counter hash; one row of a
-    :class:`CounterHashStack`.  ``storage_cost`` is the n-word table of the
-    paper's algorithm that this hash stands for."""
-
-    def __init__(self, num_nodes: int, t_len: int, key: int):
-        self.num_nodes = num_nodes
-        self.t_len = t_len
-        self.key = key
-        self.storage_cost = num_nodes
-
-    def test_of(self, node: int) -> int:
-        # pure-Python integers: a scalar lookup stays about a microsecond
-        return _splitmix64(self.key + node * PHI) % self.t_len
-
-    def tests_of(self, nodes: np.ndarray) -> np.ndarray:
-        return _counter_hash(np.uint64(self.key), nodes, self.t_len)
-
-
-class PolynomialHash(_Placement):
-    """Degree-d polynomial over a prime field, reduced mod t_len.
-
-    d coefficients give d-wise independence over the field; the final modular
-    reduction adds a bias of at most t_len/prime per bucket, which is
-    negligible for the primes used here (>= num_nodes).  Built by
-    :class:`PolynomialStack`, one row of its coefficient matrix.
-    """
-
-    def __init__(self, num_nodes: int, t_len: int, prime: int, coeffs: np.ndarray):
-        self.num_nodes = num_nodes
-        self.t_len = t_len
-        self.prime = prime
-        self.degree = len(coeffs)
-        self.coeffs = tuple(int(c) for c in coeffs)
-        self._highest_first = tuple(np.uint64(c) for c in reversed(self.coeffs))
-        self.storage_cost = self.degree + 2
-
-    def test_of(self, node: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * node + c) % self.prime
-        return acc % self.t_len
-
-    def tests_of(self, nodes: np.ndarray) -> np.ndarray:
-        return _horner(self._highest_first, nodes, self.prime, self.t_len)
 
 
 def feistel_rounds(bits: int) -> int:
@@ -245,49 +193,16 @@ def _permuted_tests(round_keys: np.ndarray, nodes, bits: int, shift: int) -> np.
     return (((hi << np.uint64(lo_bits)) | lo) >> np.uint64(shift)).view(np.int64)
 
 
-class KeyedPermutation(_Placement):
-    """Balanced placement: a keyed bijection of the node ids with the low
-    log2(row_weight) bits dropped (see :func:`_permuted_tests`), so every
-    test gets exactly ``row_weight`` nodes.  One row of a
-    :class:`PermutationStack`."""
-
-    def __init__(self, stack: "PermutationStack", round_keys: np.ndarray):
-        self.num_nodes = stack.num_nodes
-        self.t_len = stack.t_len
-        self.row_weight = self.num_nodes // self.t_len
-        self.storage_cost = stack.row_cost
-        self.round_keys = round_keys
-        self._bits, self._shift = stack.bits, stack.shift
-        self._keys = tuple(round_keys.tolist())
-
-    def test_of(self, node: int) -> int:
-        # pure-Python integers: a scalar lookup stays a few microseconds
-        lo_bits = (self._bits + 1) // 2
-        hi_bits = self._bits - lo_bits
-        hi, lo = node >> lo_bits, node & ((1 << lo_bits) - 1)
-        for rk in self._keys:
-            f = (rk + lo) & _MASK64
-            f = ((f ^ (f >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            f = ((f ^ (f >> 27)) * 0x94D049BB133111EB) & _MASK64
-            hi, lo = lo, hi ^ (f >> (64 - hi_bits))
-            hi_bits, lo_bits = lo_bits, hi_bits
-        return ((hi << lo_bits) | lo) >> self._shift
-
-    def tests_of(self, nodes: np.ndarray) -> np.ndarray:
-        return _permuted_tests(self.round_keys, nodes, self._bits, self._shift)
-
-
 def _check_t_len(t_len: int) -> None:
     if not 1 <= t_len < 1 << 63:
         raise ValueError(f"t_len must lie in [1, 2^63), got {t_len}")
 
 
 class CounterHashStack:
-    """``reps`` fully random placements of the same nodes, one counter-hash
-    row per 64-bit key in ``keys``.  ``tests_of(nodes, reps)`` gives the
-    tests of ``nodes`` under the repetitions the slice ``reps`` selects, as a
-    (repetitions x nodes) int64 array; ``rows[i]`` is repetition i's
-    :class:`CounterHash`."""
+    """``reps`` fully random placements of the same nodes: repetition r puts
+    node j into test ``splitmix64(keys[r] + j * PHI) mod t_len``.  Each
+    repetition is accounted as the n-word table of the paper's algorithm
+    that the hash stands for."""
 
     def __init__(self, num_nodes: int, t_len: int, keys: np.ndarray):
         _check_t_len(t_len)
@@ -298,18 +213,28 @@ class CounterHashStack:
         self.storage_cost = self.reps * num_nodes
 
     @cached_property
-    def rows(self) -> tuple:
-        return tuple(CounterHash(self.num_nodes, self.t_len, key) for key in self.keys.tolist())
+    def _scalar_keys(self) -> tuple:
+        return tuple(self.keys.tolist())
+
+    def test_of(self, node: int, rep: int) -> int:
+        # pure-Python integers: a scalar lookup stays about a microsecond
+        return _splitmix64(self._scalar_keys[rep] + node * PHI) % self.t_len
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
         return _counter_hash(self.keys[reps, None], nodes, self.t_len)
 
 
 class PolynomialStack:
-    """``reps`` degree-d polynomial hashes of the same nodes: one prime and
-    one (reps x degree) coefficient matrix drawn from one generator.  Same
-    ``rows`` and ``tests_of`` as :class:`CounterHashStack`; ``tests_of`` is
-    one Horner pass over the (repetitions x nodes) grid."""
+    """``reps`` degree-d polynomial hashes of the same nodes over a prime
+    field, reduced mod t_len: one prime and one (reps x degree) coefficient
+    matrix drawn from one generator, row r holding repetition r's
+    coefficients from the constant term up.
+
+    d coefficients give d-wise independence over the field; the final
+    modular reduction adds a bias of at most t_len/prime per bucket, which
+    is negligible for the primes used here (>= num_nodes).  ``tests_of`` is
+    one Horner pass over the (repetitions x nodes) grid.
+    """
 
     def __init__(self, num_nodes: int, t_len: int, reps: int, degree: int,
                  rng: np.random.Generator):
@@ -326,22 +251,29 @@ class PolynomialStack:
         self.storage_cost = reps * (degree + 2)
 
     @cached_property
-    def rows(self) -> tuple:
-        return tuple(PolynomialHash(self.num_nodes, self.t_len, self.prime, row)
-                     for row in self.coeffs)
+    def _scalar_coeffs(self) -> tuple:
+        # per repetition, highest degree first, as Horner's rule takes them
+        return tuple(tuple(row[::-1]) for row in self.coeffs.tolist())
+
+    def test_of(self, node: int, rep: int) -> int:
+        acc = 0
+        for c in self._scalar_coeffs[rep]:
+            acc = (acc * node + c) % self.prime
+        return acc % self.t_len
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
         return _horner(self.coeffs[reps].T[::-1, :, None], nodes, self.prime, self.t_len)
 
 
 class PermutationStack:
-    """``reps`` balanced placements of the same nodes, one keyed permutation
-    (:class:`KeyedPermutation`) per row of the (reps x rounds) matrix
-    ``round_keys``, with the ``rows`` and ``tests_of`` of
-    :class:`CounterHashStack`.  Node and test counts are powers of two.  A
-    row is accounted as the n-word position table of the paper's stored
-    balanced placement when ``full`` is set, as the counter hash is, and
-    as its round keys plus two words otherwise."""
+    """``reps`` balanced placements of the same nodes: repetition r is the
+    keyed bijection of the node ids with round keys ``round_keys[r]``, its
+    low log2(num_nodes / t_len) bits dropped (see :func:`_permuted_tests`),
+    so every test gets exactly num_nodes / t_len nodes.  Node and test
+    counts are powers of two.  A repetition is accounted as the n-word
+    position table of the paper's stored balanced placement when ``full``
+    is set, as the counter hash is, and as its round keys plus two words
+    otherwise."""
 
     def __init__(self, num_nodes: int, t_len: int, round_keys: np.ndarray, full: bool):
         if not (is_power_of_two(num_nodes) and is_power_of_two(t_len)):
@@ -354,30 +286,27 @@ class PermutationStack:
         self.reps = len(round_keys)
         self.bits = num_nodes.bit_length() - 1
         self.shift = self.bits - (t_len.bit_length() - 1)
-        self.row_cost = num_nodes if full else round_keys.shape[1] + 2
-        self.storage_cost = self.reps * self.row_cost
+        self.storage_cost = self.reps * (num_nodes if full else round_keys.shape[1] + 2)
 
     @cached_property
-    def rows(self) -> tuple:
-        return tuple(KeyedPermutation(self, keys) for keys in self.round_keys)
+    def _scalar_keys(self) -> tuple:
+        return tuple(tuple(row) for row in self.round_keys.tolist())
+
+    def test_of(self, node: int, rep: int) -> int:
+        # pure-Python integers: a scalar lookup stays a few microseconds
+        lo_bits = (self.bits + 1) // 2
+        hi_bits = self.bits - lo_bits
+        hi, lo = node >> lo_bits, node & ((1 << lo_bits) - 1)
+        for rk in self._scalar_keys[rep]:
+            f = (rk + lo) & _MASK64
+            f = ((f ^ (f >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            f = ((f ^ (f >> 27)) * 0x94D049BB133111EB) & _MASK64
+            hi, lo = lo, hi ^ (f >> (64 - hi_bits))
+            hi_bits, lo_bits = lo_bits, hi_bits
+        return ((hi << lo_bits) | lo) >> self.shift
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
         return _permuted_tests(self.round_keys[reps, None, :], nodes, self.bits, self.shift)
-
-
-class RowStack:
-    """Placements of the same nodes built one by one (the identity levels),
-    with the stack protocol of :class:`CounterHashStack`."""
-
-    def __init__(self, rows):
-        self.rows = tuple(rows)
-        self.reps = len(self.rows)
-        self.storage_cost = sum(row.storage_cost for row in self.rows)
-
-    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
-        rows = self.rows[reps]
-        return np.array([row.tests_of(nodes) for row in rows],
-                        dtype=np.int64).reshape(len(rows), len(nodes))
 
 
 def row_keys(key: RandomnessKey, count: int) -> np.ndarray:
@@ -386,6 +315,16 @@ def row_keys(key: RandomnessKey, count: int) -> np.ndarray:
     key's material."""
     base = np.uint64(key.material() & _MASK64)
     return _splitmix64_array(base + np.arange(count, dtype=np.uint64) * _PHI64)
+
+
+def _cut(keys: np.ndarray, counts):
+    """``keys`` cut in order into consecutive slices of the given lengths:
+    a loop of slices, which at a design's few levels costs less than
+    ``np.split``."""
+    first = 0
+    for count in counts:
+        yield keys[first:first + count]
+        first += count
 
 
 def uniform_style_stacks(shapes, key: RandomnessKey, hash_mode: str,
@@ -401,12 +340,9 @@ def uniform_style_stacks(shapes, key: RandomnessKey, hash_mode: str,
     balanced rather than i.i.d., so it is rejected here.
     """
     if hash_mode == "full":
-        keys = row_keys(key, sum(reps for _, _, reps in shapes))
-        stacks, first = [], 0
-        for num_nodes, t_len, reps in shapes:
-            stacks.append(CounterHashStack(num_nodes, t_len, keys[first:first + reps]))
-            first += reps
-        return stacks
+        counts = [reps for _, _, reps in shapes]
+        return [CounterHashStack(num_nodes, t_len, keys) for (num_nodes, t_len, _), keys
+                in zip(shapes, _cut(row_keys(key, sum(counts)), counts))]
     if hash_mode in ("kwise", "pairwise"):
         degree = max(2, kwise_degree) if hash_mode == "kwise" else 2
         rng = key.generator()
@@ -428,11 +364,7 @@ def balanced_stacks(shapes, key: RandomnessKey, hash_mode: str) -> list:
     if hash_mode not in HASH_MODES:
         raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")
     rounds = [feistel_rounds(num_nodes.bit_length() - 1) for num_nodes, _, _ in shapes]
-    keys = row_keys(key, sum(reps * r for (_, _, reps), r in zip(shapes, rounds)))
-    stacks, first = [], 0
-    for (num_nodes, t_len, reps), r in zip(shapes, rounds):
-        stacks.append(PermutationStack(num_nodes, t_len,
-                                       keys[first:first + reps * r].reshape(reps, r),
-                                       full=hash_mode == "full"))
-        first += reps * r
-    return stacks
+    counts = [reps * r for (_, _, reps), r in zip(shapes, rounds)]
+    return [PermutationStack(num_nodes, t_len, keys.reshape(reps, r), full=hash_mode == "full")
+            for (num_nodes, t_len, reps), r, keys
+            in zip(shapes, rounds, _cut(row_keys(key, sum(counts)), counts))]

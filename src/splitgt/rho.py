@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
-from .placements import IdentityPlacement, RowStack, balanced_stacks
+from .placements import IdentityStack, balanced_stacks
 from .tree import TreeDesign, decode_tree
 
 DEFAULT_C_DEPTH = 2
@@ -87,14 +87,12 @@ def build_rho_design(params: RhoParams, n: int, key: RandomnessKey,
     if n % params.rho != 0:
         raise ValueError(f"rho={params.rho} must divide n={n}")
     per_level = n // params.rho
-    sizes = [params.rho // params.branch ** level for level in range(1, params.c_depth)] + [1]
+    num_nodes = [per_level * params.branch ** level for level in range(1, params.c_depth)] + [n]
     reps = [params.n_reps] * (params.c_depth - 1) + [params.c_final]
-    stacks = balanced_stacks([(n // size, per_level, count) for size, count in zip(sizes, reps)],
+    stacks = balanced_stacks([(num, per_level, count) for num, count in zip(num_nodes, reps)],
                              key, hash_mode)
-    levels = [(0, params.rho, per_level, RowStack([IdentityPlacement(per_level)]))]
-    levels += [(level, size, per_level, stack)
-               for level, (size, stack) in enumerate(zip(sizes, stacks), start=1)]
-    return TreeDesign(n, params, params.branch, levels)
+    return TreeDesign(n, params, params.branch,
+                      [(0, IdentityStack(per_level)), *enumerate(stacks, start=1)])
 
 
 def decode_rho(design: TreeDesign, outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:

@@ -4,10 +4,13 @@ the gamma and rho schemes.
 The gamma, rho and noisy schemes share one structure: a tree over [0, n)
 with a fixed fan-out, where each level has a node size and one placement
 per repetition, and every placement of a level puts each node of that level
-into one test of a sequence of ``t_len`` tests.  :class:`TreeDesign` is
-built from that list of levels and derives the rest.  The schemes differ
-only in how their params become levels: ``gamma.build_gamma_design``,
-``rho.build_rho_design`` and ``noisy.build_noisy_design``.
+into one test of a sequence of ``t_len`` tests.  A level is therefore its
+stack of placements (see :mod:`splitgt.placements`), which knows its node
+count, its ``t_len`` and its repetitions; :class:`TreeDesign` is built from
+the ordered ``(level, stack)`` pairs and derives the rest.  The schemes
+differ only in how their params become stacks:
+``gamma.build_gamma_design``, ``rho.build_rho_design`` and
+``noisy.build_noisy_design``.
 
 The gamma and rho trees test every top-level node individually, then at
 each later level a node survives iff all of its tests there are positive;
@@ -42,40 +45,40 @@ BATCH_NODES = 1024
 
 
 class TreeDesign:
-    """A splitting tree over [0, n) from its ordered levels.
+    """A splitting tree over [0, n) from its ordered ``(level, stack)``
+    pairs, kept as the ordered dict ``stacks``.
 
-    Each level is ``(level, node_size, t_len, stack)``: node j of the level
-    covers items [j * node_size, (j + 1) * node_size), and repetition ``rep``
-    places every node into one of ``t_len`` tests by row ``rep`` of
-    ``stack`` (see :mod:`splitgt.placements`).  Each node has ``branching``
-    children at the next level.  The outcomes of a design come in ``layout``
-    order: one ``(level, rep, t_len)`` segment per repetition, level by
-    level; ``first_segment[level]`` and ``first_test[level]`` index a
-    level's first segment and first test in that order.
+    A level's stack (see :mod:`splitgt.placements`) covers its
+    ``stack.num_nodes`` nodes: node j covers items [j * size, (j + 1) *
+    size) for the node size ``n // stack.num_nodes``, and repetition ``rep``
+    places every node into one of ``stack.t_len`` tests.  Each node has
+    ``branching`` children at the next level.  The outcomes of a design
+    come in ``layout`` order: one ``(level, rep, t_len)`` segment per
+    repetition, level by level; ``first_segment[level]`` and
+    ``first_test[level]`` index a level's first segment and first test in
+    that order.
     """
 
     def __init__(self, n: int, params, branching: int, levels):
         self.n = n
         self.params = params
         self.branching = branching
-        self.levels = tuple(levels)
-        self.stacks = {level: stack for level, _, _, stack in self.levels}
-        self._sizes = {level: size for level, size, _, _ in self.levels}
-        self.layout = tuple((level, rep, t_len) for level, _, t_len, stack in self.levels
+        self.stacks = dict(levels)
+        self.layout = tuple((level, rep, stack.t_len) for level, stack in self.stacks.items()
                             for rep in range(stack.reps))
         self.first_segment, self.first_test = {}, {}
         segment = test = 0
-        for level, _, t_len, stack in self.levels:
+        for level, stack in self.stacks.items():
             self.first_segment[level], self.first_test[level] = segment, test
             segment += stack.reps
-            test += stack.reps * t_len
+            test += stack.reps * stack.t_len
         self.t_total = test
 
     def node_size(self, level: int) -> int:
-        return self._sizes[level]
+        return self.n // self.stacks[level].num_nodes
 
     def num_nodes(self, level: int) -> int:
-        return self.n // self.node_size(level)
+        return self.stacks[level].num_nodes
 
     def noiseless_bits(self, defectives) -> np.ndarray:
         """The noiseless outcome vector.  Up to ``SCALAR_LOOKUPS`` (segment
@@ -84,17 +87,17 @@ class TreeDesign:
         bits = np.zeros(self.t_total, dtype=np.uint8)
         if len(defectives) * len(self.layout) <= SCALAR_LOOKUPS:
             positives = []
-            offset = 0
-            for _, size, t_len, stack in self.levels:
-                for row in stack.rows:
-                    positives.extend(offset + row.test_of(d // size) for d in defectives)
-                    offset += t_len
+            for level, stack in self.stacks.items():
+                size, t_len, test_of = self.node_size(level), stack.t_len, stack.test_of
+                for rep in range(stack.reps):
+                    offset = self.first_test[level] + rep * t_len
+                    positives.extend(offset + test_of(d // size, rep) for d in defectives)
             bits[positives] = 1
         else:
             items = np.asarray(defectives, dtype=np.int64)
-            for level, size, t_len, stack in self.levels:
-                tests = stack.tests_of(items // size)
-                rows = self.first_test[level] + t_len * np.arange(stack.reps)[:, None]
+            for level, stack in self.stacks.items():
+                tests = stack.tests_of(items // self.node_size(level))
+                rows = self.first_test[level] + stack.t_len * np.arange(stack.reps)[:, None]
                 bits[rows + tests] = 1
         return bits
 
@@ -107,8 +110,8 @@ class TreeDesign:
         item i under repetition rep: one stacked lookup over every item
         (small n only)."""
         items = np.arange(self.n, dtype=np.int64)
-        for _, size, t_len, stack in self.levels:
-            yield t_len, stack.tests_of(items // size)
+        for level, stack in self.stacks.items():
+            yield stack.t_len, stack.tests_of(items // self.node_size(level))
 
     def memberships_per_item(self) -> list[int]:
         """Number of tests each item participates in: one per segment that
@@ -140,13 +143,14 @@ def decode_tree(design: TreeDesign,
     if tuple(outcomes.layout) != tuple(design.layout):
         raise ValueError("outcome layout does not match this design")
     start = time.perf_counter_ns()
-    top, _, top_len, _ = design.levels[0]
+    levels = iter(design.stacks.items())
+    top, top_stack = next(levels)
     alive = np.flatnonzero(outcomes.segment(top, 0))
-    reads = visited = top_len
+    reads = visited = top_stack.t_len
     pd_peak = len(alive)
     offsets = np.arange(design.branching, dtype=np.int64)
 
-    for level, _, _, stack in design.levels[1:]:
+    for level, stack in levels:
         alive = (alive[:, None] * design.branching + offsets).ravel()
         pd_peak = max(pd_peak, len(alive))
         visited += len(alive)

@@ -1,8 +1,8 @@
 """Scalar reference implementations that the array-native fast paths are
 tested against: the node-by-node gamma and rho decoders and the depth-first
-noisy lookahead decoder, one ``OutcomeVector.get`` and one placement
-``test_of`` at a time (each segment's placement from
-:func:`placement_of`); the set-based flat design (its per-test evaluation,
+noisy lookahead decoder, one ``OutcomeVector.get`` and one scalar
+``stack.test_of(node, rep)`` at a time (a whole segment's tests from
+:func:`segment_table`); the set-based flat design (its per-test evaluation,
 COMP, NCOMP and the oracles' bitmasks over tuples of member sets), its
 per-item constant-weight draw and the one-test outcome; the per-segment
 flattening of a tree design and its one-test-at-a-time noiseless outcome
@@ -21,10 +21,12 @@ from splitgt.baselines import FlatDesign
 from splitgt.core import DecodeReport, NoiseChannel, RandomnessKey
 
 
-def placement_of(design, level: int, rep: int):
-    """The placement of segment (level, rep) of a tree design: repetition
-    ``rep``'s own row of the level's stack."""
-    return design.stacks[level].rows[rep]
+def segment_table(design, level: int, rep: int) -> np.ndarray:
+    """The test of every node of ``level`` under repetition ``rep``, one
+    scalar ``test_of`` of the level's stack at a time (small levels only)."""
+    stack = design.stacks[level]
+    return np.array([stack.test_of(node, rep) for node in range(stack.num_nodes)],
+                    dtype=np.int64)
 
 
 def _report(design, outcomes, estimate, seen, visited, pd_peak):
@@ -62,7 +64,7 @@ def decode_gamma_scalar(design, outcomes) -> DecodeReport:
         survivors = []
         for node in pd:
             visited += 1
-            test = placement_of(design, level, 0).test_of(node)
+            test = design.stacks[level].test_of(node, 0)
             seen.add((level, 0, test))
             if outcomes.get(level, 0, test):
                 survivors.append(node)
@@ -74,7 +76,7 @@ def decode_gamma_scalar(design, outcomes) -> DecodeReport:
         visited += 1
         clean = True
         for rep in range(params.final_reps):
-            test = placement_of(design, gp, rep).test_of(item)
+            test = design.stacks[gp].test_of(item, rep)
             seen.add((gp, rep, test))
             if not outcomes.get(gp, rep, test):
                 clean = False
@@ -109,7 +111,7 @@ def decode_rho_scalar(design, outcomes) -> DecodeReport:
             visited += 1
             alive = True
             for rep in range(params.n_reps):
-                test = placement_of(design, level, rep).test_of(node)
+                test = design.stacks[level].test_of(node, rep)
                 seen.add((level, rep, test))
                 if not outcomes.get(level, rep, test):
                     alive = False
@@ -125,7 +127,7 @@ def decode_rho_scalar(design, outcomes) -> DecodeReport:
         visited += 1
         clean = True
         for rep in range(params.c_final):
-            test = placement_of(design, params.c_depth, rep).test_of(item)
+            test = design.stacks[params.c_depth].test_of(item, rep)
             seen.add((params.c_depth, rep, test))
             if not outcomes.get(params.c_depth, rep, test):
                 clean = False
@@ -140,7 +142,7 @@ def decode_rho_scalar(design, outcomes) -> DecodeReport:
 
 def _log2n(design) -> int:
     """The singleton level: the noisy tree's last."""
-    return design.levels[-1][0]
+    return design.layout[-1][0]
 
 
 class LabelCache:
@@ -174,7 +176,7 @@ def intermediate_label(node, level, design, outcomes, cache) -> int:
     reps = design.params.n_reps
     positives = 0
     for rep in range(reps):
-        test = placement_of(design, level, rep).test_of(node)
+        test = design.stacks[level].test_of(node, rep)
         cache.seen.add((level, rep, test))
         positives += outcomes.get(level, rep, test)
     label = 1 if 2 * positives > reps else 0
@@ -196,7 +198,7 @@ def final_level_batch_label(item, batch, design, outcomes, cache) -> int:
     positives = 0
     for j in range(reps):
         seq = batch * reps + j
-        test = placement_of(design, level, seq).test_of(item)
+        test = design.stacks[level].test_of(item, seq)
         cache.seen.add((level, seq, test))
         positives += outcomes.get(level, seq, test)
     label = 1 if 2 * positives > reps else 0
@@ -259,7 +261,7 @@ def decode_noisy_scalar(design, outcomes, use_cache: bool = True) -> DecodeRepor
     start = time.perf_counter_ns()
     cache = LabelCache(enabled=use_cache)
     visited = 0
-    log2k = design.levels[0][0]
+    log2k = design.layout[0][0]
     pd = list(range(1 << log2k))
     pd_peak = len(pd)
 
@@ -337,7 +339,7 @@ def flatten_design_per_segment(design) -> FlatDesign:
     items = np.arange(design.n)
     offset = 0
     for level, rep, t_len in design.layout:
-        table = placement_of(design, level, rep).table()
+        table = segment_table(design, level, rep)
         members[offset + table[items // design.node_size(level)], items] = True
         offset += t_len
     return FlatDesign(members)
@@ -450,30 +452,11 @@ def keyed_permutation_test(round_keys: list[int], node: int, bits: int, shift: i
     return (int(left + right, 2) if bits else 0) >> shift
 
 
-class ExplicitTable:
-    """Fully random placement with the whole node->test array retained."""
-
-    def __init__(self, num_nodes: int, t_len: int, assignments: np.ndarray):
-        self.num_nodes = num_nodes
-        self.t_len = t_len
-        self._table = assignments
-        self.storage_cost = num_nodes
-
-    def test_of(self, node: int) -> int:
-        return int(self._table[node])
-
-    def tests_of(self, nodes: np.ndarray) -> np.ndarray:
-        return self._table[nodes].astype(np.int64, copy=False)
-
-    def table(self) -> np.ndarray:
-        return self.tests_of(np.arange(self.num_nodes, dtype=np.int64))
-
-
 class ExplicitStack:
     """``reps`` fully random placements of the same nodes, drawn from one
     generator as one (reps x num_nodes) table: the i.i.d. placement as the
-    paper stores it.  ``rows[i]`` is repetition i's :class:`ExplicitTable`,
-    a view of row i.
+    paper stores it, with the stack protocol of
+    :class:`splitgt.placements.CounterHashStack`.
 
     The table is int32 whenever every test fits; bounded draws below 2^31
     give the same values at either width, so the placements do not depend
@@ -483,8 +466,14 @@ class ExplicitStack:
         if t_len < 1:
             raise ValueError("t_len must be >= 1")
         dtype = np.int32 if t_len <= 1 << 31 else np.int64
+        self.num_nodes = num_nodes
+        self.t_len = t_len
+        self.reps = reps
+        self.storage_cost = reps * num_nodes
         self.table = rng.integers(0, t_len, size=(reps, num_nodes), dtype=dtype)
-        self.rows = tuple(ExplicitTable(num_nodes, t_len, row) for row in self.table)
+
+    def test_of(self, node: int, rep: int) -> int:
+        return int(self.table[rep, node])
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
-        return self.table[reps, nodes]
+        return self.table[reps, nodes].astype(np.int64, copy=False)

@@ -161,6 +161,18 @@ def test_validate_config_errors():
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             run_trials(TrialConfig(**{"algorithm": "gamma", "n": 256, "k": 2, "gamma": 4,
                                       "trials": 2, **fields}))
+    # float fields that are not finite real numbers, and float fields whose
+    # params formulas overflow or divide by zero
+    for fields, message in ((dict(algorithm="gamma", gamma=5, c_const=math.inf), "c_const"),
+                            (dict(algorithm="gamma", gamma=5, c_const=math.nan), "c_const"),
+                            (dict(algorithm="noisy", p=0.05, epsilon=math.inf), "epsilon"),
+                            (dict(algorithm="rho", rho=16, p=[0.1]), "p must"),
+                            (dict(algorithm="ncomp", threshold=[0.1]), "threshold"),
+                            (dict(algorithm="noisy", p=0.05, t=1e308), "cannot be computed"),
+                            (dict(algorithm="gamma", gamma=5, beta_exp=-1000.0),
+                             "cannot be computed")):
+        with pytest.raises(ValueError, match=message):
+            run_trials(TrialConfig(n=1024, k=4, trials=1, **fields))
 
 
 def test_counters_within_test_budget():

@@ -150,6 +150,13 @@ def test_eta_curve_csv(tmp_path, capsys):
     'gamma --n 1024 --k 4 --gamma 5 --config={"trials":2.5}',
     'gamma --n 1024 --k 4 --config={"gamma":5.5}',
     'rho --n 1024 --k 4 --config={"rho":8.5}',
+    # float fields that cannot be used
+    "gamma --n 1024 --k 4 --gamma 5 --c-const inf",
+    "noisy --n 1024 --k 4 --p 0.05 --epsilon inf",
+    "noisy --n 1024 --k 4 --p 0.05 --t 1e308",
+    "gamma --n 1024 --k 4 --gamma 5 --beta-exp=-1000",
+    'rho --n 1024 --k 4 --rho 16 --config={"p":[0.1]}',
+    'ncomp --n 1024 --k 4 --config={"threshold":[0.1]}',
 ])
 def test_invalid_config_exits_2_before_any_trial(argv, capsys, tmp_path):
     args = argv.split()

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import ExplicitStack, counter_hash_test, counter_row_keys, placement_of
+from scalar_reference import ExplicitStack, counter_hash_test, counter_row_keys
 from splitgt import bench
 from splitgt.core import RandomnessKey
 from splitgt.gamma import build_gamma_design, gamma_params
@@ -33,7 +33,7 @@ T_LENS = [1, 2, 3, 40, 2 ** 31, 2 ** 32 + 1, 2 ** 62]
 ALPHA = 1e-6
 
 
-# --- differential: stack, row and scalar lookups against the reference ----
+# --- differential: stacked and scalar lookups against the reference -------
 
 
 @settings(max_examples=80, deadline=None)
@@ -63,9 +63,8 @@ def test_counter_hash_matches_reference(log_nodes, t_len, reps, seed, data):
     grid = stack.tests_of(nodes, slice(first, last))
     assert grid.dtype == np.int64 and grid.tolist() == expected
     for r, want in zip(range(first, last), expected):
-        row = stack.rows[r]
-        assert row.tests_of(nodes).tolist() == want
-        assert [row.test_of(v) for v in nodes.tolist()] == want
+        assert stack.tests_of(nodes, slice(r, r + 1))[0].tolist() == want
+        assert [stack.test_of(v, r) for v in nodes.tolist()] == want
 
 
 @pytest.mark.parametrize("t_len", [0, 2 ** 63])
@@ -76,22 +75,20 @@ def test_counter_hash_rejects_t_len_out_of_range(t_len):
 
 @pytest.mark.parametrize("scheme", ["gamma", "noisy"])
 def test_full_design_rows_follow_one_key(scheme):
-    """Every hashed segment of a full-mode design is a counter-hash row, and
+    """Every hashed level of a full-mode design is a counter-hash stack, and
     the row keys are those of the one design key, in layout order."""
     key, n = RandomnessKey(31, (5, "design")), 2 ** 12
     if scheme == "gamma":
         design = build_gamma_design(gamma_params(n, 4, 6), n, key)
     else:
         design = build_noisy_design(noisy_params(n, 8, 0.05), n, 8, key)
-    hashed = [(level, stack) for level, _, _, stack in design.levels
-              if isinstance(stack, CounterHashStack)]
-    assert len(hashed) == len(design.levels) - (scheme == "gamma")  # gamma's level 1 is identity
-    keys = counter_row_keys(key, sum(stack.reps for _, stack in hashed))
-    segments = [(level, rep) for level, stack in hashed for rep in range(stack.reps)]
-    for (level, rep), row_key in zip(segments, keys):
-        placement = placement_of(design, level, rep)
-        node = placement.num_nodes - 1
-        assert placement.test_of(node) == counter_hash_test(row_key, node, placement.t_len)
+    hashed = [stack for stack in design.stacks.values() if isinstance(stack, CounterHashStack)]
+    assert len(hashed) == len(design.stacks) - (scheme == "gamma")  # gamma's level 1 is identity
+    keys = counter_row_keys(key, sum(stack.reps for stack in hashed))
+    segments = [(stack, rep) for stack in hashed for rep in range(stack.reps)]
+    for (stack, rep), row_key in zip(segments, keys):
+        node = stack.num_nodes - 1
+        assert stack.test_of(node, rep) == counter_hash_test(row_key, node, stack.t_len)
 
 
 def test_full_designs_store_no_table():
@@ -101,14 +98,14 @@ def test_full_designs_store_no_table():
     n, k = 2 ** 40, 16
     params = gamma_params(n, k, 6)
     design = build_gamma_design(params, n, RandomnessKey(3))
-    assert design.storage_words == 1 + sum(stack.reps * (n // size)
-                                           for _, size, _, stack in design.levels[1:])
+    assert design.storage_words == 1 + sum(stack.reps * (n // design.node_size(level))
+                                           for level, stack in list(design.stacks.items())[1:])
     result = bench.run_trials(bench.TrialConfig(algorithm="gamma", n=n, k=k, gamma=6,
                                                 trials=2, base_seed=5))
     assert result.error is None and result.successes == 2
     design = build_noisy_design(noisy_params(n, k, 0.05), n, k, RandomnessKey(3))
     assert design.storage_words == sum(stack.reps * (1 << level)
-                                       for level, _, _, stack in design.levels)
+                                       for level, stack in design.stacks.items())
 
 
 # --- statistics of the placement -------------------------------------------

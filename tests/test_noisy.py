@@ -13,7 +13,6 @@ from scalar_reference import (
     decode_noisy_scalar,
     final_label,
     intermediate_label,
-    placement_of,
     singleton_final_label,
 )
 from splitgt import bench, noisy
@@ -101,7 +100,7 @@ def _outcomes(design, positions):
 
 
 def _node_test_positions(design, level, node, reps):
-    return [(level, rep, placement_of(design, level, rep).test_of(node)) for rep in reps]
+    return [(level, rep, design.stacks[level].test_of(node, rep)) for rep in reps]
 
 
 def test_intermediate_label_majority():
@@ -205,7 +204,7 @@ def test_lookahead_work_bound_per_call():
     bound = 2 ** (params.r + 1)
     for node in range(k):
         cache = LabelCache(enabled=False)  # count raw evaluations per call
-        final_label(node, design.levels[0][0], design, out, cache)
+        final_label(node, design.layout[0][0], design, out, cache)
         assert cache.lookups <= bound
 
 

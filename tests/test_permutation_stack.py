@@ -33,7 +33,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import counter_row_keys, keyed_permutation_test, placement_of
+from scalar_reference import counter_row_keys, keyed_permutation_test
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
     HASH_MODES,
@@ -86,8 +86,9 @@ def test_exact_row_weight_every_t_len(bits):
 @example(bits=1, log_t=0, reps=3, seed=1, data=None)
 @example(bits=0, log_t=0, reps=1, seed=2, data=None)
 def test_stack_matches_rows_and_reference(bits, log_t, reps, seed, data):
-    """The stacked lookup equals, element for element, each row's
-    ``tests_of`` and scalar ``test_of``, and the pure-Python reference."""
+    """The stacked lookup equals, element for element, the lookup of each
+    repetition alone, the scalar ``test_of``, and the pure-Python
+    reference."""
     num, log_t = 1 << bits, min(log_t, bits)
     stack, = balanced_stacks([(num, 1 << log_t, reps)], RandomnessKey(seed), "kwise")
     if data is None:
@@ -100,13 +101,13 @@ def test_stack_matches_rows_and_reference(bits, log_t, reps, seed, data):
     grid = stack.tests_of(nodes, slice(first, last))
     assert grid.shape == (last - first, len(nodes)) and grid.dtype == np.int64
     for i, rep in enumerate(range(first, last)):
-        row = stack.rows[rep]
+        alone = stack.tests_of(nodes, slice(rep, rep + 1))[0]
         keys = stack.round_keys[rep].tolist()
         want = [keyed_permutation_test(keys, v, bits, bits - log_t) for v in nodes.tolist()]
         assert grid[i].tolist() == want
-        assert row.tests_of(nodes).dtype == np.int64
-        assert row.tests_of(nodes).tolist() == want
-        assert [row.test_of(v) for v in nodes.tolist()] == want
+        assert alone.dtype == np.int64
+        assert alone.tolist() == want
+        assert [stack.test_of(v, rep) for v in nodes.tolist()] == want
 
 
 def test_stack_is_a_bijection_on_small_domains():
@@ -123,7 +124,7 @@ def test_stack_lookup_of_no_nodes():
     for reps, count in [(slice(None), 3), (slice(1, 3), 2), (slice(2, 2), 0)]:
         grid = stack.tests_of(nodes, reps)
         assert grid.shape == (count, 0) and grid.dtype == np.int64
-    assert stack.rows[0].tests_of(nodes).shape == (0,)
+    assert stack.tests_of(nodes, slice(0, 1))[0].shape == (0,)
 
 
 def test_stack_rejects_bad_sizes():
@@ -149,7 +150,8 @@ def test_storage_cost_by_mode():
             stack, = balanced_stacks(shape, RandomnessKey(2), mode)
             row_cost = (1 << bits) if mode == "full" else rounds + 2
             assert stack.storage_cost == 3 * row_cost
-            assert all(row.storage_cost == row_cost for row in stack.rows)
+            one, = balanced_stacks([(1 << bits, 4, 1)], RandomnessKey(2), mode)
+            assert one.storage_cost == row_cost
 
 
 @pytest.mark.parametrize("hash_mode", HASH_MODES)
@@ -159,7 +161,7 @@ def test_rho_design_keys_follow_one_key(hash_mode):
     and only the storage accounting depends on the mode."""
     n, key = 2 ** 12, RandomnessKey(31, (5, "design"))
     design = build_rho_design(rho_params(n, 4, 2 ** 6, c_depth=3), n, key, hash_mode)
-    stacks = [stack for _, _, _, stack in design.levels[1:]]
+    stacks = list(design.stacks.values())[1:]
     assert all(isinstance(stack, PermutationStack) for stack in stacks)
     got = np.concatenate([stack.round_keys.ravel() for stack in stacks]).tolist()
     assert got == counter_row_keys(key, len(got))
@@ -180,9 +182,10 @@ def test_rho_size_cap_every_mode(hash_mode):
         design = build_rho_design(params, n, RandomnessKey(seed), hash_mode)
         assert design.max_items_per_test() <= rho_cap
         for level, rep, _ in design.layout[1:]:
-            placement = placement_of(design, level, rep)
-            counts = np.bincount(placement.table(), minlength=placement.t_len)
-            assert np.all(counts == placement.row_weight)
+            stack = design.stacks[level]
+            nodes = np.arange(stack.num_nodes, dtype=np.int64)
+            counts = np.bincount(stack.tests_of(nodes)[rep], minlength=stack.t_len)
+            assert np.all(counts == stack.num_nodes // stack.t_len)
 
 
 # --- statistics of the permutation -----------------------------------------

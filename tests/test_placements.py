@@ -9,9 +9,8 @@ from scalar_reference import ExplicitStack, next_primes_by_trial_division
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
     CounterHashStack,
-    IdentityPlacement,
+    IdentityStack,
     PolynomialStack,
-    RowStack,
     balanced_stacks,
     row_keys,
     smallest_prime_at_least,
@@ -23,19 +22,24 @@ def key(i=0):
     return RandomnessKey(1234, (i,))
 
 
-def uniform(num_nodes, t_len, k):
-    """One i.i.d. placement, a counter hash: a one-row stack."""
-    return uniform_style_stacks([(num_nodes, t_len, 1)], k, "full")[0].rows[0]
+def uniform(num_nodes, t_len, k, reps=1):
+    """``reps`` i.i.d. placements, counter hashes: one stack."""
+    return uniform_style_stacks([(num_nodes, t_len, reps)], k, "full")[0]
 
 
-def hashed(num_nodes, t_len, degree, k):
-    """One degree-``degree`` polynomial hash: a one-row stack."""
-    return PolynomialStack(num_nodes, t_len, 1, degree, k.generator()).rows[0]
+def hashed(num_nodes, t_len, degree, k, reps=1):
+    """``reps`` degree-``degree`` polynomial hashes: one stack."""
+    return PolynomialStack(num_nodes, t_len, reps, degree, k.generator())
 
 
 def balanced(num_nodes, t_len, k, hash_mode="full", reps=1):
     """``reps`` balanced placements: one keyed-permutation stack."""
     return balanced_stacks([(num_nodes, t_len, reps)], k, hash_mode)[0]
+
+
+def table(stack, rep=0):
+    """The test of every node under repetition ``rep`` (small sizes only)."""
+    return stack.tests_of(np.arange(stack.num_nodes, dtype=np.int64))[rep]
 
 
 def test_smallest_prime():
@@ -61,21 +65,21 @@ def test_smallest_prime_large(log_x, gap):
 
 def test_uniform_single_bucket():
     p = uniform(4, 1, key())
-    assert [p.test_of(j) for j in range(4)] == [0, 0, 0, 0]
+    assert [p.test_of(j, 0) for j in range(4)] == [0, 0, 0, 0]
 
 
 def test_uniform_deterministic():
     a = uniform(1000, 16, key(3))
     b = uniform(1000, 16, key(3))
-    assert np.array_equal(a.table(), b.table())
-    assert not np.array_equal(a.table(), uniform(1000, 16, key(4)).table())
+    assert np.array_equal(table(a), table(b))
+    assert not np.array_equal(table(a), table(uniform(1000, 16, key(4))))
 
 
 def test_uniform_bucket_counts():
     # chi-square style check: per-bucket counts within 5 sigma of the mean
     num, t_len = 100_000, 10
     p = uniform(num, t_len, key(7))
-    counts = np.bincount(p.table(), minlength=t_len)
+    counts = np.bincount(table(p), minlength=t_len)
     mean = num / t_len
     sigma = (num * (1 / t_len) * (1 - 1 / t_len)) ** 0.5
     assert np.all(np.abs(counts - mean) <= 5 * sigma)
@@ -88,7 +92,7 @@ def test_hashed_rejects_low_degree():
 
 def test_hashed_single_node():
     p = hashed(1, 8, 2, key())
-    assert 0 <= p.test_of(0) < 8
+    assert 0 <= p.test_of(0, 0) < 8
 
 
 def test_hashed_storage_independent_of_size():
@@ -106,7 +110,7 @@ def test_hashed_pairwise_collision_rate():
     hits = sum(
         1
         for i in range(draws)
-        if (lambda p: p.test_of(3) == p.test_of(71))(hashed(num, t_len, 2, base.child(i)))
+        if (lambda p: p.test_of(3, 0) == p.test_of(71, 0))(hashed(num, t_len, 2, base.child(i)))
     )
     target = 1 / t_len
     sigma = (target * (1 - target) / draws) ** 0.5
@@ -116,24 +120,24 @@ def test_hashed_pairwise_collision_rate():
 
 def test_hashed_table_matches_scalar():
     p = hashed(257, 12, 4, key(9))
-    assert [p.test_of(j) for j in range(257)] == list(p.table())
+    assert [p.test_of(j, 0) for j in range(257)] == list(table(p))
     # past n = 2^32 the prime's square no longer fits in 64 bits
     for num in (2 ** 33, 2 ** 40):
         p = hashed(num, 1000, 4, key(9))
         nodes = np.arange(num - 257, num, dtype=np.int64)
-        assert p.tests_of(nodes).tolist() == [p.test_of(j) for j in nodes.tolist()]
+        assert p.tests_of(nodes)[0].tolist() == [p.test_of(j, 0) for j in nodes.tolist()]
 
 
 def test_balanced_exact_weights():
-    p = balanced(8, 4, key()).rows[0]
-    counts = np.bincount(p.table(), minlength=4)
+    p = balanced(8, 4, key())
+    counts = np.bincount(table(p), minlength=4)
     assert list(counts) == [2, 2, 2, 2]
-    assert p.row_weight == 2
+    assert p.num_nodes // p.t_len == 2
 
 
 def test_balanced_identity_weight():
-    p = balanced(8, 8, key()).rows[0]
-    assert sorted(p.test_of(j) for j in range(8)) == list(range(8))
+    p = balanced(8, 8, key())
+    assert sorted(p.test_of(j, 0) for j in range(8)) == list(range(8))
 
 
 def test_balanced_rejects_non_divisible():
@@ -159,8 +163,8 @@ def test_balanced_collision_rate():
 
 
 def test_truncated_permutation_exact_weights():
-    p = balanced(16, 4, key(), "permutation").rows[0]
-    counts = np.bincount(p.table(), minlength=4)
+    p = balanced(16, 4, key(), "permutation")
+    counts = np.bincount(table(p), minlength=4)
     assert list(counts) == [4, 4, 4, 4]
 
 
@@ -212,12 +216,12 @@ def test_every_backing_total_and_in_range(log_nodes, log_t, seed):
     backings = [
         uniform(num, t_len, k),
         hashed(num, t_len, 3, k),
-        balanced(num, t_len, k).rows[0],
+        balanced(num, t_len, k),
     ]
     for p in backings:
-        table = p.table()
-        assert len(table) == num
-        assert table.min() >= 0 and table.max() < t_len
+        tests = table(p)
+        assert len(tests) == num
+        assert tests.min() >= 0 and tests.max() < t_len
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,14 +232,15 @@ def test_every_backing_total_and_in_range(log_nodes, log_t, seed):
 )
 def test_balanced_weights_exact_for_all_keys(log_nodes, log_t, seed):
     num, t_len = 1 << log_nodes, 1 << min(log_t, log_nodes)
-    for p in balanced(num, t_len, RandomnessKey(seed), reps=3).rows:
-        counts = np.bincount(p.table(), minlength=t_len)
+    p = balanced(num, t_len, RandomnessKey(seed), reps=3)
+    for rep in range(3):
+        counts = np.bincount(table(p, rep), minlength=t_len)
         assert np.all(counts == num // t_len)
 
 
 def test_mode_factories():
     def one(hash_mode, **kw):
-        return uniform_style_stacks([(64, 8, 1)], key(), hash_mode, **kw)[0].rows[0]
+        return uniform_style_stacks([(64, 8, 1)], key(), hash_mode, **kw)[0]
 
     assert one("full").storage_cost == 64
     assert one("kwise", kwise_degree=6).storage_cost == 8
@@ -269,14 +274,13 @@ def test_tests_of_matches_test_of(log_nodes, log_t, hash_t, degree, seed, picks)
     num, t_len = 1 << log_nodes, 1 << min(log_t, log_nodes)
     k = RandomnessKey(seed)
     nodes = np.array([0, num - 1] + [int(f * num) for f in picks], dtype=np.int64)
-    backings = [hashed(num, hash_t, degree, k), uniform(num, hash_t, k),
-                balanced(num, t_len, k).rows[0]]
-    if log_nodes <= 12:  # the table is materialised
-        backings.append(IdentityPlacement(num))
+    backings = [hashed(num, hash_t, degree, k, reps=3), uniform(num, hash_t, k, reps=3),
+                balanced(num, t_len, k, reps=3), IdentityStack(num)]
     for p in backings:
         fast = p.tests_of(nodes)
-        assert fast.dtype == np.int64
-        assert fast.tolist() == [p.test_of(j) for j in nodes.tolist()]
+        assert fast.dtype == np.int64 and fast.shape == (p.reps, len(nodes))
+        for rep in range(p.reps):
+            assert fast[rep].tolist() == [p.test_of(j, rep) for j in nodes.tolist()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,15 +293,15 @@ def test_tests_of_matches_test_of(log_nodes, log_t, hash_t, degree, seed, picks)
     data=st.data(),
 )
 def test_stack_rows_match_stacked_lookup(log_nodes, t_len, reps, backing, seed, data):
-    """A stack's lookup over a range of repetitions gives, row by row, the
-    tests of each repetition's own placement."""
+    """A stack's lookup over a range of repetitions gives, row by row, its
+    lookup of each repetition alone and its scalar lookups."""
     num = 1 << log_nodes
     if backing == "counter":
         stack = CounterHashStack(num, t_len, row_keys(RandomnessKey(seed), reps))
     else:
         stack = PolynomialStack(num, t_len, reps, 2 if backing == "degree2" else 5,
                                 RandomnessKey(seed).generator())
-    assert len(stack.rows) == reps == stack.reps
+    assert stack.reps == reps
     first = data.draw(st.integers(min_value=0, max_value=reps - 1))
     last = data.draw(st.integers(min_value=first + 1, max_value=reps))
     nodes = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=num - 1),
@@ -305,10 +309,10 @@ def test_stack_rows_match_stacked_lookup(log_nodes, t_len, reps, backing, seed, 
     grid = stack.tests_of(nodes, slice(first, last))
     assert grid.shape == (last - first, len(nodes)) and grid.dtype == np.int64
     for i, rep in enumerate(range(first, last)):
-        row = stack.rows[rep]
-        assert row.tests_of(nodes).dtype == np.int64
-        assert np.array_equal(grid[i], row.tests_of(nodes))
-        assert grid[i].tolist() == [row.test_of(int(v)) for v in nodes]
+        alone = stack.tests_of(nodes, slice(rep, rep + 1))[0]
+        assert alone.dtype == np.int64
+        assert np.array_equal(grid[i], alone)
+        assert grid[i].tolist() == [stack.test_of(int(v), rep) for v in nodes]
 
 
 @pytest.mark.parametrize("t_len", [1, 300, 2 ** 31, 2 ** 31 + 1, 2 ** 40])
@@ -320,6 +324,9 @@ def test_explicit_stack_width_keeps_draws(t_len):
     assert stack.table.dtype == (np.int32 if t_len <= 2 ** 31 else np.int64)
     expected = RandomnessKey(5).generator().integers(0, t_len, size=(3, 64), dtype=np.int64)
     assert np.array_equal(stack.table, expected)
+    grid = stack.tests_of(np.arange(64, dtype=np.int64))
+    assert grid.dtype == np.int64
+    assert grid.tolist() == [[stack.test_of(j, rep) for j in range(64)] for rep in range(3)]
 
 
 @pytest.mark.parametrize("backing", ["counter", "polynomial", "identity", "balanced",
@@ -333,11 +340,12 @@ def test_stack_lookup_of_no_nodes(backing):
     elif backing == "polynomial":
         stack = PolynomialStack(num, t_len, reps, 3, key().generator())
     elif backing == "identity":
-        stack = RowStack([IdentityPlacement(num)] * reps)
+        stack = IdentityStack(num)
     else:
         stack = balanced(num, t_len, key(), "full" if backing == "balanced" else "permutation",
                          reps=reps)
     nodes = np.array([], dtype=np.int64)
-    for reps_slice, count in [(slice(None), reps), (slice(1, 3), 2), (slice(2, 2), 0)]:
+    for reps_slice in (slice(None), slice(1, 3), slice(2, 2)):
         grid = stack.tests_of(nodes, reps_slice)
+        count = len(range(stack.reps)[reps_slice])  # the identity has one repetition
         assert grid.shape == (count, 0) and grid.dtype == np.int64

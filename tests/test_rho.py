@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from scalar_reference import placement_of
+from scalar_reference import segment_table
 from splitgt.core import (
     NoiseChannel,
     ProblemInstance,
@@ -25,8 +25,8 @@ def test_params_dimension_arithmetic():
     # level-1 matrices: n/rho tests over n/rho^(1/2) nodes, row weight rho^(1/2)
     assert design.num_nodes(0) == 256
     assert design.num_nodes(1) == 1024
-    placement = placement_of(design, 1, 0)
-    assert placement.row_weight == 4
+    stack = design.stacks[1]
+    assert stack.num_nodes // stack.t_len == 4
 
 
 def test_params_divisor_rule():
@@ -81,12 +81,12 @@ def test_column_weight_one_every_mid_level():
     for level, rep, _ in design.layout:
         if level == 0:
             continue
-        placement = placement_of(design, level, rep)
-        table = placement.table()
+        stack = design.stacks[level]
+        table = segment_table(design, level, rep)
         # every node appears exactly once, with the exact row weight
         assert len(table) == design.num_nodes(level)
         counts = np.bincount(table, minlength=design.num_nodes(0))
-        assert np.all(counts == placement.row_weight)
+        assert np.all(counts == stack.num_nodes // stack.t_len)
 
 
 def _run(n, k, rho_cap, defectives, seed, hash_mode="full", **kw):
@@ -143,9 +143,9 @@ def test_collision_rate_with_defective_set():
     draws, hits = 2000, 0
     base = RandomnessKey(321)
     for i in range(draws):
-        placement = placement_of(build_rho_design(p, n, base.child(i)), 1, 0)
-        my_test = placement.test_of(0)
-        if any(placement.test_of(d) == my_test for d in defective_nodes):
+        stack = build_rho_design(p, n, base.child(i)).stacks[1]
+        my_test = stack.test_of(0, 0)
+        if any(stack.test_of(d, 0) == my_test for d in defective_nodes):
             hits += 1
     bound = k * rho_cap / n
     sigma = (bound * (1 - bound) / draws) ** 0.5

@@ -2,18 +2,52 @@
 
 A traced benchmark run reports a wrapped function that no longer exists as
 unmeasured rather than failing, so a rename in ``splitgt`` would silently
-drop per-layer metrics from its result.  This test loads
-``perfbench/tracing.py`` from its file and checks that nothing is missing.
+drop per-layer metrics from its result.  These tests load
+``perfbench/tracing.py`` from its file, check that nothing is missing, and
+pin what the scalar-lookup counter counts.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from splitgt import bench
+from splitgt.core import RandomnessKey, round_instance
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    """``perfbench/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass module must be importable by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_wraps_every_target():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    assert tracing.Tracer().missing == set()
+    assert _load("tracing").Tracer().missing == set()
+
+
+def test_lookup_counter_counts_scalar_lookups_of_tree_desk():
+    """On every tree-desk cell one traced trial makes one scalar
+    ``test_of`` per (defective, segment) pair: ``noiseless_bits`` takes its
+    scalar path there, and the decoders look up no node one at a time."""
+    tracing, workloads = _load("tracing"), _load("workloads")
+    lookups = []
+    for cell in workloads.WORKLOADS["tree-desk"]:
+        config = bench.TrialConfig(**workloads.config_fields("tree-desk", 1, cell, 0))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            _, record, counts = tracer.run_trial(bench.run_trial, config, 0)
+        finally:
+            tracer.uninstall()
+        n, k, _ = round_instance(config.n, config.k, config.rho)
+        scheme = bench.SCHEMES[config.algorithm]
+        design = scheme.build(config, scheme.params(config, n, k), n, k,
+                              RandomnessKey(config.base_seed, (0,)).child("design"))
+        assert counts[tracing.LOOKUPS] == len(record["defectives"]) * len(design.layout)
+        lookups.append(counts[tracing.LOOKUPS])
+    assert lookups == [24, 24, 28]
