@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_perf.py --out BENCH_8.json \\
+    python3 scripts/bench_perf.py --out BENCH_13.json \\
         --run parent=../parent-checkout --run change=.
 
 ``--out`` is required, so that a run never overwrites an earlier ledger by
@@ -13,7 +13,10 @@ points of ROADMAP.md's table), a gamma-full ladder at n = 2^12, 2^16, 2^20,
 whose top rung, n = 2^24, is the ``POINTS`` entry of that name, and a
 rho-full ladder at n = 2^14, 2^17, 2^20 (k = 16, rho = 2^8), whose
 balanced placements are keyed permutations computed only at the nodes a
-trial touches.  Every point goes
+trial touches, and a noisy-full ladder at n = 2^12, 2^16, 2^20 (k = 16,
+p = 0.05).  The trials/s column goes through ``run_trials``, which decodes
+a call's noisy trials as one batch; the phase columns come from traced
+``run_trial`` calls, batches of one.  Every point goes
 through ``measure_point`` (median params, build, evaluate and decode time
 per traced trial, and untraced trials/s; wall-clock, not probe-scaled) for
 ``BUDGET_S`` seconds per pass, in a fresh interpreter, and the checkouts
@@ -38,7 +41,10 @@ LADDER = (tuple((f"gamma full, n=2^{e} k=16", dict(algorithm="gamma", n=2 ** e, 
                 for e in (12, 16, 20))
           + tuple((f"rho full, n=2^{e} k=16 rho=2^8",
                    dict(algorithm="rho", n=2 ** e, k=16, rho=2 ** 8))
-                  for e in (14, 17, 20)))
+                  for e in (14, 17, 20))
+          + tuple((f"noisy full, n=2^{e} k=16 p=0.05",
+                   dict(algorithm="noisy", n=2 ** e, k=16, p=0.05))
+                  for e in (12, 16, 20)))
 LADDER_TOP = "gamma full, n=2^24 k=16"
 # seconds of trials per point and pass; keeps a parent-and-change run well
 # under two minutes

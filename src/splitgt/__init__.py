@@ -22,7 +22,7 @@ from .core import (
     round_instance,
 )
 from .gamma import GammaParams, build_gamma_design, decode_gamma, gamma_params, select_gamma_prime
-from .noisy import NoisyParams, build_noisy_design, decode_noisy, noisy_params
+from .noisy import NoisyParams, build_noisy_design, decode_noisy, decode_noisy_batch, noisy_params
 from .rho import RhoParams, build_rho_design, decode_rho, rho_params
 from .tree import TreeDesign
 

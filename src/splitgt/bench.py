@@ -6,6 +6,12 @@ set, the design and the channel noise each consume their own substream of
 ``RandomnessKey(base_seed, (trial_index,))``, so any run is reproducible and
 trials are independent.  Success means exact set recovery; partial-recovery
 counts are reported as supplementary columns only.
+
+``run_trials`` runs its trials in batches: each trial draws its own defectives,
+design and noise, and a batch's trials are then decoded by one call.  Only the
+noisy scheme decodes a batch of several trials at once; every other scheme's
+batch is a single trial.  ``run_trial`` is the batch of one, so every record,
+batched or not, comes from the same code.
 """
 
 from __future__ import annotations
@@ -209,16 +215,32 @@ class Scheme(NamedTuple):
 
     params: Callable  # (config, n, k) -> params
     build: Callable   # (config, params, n, k, key) -> design
-    decode: Callable  # (config, design, outcomes) -> DecodeReport
+    # (config, designs, outcomes) -> one DecodeReport per trial of a batch
+    decode: Callable
     echo: Callable    # (config, params) -> the result's ``params`` dict
     # (params, n, k) -> bytes of a trial's largest array: the outcome vector
     # (a byte per test), the flat incidence matrix (one per test and item),
     # or the gamma/rho frontier once k top-level nodes expand (8 per child)
     footprint: Callable
+    # (params, n, k) -> the most trials one batch may hold
+    batch: Callable = lambda params, n, k: 1
 
 
 def _tree_echo(config: TrialConfig, params) -> dict:
     return asdict(params)
+
+
+def _each(decode) -> Callable:
+    """A batch decode from a one-trial ``decode(config, design, outcomes)``."""
+    return lambda c, designs, outcomes: [decode(c, d, o) for d, o in zip(designs, outcomes)]
+
+
+def _noisy_decode(config: TrialConfig, designs, outcomes) -> list[DecodeReport]:
+    # a batch of one goes through decode_noisy, the batch decode's one-trial
+    # entry point, so that a wrapper on it (a tracer's span) sees the trial
+    if len(designs) == 1:
+        return [noisy_mod.decode_noisy(designs[0], outcomes[0])[1]]
+    return noisy_mod.decode_noisy_batch(designs, outcomes)
 
 
 def _flat_report(decode, design, outcomes, *args) -> DecodeReport:
@@ -240,7 +262,7 @@ def _flat_scheme(decode, echo) -> Scheme:
     return Scheme(
         lambda c, n, k: baselines.default_baseline_tests(n, k) if c.tests is None else c.tests,
         lambda c, tests, n, k, key: baselines.build_flat_design(n, tests, key, k=k),
-        decode, echo,
+        _each(decode), echo,
         lambda tests, n, k: tests * n)
 
 
@@ -250,7 +272,7 @@ SCHEMES = {
             n, k, c.gamma, beta_n=1.0 / math.log2(n) ** c.beta_exp, c_const=c.c_const,
             gamma_prime=c.gamma_prime),
         lambda c, params, n, k, key: gamma_mod.build_gamma_design(params, n, key, c.hash_mode),
-        lambda c, design, outcomes: gamma_mod.decode_gamma(design, outcomes)[1],
+        _each(lambda c, design, outcomes: gamma_mod.decode_gamma(design, outcomes)[1]),
         _tree_echo,
         lambda params, n, k: _tree_footprint(gamma_mod.gamma_total_tests(params, n),
                                              n // params.level1_size, params.branching, k)),
@@ -260,7 +282,7 @@ SCHEMES = {
             n_reps=DEFAULT_N_REPS if c.reps is None else c.reps,
             c_final=DEFAULT_C_FINAL if c.final_reps is None else c.final_reps),
         lambda c, params, n, k, key: rho_mod.build_rho_design(params, n, key, c.hash_mode),
-        lambda c, design, outcomes: rho_mod.decode_rho(design, outcomes)[1],
+        _each(lambda c, design, outcomes: rho_mod.decode_rho(design, outcomes)[1]),
         _tree_echo,
         lambda params, n, k: _tree_footprint(rho_mod.rho_total_tests(params, n),
                                              n // params.rho, params.branch, k)),
@@ -269,9 +291,11 @@ SCHEMES = {
             n, k, c.p if c.design_p is None else c.design_p, t=c.t, epsilon=c.epsilon,
             mode=c.mode, n_reps=c.reps, r=c.lookahead, c_final=c.final_reps),
         lambda c, params, n, k, key: noisy_mod.build_noisy_design(params, n, k, key, c.hash_mode),
-        lambda c, design, outcomes: noisy_mod.decode_noisy(design, outcomes)[1],
+        _noisy_decode,
         _tree_echo,
-        lambda params, n, k: noisy_mod.noisy_total_tests(params, n, k)),
+        lambda params, n, k: noisy_mod.noisy_total_tests(params, n, k),
+        lambda params, n, k: max(1, noisy_mod.BATCH_BYTES
+                                 // (2 * noisy_mod.noisy_total_tests(params, n, k)))),
     "comp": _flat_scheme(
         lambda c, design, outcomes: _flat_report(baselines.decode_comp, design, outcomes),
         lambda c, tests: {"tests": tests, "p": c.p}),
@@ -292,17 +316,9 @@ def _draw_defectives(config: TrialConfig, key: RandomnessKey) -> tuple[int, ...]
     return tuple(sorted(int(v) for v in rng.choice(config.n, size=count, replace=False)))
 
 
-def run_trial(config: TrialConfig, index: int) -> dict:
-    """One seeded trial; returns the per-trial record used for aggregation."""
-    n, k, _ = _rounded(config)
-    key = RandomnessKey(config.base_seed, (index,))
-    defectives = _draw_defectives(config, key.child("defectives"))
-    instance = ProblemInstance(n=n, k=k, defectives=defectives)
-    channel = config.channel()
-    scheme = SCHEMES[config.algorithm]
-    design = scheme.build(config, scheme.params(config, n, k), n, k, key.child("design"))
-    outcomes = evaluate_design(design, instance, channel, key.child("noise"))
-    report = scheme.decode(config, design, outcomes).with_match(defectives)
+def _record(defectives: tuple[int, ...], outcomes, report: DecodeReport) -> dict:
+    """The per-trial record used for aggregation."""
+    report = report.with_match(defectives)
     est = set(report.estimate)
     truth = set(defectives)
     return {
@@ -320,28 +336,79 @@ def run_trial(config: TrialConfig, index: int) -> dict:
     }
 
 
-def _run_trial_annotated(config: TrialConfig, index: int) -> dict:
+def _run_batch(config: TrialConfig, indices) -> list[dict]:
+    """The seeded trials ``indices``, decoded together; one record per trial,
+    in order."""
+    n, k, _ = _rounded(config)
+    channel = config.channel()
+    scheme = SCHEMES[config.algorithm]
+    trials = []
+    for index in indices:
+        key = RandomnessKey(config.base_seed, (index,))
+        defectives = _draw_defectives(config, key.child("defectives"))
+        instance = ProblemInstance(n=n, k=k, defectives=defectives)
+        design = scheme.build(config, scheme.params(config, n, k), n, k, key.child("design"))
+        trials.append((defectives, design,
+                       evaluate_design(design, instance, channel, key.child("noise"))))
+    reports = scheme.decode(config, [design for _, design, _ in trials],
+                            [outcomes for _, _, outcomes in trials])
+    return [_record(defectives, outcomes, report)
+            for (defectives, _, outcomes), report in zip(trials, reports)]
+
+
+def run_trial(config: TrialConfig, index: int) -> dict:
+    """One seeded trial, the batch of one; returns the per-trial record used
+    for aggregation."""
+    return _run_batch(config, (index,))[0]
+
+
+def _run_batch_annotated(config: TrialConfig, indices: range) -> list[dict]:
     try:
-        return run_trial(config, index)
+        return _run_batch(config, indices)
     except Exception as exc:
-        raise RuntimeError(f"trial {index} failed: {exc}") from exc
+        which = (f"trial {indices[0]}" if len(indices) == 1
+                 else f"trials {indices[0]}-{indices[-1]}")
+        raise RuntimeError(f"{which} failed: {exc}") from exc
+
+
+def _batches(config: TrialConfig) -> tuple[list[range], int]:
+    """The batches of ``run_trials``, and how many of them a worker takes
+    at a time."""
+    n, k, _ = _rounded(config)
+    scheme = SCHEMES[config.algorithm]
+    share = config.trials if config.jobs == 1 else config.trials // (4 * config.jobs)
+    size = max(1, min(share, scheme.batch(scheme.params(config, n, k), n, k)))
+    indices = range(config.trials)
+    return [indices[i:i + size] for i in range(0, config.trials, size)], max(1, share // size)
 
 
 def run_trials(config: TrialConfig) -> AggregateResult:
+    """All trials of ``config``, aggregated.
+
+    The trials run in batches of consecutive indices (see
+    :func:`_run_batch`): all of them, or with ``jobs`` above 1 a chunk of
+    about a quarter of each worker's share, and never more than the
+    scheme's cap (for the noisy scheme, as many trials as keep a batch's
+    outcome vectors and read marks under ``noisy.BATCH_BYTES``; one trial
+    for the others).  Workers run whole batches, and the records come back
+    in index order.  A record's ``wall_nanos`` is its share of its batch's
+    decode time.
+    """
     validate_config(config)
+    batches, per_task = _batches(config)
+    if config.jobs > 1 and len(batches) > 1:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            chunks = list(pool.map(_run_batch_annotated, [config] * len(batches), batches,
+                                   chunksize=per_task))
+    else:
+        chunks = [_run_batch_annotated(config, batch) for batch in batches]
+    return aggregate(config, [record for chunk in chunks for record in chunk])
+
+
+def aggregate(config: TrialConfig, records: list[dict]) -> AggregateResult:
+    """The result of ``config`` from its trials' records, in index order."""
     n, k, _ = _rounded(config)
     scheme = SCHEMES[config.algorithm]
-    echo = scheme.echo(config, scheme.params(config, n, k))
-
-    indices = list(range(config.trials))
-    if config.jobs > 1 and config.trials > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(_run_trial_annotated, [config] * config.trials,
-                                    indices,
-                                    chunksize=max(1, config.trials // (4 * config.jobs))))
-    else:
-        records = [_run_trial_annotated(config, i) for i in indices]
-
     successes = sum(r["exact"] for r in records)
     trials = len(records)
     rate = successes / trials if trials else 0.0
@@ -370,7 +437,7 @@ def run_trials(config: TrialConfig) -> AggregateResult:
         storage_words=max((r["storage_words"] for r in records), default=0),
         seed=config.base_seed,
         hash_mode=config.hash_mode,
-        params=echo,
+        params=scheme.echo(config, scheme.params(config, n, k)),
     )
 
 

@@ -23,6 +23,7 @@ of lookups favours.  The flat baselines build a
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -187,19 +188,26 @@ class OutcomeVector:
     layout: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        offsets = {}
-        total = 0
-        for level, rep, length in self.layout:
-            if (level, rep) in offsets:
-                raise ValueError(f"duplicate segment ({level}, {rep})")
-            offsets[(level, rep)] = (total, length)
-            total += length
+        if len({(level, rep) for level, rep, _ in self.layout}) != len(self.layout):
+            pairs = [(level, rep) for level, rep, _ in self.layout]
+            duplicate = next(pair for i, pair in enumerate(pairs) if pair in pairs[:i])
+            raise ValueError(f"duplicate segment {duplicate}")
+        total = sum(length for _, _, length in self.layout)
         if total != len(self.bits):
             raise ValueError(
                 f"layout totals {total} tests but {len(self.bits)} bits given"
             )
         self.bits.flags.writeable = False
-        object.__setattr__(self, "_offsets", offsets)
+
+    @cached_property
+    def _offsets(self) -> dict:
+        """(level, rep) -> (first test, length), built on the first lookup:
+        a decoder that reads the bits as one array never needs it."""
+        offsets, total = {}, 0
+        for level, rep, length in self.layout:
+            offsets[(level, rep)] = (total, length)
+            total += length
+        return offsets
 
     @property
     def t_total(self) -> int:

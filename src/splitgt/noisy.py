@@ -26,12 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
-from .placements import uniform_style_stacks
+from .placements import trial_stack, uniform_style_stacks
 from .tree import TreeDesign
 
 DEFAULT_T = 2.0
 DEFAULT_EPSILON = 0.6
 PRACTICE_N_REPS = 7
+# A batch decode holds its trials' outcome vectors and read marks, two bytes
+# per test and trial; the harness keeps a batch under this many bytes.
+BATCH_BYTES = 1 << 24
 _CHILDREN = np.arange(2, dtype=np.int64)
 
 
@@ -135,102 +138,154 @@ def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
     return TreeDesign(n, params, 2, zip(levels, stacks))
 
 
-def _votes(design: TreeDesign, grid: np.ndarray, seen: np.ndarray, level: int,
+class _Batch:
+    """The decode state of a batch of trials whose designs share a layout.
+
+    Per level, its trial stack (see :func:`splitgt.placements.trial_stack`)
+    and the position of its first test in a trial's outcome vector; per
+    repetition of a level, the position of its first test from the level's
+    (the final level has the most repetitions).  ``grid`` holds the trials' outcome vectors end to end, trial b's from
+    b * t_total on, and ``seen`` marks the cells read."""
+
+    def __init__(self, designs, outcomes):
+        first = designs[0]
+        self.size = len(designs)
+        self.params, self.t_total = first.params, first.t_total
+        self.bottom = first.layout[-1][0]
+        self.first_test = first.first_test
+        self.stacks = {level: trial_stack([d.stacks[level] for d in designs])
+                       for level in first.stacks}
+        self.rep_starts = self.params.t_len * np.arange(self.stacks[self.bottom].reps)[:, None]
+        self.grid = np.concatenate([vector.bits for vector in outcomes])
+        self.seen = np.zeros(len(self.grid), dtype=bool)
+
+
+def _votes(batch: _Batch, level: int, trials: np.ndarray, offsets: np.ndarray,
            nodes: np.ndarray, first: int, count: int) -> np.ndarray:
-    """Outcomes of the tests of ``nodes`` at ``level`` in sequences
-    first .. first + count - 1, as a (count x nodes) array; marks the cells
-    read in ``seen``."""
-    tests = design.stacks[level].tests_of(nodes, slice(first, first + count))
-    rows = design.first_segment[level] + first + np.arange(count)[:, None]
-    seen[rows, tests] = True
-    return grid[rows, tests]
+    """Outcomes of the tests of the nodes ``nodes``, node i of trial
+    ``trials[i]`` whose outcomes start at ``offsets[i]``, at ``level`` in
+    sequences first .. first + count - 1, as a (count x nodes) array; marks
+    the cells read."""
+    t_len = batch.params.t_len
+    tests = batch.stacks[level].tests_of(nodes, slice(first, first + count), trials)
+    cells = tests + (offsets + (batch.first_test[level] + first * t_len))
+    cells += batch.rep_starts[:count]
+    batch.seen[cells] = True
+    return batch.grid[cells]
 
 
-def _lookahead(design: TreeDesign, grid: np.ndarray, seen: np.ndarray, level: int,
-               roots: np.ndarray) -> tuple[np.ndarray, int]:
-    """Final labels of the nodes ``roots`` at ``level`` (a bool array), and
-    the number of intermediate and batch labels computed.
+def _lookahead(batch: _Batch, level: int, trials: np.ndarray,
+               roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Final labels of the nodes ``roots`` at ``level``, root i of trial
+    ``trials[i]`` (a bool array), and per trial of the batch the number of
+    intermediate and batch labels computed.
 
     A root is positive iff some length-r descendant path carries at least
     r // 2 + 1 positive intermediate labels.  Steps past the final level stay
     on the singleton reached and take its batches in order, one per padding
-    depth.  The search is level-synchronous over (root, node, positives)
-    states: every state at one depth sits at the same level, so each depth
-    is one gather.  A root is accepted as soon as one of its states reaches
-    the target; a state is dropped once its root is accepted or once it can
-    no longer reach the target.
+    depth.  The search is level-synchronous over (trial, root, node,
+    positives) states: every state at one depth sits at the same level, in
+    whichever trial, so each depth is one gather.  A root is accepted as soon
+    as one of its states reaches the target; a state is dropped once its
+    root is accepted or once it can no longer reach the target.
     """
-    reps, r, bottom = design.params.n_reps, design.params.r, design.layout[-1][0]
-    target = r // 2 + 1
-    accepted = np.zeros(len(roots), dtype=bool)
-    owner = np.repeat(np.arange(len(roots)), 2)
+    reps, r, bottom = batch.params.n_reps, batch.params.r, batch.bottom
+    target, half = r // 2 + 1, reps // 2
+    open_roots = np.ones(len(roots), dtype=bool)
+    root_offsets = trials * batch.t_total
+    owner = np.arange(len(roots)).repeat(2)
     nodes = (roots[:, None] * 2 + _CHILDREN).ravel()
     positives = np.zeros(len(nodes), dtype=np.int64)
-    computed = 0
+    lanes = []  # the trial of every label computed, depth by depth
     for depth in range(1, r + 1):
         lvl = level + depth
+        lane_trials = trials[owner]
+        lanes.append(lane_trials)
         if lvl < bottom:
-            votes = _votes(design, grid, seen, lvl, nodes, 0, reps)
+            votes = _votes(batch, lvl, lane_trials, root_offsets[owner], nodes, 0, reps)
         else:
-            votes = _votes(design, grid, seen, bottom, nodes, (lvl - bottom) * reps, reps)
-        computed += len(nodes)
-        positives += 2 * votes.sum(axis=0) > reps
-        accepted[owner[positives >= target]] = True
-        keep = ~accepted[owner] & (positives + (r - depth) >= target)
+            votes = _votes(batch, bottom, lane_trials, root_offsets[owner], nodes,
+                           (lvl - bottom) * reps, reps)
+        positives += votes.sum(axis=0) > half
+        open_roots[owner[positives >= target]] = False
+        keep = open_roots[owner] & (positives >= target - (r - depth))
         owner, nodes, positives = owner[keep], nodes[keep], positives[keep]
         if not len(nodes):
             break
         if lvl < bottom:
-            owner, positives = np.repeat(owner, 2), np.repeat(positives, 2)
+            owner, positives = owner.repeat(2), positives.repeat(2)
             nodes = (nodes[:, None] * 2 + _CHILDREN).ravel()
-    return accepted, computed
+    return ~open_roots, np.bincount(np.concatenate(lanes), minlength=batch.size)
 
 
 def decode_noisy(design: TreeDesign,
                  outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
-    """Descend level by level, keeping the children of every node whose
-    lookahead label is positive; accept a surviving singleton by a majority
-    over all C' * log2 n of its batch labels.
+    """The decode of one trial: the batch of one of
+    :func:`decode_noisy_batch`."""
+    (report,) = decode_noisy_batch([design], [outcomes])
+    return report.estimate, report
 
-    Every segment has length ``t_len``, so the outcomes are read as a
-    (segments x t_len) grid whose row for (level, rep) is
-    ``first_segment[level] + rep``.  ``outcomes_read`` counts distinct
-    outcome cells read, ``labels_computed`` every intermediate and batch
-    label evaluated (no memo across levels).
+
+def decode_noisy_batch(designs, outcomes) -> list[DecodeReport]:
+    """Decode several trials of one configuration at once, one report per
+    trial in order: descend level by level, keeping the children of every
+    node whose lookahead label is positive; accept a surviving singleton by
+    a majority over all C' * log2 n of its batch labels.
+
+    The designs must share their layout; each trial keeps its own keys and
+    its own outcomes.  The descent runs every trial's nodes together, each
+    node tagged with its trial, so a level's lookahead takes the same r
+    gathers for the whole batch as for one trial, and no trial's result
+    depends on the others.  Every segment has length ``t_len``, and the
+    outcome of test j of (level, rep) of trial b sits at ``b * t_total +
+    first_test[level] + rep * t_len + j`` of the batch's outcome vectors
+    laid end to end.  ``outcomes_read`` counts distinct outcome cells read,
+    ``labels_computed`` every intermediate and batch label evaluated (no
+    memo across levels), and ``wall_nanos`` is the batch's decode time
+    divided by its trials.
     """
-    if tuple(outcomes.layout) != tuple(design.layout):
-        raise ValueError("outcome layout does not match this design")
+    if not designs:
+        return []
+    layout = tuple(designs[0].layout)
+    for design, vector in zip(designs, outcomes, strict=True):
+        if tuple(design.layout) != layout:
+            raise ValueError("the designs of one batch must share a layout")
+        if tuple(vector.layout) != layout:
+            raise ValueError("outcome layout does not match this design")
     start = time.perf_counter_ns()
-    reps = design.params.n_reps
-    grid = outcomes.bits.reshape(-1, design.params.t_len)
-    seen = np.zeros(grid.shape, dtype=bool)
-    log2k, log2n = design.layout[0][0], design.layout[-1][0]
-    pd = np.arange(1 << log2k, dtype=np.int64)
-    visited = labels = 0
-    pd_peak = len(pd)
+    count = len(designs)
+    batch = _Batch(designs, outcomes)
+    reps = batch.params.n_reps
+    log2k, log2n = layout[0][0], layout[-1][0]
+    # the possibly-defective nodes of every trial, in trial order
+    trials, pd = np.divmod(np.arange(count << log2k), 1 << log2k)
+    fronts, labels = [trials], 0
 
     for level in range(log2k, log2n):
-        visited += len(pd)
-        accepted, computed = _lookahead(design, grid, seen, level, pd)
+        accepted, computed = _lookahead(batch, level, trials, pd)
         labels += computed
+        trials = trials[accepted].repeat(2)
         pd = (pd[accepted, None] * 2 + _CHILDREN).ravel()
-        pd_peak = max(pd_peak, len(pd))
+        fronts.append(trials)
+    sizes = np.array([np.bincount(front, minlength=count) for front in fronts])
 
-    visited += len(pd)
-    batches = design.params.c_final * log2n
-    votes = _votes(design, grid, seen, log2n, pd, 0, batches * reps)
+    batches = batch.params.c_final * log2n
+    votes = _votes(batch, log2n, trials, trials * batch.t_total, pd, 0, batches * reps)
     batch_labels = 2 * votes.reshape(batches, reps, -1).sum(axis=1) > reps
-    labels += batches * len(pd)
-    estimate = pd[2 * batch_labels.sum(axis=0) > batches]
+    labels += batches * sizes[-1]
+    found = 2 * batch_labels.sum(axis=0) > batches
+    estimate, bounds = pd[found].tolist(), np.searchsorted(trials[found], np.arange(count + 1))
+    labels = labels.tolist()
+    visited, pd_peak = sizes.sum(axis=0).tolist(), sizes.max(axis=0).tolist()
+    read = batch.seen.reshape(count, -1).sum(axis=1).tolist()
 
-    wall = time.perf_counter_ns() - start
-    storage = design.storage_words + pd_peak + (outcomes.t_total + 63) // 64
-    report = DecodeReport(
-        estimate=tuple(estimate.tolist()),
-        outcomes_read=int(np.count_nonzero(seen)),
-        nodes_visited=visited,
+    wall = (time.perf_counter_ns() - start) // count
+    words = (batch.t_total + 63) // 64
+    return [DecodeReport(
+        estimate=tuple(estimate[lo:hi]),
+        outcomes_read=read[b],
+        nodes_visited=visited[b],
         wall_nanos=wall,
-        storage_words=storage,
-        labels_computed=labels,
-    )
-    return report.estimate, report
+        storage_words=designs[b].storage_words + pd_peak[b] + words,
+        labels_computed=labels[b],
+    ) for b, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))]

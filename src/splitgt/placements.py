@@ -26,6 +26,12 @@ A level of a tree design holds all of its repetitions as one stack:
 pure-Python integers, and ``tests_of(nodes, reps)``, the tests of an int64
 array of nodes under the repetitions the slice ``reps`` selects, as a
 (repetitions x nodes) int64 array from one array operation.
+
+:func:`trial_stack` joins the same level of several trials' designs into one
+hashed stack whose keys or coefficients gain a leading trial axis; its
+``tests_of(nodes, reps, trials)`` takes each node's keys from the trial
+``trials`` names for it, so a batch of trials is looked up at once.  A stack
+of one trial's keys, without that axis, ignores ``trials``.
 """
 
 from __future__ import annotations
@@ -122,7 +128,7 @@ def _horner(coeffs, nodes: np.ndarray, prime: int, t_len: int) -> np.ndarray:
     (rows x 1) column, one polynomial per row, so the result is rows x
     nodes.  Exact for every prime below 2^63: products go through
     :func:`_mulmod`."""
-    x = np.asarray(nodes).astype(np.uint64)
+    x = np.asarray(nodes, dtype=np.int64).view(np.uint64)
     p = np.uint64(prime)
     acc = np.zeros_like(x)
     for c in coeffs:
@@ -150,7 +156,7 @@ def _counter_hash(keys, nodes: np.ndarray, t_len: int) -> np.ndarray:
     """``splitmix64(key + node * PHI) mod t_len`` for every (key, node) pair
     the shapes of ``keys`` and ``nodes`` broadcast to, as int64.  The
     remainder of a uniform 64-bit value is biased by at most t_len / 2^64."""
-    x = _splitmix64_array(keys + np.asarray(nodes).astype(np.uint64) * _PHI64)
+    x = _splitmix64_array(keys + np.asarray(nodes, dtype=np.int64).view(np.uint64) * _PHI64)
     return (x % np.uint64(t_len)).view(np.int64)
 
 
@@ -202,14 +208,15 @@ class CounterHashStack:
     """``reps`` fully random placements of the same nodes: repetition r puts
     node j into test ``splitmix64(keys[r] + j * PHI) mod t_len``.  Each
     repetition is accounted as the n-word table of the paper's algorithm
-    that the hash stands for."""
+    that the hash stands for.  A :func:`trial_stack` holds one row of keys
+    per trial."""
 
     def __init__(self, num_nodes: int, t_len: int, keys: np.ndarray):
         _check_t_len(t_len)
         self.num_nodes = num_nodes
         self.t_len = t_len
         self.keys = keys
-        self.reps = len(keys)
+        self.reps = keys.shape[-1]
         self.storage_cost = self.reps * num_nodes
 
     @cached_property
@@ -220,8 +227,11 @@ class CounterHashStack:
         # pure-Python integers: a scalar lookup stays about a microsecond
         return _splitmix64(self._scalar_keys[rep] + node * PHI) % self.t_len
 
-    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
-        return _counter_hash(self.keys[reps, None], nodes, self.t_len)
+    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
+                 trials: np.ndarray | None = None) -> np.ndarray:
+        keys = (self.keys[reps, None] if self.keys.ndim == 1
+                else self.keys[:, reps].take(trials, 0).T)
+        return _counter_hash(keys, nodes, self.t_len)
 
 
 class PolynomialStack:
@@ -233,7 +243,8 @@ class PolynomialStack:
     d coefficients give d-wise independence over the field; the final
     modular reduction adds a bias of at most t_len/prime per bucket, which
     is negligible for the primes used here (>= num_nodes).  ``tests_of`` is
-    one Horner pass over the (repetitions x nodes) grid.
+    one Horner pass over the (repetitions x nodes) grid.  A
+    :func:`trial_stack` holds one coefficient matrix per trial.
     """
 
     def __init__(self, num_nodes: int, t_len: int, reps: int, degree: int,
@@ -261,8 +272,11 @@ class PolynomialStack:
             acc = (acc * node + c) % self.prime
         return acc % self.t_len
 
-    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
-        return _horner(self.coeffs[reps].T[::-1, :, None], nodes, self.prime, self.t_len)
+    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
+                 trials: np.ndarray | None = None) -> np.ndarray:
+        coeffs = (self.coeffs[reps].T[::-1, :, None] if self.coeffs.ndim == 2
+                  else self.coeffs[:, reps].take(trials, 0).transpose(2, 1, 0)[::-1])
+        return _horner(coeffs, nodes, self.prime, self.t_len)
 
 
 class PermutationStack:
@@ -307,6 +321,28 @@ class PermutationStack:
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
         return _permuted_tests(self.round_keys[reps, None, :], nodes, self.bits, self.shift)
+
+
+def trial_stack(stacks):
+    """The same level of several trials' designs as one stack: a copy of
+    the first whose counter-hash keys or polynomial coefficients are the
+    trials' own, stacked along a new leading trial axis.  Its ``tests_of``
+    takes a ``trials`` array, one trial index per node, and gathers each
+    node's keys from its trial; ``test_of`` is not defined on it.  The
+    stack of a single trial is that trial's own stack."""
+    first = stacks[0]
+    if len(stacks) == 1:
+        return first
+    batch = object.__new__(type(first))  # a copy without the scalar caches
+    vars(batch).update((name, value) for name, value in vars(first).items()
+                       if not name.startswith("_"))
+    if isinstance(first, CounterHashStack):
+        batch.keys = np.stack([stack.keys for stack in stacks])
+    elif isinstance(first, PolynomialStack):
+        batch.coeffs = np.stack([stack.coeffs for stack in stacks])
+    else:
+        raise TypeError(f"{type(first).__name__} has no per-trial keys to stack")
+    return batch
 
 
 def row_keys(key: RandomnessKey, count: int) -> np.ndarray:

@@ -54,9 +54,8 @@ class TreeDesign:
     places every node into one of ``stack.t_len`` tests.  Each node has
     ``branching`` children at the next level.  The outcomes of a design
     come in ``layout`` order: one ``(level, rep, t_len)`` segment per
-    repetition, level by level; ``first_segment[level]`` and
-    ``first_test[level]`` index a level's first segment and first test in
-    that order.
+    repetition, level by level; ``first_test[level]`` indexes a level's
+    first test in that order.
     """
 
     def __init__(self, n: int, params, branching: int, levels):
@@ -66,11 +65,10 @@ class TreeDesign:
         self.stacks = dict(levels)
         self.layout = tuple((level, rep, stack.t_len) for level, stack in self.stacks.items()
                             for rep in range(stack.reps))
-        self.first_segment, self.first_test = {}, {}
-        segment = test = 0
+        self.first_test = {}
+        test = 0
         for level, stack in self.stacks.items():
-            self.first_segment[level], self.first_test[level] = segment, test
-            segment += stack.reps
+            self.first_test[level] = test
             test += stack.reps * stack.t_len
         self.t_total = test
 

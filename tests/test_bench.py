@@ -239,3 +239,51 @@ def test_run_trial_calls_entry_points_through_modules(algorithm, monkeypatch):
                          trials=1, base_seed=3)
     bench.run_trial(config, 0)
     assert calls == [name for _, name in ENTRY_POINTS[algorithm]]
+
+
+CONFIGS = {
+    "gamma": dict(gamma=5),
+    "rho": dict(rho=16),
+    "noisy": dict(p=0.05),
+    "comp": dict(),
+    "ncomp": dict(p=0.05),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("algorithm", sorted(CONFIGS))
+def test_run_trials_is_the_aggregate_of_single_trials(algorithm, jobs):
+    """Batching changes no result: ``run_trials`` equals the aggregate of
+    the trials run one at a time, serially or across workers."""
+    config = TrialConfig(algorithm=algorithm, n=256, k=4, trials=10, base_seed=11, jobs=jobs,
+                         **CONFIGS[algorithm])
+    single = bench.aggregate(config, [bench.run_trial(config, i) for i in range(config.trials)])
+    assert run_trials(config).to_dict() == single.to_dict()
+
+
+@pytest.mark.parametrize("jobs,trials,cap,sizes", [
+    (1, 12, 100, [12]),               # one batch for the whole call
+    (1, 12, 5, [5, 5, 2]),            # capped by the byte budget
+    (2, 12, 100, [1] * 12),           # 12 trials // (4 * 2 jobs): one per chunk
+    (2, 40, 100, [5] * 8),            # 40 trials // (4 * 2 jobs): five per chunk
+    (2, 40, 3, [3] * 13 + [1]),
+])
+def test_noisy_batches_follow_jobs_and_byte_cap(jobs, trials, cap, sizes, monkeypatch):
+    """The noisy trials of one call are decoded in batches of consecutive
+    trials: all of them, or each worker's chunk, and fewer where the byte
+    cap on a batch's outcome vectors and read marks says so.  Records come
+    back in index order whatever the batching."""
+    config = TrialConfig(algorithm="noisy", n=256, k=4, p=0.05, trials=trials, base_seed=4,
+                         jobs=jobs)
+    expected = bench.aggregate(config, [bench.run_trial(config, i) for i in range(trials)])
+    tests = noisy.noisy_total_tests(noisy.noisy_params(256, 4, 0.05), 256, 4)
+    monkeypatch.setattr(noisy, "BATCH_BYTES", 2 * tests * cap)
+    batches, _ = bench._batches(config)
+    assert [len(batch) for batch in batches] == sizes
+    assert [i for batch in batches for i in batch] == list(range(trials))
+    assert run_trials(config).to_dict() == expected.to_dict()
+
+
+def test_other_schemes_run_one_trial_per_batch():
+    config = _gamma_config(trials=12)
+    assert [len(batch) for batch in bench._batches(config)[0]] == [1] * 12

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -346,3 +347,86 @@ def test_decode_matches_depth_first_reference(log_n, log_k, n_reps, r, hash_mode
     singletons = report.nodes_visited - upper_nodes
     assert (report.labels_computed - upper_labels
             == params.c_final * log_n * singletons)
+
+
+def _trial(n, k, seed, hash_mode, channel, count, params):
+    """One design and its outcomes; ``count`` defectives drawn from ``seed``."""
+    design = build_noisy_design(params, n, k, RandomnessKey(seed, ("design",)), hash_mode)
+    rng = np.random.default_rng(seed)
+    defectives = tuple(int(d) for d in rng.choice(n, size=count, replace=False))
+    out = evaluate_design(design, ProblemInstance(n=n, k=k, defectives=defectives),
+                          channel, RandomnessKey(seed, ("noise",)))
+    return design, out
+
+
+@pytest.mark.parametrize("hash_mode", ["full", "kwise", "pairwise"])
+@pytest.mark.parametrize("size", [1, 2, 5, 12])
+@pytest.mark.parametrize("p01,p10", [(p01, p10) for p01 in (0.0, 0.05, 0.3)
+                                     for p10 in (0.0, 0.05, 0.3)])
+def test_batch_decode_matches_separate_decodes(hash_mode, size, p01, p10):
+    """Decoding trials together gives each trial exactly its own decode:
+    the same estimate and the same counters.  The batch mixes trials with
+    no defectives (whose frontier empties at the first level when the
+    channel is quiet) with trials of up to k defectives."""
+    n, k = 2 ** 8, 4
+    params = noisy_params(n, k, 0.05, n_reps=3)
+    channel = NoiseChannel(p01=p01, p10=p10)
+    trials = [_trial(n, k, 1000 * size + i, hash_mode, channel, i % (k + 1), params)
+              for i in range(size)]
+    designs, outs = [d for d, _ in trials], [o for _, o in trials]
+    batched = noisy.decode_noisy_batch(designs, outs)
+    assert len(batched) == size
+    for design, out, report in zip(designs, outs, batched):
+        estimate, alone = decode_noisy(design, out)
+        reference = decode_noisy_scalar(design, out)
+        assert report.estimate == estimate == reference.estimate
+        assert report.nodes_visited == reference.nodes_visited
+        assert all(isinstance(item, int) for item in report.estimate)
+        for name in ("outcomes_read", "nodes_visited", "labels_computed", "storage_words"):
+            assert getattr(report, name) == getattr(alone, name), name
+            assert isinstance(getattr(report, name), int), name
+
+
+@pytest.mark.parametrize("hash_mode", ["kwise", "pairwise"])
+def test_batch_decode_matches_separate_decodes_past_2_32_nodes(hash_mode):
+    """Per-trial polynomial coefficients through the split multiply that a
+    prime above 2^32 takes."""
+    n, k = 2 ** 40, 2
+    params = noisy_params(n, k, 0.05, n_reps=3, r=2)
+    channel = NoiseChannel.symmetric(0.05)
+    trials = [_trial(n, k, seed, hash_mode, channel, seed % (k + 1), params)
+              for seed in range(3)]
+    batched = noisy.decode_noisy_batch([d for d, _ in trials], [o for _, o in trials])
+    for (design, out), report in zip(trials, batched):
+        assert replace(report, wall_nanos=0) == replace(decode_noisy(design, out)[1],
+                                                        wall_nanos=0)
+
+
+def test_batch_decode_frontier_empties_in_some_trials_only():
+    """A trial whose frontier empties at the first level sits in a batch
+    whose other trials descend to the singletons; each keeps its own
+    counters."""
+    n, k = 2 ** 10, 4
+    params = noisy_params(n, k, 0.05)
+    quiet = NoiseChannel.noiseless()
+    trials = [_trial(n, k, seed, "full", quiet, count, params)
+              for seed, count in ((1, 0), (2, 4), (3, 0), (4, 2))]
+    batched = noisy.decode_noisy_batch([d for d, _ in trials], [o for _, o in trials])
+    for (design, out), report in zip(trials, batched):
+        assert replace(report, wall_nanos=0) == replace(decode_noisy(design, out)[1],
+                                                        wall_nanos=0)
+    empty, full = batched[0], batched[1]
+    assert empty.estimate == () and empty.nodes_visited == k
+    assert len(full.estimate) == 4 and full.nodes_visited > empty.nodes_visited
+
+
+def test_batch_decode_rejects_mixed_layouts():
+    n, k = 2 ** 8, 2
+    channel = NoiseChannel.noiseless()
+    a = _trial(n, k, 1, "full", channel, 1, noisy_params(n, k, 0.05))
+    b = _trial(n, k, 2, "full", channel, 1, noisy_params(n, k, 0.05, n_reps=5))
+    with pytest.raises(ValueError, match="share a layout"):
+        noisy.decode_noisy_batch([a[0], b[0]], [a[1], b[1]])
+    with pytest.raises(ValueError, match="outcome layout"):
+        noisy.decode_noisy_batch([a[0], a[0]], [a[1], b[1]])
+    assert noisy.decode_noisy_batch([], []) == []
