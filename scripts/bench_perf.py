@@ -16,22 +16,26 @@ balanced placements are keyed permutations computed only at the nodes a
 trial touches, and a noisy-full ladder at n = 2^12, 2^16, 2^20 (k = 16,
 p = 0.05).  The trials/s column goes through ``run_trials``, which decodes
 a call's noisy trials as one batch; the phase columns come from traced
-``run_trial`` calls, batches of one.  Every point goes
-through ``measure_point`` (median params, build, evaluate and decode time
-per traced trial, and untraced trials/s; wall-clock, not probe-scaled) for
-``BUDGET_S`` seconds per pass, in a fresh interpreter, and the checkouts
-take turns point by point, alternating which goes first, so that a drift of
-the host's speed hits every checkout alike.  A run is stamped with the
+``run_trial`` calls, batches of one.  Every point goes through
+``measure_point`` (median params, build, evaluate and decode time per
+traced trial, and untraced trials/s; wall-clock, not probe-scaled) in
+``PASSES`` passes of ``BUDGET_S`` seconds, each in a fresh interpreter, and
+the checkouts take turns pass by pass, alternating which goes first, so
+that a drift of the host's speed hits every checkout alike.  A point
+records, for trials/s and for each phase, the median of its passes and
+their minimum and maximum, so one host hiccup moves the median no more
+than a quiet pass does and shows up as spread.  A run is stamped with the
 checkout's git sha (when it is a repository) and whether ``src/`` matches
 it, a digest of ``src/``, the Python and numpy versions and the core count.
-The output file holds only the runs of this invocation.  Two runs take
-about a minute on 2 cores.
+The output file holds only the runs of this invocation.  Two runs take a
+few minutes on 2 cores.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -46,9 +50,9 @@ LADDER = (tuple((f"gamma full, n=2^{e} k=16", dict(algorithm="gamma", n=2 ** e, 
                    dict(algorithm="noisy", n=2 ** e, k=16, p=0.05))
                   for e in (12, 16, 20)))
 LADDER_TOP = "gamma full, n=2^24 k=16"
-# seconds of trials per point and pass; keeps a parent-and-change run well
-# under two minutes
-BUDGET_S = 1.5
+# passes per point and seconds of trials per pass: three short passes take
+# the time one long pass did, and give a median and a spread
+PASSES, BUDGET_S = 3, 0.5
 
 
 def measure_point(checkout: Path, index: int) -> dict:
@@ -76,6 +80,7 @@ def measure_point(checkout: Path, index: int) -> dict:
             "python": sys.version.split()[0],
             "numpy": numpy.__version__,
             "budget_s": BUDGET_S,
+            "passes": PASSES,
         },
         "point": {
             "label": label,
@@ -87,6 +92,20 @@ def measure_point(checkout: Path, index: int) -> dict:
             "unmeasured": row["missing"],
         },
     }
+
+
+def summarise(passes: list[dict]) -> dict:
+    """One point from its passes: the median, minimum and maximum of its
+    trials/s and of each phase's time, and each pass's trial count."""
+    first = passes[0]
+    point = {name: first[name] for name in ("label", "ladder", "config")}
+    for name in ["trials_per_s", *(name for name in first if name.endswith("_ms"))]:
+        values = [row[name] for row in passes]
+        point[name] = {"median": statistics.median(values), "min": min(values),
+                       "max": max(values)}
+    point["trials"] = [row["trials"] for row in passes]
+    point["unmeasured"] = sorted({name for row in passes for name in row["unmeasured"]})
+    return point
 
 
 def main(argv: list[str]) -> int:
@@ -106,15 +125,22 @@ def main(argv: list[str]) -> int:
     fresh: dict = {}
     index, total = 0, 1
     while index < total:
-        for label, checkout in (runs if index % 2 == 0 else runs[::-1]):
-            child = subprocess.run(
-                [sys.executable, __file__, "--measure", checkout, str(index)],
-                cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
-            got = json.loads(child.stdout.strip().splitlines()[-1])
-            total = got["total"]
-            fresh.setdefault(label, {**got["stamp"], "points": []})["points"].append(got["point"])
-            print(f"{label}: {got['point']['label']}: "
-                  f"{got['point']['trials_per_s']:.4g} trials/s", file=sys.stderr, flush=True)
+        passes: dict = {label: [] for label, _ in runs}
+        for turn in range(PASSES):
+            for label, checkout in (runs if (index + turn) % 2 == 0 else runs[::-1]):
+                child = subprocess.run(
+                    [sys.executable, __file__, "--measure", checkout, str(index)],
+                    cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
+                got = json.loads(child.stdout.strip().splitlines()[-1])
+                total = got["total"]
+                fresh.setdefault(label, {**got["stamp"], "points": []})
+                passes[label].append(got["point"])
+        for label, rows in passes.items():
+            point = summarise(rows)
+            fresh[label]["points"].append(point)
+            rate = point["trials_per_s"]
+            print(f"{label}: {point['label']}: {rate['median']:.4g} trials/s "
+                  f"({rate['min']:.4g}-{rate['max']:.4g})", file=sys.stderr, flush=True)
         index += 1
     (ROOT / args.out).write_text(json.dumps({"runs": fresh}, indent=1, sort_keys=True) + "\n")
     return 0

@@ -168,6 +168,8 @@ def validate_config(config: TrialConfig) -> None:
             "hash mode 'permutation' is balanced, use kwise or pairwise"
         )
     if config.defectives is not None:
+        if not all(isinstance(d, int) for d in config.defectives):
+            raise ValueError(f"explicit defectives must be integers, got {config.defectives!r}")
         if not all(0 <= d < config.n for d in config.defectives):
             raise ValueError(
                 f"explicit defectives must lie in [0, {config.n}); items added by "
@@ -318,11 +320,10 @@ def _draw_defectives(config: TrialConfig, key: RandomnessKey) -> tuple[int, ...]
 
 def _record(defectives: tuple[int, ...], outcomes, report: DecodeReport) -> dict:
     """The per-trial record used for aggregation."""
-    report = report.with_match(defectives)
     est = set(report.estimate)
     truth = set(defectives)
     return {
-        "exact": bool(report.exact_match),
+        "exact": est == truth,
         "outcomes_read": report.outcomes_read,
         "nodes_visited": report.nodes_visited,
         "labels": report.labels_computed,
@@ -342,12 +343,13 @@ def _run_batch(config: TrialConfig, indices) -> list[dict]:
     n, k, _ = _rounded(config)
     channel = config.channel()
     scheme = SCHEMES[config.algorithm]
+    params = scheme.params(config, n, k)
     trials = []
     for index in indices:
         key = RandomnessKey(config.base_seed, (index,))
         defectives = _draw_defectives(config, key.child("defectives"))
         instance = ProblemInstance(n=n, k=k, defectives=defectives)
-        design = scheme.build(config, scheme.params(config, n, k), n, k, key.child("design"))
+        design = scheme.build(config, params, n, k, key.child("design"))
         trials.append((defectives, design,
                        evaluate_design(design, instance, channel, key.child("noise"))))
     reports = scheme.decode(config, [design for _, design, _ in trials],

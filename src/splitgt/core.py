@@ -22,9 +22,9 @@ of lookups favours.  The flat baselines build a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -228,9 +228,8 @@ class OutcomeVector:
 class DecodeReport:
     """Cost counters and the estimate produced by one decode.
 
-    ``exact_match`` is filled by the harness (decoders never see the true
-    defective set); ``storage_words`` follows the accounting used throughout:
-    placement storage + peak possibly-defective set + outcome bits in words.
+    ``storage_words`` follows the accounting used throughout: placement
+    storage + peak possibly-defective set + outcome bits in words.
     """
 
     estimate: tuple[int, ...]
@@ -239,10 +238,6 @@ class DecodeReport:
     wall_nanos: int
     storage_words: int
     labels_computed: int = 0
-    exact_match: Optional[bool] = None
-
-    def with_match(self, defectives: Iterable[int]) -> "DecodeReport":
-        return replace(self, exact_match=(set(self.estimate) == set(defectives)))
 
 
 def evaluate_design(design, instance: ProblemInstance, channel: NoiseChannel,

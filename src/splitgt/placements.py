@@ -27,15 +27,18 @@ pure-Python integers, and ``tests_of(nodes, reps)``, the tests of an int64
 array of nodes under the repetitions the slice ``reps`` selects, as a
 (repetitions x nodes) int64 array from one array operation.
 
-:func:`trial_stack` joins the same level of several trials' designs into one
-hashed stack whose keys or coefficients gain a leading trial axis; its
-``tests_of(nodes, reps, trials)`` takes each node's keys from the trial
-``trials`` names for it, so a batch of trials is looked up at once.  A stack
-of one trial's keys, without that axis, ignores ``trials``.
+A hashed level's keys are the next slice of the design key's
+:func:`row_keys`, so no design draws from a generator.  :func:`trial_stack`
+joins the same level of several trials' designs into one stack whose keys
+gain a leading trial axis; its ``tests_of(nodes, reps, trials)`` takes each
+node's keys from the trial ``trials`` names for it, so a batch of trials is
+looked up at once.  A stack of one trial's keys, without that axis, ignores
+``trials``.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -236,30 +239,35 @@ class CounterHashStack:
 
 class PolynomialStack:
     """``reps`` degree-d polynomial hashes of the same nodes over a prime
-    field, reduced mod t_len: one prime and one (reps x degree) coefficient
-    matrix drawn from one generator, row r holding repetition r's
-    coefficients from the constant term up.
+    field, reduced mod t_len.  Repetition r's coefficient i, from the
+    constant term up, is the 128-bit number of row keys ``keys[r, 2i]``
+    (high) and ``keys[r, 2i + 1]`` (low) mod the prime: uniform on the
+    field up to a bias of prime / 2^128, where one word mod a prime near
+    2^62 would be off by about 1/4.
 
     d coefficients give d-wise independence over the field; the final
     modular reduction adds a bias of at most t_len/prime per bucket, which
     is negligible for the primes used here (>= num_nodes).  ``tests_of`` is
     one Horner pass over the (repetitions x nodes) grid.  A
-    :func:`trial_stack` holds one coefficient matrix per trial.
+    :func:`trial_stack` holds one key matrix per trial.
     """
 
-    def __init__(self, num_nodes: int, t_len: int, reps: int, degree: int,
-                 rng: np.random.Generator):
+    def __init__(self, num_nodes: int, t_len: int, keys: np.ndarray):
+        degree = keys.shape[-1] // 2
         if degree < 2:
             raise ValueError(f"independence degree must be >= 2, got {degree}")
         _check_t_len(t_len)
         self.num_nodes = num_nodes
         self.t_len = t_len
-        self.reps = reps
+        self.keys = keys
+        self.reps = keys.shape[-2]
         self.prime = smallest_prime_at_least(max(num_nodes, t_len, 2))
         if self.prime >= 1 << 63:
             raise ValueError(f"num_nodes={num_nodes} and t_len={t_len} must stay below 2^63")
-        self.coeffs = rng.integers(0, self.prime, size=(reps, degree)).astype(np.uint64)
-        self.storage_cost = reps * (degree + 2)
+        p = np.uint64(self.prime)
+        hi, lo = keys[..., 0::2] % p, keys[..., 1::2] % p
+        self.coeffs = (_mulmod(hi, np.uint64((1 << 64) % self.prime), self.prime) + lo) % p
+        self.storage_cost = self.reps * (degree + 2)
 
     @cached_property
     def _scalar_coeffs(self) -> tuple:
@@ -324,25 +332,16 @@ class PermutationStack:
 
 
 def trial_stack(stacks):
-    """The same level of several trials' designs as one stack: a copy of
-    the first whose counter-hash keys or polynomial coefficients are the
-    trials' own, stacked along a new leading trial axis.  Its ``tests_of``
-    takes a ``trials`` array, one trial index per node, and gathers each
-    node's keys from its trial; ``test_of`` is not defined on it.  The
-    stack of a single trial is that trial's own stack."""
+    """The same level of several trials' designs as one stack of their
+    class, whose keys are the trials' own, stacked along a new leading
+    trial axis.  Its ``tests_of`` takes a ``trials`` array, one trial index
+    per node, and gathers each node's keys from its trial; ``test_of`` is
+    not defined on it.  The stack of a single trial is that trial's own
+    stack."""
     first = stacks[0]
     if len(stacks) == 1:
         return first
-    batch = object.__new__(type(first))  # a copy without the scalar caches
-    vars(batch).update((name, value) for name, value in vars(first).items()
-                       if not name.startswith("_"))
-    if isinstance(first, CounterHashStack):
-        batch.keys = np.stack([stack.keys for stack in stacks])
-    elif isinstance(first, PolynomialStack):
-        batch.coeffs = np.stack([stack.coeffs for stack in stacks])
-    else:
-        raise TypeError(f"{type(first).__name__} has no per-trial keys to stack")
-    return batch
+    return type(first)(first.num_nodes, first.t_len, np.stack([stack.keys for stack in stacks]))
 
 
 def row_keys(key: RandomnessKey, count: int) -> np.ndarray:
@@ -369,26 +368,28 @@ def uniform_style_stacks(shapes, key: RandomnessKey, hash_mode: str,
     independently-placed levels of one design, all from the design key, per
     the hash-mode switch.
 
-    ``full`` is a counter hash whose row keys are drawn once for all of the
-    design's rows, in order; ``kwise`` is a polynomial hash of the supplied
-    degree and ``pairwise`` one of degree two, their coefficients drawn level
-    by level from the key's one generator.  The truncated permutation is
-    balanced rather than i.i.d., so it is rejected here.
+    ``full`` is a counter hash, one row key per repetition; ``kwise`` is a
+    polynomial hash of the supplied degree and ``pairwise`` one of degree
+    two, 2 * degree row keys per repetition.  Either way the levels' keys
+    are cut in order from one :func:`row_keys` call on the design key.  The
+    truncated permutation is balanced rather than i.i.d., so it is rejected
+    here.
     """
     if hash_mode == "full":
-        counts = [reps for _, _, reps in shapes]
-        return [CounterHashStack(num_nodes, t_len, keys) for (num_nodes, t_len, _), keys
-                in zip(shapes, _cut(row_keys(key, sum(counts)), counts))]
-    if hash_mode in ("kwise", "pairwise"):
+        stack, row = CounterHashStack, ()
+    elif hash_mode in ("kwise", "pairwise"):
         degree = max(2, kwise_degree) if hash_mode == "kwise" else 2
-        rng = key.generator()
-        return [PolynomialStack(num_nodes, t_len, reps, degree, rng)
-                for num_nodes, t_len, reps in shapes]
-    if hash_mode == "permutation":
+        stack, row = PolynomialStack, (2 * degree,)
+    elif hash_mode == "permutation":
         raise ValueError(
             "permutation backing is balanced, not i.i.d.; use kwise or pairwise here"
         )
-    raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")
+    else:
+        raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")
+    counts = [reps * math.prod(row) for _, _, reps in shapes]
+    return [stack(num_nodes, t_len, keys.reshape(reps, *row))
+            for (num_nodes, t_len, reps), keys
+            in zip(shapes, _cut(row_keys(key, sum(counts)), counts))]
 
 
 def balanced_stacks(shapes, key: RandomnessKey, hash_mode: str) -> list:

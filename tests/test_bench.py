@@ -139,6 +139,13 @@ def test_validate_config_errors():
                                    defectives=defectives))
     assert run_trials(TrialConfig(algorithm="gamma", n=1000, k=2, gamma=5, trials=3,
                                   defectives=(5, 999))).trials == 3
+    # explicit defectives that are not integers: a float would place item 1
+    # in the instance and report 1.5 as missed, a string would fail a
+    # comparison with a TypeError
+    for defectives in ((1.5, 3), ("2", 3), (2.0, 3)):
+        with pytest.raises(ValueError, match="defectives must be integers"):
+            run_trials(TrialConfig(algorithm="gamma", n=2 ** 10, k=4, gamma=6, trials=3,
+                                   defectives=defectives))
     # range checks: before trial 0, not as a failed trial
     for fields, message in ((dict(algorithm="ncomp", threshold=1.5), "threshold"),
                             (dict(algorithm="ncomp", threshold=-0.5), "threshold"),

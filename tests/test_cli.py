@@ -122,6 +122,27 @@ def test_sweep_error_cell_exits_1(tmp_path):
     assert main(["sweep", "--config", str(cfg)]) == 1
 
 
+def test_sweep_non_integer_defectives_cell_is_an_error_row(tmp_path, monkeypatch):
+    """A sweep cell whose explicit defectives are not integers is recorded
+    as an error row before any of its trials runs."""
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(bench, "_run_batch", no_trial)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "base": {"algorithm": "gamma", "n": 1024, "k": 4, "gamma": 6, "trials": 3},
+        "cells": [{"defectives": [1.5, 3]}, {"defectives": ["2", 3]}],
+    }))
+    out = tmp_path / "rows.json"
+    assert main(["sweep", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())
+    assert len(rows) == 2
+    for row in rows:
+        assert "defectives must be integers" in row["error"] and row["trials"] == 0
+
+
 def test_eta_curve_csv(tmp_path, capsys):
     out_a, out_b = tmp_path / "eta_a.csv", tmp_path / "eta_b.csv"
     assert main(f"eta-curve --gamma 4,10 --theta-steps 9 --out {out_a}".split()) == 0

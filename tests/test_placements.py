@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import ExplicitStack, next_primes_by_trial_division
+from test_counter_hash import chi2_bound, pearson
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
     CounterHashStack,
@@ -14,6 +16,7 @@ from splitgt.placements import (
     balanced_stacks,
     row_keys,
     smallest_prime_at_least,
+    trial_stack,
     uniform_style_stacks,
 )
 
@@ -28,8 +31,10 @@ def uniform(num_nodes, t_len, k, reps=1):
 
 
 def hashed(num_nodes, t_len, degree, k, reps=1):
-    """``reps`` degree-``degree`` polynomial hashes: one stack."""
-    return PolynomialStack(num_nodes, t_len, reps, degree, k.generator())
+    """``reps`` degree-``degree`` polynomial hashes, 2 * degree row keys of
+    ``k`` each: one stack."""
+    return PolynomialStack(num_nodes, t_len,
+                           row_keys(k, reps * 2 * degree).reshape(reps, 2 * degree))
 
 
 def balanced(num_nodes, t_len, k, hash_mode="full", reps=1):
@@ -126,6 +131,54 @@ def test_hashed_table_matches_scalar():
         p = hashed(num, 1000, 4, key(9))
         nodes = np.arange(num - 257, num, dtype=np.int64)
         assert p.tests_of(nodes)[0].tolist() == [p.test_of(j, 0) for j in nodes.tolist()]
+
+
+WORD = st.integers(min_value=0, max_value=2 ** 64 - 1)
+LARGEST_PRIME_BELOW_2_63 = 2 ** 63 - 25
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    at_least=st.integers(min_value=2, max_value=LARGEST_PRIME_BELOW_2_63),
+    degree=st.integers(min_value=2, max_value=6),
+    trials=st.integers(min_value=1, max_value=3),
+    reps=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+@example(at_least=2, degree=2, trials=2, reps=1, data=None)
+@example(at_least=2 ** 62, degree=3, trials=3, reps=2, data=None)
+@example(at_least=LARGEST_PRIME_BELOW_2_63, degree=2, trials=2, reps=2, data=None)
+def test_coefficient_fold_matches_python_integers(at_least, degree, trials, reps, data):
+    """Each coefficient is the 128-bit number of its two row keys mod the
+    prime, for primes from 2 to just below 2^63, in a trial's own stack and
+    in the trial stack of several."""
+    shape = (trials, reps, 2 * degree)
+    if data is None:  # every word at its largest, which no product may overflow
+        words = [2 ** 64 - 1] * math.prod(shape)
+    else:
+        words = data.draw(st.lists(WORD, min_size=math.prod(shape), max_size=math.prod(shape)))
+    keys = np.array(words, dtype=np.uint64).reshape(shape)
+    own = [PolynomialStack(at_least, 1, trial_keys) for trial_keys in keys]
+    prime = own[0].prime
+    assert prime == smallest_prime_at_least(at_least) < 2 ** 63
+    expected = [[[((int(row[2 * i]) << 64) | int(row[2 * i + 1])) % prime
+                  for i in range(degree)] for row in trial_keys] for trial_keys in keys]
+    assert [stack.coeffs.tolist() for stack in own] == expected
+    batch = trial_stack(own)
+    assert batch.coeffs.tolist() == (expected if trials > 1 else expected[0])
+    assert batch.reps == reps and batch.storage_cost == reps * (degree + 2)
+
+
+def test_coefficient_chi_square():
+    """Over many design keys, each coefficient position of a kwise level is
+    uniform on a small prime field."""
+    shape, degree, designs = (31, 1, 2), 3, 4000  # prime 31: about 129 keys per cell
+    coeffs = np.array([uniform_style_stacks([shape], RandomnessKey(77, ("coeffs", i)),
+                                            "kwise", degree)[0].coeffs.ravel()
+                       for i in range(designs)])
+    assert coeffs.shape == (designs, shape[2] * degree)
+    for position in coeffs.T:
+        assert pearson(position.astype(np.int64), 31) <= chi2_bound(31 - 1)
 
 
 def test_balanced_exact_weights():
@@ -299,8 +352,7 @@ def test_stack_rows_match_stacked_lookup(log_nodes, t_len, reps, backing, seed, 
     if backing == "counter":
         stack = CounterHashStack(num, t_len, row_keys(RandomnessKey(seed), reps))
     else:
-        stack = PolynomialStack(num, t_len, reps, 2 if backing == "degree2" else 5,
-                                RandomnessKey(seed).generator())
+        stack = hashed(num, t_len, 2 if backing == "degree2" else 5, RandomnessKey(seed), reps)
     assert stack.reps == reps
     first = data.draw(st.integers(min_value=0, max_value=reps - 1))
     last = data.draw(st.integers(min_value=first + 1, max_value=reps))
@@ -338,7 +390,7 @@ def test_stack_lookup_of_no_nodes(backing):
     if backing == "counter":
         stack = CounterHashStack(num, t_len, row_keys(key(), reps))
     elif backing == "polynomial":
-        stack = PolynomialStack(num, t_len, reps, 3, key().generator())
+        stack = hashed(num, t_len, 3, key(), reps)
     elif backing == "identity":
         stack = IdentityStack(num)
     else:

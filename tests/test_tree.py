@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import decode_gamma_scalar, decode_rho_scalar, noiseless_bits_per_test
-from splitgt import tree
+from splitgt import bench, core, tree
 from splitgt.core import NoiseChannel, ProblemInstance, RandomnessKey, evaluate_design
 from splitgt.gamma import build_gamma_design, decode_gamma, gamma_params
 from splitgt.noisy import build_noisy_design, noisy_params
@@ -111,3 +111,22 @@ def test_noiseless_bits_lookups_agree(monkeypatch, scheme, hash_mode, which):
         bits = design.noiseless_bits(defectives)
         assert bits.dtype == np.uint8
         assert np.array_equal(bits, expected)
+
+
+@pytest.mark.parametrize("scheme,hash_mode", LOOKUP_DESIGNS)
+def test_tree_designs_construct_no_generator(monkeypatch, scheme, hash_mode):
+    """Every tree design, in every hash mode it accepts, takes its keys from
+    the design key's row keys: building it and looking its tests up never
+    constructs a Generator."""
+
+    def no_generator(self):
+        raise AssertionError("a tree design constructed a Generator")
+
+    monkeypatch.setattr(core.RandomnessKey, "generator", no_generator)
+    config = bench.TrialConfig(algorithm=scheme, n=2 ** 12, k=8, gamma=6, rho=2 ** 6, p=0.05,
+                               hash_mode=hash_mode, trials=1)
+    n, k, _ = bench._rounded(config)
+    phases = bench.SCHEMES[scheme]
+    design = phases.build(config, phases.params(config, n, k), n, k,
+                          RandomnessKey(5, (0, "design")))
+    assert design.noiseless_bits((3, 900, 4095)).any()
