@@ -14,9 +14,12 @@ whose top rung, n = 2^24, is the ``POINTS`` entry of that name, and a
 rho-full ladder at n = 2^14, 2^17, 2^20 (k = 16, rho = 2^8), whose
 balanced placements are keyed permutations computed only at the nodes a
 trial touches, and a noisy-full ladder at n = 2^12, 2^16, 2^20 (k = 16,
-p = 0.05).  The trials/s column goes through ``run_trials``, which decodes
-a call's noisy trials as one batch; the phase columns come from traced
-``run_trial`` calls, batches of one.  Every point goes through
+p = 0.05), then two ``POINTS`` entries again at ``jobs=2`` (gamma full,
+n = 2^14 k = 4, and noisy full, n = 2^12 k = 8 p = 0.05), which measure the
+share split of ``run_trials`` across two workers.  The trials/s column goes
+through ``run_trials``, which decodes a share's noisy trials in batches; the
+phase columns come from traced ``run_trial`` calls, shares of one, run in
+the measuring process whatever ``jobs`` is.  Every point goes through
 ``measure_point`` (median params, build, evaluate and decode time per
 traced trial, and untraced trials/s; wall-clock, not probe-scaled) in
 ``PASSES`` passes of ``BUDGET_S`` seconds, each in a fresh interpreter, and
@@ -48,7 +51,11 @@ LADDER = (tuple((f"gamma full, n=2^{e} k=16", dict(algorithm="gamma", n=2 ** e, 
                   for e in (14, 17, 20))
           + tuple((f"noisy full, n=2^{e} k=16 p=0.05",
                    dict(algorithm="noisy", n=2 ** e, k=16, p=0.05))
-                  for e in (12, 16, 20)))
+                  for e in (12, 16, 20))
+          + (("gamma full, n=2^14 k=4, jobs=2", dict(algorithm="gamma", n=2 ** 14, k=4, gamma=6,
+                                                     jobs=2)),
+             ("noisy full, n=2^12 k=8 p=0.05, jobs=2",
+              dict(algorithm="noisy", n=2 ** 12, k=8, p=0.05, jobs=2))))
 LADDER_TOP = "gamma full, n=2^24 k=16"
 # passes per point and seconds of trials per pass: three short passes take
 # the time one long pass did, and give a median and a spread

@@ -7,10 +7,11 @@ set, the design and the channel noise each consume their own substream of
 trials are independent.  Success means exact set recovery; partial-recovery
 counts are reported as supplementary columns only.
 
-``run_trials`` runs its trials in batches: each trial draws its own defectives,
+``run_trials`` splits its trials into at most ``jobs`` consecutive shares, one
+per worker, and a share runs in batches: each trial draws its own defectives,
 design and noise, and a batch's trials are then decoded by one call.  Only the
 noisy scheme decodes a batch of several trials at once; every other scheme's
-batch is a single trial.  ``run_trial`` is the batch of one, so every record,
+batch is a single trial.  ``run_trial`` is the share of one, so every record,
 batched or not, comes from the same code.
 """
 
@@ -48,10 +49,8 @@ class TrialConfig:
     k: int
     trials: int = 100
     base_seed: int = 0
-    # channel (symmetric p unless p01/p10 given explicitly)
+    # symmetric channel: each outcome flips with probability p
     p: float = 0.0
-    p01: Optional[float] = None
-    p10: Optional[float] = None
     # gamma scheme
     gamma: Optional[int] = None
     gamma_prime: Optional[int] = None
@@ -77,8 +76,6 @@ class TrialConfig:
     jobs: int = 1
 
     def channel(self) -> NoiseChannel:
-        if self.p01 is not None or self.p10 is not None:
-            return NoiseChannel(p01=self.p01 or 0.0, p10=self.p10 or 0.0)
         return NoiseChannel.symmetric(self.p)
 
 
@@ -133,8 +130,7 @@ def wilson_interval(successes: int, trials: int,
 # a --config file or sweep cell sets these without argparse's int conversion
 INTEGER_FIELDS = ("n", "k", "trials", "base_seed", "gamma", "gamma_prime", "rho", "depth",
                   "reps", "final_reps", "lookahead", "tests", "jobs")
-FLOAT_FIELDS = ("p", "p01", "p10", "c_const", "beta_exp", "design_p", "t", "epsilon",
-                "threshold")
+FLOAT_FIELDS = ("p", "c_const", "beta_exp", "design_p", "t", "epsilon", "threshold")
 
 
 # Past 2^62 items the int64 defective draw overflows.  A trial may allocate
@@ -168,8 +164,10 @@ def validate_config(config: TrialConfig) -> None:
             "hash mode 'permutation' is balanced, use kwise or pairwise"
         )
     if config.defectives is not None:
-        if not all(isinstance(d, int) for d in config.defectives):
-            raise ValueError(f"explicit defectives must be integers, got {config.defectives!r}")
+        if not (isinstance(config.defectives, (tuple, list))
+                and all(isinstance(d, int) for d in config.defectives)):
+            raise ValueError("explicit defectives must be integers in a tuple or list, "
+                             f"got {config.defectives!r}")
         if not all(0 <= d < config.n for d in config.defectives):
             raise ValueError(
                 f"explicit defectives must lie in [0, {config.n}); items added by "
@@ -337,74 +335,65 @@ def _record(defectives: tuple[int, ...], outcomes, report: DecodeReport) -> dict
     }
 
 
-def _run_batch(config: TrialConfig, indices) -> list[dict]:
-    """The seeded trials ``indices``, decoded together; one record per trial,
-    in order."""
+def _run_share(config: TrialConfig, indices: range) -> list[dict]:
+    """The seeded trials ``indices``, consecutive, in batches of at most the
+    scheme's cap, each batch decoded by one call; one record per trial, in
+    order.  Rounding, channel, scheme, params and cap are computed once."""
     n, k, _ = _rounded(config)
     channel = config.channel()
     scheme = SCHEMES[config.algorithm]
     params = scheme.params(config, n, k)
-    trials = []
-    for index in indices:
+    cap = scheme.batch(params, n, k)
+
+    def trial(index: int) -> tuple:
         key = RandomnessKey(config.base_seed, (index,))
         defectives = _draw_defectives(config, key.child("defectives"))
         instance = ProblemInstance(n=n, k=k, defectives=defectives)
         design = scheme.build(config, params, n, k, key.child("design"))
-        trials.append((defectives, design,
-                       evaluate_design(design, instance, channel, key.child("noise"))))
-    reports = scheme.decode(config, [design for _, design, _ in trials],
-                            [outcomes for _, _, outcomes in trials])
-    return [_record(defectives, outcomes, report)
-            for (defectives, _, outcomes), report in zip(trials, reports)]
+        return defectives, design, evaluate_design(design, instance, channel, key.child("noise"))
+
+    records = []
+    for start in range(0, len(indices), cap):
+        batch = indices[start:start + cap]
+        try:
+            truths, designs, outcomes = zip(*map(trial, batch))
+            reports = scheme.decode(config, designs, outcomes)
+        except Exception as exc:
+            which = (f"trial {batch[0]}" if len(batch) == 1
+                     else f"trials {batch[0]}-{batch[-1]}")
+            raise RuntimeError(f"{which} failed: {exc}") from exc
+        records += map(_record, truths, outcomes, reports)
+        del designs, outcomes  # so that no two batches' designs are alive at once
+    return records
 
 
 def run_trial(config: TrialConfig, index: int) -> dict:
-    """One seeded trial, the batch of one; returns the per-trial record used
+    """One seeded trial, the share of one; returns the per-trial record used
     for aggregation."""
-    return _run_batch(config, (index,))[0]
-
-
-def _run_batch_annotated(config: TrialConfig, indices: range) -> list[dict]:
-    try:
-        return _run_batch(config, indices)
-    except Exception as exc:
-        which = (f"trial {indices[0]}" if len(indices) == 1
-                 else f"trials {indices[0]}-{indices[-1]}")
-        raise RuntimeError(f"{which} failed: {exc}") from exc
-
-
-def _batches(config: TrialConfig) -> tuple[list[range], int]:
-    """The batches of ``run_trials``, and how many of them a worker takes
-    at a time."""
-    n, k, _ = _rounded(config)
-    scheme = SCHEMES[config.algorithm]
-    share = config.trials if config.jobs == 1 else config.trials // (4 * config.jobs)
-    size = max(1, min(share, scheme.batch(scheme.params(config, n, k), n, k)))
-    indices = range(config.trials)
-    return [indices[i:i + size] for i in range(0, config.trials, size)], max(1, share // size)
+    return _run_share(config, range(index, index + 1))[0]
 
 
 def run_trials(config: TrialConfig) -> AggregateResult:
     """All trials of ``config``, aggregated.
 
-    The trials run in batches of consecutive indices (see
-    :func:`_run_batch`): all of them, or with ``jobs`` above 1 a chunk of
-    about a quarter of each worker's share, and never more than the
-    scheme's cap (for the noisy scheme, as many trials as keep a batch's
-    outcome vectors and read marks under ``noisy.BATCH_BYTES``; one trial
-    for the others).  Workers run whole batches, and the records come back
-    in index order.  A record's ``wall_nanos`` is its share of its batch's
-    decode time.
+    The trials split into at most ``jobs`` consecutive shares of
+    ``ceil(trials / jobs)`` trials, and each share runs whole, serially or
+    in a worker of its own (see :func:`_run_share`), in batches of at most
+    the scheme's cap: for the noisy scheme, as many trials as keep a
+    batch's outcome vectors and read marks under ``noisy.BATCH_BYTES``; one
+    trial for the others.  The records come back in index order.  A
+    record's ``wall_nanos`` is its batch's decode time over the batch's trials.
     """
     validate_config(config)
-    batches, per_task = _batches(config)
-    if config.jobs > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(_run_batch_annotated, [config] * len(batches), batches,
-                                   chunksize=per_task))
+    size = max(1, -(-config.trials // config.jobs))
+    indices = range(config.trials)
+    shares = [indices[start:start + size] for start in range(0, config.trials, size)]
+    if len(shares) > 1:
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            parts = list(pool.map(_run_share, [config] * len(shares), shares))
     else:
-        chunks = [_run_batch_annotated(config, batch) for batch in batches]
-    return aggregate(config, [record for chunk in chunks for record in chunk])
+        parts = [_run_share(config, share) for share in shares]
+    return aggregate(config, [record for part in parts for record in part])
 
 
 def aggregate(config: TrialConfig, records: list[dict]) -> AggregateResult:

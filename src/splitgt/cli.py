@@ -261,7 +261,7 @@ def _run_sweep(args) -> int:
     configs = []
     for cell in plan["cells"]:
         merged = {**base, **cell}
-        if "defectives" in merged and merged["defectives"] is not None:
+        if isinstance(merged.get("defectives"), list):  # anything else fails validation
             merged["defectives"] = tuple(merged["defectives"])
         try:
             configs.append(bench.TrialConfig(**merged))

@@ -142,7 +142,9 @@ def test_validate_config_errors():
     # explicit defectives that are not integers: a float would place item 1
     # in the instance and report 1.5 as missed, a string would fail a
     # comparison with a TypeError
-    for defectives in ((1.5, 3), ("2", 3), (2.0, 3)):
+    # or not a tuple or list: an int is not iterable, a string's characters
+    # are not items
+    for defectives in ((1.5, 3), ("2", 3), (2.0, 3), 5, "12"):
         with pytest.raises(ValueError, match="defectives must be integers"):
             run_trials(TrialConfig(algorithm="gamma", n=2 ** 10, k=4, gamma=6, trials=3,
                                    defectives=defectives))
@@ -268,29 +270,112 @@ def test_run_trials_is_the_aggregate_of_single_trials(algorithm, jobs):
     assert run_trials(config).to_dict() == single.to_dict()
 
 
+class InlinePool:
+    """A stand-in for ``ProcessPoolExecutor`` that runs every task in this
+    process, so that recorders see what the workers would run."""
+
+    def __init__(self, workers: list, max_workers: int):
+        workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def _record_shares_and_batches(monkeypatch, algorithm: str) -> tuple[list, list, list]:
+    """Record the pool's worker count, the indices of every share and the
+    size of every batch decode of ``run_trials`` calls, run in-process."""
+    workers, shares, batches = [], [], []
+    monkeypatch.setattr(bench, "ProcessPoolExecutor",
+                        lambda max_workers: InlinePool(workers, max_workers))
+    run_share = bench._run_share
+
+    def recording_share(config, indices):
+        shares.append(indices)
+        return run_share(config, indices)
+
+    monkeypatch.setattr(bench, "_run_share", recording_share)
+    scheme = bench.SCHEMES[algorithm]
+
+    def recording_decode(config, designs, outcomes):
+        batches.append(len(designs))
+        return scheme.decode(config, designs, outcomes)
+
+    monkeypatch.setitem(bench.SCHEMES, algorithm, scheme._replace(decode=recording_decode))
+    return workers, shares, batches
+
+
 @pytest.mark.parametrize("jobs,trials,cap,sizes", [
-    (1, 12, 100, [12]),               # one batch for the whole call
-    (1, 12, 5, [5, 5, 2]),            # capped by the byte budget
-    (2, 12, 100, [1] * 12),           # 12 trials // (4 * 2 jobs): one per chunk
-    (2, 40, 100, [5] * 8),            # 40 trials // (4 * 2 jobs): five per chunk
-    (2, 40, 3, [3] * 13 + [1]),
+    # sizes: (trials per share, trials per batch decode)
+    (1, 12, 100, ([12], [12])),            # one share, one batch for the whole call
+    (1, 12, 5, ([12], [5, 5, 2])),         # capped by the byte budget
+    (2, 12, 100, ([6, 6], [6, 6])),        # one share per worker, each one batch
+    (2, 40, 100, ([20, 20], [20, 20])),
+    (2, 40, 3, ([20, 20], [3] * 6 + [2] + [3] * 6 + [2])),
+    (3, 7, 100, ([3, 3, 1], [3, 3, 1])),   # shares of ceil(trials / jobs)
+    (4, 2, 100, ([1, 1], [1, 1])),         # more jobs than trials
+    (2, 1, 100, ([1], [1])),               # one share runs without a pool
+    (2, 0, 100, ([], [])),                 # no trials, no shares
 ])
 def test_noisy_batches_follow_jobs_and_byte_cap(jobs, trials, cap, sizes, monkeypatch):
-    """The noisy trials of one call are decoded in batches of consecutive
-    trials: all of them, or each worker's chunk, and fewer where the byte
-    cap on a batch's outcome vectors and read marks says so.  Records come
-    back in index order whatever the batching."""
+    """A call's trials split into at most ``jobs`` consecutive shares of
+    ``ceil(trials / jobs)``, one per worker, and a share's noisy trials are
+    decoded in batches of consecutive trials: all of them, or fewer where
+    the byte cap on a batch's outcome vectors and read marks says so.
+    Records come back in index order whatever the split."""
+    shares, batch_sizes = sizes
     config = TrialConfig(algorithm="noisy", n=256, k=4, p=0.05, trials=trials, base_seed=4,
                          jobs=jobs)
     expected = bench.aggregate(config, [bench.run_trial(config, i) for i in range(trials)])
     tests = noisy.noisy_total_tests(noisy.noisy_params(256, 4, 0.05), 256, 4)
     monkeypatch.setattr(noisy, "BATCH_BYTES", 2 * tests * cap)
-    batches, _ = bench._batches(config)
-    assert [len(batch) for batch in batches] == sizes
-    assert [i for batch in batches for i in batch] == list(range(trials))
+    workers, ran, batches = _record_shares_and_batches(monkeypatch, "noisy")
     assert run_trials(config).to_dict() == expected.to_dict()
+    assert [len(share) for share in ran] == shares
+    assert [i for share in ran for i in share] == list(range(trials))
+    assert workers == ([len(shares)] if len(shares) > 1 else [])
+    assert batches == batch_sizes
 
 
-def test_other_schemes_run_one_trial_per_batch():
-    config = _gamma_config(trials=12)
-    assert [len(batch) for batch in bench._batches(config)[0]] == [1] * 12
+def test_other_schemes_run_one_trial_per_batch(monkeypatch):
+    _, ran, batches = _record_shares_and_batches(monkeypatch, "gamma")
+    run_trials(_gamma_config(trials=12))
+    assert ran == [range(12)] and batches == [1] * 12
+
+
+def test_params_are_computed_once_per_share(monkeypatch):
+    """At one job, a call computes the gamma params a fixed number of times
+    (validation, the share, the aggregate), whatever its trial count."""
+    calls = []
+    gamma_params = gamma.gamma_params
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return gamma_params(*args, **kwargs)
+
+    monkeypatch.setattr(gamma, "gamma_params", counting)
+    counts = []
+    for trials in (1, 4, 16):
+        calls.clear()
+        run_trials(_gamma_config(trials=trials))
+        counts.append(len(calls))
+    assert counts == [3, 3, 3]
+
+
+def test_a_failed_batch_is_named(monkeypatch):
+    """A failure names its batch: the one trial, or the range of trials."""
+
+    def boom(config, designs, outcomes):
+        raise ValueError("boom")
+
+    for algorithm, fields, which in (("noisy", dict(p=0.05), "trials 0-5"),
+                                     ("gamma", dict(gamma=5), "trial 0")):
+        monkeypatch.setitem(bench.SCHEMES, algorithm,
+                            bench.SCHEMES[algorithm]._replace(decode=boom))
+        with pytest.raises(RuntimeError, match=f"^{which} failed: boom$"):
+            run_trials(TrialConfig(algorithm=algorithm, n=256, k=4, trials=6, **fields))

@@ -123,24 +123,31 @@ def test_sweep_error_cell_exits_1(tmp_path):
 
 
 def test_sweep_non_integer_defectives_cell_is_an_error_row(tmp_path, monkeypatch):
-    """A sweep cell whose explicit defectives are not integers is recorded
-    as an error row before any of its trials runs."""
+    """A sweep cell whose explicit defectives are not integers in a list is
+    recorded as an error row before any of its trials runs, and the next
+    cell still runs."""
+    started = []
+    run_share = bench._run_share
 
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial started")
+    def recording(config, indices):
+        started.append(config.defectives)
+        return run_share(config, indices)
 
-    monkeypatch.setattr(bench, "_run_batch", no_trial)
+    monkeypatch.setattr(bench, "_run_share", recording)
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
         "base": {"algorithm": "gamma", "n": 1024, "k": 4, "gamma": 6, "trials": 3},
-        "cells": [{"defectives": [1.5, 3]}, {"defectives": ["2", 3]}],
+        "cells": [{"defectives": [1.5, 3]}, {"defectives": ["2", 3]}, {"defectives": 5},
+                  {"defectives": [5, 9]}],
     }))
     out = tmp_path / "rows.json"
     assert main(["sweep", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 1
     rows = json.loads(out.read_text())
-    assert len(rows) == 2
-    for row in rows:
+    assert len(rows) == 4
+    for row in rows[:3]:
         assert "defectives must be integers" in row["error"] and row["trials"] == 0
+    assert rows[3]["error"] is None and rows[3]["trials"] == 3
+    assert started == [(5, 9)]
 
 
 def test_eta_curve_csv(tmp_path, capsys):
