@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -101,14 +100,9 @@ class AggregateResult:
     hash_mode: str
     params: dict = field(default_factory=dict)
     error: Optional[str] = None
-    # environment-dependent; excluded from equality and serialisation so that
-    # results stay a pure function of (config, base seed)
-    mean_wall_nanos: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d.pop("mean_wall_nanos")
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AggregateResult":
@@ -192,6 +186,8 @@ def validate_config(config: TrialConfig) -> None:
         raise ValueError(f"threshold must lie in [0, 1], got {config.threshold}")
     config.channel()  # validates channel probabilities
     n, k, _ = _rounded(config)
+    if k >= n:
+        raise ValueError(f"k={config.k} rounds up to {k}, not below the rounded n={n}")
     if n > MAX_N:
         raise ValueError(f"n={n} (rounded) exceeds the supported 2^62 items")
     scheme = SCHEMES[config.algorithm]
@@ -244,13 +240,8 @@ def _noisy_decode(config: TrialConfig, designs, outcomes) -> list[DecodeReport]:
 
 
 def _flat_report(decode, design, outcomes, *args) -> DecodeReport:
-    start = time.perf_counter_ns()
-    estimate = decode(design, outcomes, *args)
-    return DecodeReport(
-        estimate=estimate, outcomes_read=design.t_total,
-        nodes_visited=design.n, wall_nanos=time.perf_counter_ns() - start,
-        storage_words=design.storage_words + (design.t_total + 63) // 64,
-    )
+    return DecodeReport(estimate=decode(design, outcomes, *args), outcomes_read=design.t_total,
+                        nodes_visited=design.n, peak_frontier=0)
 
 
 def _tree_footprint(tests: int, top_nodes: int, branching: int, k: int) -> int:
@@ -316,8 +307,13 @@ def _draw_defectives(config: TrialConfig, key: RandomnessKey) -> tuple[int, ...]
     return tuple(sorted(int(v) for v in rng.choice(config.n, size=count, replace=False)))
 
 
-def _record(defectives: tuple[int, ...], outcomes, report: DecodeReport) -> dict:
-    """The per-trial record used for aggregation."""
+def _record(defectives: tuple[int, ...], design, outcomes, report: DecodeReport) -> dict:
+    """The per-trial record used for aggregation.
+
+    ``storage_words`` follows the accounting used throughout: the design's
+    placement storage, plus the decode's peak possibly-defective set, plus
+    the outcome bits in 64-bit words.
+    """
     est = set(report.estimate)
     truth = set(defectives)
     return {
@@ -327,8 +323,8 @@ def _record(defectives: tuple[int, ...], outcomes, report: DecodeReport) -> dict
         "labels": report.labels_computed,
         "false_positives": len(est - truth),
         "false_negatives": len(truth - est),
-        "wall_nanos": report.wall_nanos,
-        "storage_words": report.storage_words,
+        "storage_words": (design.storage_words + report.peak_frontier
+                          + (outcomes.t_total + 63) // 64),
         "t_total": outcomes.t_total,
         "estimate": report.estimate,
         "defectives": defectives,
@@ -362,7 +358,7 @@ def _run_share(config: TrialConfig, indices: range) -> list[dict]:
             which = (f"trial {batch[0]}" if len(batch) == 1
                      else f"trials {batch[0]}-{batch[-1]}")
             raise RuntimeError(f"{which} failed: {exc}") from exc
-        records += map(_record, truths, outcomes, reports)
+        records += map(_record, truths, designs, outcomes, reports)
         del designs, outcomes  # so that no two batches' designs are alive at once
     return records
 
@@ -381,8 +377,7 @@ def run_trials(config: TrialConfig) -> AggregateResult:
     in a worker of its own (see :func:`_run_share`), in batches of at most
     the scheme's cap: for the noisy scheme, as many trials as keep a
     batch's outcome vectors and read marks under ``noisy.BATCH_BYTES``; one
-    trial for the others.  The records come back in index order.  A
-    record's ``wall_nanos`` is its batch's decode time over the batch's trials.
+    trial for the others.  The records come back in index order.
     """
     validate_config(config)
     size = max(1, -(-config.trials // config.jobs))
@@ -424,7 +419,6 @@ def aggregate(config: TrialConfig, records: list[dict]) -> AggregateResult:
         mean_labels=mean("labels"),
         mean_false_positives=mean("false_positives"),
         mean_false_negatives=mean("false_negatives"),
-        mean_wall_nanos=mean("wall_nanos"),
         storage_words=max((r["storage_words"] for r in records), default=0),
         seed=config.base_seed,
         hash_mode=config.hash_mode,
@@ -448,7 +442,7 @@ def sweep(configs: list[TrialConfig]) -> list[AggregateResult]:
                 mean_outcomes_read=0.0, max_outcomes_read=0,
                 mean_nodes_visited=0.0, mean_labels=0.0,
                 mean_false_positives=0.0, mean_false_negatives=0.0,
-                mean_wall_nanos=0.0, storage_words=0, seed=config.base_seed,
+                storage_words=0, seed=config.base_seed,
                 hash_mode=config.hash_mode, params={}, error=str(exc),
             ))
     return results

@@ -226,17 +226,17 @@ class OutcomeVector:
 
 @dataclass(frozen=True)
 class DecodeReport:
-    """Cost counters and the estimate produced by one decode.
+    """The estimate and the cost counters that one decode observed.
 
-    ``storage_words`` follows the accounting used throughout: placement
-    storage + peak possibly-defective set + outcome bits in words.
+    ``peak_frontier`` is the largest possibly-defective set the decode
+    held; the harness adds it to the design's and the outcomes' storage
+    (see ``bench._record``).
     """
 
     estimate: tuple[int, ...]
     outcomes_read: int
     nodes_visited: int
-    wall_nanos: int
-    storage_words: int
+    peak_frontier: int
     labels_computed: int = 0
 
 

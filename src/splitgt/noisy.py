@@ -20,7 +20,6 @@ the small calibrated constants used by the benchmark suite.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,8 +240,8 @@ def decode_noisy_batch(designs, outcomes) -> list[DecodeReport]:
     first_test[level] + rep * t_len + j`` of the batch's outcome vectors
     laid end to end.  ``outcomes_read`` counts distinct outcome cells read,
     ``labels_computed`` every intermediate and batch label evaluated (no
-    memo across levels), and ``wall_nanos`` is the batch's decode time
-    divided by its trials.
+    memo across levels), and ``peak_frontier`` the trial's largest
+    possibly-defective set.
     """
     if not designs:
         return []
@@ -252,7 +251,6 @@ def decode_noisy_batch(designs, outcomes) -> list[DecodeReport]:
             raise ValueError("the designs of one batch must share a layout")
         if tuple(vector.layout) != layout:
             raise ValueError("outcome layout does not match this design")
-    start = time.perf_counter_ns()
     count = len(designs)
     batch = _Batch(designs, outcomes)
     reps = batch.params.n_reps
@@ -278,14 +276,10 @@ def decode_noisy_batch(designs, outcomes) -> list[DecodeReport]:
     labels = labels.tolist()
     visited, pd_peak = sizes.sum(axis=0).tolist(), sizes.max(axis=0).tolist()
     read = batch.seen.reshape(count, -1).sum(axis=1).tolist()
-
-    wall = (time.perf_counter_ns() - start) // count
-    words = (batch.t_total + 63) // 64
     return [DecodeReport(
         estimate=tuple(estimate[lo:hi]),
         outcomes_read=read[b],
         nodes_visited=visited[b],
-        wall_nanos=wall,
-        storage_words=designs[b].storage_words + pd_peak[b] + words,
+        peak_frontier=pd_peak[b],
         labels_computed=labels[b],
     ) for b, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))]

@@ -24,16 +24,15 @@ repetition looked up at once, a large one repetition by repetition.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .core import DecodeReport, OutcomeVector
 
 # Lookups are (segment x defective) pairs.  Per evaluation (2-core Xeon,
-# numpy 2.4): at the 24-28 lookups of a desk-scale gamma or rho trial the
-# scalar lookup takes about half the stacked one's time, at the 1176 of a
-# noisy one about five times it; the two are about even near 100.
+# numpy 2.4): at the 24 lookups of a desk-scale gamma trial the scalar path
+# takes about 0.4 of the stacked one's time, at the 1176 of a noisy one about
+# seven times it; the gamma paths are about even near 100, the rho ones
+# (Python Feistel rounds per scalar lookup) already at 28.
 SCALAR_LOOKUPS = 64
 # Up to this many frontier nodes, decode looks a level up under all of its
 # repetitions at once; above it, repetition by repetition for the nodes
@@ -135,12 +134,11 @@ def decode_tree(design: TreeDesign,
 
     The first level's single segment tests each of its nodes individually.
     ``outcomes_read`` counts distinct outcome cells read, ``nodes_visited``
-    one per node per level it is tested at, and the peak possibly-defective
-    set enters ``storage_words``.
+    one per node per level it is tested at, and ``peak_frontier`` the
+    largest possibly-defective set.
     """
     if tuple(outcomes.layout) != tuple(design.layout):
         raise ValueError("outcome layout does not match this design")
-    start = time.perf_counter_ns()
     levels = iter(design.stacks.items())
     top, top_stack = next(levels)
     alive = np.flatnonzero(outcomes.segment(top, 0))
@@ -164,13 +162,10 @@ def decode_tree(design: TreeDesign,
             if batch:
                 tests = tests[:, keep]
 
-    wall = time.perf_counter_ns() - start
-    storage = design.storage_words + pd_peak + (outcomes.t_total + 63) // 64
     report = DecodeReport(
         estimate=tuple(alive.tolist()),
         outcomes_read=reads,
         nodes_visited=visited,
-        wall_nanos=wall,
-        storage_words=storage,
+        peak_frontier=pd_peak,
     )
     return report.estimate, report

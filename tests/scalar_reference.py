@@ -13,7 +13,6 @@ the explicit i.i.d. table the counter hash replaced."""
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -29,14 +28,12 @@ def segment_table(design, level: int, rep: int) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _report(design, outcomes, estimate, seen, visited, pd_peak):
-    storage = design.storage_words + pd_peak + (outcomes.t_total + 63) // 64
+def _report(estimate, seen, visited, pd_peak):
     return DecodeReport(
         estimate=tuple(sorted(estimate)),
         outcomes_read=len(seen),
         nodes_visited=visited,
-        wall_nanos=0,
-        storage_words=storage,
+        peak_frontier=pd_peak,
     )
 
 
@@ -83,7 +80,7 @@ def decode_gamma_scalar(design, outcomes) -> DecodeReport:
                 break
         if clean:
             estimate.append(item)
-    return _report(design, outcomes, estimate, seen, visited, pd_peak)
+    return _report(estimate, seen, visited, pd_peak)
 
 
 def decode_rho_scalar(design, outcomes) -> DecodeReport:
@@ -134,7 +131,7 @@ def decode_rho_scalar(design, outcomes) -> DecodeReport:
                 break
         if clean:
             estimate.append(item)
-    return _report(design, outcomes, estimate, seen, visited, pd_peak)
+    return _report(estimate, seen, visited, pd_peak)
 
 
 # --- noisy scheme: depth-first lookahead with a label memo -----------------
@@ -162,9 +159,6 @@ class LabelCache:
     @property
     def outcomes_read(self) -> int:
         return len(self.seen)
-
-    def size(self) -> int:
-        return len(self.mid) + len(self.batch)
 
 
 def intermediate_label(node, level, design, outcomes, cache) -> int:
@@ -258,7 +252,6 @@ def decode_noisy_scalar(design, outcomes, use_cache: bool = True) -> DecodeRepor
     possibly-defective set iff its lookahead label is positive."""
     if tuple(outcomes.layout) != tuple(design.layout):
         raise ValueError("outcome layout does not match this design")
-    start = time.perf_counter_ns()
     cache = LabelCache(enabled=use_cache)
     visited = 0
     log2k = design.layout[0][0]
@@ -280,15 +273,11 @@ def decode_noisy_scalar(design, outcomes, use_cache: bool = True) -> DecodeRepor
         visited += 1
         if singleton_final_label(item, design, outcomes, cache):
             estimate.append(item)
-
-    storage = (design.storage_words + pd_peak + cache.size()
-               + (outcomes.t_total + 63) // 64)
     return DecodeReport(
         estimate=tuple(sorted(estimate)),
         outcomes_read=cache.outcomes_read,
         nodes_visited=visited,
-        wall_nanos=time.perf_counter_ns() - start,
-        storage_words=storage,
+        peak_frontier=pd_peak,
         labels_computed=cache.computed,
     )
 

@@ -114,7 +114,7 @@ def test_sweep_single_cell_matches_run_trials():
 def test_parallel_jobs_match_serial():
     serial = run_trials(_gamma_config(trials=12, jobs=1))
     parallel = run_trials(_gamma_config(trials=12, jobs=2))
-    assert serial == parallel  # wall time is excluded from comparison
+    assert serial == parallel
 
 
 def test_validate_config_errors():
@@ -158,6 +158,10 @@ def test_validate_config_errors():
         with pytest.raises(ValueError, match=message):
             run_trials(TrialConfig(n=256, k=2, **fields))
     assert run_trials(TrialConfig(algorithm="comp", n=256, k=2, tests=1, trials=2)).trials == 2
+    # k that rounds up to the rounded n, for every algorithm: 13 -> 16 at n=15 -> 16
+    for algorithm in bench.ALGORITHMS:
+        with pytest.raises(ValueError, match="k=13 rounds up to 16, not below the rounded n=16"):
+            run_trials(TrialConfig(algorithm=algorithm, n=15, k=13, gamma=4, rho=8, p=0.05))
     # an unknown hash mode (the baselines ignore it, so it must not pass
     # silently there either) and non-integer sizes
     for algorithm in bench.ALGORITHMS:

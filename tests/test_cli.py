@@ -169,6 +169,9 @@ def test_eta_curve_csv(tmp_path, capsys):
     "comp --n 256 --k 2 --tests -3",
     "comp --n 256 --k 2 --tests 0",
     "ncomp --n 256 --k 2 --threshold 1.5",
+    # k that rounds up to the rounded n
+    "comp --n 15 --k 13",
+    "ncomp --n 16 --k 16 --p 0.05",
     # config-file values skip argparse's types and choices
     'comp --n 256 --k 2 --config={"hash_mode":"bogus"}',
     'gamma --n 256 --k 2 --gamma 5 --config={"hash_mode":"bogus"}',

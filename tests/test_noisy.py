@@ -1,7 +1,6 @@
 import gc
 import math
 import weakref
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -382,7 +381,7 @@ def test_batch_decode_matches_separate_decodes(hash_mode, size, p01, p10):
         assert report.estimate == estimate == reference.estimate
         assert report.nodes_visited == reference.nodes_visited
         assert all(isinstance(item, int) for item in report.estimate)
-        for name in ("outcomes_read", "nodes_visited", "labels_computed", "storage_words"):
+        for name in ("outcomes_read", "nodes_visited", "labels_computed", "peak_frontier"):
             assert getattr(report, name) == getattr(alone, name), name
             assert isinstance(getattr(report, name), int), name
 
@@ -398,8 +397,7 @@ def test_batch_decode_matches_separate_decodes_past_2_32_nodes(hash_mode):
               for seed in range(3)]
     batched = noisy.decode_noisy_batch([d for d, _ in trials], [o for _, o in trials])
     for (design, out), report in zip(trials, batched):
-        assert replace(report, wall_nanos=0) == replace(decode_noisy(design, out)[1],
-                                                        wall_nanos=0)
+        assert report == decode_noisy(design, out)[1]
 
 
 def test_batch_decode_frontier_empties_in_some_trials_only():
@@ -413,8 +411,7 @@ def test_batch_decode_frontier_empties_in_some_trials_only():
               for seed, count in ((1, 0), (2, 4), (3, 0), (4, 2))]
     batched = noisy.decode_noisy_batch([d for d, _ in trials], [o for _, o in trials])
     for (design, out), report in zip(trials, batched):
-        assert replace(report, wall_nanos=0) == replace(decode_noisy(design, out)[1],
-                                                        wall_nanos=0)
+        assert report == decode_noisy(design, out)[1]
     empty, full = batched[0], batched[1]
     assert empty.estimate == () and empty.nodes_visited == k
     assert len(full.estimate) == 4 and full.nodes_visited > empty.nodes_visited
