@@ -121,7 +121,8 @@ def wilson_interval(successes: int, trials: int,
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-# a --config file or sweep cell sets these without argparse's int conversion
+# a --config file or sweep cell sets these without argparse's int conversion;
+# their ints must be exact ints, since ``bool`` subclasses ``int``
 INTEGER_FIELDS = ("n", "k", "trials", "base_seed", "gamma", "gamma_prime", "rho", "depth",
                   "reps", "final_reps", "lookahead", "tests", "jobs")
 FLOAT_FIELDS = ("p", "c_const", "beta_exp", "design_p", "t", "epsilon", "threshold")
@@ -139,11 +140,11 @@ def validate_config(config: TrialConfig) -> None:
         raise ValueError(f"unknown algorithm {config.algorithm!r}; expected one of {ALGORITHMS}")
     for name in INTEGER_FIELDS:
         value = getattr(config, name)
-        if value is not None and not isinstance(value, int):
+        if value is not None and type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
     for name in FLOAT_FIELDS:
         value = getattr(config, name)
-        finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        finite = type(value) is int or (isinstance(value, float) and math.isfinite(value))
         if value is not None and not finite:
             raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if config.hash_mode not in HASH_MODES:
@@ -159,7 +160,7 @@ def validate_config(config: TrialConfig) -> None:
         )
     if config.defectives is not None:
         if not (isinstance(config.defectives, (tuple, list))
-                and all(isinstance(d, int) for d in config.defectives)):
+                and all(type(d) is int for d in config.defectives)):
             raise ValueError("explicit defectives must be integers in a tuple or list, "
                              f"got {config.defectives!r}")
         if not all(0 <= d < config.n for d in config.defectives):

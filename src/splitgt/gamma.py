@@ -158,8 +158,7 @@ def build_gamma_design(params: GammaParams, n: int, key: RandomnessKey,
               for level in range(2, gp)]
     shapes.append((n, params.t_len_dprime, params.final_reps))
     stacks = uniform_style_stacks(shapes, key, hash_mode, kwise_degree=params.gamma)
-    return TreeDesign(n, params, params.branching,
-                      [(1, IdentityStack(top)), *zip(range(2, gp + 1), stacks)])
+    return TreeDesign(n, params, [(1, IdentityStack(top)), *zip(range(2, gp + 1), stacks)])
 
 
 def decode_gamma(design: TreeDesign,

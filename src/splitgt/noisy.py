@@ -134,7 +134,7 @@ def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
     stacks = uniform_style_stacks(
         [(1 << level, params.t_len, params.n_reps if level < log2n else final_seqs)
          for level in levels], key, hash_mode)
-    return TreeDesign(n, params, 2, zip(levels, stacks))
+    return TreeDesign(n, params, zip(levels, stacks))
 
 
 class _Batch:
@@ -159,15 +159,15 @@ class _Batch:
         self.seen = np.zeros(len(self.grid), dtype=bool)
 
 
-def _votes(batch: _Batch, level: int, trials: np.ndarray, offsets: np.ndarray,
-           nodes: np.ndarray, first: int, count: int) -> np.ndarray:
+def _votes(batch: _Batch, level: int, trials: np.ndarray, nodes: np.ndarray,
+           first: int, count: int) -> np.ndarray:
     """Outcomes of the tests of the nodes ``nodes``, node i of trial
-    ``trials[i]`` whose outcomes start at ``offsets[i]``, at ``level`` in
-    sequences first .. first + count - 1, as a (count x nodes) array; marks
-    the cells read."""
+    ``trials[i]``, at ``level`` in sequences first .. first + count - 1, as a
+    (count x nodes) array, from cell ``trial * t_total + first_test[level] +
+    rep * t_len + test`` of the grid; marks the cells read."""
     t_len = batch.params.t_len
     tests = batch.stacks[level].tests_of(nodes, slice(first, first + count), trials)
-    cells = tests + (offsets + (batch.first_test[level] + first * t_len))
+    cells = tests + (trials * batch.t_total + (batch.first_test[level] + first * t_len))
     cells += batch.rep_starts[:count]
     batch.seen[cells] = True
     return batch.grid[cells]
@@ -191,7 +191,6 @@ def _lookahead(batch: _Batch, level: int, trials: np.ndarray,
     reps, r, bottom = batch.params.n_reps, batch.params.r, batch.bottom
     target, half = r // 2 + 1, reps // 2
     open_roots = np.ones(len(roots), dtype=bool)
-    root_offsets = trials * batch.t_total
     owner = np.arange(len(roots)).repeat(2)
     nodes = (roots[:, None] * 2 + _CHILDREN).ravel()
     positives = np.zeros(len(nodes), dtype=np.int64)
@@ -200,11 +199,8 @@ def _lookahead(batch: _Batch, level: int, trials: np.ndarray,
         lvl = level + depth
         lane_trials = trials[owner]
         lanes.append(lane_trials)
-        if lvl < bottom:
-            votes = _votes(batch, lvl, lane_trials, root_offsets[owner], nodes, 0, reps)
-        else:
-            votes = _votes(batch, bottom, lane_trials, root_offsets[owner], nodes,
-                           (lvl - bottom) * reps, reps)
+        votes = _votes(batch, min(lvl, bottom), lane_trials, nodes,
+                       max(lvl - bottom, 0) * reps, reps)
         positives += votes.sum(axis=0) > half
         open_roots[owner[positives >= target]] = False
         keep = open_roots[owner] & (positives >= target - (r - depth))
@@ -268,7 +264,7 @@ def decode_noisy_batch(designs, outcomes) -> list[DecodeReport]:
     sizes = np.array([np.bincount(front, minlength=count) for front in fronts])
 
     batches = batch.params.c_final * log2n
-    votes = _votes(batch, log2n, trials, trials * batch.t_total, pd, 0, batches * reps)
+    votes = _votes(batch, log2n, trials, pd, 0, batches * reps)
     batch_labels = 2 * votes.reshape(batches, reps, -1).sum(axis=1) > reps
     labels += batches * sizes[-1]
     found = 2 * batch_labels.sum(axis=0) > batches

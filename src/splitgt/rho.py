@@ -91,8 +91,7 @@ def build_rho_design(params: RhoParams, n: int, key: RandomnessKey,
     reps = [params.n_reps] * (params.c_depth - 1) + [params.c_final]
     stacks = balanced_stacks([(num, per_level, count) for num, count in zip(num_nodes, reps)],
                              key, hash_mode)
-    return TreeDesign(n, params, params.branch,
-                      [(0, IdentityStack(per_level)), *enumerate(stacks, start=1)])
+    return TreeDesign(n, params, [(0, IdentityStack(per_level)), *enumerate(stacks, start=1)])
 
 
 def decode_rho(design: TreeDesign, outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:

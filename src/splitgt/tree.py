@@ -7,8 +7,8 @@ per repetition, and every placement of a level puts each node of that level
 into one test of a sequence of ``t_len`` tests.  A level is therefore its
 stack of placements (see :mod:`splitgt.placements`), which knows its node
 count, its ``t_len`` and its repetitions; :class:`TreeDesign` is built from
-the ordered ``(level, stack)`` pairs and derives the rest.  The schemes
-differ only in how their params become stacks:
+the ordered ``(level, stack)`` pairs and derives the rest, fan-out included.
+The schemes differ only in how their params become stacks:
 ``gamma.build_gamma_design``, ``rho.build_rho_design`` and
 ``noisy.build_noisy_design``.
 
@@ -51,17 +51,18 @@ class TreeDesign:
     ``stack.num_nodes`` nodes: node j covers items [j * size, (j + 1) *
     size) for the node size ``n // stack.num_nodes``, and repetition ``rep``
     places every node into one of ``stack.t_len`` tests.  Each node has
-    ``branching`` children at the next level.  The outcomes of a design
-    come in ``layout`` order: one ``(level, rep, t_len)`` segment per
-    repetition, level by level; ``first_test[level]`` indexes a level's
-    first test in that order.
+    ``branching`` children at the next level, the second level's node count
+    over the first's.  The outcomes of a design come in ``layout`` order:
+    one ``(level, rep, t_len)`` segment per repetition, level by level;
+    ``first_test[level]`` indexes a level's first test in that order.
     """
 
-    def __init__(self, n: int, params, branching: int, levels):
+    def __init__(self, n: int, params, levels):
         self.n = n
         self.params = params
-        self.branching = branching
         self.stacks = dict(levels)
+        first, second = list(self.stacks.values())[:2]
+        self.branching = second.num_nodes // first.num_nodes
         self.layout = tuple((level, rep, stack.t_len) for level, stack in self.stacks.items()
                             for rep in range(stack.reps))
         self.first_test = {}
@@ -133,16 +134,18 @@ def decode_tree(design: TreeDesign,
     """Walk the tree top-down, reading only tests of surviving nodes.
 
     The first level's single segment tests each of its nodes individually.
-    ``outcomes_read`` counts distinct outcome cells read, ``nodes_visited``
-    one per node per level it is tested at, and ``peak_frontier`` the
-    largest possibly-defective set.
+    Test j of (level, rep) is cell ``first_test[level] + rep * t_len + j``;
+    as in the noisy decoder, every cell read is marked in one boolean array
+    whose count is ``outcomes_read``.  ``nodes_visited`` counts each node once
+    per level it is tested at; ``peak_frontier`` is the largest frontier.
     """
     if tuple(outcomes.layout) != tuple(design.layout):
         raise ValueError("outcome layout does not match this design")
+    seen = np.zeros(outcomes.t_total, dtype=bool)
     levels = iter(design.stacks.items())
-    top, top_stack = next(levels)
-    alive = np.flatnonzero(outcomes.segment(top, 0))
-    reads = visited = top_stack.t_len
+    top = visited = next(levels)[1].t_len
+    alive = np.flatnonzero(outcomes.bits[:top])
+    seen[:top] = True
     pd_peak = len(alive)
     offsets = np.arange(design.branching, dtype=np.int64)
 
@@ -154,17 +157,16 @@ def decode_tree(design: TreeDesign,
         tests = stack.tests_of(alive) if batch else None
         for rep in range(stack.reps):
             row = tests[rep] if batch else stack.tests_of(alive, slice(rep, rep + 1))[0]
-            # a set, not np.sort or np.unique: their first calls map in
-            # code (and numpy.ma) that raises a small run's peak memory
-            reads += len(set(row.tolist()))
-            keep = outcomes.segment(level, rep)[row] != 0
+            cells = row + (design.first_test[level] + rep * stack.t_len)
+            seen[cells] = True
+            keep = outcomes.bits[cells] != 0
             alive = alive[keep]
             if batch:
                 tests = tests[:, keep]
 
     report = DecodeReport(
         estimate=tuple(alive.tolist()),
-        outcomes_read=reads,
+        outcomes_read=int(np.count_nonzero(seen)),
         nodes_visited=visited,
         peak_frontier=pd_peak,
     )

@@ -143,8 +143,9 @@ def test_validate_config_errors():
     # in the instance and report 1.5 as missed, a string would fail a
     # comparison with a TypeError
     # or not a tuple or list: an int is not iterable, a string's characters
-    # are not items
-    for defectives in ((1.5, 3), ("2", 3), (2.0, 3), 5, "12"):
+    # are not items; a bool is an int subclass, and True would make item 1
+    # defective
+    for defectives in ((1.5, 3), ("2", 3), (2.0, 3), 5, "12", (True, 5)):
         with pytest.raises(ValueError, match="defectives must be integers"):
             run_trials(TrialConfig(algorithm="gamma", n=2 ** 10, k=4, gamma=6, trials=3,
                                    defectives=defectives))
@@ -168,8 +169,10 @@ def test_validate_config_errors():
         with pytest.raises(ValueError, match="hash mode"):
             run_trials(TrialConfig(algorithm=algorithm, n=256, k=2, gamma=4, rho=8, p=0.05,
                                    hash_mode="bogus"))
+    # (a bool is an int subclass: trials=True would run one trial)
     for fields in (dict(n=1000.5), dict(k=2.0), dict(trials=2.5), dict(n="1024"),
-                   dict(gamma=5.5), dict(base_seed=1.5), dict(jobs=2.0)):
+                   dict(gamma=5.5), dict(base_seed=1.5), dict(jobs=2.0), dict(trials=True),
+                   dict(jobs=True), dict(k=True), dict(base_seed=False)):
         name = next(iter(fields))
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             run_trials(TrialConfig(**{"algorithm": "gamma", "n": 256, "k": 2, "gamma": 4,
@@ -181,6 +184,8 @@ def test_validate_config_errors():
                             (dict(algorithm="noisy", p=0.05, epsilon=math.inf), "epsilon"),
                             (dict(algorithm="rho", rho=16, p=[0.1]), "p must"),
                             (dict(algorithm="ncomp", threshold=[0.1]), "threshold"),
+                            (dict(algorithm="ncomp", threshold=True), "threshold"),
+                            (dict(algorithm="gamma", gamma=5, beta_exp=True), "beta_exp"),
                             (dict(algorithm="noisy", p=0.05, t=1e308), "cannot be computed"),
                             (dict(algorithm="gamma", gamma=5, beta_exp=-1000.0),
                              "cannot be computed")):

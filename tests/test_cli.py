@@ -181,6 +181,10 @@ def test_eta_curve_csv(tmp_path, capsys):
     'gamma --n 1024 --k 4 --gamma 5 --config={"trials":2.5}',
     'gamma --n 1024 --k 4 --config={"gamma":5.5}',
     'rho --n 1024 --k 4 --config={"rho":8.5}',
+    # booleans are not integers or reals, though bool subclasses int
+    'gamma --n 1024 --k 4 --gamma 4 --config={"trials":true}',
+    'gamma --n 1024 --k 4 --gamma 4 --config={"trials":true,"jobs":true}',
+    'gamma --n 1024 --k 4 --gamma 5 --config={"beta_exp":true}',
     # float fields that cannot be used
     "gamma --n 1024 --k 4 --gamma 5 --c-const inf",
     "noisy --n 1024 --k 4 --p 0.05 --epsilon inf",

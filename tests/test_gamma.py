@@ -89,6 +89,7 @@ def test_design_layout_and_total():
     p = gamma_params(n, 4, 6, beta_n=1 / 16, c_const=8, gamma_prime=4)
     design = build_gamma_design(p, n, RandomnessKey(3))
     assert design.t_total == gamma_total_tests(p, n)
+    assert design.branching == p.branching
     levels = [seg[0] for seg in design.layout]
     assert levels == [1, 2, 3, 4, 4, 4]
 
@@ -99,6 +100,7 @@ def test_design_degenerate_height_three():
     design = build_gamma_design(p, n, RandomnessKey(3))
     levels = [seg[0] for seg in design.layout]
     assert levels == [1, 2, 3, 3]  # no mid band at height three
+    assert design.branching == p.branching
 
 
 def test_membership_budget_exhaustive():
@@ -193,7 +195,7 @@ def test_decode_layout_mismatch_rejected():
     design_b = build_gamma_design(gamma_params(n, 4, 4), n, RandomnessKey(0))
     inst = ProblemInstance(n=n, k=4, defectives=(1,))
     out = evaluate_design(design_b, inst, NoiseChannel.noiseless(), RandomnessKey(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outcome layout does not match this design"):
         decode_gamma(design_a, out)
 
 

@@ -77,6 +77,7 @@ def test_total_tests_identity():
         expected = (params.c_const * params.n_reps * k * (log2n - log2k)
                     + params.c_const * params.c_final * params.n_reps * k * log2n)
         assert design.t_total == expected == noisy_total_tests(params, n, k)
+        assert design.branching == 2
 
 
 def _design(n=16, k=2, **kw):
@@ -257,8 +258,10 @@ def test_decode_layout_mismatch_rejected():
     assert tuple(design_a.layout) != tuple(design_b.layout)
     inst = ProblemInstance(n=n, k=k, defectives=(1,))
     out = evaluate_design(design_b, inst, NoiseChannel.noiseless(), RandomnessKey(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outcome layout does not match this design"):
         decode_noisy(design_a, out)
+    with pytest.raises(ValueError, match="outcome layout does not match this design"):
+        noisy.decode_noisy_batch([design_a], [out])
 
 
 def test_decode_deterministic():

@@ -22,6 +22,7 @@ def test_params_dimension_arithmetic():
     p = rho_params(2 ** 12, 4, 2 ** 4, c_depth=2)
     assert p.branch == 4
     design = build_rho_design(p, 2 ** 12, RandomnessKey(0))
+    assert design.branching == p.branch
     # level-1 matrices: n/rho tests over n/rho^(1/2) nodes, row weight rho^(1/2)
     assert design.num_nodes(0) == 256
     assert design.num_nodes(1) == 1024
@@ -35,7 +36,9 @@ def test_params_divisor_rule():
         assert rho_params(2 ** 10, 4, 2, c_depth=3).c_depth == 1
     assert rho_params(2 ** 10, 4, 2 ** 6, c_depth=3).c_depth == 3
     assert rho_params(2 ** 10, 4, 2 ** 6, c_depth=6).c_depth == 6
-    assert rho_params(2 ** 10, 4, 2 ** 6, c_depth=5).c_depth == 3  # largest divisor of 6
+    lowered = rho_params(2 ** 10, 4, 2 ** 6, c_depth=5)
+    assert lowered.c_depth == 3  # largest divisor of 6
+    assert build_rho_design(lowered, 2 ** 10, RandomnessKey(0)).branching == lowered.branch == 4
     p = rho_params(2 ** 10, 4, 2 ** 6, c_depth=2)
     assert p.branch ** p.c_depth == p.rho
 
@@ -63,6 +66,7 @@ def test_depth_one_layout():
     design = build_rho_design(p, 2 ** 8, RandomnessKey(2))
     levels = sorted({seg[0] for seg in design.layout})
     assert levels == [0, 1]  # only the individual level and the final level
+    assert design.branching == p.branch == 2
 
 
 @pytest.mark.parametrize("hash_mode", ["full", "permutation"])
@@ -131,7 +135,7 @@ def test_decode_layout_mismatch_rejected():
     design_b = build_rho_design(rho_params(n, 4, 2 ** 2), n, RandomnessKey(0))
     inst = ProblemInstance(n=n, k=4, defectives=(1,))
     out = evaluate_design(design_b, inst, NoiseChannel.noiseless(), RandomnessKey(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outcome layout does not match this design"):
         decode_rho(design_a, out)
 
 
@@ -173,3 +177,4 @@ def test_rho_one_degenerates_to_individual_testing():
         design, _, estimate, _ = _run(n, 4, 1, (3, 17), seed=9)
     assert estimate == (3, 17)
     assert design.max_items_per_test() <= 1
+    assert design.branching == design.params.branch == 1
