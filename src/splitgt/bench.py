@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -121,8 +122,9 @@ def wilson_interval(successes: int, trials: int,
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-# a --config file or sweep cell sets these without argparse's int conversion;
-# their ints must be exact ints, since ``bool`` subclasses ``int``
+# sweep cells and Python callers set these without argparse's int conversion
+# (a --config file is parsed as flags); their ints must be exact ints, since
+# ``bool`` subclasses ``int``
 INTEGER_FIELDS = ("n", "k", "trials", "base_seed", "gamma", "gamma_prime", "rho", "depth",
                   "reps", "final_reps", "lookahead", "tests", "jobs")
 FLOAT_FIELDS = ("p", "c_const", "beta_exp", "design_p", "t", "epsilon", "threshold")
@@ -375,17 +377,18 @@ def run_trials(config: TrialConfig) -> AggregateResult:
 
     The trials split into at most ``jobs`` consecutive shares of
     ``ceil(trials / jobs)`` trials, and each share runs whole, serially or
-    in a worker of its own (see :func:`_run_share`), in batches of at most
-    the scheme's cap: for the noisy scheme, as many trials as keep a
-    batch's outcome vectors and read marks under ``noisy.BATCH_BYTES``; one
-    trial for the others.  The records come back in index order.
+    in a pool of at most ``os.cpu_count()`` workers (see
+    :func:`_run_share`), in batches of at most the scheme's cap: for the
+    noisy scheme, as many trials as keep a batch's outcome vectors and read
+    marks under ``noisy.BATCH_BYTES``; one trial for the others.  The
+    records come back in index order.
     """
     validate_config(config)
     size = max(1, -(-config.trials // config.jobs))
     indices = range(config.trials)
     shares = [indices[start:start + size] for start in range(0, config.trials, size)]
     if len(shares) > 1:
-        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(shares), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_run_share, [config] * len(shares), shares))
     else:
         parts = [_run_share(config, share) for share in shares]

@@ -5,9 +5,9 @@ Monte-Carlo experiment; ``sweep`` runs a JSON-described grid of them;
 ``eta-curve`` evaluates the analytic test-count efficiency curves.  Results
 go to stdout as a table and, with --out, to a CSV or JSON file.
 
-Exit codes: 0 success, 1 harness error, 2 usage error.  A config file given
-with --config supplies defaults; flags always win.  GT_SEED in the
-environment is the fallback seed.
+Exit codes: 0 success, 1 harness error, 2 usage error.  A JSON file given
+with --config is read as flags placed before the explicit ones, which win.
+GT_SEED in the environment is the fallback seed.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ class UsageError(Exception):
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--n", type=int, help="item count (rounded up to a power of two)")
     sub.add_argument("--k", type=int, help="defective-count bound (rounded up)")
+    sub.add_argument("--p", type=float, default=None,
+                     help="channel flip probability (noisy: also the design target)")
     sub.add_argument("--trials", type=int, default=100)
     sub.add_argument("--seed", type=int, default=None,
                      help="base seed (falls back to GT_SEED, then 0)")
@@ -48,17 +50,18 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--out", type=str, default=None, help="result file path")
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
     sub.add_argument("--config", type=str, default=None,
-                     help="JSON file of flag defaults (flags override it)")
+                     help="JSON file of flag values (explicit flags override it)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitgt",
         description="Tree-splitting group testing benchmarks",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("gamma", help="divisibility-limited scheme")
+    sp = subs.add_parser("gamma", help="divisibility-limited scheme", allow_abbrev=False)
     _add_common(sp)
     sp.add_argument("--gamma", type=int, help="max tests per item (>= 3)")
     sp.add_argument("--gamma-prime", type=int, default=None,
@@ -66,20 +69,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c-const", type=float, default=None)
     sp.add_argument("--beta-exp", type=float, default=None,
                     help="target error term exponent: beta = (log2 n)^-beta_exp")
-    sp.add_argument("--p", type=float, default=None, help="channel flip probability")
 
-    sp = subs.add_parser("rho", help="size-limited-tests scheme")
+    sp = subs.add_parser("rho", help="size-limited-tests scheme", allow_abbrev=False)
     _add_common(sp)
     sp.add_argument("--rho", type=int, help="max items per test (rounded down)")
     sp.add_argument("--depth", type=int, default=None, help="tree depth C")
     sp.add_argument("--reps", type=int, default=None, help="mid-level repetitions N")
     sp.add_argument("--final-reps", type=int, default=None, help="final-level repetitions C'")
-    sp.add_argument("--p", type=float, default=None, help="channel flip probability")
 
-    sp = subs.add_parser("noisy", help="noise-tolerant binary splitting scheme")
+    sp = subs.add_parser("noisy", help="noise-tolerant binary splitting scheme",
+                         allow_abbrev=False)
     _add_common(sp)
-    sp.add_argument("--p", type=float, default=None,
-                    help="noise level: channel flip probability and design target")
     sp.add_argument("--design-p", type=float, default=None,
                     help="design noise target when it differs from the channel")
     sp.add_argument("--t", type=float, default=None)
@@ -90,21 +90,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--final-reps", type=int, default=None, help="batch multiplier C'")
 
     for name in ("comp", "ncomp"):
-        sp = subs.add_parser(name, help=f"{name.upper()} baseline on a flat random design")
+        sp = subs.add_parser(name, help=f"{name.upper()} baseline on a flat random design",
+                             allow_abbrev=False)
         _add_common(sp)
-        sp.add_argument("--p", type=float, default=None, help="channel flip probability")
         sp.add_argument("--tests", type=int, default=None, help="test budget T")
         if name == "ncomp":
             sp.add_argument("--threshold", type=float, default=None,
                             help="max negative-test fraction to still flag an item")
 
-    sp = subs.add_parser("sweep", help="run a JSON-described grid of experiments")
+    sp = subs.add_parser("sweep", help="run a JSON-described grid of experiments",
+                         allow_abbrev=False)
     sp.add_argument("--config", type=str, required=True)
     sp.add_argument("--out", type=str, default=None)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--seed", type=int, default=None)
 
-    sp = subs.add_parser("eta-curve", help="analytic efficiency-exponent curves")
+    sp = subs.add_parser("eta-curve", help="analytic efficiency-exponent curves",
+                         allow_abbrev=False)
     sp.add_argument("--gamma", type=str, default="4,10",
                     help="comma-separated divisibility budgets")
     sp.add_argument("--theta-steps", type=int, default=9)
@@ -115,8 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse twice: the first pass finds --config, whose fields become the
-    defaults for the second pass, so explicit flags override the file."""
+    """Parse twice: the first pass finds --config, whose entries become
+    ``--key=value`` flags (``_`` read as ``-``) between the subcommand and
+    the explicit flags for the second pass.  So a file value gets its
+    flag's type and choices, and an explicit flag, parsed later, wins."""
     first = parser.parse_args(argv)
     path = getattr(first, "config", None)
     if path is None or first.command == "sweep":
@@ -130,16 +134,14 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(file_values, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    known = {a.dest for a in parser._subparsers._group_actions[0].choices[first.command]._actions}
-    defaults = {}
     for key, value in file_values.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise UsageError(f"config file {path} sets unknown flag {key!r}")
-        defaults[dest] = value
-    sub = parser._subparsers._group_actions[0].choices[first.command]
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+        if isinstance(value, bool) or not isinstance(value, (str, int, float, type(None))):
+            raise UsageError(f"config file {path} sets {key!r} to {value!r}, "
+                             "not a string, a number or null")
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in file_values.items()
+             if value is not None]  # null leaves the flag unset
+    start = argv.index(first.command) + 1
+    return parser.parse_args([*argv[:start], *flags, *argv[start:]])
 
 
 def _seed_of(args: argparse.Namespace) -> int:
@@ -220,15 +222,8 @@ def _print_summary(results: list[bench.AggregateResult]):
             "ci_lo", "ci_hi", "mean_outcomes_read", "storage_words", "error"]
     print("  ".join(f"{c:>18}" for c in cols))
     for r in results:
-        row = result_row(r)
-        row["error"] = r.error or ""
-        vals = []
-        for c in cols:
-            v = row.get(c, getattr(r, c, ""))
-            if isinstance(v, float):
-                v = f"{v:.6g}"
-            vals.append(f"{str(v):>18}")
-        print("  ".join(vals))
+        row = {**result_row(r), "error": r.error or ""}
+        print("  ".join(f"{row[c]!s:>18}" for c in cols))
 
 
 def _write_results(results: list[bench.AggregateResult], args) -> None:
@@ -253,9 +248,11 @@ def _run_sweep(args) -> int:
             plan = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read sweep config {args.config}: {exc}") from exc
-    if not isinstance(plan, dict) or "cells" not in plan:
+    if not isinstance(plan, dict) or not isinstance(plan.get("cells"), list):
         raise UsageError('sweep config must be an object with a "cells" list')
-    base = dict(plan.get("base", {}))
+    base = plan.get("base", {})
+    if not isinstance(base, dict) or not all(isinstance(cell, dict) for cell in plan["cells"]):
+        raise UsageError('sweep config "base" and every cell must be objects')
     if args.seed is not None:
         base["base_seed"] = args.seed
     configs = []
@@ -303,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return execute(_apply_config_file(build_parser(),
                                           sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a bad flag
+        return exc.code
     except (UsageError, ValueError) as exc:  # a bad flag or an invalid config
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -143,8 +143,9 @@ class _Batch:
     Per level, its trial stack (see :func:`splitgt.placements.trial_stack`)
     and the position of its first test in a trial's outcome vector; per
     repetition of a level, the position of its first test from the level's
-    (the final level has the most repetitions).  ``grid`` holds the trials' outcome vectors end to end, trial b's from
-    b * t_total on, and ``seen`` marks the cells read."""
+    (the final level has the most repetitions).  ``grid`` holds the trials'
+    outcome vectors end to end, trial b's from b * t_total on, and ``seen``
+    marks the cells read."""
 
     def __init__(self, designs, outcomes):
         first = designs[0]

@@ -296,10 +296,13 @@ class InlinePool:
         return map(fn, *iterables)
 
 
-def _record_shares_and_batches(monkeypatch, algorithm: str) -> tuple[list, list, list]:
+def _record_shares_and_batches(monkeypatch, algorithm: str,
+                               cpus: int = 8) -> tuple[list, list, list]:
     """Record the pool's worker count, the indices of every share and the
-    size of every batch decode of ``run_trials`` calls, run in-process."""
+    size of every batch decode of ``run_trials`` calls, run in-process on a
+    host of ``cpus`` CPUs."""
     workers, shares, batches = [], [], []
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(bench, "ProcessPoolExecutor",
                         lambda max_workers: InlinePool(workers, max_workers))
     run_share = bench._run_share
@@ -349,6 +352,16 @@ def test_noisy_batches_follow_jobs_and_byte_cap(jobs, trials, cap, sizes, monkey
     assert [i for share in ran for i in share] == list(range(trials))
     assert workers == ([len(shares)] if len(shares) > 1 else [])
     assert batches == batch_sizes
+
+
+def test_workers_are_capped_at_the_cpu_count(monkeypatch):
+    """More jobs than CPUs keeps the shares, and so the records, but opens
+    one worker per CPU."""
+    expected = run_trials(_gamma_config(trials=64))
+    config = _gamma_config(trials=64, jobs=64)
+    workers, ran, _ = _record_shares_and_batches(monkeypatch, "gamma", cpus=2)
+    assert run_trials(config).to_dict() == expected.to_dict()
+    assert workers == [2] and ran == [range(i, i + 1) for i in range(64)]
 
 
 def test_other_schemes_run_one_trial_per_batch(monkeypatch):

@@ -1,5 +1,7 @@
 import json
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -90,7 +92,43 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"n": 1024, "k": 4, "gamma": 5, "bogus": 1}))
     code = main(["gamma", "--config", str(cfg)])
     assert code == 2
-    assert "unknown flag" in capsys.readouterr().err
+    assert "unrecognized arguments: --bogus=1" in capsys.readouterr().err
+
+
+def test_config_file_entries_parse_as_flags(tmp_path, monkeypatch):
+    """Each entry is its flag: typed and checked by argparse, ``_`` read as
+    ``-``, ``null`` left unset, and a number for a string flag read as its
+    text."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "1024", "k": 4, "gamma": 5, "hash_mode": "kwise",
+                               "c-const": 8, "trials": None, "out": 1}))
+    args = parse(["gamma", "--config", str(cfg)])
+    config = config_from_args(args)
+    assert (config.n, config.hash_mode, config.trials) == (1024, "kwise", 100)
+    assert type(config.c_const) is float and config.c_const == 8.0
+    assert args.out == "1"
+    assert main(["gamma", "--config", str(cfg), "--trials", "2"]) == 0
+    assert (tmp_path / "1").read_text().startswith("algorithm,")
+
+
+def test_help_exits_0(capsys):
+    assert main(["gamma", "--help"]) == 0
+    assert "--p P" in capsys.readouterr().out
+
+
+def test_readme_commands_parse():
+    """Every command of the README's CLI block parses; the scheme commands
+    also build a valid config, without running a trial."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```bash\n(.*?)```", readme, re.S).group(1)
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("splitgt ")]
+    assert {argv[0] for argv in commands} == {"gamma", "rho", "noisy", "comp", "ncomp",
+                                              "eta-curve", "sweep"}
+    for argv in commands:
+        args = parse(argv)
+        if args.command not in ("eta-curve", "sweep"):
+            assert config_from_args(args).algorithm == args.command
 
 
 def test_gt_seed_env_fallback(monkeypatch):
@@ -172,7 +210,7 @@ def test_eta_curve_csv(tmp_path, capsys):
     # k that rounds up to the rounded n
     "comp --n 15 --k 13",
     "ncomp --n 16 --k 16 --p 0.05",
-    # config-file values skip argparse's types and choices
+    # config-file values get their flag's type and choices
     'comp --n 256 --k 2 --config={"hash_mode":"bogus"}',
     'gamma --n 256 --k 2 --gamma 5 --config={"hash_mode":"bogus"}',
     'gamma --k 4 --gamma 5 --config={"n":1000.5}',
@@ -192,6 +230,16 @@ def test_eta_curve_csv(tmp_path, capsys):
     "gamma --n 1024 --k 4 --gamma 5 --beta-exp=-1000",
     'rho --n 1024 --k 4 --rho 16 --config={"p":[0.1]}',
     'ncomp --n 1024 --k 4 --config={"threshold":[0.1]}',
+    # no flag is matched by a prefix: gamma has no --t, and --trials is not it
+    "gamma --n 1024 --k 4 --gamma 5 --t 2",
+    # config-file values get argparse's choices, and only strings and numbers
+    'gamma --n 1024 --k 4 --gamma 5 --config={"format":"xml"}',
+    'gamma --n 1024 --k 4 --gamma 5 --config={"out":true}',
+    # malformed sweep plans
+    'sweep --config={"cells":[5]}',
+    'sweep --config={"cells":{"n":5}}',
+    'sweep --config={"cells":"abc"}',
+    'sweep --config={"base":[1,2],"cells":[{}]}',
 ])
 def test_invalid_config_exits_2_before_any_trial(argv, capsys, tmp_path):
     args = argv.split()
