@@ -116,7 +116,7 @@ def summarise(passes: list[dict]) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0], allow_abbrev=False)
     target = parser.add_mutually_exclusive_group(required=True)
     target.add_argument("--out", help="ledger file to write, relative to the repo root")
     target.add_argument("--measure", nargs=2, metavar=("DIR", "INDEX"), help=argparse.SUPPRESS)

@@ -12,7 +12,7 @@ from splitgt.bench import TrialConfig, run_trials
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("--n", type=int, default=2 ** 12)
     parser.add_argument("--k", type=int, default=8)
     parser.add_argument("--design-p", type=float, default=0.05)

@@ -29,7 +29,7 @@ def configs(trials: int, seed: int) -> list[TrialConfig]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", type=str, default=None)

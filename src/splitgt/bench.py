@@ -177,17 +177,10 @@ def validate_config(config: TrialConfig) -> None:
         raise ValueError("the gamma scheme needs a divisibility budget (gamma)")
     if config.algorithm == "rho" and config.rho is None:
         raise ValueError("the rho scheme needs a test-size cap (rho)")
-    if config.algorithm == "noisy":
-        dp = config.design_p if config.design_p is not None else config.p
-        if not 0.0 < dp < 0.5:
-            raise ValueError(
-                f"the noisy scheme's design noise level p must lie in (0, 0.5), got {dp}"
-            )
     if config.algorithm in ("comp", "ncomp") and config.tests is not None and config.tests < 1:
         raise ValueError(f"the test budget (tests) must be at least 1, got {config.tests}")
     if config.algorithm == "ncomp" and not 0.0 <= config.threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {config.threshold}")
-    config.channel()  # validates channel probabilities
     n, k, _ = _rounded(config)
     if k >= n:
         raise ValueError(f"k={config.k} rounds up to {k}, not below the rounded n={n}")
@@ -201,6 +194,7 @@ def validate_config(config: TrialConfig) -> None:
     if size > MAX_TRIAL_BYTES:
         raise ValueError(f"a trial would allocate a {size}-byte array, over the "
                          f"{MAX_TRIAL_BYTES}-byte limit")
+    config.channel()  # validates the flip probability
 
 
 def _rounded(config: TrialConfig) -> tuple[int, int, Optional[int]]:

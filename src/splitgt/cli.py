@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                          allow_abbrev=False)
     _add_common(sp)
     sp.add_argument("--design-p", type=float, default=None,
-                    help="design noise target when it differs from the channel")
+                    help="design noise level in (0, 0.5) (default: --p)")
     sp.add_argument("--t", type=float, default=None)
     sp.add_argument("--epsilon", type=float, default=None)
     sp.add_argument("--mode", choices=["theory", "practice"], default=None)
@@ -151,7 +151,7 @@ def _seed_of(args: argparse.Namespace) -> int:
 
 
 # run flags each scheme cannot go without
-REQUIRED = {"gamma": ("gamma",), "rho": ("rho",), "noisy": ("p",)}
+REQUIRED = {"gamma": ("gamma",), "rho": ("rho",)}
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(bench.TrialConfig)}
 
 
@@ -253,11 +253,11 @@ def _run_sweep(args) -> int:
     base = plan.get("base", {})
     if not isinstance(base, dict) or not all(isinstance(cell, dict) for cell in plan["cells"]):
         raise UsageError('sweep config "base" and every cell must be objects')
-    if args.seed is not None:
-        base["base_seed"] = args.seed
     configs = []
     for cell in plan["cells"]:
         merged = {**base, **cell}
+        if args.seed is not None:
+            merged["base_seed"] = args.seed
         if isinstance(merged.get("defectives"), list):  # anything else fails validation
             merged["defectives"] = tuple(merged["defectives"])
         try:

@@ -1,9 +1,9 @@
 """Shared primitives for the pooling-design toolkit.
 
 Houses the problem instance (item count, defective bound, hidden defective
-set), the binary noise channel, the keyed-randomness contract that makes
-every experiment reproducible, and the outcome vector produced by running a
-non-adaptive design against an instance.
+set), the binary symmetric noise channel (one flip probability), the
+keyed-randomness contract that makes every experiment reproducible, and the
+outcome vector produced by running a non-adaptive design against an instance.
 
 A *design* in this package is any object exposing three things:
 
@@ -120,27 +120,25 @@ class RandomnessKey:
 
 @dataclass(frozen=True)
 class NoiseChannel:
-    """Binary channel flipping a 0-outcome with prob p01 and a 1-outcome
-    with prob p10.
+    """Binary symmetric channel: every outcome flips with probability ``p``.
 
-    The schemes are designed for flip probabilities below one half; larger
-    values are accepted only so degenerate channels (e.g. an always-flipped
-    positive) can be expressed in tests.
+    The schemes are designed for flip probabilities below one half, which
+    :meth:`symmetric` enforces; the constructor accepts all of [0, 1] only
+    so degenerate channels (e.g. one that flips every outcome) can be
+    expressed in tests.
     """
 
-    p01: float = 0.0
-    p10: float = 0.0
+    p: float = 0.0
 
     def __post_init__(self):
-        for name, p in (("p01", self.p01), ("p10", self.p10)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p}")
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
     @classmethod
     def symmetric(cls, p: float) -> "NoiseChannel":
         if not 0.0 <= p < 0.5:
             raise ValueError(f"symmetric noise level must lie in [0, 0.5), got {p}")
-        return cls(p01=p, p10=p)
+        return cls(p)
 
     @classmethod
     def noiseless(cls) -> "NoiseChannel":
@@ -148,7 +146,7 @@ class NoiseChannel:
 
     @property
     def is_noiseless(self) -> bool:
-        return self.p01 == 0.0 and self.p10 == 0.0
+        return self.p == 0.0
 
 
 @dataclass(frozen=True)
@@ -245,15 +243,14 @@ def evaluate_design(design, instance: ProblemInstance, channel: NoiseChannel,
     """Run every test of a non-adaptive design against an instance.
 
     One bit per test in layout order: the design's ``noiseless_bits``, then
-    the channel noise as one ``random(T)`` draw from ``key``'s generator, so
-    outcomes are independent across tests and the whole vector is a pure
-    function of (design, instance, channel, key).
+    the channel noise: one ``random(T)`` draw ``u`` from ``key``'s generator,
+    and test c flips iff ``u[c] < channel.p``.  So outcomes are independent
+    across tests and the whole vector is a pure function of (design,
+    instance, channel, key).
     """
     if design.n != instance.n:
         raise ValueError(f"design built for n={design.n}, instance has n={instance.n}")
     bits = design.noiseless_bits(instance.defectives)
     if not channel.is_noiseless:
-        u = key.generator().random(len(bits))
-        flips = np.where(bits == 1, u < channel.p10, u < channel.p01)
-        bits ^= flips.astype(np.uint8)
+        bits ^= key.generator().random(len(bits)) < channel.p
     return OutcomeVector(bits=bits, layout=tuple(design.layout))

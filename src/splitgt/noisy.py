@@ -75,7 +75,7 @@ def noisy_params(
     if not (is_power_of_two(n) and is_power_of_two(k) and k < n):
         raise ValueError("expected power-of-two n and k with k < n (round first)")
     if not 0.0 < p < 0.5:
-        raise ValueError(f"p must lie in (0, 0.5), got {p}")
+        raise ValueError(f"the noisy scheme's design noise level p must lie in (0, 0.5), got {p}")
     if epsilon * t <= 1.0:
         raise ValueError(f"epsilon * t must exceed 1, got {epsilon * t}")
     if mode not in ("theory", "practice"):

@@ -315,8 +315,7 @@ def compute_outcome(members, instance, channel, key) -> int:
             raise ValueError(f"member id {m} outside [0, {instance.n})")
         if m in defective:
             base = 1
-    flip_p = channel.p10 if base else channel.p01
-    if flip_p > 0.0 and key.generator().random() < flip_p:
+    if channel.p > 0.0 and key.generator().random() < channel.p:
         base ^= 1
     return base
 

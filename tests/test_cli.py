@@ -1,5 +1,9 @@
+import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -33,6 +37,15 @@ def test_noisy_p_out_of_range_exits_2(capsys):
     code = main("noisy --n 4096 --k 8 --p 0.6 --trials 5".split())
     assert code == 2
     assert "p must lie in (0, 0.5)" in capsys.readouterr().err
+
+
+def test_noisy_design_p_without_channel_p_runs_noiselessly(tmp_path):
+    out = tmp_path / "noisy.json"
+    argv = f"noisy --n 1024 --k 4 --design-p 0.05 --trials 3 --format json --out {out}"
+    assert main(argv.split()) == 0
+    expected = bench.run_trials(bench.TrialConfig(
+        algorithm="noisy", n=1024, k=4, design_p=0.05, p=0.0, trials=3))
+    assert bench.results_from_json(out.read_text()) == [expected]
 
 
 def test_missing_required_flag_exits_2(capsys):
@@ -151,6 +164,20 @@ def test_sweep_runs_grid(tmp_path):
     assert len(lines) == 3  # header + one row per cell
 
 
+def test_sweep_seed_sets_every_cell(tmp_path):
+    """--seed overrides the base_seed of the base and of every cell."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "base": {"algorithm": "gamma", "n": 1024, "k": 4, "gamma": 5, "trials": 3,
+                 "base_seed": 7},
+        "cells": [{}, {"base_seed": 9}],
+    }))
+    out = tmp_path / "rows.json"
+    assert main(["sweep", "--config", str(cfg), "--seed", "1", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert [row["seed"] for row in json.loads(out.read_text())] == [1, 1]
+
+
 def test_sweep_error_cell_exits_1(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
@@ -210,6 +237,11 @@ def test_eta_curve_csv(tmp_path, capsys):
     # k that rounds up to the rounded n
     "comp --n 15 --k 13",
     "ncomp --n 16 --k 16 --p 0.05",
+    # the noisy design p, from --design-p or else --p, lies in (0, 0.5)
+    "noisy --n 1024 --k 4",
+    "noisy --n 1024 --k 4 --design-p 0.5",
+    # a channel p past one half, though the design p is usable
+    "noisy --n 1024 --k 4 --p 0.6 --design-p 0.1",
     # config-file values get their flag's type and choices
     'comp --n 256 --k 2 --config={"hash_mode":"bogus"}',
     'gamma --n 256 --k 2 --gamma 5 --config={"hash_mode":"bogus"}',
@@ -250,6 +282,29 @@ def test_invalid_config_exits_2_before_any_trial(argv, capsys, tmp_path):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "trial 0" not in err
+
+
+@pytest.mark.parametrize("script", ["noise_robustness.py", "run_benchmarks.py"])
+def test_scripts_reject_abbreviated_flags(script):
+    """``--tri`` is not read as ``--trials``: the script exits 2 before its
+    table header, that is before any trial."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, str(root / "scripts" / script), "--tri", "2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "unrecognized arguments: --tri" in done.stderr
+
+
+def test_bench_perf_rejects_abbreviated_flags(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_perf.py"
+    spec = importlib.util.spec_from_file_location("bench_perf", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--ou", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_eta_curve_bad_gamma_exits_2(capsys):

@@ -57,14 +57,14 @@ def test_problem_instance_validation():
 
 
 def test_noise_channel_validation():
-    assert NoiseChannel.symmetric(0.1).p01 == 0.1
+    assert NoiseChannel.symmetric(0.1).p == 0.1
     assert NoiseChannel.noiseless().is_noiseless
     with pytest.raises(ValueError):
         NoiseChannel.symmetric(0.5)
     with pytest.raises(ValueError):
-        NoiseChannel(p01=-0.1)
+        NoiseChannel(-0.1)
     # degenerate always-flip channels are representable for tests
-    assert NoiseChannel(p10=1.0).p10 == 1.0
+    assert NoiseChannel(1.0).p == 1.0
 
 
 def test_randomness_key_contract():
@@ -85,7 +85,8 @@ def test_compute_outcome_examples():
     key = RandomnessKey(0)
     assert compute_outcome({1, 2}, inst, NoiseChannel.noiseless(), key) == 0
     assert compute_outcome({2, 3}, inst, NoiseChannel.noiseless(), key) == 1
-    assert compute_outcome({2, 3}, inst, NoiseChannel(p10=1.0), key) == 0
+    assert compute_outcome({2, 3}, inst, NoiseChannel(1.0), key) == 0
+    assert compute_outcome({1, 2}, inst, NoiseChannel(1.0), key) == 1
     with pytest.raises(ValueError):
         compute_outcome({8}, inst, NoiseChannel.noiseless(), key)
 
@@ -167,19 +168,17 @@ def test_evaluate_design_n_mismatch():
 
 @pytest.mark.parametrize("side,p", [("p10", 0.1), ("p01", 0.05)])
 def test_empirical_flip_rate(side, p):
-    # 10^5 copies of a fixed-OR test; observed flips within 3 standard errors
+    # 10^5 copies of a fixed-OR test, positive (a 1 -> 0 flip, "p10") or
+    # negative (a 0 -> 1 flip, "p01"); observed flips within 3 standard errors
     reps = 100_000
+    inst = ProblemInstance(n=4, k=2, defectives=(0,))
     if side == "p10":
-        design = flat_design(4, ({0},) * reps)
-        inst = ProblemInstance(n=4, k=2, defectives=(0,))
-        channel = NoiseChannel(p10=p)
-        out = evaluate_design(design, inst, channel, RandomnessKey(2024))
+        out = evaluate_design(flat_design(4, ({0},) * reps), inst, NoiseChannel(p),
+                              RandomnessKey(2024))
         flips = reps - int(out.bits.sum())
     else:
-        design = flat_design(4, ({1},) * reps)
-        inst = ProblemInstance(n=4, k=2, defectives=(0,))
-        channel = NoiseChannel(p01=p)
-        out = evaluate_design(design, inst, channel, RandomnessKey(2025))
+        out = evaluate_design(flat_design(4, ({1},) * reps), inst, NoiseChannel(p),
+                              RandomnessKey(2025))
         flips = int(out.bits.sum())
     se = (p * (1 - p) / reps) ** 0.5
     assert abs(flips / reps - p) <= 3 * se
@@ -214,7 +213,7 @@ def test_randomness_key_stream_order_matters():
 
 def test_scalar_flip_rate_matches():
     inst = ProblemInstance(n=4, k=2, defectives=(0,))
-    channel = NoiseChannel(p10=0.1)
+    channel = NoiseChannel(0.1)
     base = RandomnessKey(77)
     flips = sum(
         1 - compute_outcome({0}, inst, channel, base.child(i)) for i in range(2000)

@@ -309,12 +309,10 @@ def test_decode_leaves_no_reference_cycle(monkeypatch):
     n_reps=st.sampled_from([1, 3, 5, 7]),
     r=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
     hash_mode=st.sampled_from(["full", "kwise", "pairwise"]),
-    p01=st.sampled_from([0.0, 0.05, 0.3]),
-    p10=st.sampled_from([0.0, 0.05, 0.3]),
+    p=st.sampled_from([0.0, 0.05, 0.3]),
     seed=st.integers(min_value=0, max_value=2 ** 32),
 )
-def test_decode_matches_depth_first_reference(log_n, log_k, n_reps, r, hash_mode,
-                                              p01, p10, seed):
+def test_decode_matches_depth_first_reference(log_n, log_k, n_reps, r, hash_mode, p, seed):
     """The level-synchronous decoder returns the depth-first lookahead's
     estimate on the same outcome vector, visits the same nodes, reads at most
     every test once, computes at most 2^(r+1) - 2 labels (one per node of a
@@ -327,7 +325,7 @@ def test_decode_matches_depth_first_reference(log_n, log_k, n_reps, r, hash_mode
     count = int(rng.integers(0, k + 1))
     defectives = tuple(int(d) for d in rng.choice(n, size=count, replace=False))
     out = evaluate_design(design, ProblemInstance(n=n, k=k, defectives=defectives),
-                          NoiseChannel(p01=p01, p10=p10), RandomnessKey(seed, ("noise",)))
+                          NoiseChannel(p), RandomnessKey(seed, ("noise",)))
     upper = []  # (roots, labels computed) of each level above the final one
 
     def recording_lookahead(*args):
@@ -363,17 +361,20 @@ def _trial(n, k, seed, hash_mode, channel, count, params):
 
 @pytest.mark.parametrize("hash_mode", ["full", "kwise", "pairwise"])
 @pytest.mark.parametrize("size", [1, 2, 5, 12])
-@pytest.mark.parametrize("p01,p10", [(p01, p10) for p01 in (0.0, 0.05, 0.3)
-                                     for p10 in (0.0, 0.05, 0.3)])
-def test_batch_decode_matches_separate_decodes(hash_mode, size, p01, p10):
+@pytest.mark.parametrize("p_even,p_odd", [(p_even, p_odd) for p_even in (0.0, 0.05, 0.3)
+                                           for p_odd in (0.0, 0.05, 0.3)])
+def test_batch_decode_matches_separate_decodes(hash_mode, size, p_even, p_odd):
     """Decoding trials together gives each trial exactly its own decode:
     the same estimate and the same counters.  The batch mixes trials with
     no defectives (whose frontier empties at the first level when the
-    channel is quiet) with trials of up to k defectives."""
+    channel is quiet) with trials of up to k defectives, and trials at two
+    flip probabilities: p_even for even-indexed trials, p_odd for odd."""
     n, k = 2 ** 8, 4
     params = noisy_params(n, k, 0.05, n_reps=3)
-    channel = NoiseChannel(p01=p01, p10=p10)
-    trials = [_trial(n, k, 1000 * size + i, hash_mode, channel, i % (k + 1), params)
+    # p_odd also picks the seeds, so that batches of one differ across it
+    seed = 100_000 * round(100 * p_odd) + 1000 * size
+    trials = [_trial(n, k, seed + i, hash_mode, NoiseChannel((p_even, p_odd)[i % 2]),
+                     i % (k + 1), params)
               for i in range(size)]
     designs, outs = [d for d, _ in trials], [o for _, o in trials]
     batched = noisy.decode_noisy_batch(designs, outs)

@@ -38,24 +38,23 @@ def _design(scheme, n, k, budget, depth, reps, final_reps, hash_mode, key):
     reps=st.integers(min_value=1, max_value=3),
     final_reps=st.integers(min_value=1, max_value=3),
     hash_mode=st.sampled_from(["full", "kwise", "pairwise", "permutation"]),
-    p01=st.sampled_from([0.0, 0.05, 0.3]),
-    p10=st.sampled_from([0.0, 0.1]),
+    p=st.sampled_from([0.0, 0.05, 0.1, 0.3]),
     seed=st.integers(min_value=0, max_value=2 ** 32),
 )
 # rho on keyed permutations in every mode: levels below and above 2^6 nodes
 # (24 and 6 Feistel rounds), odd and even bit widths, a cap of 1 and of n
 @example(scheme="rho", log_n=5, log_k=1, budget=2, depth=2, reps=3, final_reps=3,
-         hash_mode="full", p01=0.05, p10=0.0, seed=1)
+         hash_mode="full", p=0.05, seed=1)
 @example(scheme="rho", log_n=13, log_k=3, budget=6, depth=2, reps=3, final_reps=2,
-         hash_mode="permutation", p01=0.0, p10=0.0, seed=2)
+         hash_mode="permutation", p=0.0, seed=2)
 @example(scheme="rho", log_n=14, log_k=2, budget=6, depth=3, reps=2, final_reps=3,
-         hash_mode="kwise", p01=0.3, p10=0.1, seed=3)
+         hash_mode="kwise", p=0.3, seed=3)
 @example(scheme="rho", log_n=11, log_k=2, budget=8, depth=1, reps=1, final_reps=1,
-         hash_mode="pairwise", p01=0.05, p10=0.1, seed=4)
+         hash_mode="pairwise", p=0.1, seed=4)
 @example(scheme="rho", log_n=4, log_k=0, budget=4, depth=2, reps=1, final_reps=2,
-         hash_mode="full", p01=0.3, p10=0.0, seed=5)
+         hash_mode="full", p=0.3, seed=5)
 def test_decode_tree_matches_scalar_reference(scheme, log_n, log_k, budget, depth, reps,
-                                              final_reps, hash_mode, p01, p10, seed):
+                                              final_reps, hash_mode, p, seed):
     """Same estimate, read count, visit count and peak frontier as the
     node-by-node decoder, with every frontier looked up repetition by
     repetition and with every one looked up under all repetitions at once;
@@ -71,7 +70,7 @@ def test_decode_tree_matches_scalar_reference(scheme, log_n, log_k, budget, dept
     count = int(rng.integers(0, k + 1))
     defectives = tuple(int(d) for d in rng.choice(n, size=count, replace=False))
     outcomes = evaluate_design(design, ProblemInstance(n=n, k=k, defectives=defectives),
-                               NoiseChannel(p01=p01, p10=p10), RandomnessKey(seed, ("noise",)))
+                               NoiseChannel(p), RandomnessKey(seed, ("noise",)))
     decode, reference = ((decode_gamma, decode_gamma_scalar) if scheme == "gamma"
                          else (decode_rho, decode_rho_scalar))
     expected = reference(design, outcomes)
