@@ -84,6 +84,7 @@ class AggregateResult:
     algorithm: str
     n: int
     k: int
+    p: float  # the channel flip probability (noisy's design target is params["p"])
     t_total: int
     trials: int
     successes: int
@@ -119,7 +120,10 @@ def wilson_interval(successes: int, trials: int,
     denom = 1.0 + z2 / trials
     centre = (phat + z2 / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
-    return max(0.0, centre - half), min(1.0, centre + half)
+    # exact at the ends: rounding can leave 0 successes a positive lower end
+    lo = 0.0 if successes == 0 else max(0.0, centre - half)
+    hi = 1.0 if successes == trials else min(1.0, centre + half)
+    return lo, hi
 
 
 # sweep cells and Python callers set these without argparse's int conversion
@@ -286,11 +290,11 @@ SCHEMES = {
                                  // (2 * noisy_mod.noisy_total_tests(params, n, k)))),
     "comp": _flat_scheme(
         lambda c, design, outcomes: _flat_report(baselines.decode_comp, design, outcomes),
-        lambda c, tests: {"tests": tests, "p": c.p}),
+        lambda c, tests: {"tests": tests}),
     "ncomp": _flat_scheme(
         lambda c, design, outcomes: _flat_report(baselines.decode_ncomp, design, outcomes,
                                                  c.threshold),
-        lambda c, tests: {"tests": tests, "p": c.p, "threshold": c.threshold}),
+        lambda c, tests: {"tests": tests, "threshold": c.threshold}),
 }
 ALGORITHMS = tuple(SCHEMES)
 
@@ -405,6 +409,7 @@ def aggregate(config: TrialConfig, records: list[dict]) -> AggregateResult:
         algorithm=config.algorithm,
         n=n,
         k=k,
+        p=float(config.p),
         t_total=records[0]["t_total"] if records else 0,
         trials=trials,
         successes=successes,
@@ -435,7 +440,7 @@ def sweep(configs: list[TrialConfig]) -> list[AggregateResult]:
             results.append(run_trials(config))
         except Exception as exc:  # recorded, not raised: later cells still run
             results.append(AggregateResult(
-                algorithm=config.algorithm, n=config.n, k=config.k, t_total=0,
+                algorithm=config.algorithm, n=config.n, k=config.k, p=config.p, t_total=0,
                 trials=0, successes=0, success_rate=0.0, ci_lo=0.0, ci_hi=1.0,
                 mean_outcomes_read=0.0, max_outcomes_read=0,
                 mean_nodes_visited=0.0, mean_labels=0.0,

@@ -147,7 +147,11 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
 def _seed_of(args: argparse.Namespace) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    return int(os.environ.get("GT_SEED", "0"))
+    value = os.environ.get("GT_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"GT_SEED must be an integer, got {value!r}") from None
 
 
 # run flags each scheme cannot go without
@@ -182,7 +186,7 @@ def result_row(result: bench.AggregateResult) -> dict:
         "gamma": params.get("gamma", ""),
         "gamma_prime": params.get("gamma_prime", ""),
         "rho": params.get("rho", ""),
-        "p": params.get("p", ""),
+        "p": result.p,
         "T": result.t_total,
         "trials": result.trials,
         "successes": result.successes,
@@ -218,7 +222,7 @@ def _emit(text: str, out_path: str | None):
 
 
 def _print_summary(results: list[bench.AggregateResult]):
-    cols = ["algorithm", "n", "k", "T", "trials", "success_rate",
+    cols = ["algorithm", "hash_mode", "n", "k", "p", "T", "trials", "success_rate",
             "ci_lo", "ci_hi", "mean_outcomes_read", "storage_words", "error"]
     print("  ".join(f"{c:>18}" for c in cols))
     for r in results:

@@ -47,6 +47,12 @@ def test_wilson_interval_sanity():
     assert wilson_interval(200, 200)[1] == 1.0
 
 
+def test_wilson_interval_endpoints_are_exact():
+    for trials in range(1, 2001):
+        assert wilson_interval(0, trials)[0] == 0.0
+        assert wilson_interval(trials, trials)[1] == 1.0
+
+
 def _gamma_config(**kw):
     base = dict(algorithm="gamma", n=2 ** 10, k=4, gamma=5, trials=30, base_seed=5)
     base.update(kw)

@@ -1,9 +1,8 @@
+import csv
 import importlib.util
+import io
 import json
-import os
 import re
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -150,6 +149,12 @@ def test_gt_seed_env_fallback(monkeypatch):
     assert config_from_args(args).base_seed == 417
 
 
+def test_non_integer_gt_seed_exits_2_naming_it(monkeypatch, capsys):
+    monkeypatch.setenv("GT_SEED", "abc")
+    assert main("gamma --n 1024 --k 4 --gamma 5".split()) == 2
+    assert "GT_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+
 def test_sweep_runs_grid(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
@@ -215,6 +220,38 @@ def test_sweep_non_integer_defectives_cell_is_an_error_row(tmp_path, monkeypatch
     assert started == [(5, 9)]
 
 
+@pytest.mark.parametrize("argv,channel_p,params_p", [
+    ("gamma --n 1024 --k 4 --gamma 5 --p 0.05", 0.05, None),
+    ("noisy --n 1024 --k 4 --p 0.1 --design-p 0.05", 0.1, 0.05),
+])
+def test_results_record_the_channel_p(argv, channel_p, params_p, tmp_path):
+    """The CSV ``p`` cell and the JSON ``p`` are the channel's for every
+    algorithm; noisy's design target stays in ``params``."""
+    csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+    argv = argv.split() + ["--trials", "3"]
+    assert main(argv + ["--out", str(csv_out)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+    row = next(csv.DictReader(io.StringIO(csv_out.read_text())))
+    assert float(row["p"]) == channel_p
+    [result] = json.loads(json_out.read_text())
+    assert result["p"] == channel_p and result["params"].get("p") == params_p
+
+
+@pytest.mark.parametrize("plan", ["headline.json", "noise_robustness.json"])
+def test_committed_plans_run(plan, tmp_path):
+    """Each committed sweep plan, cut to 2 trials a cell, runs its six
+    cells, and every row records its cell's channel p."""
+    spec = json.loads((Path(__file__).resolve().parents[1] / "scripts" / plan).read_text())
+    spec["base"]["trials"] = 2
+    path, out = tmp_path / plan, tmp_path / "rows.csv"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [float(row["p"]) for row in rows] == [
+        {**spec["base"], **cell}.get("p", 0.0) for cell in spec["cells"]]
+    assert len(rows) == 6 and {row["trials"] for row in rows} == {"2"}
+
+
 def test_eta_curve_csv(tmp_path, capsys):
     out_a, out_b = tmp_path / "eta_a.csv", tmp_path / "eta_b.csv"
     assert main(f"eta-curve --gamma 4,10 --theta-steps 9 --out {out_a}".split()) == 0
@@ -272,6 +309,14 @@ def test_eta_curve_csv(tmp_path, capsys):
     'sweep --config={"cells":{"n":5}}',
     'sweep --config={"cells":"abc"}',
     'sweep --config={"base":[1,2],"cells":[{}]}',
+    "sweep --config /nonexistent/plan.json",
+    "gamma --n 1024 --k 4 --gamma 5 --trials -1",
+    # --config files that are missing, not JSON, or not an object
+    "gamma --n 1024 --k 4 --gamma 5 --config /nonexistent/config.json",
+    'gamma --n 1024 --k 4 --gamma 5 --config={"n":',
+    "gamma --n 1024 --k 4 --gamma 5 --config=[1024]",
+    "eta-curve --gamma 4,x",
+    "eta-curve --theta-steps 0",
 ])
 def test_invalid_config_exits_2_before_any_trial(argv, capsys, tmp_path):
     args = argv.split()
@@ -282,18 +327,6 @@ def test_invalid_config_exits_2_before_any_trial(argv, capsys, tmp_path):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "trial 0" not in err
-
-
-@pytest.mark.parametrize("script", ["noise_robustness.py", "run_benchmarks.py"])
-def test_scripts_reject_abbreviated_flags(script):
-    """``--tri`` is not read as ``--trials``: the script exits 2 before its
-    table header, that is before any trial."""
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, str(root / "scripts" / script), "--tri", "2"],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 2 and done.stdout == ""
-    assert "unrecognized arguments: --tri" in done.stderr
 
 
 def test_bench_perf_rejects_abbreviated_flags(tmp_path):
