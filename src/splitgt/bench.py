@@ -8,11 +8,14 @@ trials are independent.  Success means exact set recovery; partial-recovery
 counts are reported as supplementary columns only.
 
 ``run_trials`` splits its trials into at most ``jobs`` consecutive shares, one
-per worker, and a share runs in batches: each trial draws its own defectives,
-design and noise, and a batch's trials are then decoded by one call.  Only the
-noisy scheme decodes a batch of several trials at once; every other scheme's
-batch is a single trial.  ``run_trial`` is the share of one, so every record,
-batched or not, comes from the same code.
+per worker, and a share runs in batches of consecutive trials, each trial
+with its own defectives, design keys and noise.  A gamma or rho batch is one
+design over every trial's keys, evaluated into one outcome grid and decoded
+by one tree descent; a noisy batch builds and evaluates its trials one by
+one and decodes them in one call; a COMP/NCOMP batch is a single trial.  A
+batch of one takes the one-trial path of every scheme, and ``run_trial`` is
+the share of one, so its records, which traced runs take, come from that
+path.
 """
 
 from __future__ import annotations
@@ -22,18 +25,22 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import baselines
 from . import gamma as gamma_mod
 from . import noisy as noisy_mod
 from . import rho as rho_mod
+from . import tree as tree_mod
 from .core import (
     DecodeReport,
     NoiseChannel,
     ProblemInstance,
     RandomnessKey,
+    evaluate_batch,
     evaluate_design,
+    generator_of,
     round_instance,
 )
 from .gamma import DEFAULT_C_CONST
@@ -139,6 +146,13 @@ FLOAT_FIELDS = ("p", "c_const", "beta_exp", "design_p", "t", "epsilon", "thresho
 # is rejected before trial 0, not failed in it by an allocation that one host
 # refuses and another overcommits.
 MAX_N, MAX_TRIAL_BYTES = 1 << 62, 1 << 32
+# A batch of tree-scheme trials holds their outcome vectors and read marks,
+# two bytes per test and trial; a batch stays under this many bytes.  Larger
+# blocks fragment the malloc heap next to other configs' large single
+# trials: batches of two or five 206k-test gamma trials, alternating with a
+# 1.8M-test rho trial (lowstore-giant), raised the peak RSS from 41.9 to
+# 44.2 MiB, where batches of one keep it.
+BATCH_BYTES = 1 << 19
 
 
 def validate_config(config: TrialConfig) -> None:
@@ -221,6 +235,11 @@ class Scheme(NamedTuple):
     footprint: Callable
     # (params, n, k) -> the most trials one batch may hold
     batch: Callable = lambda params, n, k: 1
+    # (config, design, grid) -> one DecodeReport per row of ``grid``, for a
+    # scheme whose batch of several trials is one design built from all of
+    # their key material and evaluated into one (trials x T) grid; None
+    # where every trial builds its own design
+    decode_grid: Optional[Callable] = None
 
 
 def _tree_echo(config: TrialConfig, params) -> dict:
@@ -249,6 +268,16 @@ def _tree_footprint(tests: int, top_nodes: int, branching: int, k: int) -> int:
     return max(tests, 8 * min(k, top_nodes) * branching)
 
 
+def _tree_batch(tests: int) -> int:
+    """The most trials of ``tests`` tests that keep a batch's outcomes and
+    read marks under ``BATCH_BYTES``, and at least one."""
+    return max(1, BATCH_BYTES // (2 * tests))
+
+
+def _decode_grid(config: TrialConfig, design, grid) -> list[DecodeReport]:
+    return tree_mod.decode_tree_batch(design, grid)
+
+
 def _flat_scheme(decode, echo) -> Scheme:
     """A COMP-style decoder on a flat design; its params are the test count."""
     return Scheme(
@@ -267,7 +296,9 @@ SCHEMES = {
         _each(lambda c, design, outcomes: gamma_mod.decode_gamma(design, outcomes)[1]),
         _tree_echo,
         lambda params, n, k: _tree_footprint(gamma_mod.gamma_total_tests(params, n),
-                                             n // params.level1_size, params.branching, k)),
+                                             n // params.level1_size, params.branching, k),
+        lambda params, n, k: _tree_batch(gamma_mod.gamma_total_tests(params, n)),
+        _decode_grid),
     "rho": Scheme(
         lambda c, n, k: rho_mod.rho_params(
             n, k, _rounded(c)[2], c_depth=c.depth,
@@ -277,7 +308,9 @@ SCHEMES = {
         _each(lambda c, design, outcomes: rho_mod.decode_rho(design, outcomes)[1]),
         _tree_echo,
         lambda params, n, k: _tree_footprint(rho_mod.rho_total_tests(params, n),
-                                             n // params.rho, params.branch, k)),
+                                             n // params.rho, params.branch, k),
+        lambda params, n, k: _tree_batch(rho_mod.rho_total_tests(params, n)),
+        _decode_grid),
     "noisy": Scheme(
         lambda c, n, k: noisy_mod.noisy_params(
             n, k, c.p if c.design_p is None else c.design_p, t=c.t, epsilon=c.epsilon,
@@ -286,8 +319,7 @@ SCHEMES = {
         _noisy_decode,
         _tree_echo,
         lambda params, n, k: noisy_mod.noisy_total_tests(params, n, k),
-        lambda params, n, k: max(1, noisy_mod.BATCH_BYTES
-                                 // (2 * noisy_mod.noisy_total_tests(params, n, k)))),
+        lambda params, n, k: _tree_batch(noisy_mod.noisy_total_tests(params, n, k))),
     "comp": _flat_scheme(
         lambda c, design, outcomes: _flat_report(baselines.decode_comp, design, outcomes),
         lambda c, tests: {"tests": tests}),
@@ -299,16 +331,17 @@ SCHEMES = {
 ALGORITHMS = tuple(SCHEMES)
 
 
-def _draw_defectives(config: TrialConfig, key: RandomnessKey) -> tuple[int, ...]:
+def _draw_defectives(config: TrialConfig, generator: Callable) -> tuple[int, ...]:
+    """A trial's defectives: the explicit ones, or k of the raw n items
+    drawn by ``generator()``, its defectives key's generator."""
     if config.defectives is not None:
         return tuple(sorted(config.defectives))
     count = min(config.k, config.n)
-    rng = key.generator()
     # dummy items added by rounding sit above the raw n and stay non-defective
-    return tuple(sorted(int(v) for v in rng.choice(config.n, size=count, replace=False)))
+    return tuple(sorted(int(v) for v in generator().choice(config.n, size=count, replace=False)))
 
 
-def _record(defectives: tuple[int, ...], design, outcomes, report: DecodeReport) -> dict:
+def _record(defectives: tuple[int, ...], design, report: DecodeReport) -> dict:
     """The per-trial record used for aggregation.
 
     ``storage_words`` follows the accounting used throughout: the design's
@@ -325,8 +358,8 @@ def _record(defectives: tuple[int, ...], design, outcomes, report: DecodeReport)
         "false_positives": len(est - truth),
         "false_negatives": len(truth - est),
         "storage_words": (design.storage_words + report.peak_frontier
-                          + (outcomes.t_total + 63) // 64),
-        "t_total": outcomes.t_total,
+                          + (design.t_total + 63) // 64),
+        "t_total": design.t_total,
         "estimate": report.estimate,
         "defectives": defectives,
     }
@@ -335,32 +368,53 @@ def _record(defectives: tuple[int, ...], design, outcomes, report: DecodeReport)
 def _run_share(config: TrialConfig, indices: range) -> list[dict]:
     """The seeded trials ``indices``, consecutive, in batches of at most the
     scheme's cap, each batch decoded by one call; one record per trial, in
-    order.  Rounding, channel, scheme, params and cap are computed once."""
+    order.  Rounding, channel, scheme, params and cap are computed once.
+
+    A batch of one, and every batch of a scheme without ``decode_grid``,
+    builds and evaluates each trial's own design.  A larger gamma or rho
+    batch computes its trials' key material in one array program
+    (:meth:`RandomnessKey.materials`) and builds one design from all of it,
+    so that one evaluation and one descent serve the batch; every trial
+    still draws from its own substreams, so its record is the same.
+    """
     n, k, _ = _rounded(config)
     channel = config.channel()
     scheme = SCHEMES[config.algorithm]
     params = scheme.params(config, n, k)
     cap = scheme.batch(params, n, k)
+    root = RandomnessKey(config.base_seed)
 
     def trial(index: int) -> tuple:
-        key = RandomnessKey(config.base_seed, (index,))
-        defectives = _draw_defectives(config, key.child("defectives"))
+        key = root.child(index)
+        defectives = _draw_defectives(config, key.child("defectives").generator)
         instance = ProblemInstance(n=n, k=k, defectives=defectives)
         design = scheme.build(config, params, n, k, key.child("design"))
         return defectives, design, evaluate_design(design, instance, channel, key.child("noise"))
+
+    def shared(batch: range) -> tuple:
+        truths = [_draw_defectives(config, partial(generator_of, words))
+                  for words in root.materials(batch, "defectives")]
+        design = scheme.build(config, params, n, k, root.materials(batch, "design"))
+        noise = None if channel.is_noiseless else root.materials(batch, "noise")
+        grid = evaluate_batch(design, truths, channel, noise)
+        return truths, [design] * len(batch), scheme.decode_grid(config, design, grid)
 
     records = []
     for start in range(0, len(indices), cap):
         batch = indices[start:start + cap]
         try:
-            truths, designs, outcomes = zip(*map(trial, batch))
-            reports = scheme.decode(config, designs, outcomes)
+            if len(batch) > 1 and scheme.decode_grid is not None:
+                truths, designs, reports = shared(batch)
+            else:
+                truths, designs, outcomes = zip(*map(trial, batch))
+                reports = scheme.decode(config, designs, outcomes)
+                del outcomes
         except Exception as exc:
             which = (f"trial {batch[0]}" if len(batch) == 1
                      else f"trials {batch[0]}-{batch[-1]}")
             raise RuntimeError(f"{which} failed: {exc}") from exc
-        records += map(_record, truths, designs, outcomes, reports)
-        del designs, outcomes  # so that no two batches' designs are alive at once
+        records += map(_record, truths, designs, reports)
+        del designs  # so that no two batches' designs are alive at once
     return records
 
 
@@ -377,9 +431,9 @@ def run_trials(config: TrialConfig) -> AggregateResult:
     ``ceil(trials / jobs)`` trials, and each share runs whole, serially or
     in a pool of at most ``os.cpu_count()`` workers (see
     :func:`_run_share`), in batches of at most the scheme's cap: for the
-    noisy scheme, as many trials as keep a batch's outcome vectors and read
-    marks under ``noisy.BATCH_BYTES``; one trial for the others.  The
-    records come back in index order.
+    gamma, rho and noisy schemes, as many trials as keep a batch's outcome
+    vectors and read marks under ``BATCH_BYTES``; one trial for COMP and
+    NCOMP.  The records come back in index order.
     """
     validate_config(config)
     size = max(1, -(-config.trials // config.jobs))

@@ -254,6 +254,9 @@ def _run_sweep(args) -> int:
         raise UsageError(f"cannot read sweep config {args.config}: {exc}") from exc
     if not isinstance(plan, dict) or not isinstance(plan.get("cells"), list):
         raise UsageError('sweep config must be an object with a "cells" list')
+    unknown = sorted(set(plan) - {"base", "cells"})
+    if unknown:
+        raise UsageError(f'unknown sweep config keys {unknown}; expected "base" and "cells"')
     base = plan.get("base", {})
     if not isinstance(base, dict) or not all(isinstance(cell, dict) for cell in plan["cells"]):
         raise UsageError('sweep config "base" and every cell must be objects')

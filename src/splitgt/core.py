@@ -16,7 +16,9 @@ A *design* in this package is any object exposing three things:
 flat baseline designs share one evaluation path.  The three tree schemes
 build one :class:`splitgt.tree.TreeDesign` each, from their levels; it
 looks tests up one at a time or one level at a time, whichever the number
-of lookups favours.  The flat baselines build a
+of lookups favours.  A tree design built from several trials' keys at once
+evaluates them all in one ``noiseless_grid`` call, one row per trial:
+``evaluate_batch`` adds each row's own noise.  The flat baselines build a
 :class:`splitgt.baselines.FlatDesign`, a boolean incidence matrix.
 """
 
@@ -31,6 +33,11 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_HIGH_SALT = 0xA5A5A5A5A5A5A5A5
+# splitmix64's increment, the odd integer nearest 2^64 / golden ratio
+PHI = 0x9E3779B97F4A7C15
+_PHI64, _MIX1, _MIX2 = np.uint64(PHI), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def is_power_of_two(x: int) -> bool:
@@ -75,10 +82,22 @@ def round_instance(
 
 
 def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = (x + PHI) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` on a uint64 array; uint64 arithmetic wraps,
+    which is the mod-2^64 the scalar form masks to."""
+    x = x + _PHI64
+    x ^= x >> _S30
+    x *= _MIX1
+    x ^= x >> _S27
+    x *= _MIX2
+    x ^= x >> _S31
+    return x
 
 
 def _token_value(token) -> int:
@@ -107,15 +126,38 @@ class RandomnessKey:
     def child(self, *tokens) -> "RandomnessKey":
         return RandomnessKey(self.seed, self.stream + tokens)
 
-    def material(self) -> int:
-        """128-bit key material derived from (seed, stream)."""
+    def _state(self) -> int:
         state = _splitmix64(self.seed & _MASK64)
         for token in self.stream:
             state = _splitmix64(state ^ _splitmix64(_token_value(token)))
-        return (_splitmix64(state ^ 0xA5A5A5A5A5A5A5A5) << 64) | state
+        return state
+
+    def material(self) -> int:
+        """128-bit key material derived from (seed, stream): the stream
+        state low, its salted mix high."""
+        state = self._state()
+        return (_splitmix64(state ^ _HIGH_SALT) << 64) | state
+
+    def materials(self, indices, *tokens) -> np.ndarray:
+        """The :meth:`material` of ``self.child(i, *tokens)`` for every i of
+        the integer array ``indices``, from one uint64 array program: row r
+        holds the low and the high 64 bits of index r's material, the word
+        order of Philox's key (see :func:`generator_of`)."""
+        indices = np.asarray(indices).astype(np.uint64)  # wraps as int & (2^64 - 1)
+        state = _splitmix64_array(np.uint64(self._state()) ^ _splitmix64_array(indices))
+        for token in tokens:
+            state = _splitmix64_array(state ^ np.uint64(_splitmix64(_token_value(token))))
+        return np.stack([state, _splitmix64_array(state ^ np.uint64(_HIGH_SALT))], axis=1)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.material()))
+
+
+def generator_of(words: np.ndarray) -> np.random.Generator:
+    """The generator of a key from its material words, one row of
+    :meth:`RandomnessKey.materials`: the same stream as that key's
+    :meth:`~RandomnessKey.generator`."""
+    return np.random.Generator(np.random.Philox(key=words))
 
 
 @dataclass(frozen=True)
@@ -254,3 +296,20 @@ def evaluate_design(design, instance: ProblemInstance, channel: NoiseChannel,
     if not channel.is_noiseless:
         bits ^= key.generator().random(len(bits)) < channel.p
     return OutcomeVector(bits=bits, layout=tuple(design.layout))
+
+
+def evaluate_batch(design, defectives, channel: NoiseChannel, noise: np.ndarray) -> np.ndarray:
+    """Run every test of a design built for a batch of trials (see
+    ``TreeDesign.noiseless_grid``) against trial b's defectives
+    ``defectives[b]``.
+
+    Row b of the (trials x T) uint8 grid is what :func:`evaluate_design`
+    gives trial b: its noiseless bits, then its own ``random(T)`` draw, from
+    the key whose material words are row b of ``noise`` (see
+    :meth:`RandomnessKey.materials`).
+    """
+    grid = design.noiseless_grid(defectives)
+    if not channel.is_noiseless:
+        for row, words in zip(grid, noise):
+            row ^= generator_of(words).random(len(row)) < channel.p
+    return grid

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
+from .core import DecodeReport, OutcomeVector, is_power_of_two
 from .placements import IdentityStack, uniform_style_stacks
 from .tree import TreeDesign, decode_tree
 
@@ -144,14 +144,15 @@ def gamma_total_tests(params: GammaParams, n: int) -> int:
     )
 
 
-def build_gamma_design(params: GammaParams, n: int, key: RandomnessKey,
+def build_gamma_design(params: GammaParams, n: int, key,
                        hash_mode: str = "full") -> TreeDesign:
     """The gamma tree: level 1 tests its n/M nodes individually, each of
     levels 2..gamma_prime-1 places every node once (sequences of length
     t_len, then t_len_prime), and the singleton level places every item in
     each of ``final_reps`` sequences of length t_len_dprime.  Every hashed
     level is one stack, and all of them come from the one design key (see
-    :func:`splitgt.placements.uniform_style_stacks`)."""
+    :func:`splitgt.placements.uniform_style_stacks`); from several trials'
+    key material, one design of those trials."""
     gp, top = params.gamma_prime, n // params.level1_size
     shapes = [(top * params.branching ** (level - 1),
                params.t_len if level < gp - 1 else params.t_len_prime, 1)

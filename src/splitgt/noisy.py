@@ -31,9 +31,6 @@ from .tree import TreeDesign
 DEFAULT_T = 2.0
 DEFAULT_EPSILON = 0.6
 PRACTICE_N_REPS = 7
-# A batch decode holds its trials' outcome vectors and read marks, two bytes
-# per test and trial; the harness keeps a batch under this many bytes.
-BATCH_BYTES = 1 << 24
 _CHILDREN = np.arange(2, dtype=np.int64)
 
 

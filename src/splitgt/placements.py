@@ -28,12 +28,14 @@ array of nodes under the repetitions the slice ``reps`` selects, as a
 (repetitions x nodes) int64 array from one array operation.
 
 A hashed level's keys are the next slice of the design key's
-:func:`row_keys`, so no design draws from a generator.  :func:`trial_stack`
-joins the same level of several trials' designs into one stack whose keys
-gain a leading trial axis; its ``tests_of(nodes, reps, trials)`` takes each
-node's keys from the trial ``trials`` names for it, so a batch of trials is
-looked up at once.  A stack of one trial's keys, without that axis, ignores
-``trials``.
+:func:`row_keys`, so no design draws from a generator.  Given several
+trials' design keys, :func:`row_keys` gives one row of keys per trial, and
+every stack cut from them has keys with a leading trial axis; so has a
+stack that :func:`trial_stack` joins from the same level of several trials'
+designs.  Such a stack's ``tests_of(nodes, reps, trials)`` takes each node's
+keys from the trial ``trials`` names for it, so a batch of trials is looked
+up at once.  A stack of one trial's keys, without that axis, and the
+keyless :class:`IdentityStack` ignore ``trials``.
 """
 
 from __future__ import annotations
@@ -43,26 +45,21 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import RandomnessKey, _splitmix64, is_power_of_two
+from .core import (
+    _MIX1,
+    _MIX2,
+    _PHI64,
+    _S27,
+    _S30,
+    PHI,
+    RandomnessKey,
+    _splitmix64,
+    _splitmix64_array,
+    is_power_of_two,
+)
 
 HASH_MODES = ("full", "kwise", "pairwise", "permutation")
-# splitmix64's increment, the odd integer nearest 2^64 / golden ratio
-PHI = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-_PHI64, _MIX1, _MIX2 = np.uint64(PHI), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
-
-
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """:func:`splitmix64 <splitgt.core._splitmix64>` on a uint64 array;
-    uint64 arithmetic wraps, which is the mod-2^64 the scalar form masks to."""
-    x = x + _PHI64
-    x ^= x >> _S30
-    x *= _MIX1
-    x ^= x >> _S27
-    x *= _MIX2
-    x ^= x >> _S31
-    return x
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
@@ -151,7 +148,8 @@ class IdentityStack:
     def test_of(self, node: int, rep: int) -> int:
         return node
 
-    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
+    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
+                 trials: np.ndarray | None = None) -> np.ndarray:
         return np.asarray(nodes, dtype=np.int64).reshape(1, -1)[reps]
 
 
@@ -282,8 +280,11 @@ class PolynomialStack:
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
                  trials: np.ndarray | None = None) -> np.ndarray:
-        coeffs = (self.coeffs[reps].T[::-1, :, None] if self.coeffs.ndim == 2
-                  else self.coeffs[:, reps].take(trials, 0).transpose(2, 1, 0)[::-1])
+        if self.coeffs.ndim == 2:
+            coeffs = self.coeffs[reps].T[::-1, :, None]
+        else:  # one degree's coefficients of every node at a time
+            rows = self.coeffs[:, reps]
+            coeffs = (rows[..., i].take(trials, 0).T for i in reversed(range(rows.shape[-1])))
         return _horner(coeffs, nodes, self.prime, self.t_len)
 
 
@@ -295,7 +296,8 @@ class PermutationStack:
     counts are powers of two.  A repetition is accounted as the n-word
     position table of the paper's stored balanced placement when ``full``
     is set, as the counter hash is, and as its round keys plus two words
-    otherwise."""
+    otherwise.  A stack of several trials holds one round-key matrix per
+    trial."""
 
     def __init__(self, num_nodes: int, t_len: int, round_keys: np.ndarray, full: bool):
         if not (is_power_of_two(num_nodes) and is_power_of_two(t_len)):
@@ -305,10 +307,10 @@ class PermutationStack:
         self.num_nodes = num_nodes
         self.t_len = t_len
         self.round_keys = round_keys
-        self.reps = len(round_keys)
+        self.reps = round_keys.shape[-2]
         self.bits = num_nodes.bit_length() - 1
         self.shift = self.bits - (t_len.bit_length() - 1)
-        self.storage_cost = self.reps * (num_nodes if full else round_keys.shape[1] + 2)
+        self.storage_cost = self.reps * (num_nodes if full else round_keys.shape[-1] + 2)
 
     @cached_property
     def _scalar_keys(self) -> tuple:
@@ -327,8 +329,11 @@ class PermutationStack:
             hi_bits, lo_bits = lo_bits, hi_bits
         return ((hi << lo_bits) | lo) >> self.shift
 
-    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
-        return _permuted_tests(self.round_keys[reps, None, :], nodes, self.bits, self.shift)
+    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
+                 trials: np.ndarray | None = None) -> np.ndarray:
+        round_keys = (self.round_keys[reps, None, :] if self.round_keys.ndim == 2
+                      else self.round_keys[:, reps].take(trials, 0).transpose(1, 0, 2))
+        return _permuted_tests(round_keys, nodes, self.bits, self.shift)
 
 
 def trial_stack(stacks):
@@ -344,29 +349,34 @@ def trial_stack(stacks):
     return type(first)(first.num_nodes, first.t_len, np.stack([stack.keys for stack in stacks]))
 
 
-def row_keys(key: RandomnessKey, count: int) -> np.ndarray:
+def row_keys(key, count: int) -> np.ndarray:
     """The keys of a design's ``count`` counter-hashed rows: splitmix64 over
     the row ids 0 .. count - 1, offset by the low 64 bits of the design
-    key's material."""
-    base = np.uint64(key.material() & _MASK64)
+    key's material.  ``key`` is a :class:`RandomnessKey`, or the material
+    words of several trials' design keys (rows of
+    :meth:`RandomnessKey.materials`), which give one row of keys per
+    trial."""
+    base = (np.uint64(key.material() & _MASK64) if isinstance(key, RandomnessKey)
+            else key[:, :1])
     return _splitmix64_array(base + np.arange(count, dtype=np.uint64) * _PHI64)
 
 
-def _cut(keys: np.ndarray, counts):
-    """``keys`` cut in order into consecutive slices of the given lengths:
-    a loop of slices, which at a design's few levels costs less than
-    ``np.split``."""
-    first = 0
-    for count in counts:
-        yield keys[first:first + count]
-        first += count
+def _cut(keys: np.ndarray, shapes):
+    """The last axis of ``keys`` cut in order into consecutive blocks of the
+    given shapes, any leading (trial) axis kept: a loop of slices, which at
+    a design's few levels costs less than ``np.split``."""
+    first, lead = 0, keys.shape[:-1]
+    for shape in shapes:
+        size = math.prod(shape)
+        yield keys[..., first:first + size].reshape(lead + shape)
+        first += size
 
 
-def uniform_style_stacks(shapes, key: RandomnessKey, hash_mode: str,
-                         kwise_degree: int = 2) -> list:
+def uniform_style_stacks(shapes, key, hash_mode: str, kwise_degree: int = 2) -> list:
     """One stack per ``(num_nodes, t_len, reps)`` in ``shapes``: the
     independently-placed levels of one design, all from the design key, per
-    the hash-mode switch.
+    the hash-mode switch; from several trials' key material (see
+    :func:`row_keys`), stacks of those trials.
 
     ``full`` is a counter hash, one row key per repetition; ``kwise`` is a
     polynomial hash of the supplied degree and ``pairwise`` one of degree
@@ -386,22 +396,23 @@ def uniform_style_stacks(shapes, key: RandomnessKey, hash_mode: str,
         )
     else:
         raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")
-    counts = [reps * math.prod(row) for _, _, reps in shapes]
-    return [stack(num_nodes, t_len, keys.reshape(reps, *row))
-            for (num_nodes, t_len, reps), keys
-            in zip(shapes, _cut(row_keys(key, sum(counts)), counts))]
+    blocks = [(reps, *row) for _, _, reps in shapes]
+    keys = row_keys(key, sum(map(math.prod, blocks)))
+    return [stack(num_nodes, t_len, level_keys)
+            for (num_nodes, t_len, _), level_keys in zip(shapes, _cut(keys, blocks))]
 
 
-def balanced_stacks(shapes, key: RandomnessKey, hash_mode: str) -> list:
+def balanced_stacks(shapes, key, hash_mode: str) -> list:
     """One :class:`PermutationStack` per ``(num_nodes, t_len, reps)`` in
     ``shapes``: the balanced levels of one design, in every hash mode, their
-    round keys cut in order from one :func:`row_keys` call on the design key.
-    Only the storage accounting depends on the mode (see
+    round keys cut in order from one :func:`row_keys` call on the design key
+    (or on several trials' key material, for stacks of those trials).  Only
+    the storage accounting depends on the mode (see
     :class:`PermutationStack`)."""
     if hash_mode not in HASH_MODES:
         raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")
-    rounds = [feistel_rounds(num_nodes.bit_length() - 1) for num_nodes, _, _ in shapes]
-    counts = [reps * r for (_, _, reps), r in zip(shapes, rounds)]
-    return [PermutationStack(num_nodes, t_len, keys.reshape(reps, r), full=hash_mode == "full")
-            for (num_nodes, t_len, reps), r, keys
-            in zip(shapes, rounds, _cut(row_keys(key, sum(counts)), counts))]
+    blocks = [(reps, feistel_rounds(num_nodes.bit_length() - 1))
+              for num_nodes, _, reps in shapes]
+    keys = row_keys(key, sum(map(math.prod, blocks)))
+    return [PermutationStack(num_nodes, t_len, round_keys, full=hash_mode == "full")
+            for (num_nodes, t_len, _), round_keys in zip(shapes, _cut(keys, blocks))]

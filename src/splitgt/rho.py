@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
+from .core import DecodeReport, OutcomeVector, is_power_of_two
 from .placements import IdentityStack, balanced_stacks
 from .tree import TreeDesign, decode_tree
 
@@ -78,12 +78,14 @@ def rho_total_tests(params: RhoParams, n: int) -> int:
     return (1 + params.n_reps * (params.c_depth - 1) + params.c_final) * per_level
 
 
-def build_rho_design(params: RhoParams, n: int, key: RandomnessKey,
+def build_rho_design(params: RhoParams, n: int, key,
                      hash_mode: str = "full") -> TreeDesign:
     """The rho tree: level 0 tests its n/rho nodes individually, and every
     later level places its nodes into n/rho tests by ``n_reps`` balanced
     placements (``c_final`` at the singleton level), one keyed-permutation
-    stack per level, all from the one design key."""
+    stack per level, all from the one design key; from several trials' key
+    material, one design of those trials (see
+    :func:`splitgt.placements.row_keys`)."""
     if n % params.rho != 0:
         raise ValueError(f"rho={params.rho} must divide n={n}")
     per_level = n // params.rho

@@ -15,11 +15,19 @@ The schemes differ only in how their params become stacks:
 The gamma and rho trees test every top-level node individually, then at
 each later level a node survives iff all of its tests there are positive;
 the survivors of the last (singleton) level are the estimate.
-:func:`decode_tree` walks that descent with the frontier as a sorted int64
-array.  Each level goes repetition by repetition over the candidates still
-alive, so it reads exactly the tests a node-by-node loop that stops at the
+:func:`decode_tree_batch` walks that descent for a batch of trials at once,
+its frontier (trial, node) pairs as sorted int64 arrays, level by level;
+:func:`decode_tree` is its batch of one, and keeps no trial array.  Each
+level goes repetition by repetition over the candidates still alive, so
+every trial reads exactly the tests a node-by-node loop that stops at the
 first negative would read; a small frontier has its tests under every
 repetition looked up at once, a large one repetition by repetition.
+
+A batch's design is one :class:`TreeDesign` whose stacks hold every
+trial's keys along a leading trial axis (the scheme builders take several
+trials' key material for that, see :func:`splitgt.placements.row_keys`);
+:meth:`TreeDesign.noiseless_grid` evaluates all of its trials in one
+stacked lookup per level, one grid row per trial.
 """
 
 from __future__ import annotations
@@ -81,23 +89,40 @@ class TreeDesign:
     def noiseless_bits(self, defectives) -> np.ndarray:
         """The noiseless outcome vector.  Up to ``SCALAR_LOOKUPS`` (segment
         x defective) lookups it takes one scalar ``test_of`` each; past
-        that, one stacked ``tests_of`` per level."""
+        that, it is the :meth:`noiseless_grid` of one trial."""
+        if len(defectives) * len(self.layout) > SCALAR_LOOKUPS:
+            return self.noiseless_grid((defectives,))[0]
         bits = np.zeros(self.t_total, dtype=np.uint8)
-        if len(defectives) * len(self.layout) <= SCALAR_LOOKUPS:
-            positives = []
-            for level, stack in self.stacks.items():
-                size, t_len, test_of = self.node_size(level), stack.t_len, stack.test_of
-                for rep in range(stack.reps):
-                    offset = self.first_test[level] + rep * t_len
-                    positives.extend(offset + test_of(d // size, rep) for d in defectives)
-            bits[positives] = 1
-        else:
-            items = np.asarray(defectives, dtype=np.int64)
-            for level, stack in self.stacks.items():
-                tests = stack.tests_of(items // self.node_size(level))
-                rows = self.first_test[level] + stack.t_len * np.arange(stack.reps)[:, None]
-                bits[rows + tests] = 1
+        positives = []
+        for level, stack in self.stacks.items():
+            size, t_len, test_of = self.node_size(level), stack.t_len, stack.test_of
+            for rep in range(stack.reps):
+                offset = self.first_test[level] + rep * t_len
+                positives.extend(offset + test_of(d // size, rep) for d in defectives)
+        bits[positives] = 1
         return bits
+
+    def noiseless_grid(self, defectives) -> np.ndarray:
+        """The noiseless outcome vectors of a batch, trial b's defectives
+        ``defectives[b]``, as the rows of a (trials x T) uint8 grid: one
+        stacked ``tests_of`` per level over every trial's defectives, each
+        looked up under its own trial's keys (a design of one trial's keys
+        takes a batch of one)."""
+        grid = np.zeros((len(defectives), self.t_total), dtype=np.uint8)
+        if len(defectives) == 1:  # no trial array, as in decode_tree_batch
+            trials, items = None, np.asarray(defectives[0], dtype=np.int64)
+        else:
+            trials = np.repeat(np.arange(len(defectives)), [len(d) for d in defectives])
+            items = np.fromiter((d for trial in defectives for d in trial), np.int64, len(trials))
+            starts = trials * self.t_total
+        cells = grid.reshape(-1)
+        for level, stack in self.stacks.items():
+            tests = stack.tests_of(items // self.node_size(level), slice(None), trials)
+            rows = self.first_test[level] + stack.t_len * np.arange(stack.reps)[:, None]
+            if trials is not None:
+                rows = rows + starts
+            cells[rows + tests] = 1
+        return grid
 
     @property
     def storage_words(self) -> int:
@@ -131,43 +156,80 @@ class TreeDesign:
 
 def decode_tree(design: TreeDesign,
                 outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
-    """Walk the tree top-down, reading only tests of surviving nodes.
-
-    The first level's single segment tests each of its nodes individually.
-    Test j of (level, rep) is cell ``first_test[level] + rep * t_len + j``;
-    as in the noisy decoder, every cell read is marked in one boolean array
-    whose count is ``outcomes_read``.  ``nodes_visited`` counts each node once
-    per level it is tested at; ``peak_frontier`` is the largest frontier.
-    """
+    """The decode of one trial: the batch of one of
+    :func:`decode_tree_batch`, on the trial's own outcome vector."""
     if tuple(outcomes.layout) != tuple(design.layout):
         raise ValueError("outcome layout does not match this design")
-    seen = np.zeros(outcomes.t_total, dtype=bool)
+    (report,) = decode_tree_batch(design, outcomes.bits.reshape(1, -1))
+    return report.estimate, report
+
+
+def decode_tree_batch(design: TreeDesign, grid: np.ndarray) -> list[DecodeReport]:
+    """Walk the tree top-down for every trial of a batch at once, reading
+    only tests of surviving nodes; one report per row of ``grid``, the
+    (trials x T) outcomes of ``design``'s trials (see
+    ``TreeDesign.noiseless_grid``).
+
+    The frontier holds (trial, node) pairs, trial-major.  A batch of one
+    is a design of one trial's keys and keeps no trial array, so its
+    frontier is one node array, as large as the trial's own.  The first
+    level's single segment tests each of its nodes individually.  Test j
+    of (level, rep) of trial b is cell ``b * T + first_test[level] + rep *
+    t_len + j`` of the grid laid flat; as in the noisy decoder, every cell
+    read is marked in one boolean array whose row count is a trial's
+    ``outcomes_read``.  ``nodes_visited`` counts each node once per level
+    it is tested at; ``peak_frontier`` is the trial's largest frontier.
+    Whether a level looks its nodes up under all of its repetitions at once
+    (up to ``BATCH_NODES`` nodes) is decided for the whole batch, which
+    changes no trial's reads.
+    """
+    count, t_total = grid.shape
+    flat, seen = grid.reshape(-1), np.zeros(grid.shape, dtype=bool)
+    marks = seen.reshape(-1)
     levels = iter(design.stacks.items())
-    top = visited = next(levels)[1].t_len
-    alive = np.flatnonzero(outcomes.bits[:top])
-    seen[:top] = True
-    pd_peak = len(alive)
+    top = next(levels)[1].t_len
+    seen[:, :top] = True
+    positive = np.flatnonzero(grid[:, :top])  # trial b's node j at b * top + j
+    if count == 1:
+        trials, alive = None, positive
+        sizes = [len(alive)]  # per level, the frontier size of every trial
+    else:
+        trials, alive = np.divmod(positive, top)
+        sizes = [np.bincount(trials, minlength=count)]
     offsets = np.arange(design.branching, dtype=np.int64)
 
     for level, stack in levels:
         alive = (alive[:, None] * design.branching + offsets).ravel()
-        pd_peak = max(pd_peak, len(alive))
-        visited += len(alive)
+        if trials is None:
+            sizes.append(len(alive))
+        else:
+            trials = trials.repeat(design.branching)
+            sizes.append(np.bincount(trials, minlength=count))
         batch = len(alive) <= BATCH_NODES
-        tests = stack.tests_of(alive) if batch else None
+        tests = stack.tests_of(alive, slice(None), trials) if batch else None
         for rep in range(stack.reps):
-            row = tests[rep] if batch else stack.tests_of(alive, slice(rep, rep + 1))[0]
-            cells = row + (design.first_test[level] + rep * stack.t_len)
-            seen[cells] = True
-            keep = outcomes.bits[cells] != 0
+            row = tests[rep] if batch else stack.tests_of(alive, slice(rep, rep + 1), trials)[0]
+            offset = design.first_test[level] + rep * stack.t_len
+            cells = row + (offset if trials is None else trials * t_total + offset)
+            marks[cells] = True
+            keep = flat[cells] != 0
             alive = alive[keep]
+            if trials is not None:
+                trials = trials[keep]
             if batch:
                 tests = tests[:, keep]
 
-    report = DecodeReport(
-        estimate=tuple(alive.tolist()),
-        outcomes_read=int(np.count_nonzero(seen)),
-        nodes_visited=visited,
-        peak_frontier=pd_peak,
-    )
-    return report.estimate, report
+    estimate = alive.tolist()
+    if trials is None:
+        bounds, visited, pd_peak = [0, len(estimate)], [top + sum(sizes[1:])], [max(sizes)]
+    else:
+        bounds = np.searchsorted(trials, np.arange(count + 1)).tolist()
+        sizes = np.array(sizes)
+        visited, pd_peak = (top + sizes[1:].sum(axis=0)).tolist(), sizes.max(axis=0).tolist()
+    read = [int(np.count_nonzero(marked)) for marked in seen]  # popcounts, unlike a row sum
+    return [DecodeReport(
+        estimate=tuple(estimate[bounds[b]:bounds[b + 1]]),
+        outcomes_read=read[b],
+        nodes_visited=visited[b],
+        peak_frontier=pd_peak[b],
+    ) for b in range(count)]

@@ -14,6 +14,7 @@ from splitgt.bench import (
     sweep,
     wilson_interval,
 )
+from splitgt.core import RandomnessKey
 
 
 def test_eta_hat_examples():
@@ -324,7 +325,13 @@ def _record_shares_and_batches(monkeypatch, algorithm: str,
         batches.append(len(designs))
         return scheme.decode(config, designs, outcomes)
 
-    monkeypatch.setitem(bench.SCHEMES, algorithm, scheme._replace(decode=recording_decode))
+    def recording_decode_grid(config, design, grid):
+        batches.append(len(grid))
+        return scheme.decode_grid(config, design, grid)
+
+    monkeypatch.setitem(bench.SCHEMES, algorithm, scheme._replace(
+        decode=recording_decode,
+        decode_grid=scheme.decode_grid and recording_decode_grid))
     return workers, shares, batches
 
 
@@ -351,7 +358,7 @@ def test_noisy_batches_follow_jobs_and_byte_cap(jobs, trials, cap, sizes, monkey
                          jobs=jobs)
     expected = bench.aggregate(config, [bench.run_trial(config, i) for i in range(trials)])
     tests = noisy.noisy_total_tests(noisy.noisy_params(256, 4, 0.05), 256, 4)
-    monkeypatch.setattr(noisy, "BATCH_BYTES", 2 * tests * cap)
+    monkeypatch.setattr(bench, "BATCH_BYTES", 2 * tests * cap)
     workers, ran, batches = _record_shares_and_batches(monkeypatch, "noisy")
     assert run_trials(config).to_dict() == expected.to_dict()
     assert [len(share) for share in ran] == shares
@@ -362,7 +369,7 @@ def test_noisy_batches_follow_jobs_and_byte_cap(jobs, trials, cap, sizes, monkey
 
 def test_workers_are_capped_at_the_cpu_count(monkeypatch):
     """More jobs than CPUs keeps the shares, and so the records, but opens
-    one worker per CPU."""
+    one worker per CPU; a share of one trial is a batch of one."""
     expected = run_trials(_gamma_config(trials=64))
     config = _gamma_config(trials=64, jobs=64)
     workers, ran, _ = _record_shares_and_batches(monkeypatch, "gamma", cpus=2)
@@ -370,10 +377,57 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch):
     assert workers == [2] and ran == [range(i, i + 1) for i in range(64)]
 
 
+@pytest.mark.parametrize("algorithm,fields", [("gamma", dict(gamma=5)), ("rho", dict(rho=16))])
+@pytest.mark.parametrize("trials,cap,batch_sizes", [
+    (12, 100, [12]),       # the whole share in one grid
+    (12, 5, [5, 5, 2]),    # capped by the byte budget
+    (7, 1, [1] * 7),       # a cap of one: every batch takes the one-trial path
+    (13, 3, [3, 3, 3, 3, 1]),
+])
+def test_tree_batches_follow_the_byte_cap(algorithm, fields, trials, cap, batch_sizes,
+                                          monkeypatch):
+    """Gamma and rho batches follow the byte cap that noisy's do, two bytes
+    per test and trial under ``bench.BATCH_BYTES``, and a batch of several
+    trials is decoded from one grid; records equal the trials run one at a
+    time."""
+    config = TrialConfig(algorithm=algorithm, n=256, k=4, trials=trials, base_seed=6, **fields)
+    expected = bench.aggregate(config, [bench.run_trial(config, i) for i in range(trials)])
+    n, k, _ = bench._rounded(config)
+    scheme = bench.SCHEMES[algorithm]
+    tests = scheme.build(config, scheme.params(config, n, k), n, k,
+                         RandomnessKey(0, ("design",))).t_total
+    monkeypatch.setattr(bench, "BATCH_BYTES", 2 * tests * cap)
+    _, ran, batches = _record_shares_and_batches(monkeypatch, algorithm)
+    assert run_trials(config).to_dict() == expected.to_dict()
+    assert ran == [range(trials)] and batches == batch_sizes
+
+
+@pytest.mark.parametrize("algorithm,fields,tests,cap", [
+    ("rho", dict(n=2 ** 20, k=16, rho=2 ** 8), 28672, 9),
+    ("gamma", dict(n=2 ** 14, k=4, gamma=6), 1192, 219),
+    ("gamma", dict(n=2 ** 30, k=64, gamma=6, hash_mode="kwise"), 206174, 1),
+    ("noisy", dict(n=2 ** 12, k=8, p=0.05), 4704, 55),
+])
+def test_batches_are_capped_at_512_kib_of_outcomes(algorithm, fields, tests, cap):
+    """The cap itself: as many trials as keep T outcome bytes and T read
+    marks per trial under 512 KiB, and at least one."""
+    config = TrialConfig(algorithm=algorithm, **fields)
+    n, k, _ = bench._rounded(config)
+    scheme = bench.SCHEMES[algorithm]
+    params = scheme.params(config, n, k)
+    assert bench.BATCH_BYTES == 1 << 19
+    assert scheme.footprint(params, n, k) == tests
+    assert scheme.batch(params, n, k) == cap == max(1, (1 << 19) // (2 * tests))
+
+
 def test_other_schemes_run_one_trial_per_batch(monkeypatch):
-    _, ran, batches = _record_shares_and_batches(monkeypatch, "gamma")
-    run_trials(_gamma_config(trials=12))
-    assert ran == [range(12)] and batches == [1] * 12
+    """The flat baselines build a design per trial and decode one trial per
+    batch."""
+    for algorithm in ("comp", "ncomp"):
+        with monkeypatch.context() as patch:
+            _, ran, batches = _record_shares_and_batches(patch, algorithm)
+            run_trials(TrialConfig(algorithm=algorithm, n=256, k=4, p=0.05, trials=12))
+        assert ran == [range(12)] and batches == [1] * 12
 
 
 def test_params_are_computed_once_per_share(monkeypatch):
@@ -402,8 +456,10 @@ def test_a_failed_batch_is_named(monkeypatch):
         raise ValueError("boom")
 
     for algorithm, fields, which in (("noisy", dict(p=0.05), "trials 0-5"),
-                                     ("gamma", dict(gamma=5), "trial 0")):
-        monkeypatch.setitem(bench.SCHEMES, algorithm,
-                            bench.SCHEMES[algorithm]._replace(decode=boom))
+                                     ("gamma", dict(gamma=5), "trials 0-5"),
+                                     ("comp", dict(), "trial 0")):
+        scheme = bench.SCHEMES[algorithm]
+        monkeypatch.setitem(bench.SCHEMES, algorithm, scheme._replace(
+            decode=boom, decode_grid=scheme.decode_grid and boom))
         with pytest.raises(RuntimeError, match=f"^{which} failed: boom$"):
             run_trials(TrialConfig(algorithm=algorithm, n=256, k=4, trials=6, **fields))

@@ -329,6 +329,27 @@ def test_invalid_config_exits_2_before_any_trial(argv, capsys, tmp_path):
     assert "error:" in err and "trial 0" not in err
 
 
+@pytest.mark.parametrize("plan", [
+    {"bsae": {"trials": 2}, "cells": [{"algorithm": "gamma", "n": 1024, "k": 4, "gamma": 5}]},
+    {"base": {}, "cells": [], "seed": 3},
+])
+def test_sweep_plan_with_unknown_keys_exits_2_before_any_trial(plan, tmp_path, monkeypatch,
+                                                               capsys):
+    """A misspelled ``base`` is not dropped silently: a plan with keys other
+    than ``base`` and ``cells`` is rejected, naming them, before any trial."""
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(bench, "_run_share", no_trial)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    extra = sorted(set(plan) - {"base", "cells"})
+    assert "error:" in err and str(extra) in err
+
+
 def test_bench_perf_rejects_abbreviated_flags(tmp_path):
     path = Path(__file__).resolve().parents[1] / "scripts" / "bench_perf.py"
     spec = importlib.util.spec_from_file_location("bench_perf", path)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import compute_outcome, flat_design
@@ -10,6 +10,7 @@ from splitgt.core import (
     ProblemInstance,
     RandomnessKey,
     evaluate_design,
+    generator_of,
     is_power_of_two,
     next_power_of_two,
     prev_power_of_two,
@@ -205,6 +206,41 @@ def test_evaluate_matches_scalar_outcomes_noiselessly():
 def test_randomness_key_rejects_bad_tokens():
     with pytest.raises(TypeError):
         RandomnessKey(1, ((1, 2),)).material()
+
+
+TOKEN = st.one_of(st.integers(min_value=-2 ** 63, max_value=2 ** 64 - 1), st.text(max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=-2 ** 63, max_value=2 ** 64 - 1),
+    stream=st.lists(TOKEN, max_size=3),
+    indices=st.lists(st.integers(min_value=0, max_value=2 ** 63 - 1), min_size=1, max_size=6),
+    tokens=st.lists(TOKEN, max_size=2),
+)
+# the harness's trial keys, with seeds at and above 2^63 and a negative one
+@example(seed=2 ** 63, stream=[], indices=[0, 1, 2], tokens=["design"])
+@example(seed=2 ** 64 - 1, stream=[], indices=[5, 150], tokens=["defectives"])
+@example(seed=-1, stream=["x", 7], indices=[2 ** 63 - 1], tokens=["noise"])
+@example(seed=0, stream=[], indices=[0], tokens=[])
+def test_materials_match_material(seed, stream, indices, tokens):
+    """One array program gives every trial key's ``material()``, low word
+    first, and a generator from those words draws the key's own stream."""
+    key = RandomnessKey(seed, tuple(stream))
+    words = key.materials(np.array(indices), *tokens)
+    assert words.dtype == np.uint64 and words.shape == (len(indices), 2)
+    for index, row in zip(indices, words):
+        child = key.child(index, *tokens)
+        material = child.material()
+        assert row.tolist() == [material & (2 ** 64 - 1), material >> 64]
+        assert np.array_equal(generator_of(row).random(4), child.generator().random(4))
+
+
+def test_materials_of_a_range():
+    """A range of trial indices is taken as its integer array."""
+    key = RandomnessKey(3)
+    assert np.array_equal(key.materials(range(4, 9), "design"),
+                          key.materials(np.arange(4, 9), "design"))
 
 
 def test_randomness_key_stream_order_matters():

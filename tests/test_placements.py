@@ -401,3 +401,34 @@ def test_stack_lookup_of_no_nodes(backing):
         grid = stack.tests_of(nodes, reps_slice)
         count = len(range(stack.reps)[reps_slice])  # the identity has one repetition
         assert grid.shape == (count, 0) and grid.dtype == np.int64
+
+
+@pytest.mark.parametrize("kind,hash_mode", [("uniform", "full"), ("uniform", "kwise"),
+                                            ("uniform", "pairwise"), ("balanced", "full"),
+                                            ("balanced", "permutation")])
+def test_stacks_from_batch_material_match_each_trial(kind, hash_mode):
+    """Stacks cut from several trials' key material hold each trial's own
+    keys along a leading axis: a node looked up under trial b's keys lands
+    where trial b's own stack puts it, level by level and under every
+    repetition, and the accounting is one trial's."""
+    shapes = [(16, 4, 2), (256, 16, 3), (1024, 32, 1)]  # 24 and 6 Feistel rounds
+    build = uniform_style_stacks if kind == "uniform" else balanced_stacks
+    root, count = RandomnessKey(41), 4
+    batch = build(shapes, root.materials(range(count), "design"), hash_mode)
+    own = [build(shapes, root.child(b, "design"), hash_mode) for b in range(count)]
+    rng = np.random.default_rng(3)
+    for level, stack in enumerate(batch):
+        assert (stack.reps, stack.storage_cost) == (own[0][level].reps, own[0][level].storage_cost)
+        nodes = rng.integers(0, stack.num_nodes, size=50)
+        trials = np.sort(rng.integers(0, count, size=50))
+        expected = np.concatenate([own[b][level].tests_of(nodes[trials == b])
+                                   for b in range(count)], axis=1)
+        assert np.array_equal(stack.tests_of(nodes, slice(None), trials), expected)
+        last = slice(stack.reps - 1, stack.reps)
+        assert np.array_equal(stack.tests_of(nodes, last, trials), expected[last])
+
+
+def test_identity_stack_ignores_trials():
+    stack = IdentityStack(16)
+    nodes = np.array([3, 0, 15])
+    assert stack.tests_of(nodes, slice(None), np.array([2, 0, 1])).tolist() == [[3, 0, 15]]

@@ -128,3 +128,73 @@ def test_tree_designs_construct_no_generator(monkeypatch, scheme, hash_mode):
     design = phases.build(config, phases.params(config, n, k), n, k,
                           RandomnessKey(5, (0, "design")))
     assert design.noiseless_bits((3, 900, 4095)).any()
+
+
+BATCH_DESIGNS = [("gamma", "full"), ("gamma", "kwise"), ("gamma", "pairwise"),
+                 ("rho", "full"), ("rho", "permutation")]
+
+
+def _batch_params(scheme, n, k):
+    if scheme == "gamma":
+        return gamma_params(n, k, 5)
+    return rho_params(n, k, 2 ** 4, c_depth=2, n_reps=3, c_final=2)
+
+
+@pytest.mark.parametrize("scheme,hash_mode", BATCH_DESIGNS)
+@pytest.mark.parametrize("count", [1, 2, 5, 12])
+@pytest.mark.parametrize("p", [0.0, 0.05])
+def test_batch_matches_each_trial(scheme, hash_mode, count, p):
+    """A design built from a batch's key material, evaluated into one grid
+    and decoded in one descent, gives each trial its own outcome vector and
+    its own report.  Every third trial has no defectives, so without noise
+    its frontier empties at the top level while the others' go on; the
+    descent looks levels up stacked and repetition by repetition."""
+    n, k, seed = 2 ** 10, 4, 29 + count
+    params = _batch_params(scheme, n, k)
+    build = build_gamma_design if scheme == "gamma" else build_rho_design
+    root, channel = RandomnessKey(seed), NoiseChannel(p)
+    rng = np.random.default_rng(seed)
+    truths = [() if b % 3 == 2 else tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+              for b in range(count)]
+    # a batch of one is one trial's design, as the harness builds it
+    keys = root.child(0, "design") if count == 1 else root.materials(range(count), "design")
+    design = build(params, n, keys, hash_mode)
+    grid = core.evaluate_batch(design, truths, channel, root.materials(range(count), "noise"))
+    assert grid.shape == (count, design.t_total) and grid.dtype == np.uint8
+    own = []
+    for b, truth in enumerate(truths):
+        trial_design = build(params, n, root.child(b, "design"), hash_mode)
+        assert trial_design.storage_words == design.storage_words
+        outcomes = evaluate_design(trial_design, ProblemInstance(n=n, k=k, defectives=truth),
+                                   channel, root.child(b, "noise"))
+        assert np.array_equal(grid[b], outcomes.bits)
+        own.append((trial_design, outcomes))
+    for batch_nodes in (0, 10 ** 9):
+        with mock.patch.object(tree, "BATCH_NODES", batch_nodes):
+            reports = tree.decode_tree_batch(design, grid)
+            expected = [tree.decode_tree(d, o)[1] for d, o in own]
+        assert reports == expected
+
+
+@pytest.mark.parametrize("scheme,hash_mode", BATCH_DESIGNS)
+def test_batch_frontiers_empty_at_different_levels(scheme, hash_mode):
+    """Noise-free trials whose frontiers die at the top level, at a later
+    level (a flipped positive with no defective below it) or never, all in
+    one batch: each report equals the trial's own decode."""
+    n, k, count = 2 ** 10, 4, 6
+    params = _batch_params(scheme, n, k)
+    build = build_gamma_design if scheme == "gamma" else build_rho_design
+    root = RandomnessKey(5)
+    design = build(params, n, root.materials(range(count), "design"), hash_mode)
+    truths = [(), (1, 500), (), (7,), (), (3, 200, 600, 1000)]
+    grid = core.evaluate_batch(design, truths, NoiseChannel(), None)
+    top = design.stacks[next(iter(design.stacks))].t_len
+    grid[2, top // 2] = 1  # a false top-level positive, pruned further down
+    own = []
+    for b, truth in enumerate(truths):
+        trial_design = build(params, n, root.child(b, "design"), hash_mode)
+        own.append((trial_design, core.OutcomeVector(grid[b].copy(), trial_design.layout)))
+    reports = tree.decode_tree_batch(design, grid)
+    assert reports == [tree.decode_tree(d, o)[1] for d, o in own]
+    assert [set(r.estimate) for r in reports] == [set(t) for t in truths]
+    assert reports[2].nodes_visited > reports[0].nodes_visited
