@@ -9,10 +9,9 @@ counts are reported as supplementary columns only.
 
 ``run_trials`` splits its trials into at most ``jobs`` consecutive shares, one
 per worker, and a share runs in batches of consecutive trials, each trial
-with its own defectives, design keys and noise.  A gamma or rho batch is one
-design over every trial's keys, evaluated into one outcome grid and decoded
-by one tree descent; a noisy batch builds and evaluates its trials one by
-one and decodes them in one call; a COMP/NCOMP batch is a single trial.  A
+with its own defectives, design keys and noise.  A gamma, rho or noisy
+batch is one design over every trial's keys, evaluated into one outcome
+grid and decoded by one descent; a COMP/NCOMP batch is a single trial.  A
 batch of one takes the one-trial path of every scheme, and ``run_trial`` is
 the share of one, so its records, which traced runs take, come from that
 path.
@@ -251,14 +250,6 @@ def _each(decode) -> Callable:
     return lambda c, designs, outcomes: [decode(c, d, o) for d, o in zip(designs, outcomes)]
 
 
-def _noisy_decode(config: TrialConfig, designs, outcomes) -> list[DecodeReport]:
-    # a batch of one goes through decode_noisy, the batch decode's one-trial
-    # entry point, so that a wrapper on it (a tracer's span) sees the trial
-    if len(designs) == 1:
-        return [noisy_mod.decode_noisy(designs[0], outcomes[0])[1]]
-    return noisy_mod.decode_noisy_batch(designs, outcomes)
-
-
 def _flat_report(decode, design, outcomes, *args) -> DecodeReport:
     return DecodeReport(estimate=decode(design, outcomes, *args), outcomes_read=design.t_total,
                         nodes_visited=design.n, peak_frontier=0)
@@ -316,10 +307,11 @@ SCHEMES = {
             n, k, c.p if c.design_p is None else c.design_p, t=c.t, epsilon=c.epsilon,
             mode=c.mode, n_reps=c.reps, r=c.lookahead, c_final=c.final_reps),
         lambda c, params, n, k, key: noisy_mod.build_noisy_design(params, n, k, key, c.hash_mode),
-        _noisy_decode,
+        _each(lambda c, design, outcomes: noisy_mod.decode_noisy(design, outcomes)[1]),
         _tree_echo,
         lambda params, n, k: noisy_mod.noisy_total_tests(params, n, k),
-        lambda params, n, k: _tree_batch(noisy_mod.noisy_total_tests(params, n, k))),
+        lambda params, n, k: _tree_batch(noisy_mod.noisy_total_tests(params, n, k)),
+        lambda c, design, grid: noisy_mod.decode_noisy_batch(design, grid)),
     "comp": _flat_scheme(
         lambda c, design, outcomes: _flat_report(baselines.decode_comp, design, outcomes),
         lambda c, tests: {"tests": tests}),
@@ -371,8 +363,8 @@ def _run_share(config: TrialConfig, indices: range) -> list[dict]:
     order.  Rounding, channel, scheme, params and cap are computed once.
 
     A batch of one, and every batch of a scheme without ``decode_grid``,
-    builds and evaluates each trial's own design.  A larger gamma or rho
-    batch computes its trials' key material in one array program
+    builds and evaluates each trial's own design.  A larger gamma, rho or
+    noisy batch computes its trials' key material in one array program
     (:meth:`RandomnessKey.materials`) and builds one design from all of it,
     so that one evaluation and one descent serve the batch; every trial
     still draws from its own substreams, so its record is the same.

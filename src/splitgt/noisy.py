@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
-from .placements import trial_stack, uniform_style_stacks
+from .placements import uniform_style_stacks
 from .tree import TreeDesign
 
 DEFAULT_T = 2.0
@@ -135,25 +135,20 @@ def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
 
 
 class _Batch:
-    """The decode state of a batch of trials whose designs share a layout.
-
-    Per level, its trial stack (see :func:`splitgt.placements.trial_stack`)
-    and the position of its first test in a trial's outcome vector; per
+    """The decode state of a batch of trials: per level, the design's stack
+    and the position of its first test in a trial's outcome row; per
     repetition of a level, the position of its first test from the level's
     (the final level has the most repetitions).  ``grid`` holds the trials'
-    outcome vectors end to end, trial b's from b * t_total on, and ``seen``
+    outcome rows end to end, trial b's from b * t_total on, and ``seen``
     marks the cells read."""
 
-    def __init__(self, designs, outcomes):
-        first = designs[0]
-        self.size = len(designs)
-        self.params, self.t_total = first.params, first.t_total
-        self.bottom = first.layout[-1][0]
-        self.first_test = first.first_test
-        self.stacks = {level: trial_stack([d.stacks[level] for d in designs])
-                       for level in first.stacks}
+    def __init__(self, design: TreeDesign, grid: np.ndarray):
+        self.size, self.t_total = grid.shape
+        self.params, self.stacks = design.params, design.stacks
+        self.bottom = design.layout[-1][0]
+        self.first_test = design.first_test
         self.rep_starts = self.params.t_len * np.arange(self.stacks[self.bottom].reps)[:, None]
-        self.grid = np.concatenate([vector.bits for vector in outcomes])
+        self.grid = grid.reshape(-1)
         self.seen = np.zeros(len(self.grid), dtype=bool)
 
 
@@ -214,41 +209,42 @@ def _lookahead(batch: _Batch, level: int, trials: np.ndarray,
 def decode_noisy(design: TreeDesign,
                  outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
     """The decode of one trial: the batch of one of
-    :func:`decode_noisy_batch`."""
-    (report,) = decode_noisy_batch([design], [outcomes])
+    :func:`decode_noisy_batch`, on the trial's own outcome vector."""
+    if tuple(outcomes.layout) != tuple(design.layout):
+        raise ValueError("outcome layout does not match this design")
+    (report,) = decode_noisy_batch(design, outcomes.bits.reshape(1, -1))
     return report.estimate, report
 
 
-def decode_noisy_batch(designs, outcomes) -> list[DecodeReport]:
-    """Decode several trials of one configuration at once, one report per
-    trial in order: descend level by level, keeping the children of every
-    node whose lookahead label is positive; accept a surviving singleton by
-    a majority over all C' * log2 n of its batch labels.
+def decode_noisy_batch(design: TreeDesign, grid: np.ndarray) -> list[DecodeReport]:
+    """Decode every trial of a batch at once, one report per row of
+    ``grid``, the (trials x T) outcomes of ``design``'s trials (see
+    ``TreeDesign.noiseless_grid``): descend level by level, keeping the
+    children of every node whose lookahead label is positive; accept a
+    surviving singleton by a majority over all C' * log2 n of its batch
+    labels.
 
-    The designs must share their layout; each trial keeps its own keys and
-    its own outcomes.  The descent runs every trial's nodes together, each
+    Each trial keeps its own keys, along the design's trial axis, and its
+    own outcome row.  The descent runs every trial's nodes together, each
     node tagged with its trial, so a level's lookahead takes the same r
     gathers for the whole batch as for one trial, and no trial's result
     depends on the others.  Every segment has length ``t_len``, and the
-    outcome of test j of (level, rep) of trial b sits at ``b * t_total +
-    first_test[level] + rep * t_len + j`` of the batch's outcome vectors
-    laid end to end.  ``outcomes_read`` counts distinct outcome cells read,
+    outcome of test j of (level, rep) of trial b is cell ``b * t_total +
+    first_test[level] + rep * t_len + j`` of the grid laid flat.
+    ``outcomes_read`` counts distinct outcome cells read,
     ``labels_computed`` every intermediate and batch label evaluated (no
     memo across levels), and ``peak_frontier`` the trial's largest
     possibly-defective set.
     """
-    if not designs:
+    count, t_total = grid.shape
+    if t_total != design.t_total:
+        raise ValueError(f"a grid of {t_total} outcomes per trial does not match "
+                         f"the design's {design.t_total} tests")
+    if not count:
         return []
-    layout = tuple(designs[0].layout)
-    for design, vector in zip(designs, outcomes, strict=True):
-        if tuple(design.layout) != layout:
-            raise ValueError("the designs of one batch must share a layout")
-        if tuple(vector.layout) != layout:
-            raise ValueError("outcome layout does not match this design")
-    count = len(designs)
-    batch = _Batch(designs, outcomes)
+    batch = _Batch(design, grid)
     reps = batch.params.n_reps
-    log2k, log2n = layout[0][0], layout[-1][0]
+    log2k, log2n = design.layout[0][0], batch.bottom
     # the possibly-defective nodes of every trial, in trial order
     trials, pd = np.divmod(np.arange(count << log2k), 1 << log2k)
     fronts, labels = [trials], 0

@@ -30,12 +30,12 @@ array of nodes under the repetitions the slice ``reps`` selects, as a
 A hashed level's keys are the next slice of the design key's
 :func:`row_keys`, so no design draws from a generator.  Given several
 trials' design keys, :func:`row_keys` gives one row of keys per trial, and
-every stack cut from them has keys with a leading trial axis; so has a
-stack that :func:`trial_stack` joins from the same level of several trials'
-designs.  Such a stack's ``tests_of(nodes, reps, trials)`` takes each node's
-keys from the trial ``trials`` names for it, so a batch of trials is looked
-up at once.  A stack of one trial's keys, without that axis, and the
-keyless :class:`IdentityStack` ignore ``trials``.
+every stack cut from them has keys with a leading trial axis, of length
+``stack.trials``.  Such a stack's ``tests_of(nodes, reps, trials)`` takes
+each node's keys from the trial ``trials`` names for it, so a batch of
+trials is looked up at once.  A stack of one trial's keys, without that
+axis, and the keyless :class:`IdentityStack` have ``trials`` None and
+ignore the ``trials`` argument.
 """
 
 from __future__ import annotations
@@ -144,6 +144,7 @@ class IdentityStack:
         self.num_nodes = self.t_len = num_nodes
         self.reps = 1
         self.storage_cost = 1
+        self.trials = None
 
     def test_of(self, node: int, rep: int) -> int:
         return node
@@ -209,8 +210,8 @@ class CounterHashStack:
     """``reps`` fully random placements of the same nodes: repetition r puts
     node j into test ``splitmix64(keys[r] + j * PHI) mod t_len``.  Each
     repetition is accounted as the n-word table of the paper's algorithm
-    that the hash stands for.  A :func:`trial_stack` holds one row of keys
-    per trial."""
+    that the hash stands for.  A stack of several trials holds one row of
+    keys per trial."""
 
     def __init__(self, num_nodes: int, t_len: int, keys: np.ndarray):
         _check_t_len(t_len)
@@ -219,6 +220,7 @@ class CounterHashStack:
         self.keys = keys
         self.reps = keys.shape[-1]
         self.storage_cost = self.reps * num_nodes
+        self.trials = len(keys) if keys.ndim == 2 else None
 
     @cached_property
     def _scalar_keys(self) -> tuple:
@@ -230,7 +232,7 @@ class CounterHashStack:
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
                  trials: np.ndarray | None = None) -> np.ndarray:
-        keys = (self.keys[reps, None] if self.keys.ndim == 1
+        keys = (self.keys[reps, None] if self.trials is None
                 else self.keys[:, reps].take(trials, 0).T)
         return _counter_hash(keys, nodes, self.t_len)
 
@@ -246,8 +248,8 @@ class PolynomialStack:
     d coefficients give d-wise independence over the field; the final
     modular reduction adds a bias of at most t_len/prime per bucket, which
     is negligible for the primes used here (>= num_nodes).  ``tests_of`` is
-    one Horner pass over the (repetitions x nodes) grid.  A
-    :func:`trial_stack` holds one key matrix per trial.
+    one Horner pass over the (repetitions x nodes) grid.  A stack of
+    several trials holds one key matrix per trial.
     """
 
     def __init__(self, num_nodes: int, t_len: int, keys: np.ndarray):
@@ -259,6 +261,7 @@ class PolynomialStack:
         self.t_len = t_len
         self.keys = keys
         self.reps = keys.shape[-2]
+        self.trials = len(keys) if keys.ndim == 3 else None
         self.prime = smallest_prime_at_least(max(num_nodes, t_len, 2))
         if self.prime >= 1 << 63:
             raise ValueError(f"num_nodes={num_nodes} and t_len={t_len} must stay below 2^63")
@@ -280,7 +283,7 @@ class PolynomialStack:
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
                  trials: np.ndarray | None = None) -> np.ndarray:
-        if self.coeffs.ndim == 2:
+        if self.trials is None:
             coeffs = self.coeffs[reps].T[::-1, :, None]
         else:  # one degree's coefficients of every node at a time
             rows = self.coeffs[:, reps]
@@ -308,6 +311,7 @@ class PermutationStack:
         self.t_len = t_len
         self.round_keys = round_keys
         self.reps = round_keys.shape[-2]
+        self.trials = len(round_keys) if round_keys.ndim == 3 else None
         self.bits = num_nodes.bit_length() - 1
         self.shift = self.bits - (t_len.bit_length() - 1)
         self.storage_cost = self.reps * (num_nodes if full else round_keys.shape[-1] + 2)
@@ -331,22 +335,9 @@ class PermutationStack:
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
                  trials: np.ndarray | None = None) -> np.ndarray:
-        round_keys = (self.round_keys[reps, None, :] if self.round_keys.ndim == 2
+        round_keys = (self.round_keys[reps, None, :] if self.trials is None
                       else self.round_keys[:, reps].take(trials, 0).transpose(1, 0, 2))
         return _permuted_tests(round_keys, nodes, self.bits, self.shift)
-
-
-def trial_stack(stacks):
-    """The same level of several trials' designs as one stack of their
-    class, whose keys are the trials' own, stacked along a new leading
-    trial axis.  Its ``tests_of`` takes a ``trials`` array, one trial index
-    per node, and gathers each node's keys from its trial; ``test_of`` is
-    not defined on it.  The stack of a single trial is that trial's own
-    stack."""
-    first = stacks[0]
-    if len(stacks) == 1:
-        return first
-    return type(first)(first.num_nodes, first.t_len, np.stack([stack.keys for stack in stacks]))
 
 
 def row_keys(key, count: int) -> np.ndarray:

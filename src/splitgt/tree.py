@@ -17,11 +17,12 @@ each later level a node survives iff all of its tests there are positive;
 the survivors of the last (singleton) level are the estimate.
 :func:`decode_tree_batch` walks that descent for a batch of trials at once,
 its frontier (trial, node) pairs as sorted int64 arrays, level by level;
-:func:`decode_tree` is its batch of one, and keeps no trial array.  Each
-level goes repetition by repetition over the candidates still alive, so
-every trial reads exactly the tests a node-by-node loop that stops at the
-first negative would read; a small frontier has its tests under every
-repetition looked up at once, a large one repetition by repetition.
+:func:`decode_tree` is its batch of one, on a design of one trial's keys,
+and keeps no trial array.  Each level goes repetition by repetition over
+the candidates still alive, so every trial reads exactly the tests a
+node-by-node loop that stops at the first negative would read; a small
+frontier has its tests under every repetition looked up at once, a large
+one repetition by repetition.
 
 A batch's design is one :class:`TreeDesign` whose stacks hold every
 trial's keys along a leading trial axis (the scheme builders take several
@@ -63,14 +64,18 @@ class TreeDesign:
     over the first's.  The outcomes of a design come in ``layout`` order:
     one ``(level, rep, t_len)`` segment per repetition, level by level;
     ``first_test[level]`` indexes a level's first test in that order.
+    ``trials`` is the length of the stacks' leading trial axis, or None for
+    a design of one trial's keys, which has no such axis and evaluates and
+    decodes one trial without a trial array.
     """
 
     def __init__(self, n: int, params, levels):
         self.n = n
         self.params = params
         self.stacks = dict(levels)
-        first, second = list(self.stacks.values())[:2]
-        self.branching = second.num_nodes // first.num_nodes
+        stacks = list(self.stacks.values())
+        self.branching = stacks[1].num_nodes // stacks[0].num_nodes
+        self.trials = stacks[-1].trials  # the top level may be keyless
         self.layout = tuple((level, rep, stack.t_len) for level, stack in self.stacks.items()
                             for rep in range(stack.reps))
         self.first_test = {}
@@ -109,8 +114,9 @@ class TreeDesign:
         looked up under its own trial's keys (a design of one trial's keys
         takes a batch of one)."""
         grid = np.zeros((len(defectives), self.t_total), dtype=np.uint8)
-        if len(defectives) == 1:  # no trial array, as in decode_tree_batch
-            trials, items = None, np.asarray(defectives[0], dtype=np.int64)
+        if self.trials is None:  # no trial array, as in decode_tree_batch
+            (truth,) = defectives
+            trials, items = None, np.asarray(truth, dtype=np.int64)
         else:
             trials = np.repeat(np.arange(len(defectives)), [len(d) for d in defectives])
             items = np.fromiter((d for trial in defectives for d in trial), np.int64, len(trials))
@@ -170,15 +176,15 @@ def decode_tree_batch(design: TreeDesign, grid: np.ndarray) -> list[DecodeReport
     (trials x T) outcomes of ``design``'s trials (see
     ``TreeDesign.noiseless_grid``).
 
-    The frontier holds (trial, node) pairs, trial-major.  A batch of one
-    is a design of one trial's keys and keeps no trial array, so its
-    frontier is one node array, as large as the trial's own.  The first
-    level's single segment tests each of its nodes individually.  Test j
-    of (level, rep) of trial b is cell ``b * T + first_test[level] + rep *
-    t_len + j`` of the grid laid flat; as in the noisy decoder, every cell
-    read is marked in one boolean array whose row count is a trial's
-    ``outcomes_read``.  ``nodes_visited`` counts each node once per level
-    it is tested at; ``peak_frontier`` is the trial's largest frontier.
+    The frontier holds (trial, node) pairs, trial-major.  A design of one
+    trial's keys (``design.trials`` None) decodes a grid of one row and
+    keeps no trial array, so its frontier is one node array, as large as
+    the trial's own.  The first level's single segment tests each of its
+    nodes individually.  Test j of (level, rep) of trial b is cell ``b * T
+    + first_test[level] + rep * t_len + j`` of the grid laid flat; as in
+    the noisy decoder, every cell read is marked in one boolean array whose
+    row count is a trial's ``outcomes_read``.  ``nodes_visited`` counts each
+    node once per level it is tested at; ``peak_frontier`` is the trial's largest frontier.
     Whether a level looks its nodes up under all of its repetitions at once
     (up to ``BATCH_NODES`` nodes) is decided for the whole batch, which
     changes no trial's reads.
@@ -189,12 +195,12 @@ def decode_tree_batch(design: TreeDesign, grid: np.ndarray) -> list[DecodeReport
     levels = iter(design.stacks.items())
     top = next(levels)[1].t_len
     seen[:, :top] = True
-    positive = np.flatnonzero(grid[:, :top])  # trial b's node j at b * top + j
-    if count == 1:
-        trials, alive = None, positive
+    if design.trials is None:
+        (row,) = grid
+        trials, alive = None, np.flatnonzero(row[:top])
         sizes = [len(alive)]  # per level, the frontier size of every trial
-    else:
-        trials, alive = np.divmod(positive, top)
+    else:  # trial b's node j at b * top + j
+        trials, alive = np.divmod(np.flatnonzero(grid[:, :top]), top)
         sizes = [np.bincount(trials, minlength=count)]
     offsets = np.arange(design.branching, dtype=np.int64)
 

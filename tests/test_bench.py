@@ -377,7 +377,8 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch):
     assert workers == [2] and ran == [range(i, i + 1) for i in range(64)]
 
 
-@pytest.mark.parametrize("algorithm,fields", [("gamma", dict(gamma=5)), ("rho", dict(rho=16))])
+@pytest.mark.parametrize("algorithm,fields", [("gamma", dict(gamma=5)), ("rho", dict(rho=16)),
+                                              ("noisy", dict(p=0.05))])
 @pytest.mark.parametrize("trials,cap,batch_sizes", [
     (12, 100, [12]),       # the whole share in one grid
     (12, 5, [5, 5, 2]),    # capped by the byte budget
@@ -386,10 +387,10 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch):
 ])
 def test_tree_batches_follow_the_byte_cap(algorithm, fields, trials, cap, batch_sizes,
                                           monkeypatch):
-    """Gamma and rho batches follow the byte cap that noisy's do, two bytes
-    per test and trial under ``bench.BATCH_BYTES``, and a batch of several
-    trials is decoded from one grid; records equal the trials run one at a
-    time."""
+    """Gamma, rho and noisy batches follow the byte cap, two bytes per test
+    and trial under ``bench.BATCH_BYTES``, and every batch of several trials
+    is decoded from one grid (``decode_grid``); records equal the trials run
+    one at a time."""
     config = TrialConfig(algorithm=algorithm, n=256, k=4, trials=trials, base_seed=6, **fields)
     expected = bench.aggregate(config, [bench.run_trial(config, i) for i in range(trials)])
     n, k, _ = bench._rounded(config)
@@ -398,8 +399,16 @@ def test_tree_batches_follow_the_byte_cap(algorithm, fields, trials, cap, batch_
                          RandomnessKey(0, ("design",))).t_total
     monkeypatch.setattr(bench, "BATCH_BYTES", 2 * tests * cap)
     _, ran, batches = _record_shares_and_batches(monkeypatch, algorithm)
+    grids, recording = [], bench.SCHEMES[algorithm]
+
+    def decode_grid(config, design, grid):
+        grids.append(len(grid))
+        return recording.decode_grid(config, design, grid)
+
+    monkeypatch.setitem(bench.SCHEMES, algorithm, recording._replace(decode_grid=decode_grid))
     assert run_trials(config).to_dict() == expected.to_dict()
     assert ran == [range(trials)] and batches == batch_sizes
+    assert grids == [size for size in batch_sizes if size > 1]
 
 
 @pytest.mark.parametrize("algorithm,fields,tests,cap", [

@@ -21,6 +21,7 @@ from splitgt.core import (
     OutcomeVector,
     ProblemInstance,
     RandomnessKey,
+    evaluate_batch,
     evaluate_design,
 )
 from splitgt.noisy import (
@@ -260,8 +261,8 @@ def test_decode_layout_mismatch_rejected():
     out = evaluate_design(design_b, inst, NoiseChannel.noiseless(), RandomnessKey(1))
     with pytest.raises(ValueError, match="outcome layout does not match this design"):
         decode_noisy(design_a, out)
-    with pytest.raises(ValueError, match="outcome layout does not match this design"):
-        noisy.decode_noisy_batch([design_a], [out])
+    with pytest.raises(ValueError, match="does not match the design's"):
+        noisy.decode_noisy_batch(design_a, out.bits.reshape(1, -1))
 
 
 def test_decode_deterministic():
@@ -349,14 +350,30 @@ def test_decode_matches_depth_first_reference(log_n, log_k, n_reps, r, hash_mode
             == params.c_final * log_n * singletons)
 
 
-def _trial(n, k, seed, hash_mode, channel, count, params):
-    """One design and its outcomes; ``count`` defectives drawn from ``seed``."""
-    design = build_noisy_design(params, n, k, RandomnessKey(seed, ("design",)), hash_mode)
+def _batch(params, n, k, root, hash_mode, channels, truths):
+    """The design built from the key material of trials 0 .. B - 1 of
+    ``root``, and the (B x T) grid of trial b with defectives ``truths[b]``
+    at flip probability ``channels[b].p``; with every trial's own design
+    and outcome vector, each checked to equal its row of the grid."""
+    size = len(truths)
+    design = build_noisy_design(params, n, k, root.materials(range(size), "design"), hash_mode)
+    noise = root.materials(range(size), "noise")
+    grids = {channel: evaluate_batch(design, truths, channel, noise) for channel in set(channels)}
+    grid = np.array([grids[channel][b] for b, channel in enumerate(channels)], dtype=np.uint8)
+    assert grid.shape == (size, design.t_total)
+    own = []
+    for b, (channel, truth) in enumerate(zip(channels, truths)):
+        trial_design = build_noisy_design(params, n, k, root.child(b, "design"), hash_mode)
+        out = evaluate_design(trial_design, ProblemInstance(n=n, k=k, defectives=truth),
+                              channel, root.child(b, "noise"))
+        assert np.array_equal(grid[b], out.bits)
+        own.append((trial_design, out))
+    return design, grid, own
+
+
+def _truth(n, seed, count):
     rng = np.random.default_rng(seed)
-    defectives = tuple(int(d) for d in rng.choice(n, size=count, replace=False))
-    out = evaluate_design(design, ProblemInstance(n=n, k=k, defectives=defectives),
-                          channel, RandomnessKey(seed, ("noise",)))
-    return design, out
+    return tuple(int(d) for d in rng.choice(n, size=count, replace=False))
 
 
 @pytest.mark.parametrize("hash_mode", ["full", "kwise", "pairwise"])
@@ -364,24 +381,26 @@ def _trial(n, k, seed, hash_mode, channel, count, params):
 @pytest.mark.parametrize("p_even,p_odd", [(p_even, p_odd) for p_even in (0.0, 0.05, 0.3)
                                            for p_odd in (0.0, 0.05, 0.3)])
 def test_batch_decode_matches_separate_decodes(hash_mode, size, p_even, p_odd):
-    """Decoding trials together gives each trial exactly its own decode:
-    the same estimate and the same counters.  The batch mixes trials with
-    no defectives (whose frontier empties at the first level when the
-    channel is quiet) with trials of up to k defectives, and trials at two
-    flip probabilities: p_even for even-indexed trials, p_odd for odd."""
+    """Decoding a batch design's grid gives each trial exactly its own
+    decode: the same estimate and the same counters.  The batch mixes
+    trials with no defectives (whose frontier empties at the first level
+    when the channel is quiet) with trials of up to k defectives, and
+    trials at two flip probabilities: p_even for even-indexed trials, p_odd
+    for odd.  A batch of one is a design whose keys have a trial axis of
+    length one."""
     n, k = 2 ** 8, 4
     params = noisy_params(n, k, 0.05, n_reps=3)
     # p_odd also picks the seeds, so that batches of one differ across it
     seed = 100_000 * round(100 * p_odd) + 1000 * size
-    trials = [_trial(n, k, seed + i, hash_mode, NoiseChannel((p_even, p_odd)[i % 2]),
-                     i % (k + 1), params)
-              for i in range(size)]
-    designs, outs = [d for d, _ in trials], [o for _, o in trials]
-    batched = noisy.decode_noisy_batch(designs, outs)
+    channels = [NoiseChannel((p_even, p_odd)[b % 2]) for b in range(size)]
+    truths = [_truth(n, seed + b, b % (k + 1)) for b in range(size)]
+    design, grid, own = _batch(params, n, k, RandomnessKey(seed), hash_mode, channels, truths)
+    assert design.trials == size
+    batched = noisy.decode_noisy_batch(design, grid)
     assert len(batched) == size
-    for design, out, report in zip(designs, outs, batched):
-        estimate, alone = decode_noisy(design, out)
-        reference = decode_noisy_scalar(design, out)
+    for (trial_design, out), report in zip(own, batched):
+        estimate, alone = decode_noisy(trial_design, out)
+        reference = decode_noisy_scalar(trial_design, out)
         assert report.estimate == estimate == reference.estimate
         assert report.nodes_visited == reference.nodes_visited
         assert all(isinstance(item, int) for item in report.estimate)
@@ -396,12 +415,11 @@ def test_batch_decode_matches_separate_decodes_past_2_32_nodes(hash_mode):
     prime above 2^32 takes."""
     n, k = 2 ** 40, 2
     params = noisy_params(n, k, 0.05, n_reps=3, r=2)
-    channel = NoiseChannel.symmetric(0.05)
-    trials = [_trial(n, k, seed, hash_mode, channel, seed % (k + 1), params)
-              for seed in range(3)]
-    batched = noisy.decode_noisy_batch([d for d, _ in trials], [o for _, o in trials])
-    for (design, out), report in zip(trials, batched):
-        assert report == decode_noisy(design, out)[1]
+    channels = [NoiseChannel.symmetric(0.05)] * 3
+    truths = [_truth(n, seed, seed % (k + 1)) for seed in range(3)]
+    design, grid, own = _batch(params, n, k, RandomnessKey(2), hash_mode, channels, truths)
+    batched = noisy.decode_noisy_batch(design, grid)
+    assert batched == [decode_noisy(d, out)[1] for d, out in own]
 
 
 def test_batch_decode_frontier_empties_in_some_trials_only():
@@ -410,24 +428,25 @@ def test_batch_decode_frontier_empties_in_some_trials_only():
     counters."""
     n, k = 2 ** 10, 4
     params = noisy_params(n, k, 0.05)
-    quiet = NoiseChannel.noiseless()
-    trials = [_trial(n, k, seed, "full", quiet, count, params)
-              for seed, count in ((1, 0), (2, 4), (3, 0), (4, 2))]
-    batched = noisy.decode_noisy_batch([d for d, _ in trials], [o for _, o in trials])
-    for (design, out), report in zip(trials, batched):
-        assert report == decode_noisy(design, out)[1]
+    channels = [NoiseChannel.noiseless()] * 4
+    truths = [_truth(n, seed, count) for seed, count in ((1, 0), (2, 4), (3, 0), (4, 2))]
+    design, grid, own = _batch(params, n, k, RandomnessKey(3), "full", channels, truths)
+    batched = noisy.decode_noisy_batch(design, grid)
+    assert batched == [decode_noisy(d, out)[1] for d, out in own]
     empty, full = batched[0], batched[1]
     assert empty.estimate == () and empty.nodes_visited == k
     assert len(full.estimate) == 4 and full.nodes_visited > empty.nodes_visited
 
 
-def test_batch_decode_rejects_mixed_layouts():
+def test_batch_decode_checks_grid_width():
+    """A grid row holds the design's T outcomes, or the grid is rejected;
+    a grid of no rows decodes to no reports."""
     n, k = 2 ** 8, 2
-    channel = NoiseChannel.noiseless()
-    a = _trial(n, k, 1, "full", channel, 1, noisy_params(n, k, 0.05))
-    b = _trial(n, k, 2, "full", channel, 1, noisy_params(n, k, 0.05, n_reps=5))
-    with pytest.raises(ValueError, match="share a layout"):
-        noisy.decode_noisy_batch([a[0], b[0]], [a[1], b[1]])
-    with pytest.raises(ValueError, match="outcome layout"):
-        noisy.decode_noisy_batch([a[0], a[0]], [a[1], b[1]])
-    assert noisy.decode_noisy_batch([], []) == []
+    keys = RandomnessKey(1).materials(range(2), "design")
+    design = build_noisy_design(noisy_params(n, k, 0.05), n, k, keys)
+    other = build_noisy_design(noisy_params(n, k, 0.05, n_reps=5), n, k, keys)
+    assert other.t_total != design.t_total
+    grid = evaluate_batch(other, [(1,), (2,)], NoiseChannel.noiseless(), None)
+    with pytest.raises(ValueError, match="does not match the design's"):
+        noisy.decode_noisy_batch(design, grid)
+    assert noisy.decode_noisy_batch(design, np.zeros((0, design.t_total), np.uint8)) == []

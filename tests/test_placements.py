@@ -16,7 +16,6 @@ from splitgt.placements import (
     balanced_stacks,
     row_keys,
     smallest_prime_at_least,
-    trial_stack,
     uniform_style_stacks,
 )
 
@@ -151,7 +150,8 @@ LARGEST_PRIME_BELOW_2_63 = 2 ** 63 - 25
 def test_coefficient_fold_matches_python_integers(at_least, degree, trials, reps, data):
     """Each coefficient is the 128-bit number of its two row keys mod the
     prime, for primes from 2 to just below 2^63, in a trial's own stack and
-    in the trial stack of several."""
+    in the stack of several trials' keys, whose trial axis may have length
+    one."""
     shape = (trials, reps, 2 * degree)
     if data is None:  # every word at its largest, which no product may overflow
         words = [2 ** 64 - 1] * math.prod(shape)
@@ -164,8 +164,8 @@ def test_coefficient_fold_matches_python_integers(at_least, degree, trials, reps
     expected = [[[((int(row[2 * i]) << 64) | int(row[2 * i + 1])) % prime
                   for i in range(degree)] for row in trial_keys] for trial_keys in keys]
     assert [stack.coeffs.tolist() for stack in own] == expected
-    batch = trial_stack(own)
-    assert batch.coeffs.tolist() == (expected if trials > 1 else expected[0])
+    batch = PolynomialStack(at_least, 1, keys)
+    assert batch.coeffs.tolist() == expected and batch.trials == trials
     assert batch.reps == reps and batch.storage_cost == reps * (degree + 2)
 
 
@@ -419,6 +419,7 @@ def test_stacks_from_batch_material_match_each_trial(kind, hash_mode):
     rng = np.random.default_rng(3)
     for level, stack in enumerate(batch):
         assert (stack.reps, stack.storage_cost) == (own[0][level].reps, own[0][level].storage_cost)
+        assert stack.trials == count and own[0][level].trials is None
         nodes = rng.integers(0, stack.num_nodes, size=50)
         trials = np.sort(rng.integers(0, count, size=50))
         expected = np.concatenate([own[b][level].tests_of(nodes[trials == b])
@@ -430,5 +431,6 @@ def test_stacks_from_batch_material_match_each_trial(kind, hash_mode):
 
 def test_identity_stack_ignores_trials():
     stack = IdentityStack(16)
+    assert stack.trials is None
     nodes = np.array([3, 0, 15])
     assert stack.tests_of(nodes, slice(None), np.array([2, 0, 1])).tolist() == [[3, 0, 15]]

@@ -177,6 +177,29 @@ def test_batch_matches_each_trial(scheme, hash_mode, count, p):
 
 
 @pytest.mark.parametrize("scheme,hash_mode", BATCH_DESIGNS)
+def test_one_row_key_matrix_design(scheme, hash_mode):
+    """A design built from one trial's key material as a batch, its keys
+    with a trial axis of length one, evaluates and decodes that trial as
+    the trial's own design does (a gamma n=2^10 k=4 gamma=5 design is the
+    case that failed when the path was chosen by the row count)."""
+    n, k = 2 ** 10, 4
+    params = _batch_params(scheme, n, k)
+    build = build_gamma_design if scheme == "gamma" else build_rho_design
+    root, channel, truth = RandomnessKey(17), NoiseChannel(0.05), (3, 200, 600, 1000)
+    design = build(params, n, root.materials(range(1), "design"), hash_mode)
+    assert design.trials == 1
+    grid = core.evaluate_batch(design, [truth], channel, root.materials(range(1), "noise"))
+    own = build(params, n, root.child(0, "design"), hash_mode)
+    assert own.trials is None
+    outcomes = evaluate_design(own, ProblemInstance(n=n, k=k, defectives=truth), channel,
+                               root.child(0, "noise"))
+    assert np.array_equal(grid[0], outcomes.bits)
+    for batch_nodes in (0, 10 ** 9):
+        with mock.patch.object(tree, "BATCH_NODES", batch_nodes):
+            assert tree.decode_tree_batch(design, grid) == [tree.decode_tree(own, outcomes)[1]]
+
+
+@pytest.mark.parametrize("scheme,hash_mode", BATCH_DESIGNS)
 def test_batch_frontiers_empty_at_different_levels(scheme, hash_mode):
     """Noise-free trials whose frontiers die at the top level, at a later
     level (a flipped positive with no defective below it) or never, all in
