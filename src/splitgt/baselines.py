@@ -87,13 +87,14 @@ def build_flat_design(n: int, tests_count: int, key: RandomnessKey, k: int = 1,
     weight = min(max(1, weight), tests_count)
     rng = key.generator()
     members = np.zeros((tests_count, n), dtype=bool)
+    cells = members.reshape(-1)  # a view: cell t * n + i is members[t, i]
     # Floyd's sampling algorithm, one step for all items at once: adding j
     # when the uniform pick from [0, j] is already taken keeps every item's
     # set a uniform subset of [0, j], independently across items
     items = np.arange(n)
     for j in range(tests_count - weight, tests_count):
-        pick = rng.integers(0, j + 1, size=n)
-        members[np.where(members[pick, items], j, pick), items] = True
+        picked = rng.integers(0, j + 1, size=n) * n + items
+        cells[np.where(cells[picked], j * n + items, picked)] = True
     return FlatDesign(members)
 
 
@@ -124,8 +125,10 @@ def decode_ncomp(design: FlatDesign, outcomes: OutcomeVector,
     that came back negative is at most ``threshold``."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    negatives = _negative_rows(design, outcomes).view(np.uint8).sum(axis=0, dtype=np.int32)
-    appearances = design.members.view(np.uint8).sum(axis=0, dtype=np.int32)
+    # a count is at most T: int16 holds it below 2^15 tests, and sums faster
+    dtype = np.int16 if design.t_total < 1 << 15 else np.int32
+    negatives = _negative_rows(design, outcomes).view(np.uint8).sum(axis=0, dtype=dtype)
+    appearances = design.members.view(np.uint8).sum(axis=0, dtype=dtype)
     uncovered = np.flatnonzero(appearances == 0)
     if len(uncovered):
         raise ValueError(f"item {uncovered[0]} appears in no test")

@@ -4,8 +4,12 @@ aggregates recovery rates and cost counters.
 A trial is a pure function of (config, base seed, trial index): the defective
 set, the design and the channel noise each consume their own substream of
 ``RandomnessKey(base_seed, (trial_index,))``, so any run is reproducible and
-trials are independent.  Success means exact set recovery; partial-recovery
-counts are reported as supplementary columns only.
+trials are independent.  The defectives and the noise are read from the
+SplitMix64 counter stream of their substream's key (``core.counter_stream``),
+as the placements are, so a gamma, rho or noisy trial constructs no
+generator; only the COMP/NCOMP designs draw from one.  Success means exact
+set recovery; partial-recovery counts are reported as supplementary columns
+only.
 
 ``run_trials`` splits its trials into at most ``jobs`` consecutive shares, one
 per worker, and a share runs in batches of consecutive trials, each trial
@@ -24,8 +28,9 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from . import baselines
 from . import gamma as gamma_mod
@@ -37,9 +42,9 @@ from .core import (
     NoiseChannel,
     ProblemInstance,
     RandomnessKey,
+    counter_stream,
     evaluate_batch,
     evaluate_design,
-    generator_of,
     round_instance,
 )
 from .gamma import DEFAULT_C_CONST
@@ -140,8 +145,9 @@ INTEGER_FIELDS = ("n", "k", "trials", "base_seed", "gamma", "gamma_prime", "rho"
 FLOAT_FIELDS = ("p", "c_const", "beta_exp", "design_p", "t", "epsilon", "threshold")
 
 
-# Past 2^62 items the int64 defective draw overflows.  A trial may allocate
-# no array above MAX_TRIAL_BYTES (see ``Scheme.footprint``): a config past it
+# Item ids are int64, and the defective draw's bias bound (see
+# ``_draw_defectives``) is stated up to 2^62 items.  A trial may allocate no
+# array above MAX_TRIAL_BYTES (see ``Scheme.footprint``): a config past it
 # is rejected before trial 0, not failed in it by an allocation that one host
 # refuses and another overcommits.
 MAX_N, MAX_TRIAL_BYTES = 1 << 62, 1 << 32
@@ -323,14 +329,30 @@ SCHEMES = {
 ALGORITHMS = tuple(SCHEMES)
 
 
-def _draw_defectives(config: TrialConfig, generator: Callable) -> tuple[int, ...]:
-    """A trial's defectives: the explicit ones, or k of the raw n items
-    drawn by ``generator()``, its defectives key's generator."""
+def _draw_defectives(config: TrialConfig, words: np.ndarray) -> list[tuple[int, ...]]:
+    """The defectives of every trial whose defectives key has the material
+    words of a row of ``words``: the explicit ones, or k of the raw n items.
+
+    The draw is Floyd's sampling algorithm (Bentley and Floyd, CACM 1987):
+    step s, for j = n - k + s, picks t in [0, j] and adds j if t is taken,
+    else t, which leaves a uniform k-subset of [0, n).  Its pick is
+    ``(u * (j + 1)) >> 128`` for the 128-bit u whose high and low words are
+    outputs 2s and 2s + 1 of the key's counter stream: each pick is off
+    uniform by a total variation of at most n / 2^128 <= 2^-66, so the set
+    by at most k times that.  Dummy items, which rounding puts above the raw
+    n, stay non-defective.
+    """
     if config.defectives is not None:
-        return tuple(sorted(config.defectives))
+        return [tuple(sorted(config.defectives))] * len(words)
     count = min(config.k, config.n)
-    # dummy items added by rounding sit above the raw n and stay non-defective
-    return tuple(sorted(int(v) for v in generator().choice(config.n, size=count, replace=False)))
+    draws = []
+    for row in counter_stream(words, 2 * count).tolist():
+        chosen, outputs = set(), iter(row)
+        for j, high, low in zip(range(config.n - count, config.n), outputs, outputs):
+            pick = ((high << 64 | low) * (j + 1)) >> 128
+            chosen.add(j if pick in chosen else pick)
+        draws.append(tuple(sorted(chosen)))
+    return draws
 
 
 def _record(defectives: tuple[int, ...], design, report: DecodeReport) -> dict:
@@ -378,14 +400,13 @@ def _run_share(config: TrialConfig, indices: range) -> list[dict]:
 
     def trial(index: int) -> tuple:
         key = root.child(index)
-        defectives = _draw_defectives(config, key.child("defectives").generator)
+        defectives, = _draw_defectives(config, key.child("defectives").words())
         instance = ProblemInstance(n=n, k=k, defectives=defectives)
         design = scheme.build(config, params, n, k, key.child("design"))
         return defectives, design, evaluate_design(design, instance, channel, key.child("noise"))
 
     def shared(batch: range) -> tuple:
-        truths = [_draw_defectives(config, partial(generator_of, words))
-                  for words in root.materials(batch, "defectives")]
+        truths = _draw_defectives(config, root.materials(batch, "defectives"))
         design = scheme.build(config, params, n, k, root.materials(batch, "design"))
         noise = None if channel.is_noiseless else root.materials(batch, "noise")
         grid = evaluate_batch(design, truths, channel, noise)

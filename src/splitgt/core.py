@@ -18,12 +18,14 @@ build one :class:`splitgt.tree.TreeDesign` each, from their levels; it
 looks tests up one at a time or one level at a time, whichever the number
 of lookups favours.  A tree design built from several trials' keys at once
 evaluates them all in one ``noiseless_grid`` call, one row per trial:
-``evaluate_batch`` adds each row's own noise.  The flat baselines build a
-:class:`splitgt.baselines.FlatDesign`, a boolean incidence matrix.
+``evaluate_batch`` adds each row's own noise (:func:`channel_flips`).  The
+flat baselines build a :class:`splitgt.baselines.FlatDesign`, a boolean
+incidence matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -116,8 +118,12 @@ class RandomnessKey:
     """Seed plus a stream path; equal keys give bit-identical draws.
 
     Substreams are derived with :meth:`child`, so e.g. the design of trial 17
-    and its noise draws never share a generator.  The generator itself is a
-    counter-based Philox keyed by a mix of the seed and the stream path.
+    and its noise draws never share a stream.  A key's :meth:`material`
+    mixes the seed and the stream path.  Its low word seeds the SplitMix64
+    counter stream (:func:`counter_stream`) from which a trial's defectives,
+    its placements and its channel noise are taken; :meth:`generator`, a
+    counter-based Philox keyed by the whole material, draws only the flat
+    baselines' designs.
     """
 
     seed: int
@@ -138,11 +144,16 @@ class RandomnessKey:
         state = self._state()
         return (_splitmix64(state ^ _HIGH_SALT) << 64) | state
 
+    def words(self) -> np.ndarray:
+        """:meth:`material` as a (1 x 2) uint64 array, low word first: the
+        one row of :meth:`materials` that this key would be."""
+        material = self.material()
+        return np.array([[material & _MASK64, material >> 64]], dtype=np.uint64)
+
     def materials(self, indices, *tokens) -> np.ndarray:
         """The :meth:`material` of ``self.child(i, *tokens)`` for every i of
         the integer array ``indices``, from one uint64 array program: row r
-        holds the low and the high 64 bits of index r's material, the word
-        order of Philox's key (see :func:`generator_of`)."""
+        holds the low and the high 64 bits of index r's material."""
         indices = np.asarray(indices).astype(np.uint64)  # wraps as int & (2^64 - 1)
         state = _splitmix64_array(np.uint64(self._state()) ^ _splitmix64_array(indices))
         for token in tokens:
@@ -153,11 +164,25 @@ class RandomnessKey:
         return np.random.Generator(np.random.Philox(key=self.material()))
 
 
-def generator_of(words: np.ndarray) -> np.random.Generator:
-    """The generator of a key from its material words, one row of
-    :meth:`RandomnessKey.materials`: the same stream as that key's
-    :meth:`~RandomnessKey.generator`."""
-    return np.random.Generator(np.random.Philox(key=words))
+def counter_stream(words: np.ndarray, count: int) -> np.ndarray:
+    """Outputs 0 .. count - 1 of the SplitMix64 stream of every key whose
+    material words are a row of ``words`` (see :meth:`RandomnessKey.materials`),
+    as a (rows x count) uint64 array: output c of a key with low word w is
+    ``splitmix64(w + c * PHI)``, the stream the counter-hash placements
+    read."""
+    return _splitmix64_array(words[:, :1] + np.arange(count, dtype=np.uint64) * _PHI64)
+
+
+def channel_flips(p: float, words: np.ndarray, tests: int) -> np.ndarray:
+    """Which of ``tests`` outcomes the symmetric channel of flip probability
+    ``p`` flips for every key whose material words are a row of ``words``:
+    a (rows x tests) bool array whose cell c is set iff output c of the row's
+    :func:`counter_stream` is below floor(p * 2^64), which for a uniformly
+    random key has probability floor(p * 2^64) / 2^64."""
+    threshold = math.floor(p * 2.0 ** 64)  # exact: a float times a power of two
+    if threshold > _MASK64:  # p = 1, whose threshold does not fit in uint64
+        return np.ones((len(words), tests), dtype=bool)
+    return counter_stream(words, tests) < np.uint64(threshold)
 
 
 @dataclass(frozen=True)
@@ -285,16 +310,16 @@ def evaluate_design(design, instance: ProblemInstance, channel: NoiseChannel,
     """Run every test of a non-adaptive design against an instance.
 
     One bit per test in layout order: the design's ``noiseless_bits``, then
-    the channel noise: one ``random(T)`` draw ``u`` from ``key``'s generator,
-    and test c flips iff ``u[c] < channel.p``.  So outcomes are independent
-    across tests and the whole vector is a pure function of (design,
-    instance, channel, key).
+    the channel noise: test c flips iff output c of ``key``'s counter stream
+    is below floor(p * 2^64) (:func:`channel_flips`).  So outcomes are
+    independent across tests and the whole vector is a pure function of
+    (design, instance, channel, key).
     """
     if design.n != instance.n:
         raise ValueError(f"design built for n={design.n}, instance has n={instance.n}")
     bits = design.noiseless_bits(instance.defectives)
     if not channel.is_noiseless:
-        bits ^= key.generator().random(len(bits)) < channel.p
+        bits ^= channel_flips(channel.p, key.words(), len(bits))[0]
     return OutcomeVector(bits=bits, layout=tuple(design.layout))
 
 
@@ -304,12 +329,12 @@ def evaluate_batch(design, defectives, channel: NoiseChannel, noise: np.ndarray)
     ``defectives[b]``.
 
     Row b of the (trials x T) uint8 grid is what :func:`evaluate_design`
-    gives trial b: its noiseless bits, then its own ``random(T)`` draw, from
-    the key whose material words are row b of ``noise`` (see
-    :meth:`RandomnessKey.materials`).
+    gives trial b: its noiseless bits, then its own flips, from the key
+    whose material words are row b of ``noise`` (see
+    :meth:`RandomnessKey.materials`); one :func:`channel_flips` covers the
+    grid.
     """
     grid = design.noiseless_grid(defectives)
     if not channel.is_noiseless:
-        for row, words in zip(grid, noise):
-            row ^= generator_of(words).random(len(row)) < channel.p
+        grid ^= channel_flips(channel.p, noise, grid.shape[1])
     return grid

@@ -55,6 +55,7 @@ from .core import (
     RandomnessKey,
     _splitmix64,
     _splitmix64_array,
+    counter_stream,
     is_power_of_two,
 )
 
@@ -341,15 +342,15 @@ class PermutationStack:
 
 
 def row_keys(key, count: int) -> np.ndarray:
-    """The keys of a design's ``count`` counter-hashed rows: splitmix64 over
-    the row ids 0 .. count - 1, offset by the low 64 bits of the design
-    key's material.  ``key`` is a :class:`RandomnessKey`, or the material
-    words of several trials' design keys (rows of
-    :meth:`RandomnessKey.materials`), which give one row of keys per
-    trial."""
-    base = (np.uint64(key.material() & _MASK64) if isinstance(key, RandomnessKey)
-            else key[:, :1])
-    return _splitmix64_array(base + np.arange(count, dtype=np.uint64) * _PHI64)
+    """The keys of a design's ``count`` counter-hashed rows: outputs
+    0 .. count - 1 of the design key's counter stream, splitmix64 over the
+    row ids offset by the low 64 bits of its material.  ``key`` is a
+    :class:`RandomnessKey`, or the material words of several trials' design
+    keys (rows of :meth:`RandomnessKey.materials`), which give one row of
+    keys per trial."""
+    if isinstance(key, RandomnessKey):
+        return counter_stream(key.words(), count)[0]
+    return counter_stream(key, count)
 
 
 def _cut(keys: np.ndarray, shapes):

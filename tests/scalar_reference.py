@@ -4,11 +4,13 @@ noisy lookahead decoder, one ``OutcomeVector.get`` and one scalar
 ``stack.test_of(node, rep)`` at a time (a whole segment's tests from
 :func:`segment_table`); the set-based flat design (its per-test evaluation,
 COMP, NCOMP and the oracles' bitmasks over tuples of member sets), its
-per-item constant-weight draw and the one-test outcome; the per-segment
-flattening of a tree design and its one-test-at-a-time noiseless outcome
-vector; the trial-division prime table; the counter
-hash in pure-Python integers; the keyed-permutation row on bit strings; and
-the explicit i.i.d. table the counter hash replaced."""
+per-item constant-weight draw, its two-dimensional Floyd scatter and the
+one-test outcome; the per-segment flattening of a tree design and its
+one-test-at-a-time noiseless outcome vector; the trial-division prime table;
+the counter hash, the defective draw and the channel flip in pure-Python
+integers; the keyed-permutation row on bit strings; the explicit i.i.d.
+table the counter hash replaced; and the Philox defective draw and channel
+noise that the counter stream replaced."""
 
 from __future__ import annotations
 
@@ -304,9 +306,22 @@ def build_flat_design_per_item(n: int, tests_count: int, weight: int, rng) -> Fl
     return FlatDesign(members)
 
 
-def compute_outcome(members, instance, channel, key) -> int:
-    """Outcome of a single test: OR of defectivity over the pooled members,
-    then passed through the channel using the keyed stream."""
+def build_flat_design_2d(n: int, tests_count: int, weight: int, rng) -> FlatDesign:
+    """Constant column weight by Floyd's algorithm, one step for all items
+    at once, scattered by two-dimensional fancy indexing: the form the flat
+    cell index of ``build_flat_design`` replaced."""
+    members = np.zeros((tests_count, n), dtype=bool)
+    items = np.arange(n)
+    for j in range(tests_count - weight, tests_count):
+        pick = rng.integers(0, j + 1, size=n)
+        members[np.where(members[pick, items], j, pick), items] = True
+    return FlatDesign(members)
+
+
+def compute_outcome(members, instance, channel, key, cell: int = 0) -> int:
+    """Outcome of a single test, the ``cell``-th of its evaluation: OR of
+    defectivity over the pooled members, then flipped iff output ``cell`` of
+    ``key``'s counter stream is below floor(p * 2^64)."""
     defective = set(instance.defectives)
     base = 0
     for m in members:
@@ -315,8 +330,10 @@ def compute_outcome(members, instance, channel, key) -> int:
             raise ValueError(f"member id {m} outside [0, {instance.n})")
         if m in defective:
             base = 1
-    if channel.p > 0.0 and key.generator().random() < channel.p:
-        base ^= 1
+    if channel.p > 0.0:
+        output = splitmix64(((key.material() & MASK64) + cell * GOLDEN) & MASK64)
+        if output < math.floor(channel.p * 2 ** 64):
+            base ^= 1
     return base
 
 
@@ -465,3 +482,42 @@ class ExplicitStack:
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
         return self.table[reps, nodes].astype(np.int64, copy=False)
+
+
+def floyd_defectives(low_word: int, n: int, k: int) -> tuple[int, ...]:
+    """k of the items [0, n) by Floyd's algorithm: step s, for j = n - k + s,
+    picks (u * (j + 1)) >> 128 for the u whose high and low words are
+    outputs 2s and 2s + 1 of the counter stream of ``low_word``."""
+    chosen = set()
+    for s, j in enumerate(range(n - k, n)):
+        high = splitmix64((low_word + 2 * s * GOLDEN) & MASK64)
+        low = splitmix64((low_word + (2 * s + 1) * GOLDEN) & MASK64)
+        pick = (((high << 64) | low) * (j + 1)) >> 128
+        chosen.add(j if pick in chosen else pick)
+    return tuple(sorted(chosen))
+
+
+# --- the Philox draws the counter stream replaced --------------------------
+
+
+def _philox(words: np.ndarray) -> np.random.Generator:
+    """The generator of the key whose material words are ``words``."""
+    return np.random.Generator(np.random.Philox(key=words))
+
+
+def philox_defectives(config, words: np.ndarray) -> list[tuple[int, ...]]:
+    """``bench._draw_defectives`` as a Philox generator per trial drew it:
+    ``choice(n, k, replace=False)`` from the defectives key's generator."""
+    if config.defectives is not None:
+        return [tuple(sorted(config.defectives))] * len(words)
+    count = min(config.k, config.n)
+    return [tuple(sorted(int(v) for v in _philox(row).choice(config.n, size=count,
+                                                             replace=False)))
+            for row in words]
+
+
+def philox_flips(p: float, words: np.ndarray, tests: int) -> np.ndarray:
+    """``core.channel_flips`` as a Philox generator per evaluation drew it:
+    one ``random(tests)`` draw u from the noise key's generator, and cell c
+    flips iff u[c] < p."""
+    return np.array([_philox(row).random(tests) < p for row in words]).reshape(len(words), tests)

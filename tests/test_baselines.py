@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import (
+    build_flat_design_2d,
     build_flat_design_per_item,
     decode_comp_scalar,
     decode_ncomp_scalar,
@@ -275,6 +276,48 @@ def test_floyd_draw_exact_column_weight(shape, seed):
     members = build_flat_design(n, tests_count, RandomnessKey(seed), per_item=weight).members
     assert members.shape == (tests_count, n)
     assert np.all(members.sum(axis=0) == weight)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flat_shapes(), st.integers(0, 2 ** 64 - 1))
+@example((9, 1, 1), 0)
+@example((9, 12, 1), 3)
+@example((9, 12, 12), 5)
+@example((1, 64, 64), 7)
+def test_flat_cell_scatter_matches_2d_scatter(shape, seed):
+    """The flat cell index ``pick * n + item`` builds the matrix that the
+    two-dimensional scatter built, from the same draws, weight 1 and weight
+    T included."""
+    n, tests_count, weight = shape
+    key = RandomnessKey(seed, ("flat",))
+    members = build_flat_design(n, tests_count, key, per_item=weight).members
+    reference = build_flat_design_2d(n, tests_count, weight, key.generator()).members
+    assert np.array_equal(members, reference)
+
+
+def test_ncomp_counts_past_int16():
+    """At T >= 2^15 the counts are int32: item 0 pools in every one of
+    2^15 + 7 tests, of which all but the first five are negative, so its
+    32770 negatives would wrap int16."""
+    tests_count = 2 ** 15 + 7
+    members = np.zeros((tests_count, 3), dtype=bool)
+    members[:, 0] = True
+    members[::2, 1] = True
+    members[:5, 2] = True
+    design = FlatDesign(members)
+    bits = np.zeros(tests_count, dtype=np.uint8)
+    bits[:5] = 1
+    vec = OutcomeVector(bits=bits, layout=design.layout)
+    tests = [frozenset(np.flatnonzero(row).tolist()) for row in members]
+    for threshold in (0.0, 0.5, 0.9998, 0.99999, 1.0):
+        want = decode_ncomp_scalar(3, tests, bits.tolist(), threshold)
+        assert decode_ncomp(design, vec, threshold) == want
+    assert decode_ncomp(design, vec, 0.9998) == (2,)
+    # just below the switch, int16 holds every count
+    design = FlatDesign(members[:2 ** 15 - 1])
+    vec = OutcomeVector(bits=np.zeros(2 ** 15 - 1, dtype=np.uint8), layout=design.layout)
+    assert decode_ncomp(design, vec, 0.9999) == ()
+    assert decode_ncomp(design, vec, 1.0) == (0, 1, 2)
 
 
 # Floyd's draw against the per-item ``rng.choice`` it replaced (the control):

@@ -286,6 +286,20 @@ def test_run_trials_is_the_aggregate_of_single_trials(algorithm, jobs):
     assert run_trials(config).to_dict() == single.to_dict()
 
 
+@pytest.mark.parametrize("p", [0.0, 0.05])
+@pytest.mark.parametrize("algorithm", sorted(CONFIGS))
+def test_batch_records_are_the_one_trial_records(algorithm, p):
+    """A share's batch path, whose defectives and noise come from the
+    batch's key matrices, gives every trial the record that trial gets on
+    the one-trial path, from its own keys' words."""
+    fields = dict(CONFIGS[algorithm], p=p)
+    if algorithm == "noisy":
+        fields["design_p"] = 0.05  # the design's noise level, at either channel
+    config = TrialConfig(algorithm=algorithm, n=256, k=4, trials=7, base_seed=19, **fields)
+    assert bench._run_share(config, range(3, 10)) == [bench.run_trial(config, i)
+                                                      for i in range(3, 10)]
+
+
 class InlinePool:
     """A stand-in for ``ProcessPoolExecutor`` that runs every task in this
     process, so that recorders see what the workers would run."""

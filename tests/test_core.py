@@ -10,7 +10,6 @@ from splitgt.core import (
     ProblemInstance,
     RandomnessKey,
     evaluate_design,
-    generator_of,
     is_power_of_two,
     next_power_of_two,
     prev_power_of_two,
@@ -203,6 +202,22 @@ def test_evaluate_matches_scalar_outcomes_noiselessly():
         assert list(vec.bits) == scalar
 
 
+@pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+def test_evaluate_matches_scalar_outcomes_with_noise(p):
+    """Test c flips iff output c of the noise key's counter stream is below
+    floor(p * 2^64), as the pure-Python single test computes it."""
+    rng = np.random.default_rng(13)
+    n = 16
+    tests = tuple(frozenset(int(v) for v in rng.choice(n, size=rng.integers(0, 6),
+                                                       replace=False))
+                  for _ in range(300))
+    inst = ProblemInstance(n=n, k=4, defectives=(2, 9))
+    channel, key = NoiseChannel(p), RandomnessKey(31, (4, "noise"))
+    vec = evaluate_design(flat_design(n, tests), inst, channel, key)
+    scalar = [compute_outcome(t, inst, channel, key, cell) for cell, t in enumerate(tests)]
+    assert vec.bits.tolist() == scalar
+
+
 def test_randomness_key_rejects_bad_tokens():
     with pytest.raises(TypeError):
         RandomnessKey(1, ((1, 2),)).material()
@@ -225,7 +240,8 @@ TOKEN = st.one_of(st.integers(min_value=-2 ** 63, max_value=2 ** 64 - 1), st.tex
 @example(seed=0, stream=[], indices=[0], tokens=[])
 def test_materials_match_material(seed, stream, indices, tokens):
     """One array program gives every trial key's ``material()``, low word
-    first, and a generator from those words draws the key's own stream."""
+    first, as ``words()`` gives one key's, and a Philox generator keyed by
+    those words draws the key's own stream."""
     key = RandomnessKey(seed, tuple(stream))
     words = key.materials(np.array(indices), *tokens)
     assert words.dtype == np.uint64 and words.shape == (len(indices), 2)
@@ -233,7 +249,9 @@ def test_materials_match_material(seed, stream, indices, tokens):
         child = key.child(index, *tokens)
         material = child.material()
         assert row.tolist() == [material & (2 ** 64 - 1), material >> 64]
-        assert np.array_equal(generator_of(row).random(4), child.generator().random(4))
+        assert child.words().dtype == np.uint64 and child.words().tolist() == [row.tolist()]
+        philox = np.random.Generator(np.random.Philox(key=row))
+        assert np.array_equal(philox.random(4), child.generator().random(4))
 
 
 def test_materials_of_a_range():

@@ -14,6 +14,8 @@ import json
 
 import pytest
 
+from scalar_reference import philox_defectives, philox_flips
+from splitgt import bench, core
 from splitgt.bench import TrialConfig, run_trials
 
 SEED = 2021
@@ -30,6 +32,32 @@ CELLS = {
 }
 
 GOLDEN = {
+    ("gamma-full", 0.0): "297da71fa858f83bd79546b5ef4e6ce4f4c715c8e1a632facaad682a4bcfb5bb",
+    ("gamma-full", 0.05): "57170eca8ea30869b33c35d9fc10e3ae18ab32897dff7b2b00fe8dc934d60980",
+    ("gamma-kwise", 0.0): "8f42a5537d678d6110135c15e4c0bb7d4929d0e285a1e1c616fca1a21e0e0922",
+    ("gamma-kwise", 0.05): "f4e0414aa0cd6a680c06961f47f4c823d74d10a924d1fe2cd6fbc4ec760078a1",
+    ("gamma-pairwise", 0.0): "c28be3d02de3f8efd39a0c4b458d9e88475926f6e151368f273fc8390134ce64",
+    ("gamma-pairwise", 0.05): "f70cdec2d0b293ffc5e9ecf44560b25283665b2525d9fb396e69a248cd77754f",
+    ("rho-full", 0.0): "4d9deb5a87b00e59f30bd63166fe29785ef2d691c89949a1d0fd8c5b39a74dc8",
+    ("rho-full", 0.05): "90aeeeb830271525138319a79d3f8438eff8082ef4cbe645717a237848d0fbdc",
+    ("rho-permutation", 0.0): "279ae2ea0126987d404950d5655a6b5160ebae2c3c2204703e87e24716468d1c",
+    ("rho-permutation", 0.05): "389ed116c8932d0a67cbc59026e4fda3aec99554cad5e3358621c5472f117f58",
+    ("noisy-full", 0.0): "2204852defde38720e8ac7d4ce56fe0e7638365d14c48b339c552be8f82b744e",
+    ("noisy-full", 0.05): "e66b5dc6287131a3f976520960348b76e37952b3bd8b6f8691f5897739d51546",
+    ("noisy-kwise", 0.0): "ef55d47194a38343343c8840a066b992f8d88312e18fefa9c6698b61524896fc",
+    ("noisy-kwise", 0.05): "c32b26052bb2cfe4e0cea0ac7014484246119c0b268b137d5b5c7dc2ff091fc8",
+    ("comp", 0.0): "bcb32ff96185340c520ff6748f9bf0fcecb60ca4f34fcadfd2e88df6a780ea9e",
+    ("comp", 0.05): "7c736f0abcbb03f3463ffc49b7d90c36ca2c0d2a45d7d8c385802e5ea67f1112",
+    ("ncomp", 0.0): "78bab5047999e8e7f7e03040e5c194235e8cdd5aa4beaf342da2605c5d76d540",
+    ("ncomp", 0.05): "f7564fb8c86c6b0cd072238611dcf5776a154201b81399db4dec1bb16c671c8d",
+}
+
+# The digests of the previous streams, in which every trial drew its
+# defectives by ``choice(n, k, replace=False)`` and its channel noise by one
+# ``random(T)`` from Philox generators of its keys.  The stream change moved
+# nothing else: with those draws patched back in, every result digests to
+# these.
+PREVIOUS_STREAM = {
     ("gamma-full", 0.0): "f3ac9e50416d6a6bcf9f1645fec6338d74fab5ee49a82fe9779c6f5981d59837",
     ("gamma-full", 0.05): "78e9f16361b968611990ea75f1bbcf81806663e85c1129ec0083429a315cbc1f",
     ("gamma-kwise", 0.0): "3a177d44770c50d9f4aed1a41fef55e8599214f715c3b5565892b576fe5f1253",
@@ -76,9 +104,15 @@ PREVIOUS_FORMAT = {
 
 
 @functools.cache
-def _result(cell: str, p: float) -> str:
+def _result(cell: str, p: float, philox: bool = False) -> str:
+    """The result of one cell, as JSON; with ``philox``, from the previous
+    streams' Philox defective draw and channel noise."""
     config = TrialConfig(n=256, k=4, trials=12, base_seed=SEED, p=p, **CELLS[cell])
-    return json.dumps(run_trials(config).to_dict(), sort_keys=True)
+    with pytest.MonkeyPatch.context() as patch:
+        if philox:
+            patch.setattr(bench, "_draw_defectives", philox_defectives)
+            patch.setattr(core, "channel_flips", philox_flips)
+        return json.dumps(run_trials(config).to_dict(), sort_keys=True)
 
 
 def _digest(text: str) -> str:
@@ -90,9 +124,16 @@ def test_result_digest_is_unchanged(cell, p):
     assert _digest(_result(cell, p)) == GOLDEN[(cell, p)]
 
 
+@pytest.mark.parametrize("cell,p", sorted(PREVIOUS_STREAM))
+def test_philox_draws_are_the_only_change_from_the_previous_streams(cell, p):
+    assert _digest(_result(cell, p, philox=True)) == PREVIOUS_STREAM[(cell, p)]
+
+
 @pytest.mark.parametrize("cell,p", sorted(PREVIOUS_FORMAT))
 def test_channel_p_is_the_only_change_from_the_previous_format(cell, p):
-    result = json.loads(_result(cell, p))
+    """Under the previous streams (see PREVIOUS_STREAM), so that each of the
+    two declared changes is shown to be the whole of its difference."""
+    result = json.loads(_result(cell, p, philox=True))
     assert result.pop("p") == p
     if result["algorithm"] in ("comp", "ncomp"):
         result["params"]["p"] = p

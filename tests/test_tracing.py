@@ -4,12 +4,14 @@ A traced benchmark run reports a wrapped function that no longer exists as
 unmeasured rather than failing, so a rename in ``splitgt`` would silently
 drop per-layer metrics from its result.  These tests load
 ``perfbench/tracing.py`` from its file, check that nothing is missing, and
-pin what the scalar-lookup counter counts.
+pin what the scalar-lookup counter and the generator spans count.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from splitgt import bench
 from splitgt.core import RandomnessKey, round_instance
@@ -51,3 +53,33 @@ def test_lookup_counter_counts_scalar_lookups_of_tree_desk():
         assert counts[tracing.LOOKUPS] == len(record["defectives"]) * len(design.layout)
         lookups.append(counts[tracing.LOOKUPS])
     assert lookups == [24, 24, 28]
+
+
+GENERATORS = {
+    "gamma": (dict(gamma=6), 0),
+    "rho": (dict(rho=16), 0),
+    "noisy": (dict(p=0.05), 0),
+    "comp": (dict(), 1),
+    "ncomp": (dict(p=0.05), 1),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(GENERATORS))
+def test_generator_spans_per_trial(algorithm):
+    """A gamma, rho or noisy trial takes its defectives, placements and
+    noise from counter streams and constructs no generator; a COMP/NCOMP
+    trial constructs one, for its flat design."""
+    tracing = _load("tracing")
+    fields, expected = GENERATORS[algorithm]
+    config = bench.TrialConfig(algorithm=algorithm, n=1024, k=4, trials=3, base_seed=5,
+                               **fields)
+    tracer = tracing.Tracer(count=False)
+    tracer.install()
+    try:
+        for index in range(3):
+            tracer.run_trial(bench.run_trial, config, index)
+    finally:
+        tracer.uninstall()
+    per_trial = tracing.self_times(tracer.spans)
+    assert [per_trial[trial].get("core.generator", [0, 0])[1] for trial in range(3)] == [
+        expected] * 3
