@@ -66,8 +66,11 @@ _MASK64 = (1 << 64) - 1
 def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
     """a * b mod prime for uint64 arrays with entries below prime < 2^63.
 
-    Multiplies b in chunks of ``64 - bits(prime)`` bits, high chunk first, so
-    no intermediate product or sum leaves uint64.
+    Below 2^32, a * b < prime^2 < 2^64 and one remainder does.  Above, b is
+    multiplied in chunks of ``s = 64 - bits(prime)`` bits, high chunk first:
+    a * chunk and the accumulator shifted by s bits stay below prime * 2^s
+    <= 2^64, and the sum of two remainders below 2 * prime < 2^64, so no
+    intermediate leaves uint64; each is reduced before the next.
     """
     bits = prime.bit_length()
     p = np.uint64(prime)
@@ -123,18 +126,48 @@ def smallest_prime_at_least(x: int) -> int:
     return candidate
 
 
+def _reduce(values: np.ndarray, t_len: int) -> np.ndarray:
+    """``values mod t_len`` for a uint64 array, by the mask ``t_len - 1``
+    when t_len is a power of two: a bitwise and, where ``%`` is a 64-bit
+    division."""
+    if is_power_of_two(t_len):
+        return values & np.uint64(t_len - 1)
+    return values % np.uint64(t_len)
+
+
 def _horner(coeffs, nodes: np.ndarray, prime: int, t_len: int) -> np.ndarray:
     """Polynomials at every node, mod ``prime`` and then mod ``t_len``, as
     int64.  ``coeffs`` runs from the highest degree down; each entry is a
-    (rows x 1) column, one polynomial per row, so the result is rows x
-    nodes.  Exact for every prime below 2^63: products go through
-    :func:`_mulmod`."""
+    (rows x 1) column, one polynomial per row, or a (rows x nodes) matrix,
+    one per lane, so the result is rows x nodes.  Nodes and coefficients lie
+    below ``prime`` < 2^63.
+
+    Below 2^32 the accumulator is reduced lazily: a step ``acc * x + c``
+    takes a bound B on acc to (B + 1) * (prime - 1), and acc is reduced mod
+    prime only before a step whose new bound would pass 2^64 - 1; after a
+    reduction B = prime - 1, and prime * (prime - 1) < 2^64.  A 31-bit prime so
+    reduces every second step, a 15-bit one every fourth (Thorup, "High
+    Speed Hashing for Integers and Strings", 2015).  Larger primes reduce
+    every step, products through :func:`_mulmod`.  The result is the same
+    either way, as is ``& (t_len - 1)`` for ``% t_len`` at a power of two."""
     x = np.asarray(nodes, dtype=np.int64).view(np.uint64)
     p = np.uint64(prime)
-    acc = np.zeros_like(x)
-    for c in coeffs:
-        acc = (_mulmod(acc, x, prime) + c) % p
-    return (acc % np.uint64(t_len)).astype(np.int64)
+    coeffs = iter(coeffs)
+    acc = next(coeffs) + np.zeros_like(x)  # a fresh rows x nodes array
+    if 2 * prime.bit_length() > 64:
+        for c in coeffs:
+            acc = (_mulmod(acc, x, prime) + c) % p
+    else:
+        top = bound = prime - 1
+        for c in coeffs:
+            if (bound + 1) * top > _MASK64:
+                acc %= p
+                bound = top
+            acc *= x
+            acc += c
+            bound = (bound + 1) * top
+        acc %= p
+    return _reduce(acc, t_len).view(np.int64)
 
 
 class IdentityStack:
@@ -158,9 +191,11 @@ class IdentityStack:
 def _counter_hash(keys, nodes: np.ndarray, t_len: int) -> np.ndarray:
     """``splitmix64(key + node * PHI) mod t_len`` for every (key, node) pair
     the shapes of ``keys`` and ``nodes`` broadcast to, as int64.  The
-    remainder of a uniform 64-bit value is biased by at most t_len / 2^64."""
+    remainder of a uniform 64-bit value is biased by at most t_len / 2^64;
+    at a power-of-two t_len it is the low bits, taken by a mask, and
+    unbiased."""
     x = _splitmix64_array(keys + np.asarray(nodes, dtype=np.int64).view(np.uint64) * _PHI64)
-    return (x % np.uint64(t_len)).view(np.int64)
+    return _reduce(x, t_len).view(np.int64)
 
 
 def feistel_rounds(bits: int) -> int:

@@ -40,15 +40,21 @@ from .core import DecodeReport, OutcomeVector
 # Lookups are (segment x defective) pairs.  Per evaluation (2-core Xeon,
 # numpy 2.4): at the 24 lookups of a desk-scale gamma trial the scalar path
 # takes about 0.4 of the stacked one's time, at the 1176 of a noisy one about
-# seven times it; the gamma paths are about even near 100, the rho ones
-# (Python Feistel rounds per scalar lookup) already at 28.
+# seven times it; the gamma paths are about even near 100 (full) to 200
+# (kwise), the rho ones (Python Feistel rounds per scalar lookup) at 28.
+# At these counts a stacked lookup is mostly its fixed cost, so the
+# per-lane cost of the hash kernels barely moves the crossovers.
 SCALAR_LOOKUPS = 64
 # Up to this many frontier nodes, decode looks a level up under all of its
 # repetitions at once; above it, repetition by repetition for the nodes
-# still alive.  A stacked lookup costs 10-50 us plus 5-25 ns per lane (same
-# host), so the lanes of nodes an early repetition prunes cost about what
-# the saved lookups do near 2000 nodes.  Tree-desk frontiers hold a few
-# dozen nodes, lowstore-giant ones about 4096.
+# still alive.  A stacked lookup costs 10-100 us plus 2-25 ns per lane (same
+# host: about 2-4 ns for a counter hash at a power-of-two t_len, 7 at
+# another, 16-24 for a degree-6 polynomial, 12-16 for a six-round Feistel
+# permutation), so the lanes of nodes an early repetition prunes cost about
+# what the saved lookups do near 2000 nodes.  Decode times at 512, 1024 and
+# 2048 are within noise on every benchmark cell, 4096 loses on
+# lowstore-giant's.  Tree-desk frontiers hold a few dozen nodes per trial,
+# lowstore-giant ones about 4096.
 BATCH_NODES = 1024
 
 
@@ -173,7 +179,7 @@ def decode_tree(design: TreeDesign,
 def decode_tree_batch(design: TreeDesign, grid: np.ndarray) -> list[DecodeReport]:
     """Walk the tree top-down for every trial of a batch at once, reading
     only tests of surviving nodes; one report per row of ``grid``, the
-    (trials x T) outcomes of ``design``'s trials (see
+    (trials x T) uint8 outcomes of ``design``'s trials (see
     ``TreeDesign.noiseless_grid``).
 
     The frontier holds (trial, node) pairs, trial-major.  A design of one
@@ -191,16 +197,18 @@ def decode_tree_batch(design: TreeDesign, grid: np.ndarray) -> list[DecodeReport
     """
     count, t_total = grid.shape
     flat, seen = grid.reshape(-1), np.zeros(grid.shape, dtype=bool)
+    # the top level is scanned through a bool view of the uint8 grid, where
+    # flatnonzero is about 12x faster than on the uint8 bytes themselves
     marks = seen.reshape(-1)
     levels = iter(design.stacks.items())
     top = next(levels)[1].t_len
     seen[:, :top] = True
     if design.trials is None:
         (row,) = grid
-        trials, alive = None, np.flatnonzero(row[:top])
+        trials, alive = None, np.flatnonzero(row[:top].view(bool))
         sizes = [len(alive)]  # per level, the frontier size of every trial
     else:  # trial b's node j at b * top + j
-        trials, alive = np.divmod(np.flatnonzero(grid[:, :top]), top)
+        trials, alive = np.divmod(np.flatnonzero(grid[:, :top].view(bool)), top)
         sizes = [np.bincount(trials, minlength=count)]
     offsets = np.arange(design.branching, dtype=np.int64)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from splitgt.core import (
     prev_power_of_two,
     round_instance,
 )
+from test_counter_hash import ALPHA
 
 
 def test_power_helpers():
@@ -166,11 +169,40 @@ def test_evaluate_design_n_mismatch():
                         RandomnessKey(0))
 
 
+def binomial_band(trials: int, p: float) -> tuple[int, int]:
+    """The exact two-sided acceptance band of a Binomial(trials, p) count at
+    ``ALPHA``: the smallest x with P(X <= x) > ALPHA / 2 and the largest x
+    with P(X >= x) > ALPHA / 2.  Terms beyond 15 standard deviations, below
+    1e-40 in all, are left out."""
+    sd = math.sqrt(trials * p * (1 - p))
+    xs = range(max(0, int(trials * p - 15 * sd)), min(trials, int(trials * p + 15 * sd)) + 1)
+    pmf = [math.exp(math.lgamma(trials + 1) - math.lgamma(x + 1) - math.lgamma(trials - x + 1)
+                    + x * math.log(p) + (trials - x) * math.log1p(-p)) for x in xs]
+
+    def first_past(values, positions):
+        total = 0.0
+        for x, mass in zip(positions, values):
+            total += mass
+            if total > ALPHA / 2:
+                return x
+
+    return first_past(pmf, xs), first_past(pmf[::-1], xs[::-1])
+
+
+def assert_flip_rate(flips: int, trials: int, p: float) -> None:
+    """``flips`` of ``trials`` lies in the exact band of p, and that band is
+    disjoint from the bands of 0.9 p and 1.1 p: a channel whose flip rate is
+    10% off fails, except with probability ALPHA / 2."""
+    lo, hi = binomial_band(trials, p)
+    assert binomial_band(trials, 0.9 * p)[1] < lo and hi < binomial_band(trials, 1.1 * p)[0]
+    assert lo <= flips <= hi
+
+
 @pytest.mark.parametrize("side,p", [("p10", 0.1), ("p01", 0.05)])
 def test_empirical_flip_rate(side, p):
-    # 10^5 copies of a fixed-OR test, positive (a 1 -> 0 flip, "p10") or
-    # negative (a 0 -> 1 flip, "p01"); observed flips within 3 standard errors
-    reps = 100_000
+    # 2 * 10^5 copies of a fixed-OR test, positive (a 1 -> 0 flip, "p10")
+    # or negative (a 0 -> 1 flip, "p01")
+    reps = 200_000
     inst = ProblemInstance(n=4, k=2, defectives=(0,))
     if side == "p10":
         out = evaluate_design(flat_design(4, ({0},) * reps), inst, NoiseChannel(p),
@@ -180,8 +212,7 @@ def test_empirical_flip_rate(side, p):
         out = evaluate_design(flat_design(4, ({1},) * reps), inst, NoiseChannel(p),
                               RandomnessKey(2025))
         flips = int(out.bits.sum())
-    se = (p * (1 - p) / reps) ** 0.5
-    assert abs(flips / reps - p) <= 3 * se
+    assert_flip_rate(flips, reps, p)
 
 
 def test_evaluate_matches_scalar_outcomes_noiselessly():
@@ -266,11 +297,11 @@ def test_randomness_key_stream_order_matters():
 
 
 def test_scalar_flip_rate_matches():
+    draws = 100_000
     inst = ProblemInstance(n=4, k=2, defectives=(0,))
     channel = NoiseChannel(0.1)
     base = RandomnessKey(77)
     flips = sum(
-        1 - compute_outcome({0}, inst, channel, base.child(i)) for i in range(2000)
+        1 - compute_outcome({0}, inst, channel, base.child(i)) for i in range(draws)
     )
-    se = (0.1 * 0.9 / 2000) ** 0.5
-    assert abs(flips / 2000 - 0.1) <= 4 * se
+    assert_flip_rate(flips, draws, 0.1)

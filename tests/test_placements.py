@@ -6,13 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import ExplicitStack, next_primes_by_trial_division
+from scalar_reference import (
+    MASK64,
+    ExplicitStack,
+    counter_hash_test,
+    next_primes_by_trial_division,
+)
 from test_counter_hash import chi2_bound, pearson
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
     CounterHashStack,
     IdentityStack,
     PolynomialStack,
+    _counter_hash,
+    _horner,
     balanced_stacks,
     row_keys,
     smallest_prime_at_least,
@@ -130,6 +137,129 @@ def test_hashed_table_matches_scalar():
         p = hashed(num, 1000, 4, key(9))
         nodes = np.arange(num - 257, num, dtype=np.int64)
         assert p.tests_of(nodes)[0].tolist() == [p.test_of(j, 0) for j in nodes.tolist()]
+
+
+# --- the lookup kernels against Python integers -----------------------------
+
+
+def python_horner(coeffs, x: int, prime: int, t_len: int) -> int:
+    """Horner's rule in Python integers, reduced mod the prime at every step."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + c) % prime
+    return acc % t_len
+
+
+def largest_prime_at_most(x: int) -> int:
+    while smallest_prime_at_least(x) != x:
+        x -= 1
+    return x
+
+
+def lazy_bound(prime: int, steps: int) -> int:
+    """The accumulator's bound ``steps`` Horner steps after a reduction,
+    which every node and coefficient at prime - 1 reaches."""
+    top = bound = prime - 1
+    for _ in range(steps):
+        bound = bound * top + top
+    return bound
+
+
+def threshold_primes(max_steps: int = 8) -> set[int]:
+    """For each s up to ``max_steps``, the largest prime whose accumulator
+    stays in uint64 for s steps after a reduction, and the next prime, whose
+    does not.  At s = 1 the pair straddles 2^32, where products start to go
+    through the chunked multiply."""
+    primes = set()
+    for steps in range(1, max_steps + 1):
+        fits, overflows = 2, 2 ** 33
+        while overflows - fits > 1:
+            mid = (fits + overflows) // 2
+            if lazy_bound(mid, steps) <= MASK64:
+                fits = mid
+            else:
+                overflows = mid
+        primes |= {largest_prime_at_most(fits), smallest_prime_at_least(fits + 1)}
+    return primes
+
+
+# the first and last prime of every width from 2 to 40 bits, and both sides
+# of every reduction threshold a polynomial of degree 9 or less can cross
+KERNEL_PRIMES = sorted(
+    {p for width in range(2, 41)
+     for p in (smallest_prime_at_least(2 ** (width - 1)), largest_prime_at_most(2 ** width - 1))}
+    | threshold_primes())
+T_LENS = (1, 2, 2 ** 13, 2 ** 62, 3, 1000)
+
+
+def test_threshold_primes_straddle_every_step_count():
+    """Sorted, the threshold primes pair up from 8 steps down to 1: each
+    pair keeps its steps in uint64 below and leaves it above."""
+    primes = sorted(threshold_primes())
+    pairs = list(zip(primes[0::2], primes[1::2]))
+    assert len(pairs) == 8 and pairs[-1] == (2 ** 32 - 5, 2 ** 32 + 15)
+    for steps, (below, above) in zip(range(8, 0, -1), pairs):
+        assert lazy_bound(below, steps) <= MASK64 < lazy_bound(above, steps)
+
+
+@pytest.mark.parametrize("prime", KERNEL_PRIMES)
+def test_horner_worst_case_operands(prime):
+    """Every coefficient at prime - 1 and the node at prime - 1, the largest
+    value each lazy step can reach, at degrees 2 to 9; a second row mixes in
+    small values.  Power-of-two t_len (1 included) take the mask, others the
+    remainder."""
+    top = prime - 1
+    nodes = np.array([top, 0, 1, top // 2], dtype=np.int64)
+    for degree in range(2, 10):
+        rows = [[top] * degree, [top if i % 2 else i % prime for i in range(degree)]]
+        coeffs = np.array(rows, dtype=np.uint64).T[:, :, None]  # highest degree first
+        for t_len in T_LENS + (prime,):
+            expected = [[python_horner(row, x, prime, t_len) for x in nodes.tolist()]
+                        for row in rows]
+            got = _horner(coeffs, nodes, prime, t_len)
+            assert got.dtype == np.int64 and got.tolist() == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    width=st.integers(min_value=2, max_value=40),
+    degree=st.integers(min_value=2, max_value=9),
+    t_len=st.one_of(st.integers(min_value=0, max_value=62).map(lambda e: 1 << e),
+                    st.integers(min_value=1, max_value=2 ** 63 - 1)),
+    per_node=st.booleans(),
+    data=st.data(),
+)
+def test_horner_matches_python_integers(width, degree, t_len, per_node, data):
+    """Random nodes and coefficients below primes of every width, with one
+    coefficient column per row or, as a batch of trials gives them, one
+    coefficient per (row, node)."""
+    prime = smallest_prime_at_least(data.draw(st.integers(2 ** (width - 1), 2 ** width - 1)))
+    rows, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    below = st.integers(min_value=0, max_value=prime - 1)
+    nodes = data.draw(st.lists(below, min_size=count, max_size=count))
+    shape = (degree, rows, count if per_node else 1)
+    values = data.draw(st.lists(below, min_size=math.prod(shape), max_size=math.prod(shape)))
+    coeffs = np.array(values, dtype=np.uint64).reshape(shape)
+    got = _horner(coeffs, np.array(nodes, dtype=np.int64), prime, t_len)
+    expected = [[python_horner(coeffs[:, r, j if per_node else 0].tolist(), x, prime, t_len)
+                 for j, x in enumerate(nodes)] for r in range(rows)]
+    assert got.tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    nodes=st.lists(st.integers(min_value=0, max_value=2 ** 62), min_size=1, max_size=8),
+)
+def test_counter_hash_mask_matches_remainder(seed, nodes):
+    """At every power-of-two t_len up to 2^62 the mask keeps what the
+    remainder of the 64-bit hash keeps."""
+    keys = row_keys(RandomnessKey(seed), 3)
+    for log_t in range(63):
+        t_len = 1 << log_t
+        got = _counter_hash(keys[:, None], np.array(nodes, dtype=np.int64), t_len)
+        assert got.tolist() == [[counter_hash_test(k, v, t_len) for v in nodes]
+                                for k in keys.tolist()]
 
 
 WORD = st.integers(min_value=0, max_value=2 ** 64 - 1)
