@@ -49,7 +49,6 @@ from .core import (
 )
 from .gamma import DEFAULT_C_CONST
 from .noisy import DEFAULT_EPSILON, DEFAULT_T
-from .placements import HASH_MODES
 from .rho import DEFAULT_C_DEPTH, DEFAULT_C_FINAL, DEFAULT_N_REPS
 
 
@@ -172,17 +171,12 @@ def validate_config(config: TrialConfig) -> None:
         finite = type(value) is int or (isinstance(value, float) and math.isfinite(value))
         if value is not None and not finite:
             raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    if config.hash_mode not in HASH_MODES:
-        raise ValueError(f"unknown hash mode {config.hash_mode!r}; expected one of {HASH_MODES}")
+    scheme = SCHEMES[config.algorithm]
+    tree_mod.placement_of(scheme.hash_modes, config.hash_mode)
     if config.trials < 0:
         raise ValueError("trials must be non-negative")
     if config.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {config.jobs}")
-    if config.hash_mode == "permutation" and config.algorithm in ("gamma", "noisy"):
-        raise ValueError(
-            f"the {config.algorithm} scheme places nodes independently; "
-            "hash mode 'permutation' is balanced, use kwise or pairwise"
-        )
     if config.defectives is not None:
         if not (isinstance(config.defectives, (tuple, list))
                 and all(type(d) is int for d in config.defectives)):
@@ -209,7 +203,6 @@ def validate_config(config: TrialConfig) -> None:
         raise ValueError(f"k={config.k} rounds up to {k}, not below the rounded n={n}")
     if n > MAX_N:
         raise ValueError(f"n={n} (rounded) exceeds the supported 2^62 items")
-    scheme = SCHEMES[config.algorithm]
     try:
         size = scheme.footprint(scheme.params(config, n, k), n, k)
     except ArithmeticError as exc:  # an overflow or a division by zero in the formulas
@@ -229,6 +222,7 @@ class Scheme(NamedTuple):
     calls on their modules at call time, so that a wrapper set on a module
     attribute (a tracer's span, a test's recorder) sees every call."""
 
+    hash_modes: dict  # each --hash-mode name the scheme takes to its placement
     params: Callable  # (config, n, k) -> params
     build: Callable   # (config, params, n, k, key) -> design
     # (config, designs, outcomes) -> one DecodeReport per trial of a batch
@@ -278,6 +272,7 @@ def _decode_grid(config: TrialConfig, design, grid) -> list[DecodeReport]:
 def _flat_scheme(decode, echo) -> Scheme:
     """A COMP-style decoder on a flat design; its params are the test count."""
     return Scheme(
+        {"full": None},  # the stored incidence matrix
         lambda c, n, k: baselines.default_baseline_tests(n, k) if c.tests is None else c.tests,
         lambda c, tests, n, k, key: baselines.build_flat_design(n, tests, key, k=k),
         _each(decode), echo,
@@ -286,6 +281,7 @@ def _flat_scheme(decode, echo) -> Scheme:
 
 SCHEMES = {
     "gamma": Scheme(
+        gamma_mod.HASH_MODES,
         lambda c, n, k: gamma_mod.gamma_params(
             n, k, c.gamma, beta_n=1.0 / math.log2(n) ** c.beta_exp, c_const=c.c_const,
             gamma_prime=c.gamma_prime),
@@ -297,6 +293,7 @@ SCHEMES = {
         lambda params, n, k: _tree_batch(gamma_mod.gamma_total_tests(params, n)),
         _decode_grid),
     "rho": Scheme(
+        rho_mod.HASH_MODES,
         lambda c, n, k: rho_mod.rho_params(
             n, k, _rounded(c)[2], c_depth=c.depth,
             n_reps=DEFAULT_N_REPS if c.reps is None else c.reps,
@@ -309,6 +306,7 @@ SCHEMES = {
         lambda params, n, k: _tree_batch(rho_mod.rho_total_tests(params, n)),
         _decode_grid),
     "noisy": Scheme(
+        noisy_mod.HASH_MODES,
         lambda c, n, k: noisy_mod.noisy_params(
             n, k, c.p if c.design_p is None else c.design_p, t=c.t, epsilon=c.epsilon,
             mode=c.mode, n_reps=c.reps, r=c.lookahead, c_final=c.final_reps),

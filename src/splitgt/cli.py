@@ -22,7 +22,6 @@ import sys
 
 from . import bench
 from .core import round_instance
-from .placements import HASH_MODES
 
 RESULT_COLUMNS = [
     "algorithm", "n", "k", "gamma", "gamma_prime", "rho", "p", "T", "trials",
@@ -37,7 +36,7 @@ class UsageError(Exception):
     pass
 
 
-def _add_common(sub: argparse.ArgumentParser):
+def _add_common(sub: argparse.ArgumentParser, name: str):
     sub.add_argument("--n", type=int, help="item count (rounded up to a power of two)")
     sub.add_argument("--k", type=int, help="defective-count bound (rounded up)")
     sub.add_argument("--p", type=float, default=None,
@@ -45,7 +44,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--trials", type=int, default=100)
     sub.add_argument("--seed", type=int, default=None,
                      help="base seed (falls back to GT_SEED, then 0)")
-    sub.add_argument("--hash-mode", choices=HASH_MODES, default="full")
+    sub.add_argument("--hash-mode", choices=bench.SCHEMES[name].hash_modes)
     sub.add_argument("--jobs", type=int, default=1, help="concurrent trial workers")
     sub.add_argument("--out", type=str, default=None, help="result file path")
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -62,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("gamma", help="divisibility-limited scheme", allow_abbrev=False)
-    _add_common(sp)
+    _add_common(sp, "gamma")
     sp.add_argument("--gamma", type=int, help="max tests per item (>= 3)")
     sp.add_argument("--gamma-prime", type=int, default=None,
                     help="tree height override (default: optimised)")
@@ -71,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="target error term exponent: beta = (log2 n)^-beta_exp")
 
     sp = subs.add_parser("rho", help="size-limited-tests scheme", allow_abbrev=False)
-    _add_common(sp)
+    _add_common(sp, "rho")
     sp.add_argument("--rho", type=int, help="max items per test (rounded down)")
     sp.add_argument("--depth", type=int, default=None, help="tree depth C")
     sp.add_argument("--reps", type=int, default=None, help="mid-level repetitions N")
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("noisy", help="noise-tolerant binary splitting scheme",
                          allow_abbrev=False)
-    _add_common(sp)
+    _add_common(sp, "noisy")
     sp.add_argument("--design-p", type=float, default=None,
                     help="design noise level in (0, 0.5) (default: --p)")
     sp.add_argument("--t", type=float, default=None)
@@ -92,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("comp", "ncomp"):
         sp = subs.add_parser(name, help=f"{name.upper()} baseline on a flat random design",
                              allow_abbrev=False)
-        _add_common(sp)
+        _add_common(sp, name)
         sp.add_argument("--tests", type=int, default=None, help="test budget T")
         if name == "ncomp":
             sp.add_argument("--threshold", type=float, default=None,

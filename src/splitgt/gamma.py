@@ -5,7 +5,8 @@ of the n/M size-M nodes individually; levels 2..gamma_prime-1 place each node
 into one uniformly chosen test of a per-level sequence; the final level runs
 ``gamma - gamma_prime + 1`` independent sequences over the singletons.  An
 item is therefore pooled once per tree level plus once per final sequence:
-exactly the gamma budget.
+exactly the gamma budget.  ``HASH_MODES`` maps each hash mode to the hashed
+levels' polynomial degree at the params, None for the counter hash.
 
 The decoder walks the tree breadth-first, only ever reading the tests of
 nodes that are still possibly defective, which is what makes its cost scale
@@ -19,8 +20,10 @@ from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, is_power_of_two
 from .placements import IdentityStack, uniform_style_stacks
-from .tree import TreeDesign, decode_tree
+from .tree import TreeDesign, decode_tree, placement_of
 
+HASH_MODES = {"full": lambda params: None, "kwise": lambda params: params.gamma,
+              "pairwise": lambda params: 2}
 DEFAULT_C_CONST = 8.0  # smallest integer above e**2, the analysis floor
 MIN_C_CONST = math.e ** 2
 
@@ -158,7 +161,7 @@ def build_gamma_design(params: GammaParams, n: int, key,
                params.t_len if level < gp - 1 else params.t_len_prime, 1)
               for level in range(2, gp)]
     shapes.append((n, params.t_len_dprime, params.final_reps))
-    stacks = uniform_style_stacks(shapes, key, hash_mode, kwise_degree=params.gamma)
+    stacks = uniform_style_stacks(shapes, key, placement_of(HASH_MODES, hash_mode)(params))
     return TreeDesign(n, params, [(1, IdentityStack(top)), *zip(range(2, gp + 1), stacks)])
 
 

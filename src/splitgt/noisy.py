@@ -14,7 +14,9 @@ Two parameter modes exist.  ``theory`` derives N, r and C' from the target
 noise level via the concentration bounds that back the scheme's guarantee;
 the resulting repetition counts are large.  ``practice`` keeps the same
 structural constraints (odd N, C' * log2 n >= r, t * C' > 1) but defaults to
-the small calibrated constants used by the benchmark suite.
+the small calibrated constants used by the benchmark suite.  ``HASH_MODES``
+maps each hash mode to the placements' polynomial degree, None for the
+counter hash.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import numpy as np
 
 from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
 from .placements import uniform_style_stacks
-from .tree import TreeDesign
+from .tree import TreeDesign, placement_of
 
+HASH_MODES = {"full": None, "kwise": 2}
 DEFAULT_T = 2.0
 DEFAULT_EPSILON = 0.6
 PRACTICE_N_REPS = 7
@@ -130,7 +133,7 @@ def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
     levels = range(k.bit_length() - 1, log2n + 1)
     stacks = uniform_style_stacks(
         [(1 << level, params.t_len, params.n_reps if level < log2n else final_seqs)
-         for level in levels], key, hash_mode)
+         for level in levels], key, placement_of(HASH_MODES, hash_mode))
     return TreeDesign(n, params, zip(levels, stacks))
 
 

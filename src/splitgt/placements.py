@@ -1,7 +1,8 @@
 """Node-to-test placement primitives shared by all tree schemes.
 
 A placement puts every node of a tree level into one test of a sequence of
-``t_len`` tests.  Three hashed backings are provided:
+``t_len`` tests.  Three hashed backings are provided, and each scheme's
+``HASH_MODES`` picks one per hash mode, with its degree or accounting:
 
   - counter hash: node j of a repetition goes to test
     ``splitmix64(row_key + j * PHI) mod t_len``, the j-th output of a
@@ -13,9 +14,8 @@ A placement puts every node of a tree level into one test of a sequence of
     sequence length -- d-wise independent, d + O(1) words of storage;
   - keyed permutation: a keyed Feistel bijection on the node ids with the
     low bits dropped, giving exact row weight and column weight one, the
-    balanced placement of the rho scheme.  In ``full`` mode it stands for
-    the paper's stored n-word position table and is accounted as that, in
-    the low-storage modes as its round keys.
+    balanced placement of the rho scheme, accounted as the paper's stored
+    n-word position table it stands for or as its round keys.
 
 A level of a tree design holds all of its repetitions as one stack:
 :class:`IdentityStack` for the individually tested top level, or
@@ -59,7 +59,6 @@ from .core import (
     is_power_of_two,
 )
 
-HASH_MODES = ("full", "kwise", "pairwise", "permutation")
 _MASK64 = (1 << 64) - 1
 
 
@@ -399,47 +398,33 @@ def _cut(keys: np.ndarray, shapes):
         first += size
 
 
-def uniform_style_stacks(shapes, key, hash_mode: str, kwise_degree: int = 2) -> list:
+def uniform_style_stacks(shapes, key, degree: int | None) -> list:
     """One stack per ``(num_nodes, t_len, reps)`` in ``shapes``: the
-    independently-placed levels of one design, all from the design key, per
-    the hash-mode switch; from several trials' key material (see
-    :func:`row_keys`), stacks of those trials.
+    independently-placed levels of one design, all from the design key; from
+    several trials' key material (see :func:`row_keys`), stacks of those
+    trials.
 
-    ``full`` is a counter hash, one row key per repetition; ``kwise`` is a
-    polynomial hash of the supplied degree and ``pairwise`` one of degree
-    two, 2 * degree row keys per repetition.  Either way the levels' keys
-    are cut in order from one :func:`row_keys` call on the design key.  The
-    truncated permutation is balanced rather than i.i.d., so it is rejected
-    here.
+    ``degree`` None gives counter hashes, one row key per repetition; a
+    degree d >= 2 gives polynomial hashes of degree d, 2d row keys per
+    repetition.  Either way the levels' keys are cut in order from one
+    :func:`row_keys` call on the design key.
     """
-    if hash_mode == "full":
-        stack, row = CounterHashStack, ()
-    elif hash_mode in ("kwise", "pairwise"):
-        degree = max(2, kwise_degree) if hash_mode == "kwise" else 2
-        stack, row = PolynomialStack, (2 * degree,)
-    elif hash_mode == "permutation":
-        raise ValueError(
-            "permutation backing is balanced, not i.i.d.; use kwise or pairwise here"
-        )
-    else:
-        raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")
+    stack, row = (CounterHashStack, ()) if degree is None else (PolynomialStack, (2 * degree,))
     blocks = [(reps, *row) for _, _, reps in shapes]
     keys = row_keys(key, sum(map(math.prod, blocks)))
     return [stack(num_nodes, t_len, level_keys)
             for (num_nodes, t_len, _), level_keys in zip(shapes, _cut(keys, blocks))]
 
 
-def balanced_stacks(shapes, key, hash_mode: str) -> list:
+def balanced_stacks(shapes, key, full: bool) -> list:
     """One :class:`PermutationStack` per ``(num_nodes, t_len, reps)`` in
-    ``shapes``: the balanced levels of one design, in every hash mode, their
-    round keys cut in order from one :func:`row_keys` call on the design key
-    (or on several trials' key material, for stacks of those trials).  Only
-    the storage accounting depends on the mode (see
+    ``shapes``: the balanced levels of one design, their round keys cut in
+    order from one :func:`row_keys` call on the design key (or on several
+    trials' key material, for stacks of those trials), each accounted as
+    the stored position table if ``full`` is set (see
     :class:`PermutationStack`)."""
-    if hash_mode not in HASH_MODES:
-        raise ValueError(f"unknown hash mode {hash_mode!r}; expected one of {HASH_MODES}")
     blocks = [(reps, feistel_rounds(num_nodes.bit_length() - 1))
               for num_nodes, _, reps in shapes]
     keys = row_keys(key, sum(map(math.prod, blocks)))
-    return [PermutationStack(num_nodes, t_len, round_keys, full=hash_mode == "full")
+    return [PermutationStack(num_nodes, t_len, round_keys, full)
             for (num_nodes, t_len, _), round_keys in zip(shapes, _cut(keys, blocks))]

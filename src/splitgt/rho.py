@@ -8,7 +8,8 @@ final level runs C' balanced placements over the singletons.  The size cap is
 therefore structural, not probabilistic.  Every balanced placement is a keyed
 permutation of its level's nodes with the low bits dropped, one stack per
 level, all from the one design key (see
-:func:`splitgt.placements.balanced_stacks`).
+:func:`splitgt.placements.balanced_stacks`).  ``HASH_MODES`` maps each hash
+mode to whether a placement is accounted as the stored position table.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, is_power_of_two
 from .placements import IdentityStack, balanced_stacks
-from .tree import TreeDesign, decode_tree
+from .tree import TreeDesign, decode_tree, placement_of
 
+HASH_MODES = {"full": True, "permutation": False}
 DEFAULT_C_DEPTH = 2
 DEFAULT_N_REPS = 3
 DEFAULT_C_FINAL = 3
@@ -92,7 +94,7 @@ def build_rho_design(params: RhoParams, n: int, key,
     num_nodes = [per_level * params.branch ** level for level in range(1, params.c_depth)] + [n]
     reps = [params.n_reps] * (params.c_depth - 1) + [params.c_final]
     stacks = balanced_stacks([(num, per_level, count) for num, count in zip(num_nodes, reps)],
-                             key, hash_mode)
+                             key, placement_of(HASH_MODES, hash_mode))
     return TreeDesign(n, params, [(0, IdentityStack(per_level)), *enumerate(stacks, start=1)])
 
 

@@ -58,6 +58,13 @@ SCALAR_LOOKUPS = 64
 BATCH_NODES = 1024
 
 
+def placement_of(modes: dict, hash_mode: str):
+    """``modes[hash_mode]``, or a ValueError if a scheme's ``modes`` lack it."""
+    if not isinstance(hash_mode, str) or hash_mode not in modes:
+        raise ValueError(f"hash mode {hash_mode!r} is not one of this scheme's {tuple(modes)}")
+    return modes[hash_mode]
+
+
 class TreeDesign:
     """A splitting tree over [0, n) from its ordered ``(level, stack)``
     pairs, kept as the ordered dict ``stacks``.

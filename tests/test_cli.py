@@ -192,6 +192,24 @@ def test_sweep_error_cell_exits_1(tmp_path):
     assert main(["sweep", "--config", str(cfg)]) == 1
 
 
+def test_sweep_cell_with_a_name_its_scheme_does_not_take_is_an_error_row(tmp_path):
+    """A sweep cell whose hash mode is not one of its scheme's names is an
+    error row, run after by the next cell, and the sweep exits 1."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "base": {"n": 1024, "k": 4, "trials": 2},
+        "cells": [{"algorithm": "gamma", "gamma": 5, "hash_mode": "permutation"},
+                  {"algorithm": "rho", "rho": 16, "hash_mode": "kwise"},
+                  {"algorithm": "rho", "rho": 16, "hash_mode": "permutation"}],
+    }))
+    out = tmp_path / "rows.json"
+    assert main(["sweep", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())
+    for row, name in zip(rows[:2], ("permutation", "kwise")):
+        assert f"hash mode '{name}'" in row["error"] and row["trials"] == 0
+    assert rows[2]["error"] is None and rows[2]["trials"] == 2
+
+
 def test_sweep_non_integer_defectives_cell_is_an_error_row(tmp_path, monkeypatch):
     """A sweep cell whose explicit defectives are not integers in a list is
     recorded as an error row before any of its trials runs, and the next
@@ -264,8 +282,15 @@ def test_eta_curve_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # one --hash-mode name per design: each scheme takes only its own names
     "gamma --n 1024 --k 4 --gamma 5 --hash-mode permutation",
     "noisy --n 1024 --k 4 --p 0.05 --hash-mode permutation",
+    "rho --n 1024 --k 4 --rho 16 --hash-mode kwise",
+    "rho --n 1024 --k 4 --rho 16 --hash-mode pairwise",
+    "noisy --n 1024 --k 4 --p 0.05 --hash-mode pairwise",
+    "comp --n 256 --k 2 --hash-mode kwise",
+    "ncomp --n 256 --k 2 --p 0.05 --hash-mode permutation",
+    'noisy --n 1024 --k 4 --p 0.05 --config={"hash_mode":"pairwise"}',
     "gamma --n 1024 --k 4 --gamma 5 --jobs 0",
     "gamma --n 1024 --k 4 --gamma 2",
     "comp --n 256 --k 2 --tests -3",

@@ -128,7 +128,7 @@ def stacks(backing: str, shapes, seed: int):
     control)."""
     key = RandomnessKey(seed, ("stats",))
     if backing == "counter":
-        return uniform_style_stacks(shapes, key, "full")
+        return uniform_style_stacks(shapes, key, None)
     rng = key.generator()
     return [ExplicitStack(num, t_len, reps, rng) for num, t_len, reps in shapes]
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hash_modes import ACCEPTED, NAMES, refused
 from scalar_reference import (
     LabelCache,
     decode_noisy_scalar,
@@ -309,7 +310,7 @@ def test_decode_leaves_no_reference_cycle(monkeypatch):
     log_k=st.integers(min_value=0, max_value=4),
     n_reps=st.sampled_from([1, 3, 5, 7]),
     r=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
-    hash_mode=st.sampled_from(["full", "kwise", "pairwise"]),
+    hash_mode=st.sampled_from(ACCEPTED["noisy"]),
     p=st.sampled_from([0.0, 0.05, 0.3]),
     seed=st.integers(min_value=0, max_value=2 ** 32),
 )
@@ -376,7 +377,7 @@ def _truth(n, seed, count):
     return tuple(int(d) for d in rng.choice(n, size=count, replace=False))
 
 
-@pytest.mark.parametrize("hash_mode", ["full", "kwise", "pairwise"])
+@pytest.mark.parametrize("hash_mode", NAMES)
 @pytest.mark.parametrize("size", [1, 2, 5, 12])
 @pytest.mark.parametrize("p_even,p_odd", [(p_even, p_odd) for p_even in (0.0, 0.05, 0.3)
                                            for p_odd in (0.0, 0.05, 0.3)])
@@ -387,11 +388,15 @@ def test_batch_decode_matches_separate_decodes(hash_mode, size, p_even, p_odd):
     when the channel is quiet) with trials of up to k defectives, and
     trials at two flip probabilities: p_even for even-indexed trials, p_odd
     for odd.  A batch of one is a design whose keys have a trial axis of
-    length one."""
+    length one.  A hash mode noisy does not take builds no batch design.
+    """
     n, k = 2 ** 8, 4
     params = noisy_params(n, k, 0.05, n_reps=3)
     # p_odd also picks the seeds, so that batches of one differ across it
     seed = 100_000 * round(100 * p_odd) + 1000 * size
+    keys = RandomnessKey(seed).materials(range(size), "design")
+    if refused("noisy", hash_mode, lambda: build_noisy_design(params, n, k, keys, hash_mode)):
+        return
     channels = [NoiseChannel((p_even, p_odd)[b % 2]) for b in range(size)]
     truths = [_truth(n, seed + b, b % (k + 1)) for b in range(size)]
     design, grid, own = _batch(params, n, k, RandomnessKey(seed), hash_mode, channels, truths)
@@ -409,12 +414,15 @@ def test_batch_decode_matches_separate_decodes(hash_mode, size, p_even, p_odd):
             assert isinstance(getattr(report, name), int), name
 
 
-@pytest.mark.parametrize("hash_mode", ["kwise", "pairwise"])
+@pytest.mark.parametrize("hash_mode", [name for name in NAMES if name != "full"])
 def test_batch_decode_matches_separate_decodes_past_2_32_nodes(hash_mode):
     """Per-trial polynomial coefficients through the split multiply that a
-    prime above 2^32 takes."""
+    prime above 2^32 takes, in every low-storage mode noisy takes."""
     n, k = 2 ** 40, 2
     params = noisy_params(n, k, 0.05, n_reps=3, r=2)
+    keys = RandomnessKey(2).materials(range(3), "design")
+    if refused("noisy", hash_mode, lambda: build_noisy_design(params, n, k, keys, hash_mode)):
+        return
     channels = [NoiseChannel.symmetric(0.05)] * 3
     truths = [_truth(n, seed, seed % (k + 1)) for seed in range(3)]
     design, grid, own = _batch(params, n, k, RandomnessKey(2), hash_mode, channels, truths)

@@ -33,7 +33,7 @@ def key(i=0):
 
 def uniform(num_nodes, t_len, k, reps=1):
     """``reps`` i.i.d. placements, counter hashes: one stack."""
-    return uniform_style_stacks([(num_nodes, t_len, reps)], k, "full")[0]
+    return uniform_style_stacks([(num_nodes, t_len, reps)], k, None)[0]
 
 
 def hashed(num_nodes, t_len, degree, k, reps=1):
@@ -43,9 +43,9 @@ def hashed(num_nodes, t_len, degree, k, reps=1):
                            row_keys(k, reps * 2 * degree).reshape(reps, 2 * degree))
 
 
-def balanced(num_nodes, t_len, k, hash_mode="full", reps=1):
+def balanced(num_nodes, t_len, k, full=True, reps=1):
     """``reps`` balanced placements: one keyed-permutation stack."""
-    return balanced_stacks([(num_nodes, t_len, reps)], k, hash_mode)[0]
+    return balanced_stacks([(num_nodes, t_len, reps)], k, full)[0]
 
 
 def table(stack, rep=0):
@@ -300,11 +300,11 @@ def test_coefficient_fold_matches_python_integers(at_least, degree, trials, reps
 
 
 def test_coefficient_chi_square():
-    """Over many design keys, each coefficient position of a kwise level is
-    uniform on a small prime field."""
+    """Over many design keys, each coefficient position of a polynomial
+    level is uniform on a small prime field."""
     shape, degree, designs = (31, 1, 2), 3, 4000  # prime 31: about 129 keys per cell
     coeffs = np.array([uniform_style_stacks([shape], RandomnessKey(77, ("coeffs", i)),
-                                            "kwise", degree)[0].coeffs.ravel()
+                                            degree)[0].coeffs.ravel()
                        for i in range(designs)])
     assert coeffs.shape == (designs, shape[2] * degree)
     for position in coeffs.T:
@@ -346,7 +346,7 @@ def test_balanced_collision_rate():
 
 
 def test_truncated_permutation_exact_weights():
-    p = balanced(16, 4, key(), "permutation")
+    p = balanced(16, 4, key(), full=False)
     counts = np.bincount(table(p), minlength=4)
     assert list(counts) == [4, 4, 4, 4]
 
@@ -354,15 +354,15 @@ def test_truncated_permutation_exact_weights():
 def test_truncated_permutation_rejects_bad_sizes():
     for num, t_len in [(12, 4), (16, 3), (8, 16)]:
         with pytest.raises(ValueError):
-            balanced(num, t_len, key(), "permutation")
+            balanced(num, t_len, key(), full=False)
 
 
 def test_truncated_permutation_deterministic():
-    a = balanced(64, 8, key(1), "permutation", reps=3)
-    b = balanced(64, 8, key(1), "permutation", reps=3)
+    a = balanced(64, 8, key(1), full=False, reps=3)
+    b = balanced(64, 8, key(1), full=False, reps=3)
     nodes = np.arange(64)
     assert np.array_equal(a.tests_of(nodes), b.tests_of(nodes))
-    assert not np.array_equal(a.tests_of(nodes), balanced(64, 8, key(2), "permutation",
+    assert not np.array_equal(a.tests_of(nodes), balanced(64, 8, key(2), full=False,
                                                           reps=3).tests_of(nodes))
     assert not np.array_equal(a.tests_of(nodes)[0], a.tests_of(nodes)[1])
 
@@ -371,7 +371,7 @@ def test_truncated_permutation_collision_rate():
     # the pair rate of two fixed nodes is that of a uniform permutation,
     # (row_weight - 1) / (num - 1), far inside the O(row_weight / num) bound
     num, t_len, draws = 256, 64, 20_000
-    grid = balanced(num, t_len, RandomnessKey(999), "permutation",
+    grid = balanced(num, t_len, RandomnessKey(999), full=False,
                     reps=draws).tests_of(np.array([5, 200]))
     hits = int((grid[:, 0] == grid[:, 1]).sum())
     target = (num // t_len - 1) / (num - 1)
@@ -381,10 +381,10 @@ def test_truncated_permutation_collision_rate():
 
 def test_truncated_permutation_storage_constant():
     # round keys plus two words per row: 24 rounds below 2^6 nodes, 6 above
-    assert balanced(16, 4, key(), "permutation").storage_cost == 26
-    assert balanced(2 ** 14, 64, key(), "permutation").storage_cost == \
-        balanced(2 ** 40, 64, key(), "pairwise").storage_cost == 8
-    assert balanced(2 ** 14, 64, key(), "full", reps=3).storage_cost == 3 * 2 ** 14
+    assert balanced(16, 4, key(), full=False).storage_cost == 26
+    assert balanced(2 ** 14, 64, key(), full=False).storage_cost == \
+        balanced(2 ** 40, 64, key(), full=False).storage_cost == 8
+    assert balanced(2 ** 14, 64, key(), reps=3).storage_cost == 3 * 2 ** 14
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,21 +422,17 @@ def test_balanced_weights_exact_for_all_keys(log_nodes, log_t, seed):
 
 
 def test_mode_factories():
-    def one(hash_mode, **kw):
-        return uniform_style_stacks([(64, 8, 1)], key(), hash_mode, **kw)[0]
+    def one(degree):
+        return uniform_style_stacks([(64, 8, 1)], key(), degree)[0]
 
-    assert one("full").storage_cost == 64
-    assert one("kwise", kwise_degree=6).storage_cost == 8
-    assert one("pairwise").storage_cost == 4
-    with pytest.raises(ValueError):
-        one("permutation")
-    with pytest.raises(ValueError):
-        one("bogus")
-    assert balanced(64, 8, key(), "full").storage_cost == 64
-    assert balanced(64, 8, key(), "permutation").storage_cost == 8
-    assert balanced(64, 8, key(), "pairwise").storage_cost == 8
-    with pytest.raises(ValueError):
-        balanced(64, 8, key(), "bogus")
+    assert one(None).storage_cost == 64
+    assert one(6).storage_cost == 8
+    assert one(2).storage_cost == 4
+    for degree in (1, 0):
+        with pytest.raises(ValueError, match="independence degree"):
+            one(degree)
+    assert balanced(64, 8, key(), True).storage_cost == 64
+    assert balanced(64, 8, key(), False).storage_cost == 8
 
 
 @settings(max_examples=40, deadline=None)
@@ -524,8 +520,7 @@ def test_stack_lookup_of_no_nodes(backing):
     elif backing == "identity":
         stack = IdentityStack(num)
     else:
-        stack = balanced(num, t_len, key(), "full" if backing == "balanced" else "permutation",
-                         reps=reps)
+        stack = balanced(num, t_len, key(), full=backing == "balanced", reps=reps)
     nodes = np.array([], dtype=np.int64)
     for reps_slice in (slice(None), slice(1, 3), slice(2, 2)):
         grid = stack.tests_of(nodes, reps_slice)
@@ -533,19 +528,27 @@ def test_stack_lookup_of_no_nodes(backing):
         assert grid.shape == (count, 0) and grid.dtype == np.int64
 
 
-@pytest.mark.parametrize("kind,hash_mode", [("uniform", "full"), ("uniform", "kwise"),
-                                            ("uniform", "pairwise"), ("balanced", "full"),
-                                            ("balanced", "permutation")])
-def test_stacks_from_batch_material_match_each_trial(kind, hash_mode):
+# each builder argument, named by the hash mode it backs: the counter hash,
+# gamma kwise's degree at gamma = 6 and pairwise's 2; the keyed permutation
+# accounted as its stored table and as its round keys
+BUILDS = {"uniform-full": (uniform_style_stacks, None),
+          "uniform-kwise": (uniform_style_stacks, 6),
+          "uniform-pairwise": (uniform_style_stacks, 2),
+          "balanced-full": (balanced_stacks, True),
+          "balanced-permutation": (balanced_stacks, False)}
+
+
+@pytest.mark.parametrize("case", BUILDS)
+def test_stacks_from_batch_material_match_each_trial(case):
     """Stacks cut from several trials' key material hold each trial's own
     keys along a leading axis: a node looked up under trial b's keys lands
     where trial b's own stack puts it, level by level and under every
     repetition, and the accounting is one trial's."""
     shapes = [(16, 4, 2), (256, 16, 3), (1024, 32, 1)]  # 24 and 6 Feistel rounds
-    build = uniform_style_stacks if kind == "uniform" else balanced_stacks
+    build, arg = BUILDS[case]
     root, count = RandomnessKey(41), 4
-    batch = build(shapes, root.materials(range(count), "design"), hash_mode)
-    own = [build(shapes, root.child(b, "design"), hash_mode) for b in range(count)]
+    batch = build(shapes, root.materials(range(count), "design"), arg)
+    own = [build(shapes, root.child(b, "design"), arg) for b in range(count)]
     rng = np.random.default_rng(3)
     for level, stack in enumerate(batch):
         assert (stack.reps, stack.storage_cost) == (own[0][level].reps, own[0][level].storage_cost)

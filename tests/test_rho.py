@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hash_modes import ACCEPTED
 from scalar_reference import segment_table
 from splitgt.core import (
     NoiseChannel,
@@ -69,7 +70,7 @@ def test_depth_one_layout():
     assert design.branching == p.branch == 2
 
 
-@pytest.mark.parametrize("hash_mode", ["full", "permutation"])
+@pytest.mark.parametrize("hash_mode", ACCEPTED["rho"])
 def test_size_cap_holds_exhaustively(hash_mode):
     n = 2 ** 10
     for rho_cap, seed in [(2 ** 2, 0), (2 ** 4, 1), (2 ** 6, 2)]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hash_modes import EVERY_PAIR, TREE_DESIGNS, refused
 from scalar_reference import decode_gamma_scalar, decode_rho_scalar, noiseless_bits_per_test
 from splitgt import bench, core, tree
 from splitgt.core import NoiseChannel, ProblemInstance, RandomnessKey, evaluate_design
@@ -30,40 +31,37 @@ def _design(scheme, n, k, budget, depth, reps, final_reps, hash_mode, key):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    scheme=st.sampled_from(["gamma", "rho"]),
+    scheme_mode=st.sampled_from([pair for pair in TREE_DESIGNS if pair[0] != "noisy"]),
     log_n=st.integers(min_value=4, max_value=14),
     log_k=st.integers(min_value=0, max_value=3),
     budget=st.integers(min_value=1, max_value=8),
     depth=st.integers(min_value=1, max_value=3),
     reps=st.integers(min_value=1, max_value=3),
     final_reps=st.integers(min_value=1, max_value=3),
-    hash_mode=st.sampled_from(["full", "kwise", "pairwise", "permutation"]),
     p=st.sampled_from([0.0, 0.05, 0.1, 0.3]),
     seed=st.integers(min_value=0, max_value=2 ** 32),
 )
 # rho on keyed permutations in every mode: levels below and above 2^6 nodes
 # (24 and 6 Feistel rounds), odd and even bit widths, a cap of 1 and of n
-@example(scheme="rho", log_n=5, log_k=1, budget=2, depth=2, reps=3, final_reps=3,
-         hash_mode="full", p=0.05, seed=1)
-@example(scheme="rho", log_n=13, log_k=3, budget=6, depth=2, reps=3, final_reps=2,
-         hash_mode="permutation", p=0.0, seed=2)
-@example(scheme="rho", log_n=14, log_k=2, budget=6, depth=3, reps=2, final_reps=3,
-         hash_mode="kwise", p=0.3, seed=3)
-@example(scheme="rho", log_n=11, log_k=2, budget=8, depth=1, reps=1, final_reps=1,
-         hash_mode="pairwise", p=0.1, seed=4)
-@example(scheme="rho", log_n=4, log_k=0, budget=4, depth=2, reps=1, final_reps=2,
-         hash_mode="full", p=0.3, seed=5)
-def test_decode_tree_matches_scalar_reference(scheme, log_n, log_k, budget, depth, reps,
-                                              final_reps, hash_mode, p, seed):
+@example(scheme_mode=("rho", "full"), log_n=5, log_k=1, budget=2, depth=2, reps=3,
+         final_reps=3, p=0.05, seed=1)
+@example(scheme_mode=("rho", "permutation"), log_n=13, log_k=3, budget=6, depth=2, reps=3,
+         final_reps=2, p=0.0, seed=2)
+@example(scheme_mode=("rho", "permutation"), log_n=14, log_k=2, budget=6, depth=3, reps=2,
+         final_reps=3, p=0.3, seed=3)
+@example(scheme_mode=("rho", "permutation"), log_n=11, log_k=2, budget=8, depth=1, reps=1,
+         final_reps=1, p=0.1, seed=4)
+@example(scheme_mode=("rho", "full"), log_n=4, log_k=0, budget=4, depth=2, reps=1,
+         final_reps=2, p=0.3, seed=5)
+def test_decode_tree_matches_scalar_reference(scheme_mode, log_n, log_k, budget, depth, reps,
+                                              final_reps, p, seed):
     """Same estimate, read count, visit count and peak frontier as the
     node-by-node decoder, with every frontier looked up repetition by
     repetition and with every one looked up under all repetitions at once;
     channel noise puts false positives on the frontier."""
-    n, k = 1 << log_n, 1 << min(log_k, log_n - 2)
+    (scheme, hash_mode), n, k = scheme_mode, 1 << log_n, 1 << min(log_k, log_n - 2)
     if scheme == "gamma":
         budget += 2
-        if hash_mode == "permutation":
-            hash_mode = "kwise"
     design = _design(scheme, n, k, budget, depth, reps, final_reps, hash_mode,
                      RandomnessKey(seed, ("design",)))
     rng = np.random.default_rng(seed)
@@ -82,24 +80,25 @@ def test_decode_tree_matches_scalar_reference(scheme, log_n, log_k, budget, dept
         assert all(isinstance(item, int) for item in estimate)
 
 
-LOOKUP_DESIGNS = [("gamma", "full"), ("gamma", "kwise"), ("gamma", "pairwise"),
-                  ("rho", "full"), ("rho", "permutation"), ("rho", "kwise"), ("rho", "pairwise"),
-                  ("noisy", "full"), ("noisy", "kwise"), ("noisy", "pairwise")]
+def _lookup_design(scheme, hash_mode):
+    n, k, key = 2 ** 8, 4, RandomnessKey(17, ("design",))
+    if scheme == "gamma":
+        return build_gamma_design(gamma_params(n, k, 5), n, key, hash_mode)
+    if scheme == "rho":
+        return build_rho_design(rho_params(n, k, 2 ** 4, c_depth=2, n_reps=3, c_final=2),
+                                n, key, hash_mode)
+    return build_noisy_design(noisy_params(n, k, 0.05), n, k, key, hash_mode)
 
 
-@pytest.mark.parametrize("scheme,hash_mode", LOOKUP_DESIGNS)
+@pytest.mark.parametrize("scheme,hash_mode", EVERY_PAIR)
 @pytest.mark.parametrize("which", ["empty", "one", "k", "last node"])
 def test_noiseless_bits_lookups_agree(monkeypatch, scheme, hash_mode, which):
     """The scalar and the stacked lookup of ``noiseless_bits`` give the same
-    bits, and the same as evaluating the design one test at a time."""
-    n, k, key = 2 ** 8, 4, RandomnessKey(17, ("design",))
-    if scheme == "gamma":
-        design = build_gamma_design(gamma_params(n, k, 5), n, key, hash_mode)
-    elif scheme == "rho":
-        design = build_rho_design(rho_params(n, k, 2 ** 4, c_depth=2, n_reps=3, c_final=2),
-                                  n, key, hash_mode)
-    else:
-        design = build_noisy_design(noisy_params(n, k, 0.05), n, k, key, hash_mode)
+    bits, and the same as evaluating the design one test at a time, in every
+    hash mode the scheme takes; it builds no design in any other."""
+    if refused(scheme, hash_mode, lambda: _lookup_design(scheme, hash_mode)):
+        return
+    n, k, design = 2 ** 8, 4, _lookup_design(scheme, hash_mode)
     defectives = {"empty": (), "one": (37,), "k": (3, 90, 151, 200),
                   "last node": tuple(range(n - k, n))}[which]
     expected = noiseless_bits_per_test(design, ProblemInstance(n=n, k=k, defectives=defectives))
@@ -111,11 +110,12 @@ def test_noiseless_bits_lookups_agree(monkeypatch, scheme, hash_mode, which):
         assert np.array_equal(bits, expected)
 
 
-@pytest.mark.parametrize("scheme,hash_mode", LOOKUP_DESIGNS)
+@pytest.mark.parametrize("scheme,hash_mode", EVERY_PAIR)
 def test_tree_designs_construct_no_generator(monkeypatch, scheme, hash_mode):
     """Every tree design, in every hash mode it accepts, takes its keys from
     the design key's row keys: building it and looking its tests up never
-    constructs a Generator."""
+    constructs a Generator.  A mode the scheme does not take builds
+    nothing."""
 
     def no_generator(self):
         raise AssertionError("a tree design constructed a Generator")
@@ -125,13 +125,18 @@ def test_tree_designs_construct_no_generator(monkeypatch, scheme, hash_mode):
                                hash_mode=hash_mode, trials=1)
     n, k, _ = bench._rounded(config)
     phases = bench.SCHEMES[scheme]
-    design = phases.build(config, phases.params(config, n, k), n, k,
-                          RandomnessKey(5, (0, "design")))
+
+    def build():
+        return phases.build(config, phases.params(config, n, k), n, k,
+                            RandomnessKey(5, (0, "design")))
+
+    if refused(scheme, hash_mode, build):
+        return
+    design = build()
     assert design.noiseless_bits((3, 900, 4095)).any()
 
 
-BATCH_DESIGNS = [("gamma", "full"), ("gamma", "kwise"), ("gamma", "pairwise"),
-                 ("rho", "full"), ("rho", "permutation")]
+BATCH_DESIGNS = [(scheme, hash_mode) for scheme, hash_mode in TREE_DESIGNS if scheme != "noisy"]
 
 
 def _batch_params(scheme, n, k):
