@@ -53,8 +53,12 @@ class FlatDesign:
     def storage_words(self) -> int:
         return int(np.count_nonzero(self.members))
 
-    def noiseless_bits(self, defectives) -> np.ndarray:
-        return self.members[:, np.asarray(defectives, dtype=np.intp)].any(axis=1).astype(np.uint8)
+    def noiseless_grid(self, defectives) -> np.ndarray:
+        """Row b: which tests pool one of ``defectives[b]``, as uint8."""
+        grid = np.zeros((len(defectives), self.t_total), dtype=np.uint8)
+        for row, trial in zip(grid, defectives):
+            row[self.members[:, np.asarray(trial, dtype=np.intp)].any(axis=1)] = 1
+        return grid
 
 
 def flatten_design(design) -> FlatDesign:

@@ -12,13 +12,14 @@ set recovery; partial-recovery counts are reported as supplementary columns
 only.
 
 ``run_trials`` splits its trials into at most ``jobs`` consecutive shares, one
-per worker, and a share runs in batches of consecutive trials, each trial
-with its own defectives, design keys and noise.  A gamma, rho or noisy
-batch is one design over every trial's keys, evaluated into one outcome
-grid and decoded by one descent; a COMP/NCOMP batch is a single trial.  A
-batch of one takes the one-trial path of every scheme, and ``run_trial`` is
-the share of one, so its records, which traced runs take, come from that
-path.
+per worker and each at least one batch, and a share runs in batches of
+consecutive trials, each trial with its own defectives, design keys and
+noise.  A gamma, rho or noisy batch of several trials is one design over
+every trial's keys, evaluated into one outcome grid and decoded by one
+descent.  A batch of one, which every COMP/NCOMP batch is, builds its
+trial's own design, evaluates it (``core.evaluate_design``) and decodes it
+by the scheme's one-trial decoder; ``run_trial`` is the share of one, so
+its records, which traced runs take, come from that path.
 """
 
 from __future__ import annotations
@@ -225,8 +226,7 @@ class Scheme(NamedTuple):
     hash_modes: dict  # each --hash-mode name the scheme takes to its placement
     params: Callable  # (config, n, k) -> params
     build: Callable   # (config, params, n, k, key) -> design
-    # (config, designs, outcomes) -> one DecodeReport per trial of a batch
-    decode: Callable
+    decode: Callable  # (config, design, outcomes) -> the DecodeReport of one trial
     echo: Callable    # (config, params) -> the result's ``params`` dict
     # (params, n, k) -> bytes of a trial's largest array: the outcome vector
     # (a byte per test), the flat incidence matrix (one per test and item),
@@ -237,17 +237,12 @@ class Scheme(NamedTuple):
     # (config, design, grid) -> one DecodeReport per row of ``grid``, for a
     # scheme whose batch of several trials is one design built from all of
     # their key material and evaluated into one (trials x T) grid; None
-    # where every trial builds its own design
+    # for a scheme whose batches hold one trial
     decode_grid: Optional[Callable] = None
 
 
 def _tree_echo(config: TrialConfig, params) -> dict:
     return asdict(params)
-
-
-def _each(decode) -> Callable:
-    """A batch decode from a one-trial ``decode(config, design, outcomes)``."""
-    return lambda c, designs, outcomes: [decode(c, d, o) for d, o in zip(designs, outcomes)]
 
 
 def _flat_report(decode, design, outcomes, *args) -> DecodeReport:
@@ -275,7 +270,7 @@ def _flat_scheme(decode, echo) -> Scheme:
         {"full": None},  # the stored incidence matrix
         lambda c, n, k: baselines.default_baseline_tests(n, k) if c.tests is None else c.tests,
         lambda c, tests, n, k, key: baselines.build_flat_design(n, tests, key, k=k),
-        _each(decode), echo,
+        decode, echo,
         lambda tests, n, k: tests * n)
 
 
@@ -286,7 +281,7 @@ SCHEMES = {
             n, k, c.gamma, beta_n=1.0 / math.log2(n) ** c.beta_exp, c_const=c.c_const,
             gamma_prime=c.gamma_prime),
         lambda c, params, n, k, key: gamma_mod.build_gamma_design(params, n, key, c.hash_mode),
-        _each(lambda c, design, outcomes: gamma_mod.decode_gamma(design, outcomes)[1]),
+        lambda c, design, outcomes: gamma_mod.decode_gamma(design, outcomes)[1],
         _tree_echo,
         lambda params, n, k: _tree_footprint(gamma_mod.gamma_total_tests(params, n),
                                              n // params.level1_size, params.branching, k),
@@ -299,7 +294,7 @@ SCHEMES = {
             n_reps=DEFAULT_N_REPS if c.reps is None else c.reps,
             c_final=DEFAULT_C_FINAL if c.final_reps is None else c.final_reps),
         lambda c, params, n, k, key: rho_mod.build_rho_design(params, n, key, c.hash_mode),
-        _each(lambda c, design, outcomes: rho_mod.decode_rho(design, outcomes)[1]),
+        lambda c, design, outcomes: rho_mod.decode_rho(design, outcomes)[1],
         _tree_echo,
         lambda params, n, k: _tree_footprint(rho_mod.rho_total_tests(params, n),
                                              n // params.rho, params.branch, k),
@@ -311,7 +306,7 @@ SCHEMES = {
             n, k, c.p if c.design_p is None else c.design_p, t=c.t, epsilon=c.epsilon,
             mode=c.mode, n_reps=c.reps, r=c.lookahead, c_final=c.final_reps),
         lambda c, params, n, k, key: noisy_mod.build_noisy_design(params, n, k, key, c.hash_mode),
-        _each(lambda c, design, outcomes: noisy_mod.decode_noisy(design, outcomes)[1]),
+        lambda c, design, outcomes: noisy_mod.decode_noisy(design, outcomes)[1],
         _tree_echo,
         lambda params, n, k: noisy_mod.noisy_total_tests(params, n, k),
         lambda params, n, k: _tree_batch(noisy_mod.noisy_total_tests(params, n, k)),
@@ -382,9 +377,9 @@ def _run_share(config: TrialConfig, indices: range) -> list[dict]:
     scheme's cap, each batch decoded by one call; one record per trial, in
     order.  Rounding, channel, scheme, params and cap are computed once.
 
-    A batch of one, and every batch of a scheme without ``decode_grid``,
-    builds and evaluates each trial's own design.  A larger gamma, rho or
-    noisy batch computes its trials' key material in one array program
+    A batch of one builds, evaluates and decodes its trial's own design;
+    a scheme without ``decode_grid`` has a cap of one.  A larger gamma, rho
+    or noisy batch computes its trials' key material in one array program
     (:meth:`RandomnessKey.materials`) and builds one design from all of it,
     so that one evaluation and one descent serve the batch; every trial
     still draws from its own substreams, so its record is the same.
@@ -401,7 +396,8 @@ def _run_share(config: TrialConfig, indices: range) -> list[dict]:
         defectives, = _draw_defectives(config, key.child("defectives").words())
         instance = ProblemInstance(n=n, k=k, defectives=defectives)
         design = scheme.build(config, params, n, k, key.child("design"))
-        return defectives, design, evaluate_design(design, instance, channel, key.child("noise"))
+        outcomes = evaluate_design(design, instance, channel, key.child("noise"))
+        return [defectives], [design], [scheme.decode(config, design, outcomes)]
 
     def shared(batch: range) -> tuple:
         truths = _draw_defectives(config, root.materials(batch, "defectives"))
@@ -414,12 +410,7 @@ def _run_share(config: TrialConfig, indices: range) -> list[dict]:
     for start in range(0, len(indices), cap):
         batch = indices[start:start + cap]
         try:
-            if len(batch) > 1 and scheme.decode_grid is not None:
-                truths, designs, reports = shared(batch)
-            else:
-                truths, designs, outcomes = zip(*map(trial, batch))
-                reports = scheme.decode(config, designs, outcomes)
-                del outcomes
+            truths, designs, reports = shared(batch) if len(batch) > 1 else trial(batch[0])
         except Exception as exc:
             which = (f"trial {batch[0]}" if len(batch) == 1
                      else f"trials {batch[0]}-{batch[-1]}")
@@ -438,16 +429,19 @@ def run_trial(config: TrialConfig, index: int) -> dict:
 def run_trials(config: TrialConfig) -> AggregateResult:
     """All trials of ``config``, aggregated.
 
-    The trials split into at most ``jobs`` consecutive shares of
-    ``ceil(trials / jobs)`` trials, and each share runs whole, serially or
-    in a pool of at most ``os.cpu_count()`` workers (see
+    The trials split into consecutive shares of ``ceil(trials / jobs)``
+    trials, or of one batch where that is more, and each share runs whole,
+    serially or in a pool of at most ``os.cpu_count()`` workers (see
     :func:`_run_share`), in batches of at most the scheme's cap: for the
     gamma, rho and noisy schemes, as many trials as keep a batch's outcome
     vectors and read marks under ``BATCH_BYTES``; one trial for COMP and
-    NCOMP.  The records come back in index order.
+    NCOMP.  A call of at most one batch so runs in this process, as one
+    batch.  The records come back in index order.
     """
     validate_config(config)
-    size = max(1, -(-config.trials // config.jobs))
+    n, k, _ = _rounded(config)
+    scheme = SCHEMES[config.algorithm]
+    size = max(-(-config.trials // config.jobs), scheme.batch(scheme.params(config, n, k), n, k))
     indices = range(config.trials)
     shares = [indices[start:start + size] for start in range(0, config.trials, size)]
     if len(shares) > 1:

@@ -9,17 +9,19 @@ A *design* in this package is any object exposing three things:
 
   - ``n``: the item count it was built for,
   - ``layout``: an ordered tuple of ``(level, repetition, length)`` segments,
-  - ``noiseless_bits(defectives)``: the whole noiseless outcome vector, one
-    uint8 per test in layout order, 1 iff the test pools a defective item.
+  - ``noiseless_grid(defectives)``: the noiseless outcome vectors of a batch
+    of trials, trial b's defectives ``defectives[b]``, as a (trials x T)
+    uint8 grid, one cell per test in layout order, 1 iff the test pools a
+    defective item of that trial.
 
-``evaluate_design`` works against that protocol, so the tree schemes and the
-flat baseline designs share one evaluation path.  The three tree schemes
-build one :class:`splitgt.tree.TreeDesign` each, from their levels; it
-looks tests up one at a time or one level at a time, whichever the number
-of lookups favours.  A tree design built from several trials' keys at once
-evaluates them all in one ``noiseless_grid`` call, one row per trial:
-``evaluate_batch`` adds each row's own noise (:func:`channel_flips`).  The
-flat baselines build a :class:`splitgt.baselines.FlatDesign`, a boolean
+``evaluate_batch`` works against that protocol and adds each row's own
+channel noise (:func:`channel_flips`); ``evaluate_design`` is its batch of
+one, as an :class:`OutcomeVector`.  So the tree schemes and the flat
+baseline designs share one evaluation path.  The three tree schemes build
+one :class:`splitgt.tree.TreeDesign` each, from their levels, which looks
+its tests up one level at a time; a tree design built from several trials'
+keys at once evaluates them all in one call, one row per trial.  The flat
+baselines build a :class:`splitgt.baselines.FlatDesign`, a boolean
 incidence matrix.
 """
 
@@ -307,32 +309,27 @@ class DecodeReport:
 
 def evaluate_design(design, instance: ProblemInstance, channel: NoiseChannel,
                     key: RandomnessKey) -> OutcomeVector:
-    """Run every test of a non-adaptive design against an instance.
-
-    One bit per test in layout order: the design's ``noiseless_bits``, then
-    the channel noise: test c flips iff output c of ``key``'s counter stream
-    is below floor(p * 2^64) (:func:`channel_flips`).  So outcomes are
-    independent across tests and the whole vector is a pure function of
-    (design, instance, channel, key).
+    """Run every test of a non-adaptive design against an instance: the one
+    row of :func:`evaluate_batch` for a batch of one, with ``key``'s words
+    as its noise key.  So outcomes are independent across tests and the
+    whole vector is a pure function of (design, instance, channel, key).
     """
     if design.n != instance.n:
         raise ValueError(f"design built for n={design.n}, instance has n={instance.n}")
-    bits = design.noiseless_bits(instance.defectives)
-    if not channel.is_noiseless:
-        bits ^= channel_flips(channel.p, key.words(), len(bits))[0]
+    (bits,) = evaluate_batch(design, (instance.defectives,), channel, key.words())
     return OutcomeVector(bits=bits, layout=tuple(design.layout))
 
 
 def evaluate_batch(design, defectives, channel: NoiseChannel, noise: np.ndarray) -> np.ndarray:
-    """Run every test of a design built for a batch of trials (see
-    ``TreeDesign.noiseless_grid``) against trial b's defectives
-    ``defectives[b]``.
+    """Run every test of a design against trial b's defectives
+    ``defectives[b]``, for a design built for that batch of trials (see
+    ``TreeDesign.noiseless_grid``).
 
-    Row b of the (trials x T) uint8 grid is what :func:`evaluate_design`
-    gives trial b: its noiseless bits, then its own flips, from the key
-    whose material words are row b of ``noise`` (see
-    :meth:`RandomnessKey.materials`); one :func:`channel_flips` covers the
-    grid.
+    Row b of the (trials x T) uint8 grid is trial b's noiseless bits, then
+    its own channel noise: test c flips iff output c of the counter stream
+    of the key whose material words are row b of ``noise`` (see
+    :meth:`RandomnessKey.materials`) is below floor(p * 2^64); one
+    :func:`channel_flips` covers the grid.
     """
     grid = design.noiseless_grid(defectives)
     if not channel.is_noiseless:

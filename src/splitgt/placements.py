@@ -22,10 +22,11 @@ A level of a tree design holds all of its repetitions as one stack:
 :class:`CounterHashStack`, :class:`PolynomialStack` or
 :class:`PermutationStack`.  Every stack has ``num_nodes``, ``t_len``,
 ``reps`` and ``storage_cost`` (in machine words), and answers
-``test_of(node, rep)``, the test of one node under one repetition in
-pure-Python integers, and ``tests_of(nodes, reps)``, the tests of an int64
-array of nodes under the repetitions the slice ``reps`` selects, as a
-(repetitions x nodes) int64 array from one array operation.
+``tests_of(nodes, reps)``, the tests of an int64 array of nodes under the
+repetitions the slice ``reps`` selects, as a (repetitions x nodes) int64
+array from one array operation, and ``test_of(node, rep)``, the test of one
+node under one repetition in pure-Python integers: the reference lookup
+that ``tests_of`` is checked against, which no evaluation or decode calls.
 
 A hashed level's keys are the next slice of the design key's
 :func:`row_keys`, so no design draws from a generator.  Given several

@@ -28,7 +28,10 @@ A batch's design is one :class:`TreeDesign` whose stacks hold every
 trial's keys along a leading trial axis (the scheme builders take several
 trials' key material for that, see :func:`splitgt.placements.row_keys`);
 :meth:`TreeDesign.noiseless_grid` evaluates all of its trials in one
-stacked lookup per level, one grid row per trial.
+stacked lookup per level, one grid row per trial.  It is a design's only
+evaluation: a design of one trial's keys evaluates a batch of one, without
+a trial array, and the stacks' scalar ``test_of`` serves only as the
+reference that ``tests_of`` is checked against.
 """
 
 from __future__ import annotations
@@ -37,14 +40,6 @@ import numpy as np
 
 from .core import DecodeReport, OutcomeVector
 
-# Lookups are (segment x defective) pairs.  Per evaluation (2-core Xeon,
-# numpy 2.4): at the 24 lookups of a desk-scale gamma trial the scalar path
-# takes about 0.4 of the stacked one's time, at the 1176 of a noisy one about
-# seven times it; the gamma paths are about even near 100 (full) to 200
-# (kwise), the rho ones (Python Feistel rounds per scalar lookup) at 28.
-# At these counts a stacked lookup is mostly its fixed cost, so the
-# per-lane cost of the hash kernels barely moves the crossovers.
-SCALAR_LOOKUPS = 64
 # Up to this many frontier nodes, decode looks a level up under all of its
 # repetitions at once; above it, repetition by repetition for the nodes
 # still alive.  A stacked lookup costs 10-100 us plus 2-25 ns per lane (same
@@ -104,27 +99,12 @@ class TreeDesign:
     def num_nodes(self, level: int) -> int:
         return self.stacks[level].num_nodes
 
-    def noiseless_bits(self, defectives) -> np.ndarray:
-        """The noiseless outcome vector.  Up to ``SCALAR_LOOKUPS`` (segment
-        x defective) lookups it takes one scalar ``test_of`` each; past
-        that, it is the :meth:`noiseless_grid` of one trial."""
-        if len(defectives) * len(self.layout) > SCALAR_LOOKUPS:
-            return self.noiseless_grid((defectives,))[0]
-        bits = np.zeros(self.t_total, dtype=np.uint8)
-        positives = []
-        for level, stack in self.stacks.items():
-            size, t_len, test_of = self.node_size(level), stack.t_len, stack.test_of
-            for rep in range(stack.reps):
-                offset = self.first_test[level] + rep * t_len
-                positives.extend(offset + test_of(d // size, rep) for d in defectives)
-        bits[positives] = 1
-        return bits
-
     def noiseless_grid(self, defectives) -> np.ndarray:
         """The noiseless outcome vectors of a batch, trial b's defectives
         ``defectives[b]``, as the rows of a (trials x T) uint8 grid: one
         stacked ``tests_of`` per level over every trial's defectives, each
-        looked up under its own trial's keys (a design of one trial's keys
+        looked up under its own trial's keys and scattered at ``first_test[level]
+        + rep * t_len + test`` of its row (a design of one trial's keys
         takes a batch of one)."""
         grid = np.zeros((len(defectives), self.t_total), dtype=np.uint8)
         if self.trials is None:  # no trial array, as in decode_tree_batch

@@ -234,8 +234,9 @@ def test_matrix_paths_match_set_reference(case):
     n, tests, bits, defectives, threshold = case
     design = flat_design(n, tests)
     assert design.storage_words == sum(len(t) for t in tests)
-    positives = np.flatnonzero(design.noiseless_bits(defectives)).tolist()
-    assert positives == flat_positives_scalar(tests, defectives)
+    grid = design.noiseless_grid([defectives, []])
+    assert grid.shape == (2, len(tests)) and grid.dtype == np.uint8 and not grid[1].any()
+    assert np.flatnonzero(grid[0]).tolist() == flat_positives_scalar(tests, defectives)
     vec = _vec(design, bits)
     assert decode_comp(design, vec) == decode_comp_scalar(n, tests, bits)
     try:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -119,8 +120,10 @@ def test_sweep_single_cell_matches_run_trials():
 
 
 def test_parallel_jobs_match_serial():
-    serial = run_trials(_gamma_config(trials=12, jobs=1))
-    parallel = run_trials(_gamma_config(trials=12, jobs=2))
+    """Two shares of 500 trials, each more than one batch (496), in a pool
+    of two workers."""
+    serial = run_trials(_gamma_config(trials=1000, jobs=1))
+    parallel = run_trials(_gamma_config(trials=1000, jobs=2))
     assert serial == parallel
 
 
@@ -335,9 +338,9 @@ def _record_shares_and_batches(monkeypatch, algorithm: str,
     monkeypatch.setattr(bench, "_run_share", recording_share)
     scheme = bench.SCHEMES[algorithm]
 
-    def recording_decode(config, designs, outcomes):
-        batches.append(len(designs))
-        return scheme.decode(config, designs, outcomes)
+    def recording_decode(config, design, outcomes):
+        batches.append(1)
+        return scheme.decode(config, design, outcomes)
 
     def recording_decode_grid(config, design, grid):
         batches.append(len(grid))
@@ -353,20 +356,25 @@ def _record_shares_and_batches(monkeypatch, algorithm: str,
     # sizes: (trials per share, trials per batch decode)
     (1, 12, 100, ([12], [12])),            # one share, one batch for the whole call
     (1, 12, 5, ([12], [5, 5, 2])),         # capped by the byte budget
-    (2, 12, 100, ([6, 6], [6, 6])),        # one share per worker, each one batch
-    (2, 40, 100, ([20, 20], [20, 20])),
-    (2, 40, 3, ([20, 20], [3] * 6 + [2] + [3] * 6 + [2])),
-    (3, 7, 100, ([3, 3, 1], [3, 3, 1])),   # shares of ceil(trials / jobs)
-    (4, 2, 100, ([1, 1], [1, 1])),         # more jobs than trials
+    (2, 12, 100, ([12], [12])),            # one batch: one share, without a pool
+    (2, 40, 100, ([40], [40])),
+    (2, 40, 3, ([20, 20], [3] * 6 + [2] + [3] * 6 + [2])),  # one share per worker
+    (3, 7, 100, ([7], [7])),
+    (4, 2, 100, ([2], [2])),               # more jobs than trials, all in one batch
     (2, 1, 100, ([1], [1])),               # one share runs without a pool
     (2, 0, 100, ([], [])),                 # no trials, no shares
+    (2, 12, 5, ([6, 6], [5, 1, 5, 1])),    # each share past one batch
+    (2, 40, 30, ([30, 10], [30, 10])),     # shares of one batch where that is more
+    (3, 7, 2, ([3, 3, 1], [2, 1, 2, 1, 1])),  # shares of ceil(trials / jobs)
+    (4, 2, 1, ([1, 1], [1, 1])),           # more jobs than trials
 ])
 def test_noisy_batches_follow_jobs_and_byte_cap(jobs, trials, cap, sizes, monkeypatch):
     """A call's trials split into at most ``jobs`` consecutive shares of
-    ``ceil(trials / jobs)``, one per worker, and a share's noisy trials are
-    decoded in batches of consecutive trials: all of them, or fewer where
-    the byte cap on a batch's outcome vectors and read marks says so.
-    Records come back in index order whatever the split."""
+    ``ceil(trials / jobs)``, or of one batch where that is more, one per
+    worker, and a share's noisy trials are decoded in batches of consecutive
+    trials: all of them, or fewer where the byte cap on a batch's outcome
+    vectors and read marks says so.  Records come back in index order
+    whatever the split."""
     shares, batch_sizes = sizes
     config = TrialConfig(algorithm="noisy", n=256, k=4, p=0.05, trials=trials, base_seed=4,
                          jobs=jobs)
@@ -383,8 +391,10 @@ def test_noisy_batches_follow_jobs_and_byte_cap(jobs, trials, cap, sizes, monkey
 
 def test_workers_are_capped_at_the_cpu_count(monkeypatch):
     """More jobs than CPUs keeps the shares, and so the records, but opens
-    one worker per CPU; a share of one trial is a batch of one."""
+    one worker per CPU; at a cap of one trial, a share of one trial is a
+    batch of one."""
     expected = run_trials(_gamma_config(trials=64))
+    monkeypatch.setattr(bench, "BATCH_BYTES", 1)
     config = _gamma_config(trials=64, jobs=64)
     workers, ran, _ = _record_shares_and_batches(monkeypatch, "gamma", cpus=2)
     assert run_trials(config).to_dict() == expected.to_dict()
@@ -455,7 +465,8 @@ def test_other_schemes_run_one_trial_per_batch(monkeypatch):
 
 def test_params_are_computed_once_per_share(monkeypatch):
     """At one job, a call computes the gamma params a fixed number of times
-    (validation, the share, the aggregate), whatever its trial count."""
+    (validation, the share size, the share, the aggregate), whatever its
+    trial count."""
     calls = []
     gamma_params = gamma.gamma_params
 
@@ -469,13 +480,31 @@ def test_params_are_computed_once_per_share(monkeypatch):
         calls.clear()
         run_trials(_gamma_config(trials=trials))
         counts.append(len(calls))
-    assert counts == [3, 3, 3]
+    assert counts == [4, 4, 4]
+
+
+@pytest.mark.parametrize("trials", [12, 55])
+def test_a_call_of_one_batch_opens_no_pool(trials, monkeypatch):
+    """A call of at most one batch (noisy at n=2^12, k=8: 55 trials) runs
+    in this process at ``jobs=2``, as at ``jobs=1``: a share is never
+    smaller than one batch."""
+    config = TrialConfig(algorithm="noisy", n=2 ** 12, k=8, p=0.05, trials=trials, base_seed=2)
+    n, k, _ = bench._rounded(config)
+    scheme = bench.SCHEMES["noisy"]
+    assert scheme.batch(scheme.params(config, n, k), n, k) == 55
+    expected = run_trials(config)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a call of one batch opened a pool")
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+    assert run_trials(replace(config, jobs=2)).to_dict() == expected.to_dict()
 
 
 def test_a_failed_batch_is_named(monkeypatch):
     """A failure names its batch: the one trial, or the range of trials."""
 
-    def boom(config, designs, outcomes):
+    def boom(config, design, outcomes):
         raise ValueError("boom")
 
     for algorithm, fields, which in (("noisy", dict(p=0.05), "trials 0-5"),

@@ -80,8 +80,8 @@ def test_decode_tree_matches_scalar_reference(scheme_mode, log_n, log_k, budget,
         assert all(isinstance(item, int) for item in estimate)
 
 
-def _lookup_design(scheme, hash_mode):
-    n, k, key = 2 ** 8, 4, RandomnessKey(17, ("design",))
+def _lookup_design(scheme, hash_mode, key):
+    n, k = 2 ** 8, 4
     if scheme == "gamma":
         return build_gamma_design(gamma_params(n, k, 5), n, key, hash_mode)
     if scheme == "rho":
@@ -90,24 +90,35 @@ def _lookup_design(scheme, hash_mode):
     return build_noisy_design(noisy_params(n, k, 0.05), n, k, key, hash_mode)
 
 
+LOOKUP_SETS = {"empty": (), "one": (37,), "k": (3, 90, 151, 200),
+               "last node": tuple(range(2 ** 8 - 4, 2 ** 8))}
+
+
 @pytest.mark.parametrize("scheme,hash_mode", EVERY_PAIR)
-@pytest.mark.parametrize("which", ["empty", "one", "k", "last node"])
-def test_noiseless_bits_lookups_agree(monkeypatch, scheme, hash_mode, which):
-    """The scalar and the stacked lookup of ``noiseless_bits`` give the same
-    bits, and the same as evaluating the design one test at a time, in every
-    hash mode the scheme takes; it builds no design in any other."""
-    if refused(scheme, hash_mode, lambda: _lookup_design(scheme, hash_mode)):
+@pytest.mark.parametrize("which", list(LOOKUP_SETS))
+def test_noiseless_bits_lookups_agree(scheme, hash_mode, which):
+    """``noiseless_grid`` gives the bits of evaluating the design one test
+    at a time, for a design of one trial's key and for every row of a design
+    built from several trials' key material, each row under its own trial's
+    keys, in every hash mode the scheme takes; it builds no design in any
+    other."""
+    n, k, root = 2 ** 8, 4, RandomnessKey(17)
+    if refused(scheme, hash_mode,
+               lambda: _lookup_design(scheme, hash_mode, root.child(0, "design"))):
         return
-    n, k, design = 2 ** 8, 4, _lookup_design(scheme, hash_mode)
-    defectives = {"empty": (), "one": (37,), "k": (3, 90, 151, 200),
-                  "last node": tuple(range(n - k, n))}[which]
-    expected = noiseless_bits_per_test(design, ProblemInstance(n=n, k=k, defectives=defectives))
-    assert len(expected) == design.t_total and (expected.any() == bool(defectives))
-    for scalar_lookups in (-1, 10 ** 9):  # every evaluation stacked, then every one scalar
-        monkeypatch.setattr(tree, "SCALAR_LOOKUPS", scalar_lookups)
-        bits = design.noiseless_bits(defectives)
-        assert bits.dtype == np.uint8
-        assert np.array_equal(bits, expected)
+    # trial 0 holds ``which``, the later trials every other set
+    truths = [LOOKUP_SETS[which], *(s for name, s in LOOKUP_SETS.items() if name != which)]
+    own = [_lookup_design(scheme, hash_mode, root.child(b, "design")) for b in range(len(truths))]
+    expected = np.array([noiseless_bits_per_test(design, ProblemInstance(n=n, k=k, defectives=d))
+                         for design, d in zip(own, truths)])
+    assert expected.shape == (len(truths), own[0].t_total)
+    assert expected[0].any() == bool(truths[0])
+    grid = own[0].noiseless_grid(truths[:1])
+    assert own[0].trials is None and grid.dtype == np.uint8
+    assert np.array_equal(grid, expected[:1])
+    batch = _lookup_design(scheme, hash_mode, root.materials(range(len(truths)), "design"))
+    assert batch.trials == len(truths)
+    assert np.array_equal(batch.noiseless_grid(truths), expected)
 
 
 @pytest.mark.parametrize("scheme,hash_mode", EVERY_PAIR)
@@ -133,7 +144,7 @@ def test_tree_designs_construct_no_generator(monkeypatch, scheme, hash_mode):
     if refused(scheme, hash_mode, build):
         return
     design = build()
-    assert design.noiseless_bits((3, 900, 4095)).any()
+    assert design.noiseless_grid([(3, 900, 4095)]).any()
 
 
 BATCH_DESIGNS = [(scheme, hash_mode) for scheme, hash_mode in TREE_DESIGNS if scheme != "noisy"]
