@@ -1,10 +1,11 @@
-"""Reference decoders and exhaustive oracles.
+"""The COMP-style baselines and the exhaustive oracles.
 
-The flat design here is structure-free: a (T x n) boolean incidence matrix,
-one row per test.  It backs the classic one-shot decoders (COMP and its
-noise-tolerant thresholded variant) and the brute-force oracles used to
-cross-check the tree decoders on tiny instances, which see a tree design
-through :func:`flatten_design`.
+The baselines' design is constant-column-weight (Johnson, Aldridge and
+Scarlett, IEEE T-IT 2019): a one-level tree of singletons under w
+counter-hashed repetitions.  COMP and its thresholded variant NCOMP (Chan,
+Che, Jaggi and Saligrama, Allerton 2011) are its tree descent.  The
+brute-force oracles that cross-check the tree decoders on tiny instances
+see a design as its (T x n) incidence matrix, through :func:`flatten_design`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import OutcomeVector, RandomnessKey
+from . import tree
+from .core import DecodeReport, OutcomeVector
+from .placements import uniform_style_stacks
 
 ORACLE_MAX_N = 20
 ORACLE_MAX_K = 4
@@ -45,21 +48,6 @@ class FlatDesign:
     def t_total(self) -> int:
         return self.members.shape[0]
 
-    @property
-    def layout(self):
-        return ((0, 0, self.t_total),)
-
-    @property
-    def storage_words(self) -> int:
-        return int(np.count_nonzero(self.members))
-
-    def noiseless_grid(self, defectives) -> np.ndarray:
-        """Row b: which tests pool one of ``defectives[b]``, as uint8."""
-        grid = np.zeros((len(defectives), self.t_total), dtype=np.uint8)
-        for row, trial in zip(grid, defectives):
-            row[self.members[:, np.asarray(trial, dtype=np.intp)].any(axis=1)] = 1
-        return grid
-
 
 def flatten_design(design) -> FlatDesign:
     """The incidence matrix of a tree design, tests in layout order.
@@ -74,32 +62,30 @@ def flatten_design(design) -> FlatDesign:
     return FlatDesign(members)
 
 
-def build_flat_design(n: int, tests_count: int, key: RandomnessKey, k: int = 1,
-                      per_item: int | None = None) -> FlatDesign:
-    """Random constant-column-weight design for the COMP-style baselines.
-
-    Each item joins the same number of distinct tests, chosen uniformly:
-    ``per_item`` when given, otherwise round(T * ln2 / k), which makes about
-    half the tests negative and is the classic sweet spot for one-shot
-    decoding.  Constant column weight guarantees every item is covered, which
-    the thresholded decoder needs.
-    """
+def flat_shape(tests_count: int, k: int = 1, per_item: int | None = None) -> tuple[int, int]:
+    """The column weight w and segment length of the baseline design of a
+    test budget T: w is ``per_item`` when given, otherwise round(T * ln2 /
+    k) (about half the tests negative, the classic sweet spot for one-shot
+    decoding), clipped to [1, T]; each of the w segments has ceil(T / w)
+    tests."""
     if tests_count < 1:
         raise ValueError("tests_count must be >= 1")
     weight = (per_item if per_item is not None
               else round(tests_count * math.log(2) / max(1, k)))
     weight = min(max(1, weight), tests_count)
-    rng = key.generator()
-    members = np.zeros((tests_count, n), dtype=bool)
-    cells = members.reshape(-1)  # a view: cell t * n + i is members[t, i]
-    # Floyd's sampling algorithm, one step for all items at once: adding j
-    # when the uniform pick from [0, j] is already taken keeps every item's
-    # set a uniform subset of [0, j], independently across items
-    items = np.arange(n)
-    for j in range(tests_count - weight, tests_count):
-        picked = rng.integers(0, j + 1, size=n) * n + items
-        cells[np.where(cells[picked], j * n + items, picked)] = True
-    return FlatDesign(members)
+    return weight, -(-tests_count // weight)
+
+
+def build_flat_design(n: int, tests_count: int, key, k: int = 1,
+                      per_item: int | None = None) -> tree.TreeDesign:
+    """Constant-column-weight design for the COMP-style baselines: w
+    counter-hashed repetitions over the n singletons, each a segment of
+    ceil(T / w) tests (see :func:`flat_shape`), so every item joins exactly
+    w distinct tests of w * ceil(T / w) >= T.  ``key`` is the design key,
+    or several trials' key material (see :func:`splitgt.placements.row_keys`)."""
+    weight, t_len = flat_shape(tests_count, k, per_item)
+    (stack,) = uniform_style_stacks([(n, t_len, weight)], key, None)
+    return tree.TreeDesign(n, tests_count, [(0, stack)])
 
 
 def default_baseline_tests(n: int, k: int) -> int:
@@ -111,32 +97,29 @@ def default_baseline_tests(n: int, k: int) -> int:
     return math.ceil(2 * math.e * k * math.log(n))
 
 
-def _negative_rows(design: FlatDesign, outcomes: OutcomeVector) -> np.ndarray:
-    if outcomes.t_total != design.t_total:
-        raise ValueError("one outcome per test required")
-    return design.members[outcomes.bits == 0]
+def decode_comp(design: tree.TreeDesign,
+                outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
+    """Anything seen in a negative test is clean; everything else is
+    flagged: the one-level tree descent, a node gone at its first negative
+    test."""
+    return tree.decode_tree(design, outcomes)
 
 
-def decode_comp(design: FlatDesign, outcomes: OutcomeVector) -> tuple[int, ...]:
-    """Anything seen in a negative test is clean; everything else is flagged."""
-    cleared = _negative_rows(design, outcomes).any(axis=0)
-    return tuple(np.flatnonzero(~cleared).tolist())
-
-
-def decode_ncomp(design: FlatDesign, outcomes: OutcomeVector,
-                 threshold: float) -> tuple[int, ...]:
-    """Thresholded variant: an item is flagged iff the fraction of its tests
-    that came back negative is at most ``threshold``."""
+def ncomp_misses(design: tree.TreeDesign, threshold: float) -> int:
+    """The most negative tests an item of a one-level design may have and
+    still be flagged: floor(threshold * w), for its column weight w."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    # a count is at most T: int16 holds it below 2^15 tests, and sums faster
-    dtype = np.int16 if design.t_total < 1 << 15 else np.int32
-    negatives = _negative_rows(design, outcomes).view(np.uint8).sum(axis=0, dtype=dtype)
-    appearances = design.members.view(np.uint8).sum(axis=0, dtype=dtype)
-    uncovered = np.flatnonzero(appearances == 0)
-    if len(uncovered):
-        raise ValueError(f"item {uncovered[0]} appears in no test")
-    return tuple(np.flatnonzero(negatives <= threshold * appearances).tolist())
+    (stack,) = design.stacks.values()
+    return math.floor(threshold * stack.reps)
+
+
+def decode_ncomp(design: tree.TreeDesign, outcomes: OutcomeVector,
+                 threshold: float) -> tuple[tuple[int, ...], DecodeReport]:
+    """Thresholded variant: an item is flagged iff the fraction of its tests
+    that came back negative is at most ``threshold``, that is, iff at most
+    :func:`ncomp_misses` of them are."""
+    return tree.decode_tree(design, outcomes, ncomp_misses(design, threshold))
 
 
 def _bitmask(bits: np.ndarray) -> int:

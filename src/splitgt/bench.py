@@ -6,20 +6,18 @@ set, the design and the channel noise each consume their own substream of
 ``RandomnessKey(base_seed, (trial_index,))``, so any run is reproducible and
 trials are independent.  The defectives and the noise are read from the
 SplitMix64 counter stream of their substream's key (``core.counter_stream``),
-as the placements are, so a gamma, rho or noisy trial constructs no
-generator; only the COMP/NCOMP designs draw from one.  Success means exact
-set recovery; partial-recovery counts are reported as supplementary columns
-only.
+as the placements are, so no trial constructs a generator.  Success means
+exact set recovery; partial-recovery counts are reported as supplementary
+columns only.
 
 ``run_trials`` splits its trials into at most ``jobs`` consecutive shares, one
 per worker and each at least one batch, and a share runs in batches of
 consecutive trials, each trial with its own defectives, design keys and
-noise.  A gamma, rho or noisy batch of several trials is one design over
-every trial's keys, evaluated into one outcome grid and decoded by one
-descent.  A batch of one, which every COMP/NCOMP batch is, builds its
-trial's own design, evaluates it (``core.evaluate_design``) and decodes it
-by the scheme's one-trial decoder; ``run_trial`` is the share of one, so
-its records, which traced runs take, come from that path.
+noise.  A batch of several trials is one design over every trial's keys,
+evaluated into one outcome grid and decoded by one descent.  A batch of one
+builds its trial's own design, evaluates it (``core.evaluate_design``) and
+decodes it by the scheme's one-trial decoder; ``run_trial`` is the share of
+one, so its records, which traced runs take, come from that path.
 """
 
 from __future__ import annotations
@@ -151,12 +149,13 @@ FLOAT_FIELDS = ("p", "c_const", "beta_exp", "design_p", "t", "epsilon", "thresho
 # is rejected before trial 0, not failed in it by an allocation that one host
 # refuses and another overcommits.
 MAX_N, MAX_TRIAL_BYTES = 1 << 62, 1 << 32
-# A batch of tree-scheme trials holds their outcome vectors and read marks,
-# two bytes per test and trial; a batch stays under this many bytes.  Larger
-# blocks fragment the malloc heap next to other configs' large single
-# trials: batches of two or five 206k-test gamma trials, alternating with a
-# 1.8M-test rho trial (lowstore-giant), raised the peak RSS from 41.9 to
-# 44.2 MiB, where batches of one keep it.
+# A batch of trials holds their outcome vectors and read marks, two bytes
+# per test and trial (and a COMP/NCOMP batch its frontiers of n nodes); a
+# batch stays under this many bytes.  Larger blocks fragment the malloc
+# heap next to other configs' large single trials: batches of two or five
+# 206k-test gamma trials, alternating with a 1.8M-test rho trial
+# (lowstore-giant), raised the peak RSS from 41.9 to 44.2 MiB, where
+# batches of one keep it.
 BATCH_BYTES = 1 << 19
 
 
@@ -229,25 +228,15 @@ class Scheme(NamedTuple):
     decode: Callable  # (config, design, outcomes) -> the DecodeReport of one trial
     echo: Callable    # (config, params) -> the result's ``params`` dict
     # (params, n, k) -> bytes of a trial's largest array: the outcome vector
-    # (a byte per test), the flat incidence matrix (one per test and item),
-    # or the gamma/rho frontier once k top-level nodes expand (8 per child)
+    # (a byte per test), the gamma/rho frontier once k top-level nodes
+    # expand (8 per child), or the COMP/NCOMP frontier or row keys
     footprint: Callable
-    # (params, n, k) -> the most trials one batch may hold
-    batch: Callable = lambda params, n, k: 1
-    # (config, design, grid) -> one DecodeReport per row of ``grid``, for a
-    # scheme whose batch of several trials is one design built from all of
-    # their key material and evaluated into one (trials x T) grid; None
-    # for a scheme whose batches hold one trial
-    decode_grid: Optional[Callable] = None
+    batch: Callable        # (params, n, k) -> the most trials one batch may hold
+    decode_grid: Callable  # (config, design, grid) -> a DecodeReport per row of grid
 
 
 def _tree_echo(config: TrialConfig, params) -> dict:
     return asdict(params)
-
-
-def _flat_report(decode, design, outcomes, *args) -> DecodeReport:
-    return DecodeReport(estimate=decode(design, outcomes, *args), outcomes_read=design.t_total,
-                        nodes_visited=design.n, peak_frontier=0)
 
 
 def _tree_footprint(tests: int, top_nodes: int, branching: int, k: int) -> int:
@@ -264,14 +253,20 @@ def _decode_grid(config: TrialConfig, design, grid) -> list[DecodeReport]:
     return tree_mod.decode_tree_batch(design, grid)
 
 
-def _flat_scheme(decode, echo) -> Scheme:
-    """A COMP-style decoder on a flat design; its params are the test count."""
+def _flat_scheme(decode, decode_grid, echo) -> Scheme:
+    """A COMP-style decoder on the one-level design of
+    ``baselines.build_flat_design``; its params are the test budget.  A
+    trial of T tests holds two bytes per test, its frontier of n nodes and
+    their trials (16 bytes a node) and its w <= T row keys (8 bytes each)."""
     return Scheme(
-        {"full": None},  # the stored incidence matrix
+        {"full": None},  # the counter hash, accounted as the stored n * w table
         lambda c, n, k: baselines.default_baseline_tests(n, k) if c.tests is None else c.tests,
         lambda c, tests, n, k, key: baselines.build_flat_design(n, tests, key, k=k),
         decode, echo,
-        lambda tests, n, k: tests * n)
+        lambda tests, n, k: 8 * max(n, math.prod(baselines.flat_shape(tests, k))),
+        lambda tests, n, k: max(1, BATCH_BYTES // (2 * math.prod(baselines.flat_shape(tests, k))
+                                                   + 16 * n)),
+        decode_grid)
 
 
 SCHEMES = {
@@ -312,11 +307,13 @@ SCHEMES = {
         lambda params, n, k: _tree_batch(noisy_mod.noisy_total_tests(params, n, k)),
         lambda c, design, grid: noisy_mod.decode_noisy_batch(design, grid)),
     "comp": _flat_scheme(
-        lambda c, design, outcomes: _flat_report(baselines.decode_comp, design, outcomes),
+        lambda c, design, outcomes: baselines.decode_comp(design, outcomes)[1],
+        _decode_grid,
         lambda c, tests: {"tests": tests}),
     "ncomp": _flat_scheme(
-        lambda c, design, outcomes: _flat_report(baselines.decode_ncomp, design, outcomes,
-                                                 c.threshold),
+        lambda c, design, outcomes: baselines.decode_ncomp(design, outcomes, c.threshold)[1],
+        lambda c, design, grid: tree_mod.decode_tree_batch(
+            design, grid, baselines.ncomp_misses(design, c.threshold)),
         lambda c, tests: {"tests": tests, "threshold": c.threshold}),
 }
 ALGORITHMS = tuple(SCHEMES)
@@ -377,9 +374,8 @@ def _run_share(config: TrialConfig, indices: range) -> list[dict]:
     scheme's cap, each batch decoded by one call; one record per trial, in
     order.  Rounding, channel, scheme, params and cap are computed once.
 
-    A batch of one builds, evaluates and decodes its trial's own design;
-    a scheme without ``decode_grid`` has a cap of one.  A larger gamma, rho
-    or noisy batch computes its trials' key material in one array program
+    A batch of one builds, evaluates and decodes its trial's own design.
+    A larger batch computes its trials' key material in one array program
     (:meth:`RandomnessKey.materials`) and builds one design from all of it,
     so that one evaluation and one descent serve the batch; every trial
     still draws from its own substreams, so its record is the same.
@@ -432,11 +428,11 @@ def run_trials(config: TrialConfig) -> AggregateResult:
     The trials split into consecutive shares of ``ceil(trials / jobs)``
     trials, or of one batch where that is more, and each share runs whole,
     serially or in a pool of at most ``os.cpu_count()`` workers (see
-    :func:`_run_share`), in batches of at most the scheme's cap: for the
-    gamma, rho and noisy schemes, as many trials as keep a batch's outcome
-    vectors and read marks under ``BATCH_BYTES``; one trial for COMP and
-    NCOMP.  A call of at most one batch so runs in this process, as one
-    batch.  The records come back in index order.
+    :func:`_run_share`), in batches of at most the scheme's cap: as many
+    trials as keep a batch's outcome vectors and read marks, and for COMP
+    and NCOMP their n-node frontiers, under ``BATCH_BYTES``.  A call of at
+    most one batch so runs in this process, as one batch.  The records come
+    back in index order.
     """
     validate_config(config)
     n, k, _ = _rounded(config)

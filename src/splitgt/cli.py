@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--final-reps", type=int, default=None, help="batch multiplier C'")
 
     for name in ("comp", "ncomp"):
-        sp = subs.add_parser(name, help=f"{name.upper()} baseline on a flat random design",
-                             allow_abbrev=False)
+        sp = subs.add_parser(name, allow_abbrev=False,
+                             help=f"{name.upper()} baseline on a constant-column-weight design")
         _add_common(sp, name)
         sp.add_argument("--tests", type=int, default=None, help="test budget T")
         if name == "ncomp":

@@ -16,13 +16,11 @@ A *design* in this package is any object exposing three things:
 
 ``evaluate_batch`` works against that protocol and adds each row's own
 channel noise (:func:`channel_flips`); ``evaluate_design`` is its batch of
-one, as an :class:`OutcomeVector`.  So the tree schemes and the flat
-baseline designs share one evaluation path.  The three tree schemes build
-one :class:`splitgt.tree.TreeDesign` each, from their levels, which looks
-its tests up one level at a time; a tree design built from several trials'
-keys at once evaluates them all in one call, one row per trial.  The flat
-baselines build a :class:`splitgt.baselines.FlatDesign`, a boolean
-incidence matrix.
+one, as an :class:`OutcomeVector`.  Every scheme builds one
+:class:`splitgt.tree.TreeDesign` from its levels, which looks its tests up
+one level at a time: the three tree schemes, and the COMP/NCOMP baselines
+as one counter-hashed level of singletons.  A design built from several
+trials' keys at once evaluates them all in one call, one row per trial.
 """
 
 from __future__ import annotations
@@ -123,9 +121,9 @@ class RandomnessKey:
     and its noise draws never share a stream.  A key's :meth:`material`
     mixes the seed and the stream path.  Its low word seeds the SplitMix64
     counter stream (:func:`counter_stream`) from which a trial's defectives,
-    its placements and its channel noise are taken; :meth:`generator`, a
-    counter-based Philox keyed by the whole material, draws only the flat
-    baselines' designs.
+    its placements and its channel noise are taken.  :meth:`generator`, a
+    counter-based Philox keyed by the whole material, draws nothing in a
+    trial; it stays only as the benchmark tracer's ``core.generator`` target.
     """
 
     seed: int

@@ -1,5 +1,5 @@
-"""The splitting-tree design of every scheme, and the noiseless decoder of
-the gamma and rho schemes.
+"""The splitting-tree design of every scheme, and the decoder of the gamma
+and rho schemes and of the COMP/NCOMP baselines.
 
 The gamma, rho and noisy schemes share one structure: a tree over [0, n)
 with a fixed fan-out, where each level has a node size and one placement
@@ -14,7 +14,9 @@ The schemes differ only in how their params become stacks:
 
 The gamma and rho trees test every top-level node individually, then at
 each later level a node survives iff all of its tests there are positive;
-the survivors of the last (singleton) level are the estimate.
+the survivors of the last (singleton) level are the estimate.  COMP is that
+rule on a one-level tree of singletons (``baselines.build_flat_design``),
+and NCOMP the rule with up to ``misses`` negatives forgiven.
 :func:`decode_tree_batch` walks that descent for a batch of trials at once,
 its frontier (trial, node) pairs as sorted int64 arrays, level by level;
 :func:`decode_tree` is its batch of one, on a design of one trial's keys,
@@ -39,6 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DecodeReport, OutcomeVector
+from .placements import IdentityStack
 
 # Up to this many frontier nodes, decode looks a level up under all of its
 # repetitions at once; above it, repetition by repetition for the nodes
@@ -82,7 +85,7 @@ class TreeDesign:
         self.params = params
         self.stacks = dict(levels)
         stacks = list(self.stacks.values())
-        self.branching = stacks[1].num_nodes // stacks[0].num_nodes
+        self.branching = stacks[1].num_nodes // stacks[0].num_nodes if len(stacks) > 1 else 1
         self.trials = stacks[-1].trials  # the top level may be keyless
         self.layout = tuple((level, rep, stack.t_len) for level, stack in self.stacks.items()
                             for rep in range(stack.reps))
@@ -153,67 +156,82 @@ class TreeDesign:
         return worst
 
 
-def decode_tree(design: TreeDesign,
-                outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
+def decode_tree(design: TreeDesign, outcomes: OutcomeVector,
+                misses: int = 0) -> tuple[tuple[int, ...], DecodeReport]:
     """The decode of one trial: the batch of one of
     :func:`decode_tree_batch`, on the trial's own outcome vector."""
     if tuple(outcomes.layout) != tuple(design.layout):
         raise ValueError("outcome layout does not match this design")
-    (report,) = decode_tree_batch(design, outcomes.bits.reshape(1, -1))
+    (report,) = decode_tree_batch(design, outcomes.bits.reshape(1, -1), misses)
     return report.estimate, report
 
 
-def decode_tree_batch(design: TreeDesign, grid: np.ndarray) -> list[DecodeReport]:
+def decode_tree_batch(design: TreeDesign, grid: np.ndarray, misses: int = 0) -> list[DecodeReport]:
     """Walk the tree top-down for every trial of a batch at once, reading
     only tests of surviving nodes; one report per row of ``grid``, the
     (trials x T) uint8 outcomes of ``design``'s trials (see
     ``TreeDesign.noiseless_grid``).
 
-    The frontier holds (trial, node) pairs, trial-major.  A design of one
-    trial's keys (``design.trials`` None) decodes a grid of one row and
-    keeps no trial array, so its frontier is one node array, as large as
-    the trial's own.  The first level's single segment tests each of its
-    nodes individually.  Test j of (level, rep) of trial b is cell ``b * T
-    + first_test[level] + rep * t_len + j`` of the grid laid flat; as in
-    the noisy decoder, every cell read is marked in one boolean array whose
-    row count is a trial's ``outcomes_read``.  ``nodes_visited`` counts each
-    node once per level it is tested at; ``peak_frontier`` is the trial's largest frontier.
-    Whether a level looks its nodes up under all of its repetitions at once
-    (up to ``BATCH_NODES`` nodes) is decided for the whole batch, which
-    changes no trial's reads.
+    A node survives a level iff at most ``misses`` of its tests there are
+    negative (only a positive ``misses``, NCOMP's, counts them).  The
+    frontier holds (trial, node) pairs, trial-major; a design of one trial's
+    keys (``design.trials`` None) keeps no trial array.  An
+    :class:`IdentityStack` first level tests its nodes individually; any
+    other starts with all of its nodes alive.  Test j of (level, rep) of
+    trial b is cell ``b * T + first_test[level] + rep * t_len + j`` of the
+    grid laid flat; as in the noisy decoder, every cell read is marked in one
+    boolean array whose row count is a trial's ``outcomes_read``.
+    ``nodes_visited`` counts each node once per level it is tested at;
+    ``peak_frontier`` is the trial's largest frontier.  Whether a level
+    looks its nodes up under all of its repetitions at once (up to
+    ``BATCH_NODES`` nodes) is decided for the whole batch, which changes no
+    trial's reads.
     """
     count, t_total = grid.shape
+    if t_total != design.t_total:
+        raise ValueError(f"a grid of {t_total} outcomes per trial does not match "
+                         f"the design's {design.t_total} tests")
+    if design.trials is None and count != 1:
+        raise ValueError(f"a design of one trial's keys decodes one grid row, not {count}")
     flat, seen = grid.reshape(-1), np.zeros(grid.shape, dtype=bool)
-    # the top level is scanned through a bool view of the uint8 grid, where
-    # flatnonzero is about 12x faster than on the uint8 bytes themselves
     marks = seen.reshape(-1)
-    levels = iter(design.stacks.items())
-    top = next(levels)[1].t_len
-    seen[:, :top] = True
-    if design.trials is None:
-        (row,) = grid
-        trials, alive = None, np.flatnonzero(row[:top].view(bool))
-        sizes = [len(alive)]  # per level, the frontier size of every trial
-    else:  # trial b's node j at b * top + j
-        trials, alive = np.divmod(np.flatnonzero(grid[:, :top].view(bool)), top)
-        sizes = [np.bincount(trials, minlength=count)]
-    offsets = np.arange(design.branching, dtype=np.int64)
+    levels = list(design.stacks.items())
+    first, top = levels[0]
+    if isinstance(top, IdentityStack):  # tested individually, in one segment
+        levels = levels[1:]
+        seen[:, :top.t_len] = True
+        # scanned through a bool view of the uint8 grid, where flatnonzero is
+        # about 12x faster than on the uint8 bytes themselves
+        start = np.flatnonzero(grid[:, :top.t_len].view(bool))
+    else:  # every node of the first level alive
+        start = np.arange(count * top.num_nodes)
+    # trial b's node j at b * nodes + j
+    trials, alive = (None, start) if design.trials is None else np.divmod(start, top.num_nodes)
 
+    def frontier():  # the frontier size of every trial
+        return len(alive) if trials is None else np.bincount(trials, minlength=count)
+
+    sizes, offsets = [frontier()], np.arange(design.branching, dtype=np.int64)
     for level, stack in levels:
-        alive = (alive[:, None] * design.branching + offsets).ravel()
-        if trials is None:
-            sizes.append(len(alive))
-        else:
-            trials = trials.repeat(design.branching)
-            sizes.append(np.bincount(trials, minlength=count))
+        if level != first:
+            alive = (alive[:, None] * design.branching + offsets).ravel()
+            if trials is not None:
+                trials = trials.repeat(design.branching)
+            sizes.append(frontier())
         batch = len(alive) <= BATCH_NODES
         tests = stack.tests_of(alive, slice(None), trials) if batch else None
+        negatives = np.zeros(len(alive), dtype=np.int64) if misses else None
         for rep in range(stack.reps):
             row = tests[rep] if batch else stack.tests_of(alive, slice(rep, rep + 1), trials)[0]
             offset = design.first_test[level] + rep * stack.t_len
             cells = row + (offset if trials is None else trials * t_total + offset)
             marks[cells] = True
-            keep = flat[cells] != 0
+            if misses:
+                negatives += flat[cells] == 0
+                keep = negatives <= misses
+                negatives = negatives[keep]
+            else:
+                keep = flat[cells] != 0
             alive = alive[keep]
             if trials is not None:
                 trials = trials[keep]
@@ -221,12 +239,10 @@ def decode_tree_batch(design: TreeDesign, grid: np.ndarray) -> list[DecodeReport
                 tests = tests[:, keep]
 
     estimate = alive.tolist()
-    if trials is None:
-        bounds, visited, pd_peak = [0, len(estimate)], [top + sum(sizes[1:])], [max(sizes)]
-    else:
-        bounds = np.searchsorted(trials, np.arange(count + 1)).tolist()
-        sizes = np.array(sizes)
-        visited, pd_peak = (top + sizes[1:].sum(axis=0)).tolist(), sizes.max(axis=0).tolist()
+    bounds = ([0, len(estimate)] if trials is None
+              else np.searchsorted(trials, np.arange(count + 1)).tolist())
+    sizes = np.array(sizes).reshape(len(sizes), count)  # levels x trials
+    visited, pd_peak = (top.num_nodes + sizes[1:].sum(axis=0)).tolist(), sizes.max(axis=0).tolist()
     read = [int(np.count_nonzero(marked)) for marked in seen]  # popcounts, unlike a row sum
     return [DecodeReport(
         estimate=tuple(estimate[bounds[b]:bounds[b + 1]]),

@@ -2,9 +2,11 @@
 tested against: the node-by-node gamma and rho decoders and the depth-first
 noisy lookahead decoder, one ``OutcomeVector.get`` and one scalar
 ``stack.test_of(node, rep)`` at a time (a whole segment's tests from
-:func:`segment_table`); the set-based flat design (its per-test evaluation,
-COMP, NCOMP and the oracles' bitmasks over tuples of member sets), its
-per-item constant-weight draw, its two-dimensional Floyd scatter and the
+:func:`segment_table`); the incidence-matrix design (its evaluation, and
+COMP, NCOMP and the oracles' bitmasks over tuples of member sets), the
+baselines' previous design and scheme (a per-item constant-weight draw or
+a two-dimensional Floyd scatter over a Philox generator, decoded by the
+set-based COMP and NCOMP), a hand-placed one-level design and the
 one-test outcome; the per-segment flattening of a tree design and its
 one-test-at-a-time noiseless outcome vector; the trial-division prime table;
 the counter hash, the defective draw and the channel flip in pure-Python
@@ -18,8 +20,10 @@ import math
 
 import numpy as np
 
+from splitgt import baselines, bench
 from splitgt.baselines import FlatDesign
 from splitgt.core import DecodeReport, NoiseChannel, RandomnessKey
+from splitgt.tree import TreeDesign
 
 
 def segment_table(design, level: int, rep: int) -> np.ndarray:
@@ -287,35 +291,110 @@ def decode_noisy_scalar(design, outcomes, use_cache: bool = True) -> DecodeRepor
 # --- flat designs as member sets -------------------------------------------
 
 
-def flat_design(n: int, tests) -> FlatDesign:
+class IncidenceDesign(FlatDesign):
+    """An incidence matrix that answers the design protocol of
+    :mod:`splitgt.core` as one segment of T tests: the form the baselines'
+    design had before it became a one-level tree design."""
+
+    @property
+    def layout(self):
+        return ((0, 0, self.t_total),)
+
+    @property
+    def storage_words(self) -> int:
+        return int(np.count_nonzero(self.members))
+
+    def noiseless_grid(self, defectives) -> np.ndarray:
+        """Row b: which tests pool one of ``defectives[b]``, as uint8."""
+        grid = np.zeros((len(defectives), self.t_total), dtype=np.uint8)
+        for row, trial in zip(grid, defectives):
+            row[self.members[:, np.asarray(trial, dtype=np.intp)].any(axis=1)] = 1
+        return grid
+
+
+def flat_design(n: int, tests) -> IncidenceDesign:
     """The incidence-matrix design of ``n`` items whose test t pools the
     items ``tests[t]``."""
     members = np.zeros((len(tests), n), dtype=bool)
     for t, test in enumerate(tests):
         members[t, list(test)] = True
-    return FlatDesign(members)
+    return IncidenceDesign(members)
 
 
-def build_flat_design_per_item(n: int, tests_count: int, weight: int, rng) -> FlatDesign:
+def member_sets(design: FlatDesign) -> list[frozenset]:
+    """The items of every test of an incidence matrix, as sets."""
+    return [frozenset(np.flatnonzero(row).tolist()) for row in design.members]
+
+
+def build_flat_design_per_item(n: int, tests_count: int, weight: int, rng) -> IncidenceDesign:
     """Constant column weight, one ``rng.choice`` of ``weight`` distinct
     tests per item, item by item: the draw Floyd's vectorised algorithm
     replaced."""
     members = np.zeros((tests_count, n), dtype=bool)
     for item in range(n):
         members[rng.choice(tests_count, size=weight, replace=False), item] = True
-    return FlatDesign(members)
+    return IncidenceDesign(members)
 
 
-def build_flat_design_2d(n: int, tests_count: int, weight: int, rng) -> FlatDesign:
+def build_flat_design_2d(n: int, tests_count: int, weight: int, rng) -> IncidenceDesign:
     """Constant column weight by Floyd's algorithm, one step for all items
-    at once, scattered by two-dimensional fancy indexing: the form the flat
-    cell index of ``build_flat_design`` replaced."""
+    at once: every item's ``weight`` tests a uniform subset of the T tests,
+    independently per item.  With the design key's Philox generator, the
+    baselines' previous design."""
     members = np.zeros((tests_count, n), dtype=bool)
     items = np.arange(n)
     for j in range(tests_count - weight, tests_count):
         pick = rng.integers(0, j + 1, size=n)
         members[np.where(members[pick, items], j, pick), items] = True
-    return FlatDesign(members)
+    return IncidenceDesign(members)
+
+
+def previous_flat_scheme(algorithm: str) -> bench.Scheme:
+    """``bench.SCHEMES[algorithm]`` for comp or ncomp as it was before the
+    baselines became one-level tree designs: a trial's design is the T x n
+    matrix that :func:`build_flat_design_2d` draws from its design key's
+    generator, at the column weight of ``baselines.flat_shape``; its decode
+    is :func:`decode_comp_scalar` or :func:`decode_ncomp_scalar`, reading
+    all T outcomes and holding no frontier; a batch is one trial."""
+
+    def build(config, tests, n, k, key):
+        weight, _ = baselines.flat_shape(tests, k)
+        return build_flat_design_2d(n, tests, weight, key.generator())
+
+    def decode(config, design, outcomes):
+        sets, bits = member_sets(design), outcomes.bits.tolist()
+        estimate = (decode_comp_scalar(design.n, sets, bits) if config.algorithm == "comp"
+                    else decode_ncomp_scalar(design.n, sets, bits, config.threshold))
+        return DecodeReport(estimate=estimate, outcomes_read=design.t_total,
+                            nodes_visited=design.n, peak_frontier=0)
+
+    return bench.SCHEMES[algorithm]._replace(build=build, decode=decode,
+                                             batch=lambda params, n, k: 1)
+
+
+class TableStack:
+    """Hand-placed repetitions of one level: repetition r puts node j into
+    test ``table[r][j]`` of ``t_len``, with the stack protocol of
+    :class:`splitgt.placements.CounterHashStack` for one trial."""
+
+    def __init__(self, t_len: int, table):
+        self.table = np.asarray(table, dtype=np.int64).reshape(-1, np.shape(table)[-1])
+        self.reps, self.num_nodes = self.table.shape
+        self.t_len = t_len
+        self.storage_cost = self.table.size
+        self.trials = None
+
+    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
+                 trials: np.ndarray | None = None) -> np.ndarray:
+        return self.table[reps][:, nodes]
+
+
+def table_design(t_len: int, table) -> TreeDesign:
+    """The one-level design whose repetition r puts item i into test
+    ``table[r][i]`` of its own ``t_len`` tests: a hand-placed baseline
+    design."""
+    stack = TableStack(t_len, table)
+    return TreeDesign(stack.num_nodes, None, [(0, stack)])
 
 
 def compute_outcome(members, instance, channel, key, cell: int = 0) -> int:

@@ -1,4 +1,5 @@
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import (
+    IncidenceDesign,
     build_flat_design_2d,
     build_flat_design_per_item,
     decode_comp_scalar,
@@ -14,6 +16,8 @@ from scalar_reference import (
     flat_positives_scalar,
     flatten_design_per_segment,
     item_masks_scalar,
+    member_sets,
+    table_design,
 )
 from splitgt import baselines
 from splitgt.baselines import (
@@ -23,6 +27,7 @@ from splitgt.baselines import (
     decode_ncomp,
     flatten_design,
     ml_minimizers,
+    ncomp_misses,
     oracle_consistent_sets,
     oracle_ml,
 )
@@ -31,11 +36,14 @@ from splitgt.core import (
     OutcomeVector,
     ProblemInstance,
     RandomnessKey,
+    evaluate_batch,
     evaluate_design,
 )
 from splitgt.gamma import build_gamma_design, gamma_params
 from splitgt.noisy import build_noisy_design, noisy_params
 from splitgt.rho import build_rho_design, rho_params
+from splitgt import tree
+from splitgt.tree import decode_tree_batch
 from hash_modes import EVERY_PAIR, TREE_DESIGNS, refused
 from test_counter_hash import chi2_bound, pearson
 
@@ -55,11 +63,17 @@ def test_flat_design_validates_ids():
 
 
 def test_comp_examples():
-    design = flat_design(4, ({0, 1}, {2, 3}))
-    assert decode_comp(design, _vec(design, [1, 0])) == (0, 1)
-    assert decode_comp(design, _vec(design, [0, 0])) == ()
-    empty = flat_design(4, ())
-    assert decode_comp(empty, _vec(empty, [])) == (0, 1, 2, 3)
+    # one repetition of two tests: items 0 and 1 in test 0, items 2 and 3 in test 1
+    design = table_design(2, [[0, 0, 1, 1]])
+    assert decode_comp(design, _vec(design, [1, 0]))[0] == (0, 1)
+    assert decode_comp(design, _vec(design, [0, 0]))[0] == ()
+    assert decode_comp(design, _vec(design, [1, 1]))[0] == (0, 1, 2, 3)
+    # a second repetition clears item 1 and keeps item 0
+    design = table_design(2, [[0, 0, 1, 1], [0, 1, 1, 1]])
+    estimate, report = decode_comp(design, _vec(design, [1, 0, 1, 0]))
+    assert estimate == (0,)
+    assert (report.outcomes_read, report.nodes_visited, report.peak_frontier) == (4, 4, 4)
+    assert decode_comp_scalar(4, member_sets(flatten_design(design)), [1, 0, 1, 0]) == (0,)
 
 
 def test_ncomp_threshold_zero_equals_comp():
@@ -67,23 +81,23 @@ def test_ncomp_threshold_zero_equals_comp():
     rng = np.random.default_rng(0)
     for i in range(100):
         design = build_flat_design(12, 20, base.child(i), k=3)
-        bits = rng.integers(0, 2, size=20)
-        vec = _vec(design, bits)
+        vec = _vec(design, rng.integers(0, 2, size=design.t_total))
         assert decode_ncomp(design, vec, 0.0) == decode_comp(design, vec)
 
 
 def test_ncomp_fraction_rule():
-    # item 0 sits in 10 tests, one negative: flagged at threshold 0.2
-    design = flat_design(2, ({0},) * 10 + ({1},))
-    bits = [1] * 9 + [0, 1]
-    assert decode_ncomp(design, _vec(design, bits), 0.2) == (0, 1)
-    assert decode_ncomp(design, _vec(design, bits), 0.05) == (1,)
-
-
-def test_ncomp_rejects_uncovered_item():
-    design = flat_design(3, ({0, 1},))
-    with pytest.raises(ValueError):
-        decode_ncomp(design, _vec(design, [1]), 0.1)
+    # item 0 sits in test 0 of each of 10 repetitions, one of them negative,
+    # and item 1 in test 1: flagged at threshold 0.2, not at 0.05
+    design = table_design(2, [[0, 1]] * 10)
+    bits = [1, 1] * 9 + [0, 1]
+    assert ncomp_misses(design, 0.2) == 2 and ncomp_misses(design, 0.05) == 0
+    assert decode_ncomp(design, _vec(design, bits), 0.2)[0] == (0, 1)
+    assert decode_ncomp(design, _vec(design, bits), 0.05)[0] == (1,)
+    tests = member_sets(flatten_design(design))
+    assert decode_ncomp_scalar(2, tests, bits, 0.2) == (0, 1)
+    assert decode_ncomp_scalar(2, tests, bits, 0.05) == (1,)
+    with pytest.raises(ValueError, match="threshold"):
+        decode_ncomp(design, _vec(design, bits), 1.5)
 
 
 def test_oracle_consistent_sets_example():
@@ -110,10 +124,10 @@ def test_oracle_budget_guard():
 
 def test_oracle_ml_no_noise_returns_truth():
     key = RandomnessKey(3)
-    design = build_flat_design(10, 25, key, k=2)
+    design = flatten_design(build_flat_design(10, 25, key, k=2))
     inst = ProblemInstance(n=16, k=2, defectives=(3, 7))
     # flat design over 10 live items inside a padded instance
-    padded = FlatDesign(np.pad(design.members, ((0, 0), (0, 6))))
+    padded = IncidenceDesign(np.pad(design.members, ((0, 0), (0, 6))))
     out = evaluate_design(padded, inst, NoiseChannel.noiseless(), key)
     assert oracle_ml(padded, out, k=2, p=0.05) == (3, 7)
 
@@ -123,6 +137,7 @@ def test_oracle_ml_single_flip_exhaustive():
     # recovers the truth whenever it is the unique nearest set
     key = RandomnessKey(8)
     design = build_flat_design(8, 12, key, k=1)
+    flat = flatten_design(design)
     channel = NoiseChannel.noiseless()
     for truth in range(8):
         inst = ProblemInstance(n=8, k=1, defectives=(truth,))
@@ -131,9 +146,9 @@ def test_oracle_ml_single_flip_exhaustive():
             bits = clean.bits.copy()
             bits[flip] ^= 1
             noisy_vec = _vec(design, bits)
-            mins = ml_minimizers(design, noisy_vec, k=1)
+            mins = ml_minimizers(flat, noisy_vec, k=1)
             if mins == [(truth,)]:
-                assert oracle_ml(design, noisy_vec, k=1, p=0.05) == (truth,)
+                assert oracle_ml(flat, noisy_vec, k=1, p=0.05) == (truth,)
             else:
                 assert (truth,) in mins or len(mins) >= 1
 
@@ -188,7 +203,7 @@ def test_flat_evaluation_matches_tree_evaluation():
     for scheme, hash_mode in TREE_DESIGNS:
         for seed in range(4):
             design = _tree_design(scheme, hash_mode, n, k, RandomnessKey(seed, (scheme,)))
-            flat = flatten_design(design)
+            flat = IncidenceDesign(flatten_design(design).members)
             assert flat.storage_words == len(design.layout) * n  # one test per item per segment
             for _ in range(5):
                 count = int(rng.integers(0, k + 1))
@@ -225,35 +240,24 @@ def _irregular_designs(draw):
     tests = tuple(tests) + tuple(tests[i] for i in repeats if tests)
     bits = draw(st.lists(st.integers(0, 1), min_size=len(tests), max_size=len(tests)))
     defectives = draw(st.frozensets(st.integers(0, n - 1), max_size=3))
-    return n, tests, bits, sorted(defectives), draw(st.floats(0.0, 1.0))
+    return n, tests, bits, sorted(defectives)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_irregular_designs())
 def test_matrix_paths_match_set_reference(case):
-    n, tests, bits, defectives, threshold = case
+    """The incidence matrix's evaluation and the oracles' bitmasks agree
+    with the member sets, empty, repeated and uncovered included."""
+    n, tests, bits, defectives = case
     design = flat_design(n, tests)
     assert design.storage_words == sum(len(t) for t in tests)
     grid = design.noiseless_grid([defectives, []])
     assert grid.shape == (2, len(tests)) and grid.dtype == np.uint8 and not grid[1].any()
     assert np.flatnonzero(grid[0]).tolist() == flat_positives_scalar(tests, defectives)
+    assert member_sets(design) == [frozenset(test) for test in tests]
     vec = _vec(design, bits)
-    assert decode_comp(design, vec) == decode_comp_scalar(n, tests, bits)
-    try:
-        want = decode_ncomp_scalar(n, tests, bits, threshold)
-    except ValueError as exc:  # an uncovered item
-        with pytest.raises(ValueError, match=f"^{exc}$"):
-            decode_ncomp(design, vec, threshold)
-    else:
-        assert decode_ncomp(design, vec, threshold) == want
     assert baselines._item_masks(design) == item_masks_scalar(n, tests)
     assert baselines._bitmask(vec.bits) == sum(1 << i for i, b in enumerate(bits) if b)
-
-
-def test_build_flat_design_constant_column_weight():
-    design = build_flat_design(30, 24, RandomnessKey(9), k=3)
-    counts = design.members.sum(axis=0)
-    assert len(set(counts.tolist())) == 1  # same weight for every item
 
 
 @st.composite
@@ -266,64 +270,92 @@ def _flat_shapes(draw):
 @given(_flat_shapes(), st.integers(0, 2 ** 32))
 @example((9, 1, 1), 0)
 @example((9, 12, 1), 0)
+@example((9, 12, 5), 0)
+@example((9, 12, 12), 0)
+def test_build_flat_design_constant_column_weight(shape, seed):
+    """Every item joins exactly w distinct tests, one in each of the w
+    segments of ceil(T / w) tests, weight 1 and weight T included."""
+    n, tests_count, weight = shape
+    design = build_flat_design(n, tests_count, RandomnessKey(seed), per_item=weight)
+    t_len = -(-tests_count // weight)
+    assert baselines.flat_shape(tests_count, per_item=weight) == (weight, t_len)
+    assert design.layout == tuple((0, rep, t_len) for rep in range(weight))
+    assert design.t_total == weight * t_len >= tests_count
+    assert design.storage_words == n * weight
+    members = flatten_design(design).members
+    assert members.shape == (weight * t_len, n)
+    assert np.all(members.sum(axis=0) == weight)
+    assert np.all(members.reshape(weight, t_len, n).sum(axis=1) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flat_shapes(), st.integers(0, 2 ** 32))
+@example((9, 1, 1), 0)
+@example((9, 12, 1), 0)
 @example((9, 12, 12), 0)
 def test_floyd_draw_exact_column_weight(shape, seed):
+    """The previous design's Floyd draw gives every item exactly w of the T
+    tests."""
     n, tests_count, weight = shape
-    members = build_flat_design(n, tests_count, RandomnessKey(seed), per_item=weight).members
+    members = build_flat_design_2d(n, tests_count, weight, RandomnessKey(seed).generator()).members
     assert members.shape == (tests_count, n)
     assert np.all(members.sum(axis=0) == weight)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_flat_shapes(), st.integers(0, 2 ** 64 - 1))
-@example((9, 1, 1), 0)
-@example((9, 12, 1), 3)
-@example((9, 12, 12), 5)
-@example((1, 64, 64), 7)
-def test_flat_cell_scatter_matches_2d_scatter(shape, seed):
-    """The flat cell index ``pick * n + item`` builds the matrix that the
-    two-dimensional scatter built, from the same draws, weight 1 and weight
-    T included."""
-    n, tests_count, weight = shape
-    key = RandomnessKey(seed, ("flat",))
-    members = build_flat_design(n, tests_count, key, per_item=weight).members
-    reference = build_flat_design_2d(n, tests_count, weight, key.generator()).members
-    assert np.array_equal(members, reference)
+def test_flat_design_weight_follows_the_budget():
+    # round(T * ln2 / k), clipped to [1, T]: 362 tests at k=8 give 31
+    # segments of 12, so T = 372
+    assert baselines.flat_shape(362, 8) == (31, 12)
+    assert baselines.flat_shape(1, 4) == (1, 1)
+    assert baselines.flat_shape(5, 64) == (1, 5)
+    assert baselines.flat_shape(4, 1, per_item=9) == (4, 1)
+    with pytest.raises(ValueError):
+        baselines.flat_shape(0)
 
 
-def test_ncomp_counts_past_int16():
-    """At T >= 2^15 the counts are int32: item 0 pools in every one of
-    2^15 + 7 tests, of which all but the first five are negative, so its
-    32770 negatives would wrap int16."""
-    tests_count = 2 ** 15 + 7
-    members = np.zeros((tests_count, 3), dtype=bool)
-    members[:, 0] = True
-    members[::2, 1] = True
-    members[:5, 2] = True
-    design = FlatDesign(members)
-    bits = np.zeros(tests_count, dtype=np.uint8)
-    bits[:5] = 1
-    vec = OutcomeVector(bits=bits, layout=design.layout)
-    tests = [frozenset(np.flatnonzero(row).tolist()) for row in members]
-    for threshold in (0.0, 0.5, 0.9998, 0.99999, 1.0):
-        want = decode_ncomp_scalar(3, tests, bits.tolist(), threshold)
-        assert decode_ncomp(design, vec, threshold) == want
-    assert decode_ncomp(design, vec, 0.9998) == (2,)
-    # just below the switch, int16 holds every count
-    design = FlatDesign(members[:2 ** 15 - 1])
-    vec = OutcomeVector(bits=np.zeros(2 ** 15 - 1, dtype=np.uint8), layout=design.layout)
-    assert decode_ncomp(design, vec, 0.9999) == ()
-    assert decode_ncomp(design, vec, 1.0) == (0, 1, 2)
+@pytest.mark.parametrize("p", [0.0, 0.05])
+@pytest.mark.parametrize("threshold", [0.0, 0.15, 1.0])
+def test_descent_matches_scalar_comp_and_ncomp(p, threshold):
+    """COMP and NCOMP as the one-level descent flag exactly the items that
+    the set-based decoders flag on the design's incidence matrix: on a
+    design of one trial's keys, and on every row of a design of a batch."""
+    n, k, tests, trials = 16, 2, 24, 16
+    root, channel = RandomnessKey(41, (int(p * 100),)), NoiseChannel(p)
+    rng = np.random.default_rng(int(p * 100))
+    truths = [tuple(sorted(rng.choice(n, int(rng.integers(0, k + 1)), replace=False).tolist()))
+              for _ in range(trials)]
+    batch = build_flat_design(n, tests, root.materials(range(trials), "design"), k=k)
+    grid = evaluate_batch(batch, truths, channel, root.materials(range(trials), "noise"))
+    misses = ncomp_misses(batch, threshold)
+    comp, ncomp = decode_tree_batch(batch, grid), decode_tree_batch(batch, grid, misses)
+    # looked up under every repetition at once above, repetition by repetition here
+    with mock.patch.object(tree, "BATCH_NODES", 0):
+        assert decode_tree_batch(batch, grid) == comp
+        assert decode_tree_batch(batch, grid, misses) == ncomp
+    for index, truth in enumerate(truths):
+        design = build_flat_design(n, tests, root.child(index, "design"), k=k)
+        out = evaluate_design(design, ProblemInstance(n=n, k=k, defectives=truth), channel,
+                              root.child(index, "noise"))
+        assert out.bits.tolist() == grid[index].tolist()
+        sets, bits = member_sets(flatten_design(design)), out.bits.tolist()
+        want = decode_comp_scalar(n, sets, bits)
+        assert decode_comp(design, out)[0] == comp[index].estimate == want
+        want = decode_ncomp_scalar(n, sets, bits, threshold)
+        assert decode_ncomp(design, out, threshold)[0] == ncomp[index].estimate == want
+        assert decode_comp(design, out)[1] == comp[index]
+        assert decode_ncomp(design, out, threshold)[1] == ncomp[index]
 
 
-# Floyd's draw against the per-item ``rng.choice`` it replaced (the control):
-# the w-subset of each item, ranked among all C(T, w) subsets, must be uniform
-# and independent across items.  Bounds as in test_counter_hash.py.
+# The previous design's Floyd draw (see scalar_reference.previous_flat_scheme,
+# which reproduces the previous golden digests) against the per-item
+# ``rng.choice`` it replaced (the control): the w-subset of each item, ranked
+# among all C(T, w) subsets, must be uniform and independent across items.
+# Bounds as in test_counter_hash.py.
 SUBSET_T, SUBSET_W = 6, 3
 SUBSETS = np.array(sorted(sum(1 << t for t in c)
                           for c in combinations(range(SUBSET_T), SUBSET_W)))
 DRAWS = {
-    "floyd": lambda n, key: build_flat_design(n, SUBSET_T, key, per_item=SUBSET_W),
+    "floyd": lambda n, key: build_flat_design_2d(n, SUBSET_T, SUBSET_W, key.generator()),
     "per-item": lambda n, key: build_flat_design_per_item(n, SUBSET_T, SUBSET_W,
                                                           key.generator()),
 }

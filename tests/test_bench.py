@@ -347,8 +347,7 @@ def _record_shares_and_batches(monkeypatch, algorithm: str,
         return scheme.decode_grid(config, design, grid)
 
     monkeypatch.setitem(bench.SCHEMES, algorithm, scheme._replace(
-        decode=recording_decode,
-        decode_grid=scheme.decode_grid and recording_decode_grid))
+        decode=recording_decode, decode_grid=recording_decode_grid))
     return workers, shares, batches
 
 
@@ -453,14 +452,26 @@ def test_batches_are_capped_at_512_kib_of_outcomes(algorithm, fields, tests, cap
     assert scheme.batch(params, n, k) == cap == max(1, (1 << 19) // (2 * tests))
 
 
-def test_other_schemes_run_one_trial_per_batch(monkeypatch):
-    """The flat baselines build a design per trial and decode one trial per
-    batch."""
+def test_flat_schemes_batch_under_the_byte_cap(monkeypatch):
+    """A COMP/NCOMP batch holds as many trials as keep their outcomes, read
+    marks and frontiers (n nodes and their trials, 16 bytes a node) under
+    ``bench.BATCH_BYTES``: 7 at n=2^12, k=8, whose 362-test budget makes 31
+    segments of 12 tests.  Every batch of several trials is decoded from
+    one grid, and records equal the trials run one at a time."""
     for algorithm in ("comp", "ncomp"):
+        config = TrialConfig(algorithm=algorithm, n=2 ** 12, k=8, p=0.05)
+        n, k, _ = bench._rounded(config)
+        scheme = bench.SCHEMES[algorithm]
+        params = scheme.params(config, n, k)
+        assert scheme.footprint(params, n, k) == 8 * n
+        assert scheme.batch(params, n, k) == 7 == (1 << 19) // (2 * 372 + 16 * n)
+        config = TrialConfig(algorithm=algorithm, n=256, k=4, p=0.05, trials=12)
+        expected = bench.aggregate(config, [bench.run_trial(config, i) for i in range(12)])
         with monkeypatch.context() as patch:
+            patch.setattr(bench, "BATCH_BYTES", 5 * (2 * 126 + 16 * 256))
             _, ran, batches = _record_shares_and_batches(patch, algorithm)
-            run_trials(TrialConfig(algorithm=algorithm, n=256, k=4, p=0.05, trials=12))
-        assert ran == [range(12)] and batches == [1] * 12
+            assert run_trials(config).to_dict() == expected.to_dict()
+        assert ran == [range(12)] and batches == [5, 5, 2]
 
 
 def test_params_are_computed_once_per_share(monkeypatch):
@@ -507,11 +518,12 @@ def test_a_failed_batch_is_named(monkeypatch):
     def boom(config, design, outcomes):
         raise ValueError("boom")
 
-    for algorithm, fields, which in (("noisy", dict(p=0.05), "trials 0-5"),
-                                     ("gamma", dict(gamma=5), "trials 0-5"),
-                                     ("comp", dict(), "trial 0")):
+    for algorithm, fields, trials, which in (("noisy", dict(p=0.05), 6, "trials 0-5"),
+                                             ("gamma", dict(gamma=5), 6, "trials 0-5"),
+                                             ("comp", dict(), 6, "trials 0-5"),
+                                             ("ncomp", dict(), 1, "trial 0")):
         scheme = bench.SCHEMES[algorithm]
         monkeypatch.setitem(bench.SCHEMES, algorithm, scheme._replace(
-            decode=boom, decode_grid=scheme.decode_grid and boom))
+            decode=boom, decode_grid=boom))
         with pytest.raises(RuntimeError, match=f"^{which} failed: boom$"):
-            run_trials(TrialConfig(algorithm=algorithm, n=256, k=4, trials=6, **fields))
+            run_trials(TrialConfig(algorithm=algorithm, n=256, k=4, trials=trials, **fields))

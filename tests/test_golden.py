@@ -2,8 +2,8 @@
 on a small grid at fixed seeds.
 
 A refactor that keeps the random streams must leave every digest as it is.
-A change that alters a stream or the result format on purpose declares it
-and records the new digests here.
+A change that alters a stream, a design or the result format on purpose
+declares it and records the new digests here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from scalar_reference import philox_defectives, philox_flips
+from scalar_reference import philox_defectives, philox_flips, previous_flat_scheme
 from splitgt import bench, core
 from splitgt.bench import TrialConfig, run_trials
 
@@ -46,6 +46,19 @@ GOLDEN = {
     ("noisy-full", 0.05): "e66b5dc6287131a3f976520960348b76e37952b3bd8b6f8691f5897739d51546",
     ("noisy-kwise", 0.0): "ef55d47194a38343343c8840a066b992f8d88312e18fefa9c6698b61524896fc",
     ("noisy-kwise", 0.05): "c32b26052bb2cfe4e0cea0ac7014484246119c0b268b137d5b5c7dc2ff091fc8",
+    ("comp", 0.0): "28f27e6457a9a7f41a63dc70842c00ae3adfea6f0c4c8fbc84335dad162b3b54",
+    ("comp", 0.05): "6225846d9e54c5757822ee60b32b3fef16985d8142198640969ad5ff90f708de",
+    ("ncomp", 0.0): "bc398925e82196c20265a9e9db5b58420dc7039937825af26db7054eb827641a",
+    ("ncomp", 0.05): "1401b63a163f188a2764e15885f713cbb5b8cd1873f1a83a77aa4d5b9d836692",
+}
+
+# The comp and ncomp digests of the previous design, a T x n incidence
+# matrix drawn by Floyd's algorithm from the design key's Philox generator
+# and decoded by reading all T outcomes.  The one-level counter-hashed
+# design moved nothing else: with that scheme patched back in
+# (``scalar_reference.previous_flat_scheme``), every comp and ncomp result
+# digests to these.
+PREVIOUS_DESIGN = {
     ("comp", 0.0): "bcb32ff96185340c520ff6748f9bf0fcecb60ca4f34fcadfd2e88df6a780ea9e",
     ("comp", 0.05): "7c736f0abcbb03f3463ffc49b7d90c36ca2c0d2a45d7d8c385802e5ea67f1112",
     ("ncomp", 0.0): "78bab5047999e8e7f7e03040e5c194235e8cdd5aa4beaf342da2605c5d76d540",
@@ -55,7 +68,8 @@ GOLDEN = {
 # The digests of the previous streams, in which every trial drew its
 # defectives by ``choice(n, k, replace=False)`` and its channel noise by one
 # ``random(T)`` from Philox generators of its keys.  The stream change moved
-# nothing else: with those draws patched back in, every result digests to
+# nothing else: with those draws patched back in, and comp and ncomp on
+# their previous design (see PREVIOUS_DESIGN), every result digests to
 # these.
 PREVIOUS_STREAM = {
     ("gamma-full", 0.0): "f3ac9e50416d6a6bcf9f1645fec6338d74fab5ee49a82fe9779c6f5981d59837",
@@ -104,14 +118,17 @@ PREVIOUS_FORMAT = {
 
 
 @functools.cache
-def _result(cell: str, p: float, philox: bool = False) -> str:
+def _result(cell: str, p: float, philox: bool = False, previous: bool = False) -> str:
     """The result of one cell, as JSON; with ``philox``, from the previous
-    streams' Philox defective draw and channel noise."""
+    streams' Philox defective draw and channel noise; with ``previous``,
+    comp and ncomp on their previous design."""
     config = TrialConfig(n=256, k=4, trials=12, base_seed=SEED, p=p, **CELLS[cell])
     with pytest.MonkeyPatch.context() as patch:
         if philox:
             patch.setattr(bench, "_draw_defectives", philox_defectives)
             patch.setattr(core, "channel_flips", philox_flips)
+        if previous and config.algorithm in ("comp", "ncomp"):
+            patch.setitem(bench.SCHEMES, config.algorithm, previous_flat_scheme(config.algorithm))
         return json.dumps(run_trials(config).to_dict(), sort_keys=True)
 
 
@@ -124,16 +141,21 @@ def test_result_digest_is_unchanged(cell, p):
     assert _digest(_result(cell, p)) == GOLDEN[(cell, p)]
 
 
+@pytest.mark.parametrize("cell,p", sorted(PREVIOUS_DESIGN))
+def test_the_design_is_the_only_change_from_the_previous_flat_baselines(cell, p):
+    assert _digest(_result(cell, p, previous=True)) == PREVIOUS_DESIGN[(cell, p)]
+
+
 @pytest.mark.parametrize("cell,p", sorted(PREVIOUS_STREAM))
 def test_philox_draws_are_the_only_change_from_the_previous_streams(cell, p):
-    assert _digest(_result(cell, p, philox=True)) == PREVIOUS_STREAM[(cell, p)]
+    assert _digest(_result(cell, p, philox=True, previous=True)) == PREVIOUS_STREAM[(cell, p)]
 
 
 @pytest.mark.parametrize("cell,p", sorted(PREVIOUS_FORMAT))
 def test_channel_p_is_the_only_change_from_the_previous_format(cell, p):
     """Under the previous streams (see PREVIOUS_STREAM), so that each of the
     two declared changes is shown to be the whole of its difference."""
-    result = json.loads(_result(cell, p, philox=True))
+    result = json.loads(_result(cell, p, philox=True, previous=True))
     assert result.pop("p") == p
     if result["algorithm"] in ("comp", "ncomp"):
         result["params"]["p"] = p

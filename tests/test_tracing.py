@@ -53,21 +53,22 @@ def test_lookup_counter_counts_scalar_lookups_of_tree_desk():
 
 
 GENERATORS = {
-    "gamma": (dict(gamma=6), 0),
-    "rho": (dict(rho=16), 0),
-    "noisy": (dict(p=0.05), 0),
-    "comp": (dict(), 1),
-    "ncomp": (dict(p=0.05), 1),
+    "gamma": dict(gamma=6),
+    "rho": dict(rho=16),
+    "noisy": dict(p=0.05),
+    "comp": dict(),
+    "ncomp": dict(p=0.05),
 }
 
 
 @pytest.mark.parametrize("algorithm", sorted(GENERATORS))
 def test_generator_spans_per_trial(algorithm):
-    """A gamma, rho or noisy trial takes its defectives, placements and
-    noise from counter streams and constructs no generator; a COMP/NCOMP
-    trial constructs one, for its flat design."""
+    """Every trial takes its defectives, placements and noise from counter
+    streams and constructs no generator, COMP/NCOMP included: their design
+    is counter-hashed like the trees'.  Each trial enters its scheme's
+    build and decode spans once."""
     tracing = _load("tracing")
-    fields, expected = GENERATORS[algorithm]
+    fields = GENERATORS[algorithm]
     config = bench.TrialConfig(algorithm=algorithm, n=1024, k=4, trials=3, base_seed=5,
                                **fields)
     tracer = tracing.Tracer(count=False)
@@ -78,5 +79,7 @@ def test_generator_spans_per_trial(algorithm):
     finally:
         tracer.uninstall()
     per_trial = tracing.self_times(tracer.spans)
-    assert [per_trial[trial].get("core.generator", [0, 0])[1] for trial in range(3)] == [
-        expected] * 3
+    assert [per_trial[trial].get("core.generator", [0, 0])[1] for trial in range(3)] == [0] * 3
+    layer = "baselines" if algorithm in ("comp", "ncomp") else algorithm
+    assert [(per_trial[trial][f"{layer}.build"][1], per_trial[trial][f"{layer}.decode"][1])
+            for trial in range(3)] == [(1, 1)] * 3

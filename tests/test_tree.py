@@ -237,3 +237,32 @@ def test_batch_frontiers_empty_at_different_levels(scheme, hash_mode):
     assert reports == [tree.decode_tree(d, o)[1] for d, o in own]
     assert [set(r.estimate) for r in reports] == [set(t) for t in truths]
     assert reports[2].nodes_visited > reports[0].nodes_visited
+
+
+@pytest.mark.parametrize("algorithm,fields", [("gamma", dict(gamma=5)), ("rho", dict(rho=16)),
+                                              ("noisy", dict(p=0.05)), ("comp", dict()),
+                                              ("ncomp", dict(p=0.05))])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_batch_decoders_reject_a_grid_of_the_wrong_width(algorithm, fields, extra):
+    """``decode_tree_batch`` and ``decode_noisy_batch`` refuse a grid one
+    column short or one column long of the design's T, where a row laid
+    flat would otherwise read the next row's first cells."""
+    config = bench.TrialConfig(algorithm=algorithm, n=2 ** 10, k=4, **fields)
+    n, k, _ = bench._rounded(config)
+    scheme = bench.SCHEMES[algorithm]
+    design = scheme.build(config, scheme.params(config, n, k), n, k,
+                          RandomnessKey(3).materials(range(2), "design"))
+    grid = np.ones((2, design.t_total + extra), dtype=np.uint8)
+    with pytest.raises(ValueError, match=f"^a grid of {design.t_total + extra} outcomes"):
+        scheme.decode_grid(config, design, grid)
+
+
+def test_a_design_of_one_trials_keys_decodes_one_row():
+    """A design without a trial axis refuses a grid of two rows, whose
+    second row it has no keys for."""
+    for design in (build_gamma_design(gamma_params(2 ** 10, 4, 5), 2 ** 10, RandomnessKey(2)),
+                   bench.SCHEMES["comp"].build(bench.TrialConfig(algorithm="comp", n=64, k=2),
+                                               100, 64, 2, RandomnessKey(2))):
+        grid = np.ones((2, design.t_total), dtype=np.uint8)
+        with pytest.raises(ValueError, match="one grid row, not 2"):
+            tree.decode_tree_batch(design, grid)
