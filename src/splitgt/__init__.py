@@ -13,6 +13,7 @@ from .baselines import (
 )
 from .bench import AggregateResult, TrialConfig, eta_curve, eta_hat, run_trials, sweep
 from .core import (
+    BatchReport,
     DecodeReport,
     NoiseChannel,
     OutcomeVector,

@@ -14,10 +14,12 @@ columns only.
 per worker and each at least one batch, and a share runs in batches of
 consecutive trials, each trial with its own defectives, design keys and
 noise.  A batch of several trials is one design over every trial's keys,
-evaluated into one outcome grid and decoded by one descent.  A batch of one
-builds its trial's own design, evaluates it (``core.evaluate_design``) and
-decodes it by the scheme's one-trial decoder; ``run_trial`` is the share of
-one, so its records, which traced runs take, come from that path.
+evaluated into one outcome grid and decoded by one descent, and its
+defective draw and records are array programs over the batch.  A batch of
+one builds its trial's own design, evaluates it (``core.evaluate_design``)
+and decodes it by the scheme's one-trial decoder.  A share's records are
+one list per field, which ``aggregate`` sums; ``run_trial`` is the share of
+one, so its record, which traced runs take, comes from the one-trial path.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from . import noisy as noisy_mod
 from . import rho as rho_mod
 from . import tree as tree_mod
 from .core import (
-    DecodeReport,
+    BatchReport,
     NoiseChannel,
     ProblemInstance,
     RandomnessKey,
@@ -232,7 +234,7 @@ class Scheme(NamedTuple):
     # expand (8 per child), or the COMP/NCOMP frontier or row keys
     footprint: Callable
     batch: Callable        # (params, n, k) -> the most trials one batch may hold
-    decode_grid: Callable  # (config, design, grid) -> a DecodeReport per row of grid
+    decode_grid: Callable  # (config, design, grid) -> the BatchReport of grid's rows
 
 
 def _tree_echo(config: TrialConfig, params) -> dict:
@@ -249,7 +251,7 @@ def _tree_batch(tests: int) -> int:
     return max(1, BATCH_BYTES // (2 * tests))
 
 
-def _decode_grid(config: TrialConfig, design, grid) -> list[DecodeReport]:
+def _decode_grid(config: TrialConfig, design, grid) -> BatchReport:
     return tree_mod.decode_tree_batch(design, grid)
 
 
@@ -319,6 +321,44 @@ SCHEMES = {
 ALGORITHMS = tuple(SCHEMES)
 
 
+# A draw of this many Floyd picks (trials times k) or more runs as one
+# uint64 array program, a smaller one as the scalar loop: the program costs
+# 60-80 us whatever its size, the loop about 0.8 us a pick, so the two meet
+# near 100 picks.  Measured on 2 shared cores, scalar -> array: n=2^30 k=64
+# one trial, 52 -> 78 us; n=2^20 k=16 one trial, 25 -> 80 us; n=2^14 k=4
+# 150 trials, 379 -> 118 us (580 -> 193 us on a busier host).
+ARRAY_DRAW_PICKS = 128
+_LOW32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of uint64 arrays ``a`` and
+    ``b``, from their 32-bit limbs: each limb product, and the middle sum
+    of three values below 2^32 each, stays below 2^64."""
+    a_lo, a_hi, b_lo, b_hi = a & _LOW32, a >> _S32, b & _LOW32, b >> _S32
+    cross, other = a_lo * b_hi, a_hi * b_lo
+    middle = ((a_lo * b_lo) >> _S32) + (cross & _LOW32) + (other & _LOW32)
+    return a_hi * b_hi + (cross >> _S32) + (other >> _S32) + (middle >> _S32)
+
+
+def _picks(high: np.ndarray, low: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """floor(u * m / 2^128) for the 128-bit u whose high and low words are
+    ``high`` and ``low``, and m < 2^64: mulhi(high, m) plus the carry out of
+    lo64(high * m) + mulhi(low, m), all uint64 arrays."""
+    product = high * m
+    return _mulhi(high, m) + (product + _mulhi(low, m) < product)
+
+
+def _floyd(row: list[int], n: int, count: int) -> tuple[int, ...]:
+    """The Floyd draw of ``count`` of [0, n) from one row of counter stream
+    outputs, pick by pick (see :func:`_draw_defectives`)."""
+    chosen, outputs = set(), iter(row)
+    for j, high, low in zip(range(n - count, n), outputs, outputs):
+        pick = ((high << 64 | low) * (j + 1)) >> 128
+        chosen.add(j if pick in chosen else pick)
+    return tuple(sorted(chosen))
+
+
 def _draw_defectives(config: TrialConfig, words: np.ndarray) -> list[tuple[int, ...]]:
     """The defectives of every trial whose defectives key has the material
     words of a row of ``words``: the explicit ones, or k of the raw n items.
@@ -331,54 +371,75 @@ def _draw_defectives(config: TrialConfig, words: np.ndarray) -> list[tuple[int, 
     uniform by a total variation of at most n / 2^128 <= 2^-66, so the set
     by at most k times that.  Dummy items, which rounding puts above the raw
     n, stay non-defective.
+
+    From ``ARRAY_DRAW_PICKS`` picks on, every pick of the batch is one
+    array program (:func:`_picks`).  A row whose picks are distinct is its
+    own draw, since Floyd then adds every pick itself; a row with a repeat,
+    and every row of a smaller draw, takes the scalar loop.
     """
     if config.defectives is not None:
         return [tuple(sorted(config.defectives))] * len(words)
-    count = min(config.k, config.n)
-    draws = []
-    for row in counter_stream(words, 2 * count).tolist():
-        chosen, outputs = set(), iter(row)
-        for j, high, low in zip(range(config.n - count, config.n), outputs, outputs):
-            pick = ((high << 64 | low) * (j + 1)) >> 128
-            chosen.add(j if pick in chosen else pick)
-        draws.append(tuple(sorted(chosen)))
+    n, count = config.n, min(config.k, config.n)
+    outputs = counter_stream(words, 2 * count)
+    if len(words) * count < ARRAY_DRAW_PICKS:
+        return [_floyd(row, n, count) for row in outputs.tolist()]
+    picks = _picks(outputs[:, 0::2], outputs[:, 1::2],
+                   np.arange(n - count + 1, n + 1, dtype=np.uint64))
+    picks.sort(axis=1)
+    draws = list(map(tuple, picks.tolist()))
+    for b in np.flatnonzero((picks[:, 1:] == picks[:, :-1]).any(axis=1)).tolist():
+        draws[b] = _floyd(outputs[b].tolist(), n, count)
     return draws
 
 
-def _record(defectives: tuple[int, ...], design, report: DecodeReport) -> dict:
-    """The per-trial record used for aggregation.
+# the fields of a trial's record, in order; a share's records are one list
+# per field (see ``_run_share``)
+RECORD_FIELDS = ("exact", "outcomes_read", "nodes_visited", "labels", "false_positives",
+                 "false_negatives", "storage_words", "t_total", "estimate", "defectives")
 
+
+def _extend_records(records: dict[str, list], truths: list[tuple[int, ...]], design,
+                    estimates: list[tuple[int, ...]], read: list[int], visited: list[int],
+                    peak: list[int], labels: list[int]) -> None:
+    """Append a batch's records, trial b's from its draw ``truths[b]``, its
+    ascending estimate ``estimates[b]`` and its decode counters.
+
+    A trial is exact when its estimate equals its sorted draw; only an
+    inexact one compares sets for its false positives and negatives.
     ``storage_words`` follows the accounting used throughout: the design's
     placement storage, plus the decode's peak possibly-defective set, plus
     the outcome bits in 64-bit words.
     """
-    est = set(report.estimate)
-    truth = set(defectives)
-    return {
-        "exact": est == truth,
-        "outcomes_read": report.outcomes_read,
-        "nodes_visited": report.nodes_visited,
-        "labels": report.labels_computed,
-        "false_positives": len(est - truth),
-        "false_negatives": len(truth - est),
-        "storage_words": (design.storage_words + report.peak_frontier
-                          + (design.t_total + 63) // 64),
-        "t_total": design.t_total,
-        "estimate": report.estimate,
-        "defectives": defectives,
-    }
+    exact = [estimate == truth for estimate, truth in zip(estimates, truths)]
+    positives, negatives = [0] * len(exact), [0] * len(exact)
+    for b in (b for b, hit in enumerate(exact) if not hit):
+        est, truth = set(estimates[b]), set(truths[b])
+        exact[b], positives[b], negatives[b] = est == truth, len(est - truth), len(truth - est)
+    fixed = design.storage_words + (design.t_total + 63) // 64
+    for name, column in zip(RECORD_FIELDS, (
+            exact, read, visited, labels, positives, negatives, [fixed + p for p in peak],
+            [design.t_total] * len(exact), estimates, truths)):
+        records[name] += column
 
 
-def _run_share(config: TrialConfig, indices: range) -> list[dict]:
+def _record(records: dict[str, list], index: int) -> dict:
+    """Row ``index`` of a share's records, the record of one trial."""
+    return {name: column[index] for name, column in records.items()}
+
+
+def _run_share(config: TrialConfig, indices: range) -> dict[str, list]:
     """The seeded trials ``indices``, consecutive, in batches of at most the
-    scheme's cap, each batch decoded by one call; one record per trial, in
-    order.  Rounding, channel, scheme, params and cap are computed once.
+    scheme's cap, each batch decoded by one call; their records as one list
+    per field of ``RECORD_FIELDS``, in trial order.  Rounding, channel,
+    scheme, params and cap are computed once.
 
-    A batch of one builds, evaluates and decodes its trial's own design.
-    A larger batch computes its trials' key material in one array program
-    (:meth:`RandomnessKey.materials`) and builds one design from all of it,
-    so that one evaluation and one descent serve the batch; every trial
-    still draws from its own substreams, so its record is the same.
+    A batch of one builds, evaluates and decodes its trial's own design,
+    without a trial array.  A larger batch computes its trials' key
+    material in one array program (:meth:`RandomnessKey.materials`) and
+    builds one design from all of it, so that one evaluation and one
+    descent serve the batch, whose :class:`BatchReport` columns each take
+    one ``tolist``; every trial still draws from its own substreams, so its
+    record is the same.
     """
     n, k, _ = _rounded(config)
     channel = config.channel()
@@ -389,37 +450,41 @@ def _run_share(config: TrialConfig, indices: range) -> list[dict]:
 
     def trial(index: int) -> tuple:
         key = root.child(index)
-        defectives, = _draw_defectives(config, key.child("defectives").words())
-        instance = ProblemInstance(n=n, k=k, defectives=defectives)
+        truths = _draw_defectives(config, key.child("defectives").words())
+        instance = ProblemInstance(n=n, k=k, defectives=truths[0])
         design = scheme.build(config, params, n, k, key.child("design"))
         outcomes = evaluate_design(design, instance, channel, key.child("noise"))
-        return [defectives], [design], [scheme.decode(config, design, outcomes)]
+        report = scheme.decode(config, design, outcomes)
+        return (truths, design, [report.estimate], [report.outcomes_read],
+                [report.nodes_visited], [report.peak_frontier], [report.labels_computed])
 
     def shared(batch: range) -> tuple:
         truths = _draw_defectives(config, root.materials(batch, "defectives"))
         design = scheme.build(config, params, n, k, root.materials(batch, "design"))
         noise = None if channel.is_noiseless else root.materials(batch, "noise")
-        grid = evaluate_batch(design, truths, channel, noise)
-        return truths, [design] * len(batch), scheme.decode_grid(config, design, grid)
+        report = scheme.decode_grid(config, design, evaluate_batch(design, truths, channel, noise))
+        return (truths, design, report.estimates(), report.outcomes_read.tolist(),
+                report.nodes_visited.tolist(), report.peak_frontier.tolist(),
+                report.labels_computed.tolist())
 
-    records = []
+    records = {name: [] for name in RECORD_FIELDS}
     for start in range(0, len(indices), cap):
         batch = indices[start:start + cap]
         try:
-            truths, designs, reports = shared(batch) if len(batch) > 1 else trial(batch[0])
+            columns = shared(batch) if len(batch) > 1 else trial(batch[0])
         except Exception as exc:
             which = (f"trial {batch[0]}" if len(batch) == 1
                      else f"trials {batch[0]}-{batch[-1]}")
             raise RuntimeError(f"{which} failed: {exc}") from exc
-        records += map(_record, truths, designs, reports)
-        del designs  # so that no two batches' designs are alive at once
+        _extend_records(records, *columns)
+        del columns  # so that no two batches' designs are alive at once
     return records
 
 
 def run_trial(config: TrialConfig, index: int) -> dict:
     """One seeded trial, the share of one; returns the per-trial record used
-    for aggregation."""
-    return _run_share(config, range(index, index + 1))[0]
+    for aggregation, its fields those of ``RECORD_FIELDS``."""
+    return _record(_run_share(config, range(index, index + 1)), 0)
 
 
 def run_trials(config: TrialConfig) -> AggregateResult:
@@ -445,39 +510,41 @@ def run_trials(config: TrialConfig) -> AggregateResult:
             parts = list(pool.map(_run_share, [config] * len(shares), shares))
     else:
         parts = [_run_share(config, share) for share in shares]
-    return aggregate(config, [record for part in parts for record in part])
+    return aggregate(config, {name: [value for part in parts for value in part[name]]
+                              for name in RECORD_FIELDS})
 
 
-def aggregate(config: TrialConfig, records: list[dict]) -> AggregateResult:
-    """The result of ``config`` from its trials' records, in index order."""
+def aggregate(config: TrialConfig, records: dict[str, list]) -> AggregateResult:
+    """The result of ``config`` from its trials' records, one list per field
+    of ``RECORD_FIELDS``, in index order."""
     n, k, _ = _rounded(config)
     scheme = SCHEMES[config.algorithm]
-    successes = sum(r["exact"] for r in records)
-    trials = len(records)
+    successes = sum(records["exact"])
+    trials = len(records["exact"])
     rate = successes / trials if trials else 0.0
     lo, hi = wilson_interval(successes, trials)
 
     def mean(name: str) -> float:
-        return sum(r[name] for r in records) / trials if trials else 0.0
+        return sum(records[name]) / trials if trials else 0.0
 
     return AggregateResult(
         algorithm=config.algorithm,
         n=n,
         k=k,
         p=float(config.p),
-        t_total=records[0]["t_total"] if records else 0,
+        t_total=records["t_total"][0] if trials else 0,
         trials=trials,
         successes=successes,
         success_rate=rate,
         ci_lo=lo,
         ci_hi=hi,
         mean_outcomes_read=mean("outcomes_read"),
-        max_outcomes_read=max((r["outcomes_read"] for r in records), default=0),
+        max_outcomes_read=max(records["outcomes_read"], default=0),
         mean_nodes_visited=mean("nodes_visited"),
         mean_labels=mean("labels"),
         mean_false_positives=mean("false_positives"),
         mean_false_negatives=mean("false_negatives"),
-        storage_words=max((r["storage_words"] for r in records), default=0),
+        storage_words=max(records["storage_words"], default=0),
         seed=config.base_seed,
         hash_mode=config.hash_mode,
         params=scheme.echo(config, scheme.params(config, n, k)),

@@ -295,7 +295,7 @@ class DecodeReport:
 
     ``peak_frontier`` is the largest possibly-defective set the decode
     held; the harness adds it to the design's and the outcomes' storage
-    (see ``bench._record``).
+    (see ``bench._extend_records``).
     """
 
     estimate: tuple[int, ...]
@@ -303,6 +303,36 @@ class DecodeReport:
     nodes_visited: int
     peak_frontier: int
     labels_computed: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class BatchReport:
+    """What one decode of a batch of trials observed, as columns: trial b's
+    estimate is ``estimate[bounds[b]:bounds[b + 1]]``, ascending, and its
+    counters are entry b of the other arrays (see :class:`DecodeReport`)."""
+
+    estimate: np.ndarray
+    bounds: np.ndarray
+    outcomes_read: np.ndarray
+    nodes_visited: np.ndarray
+    peak_frontier: np.ndarray
+    labels_computed: np.ndarray
+
+    def estimates(self) -> list[tuple[int, ...]]:
+        """Every trial's estimate, from one ``tolist`` of each array."""
+        estimate, bounds = self.estimate.tolist(), self.bounds.tolist()
+        return [tuple(estimate[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+    def report(self, b: int) -> DecodeReport:
+        """Trial b's row."""
+        lo, hi = self.bounds[b:b + 2].tolist()
+        return DecodeReport(
+            estimate=tuple(self.estimate[lo:hi].tolist()),
+            outcomes_read=int(self.outcomes_read[b]),
+            nodes_visited=int(self.nodes_visited[b]),
+            peak_frontier=int(self.peak_frontier[b]),
+            labels_computed=int(self.labels_computed[b]),
+        )
 
 
 def evaluate_design(design, instance: ProblemInstance, channel: NoiseChannel,

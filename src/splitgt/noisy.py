@@ -17,6 +17,11 @@ structural constraints (odd N, C' * log2 n >= r, t * C' > 1) but defaults to
 the small calibrated constants used by the benchmark suite.  ``HASH_MODES``
 maps each hash mode to the placements' polynomial degree, None for the
 counter hash.
+
+:func:`decode_noisy_batch` decodes a batch of trials at once and returns
+their estimates and counters as the columns of one
+:class:`splitgt.core.BatchReport`; :func:`decode_noisy` is its batch of one
+and returns that row as a :class:`splitgt.core.DecodeReport`.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
+from .core import BatchReport, DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
 from .placements import uniform_style_stacks
 from .tree import TreeDesign, placement_of
 
@@ -215,17 +220,17 @@ def decode_noisy(design: TreeDesign,
     :func:`decode_noisy_batch`, on the trial's own outcome vector."""
     if tuple(outcomes.layout) != tuple(design.layout):
         raise ValueError("outcome layout does not match this design")
-    (report,) = decode_noisy_batch(design, outcomes.bits.reshape(1, -1))
+    report = decode_noisy_batch(design, outcomes.bits.reshape(1, -1)).report(0)
     return report.estimate, report
 
 
-def decode_noisy_batch(design: TreeDesign, grid: np.ndarray) -> list[DecodeReport]:
-    """Decode every trial of a batch at once, one report per row of
-    ``grid``, the (trials x T) outcomes of ``design``'s trials (see
-    ``TreeDesign.noiseless_grid``): descend level by level, keeping the
-    children of every node whose lookahead label is positive; accept a
-    surviving singleton by a majority over all C' * log2 n of its batch
-    labels.
+def decode_noisy_batch(design: TreeDesign, grid: np.ndarray) -> BatchReport:
+    """Decode every trial of a batch at once, into one :class:`BatchReport`
+    whose entry b is row b of ``grid``, the (trials x T) outcomes of
+    ``design``'s trials (see ``TreeDesign.noiseless_grid``): descend level
+    by level, keeping the children of every node whose lookahead label is
+    positive; accept a surviving singleton by a majority over all
+    C' * log2 n of its batch labels.
 
     Each trial keeps its own keys, along the design's trial axis, and its
     own outcome row.  The descent runs every trial's nodes together, each
@@ -243,8 +248,6 @@ def decode_noisy_batch(design: TreeDesign, grid: np.ndarray) -> list[DecodeRepor
     if t_total != design.t_total:
         raise ValueError(f"a grid of {t_total} outcomes per trial does not match "
                          f"the design's {design.t_total} tests")
-    if not count:
-        return []
     batch = _Batch(design, grid)
     reps = batch.params.n_reps
     log2k, log2n = design.layout[0][0], batch.bottom
@@ -265,14 +268,8 @@ def decode_noisy_batch(design: TreeDesign, grid: np.ndarray) -> list[DecodeRepor
     batch_labels = 2 * votes.reshape(batches, reps, -1).sum(axis=1) > reps
     labels += batches * sizes[-1]
     found = 2 * batch_labels.sum(axis=0) > batches
-    estimate, bounds = pd[found].tolist(), np.searchsorted(trials[found], np.arange(count + 1))
-    labels = labels.tolist()
-    visited, pd_peak = sizes.sum(axis=0).tolist(), sizes.max(axis=0).tolist()
-    read = batch.seen.reshape(count, -1).sum(axis=1).tolist()
-    return [DecodeReport(
-        estimate=tuple(estimate[lo:hi]),
-        outcomes_read=read[b],
-        nodes_visited=visited[b],
-        peak_frontier=pd_peak[b],
-        labels_computed=labels[b],
-    ) for b, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))]
+    return BatchReport(estimate=pd[found],
+                       bounds=np.searchsorted(trials[found], np.arange(count + 1)),
+                       outcomes_read=batch.seen.reshape(count, t_total).sum(axis=1),
+                       nodes_visited=sizes.sum(axis=0), peak_frontier=sizes.max(axis=0),
+                       labels_computed=labels)

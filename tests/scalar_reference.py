@@ -11,8 +11,9 @@ one-test outcome; the per-segment flattening of a tree design and its
 one-test-at-a-time noiseless outcome vector; the trial-division prime table;
 the counter hash, the defective draw and the channel flip in pure-Python
 integers; the keyed-permutation row on bit strings; the explicit i.i.d.
-table the counter hash replaced; and the Philox defective draw and channel
-noise that the counter stream replaced."""
+table the counter hash replaced; the Philox defective draw and channel
+noise that the counter stream replaced; and the rows of a batch decode's
+columns, one report per trial."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from splitgt import baselines, bench
 from splitgt.baselines import FlatDesign
-from splitgt.core import DecodeReport, NoiseChannel, RandomnessKey
+from splitgt.core import BatchReport, DecodeReport, NoiseChannel, RandomnessKey
 from splitgt.tree import TreeDesign
 
 
@@ -600,3 +601,8 @@ def philox_flips(p: float, words: np.ndarray, tests: int) -> np.ndarray:
     one ``random(tests)`` draw u from the noise key's generator, and cell c
     flips iff u[c] < p."""
     return np.array([_philox(row).random(tests) < p for row in words]).reshape(len(words), tests)
+
+
+def batch_reports(columns: BatchReport) -> list[DecodeReport]:
+    """Every row of a batch decode's columns, as that trial's report."""
+    return [columns.report(b) for b in range(len(columns.bounds) - 1)]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from scalar_reference import (
     IncidenceDesign,
+    batch_reports,
     build_flat_design_2d,
     build_flat_design_per_item,
     decode_comp_scalar,
@@ -327,11 +328,12 @@ def test_descent_matches_scalar_comp_and_ncomp(p, threshold):
     batch = build_flat_design(n, tests, root.materials(range(trials), "design"), k=k)
     grid = evaluate_batch(batch, truths, channel, root.materials(range(trials), "noise"))
     misses = ncomp_misses(batch, threshold)
-    comp, ncomp = decode_tree_batch(batch, grid), decode_tree_batch(batch, grid, misses)
+    comp = batch_reports(decode_tree_batch(batch, grid))
+    ncomp = batch_reports(decode_tree_batch(batch, grid, misses))
     # looked up under every repetition at once above, repetition by repetition here
     with mock.patch.object(tree, "BATCH_NODES", 0):
-        assert decode_tree_batch(batch, grid) == comp
-        assert decode_tree_batch(batch, grid, misses) == ncomp
+        assert batch_reports(decode_tree_batch(batch, grid)) == comp
+        assert batch_reports(decode_tree_batch(batch, grid, misses)) == ncomp
     for index, truth in enumerate(truths):
         design = build_flat_design(n, tests, root.child(index, "design"), k=k)
         out = evaluate_design(design, ProblemInstance(n=n, k=k, defectives=truth), channel,

@@ -269,6 +269,12 @@ def test_run_trial_calls_entry_points_through_modules(algorithm, monkeypatch):
     assert calls == [name for _, name in ENTRY_POINTS[algorithm]]
 
 
+def _columns(records: list[dict]) -> dict[str, list]:
+    """Trial records, one dict each, as the lists per field that
+    ``bench.aggregate`` takes."""
+    return {name: [record[name] for record in records] for name in bench.RECORD_FIELDS}
+
+
 CONFIGS = {
     "gamma": dict(gamma=5),
     "rho": dict(rho=16),
@@ -285,7 +291,8 @@ def test_run_trials_is_the_aggregate_of_single_trials(algorithm, jobs):
     the trials run one at a time, serially or across workers."""
     config = TrialConfig(algorithm=algorithm, n=256, k=4, trials=10, base_seed=11, jobs=jobs,
                          **CONFIGS[algorithm])
-    single = bench.aggregate(config, [bench.run_trial(config, i) for i in range(config.trials)])
+    single = bench.aggregate(config, _columns([bench.run_trial(config, i)
+                                               for i in range(config.trials)]))
     assert run_trials(config).to_dict() == single.to_dict()
 
 
@@ -299,8 +306,101 @@ def test_batch_records_are_the_one_trial_records(algorithm, p):
     if algorithm == "noisy":
         fields["design_p"] = 0.05  # the design's noise level, at either channel
     config = TrialConfig(algorithm=algorithm, n=256, k=4, trials=7, base_seed=19, **fields)
-    assert bench._run_share(config, range(3, 10)) == [bench.run_trial(config, i)
-                                                      for i in range(3, 10)]
+    share = bench._run_share(config, range(3, 10))
+    assert [bench._record(share, b) for b in range(7)] == [bench.run_trial(config, i)
+                                                           for i in range(3, 10)]
+
+
+RECORD_KEYS = ["exact", "outcomes_read", "nodes_visited", "labels", "false_positives",
+               "false_negatives", "storage_words", "t_total", "estimate", "defectives"]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05])
+@pytest.mark.parametrize("algorithm", sorted(CONFIGS))
+def test_records_are_plain_json_values(algorithm, p):
+    """A trial's record has the same keys in the same order on both paths,
+    every value a Python bool, int or tuple of ints (no numpy scalar, which
+    ``json.dumps`` refuses), whether it came from a batch of one or from a
+    row of a batch's columns."""
+    fields = dict(CONFIGS[algorithm], p=p)
+    if algorithm == "noisy":
+        fields["design_p"] = 0.05
+    config = TrialConfig(algorithm=algorithm, n=256, k=4, trials=6, base_seed=23, **fields)
+    share = bench._run_share(config, range(6))
+    assert list(share) == RECORD_KEYS and all(len(column) == 6 for column in share.values())
+    records = [bench.run_trial(config, 2)] + [bench._record(share, b) for b in range(6)]
+    for record in records:
+        assert list(record) == RECORD_KEYS
+        assert type(record["exact"]) is bool
+        for name in RECORD_KEYS[1:8]:
+            assert type(record[name]) is int, name
+        for name in ("estimate", "defectives"):
+            assert type(record[name]) is tuple
+            assert all(type(item) is int for item in record[name]), name
+        json.dumps(record)
+    assert records[0] == records[3]
+
+
+def test_a_noisy_record_is_pinned():
+    """One noisy trial's record, value for value."""
+    config = TrialConfig(algorithm="noisy", n=256, k=4, p=0.05)
+    assert bench.run_trial(config, 3) == {
+        "exact": True, "outcomes_read": 871, "nodes_visited": 50, "labels": 418,
+        "false_positives": 0, "false_negatives": 0, "storage_words": 16135, "t_total": 1568,
+        "estimate": (31, 60, 218, 251), "defectives": (31, 60, 218, 251)}
+
+
+@pytest.mark.parametrize("algorithm", sorted(CONFIGS))
+def test_a_share_of_batches_of_several_and_of_one(algorithm, monkeypatch):
+    """A share of cap + 1 trials runs a batch of several, then a batch of
+    one; its records, and their aggregate, equal the trials run one at a
+    time."""
+    config = TrialConfig(algorithm=algorithm, n=256, k=4, trials=4, base_seed=29,
+                         **CONFIGS[algorithm])
+    expected = [bench.run_trial(config, i) for i in range(5, 9)]
+    _, _, batches = _record_shares_and_batches(monkeypatch, algorithm)
+    scheme = bench.SCHEMES[algorithm]
+    monkeypatch.setitem(bench.SCHEMES, algorithm, scheme._replace(batch=lambda *args: 3))
+    share = bench._run_share(config, range(5, 9))
+    assert batches == [3, 1]
+    assert [bench._record(share, b) for b in range(4)] == expected
+    assert bench.aggregate(config, share) == bench.aggregate(config, _columns(expected))
+
+
+def test_records_compare_sets_only_when_inexact():
+    """An estimate equal to its sorted draw is exact at no set cost; any
+    other is exact iff it holds the same items, with its false positives
+    and negatives counted from the sets."""
+    design = bench.SCHEMES["gamma"].build(_gamma_config(), gamma.gamma_params(2 ** 10, 4, 5),
+                                          2 ** 10, 4, RandomnessKey(1))
+    records = {name: [] for name in bench.RECORD_FIELDS}
+    truths = [(1, 2, 3), (1, 2, 3), (1, 2, 3), ()]
+    bench._extend_records(records, truths, design, [(1, 2, 3), (3, 2, 1), (1, 2, 4, 9), (5,)],
+                          [10] * 4, [20] * 4, [0, 1, 2, 3], [0] * 4)
+    assert records["exact"] == [True, True, False, False]
+    assert records["false_positives"] == [0, 0, 2, 1]
+    assert records["false_negatives"] == [0, 0, 1, 0]
+    fixed = design.storage_words + (design.t_total + 63) // 64
+    assert records["storage_words"] == [fixed, fixed + 1, fixed + 2, fixed + 3]
+    assert records["t_total"] == [design.t_total] * 4
+
+
+@pytest.mark.parametrize("algorithm", sorted(CONFIGS))
+def test_no_trials_aggregate_to_the_empty_result(algorithm):
+    """A call of no trials runs no share and aggregates to zeros, with the
+    scheme's params echoed."""
+    config = TrialConfig(algorithm=algorithm, n=256, k=4, trials=0, base_seed=3,
+                         **CONFIGS[algorithm])
+    n, k, _ = bench._rounded(config)
+    scheme = bench.SCHEMES[algorithm]
+    assert run_trials(config).to_dict() == {
+        "algorithm": algorithm, "n": 256, "k": 4, "p": float(config.p), "t_total": 0,
+        "trials": 0, "successes": 0, "success_rate": 0.0, "ci_lo": 0.0, "ci_hi": 1.0,
+        "mean_outcomes_read": 0.0, "max_outcomes_read": 0, "mean_nodes_visited": 0.0,
+        "mean_labels": 0.0, "mean_false_positives": 0.0, "mean_false_negatives": 0.0,
+        "storage_words": 0, "seed": 3, "hash_mode": "full",
+        "params": scheme.echo(config, scheme.params(config, n, k)), "error": None}
+    assert bench.aggregate(config, _columns([])) == run_trials(config)
 
 
 class InlinePool:
@@ -377,7 +477,8 @@ def test_noisy_batches_follow_jobs_and_byte_cap(jobs, trials, cap, sizes, monkey
     shares, batch_sizes = sizes
     config = TrialConfig(algorithm="noisy", n=256, k=4, p=0.05, trials=trials, base_seed=4,
                          jobs=jobs)
-    expected = bench.aggregate(config, [bench.run_trial(config, i) for i in range(trials)])
+    expected = bench.aggregate(config, _columns([bench.run_trial(config, i)
+                                                 for i in range(trials)]))
     tests = noisy.noisy_total_tests(noisy.noisy_params(256, 4, 0.05), 256, 4)
     monkeypatch.setattr(bench, "BATCH_BYTES", 2 * tests * cap)
     workers, ran, batches = _record_shares_and_batches(monkeypatch, "noisy")
@@ -415,7 +516,8 @@ def test_tree_batches_follow_the_byte_cap(algorithm, fields, trials, cap, batch_
     is decoded from one grid (``decode_grid``); records equal the trials run
     one at a time."""
     config = TrialConfig(algorithm=algorithm, n=256, k=4, trials=trials, base_seed=6, **fields)
-    expected = bench.aggregate(config, [bench.run_trial(config, i) for i in range(trials)])
+    expected = bench.aggregate(config, _columns([bench.run_trial(config, i)
+                                                 for i in range(trials)]))
     n, k, _ = bench._rounded(config)
     scheme = bench.SCHEMES[algorithm]
     tests = scheme.build(config, scheme.params(config, n, k), n, k,
@@ -466,7 +568,8 @@ def test_flat_schemes_batch_under_the_byte_cap(monkeypatch):
         assert scheme.footprint(params, n, k) == 8 * n
         assert scheme.batch(params, n, k) == 7 == (1 << 19) // (2 * 372 + 16 * n)
         config = TrialConfig(algorithm=algorithm, n=256, k=4, p=0.05, trials=12)
-        expected = bench.aggregate(config, [bench.run_trial(config, i) for i in range(12)])
+        expected = bench.aggregate(config, _columns([bench.run_trial(config, i)
+                                                     for i in range(12)]))
         with monkeypatch.context() as patch:
             patch.setattr(bench, "BATCH_BYTES", 5 * (2 * 126 + 16 * 256))
             _, ran, batches = _record_shares_and_batches(patch, algorithm)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hash_modes import ACCEPTED, NAMES, refused
 from scalar_reference import (
     LabelCache,
+    batch_reports,
     decode_noisy_scalar,
     final_label,
     intermediate_label,
@@ -401,7 +402,7 @@ def test_batch_decode_matches_separate_decodes(hash_mode, size, p_even, p_odd):
     truths = [_truth(n, seed + b, b % (k + 1)) for b in range(size)]
     design, grid, own = _batch(params, n, k, RandomnessKey(seed), hash_mode, channels, truths)
     assert design.trials == size
-    batched = noisy.decode_noisy_batch(design, grid)
+    batched = batch_reports(noisy.decode_noisy_batch(design, grid))
     assert len(batched) == size
     for (trial_design, out), report in zip(own, batched):
         estimate, alone = decode_noisy(trial_design, out)
@@ -426,7 +427,7 @@ def test_batch_decode_matches_separate_decodes_past_2_32_nodes(hash_mode):
     channels = [NoiseChannel.symmetric(0.05)] * 3
     truths = [_truth(n, seed, seed % (k + 1)) for seed in range(3)]
     design, grid, own = _batch(params, n, k, RandomnessKey(2), hash_mode, channels, truths)
-    batched = noisy.decode_noisy_batch(design, grid)
+    batched = batch_reports(noisy.decode_noisy_batch(design, grid))
     assert batched == [decode_noisy(d, out)[1] for d, out in own]
 
 
@@ -439,7 +440,7 @@ def test_batch_decode_frontier_empties_in_some_trials_only():
     channels = [NoiseChannel.noiseless()] * 4
     truths = [_truth(n, seed, count) for seed, count in ((1, 0), (2, 4), (3, 0), (4, 2))]
     design, grid, own = _batch(params, n, k, RandomnessKey(3), "full", channels, truths)
-    batched = noisy.decode_noisy_batch(design, grid)
+    batched = batch_reports(noisy.decode_noisy_batch(design, grid))
     assert batched == [decode_noisy(d, out)[1] for d, out in own]
     empty, full = batched[0], batched[1]
     assert empty.estimate == () and empty.nodes_visited == k
@@ -457,4 +458,5 @@ def test_batch_decode_checks_grid_width():
     grid = evaluate_batch(other, [(1,), (2,)], NoiseChannel.noiseless(), None)
     with pytest.raises(ValueError, match="does not match the design's"):
         noisy.decode_noisy_batch(design, grid)
-    assert noisy.decode_noisy_batch(design, np.zeros((0, design.t_total), np.uint8)) == []
+    assert batch_reports(noisy.decode_noisy_batch(design, np.zeros((0, design.t_total),
+                                                                  np.uint8))) == []

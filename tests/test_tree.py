@@ -7,7 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hash_modes import EVERY_PAIR, TREE_DESIGNS, refused
-from scalar_reference import decode_gamma_scalar, decode_rho_scalar, noiseless_bits_per_test
+from scalar_reference import (
+    batch_reports,
+    decode_gamma_scalar,
+    decode_rho_scalar,
+    noiseless_bits_per_test,
+)
 from splitgt import bench, core, tree
 from splitgt.core import NoiseChannel, ProblemInstance, RandomnessKey, evaluate_design
 from splitgt.gamma import build_gamma_design, decode_gamma, gamma_params
@@ -187,7 +192,7 @@ def test_batch_matches_each_trial(scheme, hash_mode, count, p):
         own.append((trial_design, outcomes))
     for batch_nodes in (0, 10 ** 9):
         with mock.patch.object(tree, "BATCH_NODES", batch_nodes):
-            reports = tree.decode_tree_batch(design, grid)
+            reports = batch_reports(tree.decode_tree_batch(design, grid))
             expected = [tree.decode_tree(d, o)[1] for d, o in own]
         assert reports == expected
 
@@ -212,7 +217,8 @@ def test_one_row_key_matrix_design(scheme, hash_mode):
     assert np.array_equal(grid[0], outcomes.bits)
     for batch_nodes in (0, 10 ** 9):
         with mock.patch.object(tree, "BATCH_NODES", batch_nodes):
-            assert tree.decode_tree_batch(design, grid) == [tree.decode_tree(own, outcomes)[1]]
+            assert batch_reports(tree.decode_tree_batch(design, grid)) == [
+                tree.decode_tree(own, outcomes)[1]]
 
 
 @pytest.mark.parametrize("scheme,hash_mode", BATCH_DESIGNS)
@@ -233,7 +239,7 @@ def test_batch_frontiers_empty_at_different_levels(scheme, hash_mode):
     for b, truth in enumerate(truths):
         trial_design = build(params, n, root.child(b, "design"), hash_mode)
         own.append((trial_design, core.OutcomeVector(grid[b].copy(), trial_design.layout)))
-    reports = tree.decode_tree_batch(design, grid)
+    reports = batch_reports(tree.decode_tree_batch(design, grid))
     assert reports == [tree.decode_tree(d, o)[1] for d, o in own]
     assert [set(r.estimate) for r in reports] == [set(t) for t in truths]
     assert reports[2].nodes_visited > reports[0].nodes_visited

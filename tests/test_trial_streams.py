@@ -76,7 +76,8 @@ def test_draws_stay_below_the_raw_n(n, k):
 
 def test_run_trial_defectives_stay_below_the_raw_n():
     config = bench.TrialConfig(algorithm="comp", n=5, k=3, trials=40, base_seed=2)
-    records = bench._run_share(config, range(40))
+    share = bench._run_share(config, range(40))
+    records = [bench._record(share, b) for b in range(40)]
     assert all(len(r["defectives"]) == 3 and r["defectives"][-1] < 5 for r in records)
 
 
@@ -84,6 +85,104 @@ def test_explicit_defectives_keep_their_path():
     words = RandomnessKey(1).materials(range(3), "defectives")
     config = _config(1000, 4, defectives=(7, 3))
     assert bench._draw_defectives(config, words) == [(3, 7)] * 3
+
+
+def test_mulhi_matches_python_integers():
+    """The high word of a 128-bit product from 32-bit limbs, on 10^4 random
+    pairs and every pair of the extreme words."""
+    rng = np.random.default_rng(12)
+    edges = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 62, 2 ** 63, MASK64]
+    a = np.concatenate([rng.integers(0, 2 ** 64, 10_000, dtype=np.uint64),
+                        np.repeat(np.array(edges, dtype=np.uint64), len(edges))])
+    b = np.concatenate([rng.integers(0, 2 ** 64, 10_000, dtype=np.uint64),
+                        np.tile(np.array(edges, dtype=np.uint64), len(edges))])
+    assert bench._mulhi(a, b).tolist() == [(x * y) >> 64 for x, y in zip(a.tolist(), b.tolist())]
+
+
+@pytest.mark.parametrize("m", [2 ** 62, 2 ** 62 - 1, 1, 2])
+def test_picks_at_the_largest_operands(m):
+    """floor(u * m / 2^128) at high = low = 2^64 - 1, where every carry is
+    taken, and at random words, against Python integers."""
+    rng = np.random.default_rng(m % 1000)
+    high, low = (np.concatenate([np.array(edge, dtype=np.uint64),
+                                 rng.integers(0, 2 ** 64, 100, dtype=np.uint64)])
+                 for edge in ([MASK64, MASK64, 0], [MASK64, 0, MASK64]))
+    picks = bench._picks(high, low, np.full(len(high), m, dtype=np.uint64))
+    assert picks.tolist() == [((h << 64 | lo) * m) >> 128
+                              for h, lo in zip(high.tolist(), low.tolist())]
+    assert picks[0] == m - 1
+
+
+def _scalar_draws(config: bench.TrialConfig, words: np.ndarray) -> list[tuple[int, ...]]:
+    """``bench._draw_defectives`` by the scalar Floyd loop on every row."""
+    count = min(config.k, config.n)
+    return [bench._floyd(row, config.n, count)
+            for row in counter_stream(words, 2 * count).tolist()]
+
+
+def _counting_floyd(monkeypatch) -> list:
+    """Record every call of the scalar loop ``_draw_defectives`` makes."""
+    calls, floyd = [], bench._floyd
+
+    def counting(row, n, count):
+        calls.append(row)
+        return floyd(row, n, count)
+
+    monkeypatch.setattr(bench, "_floyd", counting)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(2, 300), st.integers(2, 2 ** 62)),
+    k=st.integers(1, 70),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_array_draw_matches_the_scalar_loop(n, k, rows, seed):
+    """Random rows at any size, drawn by the array program at every size
+    (the crossover set to one pick), equal the scalar loop's draws."""
+    k = min(k, n)
+    config = _config(n, k)
+    words = RandomnessKey(seed).materials(range(rows), "defectives")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench, "ARRAY_DRAW_PICKS", 1)
+        assert bench._draw_defectives(config, words) == _scalar_draws(config, words)
+
+
+@pytest.mark.parametrize("n", [65, 128])
+def test_rows_with_a_repeat_take_the_scalar_loop(n, monkeypatch):
+    """At k = 64 of n = k + 1 or n = 2k, most rows pick some item twice;
+    those rows fall back to the scalar loop, and every row equals the
+    pure-Python reference."""
+    config = _config(n, 64)
+    words = RandomnessKey(n).materials(range(8), "defectives")
+    calls = _counting_floyd(monkeypatch)
+    draws = bench._draw_defectives(config, words)
+    assert 0 < len(calls) <= 8
+    assert draws == [floyd_defectives(int(row[0]), n, 64) for row in words]
+
+
+@pytest.mark.parametrize("rows,array", [(bench.ARRAY_DRAW_PICKS // 4 - 1, False),
+                                        (bench.ARRAY_DRAW_PICKS // 4, True),
+                                        (bench.ARRAY_DRAW_PICKS // 4 + 1, True)])
+def test_draws_just_below_and_above_the_crossover(rows, array, monkeypatch):
+    """k = 4 draws of one row fewer than ``ARRAY_DRAW_PICKS`` picks run the
+    scalar loop on every row, from the crossover on the array program; both
+    equal the pure-Python reference."""
+    config = _config(2 ** 14, 4)
+    words = RandomnessKey(rows).materials(range(rows), "defectives")
+    calls = _counting_floyd(monkeypatch)
+    draws = bench._draw_defectives(config, words)
+    assert draws == [floyd_defectives(int(row[0]), 2 ** 14, 4) for row in words]
+    assert len(calls) == (0 if array else rows)
+
+
+def test_explicit_defectives_above_the_crossover():
+    """Explicit defectives are every row's draw, sorted, at any batch size."""
+    words = RandomnessKey(2).materials(range(bench.ARRAY_DRAW_PICKS), "defectives")
+    draws = bench._draw_defectives(_config(1000, 4, defectives=(9, 2, 5)), words)
+    assert draws == [(2, 5, 9)] * bench.ARRAY_DRAW_PICKS
 
 
 @pytest.mark.parametrize("p", [0.0, 2.0 ** -64, 0.05, 0.5, 1.0 - 2.0 ** -53, 1.0])
