@@ -21,6 +21,9 @@ one, as an :class:`OutcomeVector`.  Every scheme builds one
 one level at a time: the three tree schemes, and the COMP/NCOMP baselines
 as one counter-hashed level of singletons.  A design built from several
 trials' keys at once evaluates them all in one call, one row per trial.
+Every decoder reads such a grid through one reader,
+:class:`splitgt.tree.Reads`, and reports a batch as one
+:class:`BatchReport`, a trial as one :class:`DecodeReport`.
 """
 
 from __future__ import annotations

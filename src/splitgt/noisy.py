@@ -18,10 +18,12 @@ the small calibrated constants used by the benchmark suite.  ``HASH_MODES``
 maps each hash mode to the placements' polynomial degree, None for the
 counter hash.
 
-:func:`decode_noisy_batch` decodes a batch of trials at once and returns
-their estimates and counters as the columns of one
-:class:`splitgt.core.BatchReport`; :func:`decode_noisy` is its batch of one
-and returns that row as a :class:`splitgt.core.DecodeReport`.
+The decoder is the splitting descent of every scheme,
+:func:`splitgt.tree.descend`, under the noisy survival rule: a node above
+the singletons survives on its final label, a singleton on the majority of
+its batch labels.  :func:`decode_noisy_batch` decodes a batch of trials at
+once into one :class:`splitgt.core.BatchReport`; :func:`decode_noisy` is
+its batch of one, as a :class:`splitgt.core.DecodeReport`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .core import BatchReport, DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
 from .placements import uniform_style_stacks
-from .tree import TreeDesign, placement_of
+from .tree import Reads, TreeDesign, decode_one, descend, placement_of, tally
 
 HASH_MODES = {"full": None, "kwise": 2}
 DEFAULT_T = 2.0
@@ -142,43 +144,18 @@ def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
     return TreeDesign(n, params, zip(levels, stacks))
 
 
-class _Batch:
-    """The decode state of a batch of trials: per level, the design's stack
-    and the position of its first test in a trial's outcome row; per
-    repetition of a level, the position of its first test from the level's
-    (the final level has the most repetitions).  ``grid`` holds the trials'
-    outcome rows end to end, trial b's from b * t_total on, and ``seen``
-    marks the cells read."""
-
-    def __init__(self, design: TreeDesign, grid: np.ndarray):
-        self.size, self.t_total = grid.shape
-        self.params, self.stacks = design.params, design.stacks
-        self.bottom = design.layout[-1][0]
-        self.first_test = design.first_test
-        self.rep_starts = self.params.t_len * np.arange(self.stacks[self.bottom].reps)[:, None]
-        self.grid = grid.reshape(-1)
-        self.seen = np.zeros(len(self.grid), dtype=bool)
+def _votes(reads: Reads, level: int, trials, nodes: np.ndarray, first: int,
+           count: int) -> np.ndarray:
+    """Outcomes of the tests of ``nodes``, node i of trial ``trials[i]``,
+    at ``level`` in sequences first .. first + count - 1, (count x nodes)."""
+    tests = reads.design.stacks[level].tests_of(nodes, slice(first, first + count), trials)
+    return reads.reads(level, first, tests, trials)
 
 
-def _votes(batch: _Batch, level: int, trials: np.ndarray, nodes: np.ndarray,
-           first: int, count: int) -> np.ndarray:
-    """Outcomes of the tests of the nodes ``nodes``, node i of trial
-    ``trials[i]``, at ``level`` in sequences first .. first + count - 1, as a
-    (count x nodes) array, from cell ``trial * t_total + first_test[level] +
-    rep * t_len + test`` of the grid; marks the cells read."""
-    t_len = batch.params.t_len
-    tests = batch.stacks[level].tests_of(nodes, slice(first, first + count), trials)
-    cells = tests + (trials * batch.t_total + (batch.first_test[level] + first * t_len))
-    cells += batch.rep_starts[:count]
-    batch.seen[cells] = True
-    return batch.grid[cells]
-
-
-def _lookahead(batch: _Batch, level: int, trials: np.ndarray,
-               roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lookahead(reads: Reads, level: int, trials, roots: np.ndarray) -> tuple:
     """Final labels of the nodes ``roots`` at ``level``, root i of trial
-    ``trials[i]`` (a bool array), and per trial of the batch the number of
-    intermediate and batch labels computed.
+    ``trials[i]`` (a bool array), and per trial the number of intermediate
+    and batch labels computed (see :func:`splitgt.tree.tally`).
 
     A root is positive iff some length-r descendant path carries at least
     r // 2 + 1 positive intermediate labels.  Steps past the final level stay
@@ -189,19 +166,19 @@ def _lookahead(batch: _Batch, level: int, trials: np.ndarray,
     as one of its states reaches the target; a state is dropped once its
     root is accepted or once it can no longer reach the target.
     """
-    reps, r, bottom = batch.params.n_reps, batch.params.r, batch.bottom
+    params, bottom = reads.design.params, reads.design.layout[-1][0]
+    reps, r = params.n_reps, params.r
     target, half = r // 2 + 1, reps // 2
     open_roots = np.ones(len(roots), dtype=bool)
     owner = np.arange(len(roots)).repeat(2)
     nodes = (roots[:, None] * 2 + _CHILDREN).ravel()
     positives = np.zeros(len(nodes), dtype=np.int64)
-    lanes = []  # the trial of every label computed, depth by depth
+    lanes = []  # the root of every label computed, depth by depth
     for depth in range(1, r + 1):
         lvl = level + depth
-        lane_trials = trials[owner]
-        lanes.append(lane_trials)
-        votes = _votes(batch, min(lvl, bottom), lane_trials, nodes,
-                       max(lvl - bottom, 0) * reps, reps)
+        lanes.append(owner)
+        votes = _votes(reads, min(lvl, bottom), None if trials is None else trials[owner],
+                       nodes, max(lvl - bottom, 0) * reps, reps)
         positives += votes.sum(axis=0) > half
         open_roots[owner[positives >= target]] = False
         keep = open_roots[owner] & (positives >= target - (r - depth))
@@ -211,65 +188,35 @@ def _lookahead(batch: _Batch, level: int, trials: np.ndarray,
         if lvl < bottom:
             owner, positives = owner.repeat(2), positives.repeat(2)
             nodes = (nodes[:, None] * 2 + _CHILDREN).ravel()
-    return ~open_roots, np.bincount(np.concatenate(lanes), minlength=batch.size)
+    owners = np.concatenate(lanes)
+    return ~open_roots, tally(None if trials is None else trials[owners], len(owners),
+                              reads.count)
+
+
+def _labels_positive(reads: Reads, level: int, nodes: np.ndarray, trials):
+    """The noisy survival rule: above the singletons, a positive lookahead
+    label; at them, a majority of all C' * log2 n batch labels.  It counts
+    every label evaluated, with no memo across levels."""
+    params = reads.design.params
+    if level < reads.design.layout[-1][0]:
+        found, labels = _lookahead(reads, level, trials, nodes)
+    else:  # the singletons, at level log2 n
+        batches, reps = params.c_final * level, params.n_reps
+        votes = _votes(reads, level, trials, nodes, 0, batches * reps)
+        batch_labels = 2 * votes.reshape(batches, reps, -1).sum(axis=1) > reps
+        found = 2 * batch_labels.sum(axis=0) > batches
+        labels = batches * tally(trials, len(nodes), reads.count)
+    return nodes[found], None if trials is None else trials[found], labels
 
 
 def decode_noisy(design: TreeDesign,
                  outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:
-    """The decode of one trial: the batch of one of
-    :func:`decode_noisy_batch`, on the trial's own outcome vector."""
-    if tuple(outcomes.layout) != tuple(design.layout):
-        raise ValueError("outcome layout does not match this design")
-    report = decode_noisy_batch(design, outcomes.bits.reshape(1, -1)).report(0)
-    return report.estimate, report
+    """The decode of one trial by :func:`decode_noisy_batch`'s rule."""
+    return decode_one(design, outcomes, _labels_positive)
 
 
 def decode_noisy_batch(design: TreeDesign, grid: np.ndarray) -> BatchReport:
-    """Decode every trial of a batch at once, into one :class:`BatchReport`
-    whose entry b is row b of ``grid``, the (trials x T) outcomes of
-    ``design``'s trials (see ``TreeDesign.noiseless_grid``): descend level
-    by level, keeping the children of every node whose lookahead label is
-    positive; accept a surviving singleton by a majority over all
-    C' * log2 n of its batch labels.
-
-    Each trial keeps its own keys, along the design's trial axis, and its
-    own outcome row.  The descent runs every trial's nodes together, each
-    node tagged with its trial, so a level's lookahead takes the same r
-    gathers for the whole batch as for one trial, and no trial's result
-    depends on the others.  Every segment has length ``t_len``, and the
-    outcome of test j of (level, rep) of trial b is cell ``b * t_total +
-    first_test[level] + rep * t_len + j`` of the grid laid flat.
-    ``outcomes_read`` counts distinct outcome cells read,
-    ``labels_computed`` every intermediate and batch label evaluated (no
-    memo across levels), and ``peak_frontier`` the trial's largest
-    possibly-defective set.
-    """
-    count, t_total = grid.shape
-    if t_total != design.t_total:
-        raise ValueError(f"a grid of {t_total} outcomes per trial does not match "
-                         f"the design's {design.t_total} tests")
-    batch = _Batch(design, grid)
-    reps = batch.params.n_reps
-    log2k, log2n = design.layout[0][0], batch.bottom
-    # the possibly-defective nodes of every trial, in trial order
-    trials, pd = np.divmod(np.arange(count << log2k), 1 << log2k)
-    fronts, labels = [trials], 0
-
-    for level in range(log2k, log2n):
-        accepted, computed = _lookahead(batch, level, trials, pd)
-        labels += computed
-        trials = trials[accepted].repeat(2)
-        pd = (pd[accepted, None] * 2 + _CHILDREN).ravel()
-        fronts.append(trials)
-    sizes = np.array([np.bincount(front, minlength=count) for front in fronts])
-
-    batches = batch.params.c_final * log2n
-    votes = _votes(batch, log2n, trials, pd, 0, batches * reps)
-    batch_labels = 2 * votes.reshape(batches, reps, -1).sum(axis=1) > reps
-    labels += batches * sizes[-1]
-    found = 2 * batch_labels.sum(axis=0) > batches
-    return BatchReport(estimate=pd[found],
-                       bounds=np.searchsorted(trials[found], np.arange(count + 1)),
-                       outcomes_read=batch.seen.reshape(count, t_total).sum(axis=1),
-                       nodes_visited=sizes.sum(axis=0), peak_frontier=sizes.max(axis=0),
-                       labels_computed=labels)
+    """The :func:`splitgt.tree.descend` of the noisy decoder.  Every
+    trial's nodes run together, so a level's lookahead takes the same r
+    gathers for a batch as for one trial."""
+    return descend(design, grid, _labels_positive)

@@ -1,5 +1,5 @@
-"""The splitting-tree design of every scheme, and the decoder of the gamma
-and rho schemes and of the COMP/NCOMP baselines.
+"""The splitting-tree design of every scheme, and the one descent that
+every decoder is.
 
 The gamma, rho and noisy schemes share one structure: a tree over [0, n)
 with a fixed fan-out, where each level has a node size and one placement
@@ -7,26 +7,25 @@ per repetition, and every placement of a level puts each node of that level
 into one test of a sequence of ``t_len`` tests.  A level is therefore its
 stack of placements (see :mod:`splitgt.placements`), which knows its node
 count, its ``t_len`` and its repetitions; :class:`TreeDesign` is built from
-the ordered ``(level, stack)`` pairs and derives the rest, fan-out included.
-The schemes differ only in how their params become stacks:
-``gamma.build_gamma_design``, ``rho.build_rho_design`` and
-``noisy.build_noisy_design``.
+the ordered ``(level, stack)`` pairs and derives the rest, fan-out and the
+address of every outcome cell included.  The schemes differ only in how
+their params become stacks: ``gamma.build_gamma_design``,
+``rho.build_rho_design`` and ``noisy.build_noisy_design``; COMP and NCOMP
+take a one-level tree of singletons (``baselines.build_flat_design``).
 
-The gamma and rho trees test every top-level node individually, then at
-each later level a node survives iff all of its tests there are positive;
-the survivors of the last (singleton) level are the estimate.  COMP is that
-rule on a one-level tree of singletons (``baselines.build_flat_design``),
-and NCOMP the rule with up to ``misses`` negatives forgiven.
-:func:`decode_tree_batch` walks that descent for a batch of trials at once,
-its frontier (trial, node) pairs as sorted int64 arrays, level by level, and
+Every decoder is :func:`descend`: it keeps a frontier of possibly-defective
+nodes, for a batch of trials at once as sorted (trial, node) int64 arrays,
+and level by level keeps the children of the nodes that pass a survival
+rule; the survivors of the last (singleton) level are the estimate.  It
 returns the batch's estimates and counters as the columns of one
-:class:`splitgt.core.BatchReport`; :func:`decode_tree` is its batch of one,
-on a design of one trial's keys, keeps no trial array and returns its one
-row as a :class:`splitgt.core.DecodeReport`.  Each level goes repetition by
-repetition over the candidates still alive, so every trial reads exactly the
-tests a node-by-node loop that stops at the first negative would read; a
-small frontier has its tests under every repetition looked up at once, a
-large one repetition by repetition.
+:class:`splitgt.core.BatchReport`; :func:`decode_one` is its batch of one,
+on a trial's own outcome vector, as a :class:`splitgt.core.DecodeReport`.
+Only the rule differs.  Gamma, rho and COMP keep a node when all of its
+tests at the level are positive, and NCOMP forgives up to ``misses``
+negatives (:func:`decode_tree_batch`, :func:`decode_tree`); the noisy rule
+is a lookahead majority (see :mod:`splitgt.noisy`).  Every outcome is read
+through one :class:`Reads`, which checks the grid, marks each cell read and
+counts a trial's reads.
 
 A batch's design is one :class:`TreeDesign` whose stacks hold every
 trial's keys along a leading trial axis (the scheme builders take several
@@ -75,8 +74,10 @@ class TreeDesign:
     places every node into one of ``stack.t_len`` tests.  Each node has
     ``branching`` children at the next level, the second level's node count
     over the first's.  The outcomes of a design come in ``layout`` order:
-    one ``(level, rep, t_len)`` segment per repetition, level by level;
-    ``first_test[level]`` indexes a level's first test in that order.
+    one ``(level, rep, t_len)`` segment per repetition, level by level, and
+    ``starts[level]`` is the column of a level's segment starts in that
+    order, one row per repetition: the address of every outcome cell, which
+    ``noiseless_grid`` writes and :class:`Reads` reads.
     ``trials`` is the length of the stacks' leading trial axis, or None for
     a design of one trial's keys, which has no such axis and evaluates and
     decodes one trial without a trial array.
@@ -91,10 +92,10 @@ class TreeDesign:
         self.trials = stacks[-1].trials  # the top level may be keyless
         self.layout = tuple((level, rep, stack.t_len) for level, stack in self.stacks.items()
                             for rep in range(stack.reps))
-        self.first_test = {}
+        self.starts = {}
         test = 0
         for level, stack in self.stacks.items():
-            self.first_test[level] = test
+            self.starts[level] = test + stack.t_len * np.arange(stack.reps, dtype=np.int64)[:, None]
             test += stack.reps * stack.t_len
         self.t_total = test
 
@@ -108,23 +109,21 @@ class TreeDesign:
         """The noiseless outcome vectors of a batch, trial b's defectives
         ``defectives[b]``, as the rows of a (trials x T) uint8 grid: one
         stacked ``tests_of`` per level over every trial's defectives, each
-        looked up under its own trial's keys and scattered at ``first_test[level]
-        + rep * t_len + test`` of its row (a design of one trial's keys
+        looked up under its own trial's keys and scattered at
+        ``starts[level][rep] + test`` of its row (a design of one trial's keys
         takes a batch of one)."""
         grid = np.zeros((len(defectives), self.t_total), dtype=np.uint8)
-        if self.trials is None:  # no trial array, as in decode_tree_batch
+        if self.trials is None:  # no trial array, as in descend
             (truth,) = defectives
             trials, items = None, np.asarray(truth, dtype=np.int64)
         else:
             trials = np.repeat(np.arange(len(defectives)), [len(d) for d in defectives])
             items = np.fromiter((d for trial in defectives for d in trial), np.int64, len(trials))
-            starts = trials * self.t_total
+            bases = trials * self.t_total  # the start of each defective's row
         cells = grid.reshape(-1)
         for level, stack in self.stacks.items():
             tests = stack.tests_of(items // self.node_size(level), slice(None), trials)
-            rows = self.first_test[level] + stack.t_len * np.arange(stack.reps)[:, None]
-            if trials is not None:
-                rows = rows + starts
+            rows = self.starts[level] if trials is None else self.starts[level] + bases
             cells[rows + tests] = 1
         return grid
 
@@ -158,95 +157,144 @@ class TreeDesign:
         return worst
 
 
-def decode_tree(design: TreeDesign, outcomes: OutcomeVector,
-                misses: int = 0) -> tuple[tuple[int, ...], DecodeReport]:
-    """The decode of one trial: the batch of one of
-    :func:`decode_tree_batch`, on the trial's own outcome vector."""
-    if tuple(outcomes.layout) != tuple(design.layout):
-        raise ValueError("outcome layout does not match this design")
-    report = decode_tree_batch(design, outcomes.bits.reshape(1, -1), misses).report(0)
-    return report.estimate, report
+class Reads:
+    """The outcome reader of one decode: the (trials x T) ``grid`` of
+    ``design``'s trials laid flat, test j of (level, rep) of trial b at cell
+    ``b * T + design.starts[level][rep] + j``, and a mark on every cell
+    read.  A design of one trial's keys reads one row, without trials."""
+
+    def __init__(self, design: TreeDesign, grid: np.ndarray):
+        self.count, self.t_total = grid.shape
+        if self.t_total != design.t_total:
+            raise ValueError(f"a grid of {self.t_total} outcomes per trial does not match "
+                             f"the design's {design.t_total} tests")
+        if design.trials is None and self.count != 1:
+            raise ValueError(f"a design of one trial's keys decodes one grid row, not {self.count}")
+        self.design, self.starts = design, design.starts
+        self.grid, self.flat = grid, grid.reshape(-1)
+        self.seen = np.zeros(grid.shape, dtype=bool)
+        self.marks = self.seen.reshape(-1)
+
+    def scan(self, level: int) -> np.ndarray:
+        """Every test of ``level``'s one segment in every row, marked read:
+        the positions ``b * t_len + j`` of its positives."""
+        start = self.starts[level].item(0)
+        end = start + self.design.stacks[level].t_len
+        self.seen[:, start:end] = True
+        # through a bool view of the uint8 grid, where flatnonzero is about
+        # 12x faster than on the uint8 bytes themselves
+        return np.flatnonzero(self.grid[:, start:end].view(bool))
+
+    def reads(self, level: int, first_rep: int, tests: np.ndarray, trials) -> np.ndarray:
+        """The outcomes of ``tests`` at ``level``, lane i in trial
+        ``trials[i]``, marked read: a row of tests under repetition
+        ``first_rep``, or one row per repetition from ``first_rep`` on."""
+        starts = self.starts[level]
+        cells = tests + (starts.item(first_rep) if tests.ndim == 1
+                         else starts[first_rep:first_rep + len(tests)])
+        if trials is not None:
+            cells += trials * self.t_total
+        self.marks[cells] = True
+        return self.flat[cells]
+
+    def counts(self) -> np.ndarray:
+        """Per row, the number of distinct cells read."""
+        # a popcount per row, on 2 shared cores: 119 us on lowstore rho's one
+        # 1.8M-cell row against 1026 us for count_nonzero(seen, axis=1), and
+        # 61 us on noisy's 55 rows of 4704 cells against 206 us for
+        # seen.sum(axis=1)
+        return np.array([np.count_nonzero(row) for row in self.seen], dtype=np.int64)
 
 
-def decode_tree_batch(design: TreeDesign, grid: np.ndarray, misses: int = 0) -> BatchReport:
-    """Walk the tree top-down for every trial of a batch at once, reading
-    only tests of surviving nodes; one :class:`BatchReport` whose entry b is
-    row b of ``grid``, the (trials x T) uint8 outcomes of ``design``'s trials
-    (see ``TreeDesign.noiseless_grid``).
+def tally(trials, size: int, count: int):
+    """How many of ``size`` lanes, lane i in trial ``trials[i]``, each of
+    ``count`` trials holds: ``size`` itself when ``trials`` is None."""
+    return size if trials is None else np.bincount(trials, minlength=count)
 
-    A node survives a level iff at most ``misses`` of its tests there are
-    negative (only a positive ``misses``, NCOMP's, counts them).  The
-    frontier holds (trial, node) pairs, trial-major; a design of one trial's
-    keys (``design.trials`` None) keeps no trial array.  An
-    :class:`IdentityStack` first level tests its nodes individually; any
-    other starts with all of its nodes alive.  Test j of (level, rep) of
-    trial b is cell ``b * T + first_test[level] + rep * t_len + j`` of the
-    grid laid flat; as in the noisy decoder, every cell read is marked in one
-    boolean array whose row count is a trial's ``outcomes_read``.
-    ``nodes_visited`` counts each node once per level it is tested at;
-    ``peak_frontier`` is the trial's largest frontier.  Whether a level
-    looks its nodes up under all of its repetitions at once (up to
-    ``BATCH_NODES`` nodes) is decided for the whole batch, which changes no
-    trial's reads.
-    """
-    count, t_total = grid.shape
-    if t_total != design.t_total:
-        raise ValueError(f"a grid of {t_total} outcomes per trial does not match "
-                         f"the design's {design.t_total} tests")
-    if design.trials is None and count != 1:
-        raise ValueError(f"a design of one trial's keys decodes one grid row, not {count}")
-    flat, seen = grid.reshape(-1), np.zeros(grid.shape, dtype=bool)
-    marks = seen.reshape(-1)
+
+def descend(design: TreeDesign, grid: np.ndarray, survive, *args) -> BatchReport:
+    """Walk the tree top-down for every trial of a batch at once, keeping
+    the children of the nodes ``survive(reads, level, nodes, trials, *args)``
+    returns with their trials and the labels it computed per trial; one
+    :class:`BatchReport` whose entry b is row b of ``grid``.  The frontier
+    holds (trial, node) pairs, trial-major, without trials for a design of
+    one trial's keys.  An identity first level is scanned, any other starts
+    all alive; ``nodes_visited`` counts each node once per level it is
+    tested at, ``peak_frontier`` is the trial's largest frontier."""
+    reads = Reads(design, grid)
+    count = reads.count
     levels = list(design.stacks.items())
     first, top = levels[0]
-    if isinstance(top, IdentityStack):  # tested individually, in one segment
+    if isinstance(top, IdentityStack):
         levels = levels[1:]
-        seen[:, :top.t_len] = True
-        # scanned through a bool view of the uint8 grid, where flatnonzero is
-        # about 12x faster than on the uint8 bytes themselves
-        start = np.flatnonzero(grid[:, :top.t_len].view(bool))
-    else:  # every node of the first level alive
+        start = reads.scan(first)
+    else:
         start = np.arange(count * top.num_nodes)
     # trial b's node j at b * nodes + j
     trials, alive = (None, start) if design.trials is None else np.divmod(start, top.num_nodes)
-
-    def frontier():  # the frontier size of every trial
-        return len(alive) if trials is None else np.bincount(trials, minlength=count)
-
-    sizes, offsets = [frontier()], np.arange(design.branching, dtype=np.int64)
+    sizes, labels = [tally(trials, len(alive), count)], 0
+    offsets = np.arange(design.branching, dtype=np.int64)
     for level, stack in levels:
         if level != first:
             alive = (alive[:, None] * design.branching + offsets).ravel()
             if trials is not None:
                 trials = trials.repeat(design.branching)
-            sizes.append(frontier())
-        batch = len(alive) <= BATCH_NODES
-        tests = stack.tests_of(alive, slice(None), trials) if batch else None
-        negatives = np.zeros(len(alive), dtype=np.int64) if misses else None
-        for rep in range(stack.reps):
-            row = tests[rep] if batch else stack.tests_of(alive, slice(rep, rep + 1), trials)[0]
-            offset = design.first_test[level] + rep * stack.t_len
-            cells = row + (offset if trials is None else trials * t_total + offset)
-            marks[cells] = True
-            if misses:
-                negatives += flat[cells] == 0
-                keep = negatives <= misses
-                negatives = negatives[keep]
-            else:
-                keep = flat[cells] != 0
-            alive = alive[keep]
-            if trials is not None:
-                trials = trials[keep]
-            if batch:
-                tests = tests[:, keep]
-
+            sizes.append(tally(trials, len(alive), count))
+        alive, trials, computed = survive(reads, level, alive, trials, *args)
+        labels = labels + computed
     bounds = (np.array([0, len(alive)]) if trials is None
               else np.searchsorted(trials, np.arange(count + 1)))
     sizes = np.array(sizes).reshape(len(sizes), count)  # levels x trials
-    # a popcount per row: on lowstore rho's one 1.8M-cell row,
-    # count_nonzero(seen, axis=1) took 1026 us, count_nonzero of the row 119 us
-    read = np.array([np.count_nonzero(marked) for marked in seen])
-    return BatchReport(estimate=alive, bounds=bounds, outcomes_read=read,
+    return BatchReport(estimate=alive, bounds=bounds, outcomes_read=reads.counts(),
                        nodes_visited=top.num_nodes + sizes[1:].sum(axis=0),
                        peak_frontier=sizes.max(axis=0),
-                       labels_computed=np.zeros(count, dtype=np.int64))
+                       labels_computed=np.zeros(count, dtype=np.int64) + labels)
+
+
+def decode_one(design: TreeDesign, outcomes: OutcomeVector, survive,
+               *args) -> tuple[tuple[int, ...], DecodeReport]:
+    """The batch of one of :func:`descend`, on a trial's outcome vector."""
+    if tuple(outcomes.layout) != tuple(design.layout):
+        raise ValueError("outcome layout does not match this design")
+    report = descend(design, outcomes.bits.reshape(1, -1), survive, *args).report(0)
+    return report.estimate, report
+
+
+def _all_positive(reads: Reads, level: int, alive: np.ndarray, trials, misses: int):
+    """The survival rule of gamma, rho, COMP and NCOMP: at most ``misses``
+    of a node's tests at the level are negative (only NCOMP's positive
+    ``misses`` counts them).  It goes repetition by repetition over the
+    nodes still alive, so a trial reads exactly what a node-by-node loop
+    stopping at the first negative reads, up to ``BATCH_NODES`` nodes with
+    every repetition looked up at once."""
+    stack = reads.design.stacks[level]
+    batch = len(alive) <= BATCH_NODES
+    tests = stack.tests_of(alive, slice(None), trials) if batch else None
+    negatives = np.zeros(len(alive), dtype=np.int64) if misses else None
+    for rep in range(stack.reps):
+        row = tests[rep] if batch else stack.tests_of(alive, slice(rep, rep + 1), trials)[0]
+        outcomes = reads.reads(level, rep, row, trials)
+        if misses:
+            negatives += outcomes == 0
+            keep = negatives <= misses
+            negatives = negatives[keep]
+        else:
+            keep = outcomes != 0
+        alive = alive[keep]
+        if trials is not None:
+            trials = trials[keep]
+        if batch:
+            tests = tests[:, keep]
+    return alive, trials, 0
+
+
+def decode_tree(design: TreeDesign, outcomes: OutcomeVector,
+                misses: int = 0) -> tuple[tuple[int, ...], DecodeReport]:
+    """The decode of one trial by :func:`decode_tree_batch`'s rule."""
+    return decode_one(design, outcomes, _all_positive, misses)
+
+
+def decode_tree_batch(design: TreeDesign, grid: np.ndarray, misses: int = 0) -> BatchReport:
+    """The :func:`descend` of gamma, rho, COMP and NCOMP: a node survives a
+    level iff at most ``misses`` of its tests there are negative."""
+    return descend(design, grid, _all_positive, misses)

@@ -449,7 +449,8 @@ def test_batch_decode_frontier_empties_in_some_trials_only():
 
 def test_batch_decode_checks_grid_width():
     """A grid row holds the design's T outcomes, or the grid is rejected;
-    a grid of no rows decodes to no reports."""
+    a grid of no rows decodes to no reports, in every algorithm's
+    ``decode_grid`` on a design of no trials as well."""
     n, k = 2 ** 8, 2
     keys = RandomnessKey(1).materials(range(2), "design")
     design = build_noisy_design(noisy_params(n, k, 0.05), n, k, keys)
@@ -460,3 +461,15 @@ def test_batch_decode_checks_grid_width():
         noisy.decode_noisy_batch(design, grid)
     assert batch_reports(noisy.decode_noisy_batch(design, np.zeros((0, design.t_total),
                                                                   np.uint8))) == []
+    for algorithm, fields in (("gamma", dict(gamma=5)), ("rho", dict(rho=16)),
+                              ("noisy", dict(p=0.05)), ("comp", {}), ("ncomp", dict(p=0.05))):
+        config = bench.TrialConfig(algorithm=algorithm, n=n, k=k, **fields)
+        scheme = bench.SCHEMES[algorithm]
+        empty = scheme.build(config, scheme.params(config, n, k), n, k,
+                             RandomnessKey(1).materials(range(0), "design"))
+        assert empty.trials == 0
+        report = scheme.decode_grid(config, empty, np.zeros((0, empty.t_total), np.uint8))
+        assert report.bounds.tolist() == [0] and batch_reports(report) == []
+        for column in (report.estimate, report.outcomes_read, report.nodes_visited,
+                       report.peak_frontier, report.labels_computed):
+            assert column.shape == (0,)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hash_modes import EVERY_PAIR, TREE_DESIGNS, refused
+from hash_modes import ACCEPTED, EVERY_PAIR, TREE_DESIGNS, refused
 from scalar_reference import (
     batch_reports,
     decode_gamma_scalar,
     decode_rho_scalar,
     noiseless_bits_per_test,
 )
-from splitgt import bench, core, tree
+from splitgt import bench, core, noisy, tree
 from splitgt.core import NoiseChannel, ProblemInstance, RandomnessKey, evaluate_design
 from splitgt.gamma import build_gamma_design, decode_gamma, gamma_params
 from splitgt.noisy import build_noisy_design, noisy_params
@@ -265,10 +265,51 @@ def test_batch_decoders_reject_a_grid_of_the_wrong_width(algorithm, fields, extr
 
 def test_a_design_of_one_trials_keys_decodes_one_row():
     """A design without a trial axis refuses a grid of two rows, whose
-    second row it has no keys for."""
-    for design in (build_gamma_design(gamma_params(2 ** 10, 4, 5), 2 ** 10, RandomnessKey(2)),
-                   bench.SCHEMES["comp"].build(bench.TrialConfig(algorithm="comp", n=64, k=2),
-                                               100, 64, 2, RandomnessKey(2))):
+    second row it has no keys for, in every decoder."""
+    n, key = 2 ** 10, RandomnessKey(2)
+    for design, decode in (
+            (build_gamma_design(gamma_params(n, 4, 5), n, key), tree.decode_tree_batch),
+            (build_rho_design(rho_params(n, 4, 16), n, key), tree.decode_tree_batch),
+            (build_noisy_design(noisy_params(n, 4, 0.05), n, 4, key), noisy.decode_noisy_batch),
+            (bench.SCHEMES["comp"].build(bench.TrialConfig(algorithm="comp", n=64, k=2),
+                                         100, 64, 2, key), tree.decode_tree_batch)):
         grid = np.ones((2, design.t_total), dtype=np.uint8)
         with pytest.raises(ValueError, match="one grid row, not 2"):
-            tree.decode_tree_batch(design, grid)
+            decode(design, grid)
+
+
+FIELDS = {"gamma": dict(gamma=5), "rho": dict(rho=16), "noisy": dict(p=0.05), "comp": dict(),
+          "ncomp": dict(p=0.05)}
+
+
+@pytest.mark.parametrize("algorithm,hash_mode", [(algorithm, name) for algorithm in FIELDS
+                                                 for name in ACCEPTED[algorithm]])
+def test_every_cell_address_is_the_layout_order(algorithm, hash_mode):
+    """The start a design states for each (level, rep) is the running sum of
+    its ``layout``'s segments, which is ``OutcomeVector``'s order;
+    ``noiseless_grid`` writes a defective's tests there and ``Reads`` reads
+    them there, a row of one repetition or a block of a level's."""
+    config = bench.TrialConfig(algorithm=algorithm, n=2 ** 10, k=4, hash_mode=hash_mode,
+                               **FIELDS[algorithm])
+    n, k, _ = bench._rounded(config)
+    scheme = bench.SCHEMES[algorithm]
+    design = scheme.build(config, scheme.params(config, n, k), n, k, RandomnessKey(4))
+    order = core.OutcomeVector(np.arange(design.t_total), design.layout)
+    item, start, expected = 300, 0, np.zeros(design.t_total, dtype=np.uint8)
+    grid = np.zeros((1, design.t_total), np.uint8)
+    rows, blocks = tree.Reads(design, grid), tree.Reads(design, grid)
+    for level, rep, t_len in design.layout:
+        assert design.starts[level].item(rep) == start == order.segment(level, rep)[0]
+        node = item // design.node_size(level)
+        test = design.stacks[level].test_of(node, rep)
+        expected[start + test] = 1
+        rows.reads(level, rep, np.array([test]), None)
+        if rep == 0:
+            blocks.reads(level, 0, design.stacks[level].tests_of(np.array([node])), None)
+        start += t_len
+    assert start == design.t_total
+    assert [len(column) for column in design.starts.values()] == [
+        stack.reps for stack in design.stacks.values()]
+    assert np.array_equal(design.noiseless_grid([(item,)])[0], expected)
+    assert np.array_equal(rows.seen[0], expected.view(bool))
+    assert np.array_equal(blocks.seen[0], expected.view(bool))
