@@ -173,12 +173,13 @@ def _lookahead(reads: Reads, level: int, trials, roots: np.ndarray) -> tuple:
     owner = np.arange(len(roots)).repeat(2)
     nodes = (roots[:, None] * 2 + _CHILDREN).ravel()
     positives = np.zeros(len(nodes), dtype=np.int64)
-    lanes = []  # the root of every label computed, depth by depth
+    lanes = []  # the trial of every label computed, depth by depth, or its root
     for depth in range(1, r + 1):
         lvl = level + depth
-        lanes.append(owner)
-        votes = _votes(reads, min(lvl, bottom), None if trials is None else trials[owner],
-                       nodes, max(lvl - bottom, 0) * reps, reps)
+        lane_trials = None if trials is None else trials[owner]
+        lanes.append(owner if trials is None else lane_trials)
+        votes = _votes(reads, min(lvl, bottom), lane_trials, nodes,
+                       max(lvl - bottom, 0) * reps, reps)
         positives += votes.sum(axis=0) > half
         open_roots[owner[positives >= target]] = False
         keep = open_roots[owner] & (positives >= target - (r - depth))
@@ -188,9 +189,8 @@ def _lookahead(reads: Reads, level: int, trials, roots: np.ndarray) -> tuple:
         if lvl < bottom:
             owner, positives = owner.repeat(2), positives.repeat(2)
             nodes = (nodes[:, None] * 2 + _CHILDREN).ravel()
-    owners = np.concatenate(lanes)
-    return ~open_roots, tally(None if trials is None else trials[owners], len(owners),
-                              reads.count)
+    lanes = np.concatenate(lanes)
+    return ~open_roots, tally(None if trials is None else lanes, len(lanes), reads.count)
 
 
 def _labels_positive(reads: Reads, level: int, nodes: np.ndarray, trials):
