@@ -288,7 +288,7 @@ def test_every_cell_address_is_the_layout_order(algorithm, hash_mode):
     """The start a design states for each (level, rep) is the running sum of
     its ``layout``'s segments, which is ``OutcomeVector``'s order;
     ``noiseless_grid`` writes a defective's tests there and ``Reads`` reads
-    them there, a row of one repetition or a block of a level's."""
+    them there, as a row of tests or as a block of rows from any repetition."""
     config = bench.TrialConfig(algorithm=algorithm, n=2 ** 10, k=4, hash_mode=hash_mode,
                                **FIELDS[algorithm])
     n, k, _ = bench._rounded(config)
@@ -304,8 +304,8 @@ def test_every_cell_address_is_the_layout_order(algorithm, hash_mode):
         test = design.stacks[level].test_of(node, rep)
         expected[start + test] = 1
         rows.reads(level, rep, np.array([test]), None)
-        if rep == 0:
-            blocks.reads(level, 0, design.stacks[level].tests_of(np.array([node])), None)
+        blocks.reads(level, rep, design.stacks[level].tests_of(np.array([node]),
+                                                               slice(rep, rep + 1)), None)
         start += t_len
     assert start == design.t_total
     assert [len(column) for column in design.starts.values()] == [
