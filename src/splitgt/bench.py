@@ -153,12 +153,11 @@ FLOAT_FIELDS = ("p", "c_const", "beta_exp", "design_p", "t", "epsilon", "thresho
 MAX_N, MAX_TRIAL_BYTES = 1 << 62, 1 << 32
 # A batch of trials holds their outcome vectors and read marks, two bytes
 # per test and trial (and a COMP/NCOMP batch its frontiers of n nodes); a
-# batch stays under this many bytes.  Larger blocks fragment the malloc
-# heap next to other configs' large single trials: batches of two or five
-# 206k-test gamma trials, alternating with a 1.8M-test rho trial
-# (lowstore-giant), raised the peak RSS from 41.9 to 44.2 MiB, where
-# batches of one keep it.
-BATCH_BYTES = 1 << 19
+# batch stays under this many bytes.  At 4 MiB, five 206k-test gamma kwise
+# trials at n=2^30 (lowstore-giant) are one batch, and that workload's peak
+# RSS stays within 2% of running them as batches of one: 42.60 against
+# 41.95 MiB at seed 1, 42.79 against 41.96 at seed 8191.
+BATCH_BYTES = 1 << 22
 
 
 def validate_config(config: TrialConfig) -> None:

@@ -63,6 +63,21 @@ from .core import (
 _MASK64 = (1 << 64) - 1
 
 
+def _mod(values: np.ndarray, m: int) -> np.ndarray:
+    """``values mod m`` for a uint64 array and 1 <= m < 2^64, exact, in a
+    new array: ``values - (values // m) * m``.  numpy divides an array by
+    one scalar as a multiply and a shift (libdivide, after Granlund and
+    Montgomery, "Division by invariant integers using multiplication",
+    1994), where ``%`` divides every lane in hardware; only on a few dozen
+    lanes do the three array operations cost more than the one.  ``m`` goes
+    in as an np.uint64, so that numpy 1.x's value-based casting cannot
+    route the division through float64."""
+    m = np.uint64(m)
+    q = values // m
+    q *= m
+    return np.subtract(values, q, out=q)
+
+
 def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
     """a * b mod prime for uint64 arrays with entries below prime < 2^63.
 
@@ -73,16 +88,15 @@ def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
     intermediate leaves uint64; each is reduced before the next.
     """
     bits = prime.bit_length()
-    p = np.uint64(prime)
     if 2 * bits <= 64:
-        return a * b % p
+        return _mod(a * b, prime)
     step = 64 - bits
     acc = np.zeros_like(a)
     hi = bits
     while hi > 0:
         lo = max(hi - step, 0)
         chunk = (b >> np.uint64(lo)) & np.uint64((1 << (hi - lo)) - 1)
-        acc = ((acc << np.uint64(hi - lo)) % p + a * chunk % p) % p
+        acc = _mod(_mod(acc << np.uint64(hi - lo), prime) + _mod(a * chunk, prime), prime)
         hi = lo
     return acc
 
@@ -127,12 +141,12 @@ def smallest_prime_at_least(x: int) -> int:
 
 
 def _reduce(values: np.ndarray, t_len: int) -> np.ndarray:
-    """``values mod t_len`` for a uint64 array, by the mask ``t_len - 1``
-    when t_len is a power of two: a bitwise and, where ``%`` is a 64-bit
-    division."""
+    """``values mod t_len`` for a uint64 array: by the mask ``t_len - 1``
+    when t_len is a power of two, a bitwise and, and otherwise by
+    :func:`_mod`."""
     if is_power_of_two(t_len):
         return values & np.uint64(t_len - 1)
-    return values % np.uint64(t_len)
+    return _mod(values, t_len)
 
 
 def _horner(coeffs, nodes: np.ndarray, prime: int, t_len: int) -> np.ndarray:
@@ -151,22 +165,21 @@ def _horner(coeffs, nodes: np.ndarray, prime: int, t_len: int) -> np.ndarray:
     every step, products through :func:`_mulmod`.  The result is the same
     either way, as is ``& (t_len - 1)`` for ``% t_len`` at a power of two."""
     x = np.asarray(nodes, dtype=np.int64).view(np.uint64)
-    p = np.uint64(prime)
     coeffs = iter(coeffs)
     acc = next(coeffs) + np.zeros_like(x)  # a fresh rows x nodes array
     if 2 * prime.bit_length() > 64:
         for c in coeffs:
-            acc = (_mulmod(acc, x, prime) + c) % p
+            acc = _mod(_mulmod(acc, x, prime) + c, prime)
     else:
         top = bound = prime - 1
         for c in coeffs:
             if (bound + 1) * top > _MASK64:
-                acc %= p
+                acc = _mod(acc, prime)
                 bound = top
             acc *= x
             acc += c
             bound = (bound + 1) * top
-        acc %= p
+        acc = _mod(acc, prime)
     return _reduce(acc, t_len).view(np.int64)
 
 
@@ -301,9 +314,9 @@ class PolynomialStack:
         self.prime = smallest_prime_at_least(max(num_nodes, t_len, 2))
         if self.prime >= 1 << 63:
             raise ValueError(f"num_nodes={num_nodes} and t_len={t_len} must stay below 2^63")
-        p = np.uint64(self.prime)
-        hi, lo = keys[..., 0::2] % p, keys[..., 1::2] % p
-        self.coeffs = (_mulmod(hi, np.uint64((1 << 64) % self.prime), self.prime) + lo) % p
+        hi, lo = _mod(keys[..., 0::2], self.prime), _mod(keys[..., 1::2], self.prime)
+        self.coeffs = _mod(_mulmod(hi, np.uint64((1 << 64) % self.prime), self.prime) + lo,
+                           self.prime)
         self.storage_cost = self.reps * (degree + 2)
 
     @cached_property

@@ -537,27 +537,39 @@ def test_tree_batches_follow_the_byte_cap(algorithm, fields, trials, cap, batch_
 
 
 @pytest.mark.parametrize("algorithm,fields,tests,cap", [
-    ("rho", dict(n=2 ** 20, k=16, rho=2 ** 8), 28672, 9),
-    ("gamma", dict(n=2 ** 14, k=4, gamma=6), 1192, 219),
-    ("gamma", dict(n=2 ** 30, k=64, gamma=6, hash_mode="kwise"), 206174, 1),
-    ("noisy", dict(n=2 ** 12, k=8, p=0.05), 4704, 55),
+    ("rho", dict(n=2 ** 20, k=16, rho=2 ** 8), 28672, 73),
+    ("gamma", dict(n=2 ** 14, k=4, gamma=6), 1192, 1759),
+    ("gamma", dict(n=2 ** 30, k=64, gamma=6, hash_mode="kwise"), 206174, 10),
+    ("noisy", dict(n=2 ** 12, k=8, p=0.05), 4704, 445),
 ])
-def test_batches_are_capped_at_512_kib_of_outcomes(algorithm, fields, tests, cap):
+def test_batches_are_capped_at_4_mib_of_outcomes(algorithm, fields, tests, cap):
     """The cap itself: as many trials as keep T outcome bytes and T read
-    marks per trial under 512 KiB, and at least one."""
+    marks per trial under 4 MiB, and at least one."""
     config = TrialConfig(algorithm=algorithm, **fields)
     n, k, _ = bench._rounded(config)
     scheme = bench.SCHEMES[algorithm]
     params = scheme.params(config, n, k)
-    assert bench.BATCH_BYTES == 1 << 19
+    assert bench.BATCH_BYTES == 1 << 22
     assert scheme.footprint(params, n, k) == tests
-    assert scheme.batch(params, n, k) == cap == max(1, (1 << 19) // (2 * tests))
+    assert scheme.batch(params, n, k) == cap == max(1, (1 << 22) // (2 * tests))
+
+
+def test_gamma_kwise_at_2_30_runs_five_trials_as_one_batch(monkeypatch):
+    """Gamma kwise at n=2^30, k=64, gamma=6 (206,174 tests, ten trials a
+    batch) runs five trials as one batch, decoded from one grid, and their
+    records equal the five trials run one at a time."""
+    config = TrialConfig(algorithm="gamma", n=2 ** 30, k=64, gamma=6, hash_mode="kwise",
+                         trials=5, base_seed=3)
+    expected = _columns([bench.run_trial(config, i) for i in range(5)])
+    _, ran, batches = _record_shares_and_batches(monkeypatch, "gamma")
+    assert bench._run_share(config, range(5)) == expected
+    assert ran == [range(5)] and batches == [5]
 
 
 def test_flat_schemes_batch_under_the_byte_cap(monkeypatch):
     """A COMP/NCOMP batch holds as many trials as keep their outcomes, read
     marks and frontiers (n nodes and their trials, 16 bytes a node) under
-    ``bench.BATCH_BYTES``: 7 at n=2^12, k=8, whose 362-test budget makes 31
+    ``bench.BATCH_BYTES``: 63 at n=2^12, k=8, whose 362-test budget makes 31
     segments of 12 tests.  Every batch of several trials is decoded from
     one grid, and records equal the trials run one at a time."""
     for algorithm in ("comp", "ncomp"):
@@ -566,7 +578,7 @@ def test_flat_schemes_batch_under_the_byte_cap(monkeypatch):
         scheme = bench.SCHEMES[algorithm]
         params = scheme.params(config, n, k)
         assert scheme.footprint(params, n, k) == 8 * n
-        assert scheme.batch(params, n, k) == 7 == (1 << 19) // (2 * 372 + 16 * n)
+        assert scheme.batch(params, n, k) == 63 == (1 << 22) // (2 * 372 + 16 * n)
         config = TrialConfig(algorithm=algorithm, n=256, k=4, p=0.05, trials=12)
         expected = bench.aggregate(config, _columns([bench.run_trial(config, i)
                                                      for i in range(12)]))
@@ -597,15 +609,15 @@ def test_params_are_computed_once_per_share(monkeypatch):
     assert counts == [4, 4, 4]
 
 
-@pytest.mark.parametrize("trials", [12, 55])
+@pytest.mark.parametrize("trials", [12, 445])
 def test_a_call_of_one_batch_opens_no_pool(trials, monkeypatch):
-    """A call of at most one batch (noisy at n=2^12, k=8: 55 trials) runs
+    """A call of at most one batch (noisy at n=2^12, k=8: 445 trials) runs
     in this process at ``jobs=2``, as at ``jobs=1``: a share is never
     smaller than one batch."""
     config = TrialConfig(algorithm="noisy", n=2 ** 12, k=8, p=0.05, trials=trials, base_seed=2)
     n, k, _ = bench._rounded(config)
     scheme = bench.SCHEMES["noisy"]
-    assert scheme.batch(scheme.params(config, n, k), n, k) == 55
+    assert scheme.batch(scheme.params(config, n, k), n, k) == 445
     expected = run_trials(config)
 
     def no_pool(*args, **kwargs):

@@ -20,6 +20,7 @@ from splitgt.placements import (
     PolynomialStack,
     _counter_hash,
     _horner,
+    _mod,
     balanced_stacks,
     row_keys,
     smallest_prime_at_least,
@@ -183,13 +184,14 @@ def threshold_primes(max_steps: int = 8) -> set[int]:
     return primes
 
 
-# the first and last prime of every width from 2 to 40 bits, and both sides
+# the first and last prime of every width from 2 to 63 bits, and both sides
 # of every reduction threshold a polynomial of degree 9 or less can cross
 KERNEL_PRIMES = sorted(
-    {p for width in range(2, 41)
+    {p for width in range(2, 64)
      for p in (smallest_prime_at_least(2 ** (width - 1)), largest_prime_at_most(2 ** width - 1))}
     | threshold_primes())
 T_LENS = (1, 2, 2 ** 13, 2 ** 62, 3, 1000)
+LARGEST_PRIME_BELOW_2_63 = 2 ** 63 - 25
 
 
 def test_threshold_primes_straddle_every_step_count():
@@ -222,7 +224,7 @@ def test_horner_worst_case_operands(prime):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    width=st.integers(min_value=2, max_value=40),
+    width=st.integers(min_value=2, max_value=63),
     degree=st.integers(min_value=2, max_value=9),
     t_len=st.one_of(st.integers(min_value=0, max_value=62).map(lambda e: 1 << e),
                     st.integers(min_value=1, max_value=2 ** 63 - 1)),
@@ -233,7 +235,8 @@ def test_horner_matches_python_integers(width, degree, t_len, per_node, data):
     """Random nodes and coefficients below primes of every width, with one
     coefficient column per row or, as a batch of trials gives them, one
     coefficient per (row, node)."""
-    prime = smallest_prime_at_least(data.draw(st.integers(2 ** (width - 1), 2 ** width - 1)))
+    prime = smallest_prime_at_least(data.draw(st.integers(
+        2 ** (width - 1), min(2 ** width - 1, LARGEST_PRIME_BELOW_2_63))))
     rows, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
     below = st.integers(min_value=0, max_value=prime - 1)
     nodes = data.draw(st.lists(below, min_size=count, max_size=count))
@@ -244,6 +247,19 @@ def test_horner_matches_python_integers(width, degree, t_len, per_node, data):
     expected = [[python_horner(coeffs[:, r, j if per_node else 0].tolist(), x, prime, t_len)
                  for j, x in enumerate(nodes)] for r in range(rows)]
     assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("m", [1, 3, 1000, 81071, 2 ** 32 - 5, LARGEST_PRIME_BELOW_2_63])
+def test_mod_matches_python_integers(m):
+    """The floor-division remainder equals Python's at 0, m - 1, m and
+    2^64 - 1 and at random words, as uint64, and leaves its operand as it
+    was."""
+    words = np.random.default_rng(m).integers(0, 2 ** 64, 64, dtype=np.uint64).tolist()
+    values = np.array([0, m - 1, m, 2 ** 64 - 1] + words, dtype=np.uint64)
+    before = values.copy()
+    got = _mod(values, m)
+    assert got.dtype == np.uint64 and got.tolist() == [v % m for v in values.tolist()]
+    assert np.array_equal(values, before)
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,7 +279,6 @@ def test_counter_hash_mask_matches_remainder(seed, nodes):
 
 
 WORD = st.integers(min_value=0, max_value=2 ** 64 - 1)
-LARGEST_PRIME_BELOW_2_63 = 2 ** 63 - 25
 
 
 @settings(max_examples=80, deadline=None)
@@ -288,6 +303,7 @@ def test_coefficient_fold_matches_python_integers(at_least, degree, trials, reps
     else:
         words = data.draw(st.lists(WORD, min_size=math.prod(shape), max_size=math.prod(shape)))
     keys = np.array(words, dtype=np.uint64).reshape(shape)
+    before = keys.copy()
     own = [PolynomialStack(at_least, 1, trial_keys) for trial_keys in keys]
     prime = own[0].prime
     assert prime == smallest_prime_at_least(at_least) < 2 ** 63
@@ -297,6 +313,7 @@ def test_coefficient_fold_matches_python_integers(at_least, degree, trials, reps
     batch = PolynomialStack(at_least, 1, keys)
     assert batch.coeffs.tolist() == expected and batch.trials == trials
     assert batch.reps == reps and batch.storage_cost == reps * (degree + 2)
+    assert np.array_equal(keys, before)  # the fold writes into no row key
 
 
 def test_coefficient_chi_square():
