@@ -24,9 +24,9 @@ A level of a tree design holds all of its repetitions as one stack:
 ``reps`` and ``storage_cost`` (in machine words), and answers
 ``tests_of(nodes, reps)``, the tests of an int64 array of nodes under the
 repetitions the slice ``reps`` selects, as a (repetitions x nodes) int64
-array from one array operation, and ``test_of(node, rep)``, the test of one
-node under one repetition in pure-Python integers: the reference lookup
-that ``tests_of`` is checked against, which no evaluation or decode calls.
+array from one array operation: its only lookup, which the tests check
+against pure-Python references from the stack's own keys
+(``tests/scalar_reference.py``) that share no code with this module.
 
 A hashed level's keys are the next slice of the design key's
 :func:`row_keys`, so no design draws from a generator.  Given several
@@ -42,7 +42,7 @@ ignore the ``trials`` argument.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,9 +52,7 @@ from .core import (
     _PHI64,
     _S27,
     _S30,
-    PHI,
     RandomnessKey,
-    _splitmix64,
     _splitmix64_array,
     counter_stream,
     is_power_of_two,
@@ -194,7 +192,7 @@ class IdentityStack:
         self.trials = None
 
     def test_of(self, node: int, rep: int) -> int:
-        return node
+        return node  # called by nothing: kept for the tracer's placements.lookups
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
                  trials: np.ndarray | None = None) -> np.ndarray:
@@ -271,14 +269,6 @@ class CounterHashStack:
         self.storage_cost = self.reps * num_nodes
         self.trials = len(keys) if keys.ndim == 2 else None
 
-    @cached_property
-    def _scalar_keys(self) -> tuple:
-        return tuple(self.keys.tolist())
-
-    def test_of(self, node: int, rep: int) -> int:
-        # pure-Python integers: a scalar lookup stays about a microsecond
-        return _splitmix64(self._scalar_keys[rep] + node * PHI) % self.t_len
-
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
                  trials: np.ndarray | None = None) -> np.ndarray:
         keys = (self.keys[reps, None] if self.trials is None
@@ -319,17 +309,6 @@ class PolynomialStack:
                            self.prime)
         self.storage_cost = self.reps * (degree + 2)
 
-    @cached_property
-    def _scalar_coeffs(self) -> tuple:
-        # per repetition, highest degree first, as Horner's rule takes them
-        return tuple(tuple(row[::-1]) for row in self.coeffs.tolist())
-
-    def test_of(self, node: int, rep: int) -> int:
-        acc = 0
-        for c in self._scalar_coeffs[rep]:
-            acc = (acc * node + c) % self.prime
-        return acc % self.t_len
-
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
                  trials: np.ndarray | None = None) -> np.ndarray:
         if self.trials is None:
@@ -364,23 +343,6 @@ class PermutationStack:
         self.bits = num_nodes.bit_length() - 1
         self.shift = self.bits - (t_len.bit_length() - 1)
         self.storage_cost = self.reps * (num_nodes if full else round_keys.shape[-1] + 2)
-
-    @cached_property
-    def _scalar_keys(self) -> tuple:
-        return tuple(tuple(row) for row in self.round_keys.tolist())
-
-    def test_of(self, node: int, rep: int) -> int:
-        # pure-Python integers: a scalar lookup stays a few microseconds
-        lo_bits = (self.bits + 1) // 2
-        hi_bits = self.bits - lo_bits
-        hi, lo = node >> lo_bits, node & ((1 << lo_bits) - 1)
-        for rk in self._scalar_keys[rep]:
-            f = (rk + lo) & _MASK64
-            f = ((f ^ (f >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            f = ((f ^ (f >> 27)) * 0x94D049BB133111EB) & _MASK64
-            hi, lo = lo, hi ^ (f >> (64 - hi_bits))
-            hi_bits, lo_bits = lo_bits, hi_bits
-        return ((hi << lo_bits) | lo) >> self.shift
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
                  trials: np.ndarray | None = None) -> np.ndarray:

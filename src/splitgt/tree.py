@@ -31,10 +31,9 @@ A batch's design is one :class:`TreeDesign` whose stacks hold every
 trial's keys along a leading trial axis (the scheme builders take several
 trials' key material for that, see :func:`splitgt.placements.row_keys`);
 :meth:`TreeDesign.noiseless_grid` evaluates all of its trials in one
-stacked lookup per level, one grid row per trial.  It is a design's only
-evaluation: a design of one trial's keys evaluates a batch of one, without
-a trial array, and the stacks' scalar ``test_of`` serves only as the
-reference that ``tests_of`` is checked against.
+stacked lookup per level, one grid row per trial, and no more rows than
+the design has trials.  It is a design's only evaluation: a design of one
+trial's keys evaluates a batch of one, without a trial array.
 """
 
 from __future__ import annotations
@@ -102,8 +101,12 @@ class TreeDesign:
     def node_size(self, level: int) -> int:
         return self.n // self.stacks[level].num_nodes
 
-    def num_nodes(self, level: int) -> int:
-        return self.stacks[level].num_nodes
+    def check_rows(self, count: int) -> None:
+        """Refuse grid rows that the design holds no trial's keys for."""
+        if self.trials is None and count != 1:
+            raise ValueError(f"a design of one trial's keys decodes one grid row, not {count}")
+        if self.trials is not None and count > self.trials:
+            raise ValueError(f"{count} grid rows exceed a design of {self.trials} trials' keys")
 
     def noiseless_grid(self, defectives) -> np.ndarray:
         """The noiseless outcome vectors of a batch, trial b's defectives
@@ -112,6 +115,7 @@ class TreeDesign:
         looked up under its own trial's keys and scattered at
         ``starts[level][rep] + test`` of its row (a design of one trial's keys
         takes a batch of one)."""
+        self.check_rows(len(defectives))
         grid = np.zeros((len(defectives), self.t_total), dtype=np.uint8)
         if self.trials is None:  # no trial array, as in descend
             (truth,) = defectives
@@ -168,8 +172,7 @@ class Reads:
         if self.t_total != design.t_total:
             raise ValueError(f"a grid of {self.t_total} outcomes per trial does not match "
                              f"the design's {design.t_total} tests")
-        if design.trials is None and self.count != 1:
-            raise ValueError(f"a design of one trial's keys decodes one grid row, not {self.count}")
+        design.check_rows(self.count)
         self.design, self.starts = design, design.starts
         self.grid, self.flat = grid, grid.reshape(-1)
         self.seen = np.zeros(grid.shape, dtype=bool)

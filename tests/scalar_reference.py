@@ -1,19 +1,21 @@
 """Scalar reference implementations that the array-native fast paths are
 tested against: the node-by-node gamma and rho decoders and the depth-first
-noisy lookahead decoder, one ``OutcomeVector.get`` and one scalar
-``stack.test_of(node, rep)`` at a time (a whole segment's tests from
-:func:`segment_table`); the incidence-matrix design (its evaluation, and
+noisy lookahead decoder, one ``OutcomeVector.get`` and one
+:func:`scalar_test` at a time (a whole segment's tests from
+:func:`segment_table`); the scalar lookup of every stack, computed from the
+stack's own keys by the references below and sharing no code with
+``splitgt.placements``; the incidence-matrix design (its evaluation, and
 COMP, NCOMP and the oracles' bitmasks over tuples of member sets), the
 baselines' previous design and scheme (a per-item constant-weight draw or
 a two-dimensional Floyd scatter over a Philox generator, decoded by the
 set-based COMP and NCOMP), a hand-placed one-level design and the
 one-test outcome; the per-segment flattening of a tree design and its
 one-test-at-a-time noiseless outcome vector; the trial-division prime table;
-the counter hash, the defective draw and the channel flip in pure-Python
-integers; the keyed-permutation row on bit strings; the explicit i.i.d.
-table the counter hash replaced; the Philox defective draw and channel
-noise that the counter stream replaced; and the rows of a batch decode's
-columns, one report per trial."""
+Horner's rule, the counter hash, the defective draw and the channel flip in
+pure-Python integers; the keyed-permutation row on bit strings; the
+explicit i.i.d. table the counter hash replaced; the Philox defective draw
+and channel noise that the counter stream replaced; and the rows of a batch
+decode's columns, one report per trial."""
 
 from __future__ import annotations
 
@@ -24,14 +26,15 @@ import numpy as np
 from splitgt import baselines, bench
 from splitgt.baselines import FlatDesign
 from splitgt.core import BatchReport, DecodeReport, NoiseChannel, RandomnessKey
+from splitgt.placements import CounterHashStack, IdentityStack, PermutationStack, PolynomialStack
 from splitgt.tree import TreeDesign
 
 
 def segment_table(design, level: int, rep: int) -> np.ndarray:
     """The test of every node of ``level`` under repetition ``rep``, one
-    scalar ``test_of`` of the level's stack at a time (small levels only)."""
+    :func:`scalar_test` of the level's stack at a time (small levels only)."""
     stack = design.stacks[level]
-    return np.array([stack.test_of(node, rep) for node in range(stack.num_nodes)],
+    return np.array([scalar_test(stack, node, rep) for node in range(stack.num_nodes)],
                     dtype=np.int64)
 
 
@@ -55,7 +58,7 @@ def decode_gamma_scalar(design, outcomes) -> DecodeReport:
     visited = 0
 
     survivors = []
-    for node in range(design.num_nodes(1)):
+    for node in range(design.stacks[1].num_nodes):
         seen.add((1, 0, node))
         visited += 1
         if outcomes.get(1, 0, node):
@@ -68,7 +71,7 @@ def decode_gamma_scalar(design, outcomes) -> DecodeReport:
         survivors = []
         for node in pd:
             visited += 1
-            test = design.stacks[level].test_of(node, 0)
+            test = scalar_test(design.stacks[level], node, 0)
             seen.add((level, 0, test))
             if outcomes.get(level, 0, test):
                 survivors.append(node)
@@ -80,7 +83,7 @@ def decode_gamma_scalar(design, outcomes) -> DecodeReport:
         visited += 1
         clean = True
         for rep in range(params.final_reps):
-            test = design.stacks[gp].test_of(item, rep)
+            test = scalar_test(design.stacks[gp], item, rep)
             seen.add((gp, rep, test))
             if not outcomes.get(gp, rep, test):
                 clean = False
@@ -100,7 +103,7 @@ def decode_rho_scalar(design, outcomes) -> DecodeReport:
     visited = 0
 
     survivors = []
-    for node in range(design.num_nodes(0)):
+    for node in range(design.stacks[0].num_nodes):
         seen.add((0, 0, node))
         visited += 1
         if outcomes.get(0, 0, node):
@@ -115,7 +118,7 @@ def decode_rho_scalar(design, outcomes) -> DecodeReport:
             visited += 1
             alive = True
             for rep in range(params.n_reps):
-                test = design.stacks[level].test_of(node, rep)
+                test = scalar_test(design.stacks[level], node, rep)
                 seen.add((level, rep, test))
                 if not outcomes.get(level, rep, test):
                     alive = False
@@ -131,7 +134,7 @@ def decode_rho_scalar(design, outcomes) -> DecodeReport:
         visited += 1
         clean = True
         for rep in range(params.c_final):
-            test = design.stacks[params.c_depth].test_of(item, rep)
+            test = scalar_test(design.stacks[params.c_depth], item, rep)
             seen.add((params.c_depth, rep, test))
             if not outcomes.get(params.c_depth, rep, test):
                 clean = False
@@ -177,7 +180,7 @@ def intermediate_label(node, level, design, outcomes, cache) -> int:
     reps = design.params.n_reps
     positives = 0
     for rep in range(reps):
-        test = design.stacks[level].test_of(node, rep)
+        test = scalar_test(design.stacks[level], node, rep)
         cache.seen.add((level, rep, test))
         positives += outcomes.get(level, rep, test)
     label = 1 if 2 * positives > reps else 0
@@ -199,7 +202,7 @@ def final_level_batch_label(item, batch, design, outcomes, cache) -> int:
     positives = 0
     for j in range(reps):
         seq = batch * reps + j
-        test = design.stacks[level].test_of(item, seq)
+        test = scalar_test(design.stacks[level], item, seq)
         cache.seen.add((level, seq, test))
         positives += outcomes.get(level, seq, test)
     label = 1 if 2 * positives > reps else 0
@@ -493,6 +496,14 @@ def next_primes_by_trial_division(limit: int) -> np.ndarray:
     return primes[np.searchsorted(primes, np.arange(limit))]
 
 
+def python_horner(coeffs, x: int, prime: int, t_len: int) -> int:
+    """Horner's rule in Python integers, coefficients highest degree first,
+    reduced mod the prime at every step and mod ``t_len`` at the end."""
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + c) % prime
+    return acc % t_len
+
 
 # --- counter hash and the explicit table it replaced ----------------------
 
@@ -537,11 +548,33 @@ def keyed_permutation_test(round_keys: list[int], node: int, bits: int, shift: i
     return (int(left + right, 2) if bits else 0) >> shift
 
 
+def scalar_test(stack, node: int, rep: int) -> int:
+    """The test of ``node`` under repetition ``rep`` of a stack of one
+    trial's keys, in Python integers from the stack's own keys by this
+    module's references: the counter hash of ``keys[rep]``, Horner's rule
+    over ``coeffs[rep]``, the bit-string Feistel network of
+    ``round_keys[rep]``, node j in test j for the identity; any other stack,
+    a test double, answers its own ``test_of``."""
+    if stack.trials is not None:
+        raise ValueError(f"a stack of {stack.trials} trials' keys has no scalar lookup")
+    if isinstance(stack, IdentityStack):
+        return node
+    if isinstance(stack, CounterHashStack):
+        return counter_hash_test(int(stack.keys[rep]), node, stack.t_len)
+    if isinstance(stack, PolynomialStack):
+        return python_horner(stack.coeffs[rep, ::-1].tolist(), node, stack.prime, stack.t_len)
+    if isinstance(stack, PermutationStack):
+        return keyed_permutation_test(stack.round_keys[rep].tolist(), node, stack.bits,
+                                      stack.shift)
+    return stack.test_of(node, rep)
+
+
 class ExplicitStack:
     """``reps`` fully random placements of the same nodes, drawn from one
     generator as one (reps x num_nodes) table: the i.i.d. placement as the
     paper stores it, with the stack protocol of
-    :class:`splitgt.placements.CounterHashStack`.
+    :class:`splitgt.placements.CounterHashStack` for one trial: ``trials``
+    None, and a ``tests_of`` that ignores its ``trials`` argument.
 
     The table is int32 whenever every test fits; bounded draws below 2^31
     give the same values at either width, so the placements do not depend
@@ -555,12 +588,14 @@ class ExplicitStack:
         self.t_len = t_len
         self.reps = reps
         self.storage_cost = reps * num_nodes
+        self.trials = None
         self.table = rng.integers(0, t_len, size=(reps, num_nodes), dtype=dtype)
 
     def test_of(self, node: int, rep: int) -> int:
         return int(self.table[rep, node])
 
-    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None)) -> np.ndarray:
+    def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
+                 trials: np.ndarray | None = None) -> np.ndarray:
         return self.table[reps, nodes].astype(np.int64, copy=False)
 
 

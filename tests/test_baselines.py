@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import (
+    ExplicitStack,
     IncidenceDesign,
     batch_reports,
     build_flat_design_2d,
@@ -230,6 +231,25 @@ def test_flatten_matches_per_segment_scatter(scheme, hash_mode):
         assert np.array_equal(members, flatten_design_per_segment(design).members)
         assert design.memberships_per_item() == members.sum(axis=0).tolist()
         assert design.max_items_per_test() == members.sum(axis=1).max()
+
+
+def test_an_explicit_table_design_runs_through_the_descent():
+    """A one-level tree design over the stored i.i.d. table of
+    ``scalar_reference.ExplicitStack`` evaluates through ``noiseless_grid``
+    to the positives of its flattened tests and decodes through
+    ``decode_tree_batch`` to the estimate COMP gives on them."""
+    n, t_len, reps = 64, 12, 4
+    for seed in range(5):
+        stack = ExplicitStack(n, t_len, reps, RandomnessKey(seed).generator())
+        design = tree.TreeDesign(n, None, [(0, stack)])
+        assert design.trials is None and design.t_total == reps * t_len
+        sets = member_sets(flatten_design_per_segment(design))
+        for truth in [(), (3,), (5, 40), (0, 17, 63)]:
+            grid = design.noiseless_grid([truth])
+            assert np.flatnonzero(grid[0]).tolist() == flat_positives_scalar(sets, truth)
+            estimate = decode_tree_batch(design, grid).report(0).estimate
+            assert estimate == decode_comp_scalar(n, sets, grid[0].tolist())
+            assert set(truth) <= set(estimate)
 
 
 @st.composite

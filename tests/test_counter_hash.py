@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import ExplicitStack, counter_hash_test, counter_row_keys
+from scalar_reference import ExplicitStack, counter_hash_test, counter_row_keys, scalar_test
 from splitgt import bench
 from splitgt.core import RandomnessKey
 from splitgt.gamma import build_gamma_design, gamma_params
@@ -64,7 +64,7 @@ def test_counter_hash_matches_reference(log_nodes, t_len, reps, seed, data):
     assert grid.dtype == np.int64 and grid.tolist() == expected
     for r, want in zip(range(first, last), expected):
         assert stack.tests_of(nodes, slice(r, r + 1))[0].tolist() == want
-        assert [stack.test_of(v, r) for v in nodes.tolist()] == want
+        assert [scalar_test(stack, v, r) for v in nodes.tolist()] == want
 
 
 @pytest.mark.parametrize("t_len", [0, 2 ** 63])
@@ -88,7 +88,8 @@ def test_full_design_rows_follow_one_key(scheme):
     segments = [(stack, rep) for stack in hashed for rep in range(stack.reps)]
     for (stack, rep), row_key in zip(segments, keys):
         node = stack.num_nodes - 1
-        assert stack.test_of(node, rep) == counter_hash_test(row_key, node, stack.t_len)
+        got = stack.tests_of(np.array([node]), slice(rep, rep + 1)).item()
+        assert got == counter_hash_test(row_key, node, stack.t_len)
 
 
 def test_full_designs_store_no_table():

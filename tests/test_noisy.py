@@ -15,6 +15,7 @@ from scalar_reference import (
     decode_noisy_scalar,
     final_label,
     intermediate_label,
+    scalar_test,
     singleton_final_label,
 )
 from splitgt import bench, noisy
@@ -104,7 +105,7 @@ def _outcomes(design, positions):
 
 
 def _node_test_positions(design, level, node, reps):
-    return [(level, rep, design.stacks[level].test_of(node, rep)) for rep in reps]
+    return [(level, rep, scalar_test(design.stacks[level], node, rep)) for rep in reps]
 
 
 def test_intermediate_label_majority():

@@ -34,7 +34,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hash_modes import NAMES, refused
-from scalar_reference import counter_row_keys, keyed_permutation_test
+from scalar_reference import counter_row_keys, keyed_permutation_test, scalar_test
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
     PermutationStack,
@@ -86,8 +86,8 @@ def test_exact_row_weight_every_t_len(bits):
 @example(bits=0, log_t=0, reps=1, seed=2, data=None)
 def test_stack_matches_rows_and_reference(bits, log_t, reps, seed, data):
     """The stacked lookup equals, element for element, the lookup of each
-    repetition alone, the scalar ``test_of``, and the pure-Python
-    reference."""
+    repetition alone, the scalar lookup of ``scalar_reference.scalar_test``,
+    and the pure-Python reference."""
     num, log_t = 1 << bits, min(log_t, bits)
     stack, = balanced_stacks([(num, 1 << log_t, reps)], RandomnessKey(seed), False)
     if data is None:
@@ -106,7 +106,7 @@ def test_stack_matches_rows_and_reference(bits, log_t, reps, seed, data):
         assert grid[i].tolist() == want
         assert alone.dtype == np.int64
         assert alone.tolist() == want
-        assert [stack.test_of(v, rep) for v in nodes.tolist()] == want
+        assert [scalar_test(stack, v, rep) for v in nodes.tolist()] == want
 
 
 def test_stack_is_a_bijection_on_small_domains():
@@ -172,7 +172,7 @@ def test_rho_design_keys_follow_one_key(hash_mode):
     assert got == counter_row_keys(key, len(got))
     full = build_rho_design(rho_params(n, 4, 2 ** 6, c_depth=3), n, key, "full")
     for level, _, _ in design.layout:
-        nodes = np.arange(design.num_nodes(level), dtype=np.int64)
+        nodes = np.arange(design.stacks[level].num_nodes, dtype=np.int64)
         assert np.array_equal(design.stacks[level].tests_of(nodes),
                               full.stacks[level].tests_of(nodes))
 

@@ -11,6 +11,8 @@ from scalar_reference import (
     ExplicitStack,
     counter_hash_test,
     next_primes_by_trial_division,
+    python_horner,
+    scalar_test,
 )
 from test_counter_hash import chi2_bound, pearson
 from splitgt.core import RandomnessKey
@@ -77,7 +79,7 @@ def test_smallest_prime_large(log_x, gap):
 
 def test_uniform_single_bucket():
     p = uniform(4, 1, key())
-    assert [p.test_of(j, 0) for j in range(4)] == [0, 0, 0, 0]
+    assert [scalar_test(p, j, 0) for j in range(4)] == [0, 0, 0, 0]
 
 
 def test_uniform_deterministic():
@@ -104,7 +106,7 @@ def test_hashed_rejects_low_degree():
 
 def test_hashed_single_node():
     p = hashed(1, 8, 2, key())
-    assert 0 <= p.test_of(0, 0) < 8
+    assert 0 <= scalar_test(p, 0, 0) < 8
 
 
 def test_hashed_storage_independent_of_size():
@@ -121,8 +123,8 @@ def test_hashed_pairwise_collision_rate():
     base = RandomnessKey(555)
     hits = sum(
         1
-        for i in range(draws)
-        if (lambda p: p.test_of(3, 0) == p.test_of(71, 0))(hashed(num, t_len, 2, base.child(i)))
+        for p in (hashed(num, t_len, 2, base.child(i)) for i in range(draws))
+        if scalar_test(p, 3, 0) == scalar_test(p, 71, 0)
     )
     target = 1 / t_len
     sigma = (target * (1 - target) / draws) ** 0.5
@@ -132,23 +134,15 @@ def test_hashed_pairwise_collision_rate():
 
 def test_hashed_table_matches_scalar():
     p = hashed(257, 12, 4, key(9))
-    assert [p.test_of(j, 0) for j in range(257)] == list(table(p))
+    assert [scalar_test(p, j, 0) for j in range(257)] == list(table(p))
     # past n = 2^32 the prime's square no longer fits in 64 bits
     for num in (2 ** 33, 2 ** 40):
         p = hashed(num, 1000, 4, key(9))
         nodes = np.arange(num - 257, num, dtype=np.int64)
-        assert p.tests_of(nodes)[0].tolist() == [p.test_of(j, 0) for j in nodes.tolist()]
+        assert p.tests_of(nodes)[0].tolist() == [scalar_test(p, j, 0) for j in nodes.tolist()]
 
 
 # --- the lookup kernels against Python integers -----------------------------
-
-
-def python_horner(coeffs, x: int, prime: int, t_len: int) -> int:
-    """Horner's rule in Python integers, reduced mod the prime at every step."""
-    acc = 0
-    for c in coeffs:
-        acc = (acc * x + c) % prime
-    return acc % t_len
 
 
 def largest_prime_at_most(x: int) -> int:
@@ -337,7 +331,7 @@ def test_balanced_exact_weights():
 
 def test_balanced_identity_weight():
     p = balanced(8, 8, key())
-    assert sorted(p.test_of(j, 0) for j in range(8)) == list(range(8))
+    assert sorted(scalar_test(p, j, 0) for j in range(8)) == list(range(8))
 
 
 def test_balanced_rejects_non_divisible():
@@ -467,6 +461,8 @@ def test_mode_factories():
 @example(log_nodes=1, log_t=1, hash_t=2, degree=3, seed=4, picks=[0.9])
 @example(log_nodes=40, log_t=20, hash_t=1000, degree=6, seed=5, picks=[0.1, 0.6])
 def test_tests_of_matches_test_of(log_nodes, log_t, hash_t, degree, seed, picks):
+    """Every stack's lookup equals, repetition by repetition, the scalar
+    reference computed from its own keys (``scalar_reference.scalar_test``)."""
     num, t_len = 1 << log_nodes, 1 << min(log_t, log_nodes)
     k = RandomnessKey(seed)
     nodes = np.array([0, num - 1] + [int(f * num) for f in picks], dtype=np.int64)
@@ -476,7 +472,7 @@ def test_tests_of_matches_test_of(log_nodes, log_t, hash_t, degree, seed, picks)
         fast = p.tests_of(nodes)
         assert fast.dtype == np.int64 and fast.shape == (p.reps, len(nodes))
         for rep in range(p.reps):
-            assert fast[rep].tolist() == [p.test_of(j, rep) for j in nodes.tolist()]
+            assert fast[rep].tolist() == [scalar_test(p, j, rep) for j in nodes.tolist()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -507,7 +503,7 @@ def test_stack_rows_match_stacked_lookup(log_nodes, t_len, reps, backing, seed, 
         alone = stack.tests_of(nodes, slice(rep, rep + 1))[0]
         assert alone.dtype == np.int64
         assert np.array_equal(grid[i], alone)
-        assert grid[i].tolist() == [stack.test_of(int(v), rep) for v in nodes]
+        assert grid[i].tolist() == [scalar_test(stack, int(v), rep) for v in nodes]
 
 
 @pytest.mark.parametrize("t_len", [1, 300, 2 ** 31, 2 ** 31 + 1, 2 ** 40])
@@ -521,7 +517,7 @@ def test_explicit_stack_width_keeps_draws(t_len):
     assert np.array_equal(stack.table, expected)
     grid = stack.tests_of(np.arange(64, dtype=np.int64))
     assert grid.dtype == np.int64
-    assert grid.tolist() == [[stack.test_of(j, rep) for j in range(64)] for rep in range(3)]
+    assert grid.tolist() == [[scalar_test(stack, j, rep) for j in range(64)] for rep in range(3)]
 
 
 @pytest.mark.parametrize("backing", ["counter", "polynomial", "identity", "balanced",
@@ -584,3 +580,14 @@ def test_identity_stack_ignores_trials():
     assert stack.trials is None
     nodes = np.array([3, 0, 15])
     assert stack.tests_of(nodes, slice(None), np.array([2, 0, 1])).tolist() == [[3, 0, 15]]
+
+
+@pytest.mark.parametrize("case", BUILDS)
+def test_scalar_reference_refuses_a_stack_of_several_trials(case):
+    """The scalar reference reads one trial's keys, so a stack with a trial
+    axis gets a ValueError, not the lookup of its first trial."""
+    build, arg = BUILDS[case]
+    stack, = build([(64, 8, 2)], RandomnessKey(41).materials(range(3), "design"), arg)
+    assert stack.trials == 3
+    with pytest.raises(ValueError, match="^a stack of 3 trials' keys has no scalar lookup"):
+        scalar_test(stack, 0, 0)

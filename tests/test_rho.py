@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hash_modes import ACCEPTED
-from scalar_reference import segment_table
+from scalar_reference import scalar_test, segment_table
 from splitgt.core import (
     NoiseChannel,
     ProblemInstance,
@@ -25,8 +25,8 @@ def test_params_dimension_arithmetic():
     design = build_rho_design(p, 2 ** 12, RandomnessKey(0))
     assert design.branching == p.branch
     # level-1 matrices: n/rho tests over n/rho^(1/2) nodes, row weight rho^(1/2)
-    assert design.num_nodes(0) == 256
-    assert design.num_nodes(1) == 1024
+    assert design.stacks[0].num_nodes == 256
+    assert design.stacks[1].num_nodes == 1024
     stack = design.stacks[1]
     assert stack.num_nodes // stack.t_len == 4
 
@@ -89,8 +89,8 @@ def test_column_weight_one_every_mid_level():
         stack = design.stacks[level]
         table = segment_table(design, level, rep)
         # every node appears exactly once, with the exact row weight
-        assert len(table) == design.num_nodes(level)
-        counts = np.bincount(table, minlength=design.num_nodes(0))
+        assert len(table) == design.stacks[level].num_nodes
+        counts = np.bincount(table, minlength=design.stacks[0].num_nodes)
         assert np.all(counts == stack.num_nodes // stack.t_len)
 
 
@@ -149,8 +149,8 @@ def test_collision_rate_with_defective_set():
     base = RandomnessKey(321)
     for i in range(draws):
         stack = build_rho_design(p, n, base.child(i)).stacks[1]
-        my_test = stack.test_of(0, 0)
-        if any(stack.test_of(d, 0) == my_test for d in defective_nodes):
+        my_test = scalar_test(stack, 0, 0)
+        if any(scalar_test(stack, d, 0) == my_test for d in defective_nodes):
             hits += 1
     bound = k * rho_cap / n
     sigma = (bound * (1 - bound) / draws) ** 0.5

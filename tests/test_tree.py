@@ -12,6 +12,7 @@ from scalar_reference import (
     decode_gamma_scalar,
     decode_rho_scalar,
     noiseless_bits_per_test,
+    scalar_test,
 )
 from splitgt import bench, core, noisy, tree
 from splitgt.core import NoiseChannel, ProblemInstance, RandomnessKey, evaluate_design
@@ -265,7 +266,8 @@ def test_batch_decoders_reject_a_grid_of_the_wrong_width(algorithm, fields, extr
 
 def test_a_design_of_one_trials_keys_decodes_one_row():
     """A design without a trial axis refuses a grid of two rows, whose
-    second row it has no keys for, in every decoder."""
+    second row it has no keys for, in every decoder and in its evaluation;
+    a design of two trials' keys refuses three rows and takes one."""
     n, key = 2 ** 10, RandomnessKey(2)
     for design, decode in (
             (build_gamma_design(gamma_params(n, 4, 5), n, key), tree.decode_tree_batch),
@@ -276,6 +278,22 @@ def test_a_design_of_one_trials_keys_decodes_one_row():
         grid = np.ones((2, design.t_total), dtype=np.uint8)
         with pytest.raises(ValueError, match="one grid row, not 2"):
             decode(design, grid)
+        with pytest.raises(ValueError, match="one grid row, not 2"):
+            design.noiseless_grid([(1,), (2,)])
+    materials = key.materials(range(2), "design")
+    for design, decode in (
+            (build_gamma_design(gamma_params(n, 4, 5), n, materials), tree.decode_tree_batch),
+            (build_rho_design(rho_params(n, 4, 16), n, materials), tree.decode_tree_batch),
+            (build_noisy_design(noisy_params(n, 4, 0.05), n, 4, materials),
+             noisy.decode_noisy_batch)):
+        assert design.trials == 2
+        with pytest.raises(ValueError, match="^3 grid rows exceed a design of 2 trials' keys"):
+            design.noiseless_grid([(1,), (2,), (3,)])
+        with pytest.raises(ValueError, match="^3 grid rows exceed a design of 2 trials' keys"):
+            decode(design, np.ones((3, design.t_total), dtype=np.uint8))
+        grid = design.noiseless_grid([(1,)])
+        report = decode(design, grid).report(0)
+        assert report == decode(design, np.vstack([grid, grid])).report(0)
 
 
 FIELDS = {"gamma": dict(gamma=5), "rho": dict(rho=16), "noisy": dict(p=0.05), "comp": dict(),
@@ -301,7 +319,7 @@ def test_every_cell_address_is_the_layout_order(algorithm, hash_mode):
     for level, rep, t_len in design.layout:
         assert design.starts[level].item(rep) == start == order.segment(level, rep)[0]
         node = item // design.node_size(level)
-        test = design.stacks[level].test_of(node, rep)
+        test = scalar_test(design.stacks[level], node, rep)
         expected[start + test] = 1
         rows.reads(level, rep, np.array([test]), None)
         blocks.reads(level, rep, design.stacks[level].tests_of(np.array([node]),
