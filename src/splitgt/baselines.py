@@ -2,7 +2,8 @@
 
 The baselines' design is constant-column-weight (Johnson, Aldridge and
 Scarlett, IEEE T-IT 2019): a one-level tree of singletons under w
-counter-hashed repetitions.  COMP and its thresholded variant NCOMP (Chan,
+counter-hashed repetitions, stated by :func:`flat_levels` for the builder
+and the harness's size rule.  COMP and its thresholded variant NCOMP (Chan,
 Che, Jaggi and Saligrama, Allerton 2011) are its tree descent.  The
 brute-force oracles that cross-check the tree decoders on tiny instances
 see a design as its (T x n) incidence matrix, through :func:`flatten_design`.
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import tree
 from .core import DecodeReport, OutcomeVector
-from .placements import uniform_style_stacks
+from .placements import COUNTER_HASH, Level, level_stacks
 
 ORACLE_MAX_N = 20
 ORACLE_MAX_K = 4
@@ -76,16 +77,22 @@ def flat_shape(tests_count: int, k: int = 1, per_item: int | None = None) -> tup
     return weight, -(-tests_count // weight)
 
 
-def build_flat_design(n: int, tests_count: int, key, k: int = 1,
-                      per_item: int | None = None) -> tree.TreeDesign:
-    """Constant-column-weight design for the COMP-style baselines: w
+def flat_levels(n: int, tests_count: int, k: int = 1,
+                per_item: int | None = None) -> list[Level]:
+    """The one level of the baselines' constant-column-weight design: w
     counter-hashed repetitions over the n singletons, each a segment of
     ceil(T / w) tests (see :func:`flat_shape`), so every item joins exactly
-    w distinct tests of w * ceil(T / w) >= T.  ``key`` is the design key,
-    or several trials' key material (see :func:`splitgt.placements.row_keys`)."""
+    w distinct tests of w * ceil(T / w) >= T."""
     weight, t_len = flat_shape(tests_count, k, per_item)
-    (stack,) = uniform_style_stacks([(n, t_len, weight)], key, None)
-    return tree.TreeDesign(n, tests_count, [(0, stack)])
+    return [Level(0, n, t_len, weight, COUNTER_HASH)]
+
+
+def build_flat_design(n: int, tests_count: int, key, k: int = 1,
+                      per_item: int | None = None) -> tree.TreeDesign:
+    """The design of :func:`flat_levels` from the design key, or from
+    several trials' key material one design of those trials."""
+    return tree.TreeDesign(n, tests_count,
+                           level_stacks(flat_levels(n, tests_count, k, per_item), key))
 
 
 def default_baseline_tests(n: int, k: int) -> int:

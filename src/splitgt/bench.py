@@ -13,7 +13,11 @@ columns only.
 ``run_trials`` splits its trials into at most ``jobs`` consecutive shares, one
 per worker and each at least one batch, and a share runs in batches of
 consecutive trials, each trial with its own defectives, design keys and
-noise.  A batch of several trials is one design over every trial's keys,
+noise.  One rule, ``tree.trial_bytes``, reads a scheme's level list
+(``Scheme.levels``) for the bytes a trial adds to a batch, which
+``BATCH_BYTES`` caps, and for its largest array: ``validate_config``
+rejects a config whose array passes ``MAX_TRIAL_BYTES`` before trial 0.
+A batch of several trials is one design over every trial's keys,
 evaluated into one outcome grid and decoded by one descent, and its
 defective draw and records are array programs over the batch.  A batch of
 one builds its trial's own design, evaluates it (``core.evaluate_design``)
@@ -50,6 +54,7 @@ from .core import (
 )
 from .gamma import DEFAULT_C_CONST
 from .noisy import DEFAULT_EPSILON, DEFAULT_T
+from .placements import COUNTER_HASH
 from .rho import DEFAULT_C_DEPTH, DEFAULT_C_FINAL, DEFAULT_N_REPS
 
 
@@ -147,16 +152,16 @@ FLOAT_FIELDS = ("p", "c_const", "beta_exp", "design_p", "t", "epsilon", "thresho
 
 # Item ids are int64, and the defective draw's bias bound (see
 # ``_draw_defectives``) is stated up to 2^62 items.  A trial may allocate no
-# array above MAX_TRIAL_BYTES (see ``Scheme.footprint``): a config past it
+# array above MAX_TRIAL_BYTES (see ``tree.trial_bytes``): a config past it
 # is rejected before trial 0, not failed in it by an allocation that one host
 # refuses and another overcommits.
 MAX_N, MAX_TRIAL_BYTES = 1 << 62, 1 << 32
 # A batch of trials holds their outcome vectors and read marks, two bytes
-# per test and trial (and a COMP/NCOMP batch its frontiers of n nodes); a
-# batch stays under this many bytes.  At 4 MiB, five 206k-test gamma kwise
-# trials at n=2^30 (lowstore-giant) are one batch, and that workload's peak
-# RSS stays within 2% of running them as batches of one: 42.60 against
-# 41.95 MiB at seed 1, 42.79 against 41.96 at seed 8191.
+# per test and trial, and the nodes that start all alive (see
+# ``tree.trial_bytes``); a batch stays under this many bytes.  At 4 MiB, five
+# 206k-test gamma kwise trials at n=2^30 (lowstore-giant) are one batch, and
+# that workload's peak RSS stays within 2% of running them as batches of one:
+# 42.60 against 41.95 MiB at seed 1, 42.79 against 41.96 at seed 8191.
 BATCH_BYTES = 1 << 22
 
 
@@ -205,7 +210,8 @@ def validate_config(config: TrialConfig) -> None:
     if n > MAX_N:
         raise ValueError(f"n={n} (rounded) exceeds the supported 2^62 items")
     try:
-        size = scheme.footprint(scheme.params(config, n, k), n, k)
+        levels = scheme.levels(config, scheme.params(config, n, k), n, k)
+        _, size = tree_mod.trial_bytes(levels, k)
     except ArithmeticError as exc:  # an overflow or a division by zero in the formulas
         raise ValueError(f"the {config.algorithm} parameters cannot be computed: {exc}") from exc
     if size > MAX_TRIAL_BYTES:
@@ -218,6 +224,14 @@ def _rounded(config: TrialConfig) -> tuple[int, int, Optional[int]]:
     return round_instance(config.n, config.k, config.rho)
 
 
+def _batch_cap(config: TrialConfig, params, n: int, k: int) -> int:
+    """The most trials one batch may hold: as many as keep their bytes in a
+    batch (see ``tree.trial_bytes``) under ``BATCH_BYTES``, and at least
+    one."""
+    per_trial, _ = tree_mod.trial_bytes(SCHEMES[config.algorithm].levels(config, params, n, k), k)
+    return max(1, BATCH_BYTES // per_trial)
+
+
 class Scheme(NamedTuple):
     """One algorithm's phases of a trial.  Each looks up the functions it
     calls on their modules at call time, so that a wrapper set on a module
@@ -228,26 +242,12 @@ class Scheme(NamedTuple):
     build: Callable   # (config, params, n, k, key) -> design
     decode: Callable  # (config, design, outcomes) -> the DecodeReport of one trial
     echo: Callable    # (config, params) -> the result's ``params`` dict
-    # (params, n, k) -> bytes of a trial's largest array: the outcome vector
-    # (a byte per test), the gamma/rho frontier once k top-level nodes
-    # expand (8 per child), or the COMP/NCOMP frontier or row keys
-    footprint: Callable
-    batch: Callable        # (params, n, k) -> the most trials one batch may hold
+    levels: Callable  # (config, params, n, k) -> the design's ``placements.Level`` list
     decode_grid: Callable  # (config, design, grid) -> the BatchReport of grid's rows
 
 
 def _tree_echo(config: TrialConfig, params) -> dict:
     return asdict(params)
-
-
-def _tree_footprint(tests: int, top_nodes: int, branching: int, k: int) -> int:
-    return max(tests, 8 * min(k, top_nodes) * branching)
-
-
-def _tree_batch(tests: int) -> int:
-    """The most trials of ``tests`` tests that keep a batch's outcomes and
-    read marks under ``BATCH_BYTES``, and at least one."""
-    return max(1, BATCH_BYTES // (2 * tests))
 
 
 def _decode_grid(config: TrialConfig, design, grid) -> BatchReport:
@@ -256,17 +256,13 @@ def _decode_grid(config: TrialConfig, design, grid) -> BatchReport:
 
 def _flat_scheme(decode, decode_grid, echo) -> Scheme:
     """A COMP-style decoder on the one-level design of
-    ``baselines.build_flat_design``; its params are the test budget.  A
-    trial of T tests holds two bytes per test, its frontier of n nodes and
-    their trials (16 bytes a node) and its w <= T row keys (8 bytes each)."""
+    ``baselines.build_flat_design``; its params are the test budget."""
     return Scheme(
-        {"full": None},  # the counter hash, accounted as the stored n * w table
+        {"full": COUNTER_HASH},  # accounted as the stored n * w table
         lambda c, n, k: baselines.default_baseline_tests(n, k) if c.tests is None else c.tests,
         lambda c, tests, n, k, key: baselines.build_flat_design(n, tests, key, k=k),
         decode, echo,
-        lambda tests, n, k: 8 * max(n, math.prod(baselines.flat_shape(tests, k))),
-        lambda tests, n, k: max(1, BATCH_BYTES // (2 * math.prod(baselines.flat_shape(tests, k))
-                                                   + 16 * n)),
+        lambda c, tests, n, k: baselines.flat_levels(n, tests, k),
         decode_grid)
 
 
@@ -279,9 +275,7 @@ SCHEMES = {
         lambda c, params, n, k, key: gamma_mod.build_gamma_design(params, n, key, c.hash_mode),
         lambda c, design, outcomes: gamma_mod.decode_gamma(design, outcomes)[1],
         _tree_echo,
-        lambda params, n, k: _tree_footprint(gamma_mod.gamma_total_tests(params, n),
-                                             n // params.level1_size, params.branching, k),
-        lambda params, n, k: _tree_batch(gamma_mod.gamma_total_tests(params, n)),
+        lambda c, params, n, k: gamma_mod.gamma_levels(params, n, c.hash_mode),
         _decode_grid),
     "rho": Scheme(
         rho_mod.HASH_MODES,
@@ -292,9 +286,7 @@ SCHEMES = {
         lambda c, params, n, k, key: rho_mod.build_rho_design(params, n, key, c.hash_mode),
         lambda c, design, outcomes: rho_mod.decode_rho(design, outcomes)[1],
         _tree_echo,
-        lambda params, n, k: _tree_footprint(rho_mod.rho_total_tests(params, n),
-                                             n // params.rho, params.branch, k),
-        lambda params, n, k: _tree_batch(rho_mod.rho_total_tests(params, n)),
+        lambda c, params, n, k: rho_mod.rho_levels(params, n, c.hash_mode),
         _decode_grid),
     "noisy": Scheme(
         noisy_mod.HASH_MODES,
@@ -304,8 +296,7 @@ SCHEMES = {
         lambda c, params, n, k, key: noisy_mod.build_noisy_design(params, n, k, key, c.hash_mode),
         lambda c, design, outcomes: noisy_mod.decode_noisy(design, outcomes)[1],
         _tree_echo,
-        lambda params, n, k: noisy_mod.noisy_total_tests(params, n, k),
-        lambda params, n, k: _tree_batch(noisy_mod.noisy_total_tests(params, n, k)),
+        lambda c, params, n, k: noisy_mod.noisy_levels(params, n, k, c.hash_mode),
         lambda c, design, grid: noisy_mod.decode_noisy_batch(design, grid)),
     "comp": _flat_scheme(
         lambda c, design, outcomes: baselines.decode_comp(design, outcomes)[1],
@@ -359,8 +350,8 @@ def _floyd(row: list[int], n: int, count: int) -> tuple[int, ...]:
 
 
 def _draw_defectives(config: TrialConfig, words: np.ndarray) -> list[tuple[int, ...]]:
-    """The defectives of every trial whose defectives key has the material
-    words of a row of ``words``: the explicit ones, or k of the raw n items.
+    """The defectives of every trial whose defectives key has a word of
+    ``words``: the explicit ones, or k of the raw n items.
 
     The draw is Floyd's sampling algorithm (Bentley and Floyd, CACM 1987):
     step s, for j = n - k + s, picks t in [0, j] and adds j if t is taken,
@@ -444,7 +435,7 @@ def _run_share(config: TrialConfig, indices: range) -> dict[str, list]:
     channel = config.channel()
     scheme = SCHEMES[config.algorithm]
     params = scheme.params(config, n, k)
-    cap = scheme.batch(params, n, k)
+    cap = _batch_cap(config, params, n, k)
     root = RandomnessKey(config.base_seed)
 
     def trial(index: int) -> tuple:
@@ -501,7 +492,8 @@ def run_trials(config: TrialConfig) -> AggregateResult:
     validate_config(config)
     n, k, _ = _rounded(config)
     scheme = SCHEMES[config.algorithm]
-    size = max(-(-config.trials // config.jobs), scheme.batch(scheme.params(config, n, k), n, k))
+    size = max(-(-config.trials // config.jobs),
+               _batch_cap(config, scheme.params(config, n, k), n, k))
     indices = range(config.trials)
     shares = [indices[start:start + size] for start in range(0, config.trials, size)]
     if len(shares) > 1:

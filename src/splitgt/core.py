@@ -121,11 +121,12 @@ class RandomnessKey:
     """Seed plus a stream path; equal keys give bit-identical draws.
 
     Substreams are derived with :meth:`child`, so e.g. the design of trial 17
-    and its noise draws never share a stream.  A key's :meth:`material`
-    mixes the seed and the stream path.  Its low word seeds the SplitMix64
-    counter stream (:func:`counter_stream`) from which a trial's defectives,
-    its placements and its channel noise are taken.  :meth:`generator`, a
-    counter-based Philox keyed by the whole material, draws nothing in a
+    and its noise draws never share a stream.  A key's one 64-bit word
+    (:meth:`words`, :meth:`materials`) mixes the seed and the stream path,
+    and seeds the SplitMix64 counter stream (:func:`counter_stream`) from
+    which a trial's defectives, its placements and its channel noise are
+    taken.  :meth:`generator`, a counter-based Philox keyed by the 128-bit
+    :meth:`material`, that word and its salted mix, draws nothing in a
     trial; it stays only as the benchmark tracer's ``core.generator`` target.
     """
 
@@ -148,20 +149,20 @@ class RandomnessKey:
         return (_splitmix64(state ^ _HIGH_SALT) << 64) | state
 
     def words(self) -> np.ndarray:
-        """:meth:`material` as a (1 x 2) uint64 array, low word first: the
-        one row of :meth:`materials` that this key would be."""
-        material = self.material()
-        return np.array([[material & _MASK64, material >> 64]], dtype=np.uint64)
+        """The key's word, the low 64 bits of :meth:`material`, as a
+        one-entry uint64 array: the one entry of :meth:`materials` that this
+        key would be."""
+        return np.array([self._state()], dtype=np.uint64)
 
     def materials(self, indices, *tokens) -> np.ndarray:
-        """The :meth:`material` of ``self.child(i, *tokens)`` for every i of
-        the integer array ``indices``, from one uint64 array program: row r
-        holds the low and the high 64 bits of index r's material."""
+        """The word of ``self.child(i, *tokens)`` for every i of the integer
+        array ``indices`` (see :meth:`words`), from one uint64 array
+        program."""
         indices = np.asarray(indices).astype(np.uint64)  # wraps as int & (2^64 - 1)
         state = _splitmix64_array(np.uint64(self._state()) ^ _splitmix64_array(indices))
         for token in tokens:
             state = _splitmix64_array(state ^ np.uint64(_splitmix64(_token_value(token))))
-        return np.stack([state, _splitmix64_array(state ^ np.uint64(_HIGH_SALT))], axis=1)
+        return state
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.material()))
@@ -169,17 +170,17 @@ class RandomnessKey:
 
 def counter_stream(words: np.ndarray, count: int) -> np.ndarray:
     """Outputs 0 .. count - 1 of the SplitMix64 stream of every key whose
-    material words are a row of ``words`` (see :meth:`RandomnessKey.materials`),
-    as a (rows x count) uint64 array: output c of a key with low word w is
-    ``splitmix64(w + c * PHI)``, the stream the counter-hash placements
-    read."""
-    return _splitmix64_array(words[:, :1] + np.arange(count, dtype=np.uint64) * _PHI64)
+    word is an entry of the 1-D uint64 array ``words`` (see
+    :meth:`RandomnessKey.materials`), as a (keys x count) uint64 array:
+    output c of a key with word w is ``splitmix64(w + c * PHI)``, the stream
+    the counter-hash placements read."""
+    return _splitmix64_array(words[:, None] + np.arange(count, dtype=np.uint64) * _PHI64)
 
 
 def channel_flips(p: float, words: np.ndarray, tests: int) -> np.ndarray:
     """Which of ``tests`` outcomes the symmetric channel of flip probability
-    ``p`` flips for every key whose material words are a row of ``words``:
-    a (rows x tests) bool array whose cell c is set iff output c of the row's
+    ``p`` flips for every key whose word is an entry of ``words``: a (keys x
+    tests) bool array whose cell c is set iff output c of the key's
     :func:`counter_stream` is below floor(p * 2^64), which for a uniformly
     random key has probability floor(p * 2^64) / 2^64."""
     threshold = math.floor(p * 2.0 ** 64)  # exact: a float times a power of two
@@ -358,7 +359,7 @@ def evaluate_batch(design, defectives, channel: NoiseChannel, noise: np.ndarray)
 
     Row b of the (trials x T) uint8 grid is trial b's noiseless bits, then
     its own channel noise: test c flips iff output c of the counter stream
-    of the key whose material words are row b of ``noise`` (see
+    of the key whose word is entry b of ``noise`` (see
     :meth:`RandomnessKey.materials`) is below floor(p * 2^64); one
     :func:`channel_flips` covers the grid.
     """

@@ -5,8 +5,10 @@ of the n/M size-M nodes individually; levels 2..gamma_prime-1 place each node
 into one uniformly chosen test of a per-level sequence; the final level runs
 ``gamma - gamma_prime + 1`` independent sequences over the singletons.  An
 item is therefore pooled once per tree level plus once per final sequence:
-exactly the gamma budget.  ``HASH_MODES`` maps each hash mode to the hashed
-levels' polynomial degree at the params, None for the counter hash.
+exactly the gamma budget.  :func:`gamma_levels` states these levels once,
+for the builder and the harness's size rule, and ``HASH_MODES`` maps each
+hash mode to the hashed levels' placement at the params: the counter hash,
+or a polynomial of degree gamma (``kwise``) or two (``pairwise``).
 
 The decoder walks the tree breadth-first, only ever reading the tests of
 nodes that are still possibly defective, which is what makes its cost scale
@@ -19,11 +21,12 @@ import math
 from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, is_power_of_two
-from .placements import IdentityStack, uniform_style_stacks
+from .placements import COUNTER_HASH, IDENTITY, Level, level_stacks, polynomial
 from .tree import TreeDesign, decode_tree, placement_of
 
-HASH_MODES = {"full": lambda params: None, "kwise": lambda params: params.gamma,
-              "pairwise": lambda params: 2}
+HASH_MODES = {"full": lambda params: COUNTER_HASH,
+              "kwise": lambda params: polynomial(params.gamma),
+              "pairwise": lambda params: polynomial(2)}
 DEFAULT_C_CONST = 8.0  # smallest integer above e**2, the analysis floor
 MIN_C_CONST = math.e ** 2
 
@@ -147,22 +150,26 @@ def gamma_total_tests(params: GammaParams, n: int) -> int:
     )
 
 
+def gamma_levels(params: GammaParams, n: int, hash_mode: str = "full") -> list[Level]:
+    """The gamma tree's levels: level 1 tests its n/M nodes individually,
+    each of levels 2..gamma_prime-1 places every node once (sequences of
+    length t_len, then t_len_prime), and the singleton level places every
+    item in each of ``final_reps`` sequences of length t_len_dprime, every
+    hashed level by the placement ``HASH_MODES`` maps the mode to."""
+    placement = placement_of(HASH_MODES, hash_mode)(params)
+    gp, top = params.gamma_prime, n // params.level1_size
+    return [Level(1, top, top, 1, IDENTITY),
+            *(Level(level, top * params.branching ** (level - 1),
+                    params.t_len if level < gp - 1 else params.t_len_prime, 1, placement)
+              for level in range(2, gp)),
+            Level(gp, n, params.t_len_dprime, params.final_reps, placement)]
+
+
 def build_gamma_design(params: GammaParams, n: int, key,
                        hash_mode: str = "full") -> TreeDesign:
-    """The gamma tree: level 1 tests its n/M nodes individually, each of
-    levels 2..gamma_prime-1 places every node once (sequences of length
-    t_len, then t_len_prime), and the singleton level places every item in
-    each of ``final_reps`` sequences of length t_len_dprime.  Every hashed
-    level is one stack, and all of them come from the one design key (see
-    :func:`splitgt.placements.uniform_style_stacks`); from several trials'
-    key material, one design of those trials."""
-    gp, top = params.gamma_prime, n // params.level1_size
-    shapes = [(top * params.branching ** (level - 1),
-               params.t_len if level < gp - 1 else params.t_len_prime, 1)
-              for level in range(2, gp)]
-    shapes.append((n, params.t_len_dprime, params.final_reps))
-    stacks = uniform_style_stacks(shapes, key, placement_of(HASH_MODES, hash_mode)(params))
-    return TreeDesign(n, params, [(1, IdentityStack(top)), *zip(range(2, gp + 1), stacks)])
+    """The design of :func:`gamma_levels` from the design key, or from
+    several trials' key material one design of those trials."""
+    return TreeDesign(n, params, level_stacks(gamma_levels(params, n, hash_mode), key))
 
 
 def decode_gamma(design: TreeDesign,

@@ -14,9 +14,10 @@ Two parameter modes exist.  ``theory`` derives N, r and C' from the target
 noise level via the concentration bounds that back the scheme's guarantee;
 the resulting repetition counts are large.  ``practice`` keeps the same
 structural constraints (odd N, C' * log2 n >= r, t * C' > 1) but defaults to
-the small calibrated constants used by the benchmark suite.  ``HASH_MODES``
-maps each hash mode to the placements' polynomial degree, None for the
-counter hash.
+the small calibrated constants used by the benchmark suite.
+:func:`noisy_levels` states the levels once, for the builder and the
+harness's size rule, and ``HASH_MODES`` maps each hash mode to their
+placement: the counter hash, or a pairwise polynomial (``kwise``).
 
 The decoder is the splitting descent of every scheme,
 :func:`splitgt.tree.descend`, under the noisy survival rule: a node above
@@ -34,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BatchReport, DecodeReport, OutcomeVector, RandomnessKey, is_power_of_two
-from .placements import uniform_style_stacks
+from .placements import COUNTER_HASH, Level, level_stacks, polynomial
 from .tree import Reads, TreeDesign, decode_one, descend, placement_of, tally
 
-HASH_MODES = {"full": None, "kwise": 2}
+HASH_MODES = {"full": COUNTER_HASH, "kwise": polynomial(2)}
 DEFAULT_T = 2.0
 DEFAULT_EPSILON = 0.6
 PRACTICE_N_REPS = 7
@@ -129,19 +130,23 @@ def noisy_total_tests(params: NoisyParams, n: int, k: int) -> int:
             + params.c_final * params.n_reps * log2n * params.t_len)
 
 
+def noisy_levels(params: NoisyParams, n: int, k: int, hash_mode: str = "full") -> list[Level]:
+    """The binary tree's levels, from level log2 k, all alive at the start,
+    down to the singletons at level log2 n: N sequences of C * k tests at
+    each level above the final one and C' * N * log2 n at the final level,
+    every one placed as ``HASH_MODES`` maps the mode."""
+    placement, log2n = placement_of(HASH_MODES, hash_mode), n.bit_length() - 1
+    final_seqs = params.c_final * params.n_reps * log2n
+    return [Level(level, 1 << level, params.t_len,
+                  params.n_reps if level < log2n else final_seqs, placement)
+            for level in range(k.bit_length() - 1, log2n + 1)]
+
+
 def build_noisy_design(params: NoisyParams, n: int, k: int, key: RandomnessKey,
                        hash_mode: str = "full") -> TreeDesign:
-    """The binary tree from level log2 k down to the singletons at level
-    log2 n, every placement from the one design key, one stack per level: N
-    sequences at each level above the final one and C' * N * log2 n at the
-    final level (see :func:`splitgt.placements.uniform_style_stacks`)."""
-    log2n = n.bit_length() - 1
-    final_seqs = params.c_final * params.n_reps * log2n
-    levels = range(k.bit_length() - 1, log2n + 1)
-    stacks = uniform_style_stacks(
-        [(1 << level, params.t_len, params.n_reps if level < log2n else final_seqs)
-         for level in levels], key, placement_of(HASH_MODES, hash_mode))
-    return TreeDesign(n, params, zip(levels, stacks))
+    """The design of :func:`noisy_levels` from the design key, or from
+    several trials' key material one design of those trials."""
+    return TreeDesign(n, params, level_stacks(noisy_levels(params, n, k, hash_mode), key))
 
 
 def _votes(reads: Reads, level: int, trials, nodes: np.ndarray, first: int,

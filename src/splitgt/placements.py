@@ -2,7 +2,10 @@
 
 A placement puts every node of a tree level into one test of a sequence of
 ``t_len`` tests.  Three hashed backings are provided, and each scheme's
-``HASH_MODES`` picks one per hash mode, with its degree or accounting:
+``HASH_MODES`` maps a hash mode to one as a :class:`Placement`
+(:data:`COUNTER_HASH`, :func:`polynomial` of a degree, or
+:func:`permutation` with its accounting), beside the :data:`IDENTITY` of
+an individually tested top level:
 
   - counter hash: node j of a repetition goes to test
     ``splitmix64(row_key + j * PHI) mod t_len``, the j-th output of a
@@ -28,13 +31,16 @@ array from one array operation: its only lookup, which the tests check
 against pure-Python references from the stack's own keys
 (``tests/scalar_reference.py``) that share no code with this module.
 
-A hashed level's keys are the next slice of the design key's
-:func:`row_keys`, so no design draws from a generator.  Given several
-trials' design keys, :func:`row_keys` gives one row of keys per trial, and
-every stack cut from them has keys with a leading trial axis, of length
-``stack.trials``.  Such a stack's ``tests_of(nodes, reps, trials)`` takes
-each node's keys from the trial ``trials`` names for it, so a batch of
-trials is looked up at once.  A stack of one trial's keys, without that
+A scheme states its design once, before any key is drawn, as a list of
+:class:`Level` ``(level, nodes, t_len, reps, placement)``, which the
+harness's size rule (``tree.trial_bytes``) also reads; :func:`level_stacks`
+cuts the list into stacks.  A level's keys are the next slice of the
+design key's :func:`row_keys`, so no design draws from a generator.  Given
+several trials' design keys, :func:`row_keys` gives one row of keys per
+trial, and every stack cut from them has keys with a leading trial axis, of
+length ``stack.trials``.  Such a stack's ``tests_of(nodes, reps, trials)``
+takes each node's keys from the trial ``trials`` names for it, so a batch
+of trials is looked up at once.  A stack of one trial's keys, without that
 axis, and the keyless :class:`IdentityStack` have ``trials`` None and
 ignore the ``trials`` argument.
 """
@@ -42,7 +48,8 @@ ignore the ``trials`` argument.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -298,7 +305,6 @@ class PolynomialStack:
         _check_t_len(t_len)
         self.num_nodes = num_nodes
         self.t_len = t_len
-        self.keys = keys
         self.reps = keys.shape[-2]
         self.trials = len(keys) if keys.ndim == 3 else None
         self.prime = smallest_prime_at_least(max(num_nodes, t_len, 2))
@@ -354,10 +360,10 @@ class PermutationStack:
 def row_keys(key, count: int) -> np.ndarray:
     """The keys of a design's ``count`` counter-hashed rows: outputs
     0 .. count - 1 of the design key's counter stream, splitmix64 over the
-    row ids offset by the low 64 bits of its material.  ``key`` is a
-    :class:`RandomnessKey`, or the material words of several trials' design
-    keys (rows of :meth:`RandomnessKey.materials`), which give one row of
-    keys per trial."""
+    row ids offset by its word.  ``key`` is a :class:`RandomnessKey`, or
+    the words of several trials' design keys (see
+    :meth:`RandomnessKey.materials`), which give one row of keys per
+    trial."""
     if isinstance(key, RandomnessKey):
         return counter_stream(key.words(), count)[0]
     return counter_stream(key, count)
@@ -374,33 +380,53 @@ def _cut(keys: np.ndarray, shapes):
         first += size
 
 
-def uniform_style_stacks(shapes, key, degree: int | None) -> list:
-    """One stack per ``(num_nodes, t_len, reps)`` in ``shapes``: the
-    independently-placed levels of one design, all from the design key; from
-    several trials' key material (see :func:`row_keys`), stacks of those
-    trials.
+class Placement(NamedTuple):
+    """A level's placement without its keys: ``stack(num_nodes, t_len, keys)``
+    builds its stack, ``row(num_nodes)`` gives one repetition's key shape."""
 
-    ``degree`` None gives counter hashes, one row key per repetition; a
-    degree d >= 2 gives polynomial hashes of degree d, 2d row keys per
-    repetition.  Either way the levels' keys are cut in order from one
-    :func:`row_keys` call on the design key.
-    """
-    stack, row = (CounterHashStack, ()) if degree is None else (PolynomialStack, (2 * degree,))
-    blocks = [(reps, *row) for _, _, reps in shapes]
+    stack: Callable
+    row: Callable
+
+
+IDENTITY = Placement(lambda num_nodes, t_len, keys: IdentityStack(num_nodes),
+                     lambda num_nodes: (0,))
+COUNTER_HASH = Placement(CounterHashStack, lambda num_nodes: ())
+
+
+def polynomial(degree: int) -> Placement:
+    """Degree-``degree`` polynomial hashes (see :class:`PolynomialStack`)."""
+    return Placement(PolynomialStack, lambda num_nodes: (2 * degree,))
+
+
+def permutation(full: bool) -> Placement:
+    """Keyed permutations, accounted as the stored position table if
+    ``full`` is set (see :class:`PermutationStack`)."""
+    return Placement(partial(PermutationStack, full=full),
+                     lambda num_nodes: (feistel_rounds(num_nodes.bit_length() - 1),))
+
+
+class Level(NamedTuple):
+    """One level of a tree design before its keys are drawn: ``nodes``
+    nodes, each placed by ``placement`` into one of ``t_len`` tests under
+    each of ``reps`` repetitions."""
+
+    level: int
+    nodes: int
+    t_len: int
+    reps: int
+    placement: Placement
+
+    @property
+    def key_shape(self) -> tuple:
+        """The shape of the level's row keys, one row per repetition."""
+        return (self.reps, *self.placement.row(self.nodes))
+
+
+def level_stacks(levels, key) -> list:
+    """The ``(level, stack)`` pairs of the :class:`Level` list ``levels``,
+    their keys cut in order from one :func:`row_keys` call on the design key
+    (on several trials' key material, stacks of those trials)."""
+    blocks = [level.key_shape for level in levels]
     keys = row_keys(key, sum(map(math.prod, blocks)))
-    return [stack(num_nodes, t_len, level_keys)
-            for (num_nodes, t_len, _), level_keys in zip(shapes, _cut(keys, blocks))]
-
-
-def balanced_stacks(shapes, key, full: bool) -> list:
-    """One :class:`PermutationStack` per ``(num_nodes, t_len, reps)`` in
-    ``shapes``: the balanced levels of one design, their round keys cut in
-    order from one :func:`row_keys` call on the design key (or on several
-    trials' key material, for stacks of those trials), each accounted as
-    the stored position table if ``full`` is set (see
-    :class:`PermutationStack`)."""
-    blocks = [(reps, feistel_rounds(num_nodes.bit_length() - 1))
-              for num_nodes, _, reps in shapes]
-    keys = row_keys(key, sum(map(math.prod, blocks)))
-    return [PermutationStack(num_nodes, t_len, round_keys, full)
-            for (num_nodes, t_len, _), round_keys in zip(shapes, _cut(keys, blocks))]
+    return [(level.level, level.placement.stack(level.nodes, level.t_len, level_keys))
+            for level, level_keys in zip(levels, _cut(keys, blocks))]

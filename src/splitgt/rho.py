@@ -7,9 +7,10 @@ l holds exactly rho^(l/C) nodes of size rho^(1-l/C): exactly rho items.  The
 final level runs C' balanced placements over the singletons.  The size cap is
 therefore structural, not probabilistic.  Every balanced placement is a keyed
 permutation of its level's nodes with the low bits dropped, one stack per
-level, all from the one design key (see
-:func:`splitgt.placements.balanced_stacks`).  ``HASH_MODES`` maps each hash
-mode to whether a placement is accounted as the stored position table.
+level, all from the one design key.  :func:`rho_levels` states these levels
+once, for the builder and the harness's size rule, and ``HASH_MODES`` maps
+each hash mode to the permutation placement with its accounting: the stored
+position table (``full``) or its round keys (``permutation``).
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import warnings
 from dataclasses import dataclass
 
 from .core import DecodeReport, OutcomeVector, is_power_of_two
-from .placements import IdentityStack, balanced_stacks
+from .placements import IDENTITY, Level, level_stacks, permutation
 from .tree import TreeDesign, decode_tree, placement_of
 
-HASH_MODES = {"full": True, "permutation": False}
+HASH_MODES = {"full": permutation(True), "permutation": permutation(False)}
 DEFAULT_C_DEPTH = 2
 DEFAULT_N_REPS = 3
 DEFAULT_C_FINAL = 3
@@ -80,22 +81,25 @@ def rho_total_tests(params: RhoParams, n: int) -> int:
     return (1 + params.n_reps * (params.c_depth - 1) + params.c_final) * per_level
 
 
-def build_rho_design(params: RhoParams, n: int, key,
-                     hash_mode: str = "full") -> TreeDesign:
-    """The rho tree: level 0 tests its n/rho nodes individually, and every
-    later level places its nodes into n/rho tests by ``n_reps`` balanced
-    placements (``c_final`` at the singleton level), one keyed-permutation
-    stack per level, all from the one design key; from several trials' key
-    material, one design of those trials (see
-    :func:`splitgt.placements.row_keys`)."""
+def rho_levels(params: RhoParams, n: int, hash_mode: str = "full") -> list[Level]:
+    """The rho tree's levels: level 0 tests its n/rho nodes individually,
+    and every later level places its nodes into n/rho tests by ``n_reps``
+    balanced placements (``c_final`` at the singleton level), keyed
+    permutations accounted as ``HASH_MODES`` maps the mode."""
     if n % params.rho != 0:
         raise ValueError(f"rho={params.rho} must divide n={n}")
-    per_level = n // params.rho
-    num_nodes = [per_level * params.branch ** level for level in range(1, params.c_depth)] + [n]
-    reps = [params.n_reps] * (params.c_depth - 1) + [params.c_final]
-    stacks = balanced_stacks([(num, per_level, count) for num, count in zip(num_nodes, reps)],
-                             key, placement_of(HASH_MODES, hash_mode))
-    return TreeDesign(n, params, [(0, IdentityStack(per_level)), *enumerate(stacks, start=1)])
+    placement, per_level = placement_of(HASH_MODES, hash_mode), n // params.rho
+    return [Level(0, per_level, per_level, 1, IDENTITY),
+            *(Level(level, per_level * params.branch ** level, per_level, params.n_reps,
+                    placement) for level in range(1, params.c_depth)),
+            Level(params.c_depth, n, per_level, params.c_final, placement)]
+
+
+def build_rho_design(params: RhoParams, n: int, key,
+                     hash_mode: str = "full") -> TreeDesign:
+    """The design of :func:`rho_levels` from the design key, or from
+    several trials' key material one design of those trials."""
+    return TreeDesign(n, params, level_stacks(rho_levels(params, n, hash_mode), key))
 
 
 def decode_rho(design: TreeDesign, outcomes: OutcomeVector) -> tuple[tuple[int, ...], DecodeReport]:

@@ -9,9 +9,11 @@ stack of placements (see :mod:`splitgt.placements`), which knows its node
 count, its ``t_len`` and its repetitions; :class:`TreeDesign` is built from
 the ordered ``(level, stack)`` pairs and derives the rest, fan-out and the
 address of every outcome cell included.  The schemes differ only in how
-their params become stacks: ``gamma.build_gamma_design``,
-``rho.build_rho_design`` and ``noisy.build_noisy_design``; COMP and NCOMP
-take a one-level tree of singletons (``baselines.build_flat_design``).
+their params become a level list (``gamma.gamma_levels``,
+``rho.rho_levels``, ``noisy.noisy_levels``; COMP and NCOMP take a one-level
+tree of singletons, ``baselines.flat_levels``), which
+:func:`splitgt.placements.level_stacks` cuts into stacks and
+:func:`trial_bytes`, the harness's size rule, reads without drawing keys.
 
 Every decoder is :func:`descend`: it keeps a frontier of possibly-defective
 nodes, for a batch of trials at once as sorted (trial, node) int64 arrays,
@@ -38,10 +40,12 @@ trial's keys evaluates a batch of one, without a trial array.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import BatchReport, DecodeReport, OutcomeVector
-from .placements import IdentityStack
+from .placements import IDENTITY, IdentityStack
 
 # Up to this many frontier nodes, decode looks a level up under all of its
 # repetitions at once; above it, repetition by repetition for the nodes
@@ -54,6 +58,26 @@ from .placements import IdentityStack
 # lowstore-giant's.  Tree-desk frontiers hold a few dozen nodes per trial,
 # lowstore-giant ones about 4096.
 BATCH_NODES = 1024
+
+
+def trial_bytes(levels, k: int) -> tuple[int, int]:
+    """The size rule of a trial of the design of the level list ``levels``
+    (see :class:`splitgt.placements.Level`) and at most ``k`` defectives:
+    the bytes it adds to a batch, an outcome byte and a read mark per test
+    and 16 per node alive before any pruning (a node and its trial), and its
+    largest array.  That is the outcome vector, the row keys, or a level's
+    widest lookup, 8 bytes a lane: its repetitions over k defectives, or
+    over its frontier (up to ``BATCH_NODES`` nodes; one repetition above),
+    every top-level node and then the children of k nodes above."""
+    tests = sum(level.t_len * level.reps for level in levels)
+    arrays = [tests, 8 * sum(math.prod(level.key_shape) for level in levels)]
+    for above, level in zip([None, *levels], levels):
+        alive = (level.nodes if above is None
+                 else min(k, above.nodes) * (level.nodes // above.nodes))
+        decode = alive if alive > BATCH_NODES else level.reps * alive
+        arrays.append(8 * max(decode, level.reps * min(k, level.nodes)))
+    start = 0 if levels[0].placement is IDENTITY else levels[0].nodes
+    return 2 * tests + 16 * start, max(arrays)
 
 
 def placement_of(modes: dict, hash_mode: str):

@@ -26,7 +26,14 @@ import numpy as np
 from splitgt import baselines, bench
 from splitgt.baselines import FlatDesign
 from splitgt.core import BatchReport, DecodeReport, NoiseChannel, RandomnessKey
-from splitgt.placements import CounterHashStack, IdentityStack, PermutationStack, PolynomialStack
+from splitgt.placements import (
+    CounterHashStack,
+    IdentityStack,
+    Level,
+    PermutationStack,
+    PolynomialStack,
+    level_stacks,
+)
 from splitgt.tree import TreeDesign
 
 
@@ -359,7 +366,8 @@ def previous_flat_scheme(algorithm: str) -> bench.Scheme:
     matrix that :func:`build_flat_design_2d` draws from its design key's
     generator, at the column weight of ``baselines.flat_shape``; its decode
     is :func:`decode_comp_scalar` or :func:`decode_ncomp_scalar`, reading
-    all T outcomes and holding no frontier; a batch is one trial."""
+    all T outcomes and holding no frontier.  A batch is one trial, which a
+    caller sets by patching ``bench.BATCH_BYTES`` to 1."""
 
     def build(config, tests, n, k, key):
         weight, _ = baselines.flat_shape(tests, k)
@@ -372,8 +380,7 @@ def previous_flat_scheme(algorithm: str) -> bench.Scheme:
         return DecodeReport(estimate=estimate, outcomes_read=design.t_total,
                             nodes_visited=design.n, peak_frontier=0)
 
-    return bench.SCHEMES[algorithm]._replace(build=build, decode=decode,
-                                             batch=lambda params, n, k: 1)
+    return bench.SCHEMES[algorithm]._replace(build=build, decode=decode)
 
 
 class TableStack:
@@ -509,6 +516,7 @@ def python_horner(coeffs, x: int, prime: int, t_len: int) -> int:
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+HIGH_SALT = 0xA5A5A5A5A5A5A5A5  # mixed into a key's word for its high material word
 
 
 def splitmix64(x: int) -> int:
@@ -516,6 +524,14 @@ def splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return x ^ (x >> 31)
+
+
+def shaped_stacks(shapes, key, placement) -> list:
+    """The stacks ``placements.level_stacks`` cuts from ``key`` for levels
+    0, 1, ... of the ``(num_nodes, t_len, reps)`` in ``shapes``, every level
+    placed by ``placement``."""
+    levels = [Level(level, *shape, placement) for level, shape in enumerate(shapes)]
+    return [stack for _, stack in level_stacks(levels, key)]
 
 
 def counter_row_keys(key, count: int) -> list[int]:
@@ -615,9 +631,12 @@ def floyd_defectives(low_word: int, n: int, k: int) -> tuple[int, ...]:
 # --- the Philox draws the counter stream replaced --------------------------
 
 
-def _philox(words: np.ndarray) -> np.random.Generator:
-    """The generator of the key whose material words are ``words``."""
-    return np.random.Generator(np.random.Philox(key=words))
+def _philox(word) -> np.random.Generator:
+    """The generator of the key whose word is ``word``: Philox keyed by the
+    key's 128-bit material, the word low and its salted mix high, as
+    ``RandomnessKey.generator`` keys it."""
+    word = int(word)
+    return np.random.Generator(np.random.Philox(key=splitmix64(word ^ HIGH_SALT) << 64 | word))
 
 
 def philox_defectives(config, words: np.ndarray) -> list[tuple[int, ...]]:
@@ -626,16 +645,16 @@ def philox_defectives(config, words: np.ndarray) -> list[tuple[int, ...]]:
     if config.defectives is not None:
         return [tuple(sorted(config.defectives))] * len(words)
     count = min(config.k, config.n)
-    return [tuple(sorted(int(v) for v in _philox(row).choice(config.n, size=count,
+    return [tuple(sorted(int(v) for v in _philox(word).choice(config.n, size=count,
                                                              replace=False)))
-            for row in words]
+            for word in words]
 
 
 def philox_flips(p: float, words: np.ndarray, tests: int) -> np.ndarray:
     """``core.channel_flips`` as a Philox generator per evaluation drew it:
     one ``random(tests)`` draw u from the noise key's generator, and cell c
     flips iff u[c] < p."""
-    return np.array([_philox(row).random(tests) < p for row in words]).reshape(len(words), tests)
+    return np.array([_philox(word).random(tests) < p for word in words]).reshape(len(words), tests)
 
 
 def batch_reports(columns: BatchReport) -> list[DecodeReport]:

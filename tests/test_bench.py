@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from splitgt import baselines, bench, gamma, noisy, rho
+from splitgt import baselines, bench, gamma, noisy, rho, tree
 from splitgt.bench import (
     TrialConfig,
     eta_curve,
@@ -359,8 +359,7 @@ def test_a_share_of_batches_of_several_and_of_one(algorithm, monkeypatch):
                          **CONFIGS[algorithm])
     expected = [bench.run_trial(config, i) for i in range(5, 9)]
     _, _, batches = _record_shares_and_batches(monkeypatch, algorithm)
-    scheme = bench.SCHEMES[algorithm]
-    monkeypatch.setitem(bench.SCHEMES, algorithm, scheme._replace(batch=lambda *args: 3))
+    monkeypatch.setattr(bench, "BATCH_BYTES", 3 * _batch_bytes(config))
     share = bench._run_share(config, range(5, 9))
     assert batches == [3, 1]
     assert [bench._record(share, b) for b in range(4)] == expected
@@ -420,6 +419,13 @@ class InlinePool:
         return map(fn, *iterables)
 
 
+def _batch_bytes(config: TrialConfig) -> int:
+    """What one trial of ``config`` adds to a batch (``tree.trial_bytes``)."""
+    n, k, _ = bench._rounded(config)
+    scheme = bench.SCHEMES[config.algorithm]
+    return tree.trial_bytes(scheme.levels(config, scheme.params(config, n, k), n, k), k)[0]
+
+
 def _record_shares_and_batches(monkeypatch, algorithm: str,
                                cpus: int = 8) -> tuple[list, list, list]:
     """Record the pool's worker count, the indices of every share and the
@@ -472,15 +478,16 @@ def test_noisy_batches_follow_jobs_and_byte_cap(jobs, trials, cap, sizes, monkey
     ``ceil(trials / jobs)``, or of one batch where that is more, one per
     worker, and a share's noisy trials are decoded in batches of consecutive
     trials: all of them, or fewer where the byte cap on a batch's outcome
-    vectors and read marks says so.  Records come back in index order
-    whatever the split."""
+    vectors, read marks and starting frontiers says so.  Records come back
+    in index order whatever the split."""
     shares, batch_sizes = sizes
     config = TrialConfig(algorithm="noisy", n=256, k=4, p=0.05, trials=trials, base_seed=4,
                          jobs=jobs)
     expected = bench.aggregate(config, _columns([bench.run_trial(config, i)
                                                  for i in range(trials)]))
     tests = noisy.noisy_total_tests(noisy.noisy_params(256, 4, 0.05), 256, 4)
-    monkeypatch.setattr(bench, "BATCH_BYTES", 2 * tests * cap)
+    assert _batch_bytes(config) == 2 * tests + 16 * 4  # the 4 nodes of level log2 k
+    monkeypatch.setattr(bench, "BATCH_BYTES", _batch_bytes(config) * cap)
     workers, ran, batches = _record_shares_and_batches(monkeypatch, "noisy")
     assert run_trials(config).to_dict() == expected.to_dict()
     assert [len(share) for share in ran] == shares
@@ -512,9 +519,10 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch):
 def test_tree_batches_follow_the_byte_cap(algorithm, fields, trials, cap, batch_sizes,
                                           monkeypatch):
     """Gamma, rho and noisy batches follow the byte cap, two bytes per test
-    and trial under ``bench.BATCH_BYTES``, and every batch of several trials
-    is decoded from one grid (``decode_grid``); records equal the trials run
-    one at a time."""
+    and trial (and for noisy 16 per node of its all-alive top level) under
+    ``bench.BATCH_BYTES``, and every batch of several trials is decoded from
+    one grid (``decode_grid``); records equal the trials run one at a
+    time."""
     config = TrialConfig(algorithm=algorithm, n=256, k=4, trials=trials, base_seed=6, **fields)
     expected = bench.aggregate(config, _columns([bench.run_trial(config, i)
                                                  for i in range(trials)]))
@@ -522,7 +530,9 @@ def test_tree_batches_follow_the_byte_cap(algorithm, fields, trials, cap, batch_
     scheme = bench.SCHEMES[algorithm]
     tests = scheme.build(config, scheme.params(config, n, k), n, k,
                          RandomnessKey(0, ("design",))).t_total
-    monkeypatch.setattr(bench, "BATCH_BYTES", 2 * tests * cap)
+    top = 4 if algorithm == "noisy" else 0  # the nodes that start all alive
+    assert _batch_bytes(config) == 2 * tests + 16 * top
+    monkeypatch.setattr(bench, "BATCH_BYTES", _batch_bytes(config) * cap)
     _, ran, batches = _record_shares_and_batches(monkeypatch, algorithm)
     grids, recording = [], bench.SCHEMES[algorithm]
 
@@ -540,18 +550,25 @@ def test_tree_batches_follow_the_byte_cap(algorithm, fields, trials, cap, batch_
     ("rho", dict(n=2 ** 20, k=16, rho=2 ** 8), 28672, 73),
     ("gamma", dict(n=2 ** 14, k=4, gamma=6), 1192, 1759),
     ("gamma", dict(n=2 ** 30, k=64, gamma=6, hash_mode="kwise"), 206174, 10),
-    ("noisy", dict(n=2 ** 12, k=8, p=0.05), 4704, 445),
+    ("noisy", dict(n=2 ** 12, k=8, p=0.05), 4704, 439),
 ])
 def test_batches_are_capped_at_4_mib_of_outcomes(algorithm, fields, tests, cap):
     """The cap itself: as many trials as keep T outcome bytes and T read
-    marks per trial under 4 MiB, and at least one."""
+    marks per trial, and for noisy its k all-alive top-level nodes and their
+    trials, under 4 MiB, and at least one.  A trial's largest array is its
+    outcome vector, or rho's scan of its n/rho top-level nodes, or noisy's
+    lookup of the 2k singletons of k nodes under C' * N * log2 n = 84
+    sequences."""
     config = TrialConfig(algorithm=algorithm, **fields)
     n, k, _ = bench._rounded(config)
     scheme = bench.SCHEMES[algorithm]
     params = scheme.params(config, n, k)
+    top = k if algorithm == "noisy" else 0
+    largest = {"rho": 8 * n // 2 ** 8, "noisy": 8 * 84 * 2 * k}.get(algorithm, tests)
     assert bench.BATCH_BYTES == 1 << 22
-    assert scheme.footprint(params, n, k) == tests
-    assert scheme.batch(params, n, k) == cap == max(1, (1 << 22) // (2 * tests))
+    assert tree.trial_bytes(scheme.levels(config, params, n, k), k) == (2 * tests + 16 * top,
+                                                                         largest)
+    assert bench._batch_cap(config, params, n, k) == cap == (1 << 22) // (2 * tests + 16 * top)
 
 
 def test_gamma_kwise_at_2_30_runs_five_trials_as_one_batch(monkeypatch):
@@ -577,8 +594,9 @@ def test_flat_schemes_batch_under_the_byte_cap(monkeypatch):
         n, k, _ = bench._rounded(config)
         scheme = bench.SCHEMES[algorithm]
         params = scheme.params(config, n, k)
-        assert scheme.footprint(params, n, k) == 8 * n
-        assert scheme.batch(params, n, k) == 63 == (1 << 22) // (2 * 372 + 16 * n)
+        assert tree.trial_bytes(scheme.levels(config, params, n, k), k) == (2 * 372 + 16 * n,
+                                                                             8 * n)
+        assert bench._batch_cap(config, params, n, k) == 63 == (1 << 22) // (2 * 372 + 16 * n)
         config = TrialConfig(algorithm=algorithm, n=256, k=4, p=0.05, trials=12)
         expected = bench.aggregate(config, _columns([bench.run_trial(config, i)
                                                      for i in range(12)]))
@@ -609,15 +627,14 @@ def test_params_are_computed_once_per_share(monkeypatch):
     assert counts == [4, 4, 4]
 
 
-@pytest.mark.parametrize("trials", [12, 445])
+@pytest.mark.parametrize("trials", [12, 439])
 def test_a_call_of_one_batch_opens_no_pool(trials, monkeypatch):
-    """A call of at most one batch (noisy at n=2^12, k=8: 445 trials) runs
+    """A call of at most one batch (noisy at n=2^12, k=8: 439 trials) runs
     in this process at ``jobs=2``, as at ``jobs=1``: a share is never
     smaller than one batch."""
     config = TrialConfig(algorithm="noisy", n=2 ** 12, k=8, p=0.05, trials=trials, base_seed=2)
     n, k, _ = bench._rounded(config)
-    scheme = bench.SCHEMES["noisy"]
-    assert scheme.batch(scheme.params(config, n, k), n, k) == 445
+    assert bench._batch_cap(config, bench.SCHEMES["noisy"].params(config, n, k), n, k) == 439
     expected = run_trials(config)
 
     def no_pool(*args, **kwargs):

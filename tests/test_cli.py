@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from test_tracing import _load
 from splitgt import bench
 from splitgt.cli import (
     RESULT_COLUMNS,
@@ -412,6 +413,10 @@ UNRUNNABLE = {
     "rho n=rho=2^62": ("rho --n 4611686018427387904 --k 16 --rho 4611686018427387904",
                        "byte"),
     "comp n=2^40": ("comp --n 1099511627776 --k 4", "byte"),
+    # every repetition of 1024 nodes at once in decode: a 132 GiB lookup
+    "comp tests=10^8": ("comp --n 1024 --k 4 --tests 100000000", "byte"),
+    # 6 Feistel round keys per repetition: a 4.8 GB row-key array
+    "rho reps=10^8": ("rho --n 1024 --k 4 --rho 256 --reps 100000000", "byte"),
 }
 
 
@@ -436,10 +441,48 @@ def test_unrunnable_config_rejected_before_any_trial(case, monkeypatch, capsys):
     assert "error:" in err and message in err and "trial 0" not in err
 
 
+# The installed-package smoke runs of CI (.github/workflows/tier1.yml).
+CI_SMOKE = (
+    "gamma --n 1024 --k 4 --gamma 5 --trials 5",
+    "noisy --n 1024 --k 4 --design-p 0.05 --trials 5",
+    "noisy --n 1073741824 --k 64 --p 0.05 --hash-mode kwise --trials 22",
+    "gamma --n 1099511627776 --k 64 --gamma 6 --hash-mode kwise --trials 3",
+    "rho --n 1024 --k 4 --rho 16 --hash-mode permutation --trials 5",
+    "comp --n 1024 --k 4 --tests 1 --trials 3",
+    "ncomp --n 1024 --k 4 --p 0.05 --threshold 1 --trials 100 --jobs 2",
+)
+# Each benchmark cell's batch cap (perfbench/workloads.py).
+CELL_CAPS = {
+    ("tree-desk", "gamma-full"): 1759, ("tree-desk", "gamma-kwise"): 1759,
+    ("tree-desk", "rho-full"): 1170,
+    ("noisy-desk", "noisy-full"): 439,
+    ("lowstore-giant", "rho-permutation"): 1, ("lowstore-giant", "gamma-kwise"): 10,
+    ("materialise", "gamma-full"): 159, ("materialise", "rho-full"): 73,
+    ("materialise", "comp"): 63, ("materialise", "ncomp"): 63,
+}
+
+
 def test_trial_size_limit_admits_the_benchmarked_configs():
-    """The largest configs the tests and benchmarks run stay under the
-    limit, and rho at n = 2^50 does with a cap that keeps the outcome vector
-    small."""
+    """Every config the repo runs stays under the limit: the benchmark's
+    cells, at the batch caps pinned here, CI's smoke runs, both committed
+    sweep plans, and the largest configs the tests run; rho at n = 2^50
+    does with a cap that keeps the outcome vector small."""
+    caps = {}
+    for workload, cells in _load("workloads").WORKLOADS.items():
+        for cell in cells:
+            config = bench.TrialConfig(**dict(cell.fields))
+            bench.validate_config(config)
+            n, k, _ = bench._rounded(config)
+            params = bench.SCHEMES[config.algorithm].params(config, n, k)
+            caps[workload, cell.name] = bench._batch_cap(config, params, n, k)
+    assert caps == CELL_CAPS
+    for argv in CI_SMOKE:
+        config_from_args(parse(argv.split()))  # builds the config, then validate_config
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    for plan in ("headline.json", "noise_robustness.json"):
+        spec = json.loads((scripts / plan).read_text())
+        for cell in spec["cells"]:
+            bench.validate_config(bench.TrialConfig(**{**spec["base"], **cell}))
     for config in (
         bench.TrialConfig(algorithm="gamma", n=2 ** 62, k=16, gamma=6),
         bench.TrialConfig(algorithm="noisy", n=2 ** 62, k=16, p=0.05),

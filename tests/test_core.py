@@ -270,19 +270,26 @@ TOKEN = st.one_of(st.integers(min_value=-2 ** 63, max_value=2 ** 64 - 1), st.tex
 @example(seed=-1, stream=["x", 7], indices=[2 ** 63 - 1], tokens=["noise"])
 @example(seed=0, stream=[], indices=[0], tokens=[])
 def test_materials_match_material(seed, stream, indices, tokens):
-    """One array program gives every trial key's ``material()``, low word
-    first, as ``words()`` gives one key's, and a Philox generator keyed by
-    those words draws the key's own stream."""
+    """One array program gives every trial key's word, the low 64 bits of
+    its ``material()``, as ``words()`` gives one key's, and a Philox
+    generator keyed by that material draws the key's own stream."""
     key = RandomnessKey(seed, tuple(stream))
     words = key.materials(np.array(indices), *tokens)
-    assert words.dtype == np.uint64 and words.shape == (len(indices), 2)
-    for index, row in zip(indices, words):
+    assert words.dtype == np.uint64 and words.shape == (len(indices),)
+    for index, word in zip(indices, words.tolist()):
         child = key.child(index, *tokens)
         material = child.material()
-        assert row.tolist() == [material & (2 ** 64 - 1), material >> 64]
-        assert child.words().dtype == np.uint64 and child.words().tolist() == [row.tolist()]
-        philox = np.random.Generator(np.random.Philox(key=row))
+        assert word == material & (2 ** 64 - 1)
+        assert child.words().dtype == np.uint64 and child.words().tolist() == [word]
+        philox = np.random.Generator(np.random.Philox(key=material))
         assert np.array_equal(philox.random(4), child.generator().random(4))
+
+
+def test_generator_stream_is_pinned():
+    """A key's generator draws from its 128-bit material, whatever word its
+    counter streams take."""
+    draws = RandomnessKey(1).child(3, "design").generator().random(2)
+    assert draws.tolist() == [0.5336338200240649, 0.8950714247937664]
 
 
 def test_materials_of_a_range():

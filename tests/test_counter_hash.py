@@ -22,12 +22,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import ExplicitStack, counter_hash_test, counter_row_keys, scalar_test
+from scalar_reference import (
+    ExplicitStack,
+    counter_hash_test,
+    counter_row_keys,
+    scalar_test,
+    shaped_stacks,
+)
 from splitgt import bench
 from splitgt.core import RandomnessKey
 from splitgt.gamma import build_gamma_design, gamma_params
 from splitgt.noisy import build_noisy_design, noisy_params
-from splitgt.placements import CounterHashStack, row_keys, uniform_style_stacks
+from splitgt.placements import COUNTER_HASH, CounterHashStack, row_keys
 
 T_LENS = [1, 2, 3, 40, 2 ** 31, 2 ** 32 + 1, 2 ** 62]
 ALPHA = 1e-6
@@ -129,7 +135,7 @@ def stacks(backing: str, shapes, seed: int):
     control)."""
     key = RandomnessKey(seed, ("stats",))
     if backing == "counter":
-        return uniform_style_stacks(shapes, key, None)
+        return shaped_stacks(shapes, key, COUNTER_HASH)
     rng = key.generator()
     return [ExplicitStack(num, t_len, reps, rng) for num, t_len, reps in shapes]
 

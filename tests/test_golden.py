@@ -129,6 +129,7 @@ def _result(cell: str, p: float, philox: bool = False, previous: bool = False) -
             patch.setattr(core, "channel_flips", philox_flips)
         if previous and config.algorithm in ("comp", "ncomp"):
             patch.setitem(bench.SCHEMES, config.algorithm, previous_flat_scheme(config.algorithm))
+            patch.setattr(bench, "BATCH_BYTES", 1)  # its batches are of one trial
         return json.dumps(run_trials(config).to_dict(), sort_keys=True)
 
 

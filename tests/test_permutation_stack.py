@@ -34,12 +34,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hash_modes import NAMES, refused
-from scalar_reference import counter_row_keys, keyed_permutation_test, scalar_test
+from scalar_reference import counter_row_keys, keyed_permutation_test, scalar_test, shaped_stacks
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
     PermutationStack,
-    balanced_stacks,
     feistel_rounds,
+    permutation,
     row_keys,
 )
 from splitgt.rho import build_rho_design, rho_params
@@ -53,7 +53,7 @@ def stack_of(bits: int, log_t: int, reps: int, seed: int = 0, full: bool = True)
     """One stack of ``reps`` keyed permutations of 2^bits nodes into 2^log_t
     tests, its round keys from one design key."""
     shape = (1 << bits, 1 << log_t, reps)
-    stack, = balanced_stacks([shape], RandomnessKey(seed, ("perm", bits, log_t)), full)
+    stack, = shaped_stacks([shape], RandomnessKey(seed, ("perm", bits, log_t)), permutation(full))
     return stack
 
 
@@ -89,7 +89,7 @@ def test_stack_matches_rows_and_reference(bits, log_t, reps, seed, data):
     repetition alone, the scalar lookup of ``scalar_reference.scalar_test``,
     and the pure-Python reference."""
     num, log_t = 1 << bits, min(log_t, bits)
-    stack, = balanced_stacks([(num, 1 << log_t, reps)], RandomnessKey(seed), False)
+    stack, = shaped_stacks([(num, 1 << log_t, reps)], RandomnessKey(seed), permutation(False))
     if data is None:
         first, last, picks = 0, reps, []
     else:
@@ -146,10 +146,10 @@ def test_storage_cost_by_mode():
     for bits, rounds in [(4, 24), (14, 6)]:
         shape = [(1 << bits, 4, 3)]
         for full in (True, False):
-            stack, = balanced_stacks(shape, RandomnessKey(2), full)
+            stack, = shaped_stacks(shape, RandomnessKey(2), permutation(full))
             row_cost = (1 << bits) if full else rounds + 2
             assert stack.storage_cost == 3 * row_cost
-            one, = balanced_stacks([(1 << bits, 4, 1)], RandomnessKey(2), full)
+            one, = shaped_stacks([(1 << bits, 4, 1)], RandomnessKey(2), permutation(full))
             assert one.storage_cost == row_cost
 
 
@@ -264,7 +264,7 @@ def test_rows_place_independently(bits):
 
 @pytest.mark.parametrize("bits", [2, 5, 6, 11, 14, 20])
 def test_levels_place_independently(bits):
-    """Two levels cut from one ``row_keys`` sequence as ``balanced_stacks``
+    """Two levels cut from one ``row_keys`` sequence as ``level_stacks``
     cuts a design's, the last row of one level next to the first row of the
     next: node 0 under the one and under the other are placed
     independently."""

@@ -13,20 +13,22 @@ from scalar_reference import (
     next_primes_by_trial_division,
     python_horner,
     scalar_test,
+    shaped_stacks,
 )
 from test_counter_hash import chi2_bound, pearson
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
+    COUNTER_HASH,
     CounterHashStack,
     IdentityStack,
     PolynomialStack,
     _counter_hash,
     _horner,
     _mod,
-    balanced_stacks,
+    permutation,
+    polynomial,
     row_keys,
     smallest_prime_at_least,
-    uniform_style_stacks,
 )
 
 
@@ -36,7 +38,7 @@ def key(i=0):
 
 def uniform(num_nodes, t_len, k, reps=1):
     """``reps`` i.i.d. placements, counter hashes: one stack."""
-    return uniform_style_stacks([(num_nodes, t_len, reps)], k, None)[0]
+    return shaped_stacks([(num_nodes, t_len, reps)], k, COUNTER_HASH)[0]
 
 
 def hashed(num_nodes, t_len, degree, k, reps=1):
@@ -48,7 +50,7 @@ def hashed(num_nodes, t_len, degree, k, reps=1):
 
 def balanced(num_nodes, t_len, k, full=True, reps=1):
     """``reps`` balanced placements: one keyed-permutation stack."""
-    return balanced_stacks([(num_nodes, t_len, reps)], k, full)[0]
+    return shaped_stacks([(num_nodes, t_len, reps)], k, permutation(full))[0]
 
 
 def table(stack, rep=0):
@@ -314,8 +316,8 @@ def test_coefficient_chi_square():
     """Over many design keys, each coefficient position of a polynomial
     level is uniform on a small prime field."""
     shape, degree, designs = (31, 1, 2), 3, 4000  # prime 31: about 129 keys per cell
-    coeffs = np.array([uniform_style_stacks([shape], RandomnessKey(77, ("coeffs", i)),
-                                            degree)[0].coeffs.ravel()
+    coeffs = np.array([shaped_stacks([shape], RandomnessKey(77, ("coeffs", i)),
+                                     polynomial(degree))[0].coeffs.ravel()
                        for i in range(designs)])
     assert coeffs.shape == (designs, shape[2] * degree)
     for position in coeffs.T:
@@ -434,7 +436,8 @@ def test_balanced_weights_exact_for_all_keys(log_nodes, log_t, seed):
 
 def test_mode_factories():
     def one(degree):
-        return uniform_style_stacks([(64, 8, 1)], key(), degree)[0]
+        return shaped_stacks([(64, 8, 1)], key(),
+                             COUNTER_HASH if degree is None else polynomial(degree))[0]
 
     assert one(None).storage_cost == 64
     assert one(6).storage_cost == 8
@@ -541,14 +544,14 @@ def test_stack_lookup_of_no_nodes(backing):
         assert grid.shape == (count, 0) and grid.dtype == np.int64
 
 
-# each builder argument, named by the hash mode it backs: the counter hash,
+# each hashed placement, named by the hash mode it backs: the counter hash,
 # gamma kwise's degree at gamma = 6 and pairwise's 2; the keyed permutation
 # accounted as its stored table and as its round keys
-BUILDS = {"uniform-full": (uniform_style_stacks, None),
-          "uniform-kwise": (uniform_style_stacks, 6),
-          "uniform-pairwise": (uniform_style_stacks, 2),
-          "balanced-full": (balanced_stacks, True),
-          "balanced-permutation": (balanced_stacks, False)}
+BUILDS = {"uniform-full": COUNTER_HASH,
+          "uniform-kwise": polynomial(6),
+          "uniform-pairwise": polynomial(2),
+          "balanced-full": permutation(True),
+          "balanced-permutation": permutation(False)}
 
 
 @pytest.mark.parametrize("case", BUILDS)
@@ -558,10 +561,9 @@ def test_stacks_from_batch_material_match_each_trial(case):
     where trial b's own stack puts it, level by level and under every
     repetition, and the accounting is one trial's."""
     shapes = [(16, 4, 2), (256, 16, 3), (1024, 32, 1)]  # 24 and 6 Feistel rounds
-    build, arg = BUILDS[case]
     root, count = RandomnessKey(41), 4
-    batch = build(shapes, root.materials(range(count), "design"), arg)
-    own = [build(shapes, root.child(b, "design"), arg) for b in range(count)]
+    batch = shaped_stacks(shapes, root.materials(range(count), "design"), BUILDS[case])
+    own = [shaped_stacks(shapes, root.child(b, "design"), BUILDS[case]) for b in range(count)]
     rng = np.random.default_rng(3)
     for level, stack in enumerate(batch):
         assert (stack.reps, stack.storage_cost) == (own[0][level].reps, own[0][level].storage_cost)
@@ -586,8 +588,8 @@ def test_identity_stack_ignores_trials():
 def test_scalar_reference_refuses_a_stack_of_several_trials(case):
     """The scalar reference reads one trial's keys, so a stack with a trial
     axis gets a ValueError, not the lookup of its first trial."""
-    build, arg = BUILDS[case]
-    stack, = build([(64, 8, 2)], RandomnessKey(41).materials(range(3), "design"), arg)
+    stack, = shaped_stacks([(64, 8, 2)], RandomnessKey(41).materials(range(3), "design"),
+                           BUILDS[case])
     assert stack.trials == 3
     with pytest.raises(ValueError, match="^a stack of 3 trials' keys has no scalar lookup"):
         scalar_test(stack, 0, 0)

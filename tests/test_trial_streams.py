@@ -57,7 +57,7 @@ def test_draw_matches_reference(n, k, seed):
     k = min(k, n)
     words = RandomnessKey(seed).materials(range(5), "defectives")
     draws = bench._draw_defectives(_config(n, k), words)
-    assert draws == [floyd_defectives(int(row[0]), n, k) for row in words]
+    assert draws == [floyd_defectives(int(word), n, k) for word in words]
     one = RandomnessKey(seed).child(3, "defectives").words()
     assert bench._draw_defectives(_config(n, k), one) == [draws[3]]
 
@@ -160,7 +160,7 @@ def test_rows_with_a_repeat_take_the_scalar_loop(n, monkeypatch):
     calls = _counting_floyd(monkeypatch)
     draws = bench._draw_defectives(config, words)
     assert 0 < len(calls) <= 8
-    assert draws == [floyd_defectives(int(row[0]), n, 64) for row in words]
+    assert draws == [floyd_defectives(int(word), n, 64) for word in words]
 
 
 @pytest.mark.parametrize("rows,array", [(bench.ARRAY_DRAW_PICKS // 4 - 1, False),
@@ -174,7 +174,7 @@ def test_draws_just_below_and_above_the_crossover(rows, array, monkeypatch):
     words = RandomnessKey(rows).materials(range(rows), "defectives")
     calls = _counting_floyd(monkeypatch)
     draws = bench._draw_defectives(config, words)
-    assert draws == [floyd_defectives(int(row[0]), 2 ** 14, 4) for row in words]
+    assert draws == [floyd_defectives(int(word), 2 ** 14, 4) for word in words]
     assert len(calls) == (0 if array else rows)
 
 
