@@ -17,6 +17,10 @@ noise.  One rule, ``tree.trial_bytes``, reads a scheme's level list
 (``Scheme.levels``) for the bytes a trial adds to a batch, which
 ``BATCH_BYTES`` caps, and for its largest array: ``validate_config``
 rejects a config whose array passes ``MAX_TRIAL_BYTES`` before trial 0.
+``BATCH_BYTES`` also bounds the outcome grid and read-mark buffers that a
+process reuses for every batch that fits it (``tree.GRID``,
+``tree.MARKS``); callers of ``core.evaluate_batch`` and
+``core.evaluate_design`` other than the harness still get fresh arrays.
 A batch of several trials is one design over every trial's keys,
 evaluated into one outcome grid and decoded by one descent, and its
 defective draw and records are array programs over the batch.  A batch of
@@ -158,7 +162,8 @@ FLOAT_FIELDS = ("p", "c_const", "beta_exp", "design_p", "t", "epsilon", "thresho
 MAX_N, MAX_TRIAL_BYTES = 1 << 62, 1 << 32
 # A batch of trials holds their outcome vectors and read marks, two bytes
 # per test and trial, and the nodes that start all alive (see
-# ``tree.trial_bytes``); a batch stays under this many bytes.  At 4 MiB, five
+# ``tree.trial_bytes``); a batch stays under this many bytes, and so do the
+# process's reused grid and mark buffers (see ``_run_share``).  At 4 MiB, five
 # 206k-test gamma kwise trials at n=2^30 (lowstore-giant) are one batch, and
 # that workload's peak RSS stays within 2% of running them as batches of one:
 # 42.60 against 41.95 MiB at seed 1, 42.79 against 41.96 at seed 8191.
@@ -210,8 +215,7 @@ def validate_config(config: TrialConfig) -> None:
     if n > MAX_N:
         raise ValueError(f"n={n} (rounded) exceeds the supported 2^62 items")
     try:
-        levels = scheme.levels(config, scheme.params(config, n, k), n, k)
-        _, size = tree_mod.trial_bytes(levels, k)
+        _, size = _trial_bytes(config, scheme.params(config, n, k), n, k)
     except ArithmeticError as exc:  # an overflow or a division by zero in the formulas
         raise ValueError(f"the {config.algorithm} parameters cannot be computed: {exc}") from exc
     if size > MAX_TRIAL_BYTES:
@@ -224,11 +228,18 @@ def _rounded(config: TrialConfig) -> tuple[int, int, Optional[int]]:
     return round_instance(config.n, config.k, config.rho)
 
 
+def _trial_bytes(config: TrialConfig, params, n: int, k: int) -> tuple[int, int]:
+    """``tree.trial_bytes`` of a trial of ``config``: the bytes it adds to a
+    batch, and its largest array."""
+    scheme = SCHEMES[config.algorithm]
+    return tree_mod.trial_bytes(scheme.levels(config, params, n, k), k, scheme.lookahead(params))
+
+
 def _batch_cap(config: TrialConfig, params, n: int, k: int) -> int:
     """The most trials one batch may hold: as many as keep their bytes in a
     batch (see ``tree.trial_bytes``) under ``BATCH_BYTES``, and at least
     one."""
-    per_trial, _ = tree_mod.trial_bytes(SCHEMES[config.algorithm].levels(config, params, n, k), k)
+    per_trial, _ = _trial_bytes(config, params, n, k)
     return max(1, BATCH_BYTES // per_trial)
 
 
@@ -244,6 +255,7 @@ class Scheme(NamedTuple):
     echo: Callable    # (config, params) -> the result's ``params`` dict
     levels: Callable  # (config, params, n, k) -> the design's ``placements.Level`` list
     decode_grid: Callable  # (config, design, grid) -> the BatchReport of grid's rows
+    lookahead: Callable = lambda params: 0  # params -> the decode's lookahead depth, if any
 
 
 def _tree_echo(config: TrialConfig, params) -> dict:
@@ -297,7 +309,8 @@ SCHEMES = {
         lambda c, design, outcomes: noisy_mod.decode_noisy(design, outcomes)[1],
         _tree_echo,
         lambda c, params, n, k: noisy_mod.noisy_levels(params, n, k, c.hash_mode),
-        lambda c, design, grid: noisy_mod.decode_noisy_batch(design, grid)),
+        lambda c, design, grid: noisy_mod.decode_noisy_batch(design, grid),
+        lambda params: params.r),
     "comp": _flat_scheme(
         lambda c, design, outcomes: baselines.decode_comp(design, outcomes)[1],
         _decode_grid,
@@ -430,6 +443,11 @@ def _run_share(config: TrialConfig, indices: range) -> dict[str, list]:
     descent serve the batch, whose :class:`BatchReport` columns each take
     one ``tolist``; every trial still draws from its own substreams, so its
     record is the same.
+
+    A batch whose grid and read marks fit ``BATCH_BYTES``, every batch of
+    several trials among them, is evaluated into the process's reused
+    outcome grid and read marks (``tree.GRID``, ``tree.MARKS``): no grid is
+    kept past its batch's decode.
     """
     n, k, _ = _rounded(config)
     channel = config.channel()
@@ -438,12 +456,16 @@ def _run_share(config: TrialConfig, indices: range) -> dict[str, list]:
     cap = _batch_cap(config, params, n, k)
     root = RandomnessKey(config.base_seed)
 
+    def reuse(design, count: int) -> bool:
+        return 2 * count * design.t_total <= BATCH_BYTES
+
     def trial(index: int) -> tuple:
         key = root.child(index)
         truths = _draw_defectives(config, key.child("defectives").words())
         instance = ProblemInstance(n=n, k=k, defectives=truths[0])
         design = scheme.build(config, params, n, k, key.child("design"))
-        outcomes = evaluate_design(design, instance, channel, key.child("noise"))
+        outcomes = evaluate_design(design, instance, channel, key.child("noise"),
+                                   reuse(design, 1))
         report = scheme.decode(config, design, outcomes)
         return (truths, design, [report.estimate], [report.outcomes_read],
                 [report.nodes_visited], [report.peak_frontier], [report.labels_computed])
@@ -452,7 +474,8 @@ def _run_share(config: TrialConfig, indices: range) -> dict[str, list]:
         truths = _draw_defectives(config, root.materials(batch, "defectives"))
         design = scheme.build(config, params, n, k, root.materials(batch, "design"))
         noise = None if channel.is_noiseless else root.materials(batch, "noise")
-        report = scheme.decode_grid(config, design, evaluate_batch(design, truths, channel, noise))
+        grid = evaluate_batch(design, truths, channel, noise, reuse(design, len(batch)))
+        report = scheme.decode_grid(config, design, grid)
         return (truths, design, report.estimates(), report.outcomes_read.tolist(),
                 report.nodes_visited.tolist(), report.peak_frontier.tolist(),
                 report.labels_computed.tolist())

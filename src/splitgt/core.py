@@ -9,10 +9,12 @@ A *design* in this package is any object exposing three things:
 
   - ``n``: the item count it was built for,
   - ``layout``: an ordered tuple of ``(level, repetition, length)`` segments,
-  - ``noiseless_grid(defectives)``: the noiseless outcome vectors of a batch
-    of trials, trial b's defectives ``defectives[b]``, as a (trials x T)
-    uint8 grid, one cell per test in layout order, 1 iff the test pools a
-    defective item of that trial.
+  - ``noiseless_grid(defectives, reuse=False)``: the noiseless outcome
+    vectors of a batch of trials, trial b's defectives ``defectives[b]``, as
+    a (trials x T) uint8 grid, one cell per test in layout order, 1 iff the
+    test pools a defective item of that trial.  With ``reuse`` a design may
+    return a grid that its next such call overwrites (see
+    ``splitgt.tree.GRID``); without it, a fresh array.
 
 ``evaluate_batch`` works against that protocol and adds each row's own
 channel noise (:func:`channel_flips`); ``evaluate_design`` is its batch of
@@ -340,22 +342,25 @@ class BatchReport:
 
 
 def evaluate_design(design, instance: ProblemInstance, channel: NoiseChannel,
-                    key: RandomnessKey) -> OutcomeVector:
+                    key: RandomnessKey, reuse: bool = False) -> OutcomeVector:
     """Run every test of a non-adaptive design against an instance: the one
     row of :func:`evaluate_batch` for a batch of one, with ``key``'s words
-    as its noise key.  So outcomes are independent across tests and the
-    whole vector is a pure function of (design, instance, channel, key).
+    as its noise key, and the same ``reuse``.  So outcomes are independent
+    across tests and the whole vector is a pure function of (design,
+    instance, channel, key).
     """
     if design.n != instance.n:
         raise ValueError(f"design built for n={design.n}, instance has n={instance.n}")
-    (bits,) = evaluate_batch(design, (instance.defectives,), channel, key.words())
+    (bits,) = evaluate_batch(design, (instance.defectives,), channel, key.words(), reuse)
     return OutcomeVector(bits=bits, layout=tuple(design.layout))
 
 
-def evaluate_batch(design, defectives, channel: NoiseChannel, noise: np.ndarray) -> np.ndarray:
+def evaluate_batch(design, defectives, channel: NoiseChannel, noise: np.ndarray,
+                   reuse: bool = False) -> np.ndarray:
     """Run every test of a design against trial b's defectives
     ``defectives[b]``, for a design built for that batch of trials (see
-    ``TreeDesign.noiseless_grid``).
+    ``TreeDesign.noiseless_grid``, which ``reuse`` is passed to: a caller
+    that sets it keeps the grid no longer than the next such call).
 
     Row b of the (trials x T) uint8 grid is trial b's noiseless bits, then
     its own channel noise: test c flips iff output c of the counter stream
@@ -363,7 +368,7 @@ def evaluate_batch(design, defectives, channel: NoiseChannel, noise: np.ndarray)
     :meth:`RandomnessKey.materials`) is below floor(p * 2^64); one
     :func:`channel_flips` covers the grid.
     """
-    grid = design.noiseless_grid(defectives)
+    grid = design.noiseless_grid(defectives, reuse=reuse)
     if not channel.is_noiseless:
         grid ^= channel_flips(channel.p, noise, grid.shape[1])
     return grid

@@ -35,7 +35,10 @@ trials' key material for that, see :func:`splitgt.placements.row_keys`);
 :meth:`TreeDesign.noiseless_grid` evaluates all of its trials in one
 stacked lookup per level, one grid row per trial, and no more rows than
 the design has trials.  It is a design's only evaluation: a design of one
-trial's keys evaluates a batch of one, without a trial array.
+trial's keys evaluates a batch of one, without a trial array.  A caller
+that keeps no grid past its decode, the harness, may have it written into
+the process's one reused grid buffer, :data:`GRID`, and a decode of such a
+grid marks its reads in the one reused :data:`MARKS`.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .placements import IDENTITY, IdentityStack
 BATCH_NODES = 1024
 
 
-def trial_bytes(levels, k: int) -> tuple[int, int]:
+def trial_bytes(levels, k: int, lookahead: int = 0) -> tuple[int, int]:
     """The size rule of a trial of the design of the level list ``levels``
     (see :class:`splitgt.placements.Level`) and at most ``k`` defectives:
     the bytes it adds to a batch, an outcome byte and a read mark per test
@@ -68,16 +71,56 @@ def trial_bytes(levels, k: int) -> tuple[int, int]:
     largest array.  That is the outcome vector, the row keys, or a level's
     widest lookup, 8 bytes a lane: its repetitions over k defectives, or
     over its frontier (up to ``BATCH_NODES`` nodes; one repetition above),
-    every top-level node and then the children of k nodes above."""
+    every top-level node and then the children of k nodes above.
+
+    A positive ``lookahead`` is the noisy rule's depth r (see
+    :mod:`splitgt.noisy`), which looks a level up under every repetition
+    at once, whatever its frontier, over the lookahead's search states:
+    2^(r - r//2) per frontier node before its keep rule can prune one, or
+    one per descendant where fewer levels are left (none below the
+    singletons, which take one lookup)."""
     tests = sum(level.t_len * level.reps for level in levels)
     arrays = [tests, 8 * sum(math.prod(level.key_shape) for level in levels)]
+    bottom = levels[-1].level
     for above, level in zip([None, *levels], levels):
         alive = (level.nodes if above is None
                  else min(k, above.nodes) * (level.nodes // above.nodes))
-        decode = alive if alive > BATCH_NODES else level.reps * alive
+        if lookahead:
+            decode = level.reps * alive << min(lookahead - lookahead // 2, bottom - level.level)
+        else:
+            decode = alive if alive > BATCH_NODES else level.reps * alive
         arrays.append(8 * max(decode, level.reps * min(k, level.nodes)))
     start = 0 if levels[0].placement is IDENTITY else levels[0].nodes
     return 2 * tests + 16 * start, max(arrays)
+
+
+class Buffer:
+    """A process's one flat array of ``dtype``, lent out zeroed as a
+    (rows x cols) view and grown to the largest one asked for, so that a
+    batch's outcome grid or read marks reuse pages faulted in once.  A view
+    stays valid until the next :meth:`zeros`."""
+
+    def __init__(self, dtype):
+        self.array = np.empty(0, dtype=dtype)
+
+    def zeros(self, shape: tuple[int, int]) -> np.ndarray:
+        size = shape[0] * shape[1]
+        if size > self.array.size:
+            self.array = np.empty(size, dtype=self.array.dtype)
+        view = self.array[:size].reshape(shape)
+        view.fill(0)
+        return view
+
+    def lends(self, array: np.ndarray) -> bool:
+        """Whether ``array`` is a view of the buffer (numpy gives a view of
+        a view the array that owns the memory as its base)."""
+        return array.base is self.array
+
+
+# The outcome grid of a batch whose caller opts in (see
+# ``TreeDesign.noiseless_grid``), and the read marks of every decode of such
+# a grid (see :class:`Reads`).
+GRID, MARKS = Buffer(np.uint8), Buffer(bool)
 
 
 def placement_of(modes: dict, hash_mode: str):
@@ -132,15 +175,18 @@ class TreeDesign:
         if self.trials is not None and count > self.trials:
             raise ValueError(f"{count} grid rows exceed a design of {self.trials} trials' keys")
 
-    def noiseless_grid(self, defectives) -> np.ndarray:
+    def noiseless_grid(self, defectives, reuse: bool = False) -> np.ndarray:
         """The noiseless outcome vectors of a batch, trial b's defectives
         ``defectives[b]``, as the rows of a (trials x T) uint8 grid: one
         stacked ``tests_of`` per level over every trial's defectives, each
         looked up under its own trial's keys and scattered at
         ``starts[level][rep] + test`` of its row (a design of one trial's keys
-        takes a batch of one)."""
+        takes a batch of one).  With ``reuse`` the grid is the process's
+        :data:`GRID`, which the next such call overwrites; else it is a
+        fresh array."""
         self.check_rows(len(defectives))
-        grid = np.zeros((len(defectives), self.t_total), dtype=np.uint8)
+        shape = (len(defectives), self.t_total)
+        grid = GRID.zeros(shape) if reuse else np.zeros(shape, dtype=np.uint8)
         if self.trials is None:  # no trial array, as in descend
             (truth,) = defectives
             trials, items = None, np.asarray(truth, dtype=np.int64)
@@ -189,7 +235,9 @@ class Reads:
     """The outcome reader of one decode: the (trials x T) ``grid`` of
     ``design``'s trials laid flat, test j of (level, rep) of trial b at cell
     ``b * T + design.starts[level][rep] + j``, and a mark on every cell
-    read.  A design of one trial's keys reads one row, without trials."""
+    read, in the process's :data:`MARKS` for a grid in its :data:`GRID`
+    (the marks never leave the decode).  A design of one trial's keys reads
+    one row, without trials."""
 
     def __init__(self, design: TreeDesign, grid: np.ndarray):
         self.count, self.t_total = grid.shape
@@ -199,7 +247,8 @@ class Reads:
         design.check_rows(self.count)
         self.design, self.starts = design, design.starts
         self.grid, self.flat = grid, grid.reshape(-1)
-        self.seen = np.zeros(grid.shape, dtype=bool)
+        self.seen = (MARKS.zeros(grid.shape) if GRID.lends(grid)
+                     else np.zeros(grid.shape, dtype=bool))
         self.marks = self.seen.reshape(-1)
 
     def scan(self, level: int) -> np.ndarray:

@@ -315,8 +315,9 @@ class IncidenceDesign(FlatDesign):
     def storage_words(self) -> int:
         return int(np.count_nonzero(self.members))
 
-    def noiseless_grid(self, defectives) -> np.ndarray:
-        """Row b: which tests pool one of ``defectives[b]``, as uint8."""
+    def noiseless_grid(self, defectives, reuse: bool = False) -> np.ndarray:
+        """Row b: which tests pool one of ``defectives[b]``, as uint8, in a
+        fresh array whether or not the caller would let it ``reuse`` one."""
         grid = np.zeros((len(defectives), self.t_total), dtype=np.uint8)
         for row, trial in zip(grid, defectives):
             row[self.members[:, np.asarray(trial, dtype=np.intp)].any(axis=1)] = 1

@@ -1,10 +1,12 @@
+import itertools
 import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from splitgt import baselines, bench, gamma, noisy, rho, tree
+from splitgt import baselines, bench, core, gamma, noisy, rho, tree
 from splitgt.bench import (
     TrialConfig,
     eta_curve,
@@ -15,7 +17,7 @@ from splitgt.bench import (
     sweep,
     wilson_interval,
 )
-from splitgt.core import RandomnessKey
+from splitgt.core import NoiseChannel, ProblemInstance, RandomnessKey
 
 
 def test_eta_hat_examples():
@@ -605,6 +607,102 @@ def test_flat_schemes_batch_under_the_byte_cap(monkeypatch):
             _, ran, batches = _record_shares_and_batches(patch, algorithm)
             assert run_trials(config).to_dict() == expected.to_dict()
         assert ran == [range(12)] and batches == [5, 5, 2]
+
+
+def test_noisy_size_rule_counts_the_lookahead_and_the_singleton_lookup():
+    """The noisy rule's largest array: above the singletons, the lookahead's
+    2^(r - r//2) search states per frontier node under N sequences; at them,
+    every one of the C' * N * log2 n sequences over the whole frontier at
+    once, also above ``tree.BATCH_NODES`` nodes.  The bytes a trial adds to
+    a batch, and so every batch cap, do not depend on r."""
+
+    def sizes(**fields):
+        config = TrialConfig(algorithm="noisy", p=0.05, **fields)
+        n, k, _ = bench._rounded(config)
+        params = bench.SCHEMES["noisy"].params(config, n, k)
+        levels = bench.SCHEMES["noisy"].levels(config, params, n, k)
+        return bench._trial_bytes(config, params, n, k), tree.trial_bytes(levels, k)
+
+    # n=2^30, k=64: 128 nodes at level 7 (the children of k), N = 7
+    giant = dict(n=2 ** 30, k=64, hash_mode="kwise")
+    (per_trial, largest), (plain, _) = sizes(**giant)  # r = 8: 16 states per node
+    assert per_trial == plain and largest == 8 * 210 * 128  # C' * N * log2 n = 210
+    for r in (40, 60):
+        (per_trial, largest), (plain, plain_largest) = sizes(lookahead=r, **giant)
+        assert per_trial == plain and plain_largest == 8 * 420 * 128  # C' = 2
+        # 2^20 states per node at r = 40, and one per descendant 23 levels
+        # down at r = 60
+        assert largest == 8 * 7 * 128 << min(r - r // 2, 23) > bench.MAX_TRIAL_BYTES
+    # r = 1 at n=2^20, k=1024: 2048 singletons under 1 * 20001 * 20 sequences
+    (per_trial, largest), (plain, plain_largest) = sizes(n=2 ** 20, k=1024, lookahead=1,
+                                                         reps=20001)
+    assert per_trial == plain and plain_largest == 8 * 20001 * 20 * 1024
+    assert largest == 8 * 20001 * 20 * 2048 > bench.MAX_TRIAL_BYTES
+
+
+@pytest.fixture
+def fresh_buffers(monkeypatch):
+    """Empty process buffers, whatever earlier tests grew them to."""
+    monkeypatch.setattr(tree, "GRID", tree.Buffer(np.uint8))
+    monkeypatch.setattr(tree, "MARKS", tree.Buffer(bool))
+
+
+def test_public_grids_stay_independent(fresh_buffers):
+    """Grids that ``evaluate_batch`` and ``evaluate_design`` return are
+    fresh arrays: two kept grids and a kept outcome vector stay unchanged
+    by a harness batch of the same shape, which runs in the process's
+    buffers, and share memory with nothing."""
+    config = TrialConfig(algorithm="gamma", n=2 ** 10, k=4, gamma=5, trials=4, base_seed=3)
+    n, k, _ = bench._rounded(config)
+    scheme = bench.SCHEMES["gamma"]
+    params = scheme.params(config, n, k)
+    root = RandomnessKey(3)
+    design = scheme.build(config, params, n, k, root.materials(range(4), "design"))
+    truths = bench._draw_defectives(config, root.materials(range(4), "defectives"))
+    first = core.evaluate_batch(design, truths, NoiseChannel(), None)
+    second = core.evaluate_batch(design, truths[::-1], NoiseChannel(0.05),
+                                 root.materials(range(4), "noise"))
+    one = scheme.build(config, params, n, k, root.child(0, "design"))
+    vector = core.evaluate_design(one, ProblemInstance(n=n, k=k, defectives=truths[0]),
+                                  NoiseChannel(), root.child(0, "noise"))
+    grids = [first, second, vector.bits]
+    kept = [grid.copy() for grid in grids]
+    run_trials(config)
+    assert tree.GRID.array.size == 4 * design.t_total  # the harness batch's grid
+    assert all(np.array_equal(grid, copy) for grid, copy in zip(grids, kept))
+    for a, b in itertools.combinations(grids + [tree.GRID.array, tree.MARKS.array], 2):
+        assert not np.shares_memory(a, b)
+
+
+def test_reused_buffers_change_no_record(fresh_buffers, monkeypatch):
+    """In one process, a noiseless batch, a noisy batch that leaves every
+    cell of the grid buffer written, a smaller noiseless batch and a trial
+    whose grid and marks pass ``BATCH_BYTES`` (rho at n=2^30, rho=2^10: T =
+    7,340,032) each give the records of fresh arrays.  The first three run
+    in the process's buffers and grow them to the largest; the last
+    allocates its own, so at most ``BATCH_BYTES`` of buffer stays."""
+    configs = [
+        TrialConfig(algorithm="rho", n=2 ** 12, k=8, rho=16, trials=12, base_seed=5),
+        TrialConfig(algorithm="noisy", n=2 ** 10, k=4, p=0.05, trials=12, base_seed=6),
+        TrialConfig(algorithm="gamma", n=2 ** 10, k=4, gamma=5, trials=3, base_seed=7),
+        TrialConfig(algorithm="rho", n=2 ** 30, k=64, rho=2 ** 10, hash_mode="permutation",
+                    trials=1, base_seed=8),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(tree.Buffer, "zeros", lambda self, shape: np.zeros(shape, self.array.dtype))
+        expected = [bench._run_share(config, range(config.trials)) for config in configs]
+    assert tree.GRID.array.size == tree.MARKS.array.size == 0
+    grown = []
+    for config, records in zip(configs, expected):
+        assert bench._run_share(config, range(config.trials)) == records
+        grown.append(tree.GRID.array.size)
+        assert tree.MARKS.array.size == tree.GRID.array.size
+    t_totals = [records["t_total"][0] for records in expected]
+    noisy_cells = 12 * t_totals[1]
+    assert 12 * t_totals[0] < noisy_cells and 3 * t_totals[2] < noisy_cells
+    assert grown == [12 * t_totals[0], noisy_cells, noisy_cells, noisy_cells]
+    assert 2 * t_totals[3] > bench.BATCH_BYTES
+    assert tree.GRID.array.nbytes + tree.MARKS.array.nbytes <= bench.BATCH_BYTES
 
 
 def test_params_are_computed_once_per_share(monkeypatch):

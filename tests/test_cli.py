@@ -417,6 +417,14 @@ UNRUNNABLE = {
     "comp tests=10^8": ("comp --n 1024 --k 4 --tests 100000000", "byte"),
     # 6 Feistel round keys per repetition: a 4.8 GB row-key array
     "rho reps=10^8": ("rho --n 1024 --k 4 --rho 256 --reps 100000000", "byte"),
+    # 2^20 lookahead states per node of the second level: 7.5 GB of lookups
+    "noisy lookahead=40": ("noisy --n 1073741824 --k 64 --p 0.05 --hash-mode kwise "
+                           "--lookahead 40", "byte"),
+    "noisy lookahead=60": ("noisy --n 1073741824 --k 64 --p 0.05 --hash-mode kwise "
+                           "--lookahead 60", "byte"),
+    # 2048 singletons, past BATCH_NODES, under 400,020 sequences at once
+    "noisy singletons": ("noisy --n 1048576 --k 1024 --p 0.05 --lookahead 1 --reps 20001",
+                         "byte"),
 }
 
 
