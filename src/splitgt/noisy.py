@@ -173,7 +173,7 @@ def _lookahead(reads: Reads, level: int, trials, roots: np.ndarray) -> tuple:
     """
     params, bottom = reads.design.params, reads.design.layout[-1][0]
     reps, r = params.n_reps, params.r
-    target, half = r // 2 + 1, reps // 2
+    target, half, tally_type = r // 2 + 1, reps // 2, np.min_scalar_type(reps)
     open_roots = np.ones(len(roots), dtype=bool)
     owner = np.arange(len(roots)).repeat(2)
     nodes = (roots[:, None] * 2 + _CHILDREN).ravel()
@@ -185,7 +185,7 @@ def _lookahead(reads: Reads, level: int, trials, roots: np.ndarray) -> tuple:
         lanes.append(owner if trials is None else lane_trials)
         votes = _votes(reads, min(lvl, bottom), lane_trials, nodes,
                        max(lvl - bottom, 0) * reps, reps)
-        positives += votes.sum(axis=0) > half
+        positives += votes.sum(axis=0, dtype=tally_type) > half
         open_roots[owner[positives >= target]] = False
         keep = open_roots[owner] & (positives >= target - (r - depth))
         owner, nodes, positives = owner[keep], nodes[keep], positives[keep]
@@ -207,8 +207,8 @@ def _labels_positive(reads: Reads, level: int, nodes: np.ndarray, trials):
         found, labels = _lookahead(reads, level, trials, nodes)
     else:  # the singletons, at level log2 n
         batches, reps = params.c_final * level, params.n_reps
-        votes = _votes(reads, level, trials, nodes, 0, batches * reps)
-        batch_labels = 2 * votes.reshape(batches, reps, -1).sum(axis=1) > reps
+        votes = _votes(reads, level, trials, nodes, 0, batches * reps).reshape(batches, reps, -1)
+        batch_labels = votes.sum(axis=1, dtype=np.min_scalar_type(reps)) > reps // 2
         found = 2 * batch_labels.sum(axis=0) > batches
         labels = batches * tally(trials, len(nodes), reads.count)
     return nodes[found], None if trials is None else trials[found], labels

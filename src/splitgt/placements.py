@@ -40,9 +40,14 @@ several trials' design keys, :func:`row_keys` gives one row of keys per
 trial, and every stack cut from them has keys with a leading trial axis, of
 length ``stack.trials``.  Such a stack's ``tests_of(nodes, reps, trials)``
 takes each node's keys from the trial ``trials`` names for it, so a batch
-of trials is looked up at once.  A stack of one trial's keys, without that
-axis, and the keyless :class:`IdentityStack` have ``trials`` None and
-ignore the ``trials`` argument.
+of trials is looked up at once.  It gathers them repetition-major, so that
+it returns a C-contiguous (repetitions x lanes) array, as a lookup without
+a trial axis does: the hash, Horner and Feistel passes, the decoders' cell
+addresses and their rows ``tests[rep]`` all run along memory (numpy
+broadcasts a lane row against a column-major 7 x 3000 grid at about half
+the speed).  A stack of one trial's keys, without that axis, and the
+keyless :class:`IdentityStack` have ``trials`` None and ignore the
+``trials`` argument.
 """
 
 from __future__ import annotations
@@ -236,7 +241,9 @@ def _permuted_tests(round_keys: np.ndarray, nodes, bits: int, shift: int) -> np.
     folds high bits into low ones).  Every round is a bijection of [0,
     2^bits), so no lane ever leaves the domain.  The leading axes of
     ``round_keys`` broadcast against ``nodes``: a (repetitions x 1 x rounds)
-    matrix gives a (repetitions x nodes) grid.
+    array, one trial's keys, or a C-contiguous (repetitions x nodes x
+    rounds) one, each node's own trial's keys, gives a C-contiguous
+    (repetitions x nodes) grid.
     """
     lo_bits = (bits + 1) // 2
     hi_bits = bits - lo_bits
@@ -279,7 +286,7 @@ class CounterHashStack:
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
                  trials: np.ndarray | None = None) -> np.ndarray:
         keys = (self.keys[reps, None] if self.trials is None
-                else self.keys[:, reps].take(trials, 0).T)
+                else self.keys[:, reps].T.take(trials, 1))
         return _counter_hash(keys, nodes, self.t_len)
 
 
@@ -317,11 +324,15 @@ class PolynomialStack:
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
                  trials: np.ndarray | None = None) -> np.ndarray:
+        """One Horner pass over :func:`_horner`'s coefficients, highest
+        degree first: (repetitions x 1) columns of one trial's keys, or
+        C-contiguous (repetitions x nodes) planes, one degree of each
+        node's own trial's keys at a time."""
         if self.trials is None:
             coeffs = self.coeffs[reps].T[::-1, :, None]
         else:  # one degree's coefficients of every node at a time
             rows = self.coeffs[:, reps]
-            coeffs = (rows[..., i].take(trials, 0).T for i in reversed(range(rows.shape[-1])))
+            coeffs = (rows[..., i].T.take(trials, 1) for i in reversed(range(rows.shape[-1])))
         return _horner(coeffs, nodes, self.prime, self.t_len)
 
 
@@ -353,7 +364,7 @@ class PermutationStack:
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
                  trials: np.ndarray | None = None) -> np.ndarray:
         round_keys = (self.round_keys[reps, None, :] if self.trials is None
-                      else self.round_keys[:, reps].take(trials, 0).transpose(1, 0, 2))
+                      else self.round_keys[:, reps].transpose(1, 0, 2).take(trials, 1))
         return _permuted_tests(round_keys, nodes, self.bits, self.shift)
 
 

@@ -453,6 +453,7 @@ def test_unrunnable_config_rejected_before_any_trial(case, monkeypatch, capsys):
 CI_SMOKE = (
     "gamma --n 1024 --k 4 --gamma 5 --trials 5",
     "noisy --n 1024 --k 4 --design-p 0.05 --trials 5",
+    "noisy --n 1024 --k 4 --p 0.05 --reps 257 --trials 3",
     "noisy --n 1073741824 --k 64 --p 0.05 --hash-mode kwise --trials 22",
     "gamma --n 1099511627776 --k 64 --gamma 6 --hash-mode kwise --trials 3",
     "rho --n 1024 --k 4 --rho 16 --hash-mode permutation --trials 5",

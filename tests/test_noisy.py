@@ -432,6 +432,29 @@ def test_batch_decode_matches_separate_decodes_past_2_32_nodes(hash_mode):
     assert batched == [decode_noisy(d, out)[1] for d, out in own]
 
 
+@pytest.mark.parametrize("hash_mode", ACCEPTED["noisy"])
+@pytest.mark.parametrize("n_reps", [255, 257])
+def test_vote_counts_past_a_byte(hash_mode, n_reps):
+    """N = 255 votes are the most a byte counts and N = 257 need two: a
+    batch of three trials and each trial's batch of one both return the
+    depth-first reference's estimate and nodes visited, at three noise
+    levels."""
+    n, k = 2 ** 6, 2
+    params = noisy_params(n, k, 0.05, n_reps=n_reps)
+    assert params.n_reps == n_reps
+    channels = [NoiseChannel(p) for p in (0.0, 0.05, 0.3)]
+    truths = [_truth(n, 20 + b, count) for b, count in enumerate((2, 1, 2))]
+    design, grid, own = _batch(params, n, k, RandomnessKey(n_reps), hash_mode, channels, truths)
+    batched = batch_reports(noisy.decode_noisy_batch(design, grid))
+    for (trial_design, out), report in zip(own, batched):
+        estimate, alone = decode_noisy(trial_design, out)
+        reference = decode_noisy_scalar(trial_design, out)
+        assert report.estimate == estimate == reference.estimate
+        assert report.nodes_visited == alone.nodes_visited == reference.nodes_visited
+    # the quiet trial's defectives win all N votes of every test they are in
+    assert batched[0].estimate == tuple(sorted(truths[0]))
+
+
 def test_batch_decode_frontier_empties_in_some_trials_only():
     """A trial whose frontier empties at the first level sits in a batch
     whose other trials descend to the singletons; each keeps its own

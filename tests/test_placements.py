@@ -593,3 +593,41 @@ def test_scalar_reference_refuses_a_stack_of_several_trials(case):
     assert stack.trials == 3
     with pytest.raises(ValueError, match="^a stack of 3 trials' keys has no scalar lookup"):
         scalar_test(stack, 0, 0)
+
+
+# (placement, num_nodes, t_len) of every trial-axis gather: the counter hash
+# at a power-of-two t_len and at another, polynomials over a prime below
+# 2^32 and one above it, the keyed permutation in both accountings
+LAYOUTS = {"counter-mask": (COUNTER_HASH, 1024, 64),
+           "counter-remainder": (COUNTER_HASH, 1024, 96),
+           "polynomial-below-2^32": (polynomial(2), 2 ** 20, 96),
+           "polynomial-above-2^32": (polynomial(3), 2 ** 40, 96),
+           "permutation-table": (permutation(True), 1024, 64),
+           "permutation-keys": (permutation(False), 1024, 64)}
+
+
+@pytest.mark.parametrize("case", LAYOUTS)
+def test_trial_axis_lookup_is_repetition_major(case):
+    """With a trial axis, ``tests_of`` answers a C-contiguous (repetitions
+    x lanes) array whose lane i is the keyless lookup of its node under
+    its own trial's stack, for unsorted lanes and every repetition slice."""
+    placement, num_nodes, t_len = LAYOUTS[case]
+    root, count, reps, lanes = RandomnessKey(59), 5, 7, 40
+    stack, = shaped_stacks([(num_nodes, t_len, reps)], root.materials(range(count), "design"),
+                           placement)
+    if case == "polynomial-above-2^32":
+        assert stack.prime > 2 ** 32
+    elif case.startswith("polynomial"):
+        assert stack.prime < 2 ** 32
+    own = [shaped_stacks([(num_nodes, t_len, reps)], root.child(b, "design"), placement)[0]
+           for b in range(count)]
+    rng = np.random.default_rng(7)
+    nodes = rng.integers(0, num_nodes, size=lanes)
+    trials = rng.integers(0, count, size=lanes)
+    for reps_slice in (slice(None), slice(1, 4), slice(reps - 1, reps)):
+        tests = stack.tests_of(nodes, reps_slice, trials)
+        expected = np.concatenate([own[b].tests_of(nodes[i:i + 1], reps_slice)
+                                   for i, b in enumerate(trials)], axis=1)
+        assert tests.shape == (len(range(reps)[reps_slice]), lanes)
+        assert tests.flags.c_contiguous
+        assert np.array_equal(tests, expected)
