@@ -180,7 +180,7 @@ def ml_minimizers(design: FlatDesign, outcomes: OutcomeVector,
         pattern = 0
         for item in cand:
             pattern |= masks[item]
-        dist = bin(pattern ^ want).count("1")
+        dist = (pattern ^ want).bit_count()
         if best is None or dist < best:
             best = dist
             best_sets = [cand]

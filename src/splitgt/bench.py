@@ -58,7 +58,7 @@ from .core import (
 )
 from .gamma import DEFAULT_C_CONST
 from .noisy import DEFAULT_EPSILON, DEFAULT_T
-from .placements import COUNTER_HASH
+from .placements import COUNTER_HASH, PolynomialStack, field_prime
 from .rho import DEFAULT_C_DEPTH, DEFAULT_C_FINAL, DEFAULT_N_REPS
 
 
@@ -215,12 +215,16 @@ def validate_config(config: TrialConfig) -> None:
     if n > MAX_N:
         raise ValueError(f"n={n} (rounded) exceeds the supported 2^62 items")
     try:
-        _, size = _trial_bytes(config, scheme.params(config, n, k), n, k)
+        params = scheme.params(config, n, k)
+        _, size = _trial_bytes(config, params, n, k)
     except ArithmeticError as exc:  # an overflow or a division by zero in the formulas
         raise ValueError(f"the {config.algorithm} parameters cannot be computed: {exc}") from exc
     if size > MAX_TRIAL_BYTES:
         raise ValueError(f"a trial would allocate a {size}-byte array, over the "
                          f"{MAX_TRIAL_BYTES}-byte limit")
+    for level in scheme.levels(config, params, n, k):
+        if level.placement.stack is PolynomialStack:
+            field_prime(level.nodes, level.t_len)  # the singletons of n = 2^61 and 2^62 have none
     config.channel()  # validates the flip probability
 
 

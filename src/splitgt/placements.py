@@ -13,8 +13,9 @@ an individually tested top level:
     placement the paper stores as an n-word table, and is accounted as that
     table (``storage_cost`` is one word per node), but the simulator
     computes a test only for the nodes it is asked about;
-  - polynomial hash: degree-d polynomial over a prime field, reduced mod the
-    sequence length -- d-wise independent, d + O(1) words of storage;
+  - polynomial hash: degree-d polynomial over the Mersenne field M31 or
+    M61, reduced mod the sequence length -- d-wise independent, d + O(1)
+    words of storage;
   - keyed permutation: a keyed Feistel bijection on the node ids with the
     low bits dropped, giving exact row weight and column weight one, the
     balanced placement of the rho scheme, accounted as the paper's stored
@@ -25,11 +26,12 @@ A level of a tree design holds all of its repetitions as one stack:
 :class:`CounterHashStack`, :class:`PolynomialStack` or
 :class:`PermutationStack`.  Every stack has ``num_nodes``, ``t_len``,
 ``reps`` and ``storage_cost`` (in machine words), and answers
-``tests_of(nodes, reps)``, the tests of an int64 array of nodes under the
-repetitions the slice ``reps`` selects, as a (repetitions x nodes) int64
-array from one array operation: its only lookup, which the tests check
-against pure-Python references from the stack's own keys
-(``tests/scalar_reference.py``) that share no code with this module.
+``tests_of(nodes, reps)``, the tests of an int64 array of nodes, each in
+[0, num_nodes), under the repetitions the slice ``reps`` selects, as a
+(repetitions x nodes) int64 array from one array operation: its only
+lookup, which the tests check against pure-Python references from the
+stack's own keys (``tests/scalar_reference.py``) that share no code with
+this module.
 
 A scheme states its design once, before any key is drawn, as a list of
 :class:`Level` ``(level, nodes, t_len, reps, placement)``, which the
@@ -53,7 +55,7 @@ keyless :class:`IdentityStack` have ``trials`` None and ignore the
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -64,6 +66,7 @@ from .core import (
     _PHI64,
     _S27,
     _S30,
+    _S31,
     RandomnessKey,
     _splitmix64_array,
     counter_stream,
@@ -88,66 +91,53 @@ def _mod(values: np.ndarray, m: int) -> np.ndarray:
     return np.subtract(values, q, out=q)
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
-    """a * b mod prime for uint64 arrays with entries below prime < 2^63.
+# The two fields of the polynomial hashes, Mersenne primes (Carter and
+# Wegman 1979; Thorup, "High Speed Hashing for Integers and Strings", 2015).
+M31, M61 = (1 << 31) - 1, (1 << 61) - 1
+_M61, _LOW31, _S61 = np.uint64(M61), np.uint64(M31), np.uint64(61)
 
-    Below 2^32, a * b < prime^2 < 2^64 and one remainder does.  Above, b is
-    multiplied in chunks of ``s = 64 - bits(prime)`` bits, high chunk first:
-    a * chunk and the accumulator shifted by s bits stay below prime * 2^s
-    <= 2^64, and the sum of two remainders below 2 * prime < 2^64, so no
-    intermediate leaves uint64; each is reduced before the next.
-    """
-    bits = prime.bit_length()
-    if 2 * bits <= 64:
-        return _mod(a * b, prime)
-    step = 64 - bits
-    acc = np.zeros_like(a)
-    hi = bits
-    while hi > 0:
-        lo = max(hi - step, 0)
-        chunk = (b >> np.uint64(lo)) & np.uint64((1 << (hi - lo)) - 1)
-        acc = _mod(_mod(acc << np.uint64(hi - lo), prime) + _mod(a * chunk, prime), prime)
-        hi = lo
+
+def field_prime(num_nodes: int, t_len: int) -> int:
+    """A polynomial level's prime: M31 while its nodes and tests are at most
+    M31, else M61; past M61, a ValueError."""
+    for prime in (M31, M61):
+        if max(num_nodes, t_len) <= prime:
+            return prime
+    raise ValueError(f"a polynomial level of {num_nodes} nodes and {t_len} tests is wider "
+                     "than its widest field, 2^61 - 1")
+
+
+def _limbs61(x: np.ndarray) -> tuple:
+    """Twice the high 31-bit limb, the high limb and the low limb of x."""
+    hi = x >> _S31
+    return hi << np.uint64(1), hi, x & _LOW31
+
+
+def _muladd61(acc: np.ndarray, limbs: tuple, c) -> np.ndarray:
+    """``acc * x + c`` mod M61 up to one M61, below 2^61 + 8, into acc's
+    buffer, for uint64 acc < 2^62, x < 2^61 as its :func:`_limbs61` and
+    c < 2^61.  With acc = a1 2^31 + a0, x = x1 2^31 + x0 and 2^61 = 1 mod
+    M61, acc * x = 2 a1 x1 + m 2^31 + a0 x0 for m = a1 x0 + a0 x1 < 2^63,
+    and m 2^31 = (m >> 30) + ((m mod 2^30) << 31).  With c the sum stays
+    below 2^62 + 2^33 + 2^61 + 2^62 + 2^61 < 2^64, and one fold, (s & M61)
+    + (s >> 61), takes it below 2^61 + 8."""
+    twice_hi, hi, lo = limbs
+    a1 = acc >> _S31
+    a0 = np.bitwise_and(acc, _LOW31, out=acc)
+    s = a1 * twice_hi
+    m = np.multiply(a1, lo, out=a1)
+    t = a0 * hi
+    m += t
+    s += np.multiply(a0, lo, out=t)
+    s += c
+    s += np.right_shift(m, _S30, out=t)
+    m <<= _S31
+    m &= _M61
+    s += m
+    np.bitwise_and(s, _M61, out=acc)
+    s >>= _S61
+    acc += s
     return acc
-
-
-# Miller-Rabin with the first twelve primes as bases is exact below this bound
-# (Sorenson and Webster), far above the 2^63 the hashes need.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXACT_BELOW = 318665857834031151167461
-
-
-def _is_prime(m: int) -> bool:
-    for q in _MR_BASES:
-        if m % q == 0:
-            return m == q
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=1024)  # every trial of a config asks for the same primes
-def smallest_prime_at_least(x: int) -> int:
-    if x <= 2:
-        return 2
-    if x >= _MR_EXACT_BELOW:
-        raise ValueError(f"{x} is beyond the exact range of the primality test")
-    candidate = x if x % 2 else x + 1
-    while not _is_prime(candidate):
-        candidate += 2
-    return candidate
 
 
 def _reduce(values: np.ndarray, t_len: int) -> np.ndarray:
@@ -159,36 +149,36 @@ def _reduce(values: np.ndarray, t_len: int) -> np.ndarray:
     return _mod(values, t_len)
 
 
-def _horner(coeffs, nodes: np.ndarray, prime: int, t_len: int) -> np.ndarray:
-    """Polynomials at every node, mod ``prime`` and then mod ``t_len``, as
-    int64.  ``coeffs`` runs from the highest degree down; each entry is a
-    (rows x 1) column, one polynomial per row, or a (rows x nodes) matrix,
-    one per lane, so the result is rows x nodes.  Nodes and coefficients lie
-    below ``prime`` < 2^63.
+def _horner(coeffs, nodes: np.ndarray, prime: int, t_len: int, num_nodes: int) -> np.ndarray:
+    """Polynomials at every node, mod ``prime`` (M61, or below 2^32) and
+    then mod ``t_len``, as int64.  ``coeffs`` runs from the highest degree
+    down, each below the prime; each entry is a (rows x 1) column, one
+    polynomial per row, or a (rows x nodes) matrix, one per lane, so the
+    result is rows x nodes.  Nodes lie in [0, num_nodes), num_nodes <= prime.
 
-    Below 2^32 the accumulator is reduced lazily: a step ``acc * x + c``
-    takes a bound B on acc to (B + 1) * (prime - 1), and acc is reduced mod
-    prime only before a step whose new bound would pass 2^64 - 1; after a
-    reduction B = prime - 1, and prime * (prime - 1) < 2^64.  A 31-bit prime so
-    reduces every second step, a 15-bit one every fourth (Thorup, "High
-    Speed Hashing for Integers and Strings", 2015).  Larger primes reduce
-    every step, products through :func:`_mulmod`.  The result is the same
+    Over M61 each step is a :func:`_muladd61`, and one conditional subtract
+    ends the pass.  Below 2^32 a step ``acc * x + c`` takes a bound B on acc
+    to B * (num_nodes - 1) + prime - 1, and acc is reduced mod prime only
+    before a step whose new bound would pass 2^64 - 1, to B = prime - 1:
+    over M31, every third step at 2^14 nodes.  The result is the same
     either way, as is ``& (t_len - 1)`` for ``% t_len`` at a power of two."""
     x = np.asarray(nodes, dtype=np.int64).view(np.uint64)
     coeffs = iter(coeffs)
     acc = next(coeffs) + np.zeros_like(x)  # a fresh rows x nodes array
-    if 2 * prime.bit_length() > 64:
+    if prime == M61:
+        limbs = _limbs61(x)
         for c in coeffs:
-            acc = _mod(_mulmod(acc, x, prime) + c, prime)
+            acc = _muladd61(acc, limbs, c)
+        np.subtract(acc, _M61, out=acc, where=acc >= _M61)
     else:
         top = bound = prime - 1
         for c in coeffs:
-            if (bound + 1) * top > _MASK64:
+            if bound * (num_nodes - 1) + top > _MASK64:
                 acc = _mod(acc, prime)
                 bound = top
             acc *= x
             acc += c
-            bound = (bound + 1) * top
+            bound = bound * (num_nodes - 1) + top
         acc = _mod(acc, prime)
     return _reduce(acc, t_len).view(np.int64)
 
@@ -291,18 +281,18 @@ class CounterHashStack:
 
 
 class PolynomialStack:
-    """``reps`` degree-d polynomial hashes of the same nodes over a prime
-    field, reduced mod t_len.  Repetition r's coefficient i, from the
-    constant term up, is the 128-bit number of row keys ``keys[r, 2i]``
-    (high) and ``keys[r, 2i + 1]`` (low) mod the prime: uniform on the
-    field up to a bias of prime / 2^128, where one word mod a prime near
-    2^62 would be off by about 1/4.
+    """``reps`` degree-d polynomial hashes of the same nodes over the field
+    :func:`field_prime` gives the level, M31 or M61, reduced mod t_len.
+    Repetition r's coefficient i, from the constant term up, is the 128-bit
+    number of row keys ``keys[r, 2i]`` (high) and ``keys[r, 2i + 1]`` (low)
+    mod the prime: uniform on the field up to a bias of prime / 2^128, where
+    one word mod M61 would be off by 1/8.
 
     d coefficients give d-wise independence over the field; the final
-    modular reduction adds a bias of at most t_len/prime per bucket, which
-    is negligible for the primes used here (>= num_nodes).  ``tests_of`` is
-    one Horner pass over the (repetitions x nodes) grid.  A stack of
-    several trials holds one key matrix per trial.
+    modular reduction adds a bias of at most t_len/prime per bucket, at
+    most t_len / (2^31 - 1).  ``tests_of`` is one Horner pass over the
+    (repetitions x nodes) grid.  A stack of several trials holds one key
+    matrix per trial.
     """
 
     def __init__(self, num_nodes: int, t_len: int, keys: np.ndarray):
@@ -314,12 +304,10 @@ class PolynomialStack:
         self.t_len = t_len
         self.reps = keys.shape[-2]
         self.trials = len(keys) if keys.ndim == 3 else None
-        self.prime = smallest_prime_at_least(max(num_nodes, t_len, 2))
-        if self.prime >= 1 << 63:
-            raise ValueError(f"num_nodes={num_nodes} and t_len={t_len} must stay below 2^63")
-        hi, lo = _mod(keys[..., 0::2], self.prime), _mod(keys[..., 1::2], self.prime)
-        self.coeffs = _mod(_mulmod(hi, np.uint64((1 << 64) % self.prime), self.prime) + lo,
-                           self.prime)
+        self.prime = p = field_prime(num_nodes, t_len)
+        # (high mod p) * (2^64 mod p) + low mod p: 2^64 mod p is 4 at M31 and 8 at M61
+        hi, lo = _mod(keys[..., 0::2], p), _mod(keys[..., 1::2], p)
+        self.coeffs = _mod(_mod(hi * np.uint64((1 << 64) % p), p) + lo, p)
         self.storage_cost = self.reps * (degree + 2)
 
     def tests_of(self, nodes: np.ndarray, reps: slice = slice(None),
@@ -327,13 +315,15 @@ class PolynomialStack:
         """One Horner pass over :func:`_horner`'s coefficients, highest
         degree first: (repetitions x 1) columns of one trial's keys, or
         C-contiguous (repetitions x nodes) planes, one degree of each
-        node's own trial's keys at a time."""
+        node's own trial's keys at a time.  ``nodes`` lie in [0,
+        num_nodes), as at every stack; the lazy reduction below 2^32 relies
+        on it."""
         if self.trials is None:
             coeffs = self.coeffs[reps].T[::-1, :, None]
         else:  # one degree's coefficients of every node at a time
             rows = self.coeffs[:, reps]
             coeffs = (rows[..., i].T.take(trials, 1) for i in reversed(range(rows.shape[-1])))
-        return _horner(coeffs, nodes, self.prime, self.t_len)
+        return _horner(coeffs, nodes, self.prime, self.t_len, self.num_nodes)
 
 
 class PermutationStack:

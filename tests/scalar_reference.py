@@ -10,12 +10,13 @@ baselines' previous design and scheme (a per-item constant-weight draw or
 a two-dimensional Floyd scatter over a Philox generator, decoded by the
 set-based COMP and NCOMP), a hand-placed one-level design and the
 one-test outcome; the per-segment flattening of a tree design and its
-one-test-at-a-time noiseless outcome vector; the trial-division prime table;
-Horner's rule, the counter hash, the defective draw and the channel flip in
-pure-Python integers; the keyed-permutation row on bit strings; the
-explicit i.i.d. table the counter hash replaced; the Philox defective draw
-and channel noise that the counter stream replaced; and the rows of a batch
-decode's columns, one report per trial."""
+one-test-at-a-time noiseless outcome vector; a prime search, for the
+polynomial hashes' previous field rule; Horner's rule, the counter hash,
+the defective draw and the channel flip in pure-Python integers; the
+keyed-permutation row on bit strings; the explicit i.i.d. table the counter
+hash replaced; the Philox defective draw and channel noise that the
+counter stream replaced; and the rows of a batch decode's columns, one
+report per trial."""
 
 from __future__ import annotations
 
@@ -493,15 +494,48 @@ def item_masks_scalar(n: int, tests) -> list[int]:
 # --- placements ------------------------------------------------------------
 
 
-def next_primes_by_trial_division(limit: int) -> np.ndarray:
-    """For every x < limit (at most 10^6), the smallest prime >= x, from a
-    primality table built by trial division."""
-    m = np.arange(limit + 200, dtype=np.int64)  # prime gaps below 10^6 are < 200
-    is_prime = m >= 2
-    for d in range(2, math.isqrt(len(m)) + 1):
-        is_prime &= (m % d != 0) | (m == d)
-    primes = np.flatnonzero(is_prime)
-    return primes[np.searchsorted(primes, np.arange(limit))]
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(m: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, exact below
+    3.18 * 10^23 (Sorenson and Webster), far above the 2^63 the tests ask
+    about."""
+    if m < 2:
+        return False
+    for q in _PRIME_BASES:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime(x: int) -> int:
+    """The smallest prime >= x.  At x = max(num_nodes, t_len, 2) it is the
+    field a polynomial level hashed over before the two Mersenne fields
+    (``PREVIOUS_FIELD`` in test_golden.py)."""
+    while not is_prime(x):
+        x += 1
+    return x
+
+
+def previous_prime(x: int) -> int:
+    """The largest prime <= x, for x >= 2."""
+    while not is_prime(x):
+        x -= 1
+    return x
 
 
 def python_horner(coeffs, x: int, prime: int, t_len: int) -> int:

@@ -408,6 +408,9 @@ def test_result_row_blank_fields_for_other_algorithms():
 # an allocation or an overflow: rejected before trial 0 instead.
 UNRUNNABLE = {
     "gamma n=2^63": ("gamma --n 9223372036854775808 --k 16 --gamma 6", "supported"),
+    # 2^62 singletons, past the widest polynomial field
+    "gamma kwise n=2^62": ("gamma --n 4611686018427387904 --k 16 --gamma 6 --hash-mode kwise",
+                           "widest field"),
     "rho n=2^50 permutation": ("rho --n 1125899906842624 --k 16 --rho 4096 "
                                "--hash-mode permutation", "byte"),
     "rho n=rho=2^62": ("rho --n 4611686018427387904 --k 16 --rho 4611686018427387904",

@@ -14,8 +14,8 @@ import json
 
 import pytest
 
-from scalar_reference import philox_defectives, philox_flips, previous_flat_scheme
-from splitgt import bench, core
+from scalar_reference import next_prime, philox_defectives, philox_flips, previous_flat_scheme
+from splitgt import bench, core, placements
 from splitgt.bench import TrialConfig, run_trials
 
 SEED = 2021
@@ -34,18 +34,18 @@ CELLS = {
 GOLDEN = {
     ("gamma-full", 0.0): "297da71fa858f83bd79546b5ef4e6ce4f4c715c8e1a632facaad682a4bcfb5bb",
     ("gamma-full", 0.05): "57170eca8ea30869b33c35d9fc10e3ae18ab32897dff7b2b00fe8dc934d60980",
-    ("gamma-kwise", 0.0): "8f42a5537d678d6110135c15e4c0bb7d4929d0e285a1e1c616fca1a21e0e0922",
-    ("gamma-kwise", 0.05): "f4e0414aa0cd6a680c06961f47f4c823d74d10a924d1fe2cd6fbc4ec760078a1",
-    ("gamma-pairwise", 0.0): "c28be3d02de3f8efd39a0c4b458d9e88475926f6e151368f273fc8390134ce64",
-    ("gamma-pairwise", 0.05): "f70cdec2d0b293ffc5e9ecf44560b25283665b2525d9fb396e69a248cd77754f",
+    ("gamma-kwise", 0.0): "1aed302fc665e39e00cb59ca2610da2b953d9b5def27f30870b45b26d9512158",
+    ("gamma-kwise", 0.05): "3ae56bd0defb25cec3f6d350d874bbadbf76a44c6a3d1c2866fb3bd1d76b7147",
+    ("gamma-pairwise", 0.0): "d8858319cecd8bc0e7e18c319b792de0c9cad15697a0b5e53da7d2b55241aabe",
+    ("gamma-pairwise", 0.05): "75c139584eab5f77867815ba114d116cbb94648ab1567e87788bc8b51f58a8b2",
     ("rho-full", 0.0): "4d9deb5a87b00e59f30bd63166fe29785ef2d691c89949a1d0fd8c5b39a74dc8",
     ("rho-full", 0.05): "90aeeeb830271525138319a79d3f8438eff8082ef4cbe645717a237848d0fbdc",
     ("rho-permutation", 0.0): "279ae2ea0126987d404950d5655a6b5160ebae2c3c2204703e87e24716468d1c",
     ("rho-permutation", 0.05): "389ed116c8932d0a67cbc59026e4fda3aec99554cad5e3358621c5472f117f58",
     ("noisy-full", 0.0): "2204852defde38720e8ac7d4ce56fe0e7638365d14c48b339c552be8f82b744e",
     ("noisy-full", 0.05): "e66b5dc6287131a3f976520960348b76e37952b3bd8b6f8691f5897739d51546",
-    ("noisy-kwise", 0.0): "ef55d47194a38343343c8840a066b992f8d88312e18fefa9c6698b61524896fc",
-    ("noisy-kwise", 0.05): "c32b26052bb2cfe4e0cea0ac7014484246119c0b268b137d5b5c7dc2ff091fc8",
+    ("noisy-kwise", 0.0): "d96cefb7879828e3b612b6f377b4a1e226811c1cc214044a319e1b7edaddd556",
+    ("noisy-kwise", 0.05): "7298ee97b7564d4c1f3daa2e9b04a3fe0438baeb32452537621bf2a487041342",
     ("comp", 0.0): "28f27e6457a9a7f41a63dc70842c00ae3adfea6f0c4c8fbc84335dad162b3b54",
     ("comp", 0.05): "6225846d9e54c5757822ee60b32b3fef16985d8142198640969ad5ff90f708de",
     ("ncomp", 0.0): "bc398925e82196c20265a9e9db5b58420dc7039937825af26db7054eb827641a",
@@ -65,12 +65,26 @@ PREVIOUS_DESIGN = {
     ("ncomp", 0.05): "f7564fb8c86c6b0cd072238611dcf5776a154201b81399db4dec1bb16c671c8d",
 }
 
+# The polynomial cells' digests under the previous field rule, the smallest
+# prime at or above a level's node count and tests, where the levels now hash
+# over M31 (n = 256 needs no M61).  The field moved nothing else: with that
+# rule patched back in (``placements.field_prime``), every such result
+# digests to these.
+PREVIOUS_FIELD = {
+    ("gamma-kwise", 0.0): "8f42a5537d678d6110135c15e4c0bb7d4929d0e285a1e1c616fca1a21e0e0922",
+    ("gamma-kwise", 0.05): "f4e0414aa0cd6a680c06961f47f4c823d74d10a924d1fe2cd6fbc4ec760078a1",
+    ("gamma-pairwise", 0.0): "c28be3d02de3f8efd39a0c4b458d9e88475926f6e151368f273fc8390134ce64",
+    ("gamma-pairwise", 0.05): "f70cdec2d0b293ffc5e9ecf44560b25283665b2525d9fb396e69a248cd77754f",
+    ("noisy-kwise", 0.0): "ef55d47194a38343343c8840a066b992f8d88312e18fefa9c6698b61524896fc",
+    ("noisy-kwise", 0.05): "c32b26052bb2cfe4e0cea0ac7014484246119c0b268b137d5b5c7dc2ff091fc8",
+}
+
 # The digests of the previous streams, in which every trial drew its
 # defectives by ``choice(n, k, replace=False)`` and its channel noise by one
 # ``random(T)`` from Philox generators of its keys.  The stream change moved
-# nothing else: with those draws patched back in, and comp and ncomp on
-# their previous design (see PREVIOUS_DESIGN), every result digests to
-# these.
+# nothing else: with those draws patched back in, comp and ncomp on their
+# previous design (see PREVIOUS_DESIGN) and the polynomial cells on their
+# previous field (see PREVIOUS_FIELD), every result digests to these.
 PREVIOUS_STREAM = {
     ("gamma-full", 0.0): "f3ac9e50416d6a6bcf9f1645fec6338d74fab5ee49a82fe9779c6f5981d59837",
     ("gamma-full", 0.05): "78e9f16361b968611990ea75f1bbcf81806663e85c1129ec0083429a315cbc1f",
@@ -121,7 +135,8 @@ PREVIOUS_FORMAT = {
 def _result(cell: str, p: float, philox: bool = False, previous: bool = False) -> str:
     """The result of one cell, as JSON; with ``philox``, from the previous
     streams' Philox defective draw and channel noise; with ``previous``,
-    comp and ncomp on their previous design."""
+    comp and ncomp on their previous design and the polynomial levels on
+    their previous field."""
     config = TrialConfig(n=256, k=4, trials=12, base_seed=SEED, p=p, **CELLS[cell])
     with pytest.MonkeyPatch.context() as patch:
         if philox:
@@ -130,6 +145,9 @@ def _result(cell: str, p: float, philox: bool = False, previous: bool = False) -
         if previous and config.algorithm in ("comp", "ncomp"):
             patch.setitem(bench.SCHEMES, config.algorithm, previous_flat_scheme(config.algorithm))
             patch.setattr(bench, "BATCH_BYTES", 1)  # its batches are of one trial
+        if previous:
+            patch.setattr(placements, "field_prime",
+                          lambda num_nodes, t_len: next_prime(max(num_nodes, t_len, 2)))
         return json.dumps(run_trials(config).to_dict(), sort_keys=True)
 
 
@@ -145,6 +163,11 @@ def test_result_digest_is_unchanged(cell, p):
 @pytest.mark.parametrize("cell,p", sorted(PREVIOUS_DESIGN))
 def test_the_design_is_the_only_change_from_the_previous_flat_baselines(cell, p):
     assert _digest(_result(cell, p, previous=True)) == PREVIOUS_DESIGN[(cell, p)]
+
+
+@pytest.mark.parametrize("cell,p", sorted(PREVIOUS_FIELD))
+def test_the_field_is_the_only_change_from_the_previous_primes(cell, p):
+    assert _digest(_result(cell, p, previous=True)) == PREVIOUS_FIELD[(cell, p)]
 
 
 @pytest.mark.parametrize("cell,p", sorted(PREVIOUS_STREAM))

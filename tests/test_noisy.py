@@ -418,8 +418,8 @@ def test_batch_decode_matches_separate_decodes(hash_mode, size, p_even, p_odd):
 
 @pytest.mark.parametrize("hash_mode", [name for name in NAMES if name != "full"])
 def test_batch_decode_matches_separate_decodes_past_2_32_nodes(hash_mode):
-    """Per-trial polynomial coefficients through the split multiply that a
-    prime above 2^32 takes, in every low-storage mode noisy takes."""
+    """Per-trial polynomial coefficients through the M61 fold that a level
+    past 2^31 - 1 nodes takes, in every low-storage mode noisy takes."""
     n, k = 2 ** 40, 2
     params = noisy_params(n, k, 0.05, n_reps=3, r=2)
     keys = RandomnessKey(2).materials(range(3), "design")

@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -10,7 +9,9 @@ from scalar_reference import (
     MASK64,
     ExplicitStack,
     counter_hash_test,
-    next_primes_by_trial_division,
+    is_prime,
+    next_prime,
+    previous_prime,
     python_horner,
     scalar_test,
     shaped_stacks,
@@ -19,16 +20,20 @@ from test_counter_hash import chi2_bound, pearson
 from splitgt.core import RandomnessKey
 from splitgt.placements import (
     COUNTER_HASH,
+    M31,
+    M61,
     CounterHashStack,
     IdentityStack,
     PolynomialStack,
     _counter_hash,
     _horner,
+    _limbs61,
     _mod,
+    _muladd61,
+    field_prime,
     permutation,
     polynomial,
     row_keys,
-    smallest_prime_at_least,
 )
 
 
@@ -56,27 +61,6 @@ def balanced(num_nodes, t_len, k, full=True, reps=1):
 def table(stack, rep=0):
     """The test of every node under repetition ``rep`` (small sizes only)."""
     return stack.tests_of(np.arange(stack.num_nodes, dtype=np.int64))[rep]
-
-
-def test_smallest_prime():
-    assert smallest_prime_at_least(2) == 2
-    assert smallest_prime_at_least(1000) == 1009
-    assert smallest_prime_at_least(1024) == 1031
-    assert smallest_prime_at_least(7) == 7
-
-
-def test_smallest_prime_matches_trial_division():
-    expected = next_primes_by_trial_division(10 ** 5)
-    assert [smallest_prime_at_least(x) for x in range(10 ** 5)] == expected.tolist()
-
-
-@pytest.mark.parametrize("log_x,gap", [(30, 3), (40, 15), (50, 55), (62, 135)])
-def test_smallest_prime_large(log_x, gap):
-    # trial division takes seconds at 2^40 and hours at 2^62
-    start = time.perf_counter()
-    assert smallest_prime_at_least(2 ** log_x) == 2 ** log_x + gap
-    assert smallest_prime_at_least(2 ** log_x + gap) == 2 ** log_x + gap
-    assert time.perf_counter() - start < 0.5
 
 
 def test_uniform_single_bucket():
@@ -131,61 +115,101 @@ def test_hashed_pairwise_collision_rate():
     target = 1 / t_len
     sigma = (target * (1 - target) / draws) ** 0.5
     # small extra slack for the modular-reduction bias, bounded by t_len/prime
-    assert abs(hits / draws - target) <= 5 * sigma + t_len / 1009
+    assert abs(hits / draws - target) <= 5 * sigma + t_len / M31
 
 
 def test_hashed_table_matches_scalar():
     p = hashed(257, 12, 4, key(9))
     assert [scalar_test(p, j, 0) for j in range(257)] == list(table(p))
-    # past n = 2^32 the prime's square no longer fits in 64 bits
-    for num in (2 ** 33, 2 ** 40):
+    # past 2^31 - 1 nodes the level hashes over M61
+    for num in (2 ** 33, 2 ** 40, M61):
         p = hashed(num, 1000, 4, key(9))
         nodes = np.arange(num - 257, num, dtype=np.int64)
         assert p.tests_of(nodes)[0].tolist() == [scalar_test(p, j, 0) for j in nodes.tolist()]
 
 
+def test_field_prime_at_its_bounds():
+    """M31 up to M31 nodes and tests, M61 above it up to M61, and no field
+    past M61."""
+    assert field_prime(1, 1) == field_prime(M31, 3) == field_prime(3, M31) == M31
+    assert field_prime(M31 + 1, 3) == field_prime(3, M31 + 1) == field_prime(M61, M61) == M61
+    for num_nodes, t_len in ((M61 + 1, 3), (3, M61 + 1)):
+        with pytest.raises(ValueError, match=r"widest field, 2\^61 - 1"):
+            field_prime(num_nodes, t_len)
+        with pytest.raises(ValueError, match=r"widest field, 2\^61 - 1"):
+            hashed(num_nodes, t_len, 2, key())
+
+
+@pytest.mark.parametrize("degree", [2, 6])
+def test_pairwise_independence_past_2_32_nodes(degree):
+    """Over 20,000 independently keyed repetitions of one level of 2^40
+    nodes, hashed over M61, each of two pairs of fixed nodes, one far apart
+    and one adjacent, lands jointly uniformly on the 6 x 6 pairs of tests:
+    a chi-square at ALPHA = 1e-6 per check."""
+    num, t_len, draws = 2 ** 40, 6, 20_000
+    stack = hashed(num, t_len, degree, RandomnessKey(4040, (degree,)), reps=draws)
+    assert stack.prime == M61
+    grid = stack.tests_of(np.array([num - 1, 5, 2 ** 39, 2 ** 39 + 1]))
+    for a, b in ((0, 1), (2, 3)):
+        assert pearson(grid[:, a] * t_len + grid[:, b], t_len ** 2) <= chi2_bound(t_len ** 2 - 1)
+
+
 # --- the lookup kernels against Python integers -----------------------------
 
 
-def largest_prime_at_most(x: int) -> int:
-    while smallest_prime_at_least(x) != x:
-        x -= 1
-    return x
-
-
-def lazy_bound(prime: int, steps: int) -> int:
+def lazy_bound(prime: int, steps: int, num_nodes: int) -> int:
     """The accumulator's bound ``steps`` Horner steps after a reduction,
-    which every node and coefficient at prime - 1 reaches."""
-    top = bound = prime - 1
+    which every node at num_nodes - 1 and coefficient at prime - 1
+    reaches."""
+    bound = prime - 1
     for _ in range(steps):
-        bound = bound * top + top
+        bound = bound * (num_nodes - 1) + prime - 1
     return bound
+
+
+def last_fitting(bound, low: int, high: int) -> int:
+    """The largest x in [low, high) whose ``bound(x)`` stays in uint64,
+    given that low's does and high's does not."""
+    while high - low > 1:
+        mid = (low + high) // 2
+        if bound(mid) <= MASK64:
+            low = mid
+        else:
+            high = mid
+    return low
 
 
 def threshold_primes(max_steps: int = 8) -> set[int]:
     """For each s up to ``max_steps``, the largest prime whose accumulator
-    stays in uint64 for s steps after a reduction, and the next prime, whose
-    does not.  At s = 1 the pair straddles 2^32, where products start to go
-    through the chunked multiply."""
+    stays in uint64 for s steps after a reduction at a level of as many
+    nodes as the prime, the previous field rule's levels, and the next
+    prime, whose does not.  At s = 1 the pair straddles 2^32."""
     primes = set()
     for steps in range(1, max_steps + 1):
-        fits, overflows = 2, 2 ** 33
-        while overflows - fits > 1:
-            mid = (fits + overflows) // 2
-            if lazy_bound(mid, steps) <= MASK64:
-                fits = mid
-            else:
-                overflows = mid
-        primes |= {largest_prime_at_most(fits), smallest_prime_at_least(fits + 1)}
+        fits = last_fitting(lambda p: lazy_bound(p, steps, p), 2, 2 ** 33)
+        primes |= {previous_prime(fits), next_prime(fits + 1)}
     return primes
 
 
-# the first and last prime of every width from 2 to 63 bits, and both sides
-# of every reduction threshold a polynomial of degree 9 or less can cross
-KERNEL_PRIMES = sorted(
+def threshold_nodes(max_steps: int = 8) -> set[int]:
+    """For each s from 2 to ``max_steps``, the largest node count whose
+    accumulator over M31 stays in uint64 for s steps after a reduction, and
+    the next count, whose does not.  One step always fits."""
+    counts = set()
+    for steps in range(2, max_steps + 1):
+        fits = last_fitting(lambda n: lazy_bound(M31, steps, n), 1, M31)
+        counts |= {fits, fits + 1}
+    return counts
+
+
+# level sizes: the first and last prime of every width from 2 to 63 bits,
+# both sides of every reduction threshold a polynomial of degree 9 or less
+# can cross at a level over a prime of its own size, and both sides of
+# every one it can cross over M31
+KERNEL_SIZES = sorted(
     {p for width in range(2, 64)
-     for p in (smallest_prime_at_least(2 ** (width - 1)), largest_prime_at_most(2 ** width - 1))}
-    | threshold_primes())
+     for p in (next_prime(2 ** (width - 1)), previous_prime(2 ** width - 1))}
+    | threshold_primes() | threshold_nodes())
 T_LENS = (1, 2, 2 ** 13, 2 ** 62, 3, 1000)
 LARGEST_PRIME_BELOW_2_63 = 2 ** 63 - 25
 
@@ -197,30 +221,52 @@ def test_threshold_primes_straddle_every_step_count():
     pairs = list(zip(primes[0::2], primes[1::2]))
     assert len(pairs) == 8 and pairs[-1] == (2 ** 32 - 5, 2 ** 32 + 15)
     for steps, (below, above) in zip(range(8, 0, -1), pairs):
-        assert lazy_bound(below, steps) <= MASK64 < lazy_bound(above, steps)
+        assert lazy_bound(below, steps, below) <= MASK64 < lazy_bound(above, steps, above)
 
 
-@pytest.mark.parametrize("prime", KERNEL_PRIMES)
-def test_horner_worst_case_operands(prime):
-    """Every coefficient at prime - 1 and the node at prime - 1, the largest
-    value each lazy step can reach, at degrees 2 to 9; a second row mixes in
-    small values.  Power-of-two t_len (1 included) take the mask, others the
-    remainder."""
-    top = prime - 1
-    nodes = np.array([top, 0, 1, top // 2], dtype=np.int64)
-    for degree in range(2, 10):
-        rows = [[top] * degree, [top if i % 2 else i % prime for i in range(degree)]]
-        coeffs = np.array(rows, dtype=np.uint64).T[:, :, None]  # highest degree first
-        for t_len in T_LENS + (prime,):
-            expected = [[python_horner(row, x, prime, t_len) for x in nodes.tolist()]
-                        for row in rows]
-            got = _horner(coeffs, nodes, prime, t_len)
-            assert got.dtype == np.int64 and got.tolist() == expected
+def test_threshold_nodes_straddle_every_step_count():
+    """Sorted, the M31 threshold node counts pair up from 8 steps down to
+    2, each pair adjacent; a level of 2^14 nodes fits two steps, not
+    three."""
+    counts = sorted(threshold_nodes())
+    pairs = list(zip(counts[0::2], counts[1::2]))
+    assert len(pairs) == 7 and all(above == below + 1 for below, above in pairs)
+    for steps, (below, above) in zip(range(8, 1, -1), pairs):
+        assert lazy_bound(M31, steps, below) <= MASK64 < lazy_bound(M31, steps, above)
+    assert lazy_bound(M31, 2, 2 ** 14) <= MASK64 < lazy_bound(M31, 3, 2 ** 14)
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_horner_worst_case_operands(size):
+    """A level of ``size`` nodes over its field, the nodes at size - 1 (the
+    largest the lazy bound admits), 0, 1 and half way, and every
+    coefficient at prime - 1, at degrees 2 to 9; a second row mixes in
+    small values.  A prime size below 2^32 is also checked as its own
+    field, as the previous field rule took it (PREVIOUS_FIELD in
+    test_golden.py).  Power-of-two t_len (1 included) take the mask, others
+    the remainder.  Past M61 a level has no field."""
+    if size > M61:
+        with pytest.raises(ValueError, match=r"widest field, 2\^61 - 1"):
+            field_prime(size, 1)
+        return
+    top_node = size - 1
+    nodes = np.array([top_node, 0, 1, top_node // 2], dtype=np.int64)
+    primes = [field_prime(size, 1)] + ([size] if size < 2 ** 32 and is_prime(size) else [])
+    for prime in primes:
+        top = prime - 1
+        for degree in range(2, 10):
+            rows = [[top] * degree, [top if i % 2 else i % prime for i in range(degree)]]
+            coeffs = np.array(rows, dtype=np.uint64).T[:, :, None]  # highest degree first
+            for t_len in T_LENS + (prime,):
+                expected = [[python_horner(row, x, prime, t_len) for x in nodes.tolist()]
+                            for row in rows]
+                got = _horner(coeffs, nodes, prime, t_len, size)
+                assert got.dtype == np.int64 and got.tolist() == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    width=st.integers(min_value=2, max_value=63),
+    width=st.integers(min_value=1, max_value=61),
     degree=st.integers(min_value=2, max_value=9),
     t_len=st.one_of(st.integers(min_value=0, max_value=62).map(lambda e: 1 << e),
                     st.integers(min_value=1, max_value=2 ** 63 - 1)),
@@ -228,21 +274,54 @@ def test_horner_worst_case_operands(prime):
     data=st.data(),
 )
 def test_horner_matches_python_integers(width, degree, t_len, per_node, data):
-    """Random nodes and coefficients below primes of every width, with one
-    coefficient column per row or, as a batch of trials gives them, one
-    coefficient per (row, node)."""
-    prime = smallest_prime_at_least(data.draw(st.integers(
-        2 ** (width - 1), min(2 ** width - 1, LARGEST_PRIME_BELOW_2_63))))
+    """Random levels of every width up to M61 nodes, their nodes below the
+    level size and coefficients below its field, with one coefficient
+    column per row or, as a batch of trials gives them, one coefficient per
+    (row, node)."""
+    num_nodes = data.draw(st.integers(2 ** (width - 1), min(2 ** width - 1, M61)))
+    prime = field_prime(num_nodes, 1)
     rows, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
-    below = st.integers(min_value=0, max_value=prime - 1)
-    nodes = data.draw(st.lists(below, min_size=count, max_size=count))
+    nodes = data.draw(st.lists(st.integers(0, num_nodes - 1), min_size=count, max_size=count))
     shape = (degree, rows, count if per_node else 1)
-    values = data.draw(st.lists(below, min_size=math.prod(shape), max_size=math.prod(shape)))
+    values = data.draw(st.lists(st.integers(0, prime - 1), min_size=math.prod(shape),
+                                max_size=math.prod(shape)))
     coeffs = np.array(values, dtype=np.uint64).reshape(shape)
-    got = _horner(coeffs, np.array(nodes, dtype=np.int64), prime, t_len)
+    got = _horner(coeffs, np.array(nodes, dtype=np.int64), prime, t_len, num_nodes)
     expected = [[python_horner(coeffs[:, r, j if per_node else 0].tolist(), x, prime, t_len)
                  for j, x in enumerate(nodes)] for r in range(rows)]
     assert got.tolist() == expected
+
+
+def test_muladd61_matches_python_integers():
+    """``acc * x + c`` mod M61 up to one M61 on 10^4 random triples and on
+    every triple of the extremes: the accumulator up to 2^62 - 1, its lazy
+    bound, the node up to M61 - 1 and 2^61 - 1, the coefficient at M61 - 1.
+    Results land on both sides of M61, where the final conditional
+    subtract of :func:`_horner` is taken and where it is not."""
+    rng = np.random.default_rng(61)
+    edges = {"acc": [0, 1, 2 ** 31 - 1, 2 ** 31, M61 - 1, M61, 2 ** 61 + 7, 2 ** 62 - 1],
+             "x": [0, 1, 2 ** 31 - 1, 2 ** 31, M61 - 1, M61],
+             "c": [0, 1, M61 - 1]}
+    grid = np.array(np.meshgrid(*edges.values(), indexing="ij"), dtype=np.uint64).reshape(3, -1)
+    acc, x, c = (np.concatenate([rng.integers(0, high, 10_000, dtype=np.uint64), column])
+                 for high, column in zip((2 ** 62, 2 ** 61, M61), grid))
+    got = _muladd61(acc.copy(), _limbs61(x), c).tolist()
+    assert all(value < 2 ** 61 + 8 for value in got)
+    expected = [(a * b + d) % M61 for a, b, d in zip(acc.tolist(), x.tolist(), c.tolist())]
+    assert [value % M61 for value in got] == expected
+    assert any(value >= M61 for value in got) and any(value < M61 for value in got)
+
+
+def test_horner_over_m61_ends_reduced():
+    """The one conditional subtract at the end of an M61 pass: (M61 - 1) *
+    x + 1 at x = 1 folds to M61 itself and must come out as 0, at x = 0 as
+    1; at x = M61 - 1 every step stays below M61."""
+    coeffs = np.array([[M61 - 1], [1]], dtype=np.uint64)[:, :, None]
+    nodes = np.array([1, 0, M61 - 1], dtype=np.int64)
+    assert _muladd61(np.array([M61 - 1], dtype=np.uint64), _limbs61(np.array(
+        [1], dtype=np.uint64)), 1).tolist() == [M61]
+    got = _horner(coeffs, nodes, M61, 1 << 62, M61)
+    assert got.tolist() == [[0, 1, ((M61 - 1) ** 2 + 1) % M61]]
 
 
 @pytest.mark.parametrize("m", [1, 3, 1000, 81071, 2 ** 32 - 5, LARGEST_PRIME_BELOW_2_63])
@@ -279,20 +358,21 @@ WORD = st.integers(min_value=0, max_value=2 ** 64 - 1)
 
 @settings(max_examples=80, deadline=None)
 @given(
-    at_least=st.integers(min_value=2, max_value=LARGEST_PRIME_BELOW_2_63),
+    num_nodes=st.integers(min_value=1, max_value=M61),
     degree=st.integers(min_value=2, max_value=6),
     trials=st.integers(min_value=1, max_value=3),
     reps=st.integers(min_value=1, max_value=3),
     data=st.data(),
 )
-@example(at_least=2, degree=2, trials=2, reps=1, data=None)
-@example(at_least=2 ** 62, degree=3, trials=3, reps=2, data=None)
-@example(at_least=LARGEST_PRIME_BELOW_2_63, degree=2, trials=2, reps=2, data=None)
-def test_coefficient_fold_matches_python_integers(at_least, degree, trials, reps, data):
+@example(num_nodes=2, degree=2, trials=2, reps=1, data=None)
+@example(num_nodes=M31, degree=3, trials=3, reps=2, data=None)
+@example(num_nodes=M31 + 1, degree=3, trials=3, reps=2, data=None)
+@example(num_nodes=M61, degree=2, trials=2, reps=2, data=None)
+def test_coefficient_fold_matches_python_integers(num_nodes, degree, trials, reps, data):
     """Each coefficient is the 128-bit number of its two row keys mod the
-    prime, for primes from 2 to just below 2^63, in a trial's own stack and
-    in the stack of several trials' keys, whose trial axis may have length
-    one."""
+    level's field, M31 up to M31 nodes and M61 above, in a trial's own
+    stack and in the stack of several trials' keys, whose trial axis may
+    have length one."""
     shape = (trials, reps, 2 * degree)
     if data is None:  # every word at its largest, which no product may overflow
         words = [2 ** 64 - 1] * math.prod(shape)
@@ -300,13 +380,13 @@ def test_coefficient_fold_matches_python_integers(at_least, degree, trials, reps
         words = data.draw(st.lists(WORD, min_size=math.prod(shape), max_size=math.prod(shape)))
     keys = np.array(words, dtype=np.uint64).reshape(shape)
     before = keys.copy()
-    own = [PolynomialStack(at_least, 1, trial_keys) for trial_keys in keys]
+    own = [PolynomialStack(num_nodes, 1, trial_keys) for trial_keys in keys]
     prime = own[0].prime
-    assert prime == smallest_prime_at_least(at_least) < 2 ** 63
+    assert prime == (M31 if num_nodes <= M31 else M61)
     expected = [[[((int(row[2 * i]) << 64) | int(row[2 * i + 1])) % prime
                   for i in range(degree)] for row in trial_keys] for trial_keys in keys]
     assert [stack.coeffs.tolist() for stack in own] == expected
-    batch = PolynomialStack(at_least, 1, keys)
+    batch = PolynomialStack(num_nodes, 1, keys)
     assert batch.coeffs.tolist() == expected and batch.trials == trials
     assert batch.reps == reps and batch.storage_cost == reps * (degree + 2)
     assert np.array_equal(keys, before)  # the fold writes into no row key
@@ -314,14 +394,17 @@ def test_coefficient_fold_matches_python_integers(at_least, degree, trials, reps
 
 def test_coefficient_chi_square():
     """Over many design keys, each coefficient position of a polynomial
-    level is uniform on a small prime field."""
-    shape, degree, designs = (31, 1, 2), 3, 4000  # prime 31: about 129 keys per cell
-    coeffs = np.array([shaped_stacks([shape], RandomnessKey(77, ("coeffs", i)),
-                                     polynomial(degree))[0].coeffs.ravel()
-                       for i in range(designs)])
-    assert coeffs.shape == (designs, shape[2] * degree)
-    for position in coeffs.T:
-        assert pearson(position.astype(np.int64), 31) <= chi2_bound(31 - 1)
+    level is uniform on its field, M31 or M61, binned by its top five bits
+    (the last bin short of one value)."""
+    degree, designs = 3, 4000  # about 125 keys per bin
+    for shape, prime in (((31, 1, 2), M31), ((2 ** 40, 1, 2), M61)):
+        coeffs = np.array([shaped_stacks([shape], RandomnessKey(77, ("coeffs", i)),
+                                         polynomial(degree))[0].coeffs.ravel()
+                           for i in range(designs)])
+        assert coeffs.shape == (designs, shape[2] * degree) and coeffs.max() < prime
+        for position in coeffs.T:
+            bins = (position >> np.uint64(prime.bit_length() - 5)).astype(np.int64)
+            assert pearson(bins, 32) <= chi2_bound(32 - 1)
 
 
 def test_balanced_exact_weights():
@@ -596,8 +679,8 @@ def test_scalar_reference_refuses_a_stack_of_several_trials(case):
 
 
 # (placement, num_nodes, t_len) of every trial-axis gather: the counter hash
-# at a power-of-two t_len and at another, polynomials over a prime below
-# 2^32 and one above it, the keyed permutation in both accountings
+# at a power-of-two t_len and at another, polynomials over M31 and over
+# M61, the keyed permutation in both accountings
 LAYOUTS = {"counter-mask": (COUNTER_HASH, 1024, 64),
            "counter-remainder": (COUNTER_HASH, 1024, 96),
            "polynomial-below-2^32": (polynomial(2), 2 ** 20, 96),
@@ -616,9 +699,9 @@ def test_trial_axis_lookup_is_repetition_major(case):
     stack, = shaped_stacks([(num_nodes, t_len, reps)], root.materials(range(count), "design"),
                            placement)
     if case == "polynomial-above-2^32":
-        assert stack.prime > 2 ** 32
+        assert stack.prime == M61
     elif case.startswith("polynomial"):
-        assert stack.prime < 2 ** 32
+        assert stack.prime == M31
     own = [shaped_stacks([(num_nodes, t_len, reps)], root.child(b, "design"), placement)[0]
            for b in range(count)]
     rng = np.random.default_rng(7)
